@@ -66,7 +66,7 @@ pub struct GossipBinding {
 }
 
 /// Where periodic checkpoint snapshots go. The engine (`ftbb-runtime`'s
-/// `NodeEngine`) calls [`CheckpointSink::store`] on a cadence; sinks own
+/// `ServiceEngine`) calls [`CheckpointSink::store`] on a cadence; sinks own
 /// durability (e.g. `ftbb-wire`'s atomic write-rename directory sink) and
 /// error reporting policy. A store failure never stops the engine — a node
 /// that cannot persist keeps computing; it merely loses restartability.

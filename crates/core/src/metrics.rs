@@ -8,80 +8,124 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters maintained by one protocol process.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProcMetrics {
-    /// Subproblems expanded (bounded + decomposed).
-    pub expanded: u64,
-    /// Children eliminated at creation (`l(v) ≥ U`).
-    pub eliminated_at_insert: u64,
-    /// Pool entries eliminated at selection.
-    pub eliminated_at_pop: u64,
-    /// Pool entries lazily pruned at `Pool::pop` because their bound could
-    /// no longer improve the incumbent — discarded without expansion (the
-    /// subtrees still complete into the table for termination detection).
-    pub pruned_at_pop: u64,
-    /// Pool entries skipped because the table already covered them.
-    pub skipped_covered: u64,
-    /// Leaves fathomed (solved or infeasible).
-    pub fathomed: u64,
-    /// Local incumbent improvements.
-    pub incumbent_updates: u64,
-    /// Work reports sent.
-    pub reports_sent: u64,
-    /// Work reports received.
-    pub reports_received: u64,
-    /// Codes shipped in sent reports, after compression.
-    pub report_codes_sent: u64,
-    /// Codes that compression removed before sending (paper: "the taller
-    /// the subtree completed locally, the larger the number of codes that
-    /// do not need to be sent").
-    pub report_codes_saved: u64,
-    /// Table gossips sent.
-    pub table_gossips_sent: u64,
-    /// Work requests sent.
-    pub work_requests_sent: u64,
-    /// Work grants sent.
-    pub grants_sent: u64,
-    /// Subproblems donated.
-    pub items_granted: u64,
-    /// Work denials sent.
-    pub denies_sent: u64,
-    /// Work-request timeouts suffered.
-    pub lb_timeouts: u64,
-    /// Complement recoveries performed (§5.3.2 failure repair).
-    pub recoveries: u64,
-    /// Expansions interrupted because gossip revealed them redundant.
-    pub redundant_interrupts: u64,
-    /// Contraction merge operations (code insertions processed).
-    pub merge_codes_processed: u64,
-    /// Contractions performed while merging.
-    pub merge_contractions: u64,
-    /// Members this process suspected via heartbeat timeout (§5.2) —
-    /// each transition to Suspected counts once; a member that recovers
-    /// and goes silent again counts again.
-    pub peers_suspected: u64,
-    /// Members forgotten (swept after `t_cleanup`) from this process's
-    /// membership view.
-    pub peers_forgotten: u64,
-    /// Membership events silently discarded because the process's bounded
-    /// event buffer (driven by a harness that was not draining it) was
-    /// full. Non-zero means the harness missed suspicion/forget
-    /// transitions.
-    pub membership_events_dropped: u64,
-    /// Explicit bound-announce frames this process broadcast (one per
-    /// member per flush window that carried a strictly better incumbent).
-    pub bound_broadcasts: u64,
-    /// Incumbent improvements that were *coalesced* into a flush window
-    /// already armed — they rode a pending broadcast instead of causing
-    /// one of their own (the batching win of bound suppression).
-    pub bound_coalesced: u64,
-    /// Outgoing frames whose incumbent piggyback was suppressed (stamped
-    /// with the no-news sentinel) because every member had already been
-    /// told the current bound.
-    pub bound_piggybacks_suppressed: u64,
-    /// Did this process detect termination?
-    pub terminated: bool,
+/// Declares a metrics struct from one list of fields and derives `absorb`
+/// (the element-wise merge used for cluster-level aggregation) from the
+/// same list, so a counter added to the struct cannot be forgotten there.
+macro_rules! mergeable_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $Name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $Name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl $Name {
+            /// Element-wise merge (for cluster-level aggregation):
+            /// counters add, flags OR.
+            pub fn absorb(&mut self, other: &$Name) {
+                $( Merge::merge(&mut self.$field, &other.$field); )*
+            }
+        }
+    };
+}
+
+/// How one field of a [`mergeable_struct!`] combines with its peer.
+trait Merge {
+    fn merge(&mut self, other: &Self);
+}
+
+impl Merge for u64 {
+    fn merge(&mut self, other: &u64) {
+        *self += other;
+    }
+}
+
+impl Merge for bool {
+    fn merge(&mut self, other: &bool) {
+        *self |= other;
+    }
+}
+
+mergeable_struct! {
+    /// Counters maintained by one protocol process.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ProcMetrics {
+        /// Subproblems expanded (bounded + decomposed).
+        pub expanded: u64,
+        /// Children eliminated at creation (`l(v) ≥ U`).
+        pub eliminated_at_insert: u64,
+        /// Pool entries eliminated at selection.
+        pub eliminated_at_pop: u64,
+        /// Pool entries lazily pruned at `Pool::pop` because their bound could
+        /// no longer improve the incumbent — discarded without expansion (the
+        /// subtrees still complete into the table for termination detection).
+        pub pruned_at_pop: u64,
+        /// Pool entries skipped because the table already covered them.
+        pub skipped_covered: u64,
+        /// Leaves fathomed (solved or infeasible).
+        pub fathomed: u64,
+        /// Local incumbent improvements.
+        pub incumbent_updates: u64,
+        /// Work reports sent.
+        pub reports_sent: u64,
+        /// Work reports received.
+        pub reports_received: u64,
+        /// Codes shipped in sent reports, after compression.
+        pub report_codes_sent: u64,
+        /// Codes that compression removed before sending (paper: "the taller
+        /// the subtree completed locally, the larger the number of codes that
+        /// do not need to be sent").
+        pub report_codes_saved: u64,
+        /// Table gossips sent.
+        pub table_gossips_sent: u64,
+        /// Work requests sent.
+        pub work_requests_sent: u64,
+        /// Work grants sent.
+        pub grants_sent: u64,
+        /// Subproblems donated.
+        pub items_granted: u64,
+        /// Work denials sent.
+        pub denies_sent: u64,
+        /// Work-request timeouts suffered.
+        pub lb_timeouts: u64,
+        /// Complement recoveries performed (§5.3.2 failure repair).
+        pub recoveries: u64,
+        /// Expansions interrupted because gossip revealed them redundant.
+        pub redundant_interrupts: u64,
+        /// Contraction merge operations (code insertions processed).
+        pub merge_codes_processed: u64,
+        /// Contractions performed while merging.
+        pub merge_contractions: u64,
+        /// Members this process suspected via heartbeat timeout (§5.2) —
+        /// each transition to Suspected counts once; a member that recovers
+        /// and goes silent again counts again.
+        pub peers_suspected: u64,
+        /// Members forgotten (swept after `t_cleanup`) from this process's
+        /// membership view.
+        pub peers_forgotten: u64,
+        /// Membership events silently discarded because the process's bounded
+        /// event buffer (driven by a harness that was not draining it) was
+        /// full. Non-zero means the harness missed suspicion/forget
+        /// transitions.
+        pub membership_events_dropped: u64,
+        /// Explicit bound-announce frames this process broadcast (one per
+        /// member per flush window that carried a strictly better incumbent).
+        pub bound_broadcasts: u64,
+        /// Incumbent improvements that were *coalesced* into a flush window
+        /// already armed — they rode a pending broadcast instead of causing
+        /// one of their own (the batching win of bound suppression).
+        pub bound_coalesced: u64,
+        /// Outgoing frames whose incumbent piggyback was suppressed (stamped
+        /// with the no-news sentinel) because every member had already been
+        /// told the current bound.
+        pub bound_piggybacks_suppressed: u64,
+        /// Did this process detect termination?
+        pub terminated: bool,
+    }
 }
 
 impl ProcMetrics {
@@ -100,114 +144,130 @@ impl ProcMetrics {
             self.report_codes_saved as f64 / total as f64
         }
     }
-
-    /// Element-wise sum (for cluster-level aggregation).
-    pub fn absorb(&mut self, other: &ProcMetrics) {
-        self.expanded += other.expanded;
-        self.eliminated_at_insert += other.eliminated_at_insert;
-        self.eliminated_at_pop += other.eliminated_at_pop;
-        self.pruned_at_pop += other.pruned_at_pop;
-        self.skipped_covered += other.skipped_covered;
-        self.fathomed += other.fathomed;
-        self.incumbent_updates += other.incumbent_updates;
-        self.reports_sent += other.reports_sent;
-        self.reports_received += other.reports_received;
-        self.report_codes_sent += other.report_codes_sent;
-        self.report_codes_saved += other.report_codes_saved;
-        self.table_gossips_sent += other.table_gossips_sent;
-        self.work_requests_sent += other.work_requests_sent;
-        self.grants_sent += other.grants_sent;
-        self.items_granted += other.items_granted;
-        self.denies_sent += other.denies_sent;
-        self.lb_timeouts += other.lb_timeouts;
-        self.recoveries += other.recoveries;
-        self.redundant_interrupts += other.redundant_interrupts;
-        self.merge_codes_processed += other.merge_codes_processed;
-        self.merge_contractions += other.merge_contractions;
-        self.peers_suspected += other.peers_suspected;
-        self.peers_forgotten += other.peers_forgotten;
-        self.membership_events_dropped += other.membership_events_dropped;
-        self.bound_broadcasts += other.bound_broadcasts;
-        self.bound_coalesced += other.bound_coalesced;
-        self.bound_piggybacks_suppressed += other.bound_piggybacks_suppressed;
-        self.terminated |= other.terminated;
-    }
 }
 
-/// Shared counters maintained by a transport implementation
-/// (`ftbb-runtime`'s in-process mesh, `ftbb-wire`'s TCP mesh).
-///
-/// The paper's Crash failure model makes "the send was silently dropped"
-/// a *correct* behaviour, which historically meant transports swallowed
-/// `Full`/`Disconnected` without a trace. These counters keep the silence
-/// observable: every send attempt lands in exactly one bucket.
-#[derive(Debug, Default)]
-pub struct TransportCounters {
+/// Declares the transport counters once — field, doc, and the key the
+/// counter carries on `FTBB-*` stdout lines — and derives both structs
+/// ([`TransportCounters`], the shared atomics a transport bumps, and
+/// [`TransportStats`], their plain-value snapshot), the snapshot itself,
+/// and the keyed view line codecs render and parse. Declaration order is
+/// the `FTBB-OUTCOME` line's field order.
+macro_rules! transport_counters {
+    ( $( $(#[$fmeta:meta])* $field:ident = $key:literal, )* ) => {
+        /// Shared counters maintained by a transport implementation
+        /// (`ftbb-runtime`'s in-process mesh, `ftbb-wire`'s TCP mesh).
+        ///
+        /// The paper's Crash failure model makes "the send was silently
+        /// dropped" a *correct* behaviour, which historically meant
+        /// transports swallowed `Full`/`Disconnected` without a trace.
+        /// These counters keep the silence observable: every send attempt
+        /// lands in exactly one bucket.
+        #[derive(Debug, Default)]
+        pub struct TransportCounters {
+            $( $(#[$fmeta])* pub $field: AtomicU64, )*
+        }
+
+        /// Point-in-time values of [`TransportCounters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct TransportStats {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl TransportCounters {
+            /// A plain-value snapshot for reporting/serialization.
+            pub fn snapshot(&self) -> TransportStats {
+                TransportStats {
+                    $( $field: self.$field.load(Ordering::Relaxed), )*
+                }
+            }
+        }
+
+        impl TransportStats {
+            /// The line key of every counter, in declaration order.
+            pub const KEYS: &'static [&'static str] = &[$( $key, )*];
+
+            /// Every counter with its line key, in [`Self::KEYS`] order.
+            pub fn keyed(&self) -> [(&'static str, u64); Self::KEYS.len()] {
+                [$( ($key, self.$field), )*]
+            }
+
+            /// Rebuild from a per-key lookup (the parse side of
+            /// [`Self::keyed`]); `None` as soon as one key is missing.
+            pub fn from_keyed(mut get: impl FnMut(&'static str) -> Option<u64>) -> Option<Self> {
+                Some(TransportStats {
+                    $( $field: get($key)?, )*
+                })
+            }
+        }
+    };
+}
+
+transport_counters! {
     /// Messages handed to the wire (or in-process queue) successfully.
-    pub sent: AtomicU64,
+    sent = "sent",
     /// Estimated protocol bytes of successful sends (`Msg::wire_size`).
-    pub sent_wire_bytes: AtomicU64,
+    sent_wire_bytes = "wire_bytes",
     /// Actual encoded bytes of successful sends, frame headers included
     /// (equals `sent_wire_bytes` for in-process transports, which ship no
     /// frames).
-    pub sent_encoded_bytes: AtomicU64,
+    sent_encoded_bytes = "encoded_bytes",
     /// Sends dropped because the destination queue was full.
-    pub dropped_full: AtomicU64,
+    dropped_full = "dropped_full",
     /// Sends dropped because the destination is disconnected/dead.
-    pub dropped_disconnected: AtomicU64,
+    dropped_disconnected = "dropped_disconnected",
     /// Sends dropped because no route to the destination id exists.
-    pub dropped_no_route: AtomicU64,
+    dropped_no_route = "dropped_no_route",
     /// Sends dropped because the startup retry budget was exhausted
     /// before the peer ever accepted a connection (TCP transports only).
-    pub dropped_startup: AtomicU64,
-    /// Frames held back for retry instead of being dropped while a peer's
-    /// listener was still coming up (TCP transports only).
-    pub retried: AtomicU64,
-    /// Failed dial attempts that were waited out and retried — during the
-    /// pre-establishment barrier or the startup retry window.
-    pub connect_waits: AtomicU64,
-    /// Connections re-established after a drop (TCP transports only).
-    pub reconnects: AtomicU64,
-    /// Problem-announce frames handed to the transport (root side of the
-    /// `--problem wire` handshake); one per peer per announce.
-    pub announces_sent: AtomicU64,
-    /// Problem-announce frames received and routed to the announce
-    /// channel.
-    pub announces_recv: AtomicU64,
-    /// Rejoin frames received: a peer came back under a new incarnation
-    /// and was (re)registered.
-    pub rejoins: AtomicU64,
-    /// Join frames received: a brand-new node introduced itself through
-    /// this node (gossip-server side of the elastic-join handshake) and
-    /// was registered.
-    pub joins: AtomicU64,
-    /// Previously-unknown peers learned from the id→addr book piggybacked
-    /// on membership frames (codec v4) and registered dynamically.
-    pub peers_discovered: AtomicU64,
-    /// Socket flushes: `write` calls that put one *or more* coalesced
-    /// frames on the wire (TCP transports only). `frames_flushed /
-    /// flushes` is the batching factor — 1.0 means every frame paid its
-    /// own syscall.
-    pub flushes: AtomicU64,
-    /// Frames carried by those flushes (equals `sent` when every written
-    /// frame was also counted sent).
-    pub frames_flushed: AtomicU64,
+    dropped_startup = "dropped_startup",
     /// Inbound frames dropped because they belonged to a stale
     /// incarnation — addressed to this node's previous life, or sent by a
     /// peer's previous life. A *receive*-side drop, so it is excluded from
     /// [`TransportStats::dropped`] (which sums send-side drops).
-    pub dropped_stale: AtomicU64,
+    dropped_stale = "dropped_stale",
+    /// Frames held back for retry instead of being dropped while a peer's
+    /// listener was still coming up (TCP transports only).
+    retried = "retried",
+    /// Failed dial attempts that were waited out and retried — during the
+    /// pre-establishment barrier or the startup retry window.
+    connect_waits = "connect_waits",
+    /// Connections re-established after a drop (TCP transports only).
+    reconnects = "reconnects",
+    /// Problem-announce frames handed to the transport (root side of the
+    /// `--problem wire` handshake); one per peer per announce.
+    announces_sent = "announces_sent",
+    /// Problem-announce frames received and routed to the announce
+    /// channel.
+    announces_recv = "announces_recv",
+    /// Rejoin frames received: a peer came back under a new incarnation
+    /// and was (re)registered.
+    rejoins = "rejoins",
+    /// Join frames received: a brand-new node introduced itself through
+    /// this node (gossip-server side of the elastic-join handshake) and
+    /// was registered.
+    joins = "joins",
+    /// Previously-unknown peers learned from the id→addr book piggybacked
+    /// on membership frames (codec v4) and registered dynamically.
+    peers_discovered = "discovered",
+    /// Socket flushes: `write` calls that put one *or more* coalesced
+    /// frames on the wire (TCP transports only). `frames_flushed /
+    /// flushes` is the batching factor — 1.0 means every frame paid its
+    /// own syscall.
+    flushes = "flushes",
+    /// Frames carried by those flushes (equals `sent` when every written
+    /// frame was also counted sent).
+    frames_flushed = "frames_flushed",
     /// Membership frames handed to the wire — the denominator for the
     /// per-frame book/digest entry ratios the scale regression asserts.
-    pub membership_frames_sent: AtomicU64,
+    membership_frames_sent = "membership_frames",
     /// Address-book entries piggybacked on those membership frames
     /// (codec v4 id→addr book, after the `book_max_entries` cap).
-    pub book_entries_sent: AtomicU64,
+    book_entries_sent = "book_entries",
     /// View-digest entries carried inside those membership frames (after
     /// delta suppression and the digest cap).
-    pub digest_entries_sent: AtomicU64,
+    digest_entries_sent = "digest_entries",
     /// Explicit bound-announce frames handed to the wire.
-    pub bound_broadcasts: AtomicU64,
+    bound_broadcasts = "bound_frames",
 }
 
 impl TransportCounters {
@@ -306,84 +366,6 @@ impl TransportCounters {
     pub fn record_bound_broadcast(&self) {
         self.bound_broadcasts.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// A plain-value snapshot for reporting/serialization.
-    pub fn snapshot(&self) -> TransportStats {
-        TransportStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            sent_wire_bytes: self.sent_wire_bytes.load(Ordering::Relaxed),
-            sent_encoded_bytes: self.sent_encoded_bytes.load(Ordering::Relaxed),
-            dropped_full: self.dropped_full.load(Ordering::Relaxed),
-            dropped_disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
-            dropped_no_route: self.dropped_no_route.load(Ordering::Relaxed),
-            dropped_startup: self.dropped_startup.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            connect_waits: self.connect_waits.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            announces_sent: self.announces_sent.load(Ordering::Relaxed),
-            announces_recv: self.announces_recv.load(Ordering::Relaxed),
-            rejoins: self.rejoins.load(Ordering::Relaxed),
-            joins: self.joins.load(Ordering::Relaxed),
-            peers_discovered: self.peers_discovered.load(Ordering::Relaxed),
-            dropped_stale: self.dropped_stale.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            frames_flushed: self.frames_flushed.load(Ordering::Relaxed),
-            membership_frames_sent: self.membership_frames_sent.load(Ordering::Relaxed),
-            book_entries_sent: self.book_entries_sent.load(Ordering::Relaxed),
-            digest_entries_sent: self.digest_entries_sent.load(Ordering::Relaxed),
-            bound_broadcasts: self.bound_broadcasts.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time values of [`TransportCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransportStats {
-    /// Messages handed to the wire successfully.
-    pub sent: u64,
-    /// Estimated protocol bytes of successful sends.
-    pub sent_wire_bytes: u64,
-    /// Actual encoded bytes of successful sends.
-    pub sent_encoded_bytes: u64,
-    /// Sends dropped on a full destination queue.
-    pub dropped_full: u64,
-    /// Sends dropped on a dead destination.
-    pub dropped_disconnected: u64,
-    /// Sends dropped for lack of a route.
-    pub dropped_no_route: u64,
-    /// Sends dropped when the startup retry budget ran out.
-    pub dropped_startup: u64,
-    /// Frames admitted to the startup retry queue.
-    pub retried: u64,
-    /// Failed dial attempts waited out and retried.
-    pub connect_waits: u64,
-    /// Connections re-established after a drop.
-    pub reconnects: u64,
-    /// Announce frames handed to the transport.
-    pub announces_sent: u64,
-    /// Announce frames received.
-    pub announces_recv: u64,
-    /// Rejoin frames received.
-    pub rejoins: u64,
-    /// Join frames received (elastic-join handshake, server side).
-    pub joins: u64,
-    /// Unknown peers learned from piggybacked address books.
-    pub peers_discovered: u64,
-    /// Inbound frames dropped as stale-incarnation (receive-side; not
-    /// part of [`TransportStats::dropped`]).
-    pub dropped_stale: u64,
-    /// Socket flushes (coalesced `write` calls; TCP transports only).
-    pub flushes: u64,
-    /// Frames carried by those flushes.
-    pub frames_flushed: u64,
-    /// Membership frames handed to the wire.
-    pub membership_frames_sent: u64,
-    /// Address-book entries piggybacked on membership frames (capped).
-    pub book_entries_sent: u64,
-    /// View-digest entries carried inside membership frames (delta).
-    pub digest_entries_sent: u64,
-    /// Explicit bound-announce frames handed to the wire.
-    pub bound_broadcasts: u64,
 }
 
 impl TransportStats {

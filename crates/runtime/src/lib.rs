@@ -5,11 +5,13 @@
 //! wall-clock timers — the "real implementation" the paper leaves as future
 //! work.
 //!
-//! The network is abstracted behind the [`Transport`] trait: `run_node`
-//! drives the protocol over *any* transport. This crate ships the
-//! in-process [`Mesh`] (one channel per node); the `ftbb-wire` crate
-//! implements the same trait over real TCP sockets between OS processes,
-//! so the identical node loop runs in both deployments.
+//! One pump drives every node: [`ServiceEngine`] multiplexes any number of
+//! [`JobEngine`]s (a single run is the one-job case, see [`run_node`]).
+//! The network is abstracted behind the [`Transport`] trait, so that pump
+//! runs over *any* transport. This crate ships the in-process [`Mesh`]
+//! (one channel per node); the `ftbb-wire` crate implements the same
+//! trait over real TCP sockets between OS processes, so the identical
+//! node loop runs in both deployments.
 //!
 //! Differences from the simulator are confined to the harness:
 //!
@@ -34,7 +36,7 @@ pub mod service;
 pub mod transport;
 
 pub use harness::{holds_root, node_seed, run_cluster, ClusterConfig, ClusterOutcome};
-pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeEngine, NodeOutcome};
+pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutcome};
 pub use pool::{PoolExpander, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};
 pub use transport::{Envelope, Mesh, Transport};

@@ -1,36 +1,23 @@
-//! One node, one job: the restorable [`NodeEngine`] — now a thin wrapper
-//! that admits a single [`crate::JobEngine`] (job [`JobId::DEFAULT`]) into
-//! a [`crate::ServiceEngine`] and runs it to completion.
+//! What a node reports, and the one-shot [`run_node`] helper.
 //!
-//! The engine is the unit of the node *lifecycle*: it can be constructed
-//! fresh, or restored from a [`Checkpoint`] + problem binding, and it can
-//! emit periodic snapshots of its durable state through a
-//! [`CheckpointSink`] while it runs. Every engine belongs to one
-//! **incarnation** of its node — a fresh engine is incarnation 0, a
-//! restored engine is `checkpoint.incarnation + 1` — so transports can
-//! reject traffic from (or addressed to) a node's previous life.
-//! [`run_node`] remains as the one-shot convenience wrapper harnesses use
-//! when they want neither restore nor persistence.
-//!
-//! The pump itself — the timer wheel, the interleaving action loop, the
-//! phase clock, the checkpoint/metrics cadences — lives in
-//! [`crate::service`]: the single-job engine and the multi-job service
-//! run the *same* code, so everything the single-run regressions pin
-//! holds for service mode by construction.
+//! Every node — threaded harness, TCP daemon, single run or service pool
+//! — is a [`crate::ServiceEngine`] pumping one or more
+//! [`crate::JobEngine`]s; this module holds the types that pump hands
+//! outward ([`MetricsSnapshot`] on the metrics cadence, [`NodeOutcome`]
+//! from [`run_node`]) and the [`CrashSwitch`] failure injectors trip.
+//! [`run_node`] is the short form harnesses use when they want neither
+//! restore nor persistence: one fresh job ([`JobId::DEFAULT`]) run to
+//! completion on its own pump.
 
 use crate::service::{JobEngine, ServiceEngine, ServiceOutcome};
 use crate::transport::{Envelope, Transport};
 use crossbeam::channel::Receiver;
-use ftbb_bnb::AnyInstance;
-use ftbb_core::{
-    AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, NullSink, PhaseTimes,
-    ProcMetrics, ProtocolConfig, Telemetry, TransportStats,
-};
+use ftbb_core::{BnbProcess, Expander, JobId, PhaseTimes, ProcMetrics, TransportStats};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a node reports when its engine finishes.
+/// What [`run_node`] reports when its one job's pump exits.
 #[derive(Debug, Clone)]
 pub struct NodeOutcome {
     /// Node id.
@@ -50,17 +37,18 @@ pub struct NodeOutcome {
 }
 
 /// A periodic point-in-time view of a running engine, handed to the
-/// metrics reporter installed via [`NodeEngine::set_metrics_reporter`].
-/// `ftbb-wire`'s noded formats these as `FTBB-METRICS` stdout lines.
+/// metrics reporter installed via
+/// [`ServiceEngine::set_metrics_reporter`]. `ftbb-wire`'s noded formats
+/// these as `FTBB-METRICS` stdout lines.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Node id.
     pub id: u32,
     /// Incarnation of the reporting engine.
     pub incarnation: u32,
-    /// Which job this snapshot describes (0 — [`JobId::DEFAULT`] — on
-    /// the legacy single-run path). A service engine emits one snapshot
-    /// per admitted job each cadence tick.
+    /// Which job this snapshot describes (0 — [`JobId::DEFAULT`] — for
+    /// a single run). The engine emits one snapshot per admitted job
+    /// each cadence tick.
     pub job: u64,
     /// Snapshot sequence number for this job within this life (0, 1, ...).
     pub seq: u64,
@@ -95,193 +83,15 @@ impl CrashSwitch {
     }
 }
 
-/// Consumer installed via [`NodeEngine::set_metrics_reporter`]; receives a
-/// [`MetricsSnapshot`] on every cadence tick and once at clean exit.
+/// Consumer installed via [`ServiceEngine::set_metrics_reporter`];
+/// receives a [`MetricsSnapshot`] on every cadence tick and once at clean
+/// exit.
 pub type MetricsReporter = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 
-/// The single-job node engine: one [`crate::JobEngine`] run to completion
-/// by a dedicated [`crate::ServiceEngine`].
-///
-/// An engine is either *fresh* ([`NodeEngine::new`], incarnation 0) or
-/// *restored* ([`NodeEngine::restore`], next incarnation, state and
-/// problem binding from the checkpoint). [`NodeEngine::run`] drives it to
-/// termination, crash, or deadline; [`NodeEngine::run_with_sink`]
-/// additionally emits periodic snapshots a later incarnation can restore
-/// from.
-pub struct NodeEngine<E: Expander> {
-    job: JobEngine<E>,
-    incarnation: u32,
-    telemetry: Telemetry,
-    metrics_every: Option<Duration>,
-    metrics_out: Option<MetricsReporter>,
-    workers: usize,
-    erase: Option<crate::service::EraseFn<E>>,
-}
-
-impl NodeEngine<AnyExpander> {
-    /// Restore an engine from a checkpoint carrying a problem binding:
-    /// the durable protocol state comes back via [`BnbProcess::restore`],
-    /// the expander is rebuilt from the embedded instance, and the engine
-    /// starts its next life (`checkpoint.incarnation + 1`). The job scope
-    /// is preserved from the checkpoint ([`JobId::DEFAULT`] for
-    /// snapshots written by single-run deployments).
-    pub fn restore(
-        chk: &Checkpoint,
-        cfg: ProtocolConfig,
-        rng_seed: u64,
-    ) -> Result<NodeEngine<AnyExpander>, String> {
-        let job = JobEngine::restore(chk, cfg, rng_seed)?;
-        Ok(NodeEngine {
-            job,
-            incarnation: chk.incarnation + 1,
-            telemetry: Telemetry::disabled(),
-            metrics_every: None,
-            metrics_out: None,
-            workers: 1,
-            erase: None,
-        })
-    }
-}
-
-impl<E: Expander> NodeEngine<E> {
-    /// A fresh engine (incarnation 0) around an unstarted (or restored —
-    /// see [`NodeEngine::restore`] for the usual path) process.
-    pub fn new(core: BnbProcess, expander: E) -> NodeEngine<E> {
-        NodeEngine {
-            job: JobEngine::new(JobId::DEFAULT, core, expander),
-            incarnation: 0,
-            telemetry: Telemetry::disabled(),
-            metrics_every: None,
-            metrics_out: None,
-            workers: 1,
-            erase: None,
-        }
-    }
-
-    /// Attach the materialized workload, so emitted checkpoints are
-    /// self-sufficient (restorable without a problem spec).
-    pub fn bind_problem(&mut self, problem: impl Into<Arc<AnyInstance>>) {
-        self.job.bind_problem(problem);
-    }
-
-    /// Install a structured trace sink. Engine lifecycle transitions —
-    /// start, suspicion, forgetting, recovery, halt, checkpoint failures —
-    /// are emitted as typed [`ftbb_core::TraceEvent`]s instead of ad-hoc
-    /// stderr prints.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Install a periodic metrics reporter: every `every` of wall time
-    /// (and once at clean exit), `out` receives a [`MetricsSnapshot`] of
-    /// the running engine.
-    pub fn set_metrics_reporter(&mut self, every: Duration, out: MetricsReporter) {
-        self.metrics_every = Some(every);
-        self.metrics_out = Some(out);
-    }
-
-    /// Which life of the node this engine is.
-    pub fn incarnation(&self) -> u32 {
-        self.incarnation
-    }
-
-    /// Snapshot the engine's durable state, tagged with its incarnation
-    /// and problem binding.
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.job.checkpoint(self.incarnation)
-    }
-
-    /// Drive the engine until termination or crash, with no persistence.
-    /// Returns the outcome (`None` if the node was crashed — crashed
-    /// nodes report nothing).
-    pub fn run(
-        self,
-        transport: &dyn Transport,
-        inbox: Receiver<Envelope>,
-        crash: CrashSwitch,
-        hard_deadline: Duration,
-    ) -> Option<NodeOutcome> {
-        self.run_with_sink(transport, inbox, crash, hard_deadline, &mut NullSink, None)
-    }
-
-    /// Drive the engine until termination or crash, emitting a snapshot
-    /// through `sink` at startup, every `checkpoint_every` (when set),
-    /// and once more at clean exit. A failing sink is reported to stderr
-    /// and never stops the engine — a node that cannot persist keeps
-    /// computing; it merely loses restartability.
-    ///
-    /// The engine is transport-agnostic: `transport` may be the
-    /// in-process [`crate::Mesh`] or any other [`Transport`] (e.g.
-    /// `ftbb-wire`'s TCP mesh), as long as `inbox` is the receiving end
-    /// the transport routes this node's messages to.
-    pub fn run_with_sink(
-        self,
-        transport: &dyn Transport,
-        inbox: Receiver<Envelope>,
-        crash: CrashSwitch,
-        hard_deadline: Duration,
-        sink: &mut dyn CheckpointSink,
-        checkpoint_every: Option<Duration>,
-    ) -> Option<NodeOutcome> {
-        let id = self.job.core.id();
-        let mut service: ServiceEngine<E> = ServiceEngine::new(id, self.incarnation);
-        service.set_telemetry(self.telemetry);
-        if let (Some(every), Some(out)) = (self.metrics_every, self.metrics_out) {
-            service.set_metrics_reporter(every, out);
-        }
-        if let Some(erase) = self.erase {
-            service.set_workers_with(self.workers, erase);
-        }
-        service.admit(self.job);
-        let outcome = service.run_with_sink(
-            transport,
-            inbox,
-            crash,
-            hard_deadline,
-            sink,
-            checkpoint_every,
-        )?;
-        Some(adapt_outcome(outcome))
-    }
-}
-
-impl<E: Expander + Clone + Send + 'static> NodeEngine<E> {
-    /// Run subproblem expansion on `n` worker threads (see
-    /// [`crate::ServiceEngine::set_workers`]). `1` — the default —
-    /// keeps expansion inline in the event pump.
-    pub fn set_workers(&mut self, n: usize) {
-        assert!(n >= 1, "a node needs at least one expansion worker");
-        self.workers = n;
-        self.erase = if n > 1 {
-            Some(Box::new(|e: &E| Box::new(e.clone())))
-        } else {
-            None
-        };
-    }
-}
-
-/// Collapse a one-job [`ServiceOutcome`] into the legacy [`NodeOutcome`].
-fn adapt_outcome(outcome: ServiceOutcome) -> NodeOutcome {
-    let job = outcome
-        .jobs
-        .into_iter()
-        .next()
-        .expect("single-job service reports exactly one job");
-    NodeOutcome {
-        id: outcome.id,
-        incarnation: outcome.incarnation,
-        terminated: job.terminated,
-        incumbent: job.incumbent,
-        metrics: job.metrics,
-        phase: outcome.phase,
-        lifetime: outcome.lifetime,
-    }
-}
-
 /// Drive `core` until termination or crash, with no restore and no
-/// persistence — the one-shot wrapper around a fresh [`NodeEngine`].
-/// Returns the outcome (`None` if the node was crashed — crashed nodes
-/// report nothing).
+/// persistence: admit it as the one job of a fresh [`ServiceEngine`] and
+/// pump that to completion. Returns the outcome (`None` if the node was
+/// crashed — crashed nodes report nothing).
 pub fn run_node<E: Expander>(
     core: BnbProcess,
     expander: E,
@@ -290,228 +100,23 @@ pub fn run_node<E: Expander>(
     crash: CrashSwitch,
     hard_deadline: Duration,
 ) -> Option<NodeOutcome> {
-    NodeEngine::new(core, expander).run(transport, inbox, crash, hard_deadline)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::transport::Mesh;
-    use ftbb_bnb::{solve, AnyInstance, Correlation, KnapsackInstance, SolveConfig};
-
-    /// A sink that remembers every snapshot it was handed.
-    #[derive(Default)]
-    struct VecSink(Vec<Checkpoint>);
-
-    impl CheckpointSink for VecSink {
-        fn store(&mut self, chk: &Checkpoint) -> Result<(), String> {
-            self.0.push(chk.clone());
-            Ok(())
-        }
-    }
-
-    fn tiny_instance() -> AnyInstance {
-        AnyInstance::from(KnapsackInstance::generate(
-            12,
-            40,
-            Correlation::Uncorrelated,
-            0.5,
-            5,
-        ))
-    }
-
-    fn engine_for(instance: &AnyInstance) -> NodeEngine<AnyExpander> {
-        let expander = AnyExpander::new(instance.clone());
-        let core = BnbProcess::new(
-            0,
-            vec![0],
-            ProtocolConfig::default(),
-            expander.root_bound(),
-            true,
-            3,
-        );
-        let mut engine = NodeEngine::new(core, expander);
-        engine.bind_problem(instance.clone());
-        engine
-    }
-
-    #[test]
-    fn single_node_engine_solves_and_emits_bound_checkpoints() {
-        let instance = tiny_instance();
-        let reference = solve(&instance, &SolveConfig::default());
-        let engine = engine_for(&instance);
-        assert_eq!(engine.incarnation(), 0);
-
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let mut sink = VecSink::default();
-        let outcome = engine
-            .run_with_sink(
-                &mesh,
-                inboxes.pop().unwrap(),
-                CrashSwitch::default(),
-                Duration::from_secs(30),
-                &mut sink,
-                Some(Duration::from_millis(1)),
-            )
-            .expect("not crashed");
-        assert!(outcome.terminated);
-        assert_eq!(outcome.incarnation, 0);
-        assert_eq!(Some(outcome.incumbent), reference.best);
-
-        // At least the startup and exit snapshots, all bound, all scoped
-        // to the default job, and all restorable (encode/decode round
-        // trip).
-        assert!(sink.0.len() >= 2, "{} snapshots", sink.0.len());
-        for chk in &sink.0 {
-            assert_eq!(chk.incarnation, 0);
-            assert_eq!(chk.job, JobId::DEFAULT);
-            assert_eq!(chk.problem.as_deref(), Some(&instance));
-            assert_eq!(&Checkpoint::decode(&chk.encode()).unwrap(), chk);
-        }
-        // The final snapshot records the finished search.
-        let last = sink.0.last().unwrap();
-        assert_eq!(Some(last.incumbent), reference.best);
-    }
-
-    #[test]
-    fn restored_engine_finishes_the_interrupted_search() {
-        let instance = tiny_instance();
-        let reference = solve(&instance, &SolveConfig::default());
-
-        // First life: crash immediately, keeping only the startup
-        // snapshot (root in pool, nothing solved).
-        let engine = engine_for(&instance);
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let mut sink = VecSink::default();
-        let crash = CrashSwitch::default();
-        crash.crash();
-        let outcome = engine.run_with_sink(
-            &mesh,
-            inboxes.pop().unwrap(),
-            crash,
-            Duration::from_secs(30),
-            &mut sink,
-            Some(Duration::from_millis(1)),
-        );
-        assert!(outcome.is_none(), "crashed engines report nothing");
-        let chk = sink.0.first().expect("startup snapshot exists").clone();
-        assert!(
-            Checkpoint::decode(&chk.encode()).is_ok(),
-            "snapshot survives persistence"
-        );
-
-        // Second life: restored from the snapshot, next incarnation,
-        // solves to the sequential optimum with no problem spec in sight.
-        let engine =
-            NodeEngine::restore(&chk, ProtocolConfig::default(), 9).expect("bound checkpoint");
-        assert_eq!(engine.incarnation(), 1);
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let outcome = engine
-            .run(
-                &mesh,
-                inboxes.pop().unwrap(),
-                CrashSwitch::default(),
-                Duration::from_secs(30),
-            )
-            .expect("not crashed");
-        assert!(outcome.terminated);
-        assert_eq!(outcome.incarnation, 1);
-        assert_eq!(Some(outcome.incumbent), reference.best);
-    }
-
-    #[test]
-    fn phase_clock_reconciles_and_telemetry_records_lifecycle() {
-        use ftbb_core::{Telemetry, TraceEvent};
-        use std::io::Write;
-        use std::sync::Mutex;
-
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let instance = tiny_instance();
-        let mut engine = engine_for(&instance);
-        let buf = SharedBuf::default();
-        let telemetry = Telemetry::to_writer(0, 0, Box::new(buf.clone()));
-        engine.set_telemetry(telemetry.clone());
-        let snaps: Arc<Mutex<Vec<MetricsSnapshot>>> = Arc::default();
-        let sink = Arc::clone(&snaps);
-        engine.set_metrics_reporter(
-            Duration::from_millis(1),
-            Box::new(move |s| sink.lock().unwrap().push(s.clone())),
-        );
-
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let outcome = engine
-            .run(
-                &mesh,
-                inboxes.pop().unwrap(),
-                CrashSwitch::default(),
-                Duration::from_secs(30),
-            )
-            .expect("not crashed");
-        assert!(outcome.terminated);
-
-        // Every slice of wall time landed in some category: the breakdown
-        // reconciles with the engine's lifetime (10% is the acceptance
-        // tolerance; in-process it is far tighter).
-        let total = outcome.phase.total();
-        let elapsed = outcome.lifetime.as_secs_f64();
-        assert!(
-            (total - elapsed).abs() <= 0.1 * elapsed.max(1e-3),
-            "phase sum {total} vs elapsed {elapsed}"
-        );
-        // A solving single node does real expansion work.
-        assert!(outcome.phase.expand_s > 0.0);
-
-        // Interval snapshots arrived, ordered, job-scoped to the default
-        // job, and each reconciles too.
-        let snaps = snaps.lock().unwrap();
-        assert!(!snaps.is_empty());
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.seq, i as u64);
-            assert_eq!(s.job, 0, "single-run snapshots carry the default job");
-            assert!(
-                (s.phase.total() - s.elapsed_s).abs() <= 0.1 * s.elapsed_s.max(1e-3),
-                "snapshot {i}: {} vs {}",
-                s.phase.total(),
-                s.elapsed_s
-            );
-        }
-
-        // The trace records the engine's lifecycle as typed events.
-        drop(telemetry);
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let kinds: Vec<String> = text
-            .lines()
-            .map(|l| {
-                TraceEvent::parse_jsonl(l)
-                    .expect("parseable trace line")
-                    .kind
-            })
-            .collect();
-        assert_eq!(kinds.first().map(String::as_str), Some("engine_start"));
-        assert!(kinds.iter().any(|k| k == "halt"), "{kinds:?}");
-        assert_eq!(kinds.last().map(String::as_str), Some("engine_exit"));
-    }
-
-    #[test]
-    fn restore_without_binding_is_refused() {
-        let core = BnbProcess::new(0, vec![0], ProtocolConfig::default(), 0.0, true, 1);
-        let chk = core.checkpoint(); // bare: no problem binding
-        let err = match NodeEngine::restore(&chk, ProtocolConfig::default(), 1) {
-            Err(e) => e,
-            Ok(_) => panic!("bare checkpoint must not restore into an engine"),
-        };
-        assert!(err.contains("problem binding"), "{err}");
-    }
+    let mut service = ServiceEngine::new(core.id(), 0);
+    service.admit(JobEngine::new(JobId::DEFAULT, core, expander));
+    let ServiceOutcome {
+        id,
+        incarnation,
+        jobs,
+        phase,
+        lifetime,
+    } = service.run(transport, inbox, crash, hard_deadline)?;
+    let job = jobs.into_iter().next().expect("the admitted job reports");
+    Some(NodeOutcome {
+        id,
+        incarnation,
+        terminated: job.terminated,
+        incumbent: job.incumbent,
+        metrics: job.metrics,
+        phase,
+        lifetime,
+    })
 }

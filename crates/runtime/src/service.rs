@@ -1,6 +1,6 @@
 //! The multi-job solve service: one pump, one transport, N jobs.
 //!
-//! The service refactor splits the old monolithic `NodeEngine` in two:
+//! Every node runs this one engine, split in two:
 //!
 //! * [`JobEngine`] — the thin per-job state machine (admitted →
 //!   announced → solving → halted): one [`BnbProcess`], one expander,
@@ -13,12 +13,11 @@
 //!   the engine their [`JobId`] stamp names, fires every job's due
 //!   timers, and runs the checkpoint/metrics cadences per job.
 //!
-//! The legacy single-run `NodeEngine` is now a thin wrapper that admits
-//! exactly one job ([`JobId::DEFAULT`]) into a [`ServiceEngine`] and
-//! adapts the outcome — so the 1-job pump *is* the N-job pump, and
-//! everything the single-run regressions pin (phase reconciliation,
-//! restored-terminated fast exit, snapshot cadence) holds for the
-//! service by construction.
+//! A single run is the one-job case: the daemon (and [`crate::run_node`])
+//! admits exactly one job ([`JobId::DEFAULT`]) before the pump starts, so
+//! the 1-job pump *is* the N-job pump, and everything the single-run
+//! regressions pin (phase reconciliation, restored-terminated fast exit,
+//! snapshot cadence) holds for the service by construction.
 //!
 //! In daemon mode ([`ServiceEngine::daemon`]) the pump outlives its
 //! jobs: new [`JobEngine`]s stream in over an admission channel while
@@ -161,7 +160,7 @@ pub type CompleteHook = Box<dyn FnMut(&JobOutcome) + Send>;
 
 /// Turns a job's typed expander into the erased prototype the worker
 /// pool registers (see [`ServiceEngine::set_workers`]).
-pub(crate) type EraseFn<E> = Box<dyn Fn(&E) -> Box<dyn PoolExpander> + Send>;
+type EraseFn<E> = Box<dyn Fn(&E) -> Box<dyn PoolExpander> + Send>;
 
 /// Callbacks a deployment installs on a [`ServiceEngine`]. All optional;
 /// they fire on the pump thread, so keep them cheap (hand results to a
@@ -351,22 +350,6 @@ impl<E: Expander> ServiceEngine<E> {
         }
     }
 
-    /// Install (or remove) the expansion worker pool with an
-    /// already-erased prototype maker — the non-generic plumbing behind
-    /// [`ServiceEngine::set_workers`], used where the `Clone + Send`
-    /// bound is carried by the caller.
-    pub(crate) fn set_workers_with(&mut self, n: usize, erase: EraseFn<E>) {
-        assert!(n >= 1, "a node needs at least one expansion worker");
-        self.workers = n;
-        if n > 1 {
-            self.pool = Some(WorkerPool::new(n));
-            self.erase = Some(erase);
-        } else {
-            self.pool = None;
-            self.erase = None;
-        }
-    }
-
     /// Install a structured trace sink; per-job events are emitted
     /// through job-stamped clones ([`Telemetry::for_job`]).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -394,7 +377,7 @@ impl<E: Expander> ServiceEngine<E> {
 
     /// Daemon mode: run to the deadline even when every admitted job has
     /// completed (the pool is long-lived; jobs stream in). Off by
-    /// default — the single-run path exits when its job halts.
+    /// default — a single run exits when its job halts.
     pub fn daemon(&mut self, on: bool) {
         self.daemon = on;
     }
@@ -912,7 +895,15 @@ impl<E: Expander + Clone + Send + 'static> ServiceEngine<E> {
     /// has at most one expansion outstanding, so the solved optimum is
     /// identical at every worker count; only wall time moves.
     pub fn set_workers(&mut self, n: usize) {
-        self.set_workers_with(n, Box::new(|e: &E| Box::new(e.clone())));
+        assert!(n >= 1, "a node needs at least one expansion worker");
+        self.workers = n;
+        if n > 1 {
+            self.pool = Some(WorkerPool::new(n));
+            self.erase = Some(Box::new(|e: &E| Box::new(e.clone())));
+        } else {
+            self.pool = None;
+            self.erase = None;
+        }
     }
 }
 
@@ -923,6 +914,17 @@ mod tests {
     use crate::transport::Mesh;
     use ftbb_bnb::{solve, Correlation, KnapsackInstance, MaxSatInstance, SolveConfig};
     use std::thread;
+
+    /// A sink that remembers every snapshot it was handed.
+    #[derive(Default)]
+    struct VecSink(Vec<Checkpoint>);
+
+    impl CheckpointSink for VecSink {
+        fn store(&mut self, chk: &Checkpoint) -> Result<(), String> {
+            self.0.push(chk.clone());
+            Ok(())
+        }
+    }
 
     #[test]
     fn timer_entries_compare_consistently() {
@@ -1007,6 +1009,207 @@ mod tests {
                 (SimTime::from_millis(9), 0, PTimer::TableGossip),
             ]
         );
+    }
+
+    fn tiny_instance() -> ftbb_bnb::AnyInstance {
+        KnapsackInstance::generate(12, 40, Correlation::Uncorrelated, 0.5, 5).into()
+    }
+
+    /// A one-node engine with `instance` admitted as the single-run job
+    /// ([`JobId::DEFAULT`]), bound so its checkpoints are self-sufficient.
+    fn single_run(instance: &ftbb_bnb::AnyInstance) -> ServiceEngine<AnyExpander> {
+        let expander = AnyExpander::new(instance.clone());
+        let core = BnbProcess::new(
+            0,
+            vec![0],
+            ProtocolConfig::default(),
+            expander.root_bound(),
+            true,
+            3,
+        );
+        let mut job = JobEngine::new(JobId::DEFAULT, core, expander);
+        job.bind_problem(instance.clone());
+        let mut svc = ServiceEngine::new(0, 0);
+        svc.admit(job);
+        svc
+    }
+
+    #[test]
+    fn single_run_solves_and_emits_bound_checkpoints() {
+        let instance = tiny_instance();
+        let reference = solve(&instance, &SolveConfig::default());
+        let (mesh, mut inboxes) = Mesh::new(1);
+        let mut sink = VecSink::default();
+        let outcome = single_run(&instance)
+            .run_with_sink(
+                &mesh,
+                inboxes.pop().unwrap(),
+                CrashSwitch::default(),
+                Duration::from_secs(30),
+                &mut sink,
+                Some(Duration::from_millis(1)),
+            )
+            .expect("not crashed");
+        assert_eq!(outcome.incarnation, 0);
+        assert_eq!(outcome.jobs.len(), 1);
+        assert!(outcome.jobs[0].terminated);
+        assert_eq!(Some(outcome.jobs[0].incumbent), reference.best);
+
+        // At least the startup and exit snapshots, all bound, all scoped
+        // to the default job, and all restorable (encode/decode round
+        // trip).
+        assert!(sink.0.len() >= 2, "{} snapshots", sink.0.len());
+        for chk in &sink.0 {
+            assert_eq!(chk.incarnation, 0);
+            assert_eq!(chk.job, JobId::DEFAULT);
+            assert_eq!(chk.problem.as_deref(), Some(&instance));
+            assert_eq!(&Checkpoint::decode(&chk.encode()).unwrap(), chk);
+        }
+        // The final snapshot records the finished search.
+        let last = sink.0.last().unwrap();
+        assert_eq!(Some(last.incumbent), reference.best);
+    }
+
+    #[test]
+    fn restored_single_run_finishes_the_interrupted_search() {
+        let instance = tiny_instance();
+        let reference = solve(&instance, &SolveConfig::default());
+
+        // First life: crash immediately, keeping only the startup
+        // snapshot (root in pool, nothing solved).
+        let (mesh, mut inboxes) = Mesh::new(1);
+        let mut sink = VecSink::default();
+        let crash = CrashSwitch::default();
+        crash.crash();
+        let outcome = single_run(&instance).run_with_sink(
+            &mesh,
+            inboxes.pop().unwrap(),
+            crash,
+            Duration::from_secs(30),
+            &mut sink,
+            Some(Duration::from_millis(1)),
+        );
+        assert!(outcome.is_none(), "crashed engines report nothing");
+        let chk = sink.0.first().expect("startup snapshot exists").clone();
+        assert!(
+            Checkpoint::decode(&chk.encode()).is_ok(),
+            "snapshot survives persistence"
+        );
+
+        // Second life: restored from the snapshot, next incarnation,
+        // solves to the sequential optimum with no problem spec in sight.
+        let job = JobEngine::restore(&chk, ProtocolConfig::default(), 9).expect("bound checkpoint");
+        assert_eq!(job.job(), JobId::DEFAULT);
+        let mut svc: ServiceEngine<AnyExpander> = ServiceEngine::new(0, chk.incarnation + 1);
+        svc.admit(job);
+        let (mesh, mut inboxes) = Mesh::new(1);
+        let outcome = svc
+            .run(
+                &mesh,
+                inboxes.pop().unwrap(),
+                CrashSwitch::default(),
+                Duration::from_secs(30),
+            )
+            .expect("not crashed");
+        assert_eq!(outcome.incarnation, 1);
+        assert!(outcome.jobs[0].terminated);
+        assert_eq!(Some(outcome.jobs[0].incumbent), reference.best);
+    }
+
+    #[test]
+    fn phase_clock_reconciles_and_telemetry_records_lifecycle() {
+        use ftbb_core::TraceEvent;
+        use std::io::Write;
+        use std::sync::Mutex;
+
+        #[derive(Clone, Default)]
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+        impl Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let instance = tiny_instance();
+        let mut svc = single_run(&instance);
+        let buf = SharedBuf::default();
+        let telemetry = Telemetry::to_writer(0, 0, Box::new(buf.clone()));
+        svc.set_telemetry(telemetry.clone());
+        let snaps: Arc<Mutex<Vec<MetricsSnapshot>>> = Arc::default();
+        let sink = Arc::clone(&snaps);
+        svc.set_metrics_reporter(
+            Duration::from_millis(1),
+            Box::new(move |s| sink.lock().unwrap().push(s.clone())),
+        );
+
+        let (mesh, mut inboxes) = Mesh::new(1);
+        let outcome = svc
+            .run(
+                &mesh,
+                inboxes.pop().unwrap(),
+                CrashSwitch::default(),
+                Duration::from_secs(30),
+            )
+            .expect("not crashed");
+        assert!(outcome.jobs[0].terminated);
+
+        // Every slice of wall time landed in some category: the breakdown
+        // reconciles with the engine's lifetime (10% is the acceptance
+        // tolerance; in-process it is far tighter).
+        let total = outcome.phase.total();
+        let elapsed = outcome.lifetime.as_secs_f64();
+        assert!(
+            (total - elapsed).abs() <= 0.1 * elapsed.max(1e-3),
+            "phase sum {total} vs elapsed {elapsed}"
+        );
+        // A solving single node does real expansion work.
+        assert!(outcome.phase.expand_s > 0.0);
+
+        // Interval snapshots arrived, ordered, job-scoped to the default
+        // job, and each reconciles too.
+        let snaps = snaps.lock().unwrap();
+        assert!(!snaps.is_empty());
+        for (i, s) in snaps.iter().enumerate() {
+            assert_eq!(s.seq, i as u64);
+            assert_eq!(s.job, 0, "single-run snapshots carry the default job");
+            assert!(
+                (s.phase.total() - s.elapsed_s).abs() <= 0.1 * s.elapsed_s.max(1e-3),
+                "snapshot {i}: {} vs {}",
+                s.phase.total(),
+                s.elapsed_s
+            );
+        }
+
+        // The trace records the engine's lifecycle as typed events.
+        drop(telemetry);
+        let bytes = buf.0.lock().unwrap().clone();
+        let text = String::from_utf8(bytes).unwrap();
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|l| {
+                TraceEvent::parse_jsonl(l)
+                    .expect("parseable trace line")
+                    .kind
+            })
+            .collect();
+        assert_eq!(kinds.first().map(String::as_str), Some("engine_start"));
+        assert!(kinds.iter().any(|k| k == "halt"), "{kinds:?}");
+        assert_eq!(kinds.last().map(String::as_str), Some("engine_exit"));
+    }
+
+    #[test]
+    fn restore_without_binding_is_refused() {
+        let core = BnbProcess::new(0, vec![0], ProtocolConfig::default(), 0.0, true, 1);
+        let chk = core.checkpoint(); // bare: no problem binding
+        let err = match JobEngine::restore(&chk, ProtocolConfig::default(), 1) {
+            Err(e) => e,
+            Ok(_) => panic!("bare checkpoint must not restore into an engine"),
+        };
+        assert!(err.contains("problem binding"), "{err}");
     }
 
     /// Build one node's service engine with the given jobs admitted,
@@ -1275,14 +1478,6 @@ mod tests {
         svc.set_telemetry(Telemetry::disabled());
         let (mesh, mut inboxes) = Mesh::new(1);
 
-        #[derive(Default)]
-        struct VecSink(Vec<Checkpoint>);
-        impl CheckpointSink for VecSink {
-            fn store(&mut self, chk: &Checkpoint) -> Result<(), String> {
-                self.0.push(chk.clone());
-                Ok(())
-            }
-        }
         let mut sink = VecSink::default();
         let crash = CrashSwitch::default();
         crash.crash();

@@ -5,8 +5,8 @@
 //! paper's Crash failure model: sends to dead or unknown destinations are
 //! *silently dropped* (the protocol tolerates lost messages by design),
 //! but never silently *un*counted — every attempt lands in the transport's
-//! [`TransportCounters`]. The same node loop (`run_node`) drives the
-//! protocol over any transport: the in-process [`Mesh`] here, or
+//! [`TransportCounters`]. The same pump ([`crate::ServiceEngine`]) drives
+//! the protocol over any transport: the in-process [`Mesh`] here, or
 //! `ftbb-wire`'s TCP mesh across real OS processes.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
@@ -16,9 +16,9 @@ use std::time::Duration;
 /// A routed protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Which job the message belongs to ([`JobId::DEFAULT`] on the
-    /// legacy single-run path). Service engines route inbound traffic to
-    /// the matching per-job engine by this stamp.
+    /// Which job the message belongs to ([`JobId::DEFAULT`] for a single
+    /// run). The engine routes inbound traffic to the matching per-job
+    /// engine by this stamp.
     pub job: JobId,
     /// Sender node id.
     pub from: u32,

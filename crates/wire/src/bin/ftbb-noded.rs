@@ -11,8 +11,9 @@
 //! bound (machine-parseable; with `--listen 127.0.0.1:0` this is how the
 //! chosen port escapes), interval `FTBB-METRICS` snapshots when
 //! `--metrics-every-s` is set, then one `FTBB-OUTCOME` line on stdout when the
-//! node terminates (or hits its deadline); prints no outcome when the
-//! process is killed — which is the point. With `--peers-from-stdin` the
+//! node terminates (or hits its deadline) — with `--service`, one `FTBB-JOB`
+//! line per completed job and a closing `FTBB-SERVICE` line instead; prints
+//! no outcome when the process is killed — which is the point. With `--peers-from-stdin` the
 //! peer map arrives as `peer ID=HOST:PORT` stdin lines ended by `start`,
 //! letting a launcher wire a whole cluster without pre-allocating ports.
 
@@ -32,24 +33,18 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if cfg.service {
-        match noded::run_service(&cfg) {
-            Ok(report) => {
-                // Per-job FTBB-JOB lines were already streamed as jobs
-                // completed; close with the service summary.
-                println!("{}", noded::service_line(&report));
-            }
-            Err(e) => {
-                eprintln!("ftbb-noded: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     match noded::run(&cfg) {
+        // Per-job FTBB-JOB lines were already streamed as jobs completed;
+        // a pool member closes with the service summary.
+        Ok(report) if cfg.service => println!("{}", noded::service_line(&report)),
         Ok(report) => {
-            println!("{}", noded::outcome_line(&report));
-            if !report.outcome.terminated {
+            let job = report
+                .outcome
+                .jobs
+                .first()
+                .expect("a single run admits its job");
+            println!("{}", noded::outcome_line(&report, job));
+            if report.outcome.jobs.iter().any(|job| !job.terminated) {
                 // Deadline hit without termination: report, but fail.
                 std::process::exit(3);
             }
@@ -128,21 +123,23 @@ SERVICE MODE (a long-lived multi-job solve pool):
                                   --deadline-s. Prints one FTBB-JOB line
                                   per completed job and a closing
                                   FTBB-SERVICE summary. --problem* flags
-                                  are ignored; with --checkpoint-dir each
-                                  job persists to node-<id>-job-<job>.ckpt
-                                  and --resume restores ALL of them
+                                  are ignored; checkpoints and --resume
+                                  work as under LIFECYCLE, one file per
+                                  job
 
 LIFECYCLE (checkpoint persistence and restart/rejoin):
-    --checkpoint-dir DIR          persist snapshots to DIR/node-<id>.ckpt
-                                  (atomic write-rename; at startup, every
-                                  cadence tick, and at clean exit)
+    --checkpoint-dir DIR          persist one snapshot per job to
+                                  DIR/node-<id>-job-<job>.ckpt (a single
+                                  run is job 0; atomic write-rename; at
+                                  admission, every cadence tick, and at
+                                  completion)
     --checkpoint-every-s SECS     snapshot cadence (default 0.5)
-    --resume                      restore DIR/node-<id>.ckpt instead of
-                                  starting fresh: come back as the next
-                                  incarnation, take the problem binding
-                                  from the checkpoint (--problem* flags
-                                  are ignored), and send a rejoin frame
-                                  so peers re-register this node
+    --resume                      restore every DIR/node-<id>-job-*.ckpt
+                                  instead of starting fresh: come back as
+                                  the next incarnation, take each problem
+                                  binding from its checkpoint (--problem*
+                                  flags are ignored), and send a rejoin
+                                  frame so peers re-register this node
 
 TELEMETRY (structured tracing and interval metrics):
     --trace-file PATH             append structured trace events (one

@@ -39,6 +39,7 @@ use ftbb_gossip::MembershipConfig;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -439,16 +440,17 @@ pub struct NodeConfig {
     /// lines terminated by `start`. This is how the launcher wires a
     /// `--listen 127.0.0.1:0` cluster without pre-allocating ports.
     pub peers_from_stdin: bool,
-    /// Directory for checkpoint snapshots (`node-<id>.ckpt`, written
-    /// atomically via write-rename). `None` disables persistence.
+    /// Directory for checkpoint snapshots (one `node-<id>-job-<job>.ckpt`
+    /// per job — job 0 for a single run — written atomically via
+    /// write-rename). `None` disables persistence.
     pub checkpoint_dir: Option<PathBuf>,
     /// Snapshot cadence in seconds (only meaningful with a checkpoint
-    /// directory; an extra snapshot is always written at startup and at
-    /// clean exit).
+    /// directory; an extra snapshot is always written at each job's
+    /// admission and completion).
     pub checkpoint_every_s: f64,
-    /// Restore state from `checkpoint_dir/node-<id>.ckpt` instead of
+    /// Restore every `checkpoint_dir/node-<id>-job-*.ckpt` instead of
     /// starting fresh: the node comes back under the next incarnation,
-    /// takes its problem binding from the checkpoint (any `--problem*`
+    /// takes each problem binding from its checkpoint (any `--problem*`
     /// flags are ignored), and announces its rejoin to the peers.
     pub resume: bool,
     /// Gossip servers as `(id, optional address)`. Non-empty enables
@@ -497,15 +499,15 @@ pub struct NodeConfig {
     /// suppression and explicit bound broadcasts — every message
     /// piggybacks the incumbent eagerly, the pre-scale behavior.
     pub bound_flush_s: f64,
-    /// Service mode: instead of solving one configured problem and
-    /// exiting, the daemon joins a long-lived solve pool. Jobs stream in
+    /// Service mode: instead of admitting one configured problem (job 0)
+    /// and exiting when it halts, the same daemon admits nothing up front
+    /// and outlives its jobs as a member of a solve pool. Jobs stream in
     /// over the shared transport — `ftbb-submit` clients send `SubmitJob`
     /// frames to any pool node (the receiver becomes that job's gateway,
     /// holds its root, and announces the instance to its peers) — and the
     /// node multiplexes every admitted job over one mesh until the
-    /// deadline. The `--problem*` flags are ignored; with
-    /// `--checkpoint-dir` each job persists to its own
-    /// `node-<id>-job-<job>.ckpt`, and `--resume` restores *all* of them.
+    /// deadline. The `--problem*` flags are ignored; checkpoints and
+    /// `--resume` work as for a single run, one file per job.
     pub service: bool,
     /// Structured trace file (JSONL, one event per line), opened in
     /// append mode so a restarted node's lives accumulate. `None`
@@ -548,6 +550,11 @@ impl Default for NodeConfig {
         }
     }
 }
+
+/// Upper bound on every seconds-valued setting: a century. Far beyond any
+/// sensible deployment, far inside what `Duration` and the pump's
+/// nanosecond clock can represent.
+const MAX_SECONDS: f64 = 100.0 * 365.25 * 86_400.0;
 
 /// Member ids of a cluster (peers + self), sorted and deduplicated —
 /// the canonical membership every node derives from its peer map,
@@ -607,22 +614,54 @@ impl NodeConfig {
         if self.peers.iter().any(|&(id, _)| id == self.id) {
             return err(format!("peer list contains own id {}", self.id));
         }
-        if self.deadline_s <= 0.0 {
-            return err("deadline_s must be positive");
-        }
-        if !self.preconnect_s.is_finite() || self.preconnect_s < 0.0 {
-            return err("preconnect_s must be a non-negative number");
-        }
-        if !(self.checkpoint_every_s.is_finite() && self.checkpoint_every_s > 0.0) {
-            return err("checkpoint_every_s must be a positive number");
+        // Every `*_s` setting becomes a `Duration` (or a timer deadline
+        // added to the pump clock), and `Duration::from_secs_f64` panics
+        // on NaN, infinity and anything past ~5.8e11 s — so each goes
+        // through the one finite-and-bounded check, with the floor its
+        // meaning needs. Non-positive `crash_at_s` (crash at once) and
+        // `bound_flush_s` (suppression off) are deliberate settings; the
+        // membership intervals only matter in membership mode.
+        const POSITIVE: RangeInclusive<f64> = f64::MIN_POSITIVE..=MAX_SECONDS;
+        const NON_NEGATIVE: RangeInclusive<f64> = 0.0..=MAX_SECONDS;
+        const ANY_SIGN: RangeInclusive<f64> = -MAX_SECONDS..=MAX_SECONDS;
+        let gossip = |v: f64| self.gossip_mode().then_some(v);
+        let seconds = [
+            ("deadline_s", Some(self.deadline_s), POSITIVE),
+            ("crash_at_s", self.crash_at_s, ANY_SIGN),
+            ("preconnect_s", Some(self.preconnect_s), NON_NEGATIVE),
+            (
+                "checkpoint_every_s",
+                Some(self.checkpoint_every_s),
+                POSITIVE,
+            ),
+            ("metrics_every_s", self.metrics_every_s, POSITIVE),
+            // A retry window past an hour is a configuration mistake.
+            ("retry_window_s", Some(self.retry_window_s), 0.0..=3600.0),
+            ("bound_flush_s", Some(self.bound_flush_s), ANY_SIGN),
+            (
+                "gossip_interval_s",
+                gossip(self.gossip_interval_s),
+                POSITIVE,
+            ),
+            ("suspect_after_s", gossip(self.suspect_after_s), POSITIVE),
+            ("forget_after_s", gossip(self.forget_after_s), POSITIVE),
+        ];
+        for (name, value, allowed) in seconds {
+            // NaN is in no range, so it is rejected along with infinity.
+            if let Some(v) = value.filter(|v| !allowed.contains(v)) {
+                let floor = if *allowed.start() > 0.0 {
+                    "above 0".to_string()
+                } else {
+                    format!("at least {}", allowed.start())
+                };
+                return err(format!(
+                    "{name} must be a number of seconds {floor} and at most {}, got {v:?}",
+                    allowed.end()
+                ));
+            }
         }
         if self.resume && self.checkpoint_dir.is_none() {
             return err("--resume needs --checkpoint-dir to know where the snapshot lives");
-        }
-        if let Some(every) = self.metrics_every_s {
-            if !(every.is_finite() && every > 0.0) {
-                return err("metrics_every_s must be a positive number");
-            }
         }
         if self.workers == 0 {
             return err("workers must be at least 1");
@@ -630,30 +669,8 @@ impl NodeConfig {
         if self.batch_max_frames == 0 {
             return err("batch_max_frames must be at least 1 (1 disables batching)");
         }
-        if self.gossip_mode() {
-            for &v in &[
-                self.gossip_interval_s,
-                self.suspect_after_s,
-                self.forget_after_s,
-            ] {
-                if !(v.is_finite() && v > 0.0) {
-                    return err("membership intervals must be positive numbers");
-                }
-            }
-            if self.forget_after_s < self.suspect_after_s {
-                return err("forget_after_s must be at least suspect_after_s");
-            }
-        }
-        // Bounded above because it feeds `Duration::from_secs_f64`,
-        // which panics on absurd values — and a retry window past an
-        // hour is a configuration mistake anyway.
-        if !(self.retry_window_s.is_finite() && (0.0..=3600.0).contains(&self.retry_window_s)) {
-            return err("retry_window_s must be between 0 and 3600 seconds");
-        }
-        // Non-positive values are a deliberate off switch, so only rule
-        // out NaN/infinity, which would arm a timer that never fires.
-        if !self.bound_flush_s.is_finite() {
-            return err("bound_flush_s must be a finite number (<= 0 disables suppression)");
+        if self.gossip_mode() && self.forget_after_s < self.suspect_after_s {
+            return err("forget_after_s must be at least suspect_after_s");
         }
         if self.join {
             if !self.gossip_mode() {
@@ -1622,6 +1639,60 @@ seed = 11
         for case in cases {
             let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
             assert!(parse_args(&args).is_err(), "{args:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn seconds_settings_are_finite_and_bounded_in_flags_and_toml() {
+        // Every value here passed validation once and then aborted the
+        // daemon inside `Duration::from_secs_f64` (or overflowed the pump
+        // clock); each must be a typed config error in both spellings.
+        // Rows: TOML key (the flag is its dashed form), one more value
+        // outside that key's own range, and whether the check needs
+        // membership mode to apply.
+        let cases = [
+            ("deadline_s", "0", false),
+            ("crash_at_s", "-inf", false),
+            ("preconnect_s", "-0.5", false),
+            ("checkpoint_every_s", "0", false),
+            ("metrics_every_s", "0", false),
+            ("retry_window_s", "3601", false),
+            ("bound_flush_s", "-1e300", false),
+            ("gossip_interval_s", "0", true),
+            ("suspect_after_s", "0", true),
+            ("forget_after_s", "0", true),
+        ];
+        for (key, out_of_range, gossip) in cases {
+            let flag = format!("--{}", key.replace('_', "-"));
+            for bad in ["inf", "NaN", "1e300", out_of_range] {
+                let mut args = vec![flag.clone(), bad.to_string()];
+                let mut toml = format!("{key} = {bad}\n");
+                if gossip {
+                    args.extend(["--gossip-servers".to_string(), "0".to_string()]);
+                    toml.push_str("gossip_servers = [\"0\"]\n");
+                }
+                for (spelling, result) in [
+                    (format!("{args:?}"), parse_args(&args)),
+                    (toml.clone(), parse_config(&toml)),
+                ] {
+                    let e = result.expect_err(&format!("{spelling} must be rejected"));
+                    assert!(e.to_string().contains(key), "{spelling}: {e}");
+                }
+            }
+        }
+
+        // The deliberate non-positive settings and ordinary values pass.
+        for ok in [
+            vec!["--crash-at-s", "-1"],
+            vec!["--crash-at-s", "0"],
+            vec!["--bound-flush-s", "0"],
+            vec!["--bound-flush-s", "-1"],
+            vec!["--preconnect-s", "0"],
+            vec!["--retry-window-s", "0"],
+            vec!["--deadline-s", "86400"],
+        ] {
+            let args: Vec<String> = ok.iter().map(|s| s.to_string()).collect();
+            assert!(parse_args(&args).is_ok(), "{args:?} must be accepted");
         }
     }
 

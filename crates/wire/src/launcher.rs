@@ -48,8 +48,8 @@ pub enum LifecycleEvent {
         at: Duration,
     },
     /// Restart a previously killed node from its checkpoint
-    /// (`--resume`): it rebinds its original address, restores
-    /// `node-<id>.ckpt`, and rejoins under the next incarnation.
+    /// (`--resume`): it rebinds its original address, restores every
+    /// `node-<id>-job-*.ckpt`, and rejoins under the next incarnation.
     /// Requires [`ClusterSpec::checkpoint_dir`].
     Restart {
         /// The node to restart.

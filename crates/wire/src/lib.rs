@@ -12,8 +12,8 @@
 //! | [`codec`] | framed, version-tagged, checksummed binary encoding of envelopes, incarnation-stamped, with announce + rejoin handshake frames |
 //! | [`tcp`] | [`tcp::TcpMesh`] — the [`ftbb_runtime::Transport`] over sockets, with dynamic peer (re)registration and stale-incarnation filtering |
 //! | [`config`] | `ftbb-noded` TOML/flag configuration (incl. checkpoint/resume and telemetry) |
-//! | [`lines`] | the shared `TAG key=value …` codec behind every `FTBB-*` stdout line |
-//! | [`noded`] | the per-process node daemon body (single-run and `--service` pool modes), its ready/metrics/outcome/job protocol, and the [`noded::DirSink`] / [`noded::ServiceDirSink`] checkpoint stores |
+//! | [`lines`] | the shared `TAG key=value …` codec behind every `FTBB-*` stdout line, and the `line_codec!` declaration that derives a line's struct, renderer and parser from one row per field |
+//! | [`noded`] | the one node daemon body ([`noded::run`]: a single run is job 0 of the `--service` pool), the four declared `FTBB-*` report lines, and the per-job [`noded::JobDirSink`] checkpoint store |
 //! | [`submit`] | the `ftbb-submit` client: send a job to a service pool over one TCP connection and stream its results back |
 //! | [`launcher`] | loopback cluster spawner with a lifecycle plan (SIGKILLs and checkpoint restarts) and cluster-wide telemetry aggregation |
 //!
@@ -59,10 +59,9 @@ pub use launcher::{
 };
 pub use lines::{render_f64_bits, render_line, Fields};
 pub use noded::{
-    checkpoint_path, job_line, metrics_line, outcome_line, parse_job_line, parse_metrics_line,
+    job_checkpoint_path, job_line, metrics_line, outcome_line, parse_job_line, parse_metrics_line,
     parse_outcome_line, parse_ready_line, parse_service_line, read_peer_wiring, ready_line,
-    service_checkpoint_path, service_line, DirSink, NodedReport, ParsedJob, ParsedMetrics,
-    ParsedOutcome, ParsedService, ServiceDirSink, ServiceReport,
+    service_line, JobDirSink, NodeReport, ParsedJob, ParsedMetrics, ParsedOutcome, ParsedService,
 };
 pub use submit::{submit_job, SubmitOutcome};
 pub use tcp::{TcpMesh, WireConfig};

@@ -1338,15 +1338,18 @@ fn spawn_writer(
     });
 }
 
+/// A loopback address that was free a moment ago (bound, read back,
+/// released) — for tests that must know a node's port before it binds.
+#[cfg(test)]
+pub(crate) fn free_addr() -> SocketAddr {
+    let l = TcpListener::bind("127.0.0.1:0").unwrap();
+    l.local_addr().unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam::channel::RecvTimeoutError;
-
-    fn free_addr() -> SocketAddr {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
-    }
 
     fn recv_msg(rx: &Receiver<Envelope>, within: Duration) -> Option<Envelope> {
         match rx.recv_timeout(within) {

@@ -5,10 +5,13 @@
 //! trace files) that also carry arbitrary diagnostic output, so the
 //! parsers must shrug at anything.
 
-use ftbb_core::{PhaseTimes, ProcMetrics, TraceEvent, TransportStats};
-use ftbb_runtime::{MetricsSnapshot, NodeOutcome};
-use ftbb_wire::noded::NodedReport;
-use ftbb_wire::{metrics_line, outcome_line, parse_metrics_line, parse_outcome_line};
+use ftbb_core::{JobId, PhaseTimes, ProcMetrics, TimeCategory, TraceEvent, TransportStats};
+use ftbb_runtime::{JobOutcome, MetricsSnapshot, ServiceOutcome};
+use ftbb_wire::noded::NodeReport;
+use ftbb_wire::{
+    job_line, metrics_line, outcome_line, parse_job_line, parse_metrics_line, parse_outcome_line,
+    parse_service_line, service_line,
+};
 use proptest::collection;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -50,103 +53,92 @@ fn key_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// One draw per Figure-3 category, in [`TimeCategory::ALL`] order — a
+/// category added to the clock is drawn (and round-tripped) too.
 fn phase_strategy() -> impl Strategy<Value = PhaseTimes> {
-    (
-        micros_strategy(),
-        micros_strategy(),
-        micros_strategy(),
-        micros_strategy(),
-        micros_strategy(),
-        micros_strategy(),
-        micros_strategy(),
-    )
-        .prop_map(|(ex, co, ct, lb, me, id, ck)| PhaseTimes {
-            expand_s: ex,
-            communicate_s: co,
-            contract_s: ct,
-            load_balance_s: lb,
-            membership_s: me,
-            idle_s: id,
-            checkpoint_s: ck,
-        })
+    collection::vec(micros_strategy(), TimeCategory::ALL.len()).prop_map(|secs| {
+        let mut phase = PhaseTimes::default();
+        for (cat, s) in TimeCategory::ALL.into_iter().zip(secs) {
+            phase.add(cat, s);
+        }
+        phase
+    })
 }
 
+/// One draw per declared transport counter, in [`TransportStats::KEYS`]
+/// order — a counter added to the declaration is drawn (and
+/// round-tripped) without touching this file.
 fn transport_strategy() -> impl Strategy<Value = TransportStats> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-    )
-        .prop_map(|(sent, wire, enc, d1, d2, d3)| TransportStats {
-            sent: sent as u64,
-            sent_wire_bytes: wire as u64,
-            sent_encoded_bytes: enc as u64,
-            dropped_full: d1 as u64,
-            dropped_disconnected: d2 as u64,
-            dropped_no_route: d3 as u64,
-            dropped_startup: (d1 % 7) as u64,
-            dropped_stale: (d2 % 5) as u64,
-            retried: (d3 % 3) as u64,
-            connect_waits: (sent % 11) as u64,
-            reconnects: (wire % 13) as u64,
-            announces_sent: (enc % 17) as u64,
-            announces_recv: (d1 % 19) as u64,
-            rejoins: (d2 % 23) as u64,
-            joins: (d3 % 29) as u64,
-            peers_discovered: (sent % 31) as u64,
-            flushes: (wire % 37) as u64,
-            frames_flushed: (enc % 41) as u64,
-            membership_frames_sent: (d1 % 43) as u64,
-            book_entries_sent: (d2 % 47) as u64,
-            digest_entries_sent: (d3 % 53) as u64,
-            bound_broadcasts: (sent % 59) as u64,
-        })
+    collection::vec(any::<u32>(), TransportStats::KEYS.len()).prop_map(|draws| {
+        let mut draws = draws.into_iter();
+        TransportStats::from_keyed(|_| draws.next().map(u64::from)).expect("one draw per key")
+    })
 }
 
-fn report_strategy() -> impl Strategy<Value = NodedReport> {
+/// The counters that ride on lines, with arbitrary values.
+fn metrics_strategy() -> impl Strategy<Value = ProcMetrics> {
     (
-        any::<u32>(),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        any::<u64>(),
+    )
+        .prop_map(
+            |((expanded, pruned, rec, sus), (forg, bcast, coal, supp), mev)| ProcMetrics {
+                expanded,
+                pruned_at_pop: pruned,
+                recoveries: rec,
+                peers_suspected: sus,
+                peers_forgotten: forg,
+                bound_broadcasts: bcast,
+                bound_coalesced: coal,
+                bound_piggybacks_suppressed: supp,
+                membership_events_dropped: mev,
+                ..Default::default()
+            },
+        )
+}
+
+fn job_strategy() -> impl Strategy<Value = JobOutcome> {
+    (
+        (any::<u32>(), any::<u64>()),
         0u32..8,
         any::<bool>(),
         any::<u64>(), // incumbent bits: any f64 including NaN/∞ must survive
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>()),
-        phase_strategy(),
-        transport_strategy(),
+        metrics_strategy(),
     )
         .prop_map(
-            |(id, inc, terminated, bits, (expanded, rec, sus, forg), (mev, tev), phase, t)| {
-                let metrics = ProcMetrics {
-                    expanded,
-                    pruned_at_pop: sus % 73,
-                    recoveries: rec,
-                    peers_suspected: sus,
-                    peers_forgotten: forg,
-                    membership_events_dropped: mev,
-                    bound_broadcasts: forg % 61,
-                    bound_coalesced: mev % 67,
-                    bound_piggybacks_suppressed: rec % 71,
-                    ..Default::default()
-                };
-                NodedReport {
-                    outcome: NodeOutcome {
-                        id,
-                        incarnation: inc,
-                        terminated,
-                        incumbent: f64::from_bits(bits),
-                        metrics,
-                        phase,
-                        lifetime: Duration::from_millis(5),
-                    },
-                    transport: t,
-                    trace_events_dropped: tev,
-                    workers: (expanded % 9) as usize + 1,
-                }
+            |((id, job), incarnation, terminated, bits, metrics)| JobOutcome {
+                job: JobId::from(job),
+                id,
+                incarnation,
+                terminated,
+                incumbent: f64::from_bits(bits),
+                metrics,
             },
         )
+}
+
+/// A daemon report over 1..4 jobs (a single run has exactly one).
+fn report_strategy() -> impl Strategy<Value = NodeReport> {
+    (
+        collection::vec(job_strategy(), 1..4),
+        phase_strategy(),
+        transport_strategy(),
+        any::<u64>(),
+        1usize..10,
+    )
+        .prop_map(|(jobs, phase, transport, tev, workers)| NodeReport {
+            outcome: ServiceOutcome {
+                id: jobs[0].id,
+                incarnation: jobs[0].incarnation,
+                jobs,
+                phase,
+                lifetime: Duration::from_millis(5),
+            },
+            transport,
+            trace_events_dropped: tev,
+            workers,
+        })
 }
 
 fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
@@ -156,35 +148,22 @@ fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
         any::<u64>(),
         micros_strategy(),
         phase_strategy(),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>()),
+        metrics_strategy(),
+        any::<u64>(),
         transport_strategy(),
     )
         .prop_map(
-            |((id, job), inc, seq, elapsed, phase, (expanded, rec, sus, forg), (mev, tev), t)| {
-                MetricsSnapshot {
-                    id,
-                    job,
-                    incarnation: inc,
-                    seq,
-                    elapsed_s: elapsed,
-                    phase,
-                    metrics: ProcMetrics {
-                        expanded,
-                        pruned_at_pop: sus % 73,
-                        recoveries: rec,
-                        peers_suspected: sus,
-                        peers_forgotten: forg,
-                        membership_events_dropped: mev,
-                        bound_broadcasts: forg % 61,
-                        bound_coalesced: mev % 67,
-                        bound_piggybacks_suppressed: rec % 71,
-                        ..Default::default()
-                    },
-                    transport: t,
-                    trace_events_dropped: tev,
-                    workers: (seq % 9) as usize + 1,
-                }
+            |((id, job), inc, seq, elapsed, phase, metrics, tev, t)| MetricsSnapshot {
+                id,
+                job,
+                incarnation: inc,
+                seq,
+                elapsed_s: elapsed,
+                phase,
+                metrics,
+                transport: t,
+                trace_events_dropped: tev,
+                workers: (seq % 9) as usize + 1,
             },
         )
 }
@@ -210,9 +189,9 @@ proptest! {
     /// exact bits — survives its stdout line.
     #[test]
     fn outcome_line_round_trips(report in report_strategy()) {
-        let line = outcome_line(&report);
+        let o = &report.outcome.jobs[0];
+        let line = outcome_line(&report, o);
         let parsed = parse_outcome_line(&line).expect("own line parses");
-        let o = &report.outcome;
         prop_assert_eq!(parsed.id, o.id);
         prop_assert_eq!(parsed.incarnation, o.incarnation);
         prop_assert_eq!(parsed.terminated, o.terminated);
@@ -229,7 +208,33 @@ proptest! {
         prop_assert_eq!(parsed.bound_coalesced, o.metrics.bound_coalesced);
         prop_assert_eq!(parsed.bound_suppressed, o.metrics.bound_piggybacks_suppressed);
         prop_assert_eq!(parsed.trace_events_dropped, report.trace_events_dropped);
+        prop_assert_eq!(parsed.workers, report.workers as u64);
         prop_assert_eq!(parsed.transport, report.transport);
+    }
+
+    /// Every per-job line and the service summary over the same report
+    /// survive their stdout lines.
+    #[test]
+    fn job_and_service_lines_round_trip(report in report_strategy()) {
+        for o in &report.outcome.jobs {
+            let parsed = parse_job_line(&job_line(o)).expect("own line parses");
+            prop_assert_eq!(parsed.id, o.id);
+            prop_assert_eq!(parsed.job, o.job.raw());
+            prop_assert_eq!(parsed.incarnation, o.incarnation);
+            prop_assert_eq!(parsed.terminated, o.terminated);
+            prop_assert_eq!(parsed.incumbent.to_bits(), o.incumbent.to_bits());
+            prop_assert_eq!(parsed.expanded, o.metrics.expanded);
+            prop_assert_eq!(parsed.recoveries, o.metrics.recoveries);
+        }
+        let parsed = parse_service_line(&service_line(&report)).expect("own line parses");
+        prop_assert_eq!(parsed.id, report.outcome.id);
+        prop_assert_eq!(parsed.incarnation, report.outcome.incarnation);
+        prop_assert_eq!(parsed.jobs, report.outcome.jobs.len() as u64);
+        prop_assert_eq!(parsed.finished,
+            report.outcome.jobs.iter().filter(|j| j.terminated).count() as u64);
+        prop_assert_eq!(parsed.trace_events_dropped, report.trace_events_dropped);
+        prop_assert_eq!(parsed.sent, report.transport.sent);
+        prop_assert_eq!(parsed.dropped, report.transport.dropped());
     }
 
     /// Every interval snapshot survives its stdout line; microsecond
@@ -255,8 +260,11 @@ proptest! {
         prop_assert_eq!(parsed.bound_broadcasts, snap.metrics.bound_broadcasts);
         prop_assert_eq!(parsed.bound_coalesced, snap.metrics.bound_coalesced);
         prop_assert_eq!(parsed.bound_suppressed, snap.metrics.bound_piggybacks_suppressed);
+        prop_assert_eq!(parsed.workers, snap.workers as u64);
         prop_assert_eq!(parsed.sent, snap.transport.sent);
         prop_assert_eq!(parsed.dropped, snap.transport.dropped());
+        prop_assert_eq!(parsed.flushes, snap.transport.flushes);
+        prop_assert_eq!(parsed.frames_flushed, snap.transport.frames_flushed);
         prop_assert_eq!(parsed.membership_frames, snap.transport.membership_frames_sent);
         prop_assert_eq!(parsed.book_entries, snap.transport.book_entries_sent);
         prop_assert_eq!(parsed.digest_entries, snap.transport.digest_entries_sent);
@@ -274,8 +282,11 @@ proptest! {
         at in any::<u64>(),
         garbage in garbage_strategy(),
     ) {
-        let _ = parse_outcome_line(&mangle(&outcome_line(&report), at, &garbage));
+        let job = &report.outcome.jobs[0];
+        let _ = parse_outcome_line(&mangle(&outcome_line(&report, job), at, &garbage));
         let _ = parse_metrics_line(&mangle(&metrics_line(&snap), at, &garbage));
+        let _ = parse_job_line(&mangle(&job_line(job), at, &garbage));
+        let _ = parse_service_line(&mangle(&service_line(&report), at, &garbage));
     }
 
     /// Arbitrary text never panics any line parser, and a line missing
@@ -284,6 +295,8 @@ proptest! {
     fn arbitrary_text_never_parses_or_panics(text in text_strategy(64)) {
         let _ = parse_outcome_line(&text);
         let _ = parse_metrics_line(&text);
+        let _ = parse_job_line(&text);
+        let _ = parse_service_line(&text);
         let _ = ftbb_wire::parse_ready_line(&text);
         let _ = TraceEvent::parse_jsonl(&text);
         if !text.contains("FTBB-OUTCOME") {

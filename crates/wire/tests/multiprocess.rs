@@ -965,3 +965,74 @@ fn killed_node_restarts_from_checkpoint_and_rejoins() {
         rejoined.transport
     );
 }
+
+/// The single-run lifecycle by hand, no launcher: one `ftbb-noded` solving
+/// a configured problem is SIGKILLed mid-run; a second process started
+/// with `--resume` (and no `--problem*` flags) must find the first life's
+/// `node-0-job-0.ckpt` — a single run is job 0 of the one checkpoint
+/// layout — come back as incarnation 1, and print the sequential optimum.
+#[test]
+fn single_run_killed_mid_run_resumes_its_job_0_checkpoint() {
+    use ftbb_wire::parse_outcome_line;
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+
+    let problem = heavy_problem();
+    let reference = reference_best(&problem);
+    let dir = std::env::temp_dir().join("ftbb-wire-single-run-resume");
+    std::fs::remove_dir_all(&dir).ok();
+    let checkpoint = dir.join("node-0-job-0.ckpt");
+
+    let node = |extra: &[String]| {
+        Command::new(noded())
+            .args(["--id", "0", "--listen", "127.0.0.1:0", "--deadline-s", "60"])
+            .args(["--checkpoint-every-s", "0.02", "--checkpoint-dir"])
+            .arg(&dir)
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("ftbb-noded spawns")
+    };
+
+    // First life: the admission snapshot lands within milliseconds of the
+    // start; a ~1 s search is then killed well before it can finish.
+    let mut first = node(&problem.flag_args());
+    let spawned = Instant::now();
+    while !checkpoint.exists() {
+        assert!(
+            spawned.elapsed() < Duration::from_secs(20),
+            "no {} appeared",
+            checkpoint.display()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    first.kill().expect("SIGKILL lands");
+    let first_out = first.wait_with_output().expect("first life reaped");
+    let first_stdout = String::from_utf8_lossy(&first_out.stdout);
+    assert!(
+        !first_stdout
+            .lines()
+            .any(|l| parse_outcome_line(l).is_some()),
+        "the first life finished before the kill — nothing was resumed: {first_stdout}"
+    );
+    assert!(
+        !dir.join("node-0.ckpt").exists(),
+        "the single-file layout is gone"
+    );
+
+    // Second life: everything it needs rides in the checkpoint.
+    let second = node(&["--resume".to_string()])
+        .wait_with_output()
+        .expect("second life exits");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(second.status.success(), "second life: {:?}", second.status);
+    let outcome = String::from_utf8_lossy(&second.stdout)
+        .lines()
+        .find_map(parse_outcome_line)
+        .expect("the resumed run prints FTBB-OUTCOME");
+    assert_eq!(outcome.incarnation, 1, "the resumed run is the next life");
+    assert!(outcome.terminated);
+    assert_eq!(Some(outcome.incumbent), reference);
+}
