@@ -11,8 +11,8 @@
 //!
 //! [`WorkerPool`] runs expansions on a fixed set of worker threads fed
 //! through a work-stealing deque structure (a shared
-//! [`Injector`](crossbeam::deque::Injector) plus per-worker local queues
-//! with [`Stealer`](crossbeam::deque::Stealer)s between them). The pump
+//! [`Injector`] plus per-worker local queues
+//! with [`Stealer`]s between them). The pump
 //! submits `(job, seq, code)` tasks without blocking and harvests
 //! `(job, seq, expansion)` results without blocking; the protocol's own
 //! `work_seq` guard discards results that raced a redundant-work

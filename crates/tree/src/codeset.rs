@@ -17,7 +17,7 @@
 //!
 //! The trie lives in a flat arena of node *words*, one per node, instead
 //! of per-node `Box` allocations. A node's entire hot state is its word:
-//! [`EMPTY`] (unexplored branch), [`DONE`] (completed subtree), or the
+//! `EMPTY` (unexplored branch), `DONE` (completed subtree), or the
 //! base index of its child pair — the two children are allocated
 //! together as adjacent slots, the child for branch bit `b` at
 //! `base + b`. Branching variables live in a parallel array (`vars[i]`,
@@ -35,9 +35,9 @@
 //! The word width adapts to the table: arenas start with `u16` words
 //! (a 20k-node table is ~40 KiB of hot data — L1-resident) and migrate
 //! once, in place, to `u32` words if the table ever needs more than
-//! 64Ki slots ([`Arena`] is generic over the width; indices are
+//! 64Ki slots (`Arena` is generic over the width; indices are
 //! preserved by the migration). A pair may have only one real child;
-//! the unused slot stays [`EMPTY`] and reads as an absent branch
+//! the unused slot stays `EMPTY` and reads as an absent branch
 //! everywhere. The hot operations are pure index walks over contiguous
 //! memory — `contains` on the grant path and `insert`/`merge` on the
 //! report/gossip path never allocate per node. Pairs vacated by

@@ -20,7 +20,7 @@ use std::time::Duration;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprint!("{}", HELP);
+        eprint!("{}", help());
         return;
     }
     match run(&args) {
@@ -130,7 +130,11 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-const HELP: &str = "\
+/// The client's own flags, the PROBLEM block generated from the config
+/// key table (the same flags `ftbb-noded` takes), and the output lines.
+fn help() -> String {
+    format!(
+        "\
 ftbb-submit — submit one job to a running ftbb-noded --service pool
 
 USAGE:
@@ -144,16 +148,12 @@ FLAGS:
                                   (0 is reserved for single-run nodes)
     --timeout-s SECS              give up waiting for the final result
                                   after SECS (default 60)
-
-PROBLEM (same flags as ftbb-noded):
-    --problem KIND                knapsack | maxsat | tree-file
-    --problem-n / --problem-range / --problem-correlation /
-    --problem-frac / --problem-seed       (knapsack)
-    --problem-vars / --problem-clauses / --problem-seed   (maxsat)
-    --problem-file PATH                                    (tree-file)
-
+{}
 OUTPUT (machine-parseable, one per line):
     FTBB-SUBMIT-ACCEPTED job=N node=ID
     FTBB-SUBMIT-INCUMBENT job=N incumbent=X          (streamed)
     FTBB-SUBMIT-RESULT job=N finished=BOOL incumbent_bits=… incumbent=X expanded=M
-";
+",
+        ftbb_wire::config::problem_help()
+    )
+}

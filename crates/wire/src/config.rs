@@ -29,19 +29,32 @@
 //! frame instead of generating it locally.
 //!
 //! The parser covers the subset above — scalar `key = value` pairs
-//! (strings, integers, floats, booleans), string arrays, comments, and
+//! (strings, numbers, booleans), string arrays, comments, and
 //! `[section]` headers — which keeps the daemon dependency-free.
+//!
+//! # One key table
+//!
+//! Every key is declared **once**: the node keys as rows of the
+//! `node_keys!` declaration (which also derives [`NodeConfig`] and its
+//! `Default`), the `problem.*` keys as rows of `PROBLEM_KEYS`. A row
+//! gives the field with its doc comment (which is also its `--help`
+//! text), the default, the allowed range, the help section and the
+//! metavar; the field's type is the value kind (its `Setting` impl holds
+//! the one `parse(&str)` every value goes through, whichever way it
+//! arrived). The TOML spelling is the row's name and the flag is derived
+//! from it (`--` + name with `_`/`.` → `-`; only `--peer` and `--problem`
+//! are spelled by hand). The TOML reader, the flag reader, the per-key
+//! range checks in `validate`, [`help`], [`NodeConfig::to_args`] /
+//! [`ProblemSpec::flag_args`] and the launcher's argv all walk those rows
+//! — **adding a key is adding one row**.
 
 use crate::tcp::WireConfig;
 use ftbb_bnb::{AnyInstance, BasicTreeProblem, Correlation, KnapsackInstance, MaxSatInstance};
 use ftbb_des::SimTime;
 use ftbb_gossip::MembershipConfig;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
-use std::ops::RangeInclusive;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Configuration errors (parse or validation).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,9 +73,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ConfigError> {
 }
 
 /// The canonical list of problem kinds `ftbb-noded` understands, in the
-/// spelling configs and `--problem` use. The single source for the
-/// `assemble` kind check; [`PROBLEM_KINDS`] (help/error text) must stay
-/// in sync — a unit test enforces it.
+/// spelling configs and `--problem` use; the first is the default.
+/// [`PROBLEM_KINDS`] (help/error text) must stay in sync — a unit test
+/// enforces it.
 const KINDS: [&str; 4] = ["knapsack", "maxsat", "tree-file", "wire"];
 
 /// The problem kinds `ftbb-noded` understands, for help and error text.
@@ -163,6 +176,20 @@ impl ProblemSpec {
         }
     }
 
+    /// The spec a kind starts from before its parameters are applied:
+    /// the generators' defaults, and a `tree-file` still missing its
+    /// (required) file.
+    fn of_kind(kind: &str) -> Option<ProblemSpec> {
+        [
+            ProblemSpec::default(),
+            ProblemSpec::MaxSat(MaxSatSpec::default()),
+            ProblemSpec::tree_file(""),
+            ProblemSpec::Wire,
+        ]
+        .into_iter()
+        .find(|spec| spec.kind_name() == kind)
+    }
+
     /// Materialize the instance. Generators are deterministic per spec;
     /// `tree-file` reads (and validates) the file; `wire` has no local
     /// instance — the daemon must wait for the announce frame instead.
@@ -190,88 +217,31 @@ impl ProblemSpec {
         }
     }
 
-    /// Render this spec as `ftbb-noded` CLI flags — the launcher's
-    /// kind-aware replacement for hand-assembled knapsack flags.
+    /// Render this spec as `ftbb-noded` CLI flags: `--problem KIND`
+    /// first, then every parameter of the kind in `PROBLEM_KEYS` order
+    /// (the seed last).
     pub fn flag_args(&self) -> Vec<String> {
-        let mut args = vec!["--problem".to_string(), self.kind_name().to_string()];
-        match self {
-            ProblemSpec::Knapsack(k) => {
-                args.extend([
-                    "--problem-n".into(),
-                    k.n.to_string(),
-                    "--problem-range".into(),
-                    k.range.to_string(),
-                    "--problem-correlation".into(),
-                    correlation_name(k.correlation).into(),
-                    "--problem-frac".into(),
-                    k.frac.to_string(),
-                    "--problem-seed".into(),
-                    k.seed.to_string(),
-                ]);
-            }
-            ProblemSpec::MaxSat(m) => {
-                args.extend([
-                    "--problem-vars".into(),
-                    m.vars.to_string(),
-                    "--problem-clauses".into(),
-                    m.clauses.to_string(),
-                    "--problem-seed".into(),
-                    m.seed.to_string(),
-                ]);
-            }
-            ProblemSpec::TreeFile(t) => {
-                args.extend([
-                    "--problem-file".into(),
-                    t.file.to_string_lossy().into_owned(),
-                ]);
-            }
-            ProblemSpec::Wire => {}
+        let mut args = Vec::new();
+        for key in PROBLEM_KEYS {
+            key.push_args((key.get)(self), &mut args);
         }
         args
     }
 
-    /// Validate the spec's own parameters (generator preconditions).
+    /// Validate the spec's own parameters (generator preconditions):
+    /// each against the range its `PROBLEM_KEYS` row declares.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            ProblemSpec::Knapsack(k) => {
-                if k.n == 0 {
-                    return err("problem.n must be at least 1");
-                }
-                if k.range < 2 {
-                    return err("problem.range must be at least 2");
-                }
-                if !(k.frac.is_finite() && k.frac > 0.0) {
-                    return err("problem.frac must be a positive number");
-                }
-                Ok(())
-            }
-            ProblemSpec::MaxSat(m) => {
-                if !(2..=64).contains(&m.vars) {
-                    return err("problem.vars must be in 2..=64");
-                }
-                if m.clauses == 0 {
-                    return err("problem.clauses must be at least 1");
-                }
-                Ok(())
-            }
-            ProblemSpec::TreeFile(t) => {
-                if t.file.as_os_str().is_empty() {
-                    return err("problem.file must be a non-empty path");
-                }
-                Ok(())
-            }
-            ProblemSpec::Wire => Ok(()),
-        }
+        verify(PROBLEM_KEYS, self)
     }
 }
 
-fn correlation_from(name: &str) -> Result<Correlation, ConfigError> {
+fn correlation_from(name: &str) -> Option<Correlation> {
     match name {
-        "uncorrelated" => Ok(Correlation::Uncorrelated),
-        "weak" => Ok(Correlation::Weak),
-        "strong" => Ok(Correlation::Strong),
-        "subsetsum" | "subset_sum" => Ok(Correlation::SubsetSum),
-        other => err(format!("unknown correlation `{other}`")),
+        "uncorrelated" => Some(Correlation::Uncorrelated),
+        "weak" => Some(Correlation::Weak),
+        "strong" => Some(Correlation::Strong),
+        "subsetsum" | "subset_sum" => Some(Correlation::SubsetSum),
+        _ => None,
     }
 }
 
@@ -285,220 +255,443 @@ fn correlation_name(c: Correlation) -> &'static str {
     }
 }
 
-/// Problem parameters as they accumulate from a config file or flags,
-/// before the kind is resolved. `assemble` turns this into a
-/// [`ProblemSpec`], rejecting parameters that do not belong to the
-/// resolved kind (instead of silently ignoring them).
-#[derive(Debug, Default)]
-struct ProblemScratch {
-    kind: Option<String>,
-    n: Option<usize>,
-    range: Option<u64>,
-    correlation: Option<Correlation>,
-    frac: Option<f64>,
-    seed: Option<u64>,
-    vars: Option<u16>,
-    clauses: Option<usize>,
-    file: Option<PathBuf>,
+// ----------------------------------------------------- the key table
+
+/// How a value is written in a TOML file, and whether its flag takes one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// A bare number: `deadline_s = 30.0`, `--deadline-s 30`.
+    Number,
+    /// A bare boolean: `service = true`; the flag takes no value.
+    Switch,
+    /// A quoted string: `listen = "127.0.0.1:4500"`.
+    Text,
+    /// An array of quoted strings; flags take the items comma-separated
+    /// (or, for the repeatable `--peer`, one per occurrence).
+    List,
 }
 
-impl ProblemScratch {
-    /// The kind this scratch resolves to (`knapsack` when none given).
-    fn kind(&self) -> &str {
-        self.kind.as_deref().unwrap_or(KINDS[0])
+/// The values a key accepts, beyond what its type can hold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Range {
+    /// Whatever the type holds.
+    Any,
+    /// An integer in `min..=max` (capped by the field's own type).
+    Int(u64, u64),
+    /// A finite number in `min..=max`.
+    Num(f64, f64),
+}
+
+/// Upper bound on every seconds-valued setting: a century. Far beyond any
+/// sensible deployment, far inside what `Duration` and the pump's
+/// nanosecond clock can represent — `Duration::from_secs_f64` panics on
+/// NaN, infinity and anything past ~5.8e11 s, so every `*_s` key carries
+/// one of the three ranges below.
+const MAX_SECONDS: f64 = 100.0 * 365.25 * 86_400.0;
+const POSITIVE: Range = Range::Num(f64::MIN_POSITIVE, MAX_SECONDS);
+const NON_NEGATIVE: Range = Range::Num(0.0, MAX_SECONDS);
+/// Non-positive `crash_at_s` (crash at once) and `bound_flush_s`
+/// (suppression off) are deliberate settings.
+const ANY_SIGN: Range = Range::Num(-MAX_SECONDS, MAX_SECONDS);
+
+/// A value kind: one impl per field type, holding the **one** parser a
+/// value of that kind goes through — from a flag, from a TOML file, or
+/// (rendered and read back) from a hand-built [`NodeConfig`] in
+/// `validate` — so it is range-checked and narrowed by the same code
+/// whichever way it arrived.
+trait Setting: Sized {
+    /// How the kind is written in TOML.
+    const SHAPE: Shape;
+    /// Read a value; the error says what was expected instead.
+    fn parse(text: &str, range: Range) -> Result<Self, String>;
+    /// The text `parse` reads back to this value; `None` for "unset"
+    /// (`None`, `false`, an empty list).
+    fn render(&self) -> Option<String>;
+}
+
+macro_rules! integer_settings {
+    ($($int:ty),*) => {$(
+        impl Setting for $int {
+            const SHAPE: Shape = Shape::Number;
+            fn parse(text: &str, range: Range) -> Result<Self, String> {
+                let (min, max) = match range {
+                    Range::Int(min, max) => (min, max),
+                    _ => (0, u64::MAX),
+                };
+                let max = u64::try_from(<$int>::MAX).map_or(max, |widest| max.min(widest));
+                text.parse::<$int>()
+                    .ok()
+                    .filter(|&v| u64::try_from(v).is_ok_and(|v| (min..=max).contains(&v)))
+                    .ok_or_else(|| format!("an integer in {min}..={max}"))
+            }
+            fn render(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
+integer_settings!(u16, u32, u64, usize);
+
+impl Setting for f64 {
+    const SHAPE: Shape = Shape::Number;
+    fn parse(text: &str, range: Range) -> Result<Self, String> {
+        let (min, max) = match range {
+            Range::Num(min, max) => (min, max),
+            _ => (f64::MIN, f64::MAX),
+        };
+        // NaN is in no range, so it is rejected along with infinity.
+        text.parse::<f64>()
+            .ok()
+            .filter(|v| (min..=max).contains(v))
+            .ok_or_else(|| {
+                let floor = if min == f64::MIN_POSITIVE {
+                    "above 0".to_string()
+                } else {
+                    format!("at least {min}")
+                };
+                if max == f64::MAX {
+                    format!("a finite number {floor}")
+                } else {
+                    format!("a number {floor} and at most {max}")
+                }
+            })
+    }
+    fn render(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+}
+
+/// The kinds without a range, one row each: the type, how TOML writes
+/// it, what it expects, how it is read, how it is written.
+macro_rules! plain_settings {
+    ($(
+        $kind:ty: $shape:ident, $expects:literal,
+        |$text:ident| $parse:expr, |$value:ident| $render:expr;
+    )*) => {$(
+        impl Setting for $kind {
+            const SHAPE: Shape = Shape::$shape;
+            fn parse($text: &str, _: Range) -> Result<Self, String> {
+                $parse.ok_or_else(|| $expects.to_string())
+            }
+            fn render(&self) -> Option<String> {
+                let $value = self;
+                $render
+            }
+        }
+    )*};
+}
+
+plain_settings! {
+    bool: Switch, "a boolean",
+    |text| text.parse().ok(), |on| on.then(|| "true".to_string());
+
+    PathBuf: Text, "a non-empty path",
+    |text| (!text.is_empty()).then(|| PathBuf::from(text)),
+    |path| Some(path.display().to_string());
+
+    SocketAddr: Text, "a HOST:PORT socket address",
+    |text| text.parse().ok(), |addr| Some(addr.to_string());
+
+    Correlation: Text, "one of uncorrelated | weak | strong | subsetsum",
+    |text| correlation_from(text), |c| Some(correlation_name(*c).to_string());
+
+    // The peer map.
+    Vec<(u32, SocketAddr)>: List, "a list of ID=HOST:PORT peers",
+    |text| parse_list(text, parse_peer),
+    |peers| render_list(peers.iter().map(|(id, addr)| format!("{id}={addr}")));
+
+    // Gossip servers: bare ids are resolved from the peer wiring, addressed
+    // ones are self-contained — what `--join` requires.
+    Vec<(u32, Option<SocketAddr>)>: List, "a list of ID or ID=HOST:PORT gossip servers",
+    |text| parse_list(text, parse_gossip_server),
+    |servers| render_list(servers.iter().map(|(id, addr)| match addr {
+        Some(addr) => format!("{id}={addr}"),
+        None => id.to_string(),
+    }));
+}
+
+/// Read a comma-separated list item by item (blank items are skipped).
+fn parse_list<T>(text: &str, item: impl Fn(&str) -> Result<T, ConfigError>) -> Option<Vec<T>> {
+    let items = text.split(',').filter(|s| !s.trim().is_empty());
+    items.map(item).collect::<Result<_, _>>().ok()
+}
+
+fn render_list(items: impl Iterator<Item = String>) -> Option<String> {
+    let text = items.collect::<Vec<_>>().join(",");
+    (!text.is_empty()).then_some(text)
+}
+
+/// An optional setting: unset until a file or a flag gives it a value.
+impl<S: Setting> Setting for Option<S> {
+    const SHAPE: Shape = S::SHAPE;
+    fn parse(text: &str, range: Range) -> Result<Self, String> {
+        S::parse(text, range).map(Some)
+    }
+    fn render(&self) -> Option<String> {
+        self.as_ref().and_then(S::render)
+    }
+}
+
+// The `--help` blocks, in the order the rows list them.
+const NODE: &str = "FLAGS (override --config values)";
+const MEMBERSHIP: &str = "MEMBERSHIP (gossip protocol instead of a static member list)";
+const PERFORMANCE: &str = "PERFORMANCE";
+const SERVICE: &str = "SERVICE MODE (a long-lived multi-job solve pool)";
+const LIFECYCLE: &str = "LIFECYCLE (checkpoint persistence and restart/rejoin)";
+const TELEMETRY: &str = "TELEMETRY (structured tracing and interval metrics)";
+const PROBLEM: &str = "PROBLEM (tagged; --problem selects the kind, the rest are per-kind)";
+
+/// The TOML spelling of the peer map, whose flag is the repeatable
+/// `--peer` (one entry per occurrence).
+const PEERS: &str = "peers";
+/// The TOML spelling of the problem kind, whose flag is `--problem`.
+const KIND: &str = "problem.kind";
+
+/// One configuration key of a `T` (a [`NodeConfig`] or a
+/// [`ProblemSpec`]): everything the readers, the checks, the help and
+/// the argv renderer know about it.
+struct Key<T: 'static> {
+    /// The TOML spelling (`section.key` inside a section); the flag is
+    /// derived from it, see [`Key::flag`].
+    name: &'static str,
+    range: Range,
+    /// The `--help` block the key is listed under.
+    section: &'static str,
+    metavar: &'static str,
+    /// The `--help` text: a node key's is its field's doc comment.
+    help: &'static str,
+    shape: Shape,
+    /// Parse `text` into the field.
+    set: fn(&mut T, &str, Range) -> Result<(), String>,
+    /// The field, rendered; `None` when unset (or, for a problem
+    /// parameter, when the spec's kind does not carry it).
+    get: fn(&T) -> Option<String>,
+}
+
+impl<T> Key<T> {
+    /// The flag spelling: `--` + the TOML spelling with `_`/`.` → `-`,
+    /// except for the two flags that predate the rule.
+    fn flag(&self) -> String {
+        match self.name {
+            PEERS => "--peer".to_string(),
+            KIND => "--problem".to_string(),
+            name => format!("--{}", name.replace(['_', '.'], "-")),
+        }
     }
 
-    /// Merge `overrides` on top of this scratch (flags over file). When
-    /// the override switches to a different kind, this scratch's
-    /// parameters are discarded entirely — `--problem maxsat` must not
-    /// inherit a config file's knapsack parameters.
-    fn merged_with(self, overrides: ProblemScratch) -> ProblemScratch {
-        if overrides.kind() != self.kind() && overrides.kind.is_some() {
-            return overrides;
-        }
-        ProblemScratch {
-            kind: overrides.kind.or(self.kind),
-            n: overrides.n.or(self.n),
-            range: overrides.range.or(self.range),
-            correlation: overrides.correlation.or(self.correlation),
-            frac: overrides.frac.or(self.frac),
-            seed: overrides.seed.or(self.seed),
-            vars: overrides.vars.or(self.vars),
-            clauses: overrides.clauses.or(self.clauses),
-            file: overrides.file.or(self.file),
+    /// Parse `text` into this key's field of `target`.
+    fn parse_into(&self, target: &mut T, text: &str) -> Result<(), ConfigError> {
+        (self.set)(target, text, self.range).map_err(|expected| {
+            ConfigError(format!("`{}` must be {expected}, got `{text}`", self.name))
+        })
+    }
+
+    /// Append the flag(s) that set this key to `value`.
+    fn push_args(&self, value: Option<String>, args: &mut Vec<String>) {
+        let Some(text) = value else { return };
+        if self.shape == Shape::Switch {
+            args.push(self.flag());
+        } else if self.name == PEERS {
+            for peer in text.split(',') {
+                args.extend([self.flag(), peer.to_string()]);
+            }
+        } else {
+            args.extend([self.flag(), text]);
         }
     }
 
-    /// Resolve into a spec: explicit values win, per-kind defaults fill
-    /// the gaps, and parameters foreign to the kind are rejected.
-    fn assemble(self) -> Result<ProblemSpec, ConfigError> {
-        let kind = self.kind();
-        if !KINDS.contains(&kind) {
-            return err(format!(
-                "unsupported problem kind `{kind}` (supported: {PROBLEM_KINDS})"
-            ));
+    /// This key's `--help` entry, with the default taken from `default`
+    /// and the range from the row.
+    fn help_entry(&self, default: &T, out: &mut String) {
+        const COLUMN: usize = 34;
+        const WIDTH: usize = 38;
+        let mut notes = Vec::new();
+        match self.range {
+            Range::Int(min, u64::MAX) => notes.push(format!("at least {min}")),
+            Range::Int(min, max) => notes.push(format!("{min}..={max}")),
+            _ => {}
         }
-        // One row per parameter, declaring which kinds accept it. A new
-        // kind or parameter is added here once — not once per kind — so
-        // a foreign parameter can never be silently ignored.
-        let ownership: [(bool, &str, &[&str]); 8] = [
-            (self.n.is_some(), "problem.n / --problem-n", &["knapsack"]),
-            (
-                self.range.is_some(),
-                "problem.range / --problem-range",
-                &["knapsack"],
-            ),
-            (
-                self.correlation.is_some(),
-                "problem.correlation / --problem-correlation",
-                &["knapsack"],
-            ),
-            (
-                self.frac.is_some(),
-                "problem.frac / --problem-frac",
-                &["knapsack"],
-            ),
-            (
-                self.seed.is_some(),
-                "problem.seed / --problem-seed",
-                &["knapsack", "maxsat"],
-            ),
-            (
-                self.vars.is_some(),
-                "problem.vars / --problem-vars",
-                &["maxsat"],
-            ),
-            (
-                self.clauses.is_some(),
-                "problem.clauses / --problem-clauses",
-                &["maxsat"],
-            ),
-            (
-                self.file.is_some(),
-                "problem.file / --problem-file",
-                &["tree-file"],
-            ),
-        ];
-        for (set, param, accepted_by) in ownership {
-            if set && !accepted_by.contains(&kind) {
-                return err(format!("`{param}` does not apply to problem kind `{kind}`"));
+        if let Some(text) = (self.get)(default).filter(|t| !t.is_empty()) {
+            if self.shape != Shape::Switch {
+                notes.push(format!("default {text}"));
             }
         }
-        match kind {
-            "knapsack" => {
-                let b = KnapsackSpec::default();
-                Ok(ProblemSpec::Knapsack(KnapsackSpec {
-                    n: self.n.unwrap_or(b.n),
-                    range: self.range.unwrap_or(b.range),
-                    correlation: self.correlation.unwrap_or(b.correlation),
-                    frac: self.frac.unwrap_or(b.frac),
-                    seed: self.seed.unwrap_or(b.seed),
-                }))
+        let mut sentence = self.help.to_string();
+        if !notes.is_empty() {
+            sentence.push_str(&format!(" ({})", notes.join("; ")));
+        }
+        let mut line = format!(
+            "{:<COLUMN$}",
+            format!("    {} {}", self.flag(), self.metavar)
+        );
+        for word in sentence.split_whitespace() {
+            let used = line.chars().count();
+            if used > COLUMN && used + 1 + word.chars().count() > COLUMN + WIDTH {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(COLUMN);
+            } else if used > COLUMN {
+                line.push(' ');
             }
-            "maxsat" => {
-                let b = MaxSatSpec::default();
-                Ok(ProblemSpec::MaxSat(MaxSatSpec {
-                    vars: self.vars.unwrap_or(b.vars),
-                    clauses: self.clauses.unwrap_or(b.clauses),
-                    seed: self.seed.unwrap_or(b.seed),
-                }))
+            line.push_str(word);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+}
+
+/// Check every value `target` holds now — however it got there — against
+/// its row: render it and read it back through the row's own parser.
+fn verify<T: Clone>(table: &[Key<T>], target: &T) -> Result<(), ConfigError> {
+    let mut probe = target.clone();
+    for key in table {
+        if let Some(text) = (key.get)(target) {
+            key.parse_into(&mut probe, &text)?;
+        }
+    }
+    Ok(())
+}
+
+/// Declares the node keys once — one row per key — and derives
+/// [`NodeConfig`], its `Default` and the `NODE_KEYS` table from the rows.
+///
+/// A row reads `/// doc  field: Type = default;  range, SECTION, "METAVAR";`.
+/// The field's type is its value kind ([`Setting`]), its name is its TOML
+/// spelling (the flag is derived from that), and its doc comment is also
+/// its `--help` text — so it is written to read well in both places.
+macro_rules! node_keys {
+    ($(
+        $(#[doc = $doc:literal])+
+        $field:ident: $kind:ty = $default:expr;
+        $range:expr, $section:ident, $metavar:literal;
+    )*) => {
+        /// Everything one `ftbb-noded` process needs to run.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct NodeConfig {
+            $($(#[doc = $doc])+ pub $field: $kind,)*
+            /// The shared problem (the `[problem]` section / `--problem*`
+            /// flags, see `PROBLEM_KEYS`).
+            pub problem: ProblemSpec,
+        }
+
+        impl Default for NodeConfig {
+            fn default() -> Self {
+                NodeConfig {
+                    $($field: $default,)*
+                    problem: ProblemSpec::default(),
+                }
             }
-            "tree-file" => match self.file {
-                Some(file) => Ok(ProblemSpec::TreeFile(TreeFileSpec { file })),
-                None => err("problem kind `tree-file` requires problem.file / --problem-file"),
+        }
+
+        /// Every key outside `[problem]`, in `--help` order.
+        static NODE_KEYS: &[Key<NodeConfig>] = &[$(Key {
+            name: stringify!($field),
+            range: $range,
+            section: $section,
+            metavar: $metavar,
+            help: concat!($($doc),+),
+            shape: <$kind as Setting>::SHAPE,
+            set: |cfg, text, range| {
+                cfg.$field = Setting::parse(text, range)?;
+                Ok(())
             },
-            _ => Ok(ProblemSpec::Wire),
-        }
-    }
+            get: |cfg| cfg.$field.render(),
+        },)*];
+    };
 }
 
-/// Everything one `ftbb-noded` process needs to run.
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
+node_keys! {
     /// This node's id.
-    pub id: u32,
-    /// Address to listen on.
-    pub listen: SocketAddr,
-    /// Peer nodes as `(id, address)`.
-    pub peers: Vec<(u32, SocketAddr)>,
-    /// The shared problem.
-    pub problem: ProblemSpec,
-    /// Hard wall-clock deadline in seconds (safety valve).
-    pub deadline_s: f64,
-    /// If set, the process `abort()`s this many seconds after start —
-    /// a config-driven crash for experiments without an external killer.
-    pub crash_at_s: Option<f64>,
-    /// RNG seed for protocol randomness (target selection etc.).
-    pub seed: u64,
+    id: u32 = 0;
+    Range::Any, NODE, "N";
+
+    /// Address to listen on; port 0 picks a free port, announced on the
+    /// `FTBB-READY` line.
+    listen: SocketAddr = SocketAddr::from(([127, 0, 0, 1], 0));
+    Range::Any, NODE, "HOST:PORT";
+
+    /// Peer nodes as `(id, address)`; the flag is repeatable, one peer
+    /// per occurrence.
+    peers: Vec<(u32, SocketAddr)> = Vec::new();
+    Range::Any, NODE, "ID=HOST:PORT";
+
+    /// Learn the peer map from stdin instead of flags/file: after
+    /// printing its `FTBB-READY` line the daemon reads `peer ID=HOST:PORT`
+    /// lines terminated by `start`. This is how the launcher wires a
+    /// `--listen 127.0.0.1:0` cluster without pre-allocating ports.
+    peers_from_stdin: bool = false;
+    Range::Any, NODE, "";
+
     /// Readiness-barrier budget in seconds: how long the daemon waits
     /// for connections to every peer before injecting `Start`. Peers
     /// that never show up are the Crash model's problem — the node
     /// starts anyway once the budget is spent.
-    pub preconnect_s: f64,
-    /// Learn the peer map from stdin instead of flags/file: after
-    /// printing its `FTBB-READY` line the daemon reads `peer id=addr`
-    /// lines terminated by `start`. This is how the launcher wires a
-    /// `--listen 127.0.0.1:0` cluster without pre-allocating ports.
-    pub peers_from_stdin: bool,
-    /// Directory for checkpoint snapshots (one `node-<id>-job-<job>.ckpt`
-    /// per job — job 0 for a single run — written atomically via
-    /// write-rename). `None` disables persistence.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshot cadence in seconds (only meaningful with a checkpoint
-    /// directory; an extra snapshot is always written at each job's
-    /// admission and completion).
-    pub checkpoint_every_s: f64,
-    /// Restore every `checkpoint_dir/node-<id>-job-*.ckpt` instead of
-    /// starting fresh: the node comes back under the next incarnation,
-    /// takes each problem binding from its checkpoint (any `--problem*`
-    /// flags are ignored), and announces its rejoin to the peers.
-    pub resume: bool,
-    /// Gossip servers as `(id, optional address)`. Non-empty enables
-    /// **membership mode**: the node runs the §5.2 gossip protocol —
-    /// joins through the servers, heartbeats, suspects silent members —
-    /// instead of a static member list. Entries without an address
-    /// (`--gossip-servers 0`) must be resolvable from the peer wiring;
-    /// entries with one (`--gossip-servers 0=HOST:PORT`) need no wiring
-    /// at all, which is what `--join` relies on. A node whose own id is
-    /// listed *is* a gossip server.
-    pub gossip_servers: Vec<(u32, Option<SocketAddr>)>,
+    preconnect_s: f64 = 5.0;
+    NON_NEGATIVE, NODE, "SECS";
+
+    /// Hard wall-clock deadline in seconds (safety valve).
+    deadline_s: f64 = 30.0;
+    POSITIVE, NODE, "SECS";
+
+    /// If set, the process `abort()`s this many seconds after start —
+    /// a config-driven crash for experiments without an external killer.
+    crash_at_s: Option<f64> = None;
+    ANY_SIGN, NODE, "SECS";
+
+    /// RNG seed for protocol randomness (target selection etc.).
+    seed: u64 = 1;
+    Range::Any, NODE, "N";
+
+    /// Gossip servers as `(id, optional address)`, comma-separated on
+    /// the command line. Non-empty enables **membership mode**: the node
+    /// runs the §5.2 gossip protocol — joins through the servers,
+    /// heartbeats, suspects silent members — instead of a static member
+    /// list. Entries without an address (`--gossip-servers 0`) must be
+    /// resolvable from the peer wiring; entries with one
+    /// (`--gossip-servers 0=HOST:PORT`) need no wiring at all, which is
+    /// what `--join` relies on. A node whose own id is listed *is* a
+    /// gossip server and answers joins.
+    gossip_servers: Vec<(u32, Option<SocketAddr>)> = Vec::new();
+    Range::Any, MEMBERSHIP, "LIST";
+
     /// Elastic join: start knowing *only* the gossip servers (no peer
     /// flags, no stdin wiring) and enter the live cluster through the
     /// join handshake. Requires an addressed entry in `gossip_servers`.
     /// A joiner never holds the root subproblem.
-    pub join: bool,
+    join: bool = false;
+    Range::Any, MEMBERSHIP, "";
+
     /// Membership gossip tick interval in seconds (membership mode).
-    pub gossip_interval_s: f64,
+    gossip_interval_s: f64 = 0.05;
+    POSITIVE, MEMBERSHIP, "SECS";
+
     /// Heartbeat silence before a member is suspected (`t_fail`), seconds.
-    pub suspect_after_s: f64,
+    suspect_after_s: f64 = 0.5;
+    POSITIVE, MEMBERSHIP, "SECS";
+
     /// Suspicion duration before a member is forgotten (`t_cleanup`),
     /// seconds; must be ≥ `suspect_after_s`.
-    pub forget_after_s: f64,
-    /// Startup retry window of the TCP transport, seconds (see
-    /// [`crate::tcp::WireConfig::retry_window`]).
-    pub retry_window_s: f64,
-    /// Frame budget of that window (see
-    /// [`crate::tcp::WireConfig::retry_max_frames`]).
-    pub retry_max_frames: usize,
-    /// Expansion worker threads per node. `1` (the default) keeps
-    /// expansion inline in the event pump — the historical behaviour.
-    /// Higher values run subproblem expansion on a work-stealing pool
-    /// so multiple jobs expand in parallel; the protocol state machine
-    /// stays single-threaded either way, so the optimum is identical.
-    pub workers: usize,
-    /// Most frames one transport flush coalesces into a single write
-    /// (see [`crate::tcp::WireConfig::batch_max_frames`]); `1` disables
-    /// batching.
-    pub batch_max_frames: usize,
-    /// Most address-book entries piggybacked per membership frame (see
-    /// [`crate::tcp::WireConfig::book_max_entries`]); `0` ships the full
-    /// roster on every frame, the pre-scale behavior.
-    pub book_max_entries: usize,
-    /// Bound-dissemination flush window in seconds (see
-    /// [`ftbb_core::ProtocolConfig::bound_flush_s`]); `<= 0` disables
-    /// suppression and explicit bound broadcasts — every message
-    /// piggybacks the incumbent eagerly, the pre-scale behavior.
-    pub bound_flush_s: f64,
+    forget_after_s: f64 = 3.0;
+    POSITIVE, MEMBERSHIP, "SECS";
+
+    /// Expansion worker threads per node. `1` keeps expansion inline in
+    /// the event pump — the historical behaviour. Higher values run
+    /// subproblem expansion on a work-stealing pool so multiple jobs
+    /// expand in parallel; the protocol state machine stays
+    /// single-threaded either way, so the optimum is identical.
+    workers: usize = 1;
+    Range::Int(1, u64::MAX), PERFORMANCE, "N";
+
+    /// Bound-dissemination flush window in seconds
+    /// (`ftbb_core::ProtocolConfig::bound_flush_s`): incumbent
+    /// improvements coalesce into one `BoundAnnounce` broadcast per
+    /// window and unchanged bounds are omitted from load-balancing
+    /// chatter. `<= 0` disables suppression and explicit bound
+    /// broadcasts — every message piggybacks the incumbent eagerly, the
+    /// pre-scale behavior.
+    bound_flush_s: f64 = ftbb_core::ProtocolConfig::default().bound_flush_s;
+    ANY_SIGN, PERFORMANCE, "SECS";
+
     /// Service mode: instead of admitting one configured problem (job 0)
     /// and exiting when it halts, the same daemon admits nothing up front
     /// and outlives its jobs as a member of a solve pool. Jobs stream in
@@ -506,55 +699,115 @@ pub struct NodeConfig {
     /// frames to any pool node (the receiver becomes that job's gateway,
     /// holds its root, and announces the instance to its peers) — and the
     /// node multiplexes every admitted job over one mesh until the
-    /// deadline. The `--problem*` flags are ignored; checkpoints and
-    /// `--resume` work as for a single run, one file per job.
-    pub service: bool,
-    /// Structured trace file (JSONL, one event per line), opened in
-    /// append mode so a restarted node's lives accumulate. `None`
-    /// disables tracing.
-    pub trace_file: Option<PathBuf>,
+    /// deadline, printing one `FTBB-JOB` line per completed job and a
+    /// closing `FTBB-SERVICE` summary. The `--problem*` flags are
+    /// ignored; checkpoints and `--resume` work as for a single run, one
+    /// file per job.
+    service: bool = false;
+    Range::Any, SERVICE, "";
+
+    /// Directory for checkpoint snapshots (one `node-<id>-job-<job>.ckpt`
+    /// per job — job 0 for a single run — written atomically via
+    /// write-rename at admission, every cadence tick, and at completion).
+    /// Unset, nothing is persisted.
+    checkpoint_dir: Option<PathBuf> = None;
+    Range::Any, LIFECYCLE, "DIR";
+
+    /// Snapshot cadence in seconds (only meaningful with a checkpoint
+    /// directory; an extra snapshot is always written at each job's
+    /// admission and completion).
+    checkpoint_every_s: f64 = 0.5;
+    POSITIVE, LIFECYCLE, "SECS";
+
+    /// Restore every `checkpoint_dir/node-<id>-job-*.ckpt` instead of
+    /// starting fresh: the node comes back under the next incarnation,
+    /// takes each problem binding from its checkpoint (any `--problem*`
+    /// flags are ignored), and announces its rejoin to the peers.
+    resume: bool = false;
+    Range::Any, LIFECYCLE, "";
+
+    /// Structured trace file (JSONL, one event per line: timestamp,
+    /// node, incarnation, kind, fields), opened in append mode so a
+    /// restarted node's lives accumulate. Tracing never blocks the node:
+    /// overflow is counted and reported, not waited on. Unset, there is
+    /// no tracing.
+    trace_file: Option<PathBuf> = None;
+    Range::Any, TELEMETRY, "PATH";
+
     /// Interval in seconds between `FTBB-METRICS` stdout snapshots
-    /// (Figure-3 time breakdown + counters); `None` disables them.
-    pub metrics_every_s: Option<f64>,
+    /// (Figure-3 time breakdown + process and transport counters);
+    /// unset, there are none.
+    metrics_every_s: Option<f64> = None;
+    POSITIVE, TELEMETRY, "SECS";
 }
 
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            id: 0,
-            listen: "127.0.0.1:0".parse().expect("static addr"),
-            peers: Vec::new(),
-            problem: ProblemSpec::default(),
-            deadline_s: 30.0,
-            crash_at_s: None,
-            seed: 1,
-            preconnect_s: 5.0,
-            peers_from_stdin: false,
-            checkpoint_dir: None,
-            checkpoint_every_s: 0.5,
-            resume: false,
-            gossip_servers: Vec::new(),
-            join: false,
-            gossip_interval_s: 0.05,
-            suspect_after_s: 0.5,
-            forget_after_s: 3.0,
-            retry_window_s: crate::tcp::RETRY_WINDOW.as_secs_f64(),
-            retry_max_frames: crate::tcp::RETRY_MAX_FRAMES,
-            workers: 1,
-            batch_max_frames: crate::tcp::BATCH_MAX_FRAMES,
-            book_max_entries: crate::tcp::BOOK_MAX_ENTRIES,
-            bound_flush_s: ftbb_core::ProtocolConfig::default().bound_flush_s,
-            service: false,
-            trace_file: None,
-            metrics_every_s: None,
+/// One `problem.*` parameter row; the spec variants that carry the field
+/// (`pattern => place`) are the kinds that take the parameter.
+macro_rules! problem_key {
+    (
+        $name:literal: $kind:ty, $pattern:pat => $place:expr;
+        $range:expr, $metavar:literal, $help:literal
+    ) => {
+        Key {
+            name: $name,
+            range: $range,
+            section: PROBLEM,
+            metavar: $metavar,
+            help: $help,
+            shape: <$kind as Setting>::SHAPE,
+            set: |spec, text, range| {
+                if let $pattern = spec {
+                    $place = Setting::parse(text, range)?;
+                }
+                Ok(())
+            },
+            get: |spec| match spec {
+                $pattern => ($place).render(),
+                _ => None,
+            },
         }
-    }
+    };
 }
 
-/// Upper bound on every seconds-valued setting: a century. Far beyond any
-/// sensible deployment, far inside what `Duration` and the pump's
-/// nanosecond clock can represent.
-const MAX_SECONDS: f64 = 100.0 * 365.25 * 86_400.0;
+/// The `[problem]` section, kind first (setting it resets the spec to
+/// that kind's defaults) and the seed last — the order
+/// [`ProblemSpec::flag_args`] renders. A parameter belongs to the kinds
+/// whose spec carries its field and is rejected under any other, never
+/// ignored.
+static PROBLEM_KEYS: &[Key<ProblemSpec>] = &[
+    Key {
+        name: KIND,
+        range: Range::Any,
+        section: PROBLEM,
+        metavar: "KIND",
+        help: "knapsack | maxsat | tree-file | wire; `wire` receives the instance from the \
+               root's announce frame instead of generating it locally",
+        shape: Shape::Text,
+        set: |spec, text, _| {
+            *spec = ProblemSpec::of_kind(text).ok_or_else(|| format!("one of {PROBLEM_KINDS}"))?;
+            Ok(())
+        },
+        get: |spec| Some(spec.kind_name().to_string()),
+    },
+    problem_key!("problem.n": usize, ProblemSpec::Knapsack(k) => k.n;
+        Range::Int(1, u64::MAX), "N", "knapsack items"),
+    problem_key!("problem.range": u64, ProblemSpec::Knapsack(k) => k.range;
+        Range::Int(2, u64::MAX), "N", "value/weight range"),
+    problem_key!("problem.correlation": Correlation, ProblemSpec::Knapsack(k) => k.correlation;
+        Range::Any, "NAME", "uncorrelated | weak | strong | subsetsum"),
+    problem_key!("problem.frac": f64, ProblemSpec::Knapsack(k) => k.frac;
+        Range::Num(f64::MIN_POSITIVE, f64::MAX), "F", "capacity as a fraction of total weight"),
+    problem_key!("problem.vars": u16, ProblemSpec::MaxSat(m) => m.vars;
+        Range::Int(2, 64), "N", "boolean variables"),
+    problem_key!("problem.clauses": usize, ProblemSpec::MaxSat(m) => m.clauses;
+        Range::Int(1, u64::MAX), "N", "random weighted clauses"),
+    problem_key!("problem.file": PathBuf, ProblemSpec::TreeFile(t) => t.file;
+        Range::Any, "PATH", "recorded basic tree (ftbb_tree::io), required"),
+    problem_key!("problem.seed": u64,
+        ProblemSpec::Knapsack(KnapsackSpec { seed, .. })
+        | ProblemSpec::MaxSat(MaxSatSpec { seed, .. }) => *seed;
+        Range::Any, "N", "instance seed, the same on every node"),
+];
 
 /// Member ids of a cluster (peers + self), sorted and deduplicated —
 /// the canonical membership every node derives from its peer map,
@@ -599,82 +852,49 @@ impl NodeConfig {
         })
     }
 
-    /// The transport tuning this daemon applies to its mesh.
+    /// The transport tuning this daemon applies to its mesh: the
+    /// constants in [`crate::tcp`] (a test substitutes its own
+    /// [`WireConfig`]; a deployment has no reason to).
     pub fn wire_config(&self) -> WireConfig {
-        WireConfig {
-            retry_window: Duration::from_secs_f64(self.retry_window_s),
-            retry_max_frames: self.retry_max_frames,
-            batch_max_frames: self.batch_max_frames,
-            book_max_entries: self.book_max_entries,
-        }
+        WireConfig::default()
     }
 
-    /// Validate cross-field invariants.
+    /// Render this configuration as `ftbb-noded` CLI flags: every key
+    /// that differs from [`NodeConfig::default`], in table order, then
+    /// [`ProblemSpec::flag_args`] unless the problem is the default one.
+    /// `parse_args(&cfg.to_args())` gives `cfg` back.
+    pub fn to_args(&self) -> Vec<String> {
+        let default = NodeConfig::default();
+        let mut args = Vec::new();
+        for key in NODE_KEYS {
+            let value = (key.get)(self);
+            if value != (key.get)(&default) {
+                key.push_args(value, &mut args);
+            }
+        }
+        if self.problem != default.problem {
+            args.extend(self.problem.flag_args());
+        }
+        args
+    }
+
+    /// Validate every key against its row's range (a hand-built config
+    /// never went through the readers), then the cross-field invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        verify(NODE_KEYS, self)?;
+        self.problem.validate()?;
         if self.peers.iter().any(|&(id, _)| id == self.id) {
             return err(format!("peer list contains own id {}", self.id));
         }
-        // Every `*_s` setting becomes a `Duration` (or a timer deadline
-        // added to the pump clock), and `Duration::from_secs_f64` panics
-        // on NaN, infinity and anything past ~5.8e11 s — so each goes
-        // through the one finite-and-bounded check, with the floor its
-        // meaning needs. Non-positive `crash_at_s` (crash at once) and
-        // `bound_flush_s` (suppression off) are deliberate settings; the
-        // membership intervals only matter in membership mode.
-        const POSITIVE: RangeInclusive<f64> = f64::MIN_POSITIVE..=MAX_SECONDS;
-        const NON_NEGATIVE: RangeInclusive<f64> = 0.0..=MAX_SECONDS;
-        const ANY_SIGN: RangeInclusive<f64> = -MAX_SECONDS..=MAX_SECONDS;
-        let gossip = |v: f64| self.gossip_mode().then_some(v);
-        let seconds = [
-            ("deadline_s", Some(self.deadline_s), POSITIVE),
-            ("crash_at_s", self.crash_at_s, ANY_SIGN),
-            ("preconnect_s", Some(self.preconnect_s), NON_NEGATIVE),
-            (
-                "checkpoint_every_s",
-                Some(self.checkpoint_every_s),
-                POSITIVE,
-            ),
-            ("metrics_every_s", self.metrics_every_s, POSITIVE),
-            // A retry window past an hour is a configuration mistake.
-            ("retry_window_s", Some(self.retry_window_s), 0.0..=3600.0),
-            ("bound_flush_s", Some(self.bound_flush_s), ANY_SIGN),
-            (
-                "gossip_interval_s",
-                gossip(self.gossip_interval_s),
-                POSITIVE,
-            ),
-            ("suspect_after_s", gossip(self.suspect_after_s), POSITIVE),
-            ("forget_after_s", gossip(self.forget_after_s), POSITIVE),
-        ];
-        for (name, value, allowed) in seconds {
-            // NaN is in no range, so it is rejected along with infinity.
-            if let Some(v) = value.filter(|v| !allowed.contains(v)) {
-                let floor = if *allowed.start() > 0.0 {
-                    "above 0".to_string()
-                } else {
-                    format!("at least {}", allowed.start())
-                };
-                return err(format!(
-                    "{name} must be a number of seconds {floor} and at most {}, got {v:?}",
-                    allowed.end()
-                ));
-            }
-        }
         if self.resume && self.checkpoint_dir.is_none() {
-            return err("--resume needs --checkpoint-dir to know where the snapshot lives");
-        }
-        if self.workers == 0 {
-            return err("workers must be at least 1");
-        }
-        if self.batch_max_frames == 0 {
-            return err("batch_max_frames must be at least 1 (1 disables batching)");
+            return err("`--resume` needs --checkpoint-dir to know where the snapshot lives");
         }
         if self.gossip_mode() && self.forget_after_s < self.suspect_after_s {
             return err("forget_after_s must be at least suspect_after_s");
         }
         if self.join {
             if !self.gossip_mode() {
-                return err("--join needs --gossip-servers to know whom to join through");
+                return err("`--join` needs --gossip-servers to know whom to join through");
             }
             if !self
                 .gossip_servers
@@ -682,19 +902,19 @@ impl NodeConfig {
                 .any(|&(id, addr)| id != self.id && addr.is_some())
             {
                 return err(
-                    "--join needs at least one gossip server given as ID=HOST:PORT \
+                    "`--join` needs at least one gossip server given as ID=HOST:PORT \
                      (a joiner has no peer wiring to resolve bare ids against)",
                 );
             }
             if !self.peers.is_empty() || self.peers_from_stdin {
-                return err("--join replaces peer wiring; drop --peer/--peers-from-stdin");
+                return err("`--join` replaces peer wiring; drop --peer/--peers-from-stdin");
             }
             if self.resume {
-                return err("--join is for brand-new nodes; restarted nodes use --resume alone");
+                return err("`--join` is for brand-new nodes; restarted nodes use --resume alone");
             }
             if self.problem == ProblemSpec::Wire {
                 return err(
-                    "--join needs a concrete problem spec (the root's announce is sent \
+                    "`--join` needs a concrete problem spec (the root's announce is sent \
                      before a joiner exists)",
                 );
             }
@@ -702,15 +922,14 @@ impl NodeConfig {
         if self.service {
             if self.problem == ProblemSpec::Wire {
                 return err(
-                    "--service nodes receive every job's instance over the wire already; \
+                    "`--service` nodes receive every job's instance over the wire already; \
                      drop `--problem wire` (the --problem* flags are ignored in service mode)",
                 );
             }
             if self.join {
-                return err("--join is not supported with --service; wire the pool statically");
+                return err("`--join` is not supported with --service; wire the pool statically");
             }
         }
-        self.problem.validate()?;
         if self.problem == ProblemSpec::Wire && self.peers.is_empty() && !self.peers_from_stdin {
             return err("problem kind `wire` needs at least one peer to announce the instance");
         }
@@ -718,97 +937,69 @@ impl NodeConfig {
     }
 }
 
+/// The option reference `ftbb-noded --help` prints: every table row
+/// under its section, each default rendered from
+/// [`NodeConfig::default`].
+pub fn help() -> String {
+    let default = NodeConfig::default();
+    let mut out = String::new();
+    let mut section = None;
+    for key in NODE_KEYS {
+        if section.replace(key.section) != Some(key.section) {
+            out.push_str(&format!("\n{}:\n", key.section));
+        }
+        key.help_entry(&default, &mut out);
+    }
+    out + &problem_help()
+}
+
+/// The PROBLEM block of `--help` (shared by `ftbb-noded` and
+/// `ftbb-submit`): the kind, then each kind's parameters with that
+/// kind's defaults.
+pub fn problem_help() -> String {
+    let mut out = format!("\n{PROBLEM}:\n");
+    PROBLEM_KEYS[0].help_entry(&ProblemSpec::default(), &mut out);
+    for kind in KINDS {
+        let Some(default) = ProblemSpec::of_kind(kind) else {
+            continue;
+        };
+        let mut params = PROBLEM_KEYS[1..]
+            .iter()
+            .filter(|key| (key.get)(&default).is_some())
+            .peekable();
+        if params.peek().is_some() {
+            out.push_str(&format!("  {kind}:\n"));
+        }
+        for key in params {
+            key.help_entry(&default, &mut out);
+        }
+    }
+    out
+}
+
 // ------------------------------------------------------- TOML subset
 
-/// A parsed scalar or string-array value.
-#[derive(Debug, Clone, PartialEq)]
-enum TomlValue {
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    StrArray(Vec<String>),
-}
-
-impl TomlValue {
-    fn parse(raw: &str, line_no: usize) -> Result<TomlValue, ConfigError> {
-        let raw = raw.trim();
-        if let Some(stripped) = raw.strip_prefix('"') {
-            let Some(inner) = stripped.strip_suffix('"') else {
-                return err(format!("line {line_no}: unterminated string"));
-            };
-            if inner.contains('"') {
-                return err(format!("line {line_no}: embedded quotes unsupported"));
-            }
-            return Ok(TomlValue::Str(inner.to_string()));
-        }
-        if raw.starts_with('[') {
-            let Some(inner) = raw.strip_prefix('[').and_then(|r| r.strip_suffix(']')) else {
-                return err(format!("line {line_no}: unterminated array"));
-            };
-            let mut items = Vec::new();
-            for part in inner.split(',') {
-                let part = part.trim();
-                if part.is_empty() {
-                    continue;
-                }
-                match TomlValue::parse(part, line_no)? {
-                    TomlValue::Str(s) => items.push(s),
-                    _ => return err(format!("line {line_no}: only string arrays supported")),
-                }
-            }
-            return Ok(TomlValue::StrArray(items));
-        }
-        match raw {
-            "true" => return Ok(TomlValue::Bool(true)),
-            "false" => return Ok(TomlValue::Bool(false)),
+/// The line up to its `#` comment; a `#` inside a quoted string is text.
+fn strip_comment(line: &str) -> &str {
+    let mut quoted = false;
+    for (pos, c) in line.char_indices() {
+        match c {
+            '"' => quoted = !quoted,
+            '#' if !quoted => return &line[..pos],
             _ => {}
         }
-        if let Ok(i) = raw.parse::<i64>() {
-            return Ok(TomlValue::Int(i));
-        }
-        if let Ok(f) = raw.parse::<f64>() {
-            return Ok(TomlValue::Float(f));
-        }
-        err(format!("line {line_no}: cannot parse value `{raw}`"))
     }
-
-    fn as_u64(&self, key: &str) -> Result<u64, ConfigError> {
-        match self {
-            TomlValue::Int(i) if *i >= 0 => Ok(*i as u64),
-            _ => err(format!("`{key}` must be a non-negative integer")),
-        }
-    }
-
-    fn as_f64(&self, key: &str) -> Result<f64, ConfigError> {
-        match self {
-            TomlValue::Int(i) => Ok(*i as f64),
-            TomlValue::Float(f) => Ok(*f),
-            _ => err(format!("`{key}` must be a number")),
-        }
-    }
-
-    fn as_str(&self, key: &str) -> Result<&str, ConfigError> {
-        match self {
-            TomlValue::Str(s) => Ok(s),
-            _ => err(format!("`{key}` must be a string")),
-        }
-    }
+    line
 }
 
-/// Parse the TOML subset into `section.key -> value` (top-level keys have
-/// no dot).
-fn parse_toml_subset(text: &str) -> Result<HashMap<String, TomlValue>, ConfigError> {
-    let mut out = HashMap::new();
+/// Split the TOML subset into `(section.key, raw value, line number)`
+/// entries in file order (top-level keys have no dot).
+fn toml_entries(text: &str) -> Result<Vec<(String, &str, usize)>, ConfigError> {
+    let mut out = Vec::new();
     let mut section = String::new();
     for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
-        let line = match line.find('#') {
-            // A naive comment strip is fine: config strings never contain '#'.
-            Some(pos) => &line[..pos],
-            None => line,
-        }
-        .trim();
+        let line = strip_comment(line).trim();
         if line.is_empty() {
             continue;
         }
@@ -831,9 +1022,41 @@ fn parse_toml_subset(text: &str) -> Result<HashMap<String, TomlValue>, ConfigErr
         } else {
             format!("{section}.{key}")
         };
-        out.insert(full_key, TomlValue::parse(value, line_no)?);
+        out.push((full_key, value.trim(), line_no));
     }
     Ok(out)
+}
+
+/// The inside of a quoted string (embedded quotes are unsupported).
+fn unquote(raw: &str) -> Option<&str> {
+    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
+    (!inner.contains('"')).then_some(inner)
+}
+
+/// Lex a raw TOML value of the shape `key` is written in — a quoted
+/// string, an array of them, or a bare number/boolean — into the text
+/// the key's parser reads.
+fn toml_text<T>(key: &Key<T>, raw: &str, line_no: usize) -> Result<String, ConfigError> {
+    let text = match key.shape {
+        Shape::Text => unquote(raw).map(str::to_string).ok_or("a quoted string"),
+        Shape::List => raw
+            .strip_prefix('[')
+            .and_then(|rest| rest.strip_suffix(']'))
+            .and_then(|items| {
+                let items = items.split(',').map(str::trim).filter(|i| !i.is_empty());
+                items.map(unquote).collect::<Option<Vec<_>>>()
+            })
+            .map(|items| items.join(","))
+            .ok_or("an array of quoted strings"),
+        Shape::Number | Shape::Switch if raw.starts_with(['"', '[']) => Err("a bare value"),
+        Shape::Number | Shape::Switch => Ok(raw.to_string()),
+    };
+    text.map_err(|wanted| {
+        ConfigError(format!(
+            "line {line_no}: `{}` must be {wanted}, got `{raw}`",
+            key.name
+        ))
+    })
 }
 
 /// Parse one gossip-server entry: `ID` (resolved from peer wiring) or
@@ -867,335 +1090,128 @@ pub(crate) fn parse_peer(spec: &str) -> Result<(u32, SocketAddr), ConfigError> {
     Ok((id, addr))
 }
 
+// ------------------------------------------------- the two front-ends
+
+/// What one source — the file, or the flags — assigns, key by key and
+/// still as text: values are parsed once, in [`resolve`], by the same
+/// code whichever source they came from.
+#[derive(Default)]
+struct Layer {
+    node: Vec<(&'static Key<NodeConfig>, String)>,
+    problem: Vec<(&'static Key<ProblemSpec>, String)>,
+}
+
+/// The TOML front-end: route every `key = value` of a file to its row.
+fn read_toml(text: &str) -> Result<Layer, ConfigError> {
+    let mut layer = Layer::default();
+    for (name, raw, line_no) in toml_entries(text)? {
+        if let Some(key) = NODE_KEYS.iter().find(|key| key.name == name) {
+            layer.node.push((key, toml_text(key, raw, line_no)?));
+        } else if let Some(key) = PROBLEM_KEYS.iter().find(|key| key.name == name) {
+            layer.problem.push((key, toml_text(key, raw, line_no)?));
+        } else {
+            return err(format!("unknown config key `{name}`"));
+        }
+    }
+    Ok(layer)
+}
+
+/// The flag front-end: route every flag (and its value, unless it is a
+/// switch) to its row, and hand back the `--config` path if one was
+/// given. The first `--peer` starts the list that replaces the file's (a
+/// flag-supplied topology fully wins); later ones append.
+fn read_flags(args: &[String]) -> Result<(Layer, Option<String>), ConfigError> {
+    let mut layer = Layer::default();
+    let mut config = None;
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = |shape| match shape {
+            Shape::Switch => Ok("true".to_string()),
+            _ => rest
+                .next()
+                .cloned()
+                .ok_or_else(|| ConfigError(format!("{flag} requires a value"))),
+        };
+        if flag == "--config" {
+            config = Some(value(Shape::Text)?);
+        } else if let Some(key) = NODE_KEYS.iter().find(|key| key.flag() == *flag) {
+            let text = value(key.shape)?;
+            let mut earlier = layer.node.iter_mut();
+            match earlier.find(|(earlier, _)| key.name == PEERS && earlier.name == PEERS) {
+                Some((_, peers)) => *peers = format!("{peers},{text}"),
+                None => layer.node.push((key, text)),
+            }
+        } else if let Some(key) = PROBLEM_KEYS.iter().find(|key| key.flag() == *flag) {
+            layer.problem.push((key, value(key.shape)?));
+        } else {
+            return err(format!("unknown flag `{flag}`"));
+        }
+    }
+    Ok((layer, config))
+}
+
+/// Merge the flags over the file over the defaults. Problem parameters
+/// are merged per kind: a flag that switches to a different kind
+/// discards the file's parameters entirely (`--problem maxsat` must not
+/// inherit a config file's knapsack parameters), and a parameter foreign
+/// to the resolved kind is rejected instead of silently ignored.
+/// Cross-field validation is the caller's, on the merged result — flags
+/// may legitimately complete a file (`kind = "wire"` in the file with
+/// peers supplied as `--peer` flags).
+fn resolve(file: Layer, flags: Layer) -> Result<NodeConfig, ConfigError> {
+    let mut cfg = NodeConfig::default();
+    for (key, text) in file.node.iter().chain(&flags.node) {
+        key.parse_into(&mut cfg, text)?;
+    }
+    fn kind_of(layer: &Layer) -> Option<&str> {
+        let kind = layer.problem.iter().rfind(|(key, _)| key.name == KIND);
+        kind.map(|(_, text)| text.as_str())
+    }
+    let file_kind = kind_of(&file).unwrap_or(KINDS[0]);
+    let kind = kind_of(&flags).unwrap_or(file_kind);
+    PROBLEM_KEYS[0].parse_into(&mut cfg.problem, kind)?;
+    let inherited: &[_] = if kind == file_kind {
+        &file.problem
+    } else {
+        &[]
+    };
+    for (key, text) in inherited.iter().chain(&flags.problem) {
+        if key.name == KIND {
+            continue;
+        }
+        // A spec carries exactly the fields its kind takes.
+        if (key.get)(&cfg.problem).is_none() {
+            return err(format!(
+                "`{} / {}` does not apply to problem kind `{kind}`",
+                key.name,
+                key.flag()
+            ));
+        }
+        key.parse_into(&mut cfg.problem, text)?;
+    }
+    Ok(cfg)
+}
+
 /// Parse a config file's contents.
 pub fn parse_config(text: &str) -> Result<NodeConfig, ConfigError> {
-    let (mut cfg, problem) = parse_config_parts(text)?;
-    cfg.problem = problem.assemble()?;
+    let cfg = resolve(read_toml(text)?, Layer::default())?;
     cfg.validate()?;
     Ok(cfg)
 }
 
-/// Parse a config file into the non-problem fields plus the raw problem
-/// scratch, deferring problem assembly and cross-field validation — so
-/// `parse_args` can layer flags on top before requiredness checks run
-/// (a file with `kind = "wire"` and peers given as `--peer` flags is
-/// legitimate).
-fn parse_config_parts(text: &str) -> Result<(NodeConfig, ProblemScratch), ConfigError> {
-    let kv = parse_toml_subset(text)?;
-    let mut cfg = NodeConfig::default();
-    let mut problem = ProblemScratch::default();
-    for (key, value) in &kv {
-        match key.as_str() {
-            "id" => cfg.id = value.as_u64(key)? as u32,
-            "listen" => {
-                cfg.listen = value
-                    .as_str(key)?
-                    .parse()
-                    .map_err(|_| ConfigError("bad listen address".to_string()))?;
-            }
-            "peers" => match value {
-                TomlValue::StrArray(items) => {
-                    cfg.peers = items
-                        .iter()
-                        .map(|s| parse_peer(s))
-                        .collect::<Result<_, _>>()?;
-                }
-                _ => return err("`peers` must be an array of \"id=host:port\" strings"),
-            },
-            "deadline_s" => cfg.deadline_s = value.as_f64(key)?,
-            "crash_at_s" => cfg.crash_at_s = Some(value.as_f64(key)?),
-            "seed" => cfg.seed = value.as_u64(key)?,
-            "preconnect_s" => cfg.preconnect_s = value.as_f64(key)?,
-            "peers_from_stdin" => match value {
-                TomlValue::Bool(b) => cfg.peers_from_stdin = *b,
-                _ => return err("`peers_from_stdin` must be a boolean"),
-            },
-            "checkpoint_dir" => cfg.checkpoint_dir = Some(PathBuf::from(value.as_str(key)?)),
-            "checkpoint_every_s" => cfg.checkpoint_every_s = value.as_f64(key)?,
-            "trace_file" => cfg.trace_file = Some(PathBuf::from(value.as_str(key)?)),
-            "metrics_every_s" => cfg.metrics_every_s = Some(value.as_f64(key)?),
-            "resume" => match value {
-                TomlValue::Bool(b) => cfg.resume = *b,
-                _ => return err("`resume` must be a boolean"),
-            },
-            "service" => match value {
-                TomlValue::Bool(b) => cfg.service = *b,
-                _ => return err("`service` must be a boolean"),
-            },
-            "gossip_servers" => match value {
-                TomlValue::StrArray(items) => {
-                    cfg.gossip_servers = items
-                        .iter()
-                        .map(|s| parse_gossip_server(s))
-                        .collect::<Result<_, _>>()?;
-                }
-                _ => return err("`gossip_servers` must be an array of \"ID\" or \"ID=HOST:PORT\""),
-            },
-            "join" => match value {
-                TomlValue::Bool(b) => cfg.join = *b,
-                _ => return err("`join` must be a boolean"),
-            },
-            "gossip_interval_s" => cfg.gossip_interval_s = value.as_f64(key)?,
-            "suspect_after_s" => cfg.suspect_after_s = value.as_f64(key)?,
-            "forget_after_s" => cfg.forget_after_s = value.as_f64(key)?,
-            "retry_window_s" => cfg.retry_window_s = value.as_f64(key)?,
-            "retry_max_frames" => cfg.retry_max_frames = value.as_u64(key)? as usize,
-            "workers" => cfg.workers = value.as_u64(key)? as usize,
-            "batch_max_frames" => cfg.batch_max_frames = value.as_u64(key)? as usize,
-            "book_max_entries" => cfg.book_max_entries = value.as_u64(key)? as usize,
-            "bound_flush_s" => cfg.bound_flush_s = value.as_f64(key)?,
-            "problem.kind" => problem.kind = Some(value.as_str(key)?.to_string()),
-            "problem.n" => problem.n = Some(value.as_u64(key)? as usize),
-            "problem.range" => problem.range = Some(value.as_u64(key)?),
-            "problem.correlation" => {
-                problem.correlation = Some(correlation_from(value.as_str(key)?)?);
-            }
-            "problem.frac" => problem.frac = Some(value.as_f64(key)?),
-            "problem.seed" => problem.seed = Some(value.as_u64(key)?),
-            "problem.vars" => {
-                problem.vars = Some(
-                    u16::try_from(value.as_u64(key)?)
-                        .map_err(|_| ConfigError("problem.vars out of range".into()))?,
-                );
-            }
-            "problem.clauses" => problem.clauses = Some(value.as_u64(key)? as usize),
-            "problem.file" => problem.file = Some(PathBuf::from(value.as_str(key)?)),
-            other => return err(format!("unknown config key `{other}`")),
-        }
-    }
-    Ok((cfg, problem))
-}
-
 /// Parse CLI arguments (optionally seeded from `--config <file>`).
-/// Flags override file values; see the crate README for the list.
+/// Flags override file values; `ftbb-noded --help` lists them.
 pub fn parse_args(args: &[String]) -> Result<NodeConfig, ConfigError> {
-    // First pass: locate --config to establish the base. The file's
-    // problem section and cross-field invariants are NOT validated here
-    // — flags may legitimately complete the file (e.g. `kind = "wire"`
-    // in the file with peers supplied as `--peer` flags), so assembly
-    // and validation run once, on the merged result.
-    let mut base: Option<(NodeConfig, ProblemScratch)> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--config" {
-            let Some(path) = args.get(i + 1) else {
-                return err("--config requires a path");
-            };
-            let text = std::fs::read_to_string(path)
+    let (flags, config) = read_flags(args)?;
+    let file = match config {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
                 .map_err(|e| ConfigError(format!("cannot read config {path}: {e}")))?;
-            base = Some(parse_config_parts(&text)?);
+            read_toml(&text)?
         }
-        i += 1;
-    }
-    let (mut cfg, file_problem) = base.unwrap_or_default();
-
-    // Flags override file values. For the repeatable --peer flag that
-    // means the first occurrence *replaces* the file's peer list (so a
-    // flag-supplied topology fully wins), and later occurrences append.
-    // Problem flags accumulate in their own scratch and are merged over
-    // the file's at the end, so `--problem maxsat` cleanly switches
-    // kinds without inheriting the file's knapsack parameters.
-    let mut problem = ProblemScratch::default();
-    let mut peers_replaced = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let take = |name: &str| -> Result<String, ConfigError> {
-            match args.get(i + 1) {
-                Some(v) => Ok(v.clone()),
-                None => err(format!("{name} requires a value")),
-            }
-        };
-        match flag {
-            "--config" => {
-                i += 2; // handled in the first pass
-                continue;
-            }
-            "--id" => {
-                cfg.id = take("--id")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --id".into()))?;
-            }
-            "--listen" => {
-                cfg.listen = take("--listen")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --listen address".into()))?;
-            }
-            "--peer" => {
-                if !peers_replaced {
-                    cfg.peers.clear();
-                    peers_replaced = true;
-                }
-                cfg.peers.push(parse_peer(&take("--peer")?)?);
-            }
-            "--deadline-s" => {
-                cfg.deadline_s = take("--deadline-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --deadline-s".into()))?;
-            }
-            "--crash-at-s" => {
-                cfg.crash_at_s = Some(
-                    take("--crash-at-s")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --crash-at-s".into()))?,
-                );
-            }
-            "--seed" => {
-                cfg.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --seed".into()))?;
-            }
-            "--preconnect-s" => {
-                cfg.preconnect_s = take("--preconnect-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --preconnect-s".into()))?;
-            }
-            "--peers-from-stdin" => {
-                cfg.peers_from_stdin = true;
-                i += 1; // flag takes no value
-                continue;
-            }
-            "--checkpoint-dir" => {
-                cfg.checkpoint_dir = Some(PathBuf::from(take("--checkpoint-dir")?));
-            }
-            "--checkpoint-every-s" => {
-                cfg.checkpoint_every_s = take("--checkpoint-every-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --checkpoint-every-s".into()))?;
-            }
-            "--trace-file" => {
-                cfg.trace_file = Some(PathBuf::from(take("--trace-file")?));
-            }
-            "--metrics-every-s" => {
-                cfg.metrics_every_s = Some(
-                    take("--metrics-every-s")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --metrics-every-s".into()))?,
-                );
-            }
-            "--resume" => {
-                cfg.resume = true;
-                i += 1; // flag takes no value
-                continue;
-            }
-            "--service" => {
-                cfg.service = true;
-                i += 1; // flag takes no value
-                continue;
-            }
-            "--gossip-servers" => {
-                cfg.gossip_servers = take("--gossip-servers")?
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(parse_gossip_server)
-                    .collect::<Result<_, _>>()?;
-            }
-            "--join" => {
-                cfg.join = true;
-                i += 1; // flag takes no value
-                continue;
-            }
-            "--gossip-interval-s" => {
-                cfg.gossip_interval_s = take("--gossip-interval-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --gossip-interval-s".into()))?;
-            }
-            "--suspect-after-s" => {
-                cfg.suspect_after_s = take("--suspect-after-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --suspect-after-s".into()))?;
-            }
-            "--forget-after-s" => {
-                cfg.forget_after_s = take("--forget-after-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --forget-after-s".into()))?;
-            }
-            "--retry-window-s" => {
-                cfg.retry_window_s = take("--retry-window-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --retry-window-s".into()))?;
-            }
-            "--retry-max-frames" => {
-                cfg.retry_max_frames = take("--retry-max-frames")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --retry-max-frames".into()))?;
-            }
-            "--workers" => {
-                cfg.workers = take("--workers")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --workers".into()))?;
-            }
-            "--batch-max-frames" => {
-                cfg.batch_max_frames = take("--batch-max-frames")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --batch-max-frames".into()))?;
-            }
-            "--book-max-entries" => {
-                cfg.book_max_entries = take("--book-max-entries")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --book-max-entries".into()))?;
-            }
-            "--bound-flush-s" => {
-                cfg.bound_flush_s = take("--bound-flush-s")?
-                    .parse()
-                    .map_err(|_| ConfigError("bad --bound-flush-s".into()))?;
-            }
-            "--problem" => {
-                problem.kind = Some(take("--problem")?);
-            }
-            "--problem-n" => {
-                problem.n = Some(
-                    take("--problem-n")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --problem-n".into()))?,
-                );
-            }
-            "--problem-range" => {
-                problem.range = Some(
-                    take("--problem-range")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --problem-range".into()))?,
-                );
-            }
-            "--problem-correlation" => {
-                problem.correlation = Some(correlation_from(&take("--problem-correlation")?)?);
-            }
-            "--problem-frac" => {
-                problem.frac = Some(
-                    take("--problem-frac")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --problem-frac".into()))?,
-                );
-            }
-            "--problem-seed" => {
-                problem.seed = Some(
-                    take("--problem-seed")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --problem-seed".into()))?,
-                );
-            }
-            "--problem-vars" => {
-                problem.vars = Some(
-                    take("--problem-vars")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --problem-vars".into()))?,
-                );
-            }
-            "--problem-clauses" => {
-                problem.clauses = Some(
-                    take("--problem-clauses")?
-                        .parse()
-                        .map_err(|_| ConfigError("bad --problem-clauses".into()))?,
-                );
-            }
-            "--problem-file" => {
-                problem.file = Some(PathBuf::from(take("--problem-file")?));
-            }
-            other => return err(format!("unknown flag `{other}`")),
-        }
-        i += 2;
-    }
-    cfg.problem = file_problem.merged_with(problem).assemble()?;
+        None => Layer::default(),
+    };
+    let cfg = resolve(file, flags)?;
     cfg.validate()?;
     Ok(cfg)
 }
@@ -1300,6 +1316,16 @@ seed = 11
         ] {
             assert!(KINDS.contains(&spec.kind_name()), "{}", spec.kind_name());
         }
+        // Every kind has the spec its parameters are applied to, and the
+        // kind row leads the table (`flag_args` renders it first).
+        for kind in KINDS {
+            assert_eq!(
+                ProblemSpec::of_kind(kind).map(|s| s.kind_name()),
+                Some(kind)
+            );
+        }
+        assert_eq!(ProblemSpec::of_kind(KINDS[0]), Some(ProblemSpec::default()));
+        assert_eq!(PROBLEM_KEYS[0].name, KIND);
     }
 
     #[test]
@@ -1492,6 +1518,47 @@ seed = 11
         assert!(parse_config("preconnect_s = -0.5").is_err());
         assert!(parse_config("peers_from_stdin = 3").is_err());
         assert!(parse_config("[problem]\ncorrelation = \"psychic\"").is_err());
+
+        // One value just past each integer kind's width. Both spellings
+        // go through the kind's one parser, so both give the same error,
+        // naming the key and its range — the TOML reader used to narrow
+        // with `as`, and `id = 4294967296` ran as node 0.
+        for (name, bad, range) in [
+            ("id", "4294967296", "0..=4294967295"),
+            ("seed", "18446744073709551616", "0..=18446744073709551615"),
+            ("workers", "-1", "1..="),
+            ("problem.vars", "70000", "2..=64"),
+            ("problem.clauses", "18446744073709551616", "1..="),
+        ] {
+            let (args, toml) = match PROBLEM_KEYS.iter().find(|key| key.name == name) {
+                Some(key) => spell(key, problem_homes(key)[0].0, bad),
+                None => spell(
+                    NODE_KEYS.iter().find(|key| key.name == name).unwrap(),
+                    None,
+                    bad,
+                ),
+            };
+            let from_flags = parse_args(&args).expect_err(&format!("{args:?}"));
+            let from_toml = parse_config(&toml).expect_err(&toml);
+            assert_eq!(from_flags, from_toml);
+            let text = from_toml.to_string();
+            assert!(
+                text.starts_with("config error: ") && text.contains(name) && text.contains(range),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_inside_a_quoted_string_is_not_a_comment() {
+        let cfg = parse_config(
+            "checkpoint_dir = \"/tmp/run#3\"   # the third run\n\
+             trace_file = \"/data/job#7.jsonl\"\nseed = 4 # not 5\n",
+        )
+        .unwrap();
+        assert_eq!(cfg.checkpoint_dir, Some(PathBuf::from("/tmp/run#3")));
+        assert_eq!(cfg.trace_file, Some(PathBuf::from("/data/job#7.jsonl")));
+        assert_eq!(cfg.seed, 4);
     }
 
     #[test]
@@ -1555,8 +1622,7 @@ seed = 11
     fn parses_gossip_and_transport_options() {
         let cfg = parse_config(
             "gossip_servers = [\"0\", \"3=127.0.0.1:4503\"]\ngossip_interval_s = 0.1\n\
-             suspect_after_s = 0.4\nforget_after_s = 2.0\nretry_window_s = 0.25\n\
-             retry_max_frames = 16\n",
+             suspect_after_s = 0.4\nforget_after_s = 2.0\n",
         )
         .unwrap();
         assert!(cfg.gossip_mode());
@@ -1569,15 +1635,25 @@ seed = 11
         assert_eq!(m.gossip_interval, SimTime::from_secs_f64(0.1));
         assert_eq!(m.t_fail, SimTime::from_secs_f64(0.4));
         assert_eq!(m.t_cleanup, SimTime::from_secs_f64(2.0));
-        let w = cfg.wire_config();
-        assert_eq!(w.retry_window, Duration::from_secs_f64(0.25));
-        assert_eq!(w.retry_max_frames, 16);
 
-        // Defaults: static mode, historical transport constants.
+        // Defaults: static mode. The transport always runs on the
+        // constants in `tcp.rs`; its four former keys are unknown now.
         let plain = NodeConfig::default();
         assert!(!plain.gossip_mode());
         assert_eq!(plain.membership(), None);
-        assert_eq!(plain.wire_config(), WireConfig::default());
+        assert_eq!(cfg.wire_config(), WireConfig::default());
+        for gone in [
+            "retry_window_s",
+            "retry_max_frames",
+            "batch_max_frames",
+            "book_max_entries",
+        ] {
+            let e = parse_config(&format!("{gone} = 1\n")).unwrap_err();
+            assert!(e.0.contains("unknown config key"), "{e}");
+            let flag = format!("--{}", gone.replace('_', "-"));
+            let e = parse_args(&[flag, "1".to_string()]).unwrap_err();
+            assert!(e.0.contains("unknown flag"), "{e}");
+        }
 
         // Inverted membership timeouts are a configuration mistake.
         assert!(parse_config(
@@ -1647,30 +1723,24 @@ seed = 11
         // Every value here passed validation once and then aborted the
         // daemon inside `Duration::from_secs_f64` (or overflowed the pump
         // clock); each must be a typed config error in both spellings.
-        // Rows: TOML key (the flag is its dashed form), one more value
-        // outside that key's own range, and whether the check needs
-        // membership mode to apply.
+        // Rows: TOML key (the flag is its dashed form) and one more value
+        // outside that key's own range.
         let cases = [
-            ("deadline_s", "0", false),
-            ("crash_at_s", "-inf", false),
-            ("preconnect_s", "-0.5", false),
-            ("checkpoint_every_s", "0", false),
-            ("metrics_every_s", "0", false),
-            ("retry_window_s", "3601", false),
-            ("bound_flush_s", "-1e300", false),
-            ("gossip_interval_s", "0", true),
-            ("suspect_after_s", "0", true),
-            ("forget_after_s", "0", true),
+            ("deadline_s", "0"),
+            ("crash_at_s", "-inf"),
+            ("preconnect_s", "-0.5"),
+            ("checkpoint_every_s", "0"),
+            ("metrics_every_s", "0"),
+            ("bound_flush_s", "-1e300"),
+            ("gossip_interval_s", "0"),
+            ("suspect_after_s", "0"),
+            ("forget_after_s", "0"),
         ];
-        for (key, out_of_range, gossip) in cases {
+        for (key, out_of_range) in cases {
             let flag = format!("--{}", key.replace('_', "-"));
             for bad in ["inf", "NaN", "1e300", out_of_range] {
-                let mut args = vec![flag.clone(), bad.to_string()];
-                let mut toml = format!("{key} = {bad}\n");
-                if gossip {
-                    args.extend(["--gossip-servers".to_string(), "0".to_string()]);
-                    toml.push_str("gossip_servers = [\"0\"]\n");
-                }
+                let args = vec![flag.clone(), bad.to_string()];
+                let toml = format!("{key} = {bad}\n");
                 for (spelling, result) in [
                     (format!("{args:?}"), parse_args(&args)),
                     (toml.clone(), parse_config(&toml)),
@@ -1688,7 +1758,6 @@ seed = 11
             vec!["--bound-flush-s", "0"],
             vec!["--bound-flush-s", "-1"],
             vec!["--preconnect-s", "0"],
-            vec!["--retry-window-s", "0"],
             vec!["--deadline-s", "86400"],
         ] {
             let args: Vec<String> = ok.iter().map(|s| s.to_string()).collect();
@@ -1755,5 +1824,330 @@ seed = 11
         let missing = ProblemSpec::tree_file(dir.join("nope.ftbb"));
         assert!(missing.instance().is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    // ------------------------------------------- properties of the table
+
+    /// `text` the way a TOML file writes a value of `shape`.
+    fn toml_value(shape: Shape, text: &str) -> String {
+        match shape {
+            Shape::Number | Shape::Switch => text.to_string(),
+            Shape::Text => format!("\"{text}\""),
+            Shape::List => {
+                let items: Vec<String> = text.split(',').map(|i| format!("\"{i}\"")).collect();
+                format!("[{}]", items.join(", "))
+            }
+        }
+    }
+
+    /// `key = text` in both spellings — flags and a TOML file — for a
+    /// problem parameter under `kind`.
+    fn spell<T>(key: &Key<T>, kind: Option<&str>, text: &str) -> (Vec<String>, String) {
+        let mut args = Vec::new();
+        let mut toml = String::new();
+        if key.section == PROBLEM {
+            toml.push_str("[problem]\n");
+        }
+        if let Some(kind) = kind {
+            args.extend([PROBLEM_KEYS[0].flag(), kind.to_string()]);
+            toml.push_str(&format!("kind = \"{kind}\"\n"));
+        }
+        key.push_args(Some(text.to_string()), &mut args);
+        let name = key.name.rsplit('.').next().unwrap();
+        toml.push_str(&format!("{name} = {}\n", toml_value(key.shape, text)));
+        (args, toml)
+    }
+
+    /// Where a key can be tried out: under which problem kind (if it is a
+    /// parameter of some), and on what starting value.
+    type Home<T> = (Option<&'static str>, T);
+
+    /// The homes of a problem key: every kind that takes the parameter
+    /// (the kind row itself lives on the default spec).
+    fn problem_homes(key: &Key<ProblemSpec>) -> Vec<Home<ProblemSpec>> {
+        if key.name == KIND {
+            return vec![(None, ProblemSpec::default())];
+        }
+        let homes = KINDS.map(|kind| (Some(kind), ProblemSpec::of_kind(kind).unwrap()));
+        homes
+            .into_iter()
+            .filter(|(_, spec)| (key.get)(spec).is_some())
+            .collect()
+    }
+
+    fn accepts<T: Clone>(key: &Key<T>, on: &T, text: &str) -> bool {
+        key.parse_into(&mut on.clone(), text).is_ok()
+    }
+
+    /// A value `key` accepts: the last of the candidates (ordered from
+    /// particular to anything-goes) that the row's own parser lets
+    /// through — so the generators know shapes and ranges, never key
+    /// names.
+    fn sample<T: Clone>(key: &Key<T>, on: &T, draw: u64) -> String {
+        let pick = (draw % 4) as usize;
+        let candidates: Vec<String> = match (key.shape, key.range) {
+            (Shape::Switch, _) => vec!["true".to_string()],
+            (_, Range::Int(min, max)) => {
+                vec![(min + draw % ((max - min).min(999) + 1)).to_string()]
+            }
+            (_, Range::Num(min, max)) => {
+                let x = (draw % 100_000) as f64 / 1000.0;
+                let x = if min < 0.0 { x - 50.0 } else { x };
+                vec![x.clamp(min, max).to_string()]
+            }
+            (Shape::Number, Range::Any) => vec![(draw >> 32).to_string(), draw.to_string()],
+            (Shape::Text, _) => vec![
+                KINDS[pick].to_string(),
+                ["uncorrelated", "weak", "strong", "subsetsum"][pick].to_string(),
+                format!("127.0.0.1:{}", 1024 + draw % 60_000),
+                format!("/tmp/ftbb #{draw}/x y"),
+            ],
+            (Shape::List, _) => {
+                let mut lists = vec![
+                    "0,3=127.0.0.1:4503".to_string(),
+                    format!("1=127.0.0.1:4501,2=127.0.0.1:{}", 1024 + draw % 60_000),
+                ];
+                lists.rotate_left(pick % 2);
+                lists
+            }
+        };
+        candidates
+            .into_iter()
+            .rfind(|text| accepts(key, on, text))
+            .unwrap_or_else(|| panic!("no sample for `{}`", key.name))
+    }
+
+    /// Values `key` must reject: just outside its range, plus junk of
+    /// every shape — whatever of it the row's parser refuses.
+    fn rejects<T: Clone>(key: &Key<T>, on: &T) -> Vec<String> {
+        let mut bad: Vec<String> = [
+            "",
+            "-1",
+            "x y",
+            "18446744073709551616",
+            "NaN",
+            "inf",
+            "1=nowhere",
+        ]
+        .map(String::from)
+        .to_vec();
+        match key.range {
+            Range::Int(min, max) => {
+                bad.extend(min.checked_sub(1).map(|v| v.to_string()));
+                bad.extend(max.checked_add(1).map(|v| v.to_string()));
+            }
+            Range::Num(min, max) => {
+                bad.push((min - min.abs() * 1e-9 - f64::MIN_POSITIVE).to_string());
+                bad.push((max + max.abs() * 1e-9).to_string());
+            }
+            Range::Any => {}
+        }
+        bad.retain(|text| !accepts(key, on, text));
+        bad
+    }
+
+    /// The two front-ends without cross-field validation: what a single
+    /// row does, whatever the rest of the config would need.
+    fn read_both(args: &[String], toml: &str) -> [Result<NodeConfig, ConfigError>; 2] {
+        [
+            read_flags(args).and_then(|(flags, _)| resolve(Layer::default(), flags)),
+            read_toml(toml).and_then(|file| resolve(file, Layer::default())),
+        ]
+    }
+
+    /// Walk one table: every row is accepted in both spellings, rejected
+    /// outside its range in both spellings with the same message, and
+    /// listed in `--help` with the default of each of its homes.
+    fn walk<T: Clone + PartialEq + fmt::Debug>(
+        table: &[Key<T>],
+        part: fn(&NodeConfig) -> &T,
+        homes: impl Fn(&Key<T>) -> Vec<Home<T>>,
+    ) {
+        let help = help();
+        for key in table {
+            let homes = homes(key);
+            let (kind, home) = &homes[0];
+            let good = sample(key, home, 0x5eed);
+            let (args, toml) = spell(key, *kind, &good);
+            let [from_flags, from_toml] = read_both(&args, &toml);
+            let from_flags = from_flags.unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(Ok(&from_flags), from_toml.as_ref(), "{toml}");
+            assert_eq!((key.get)(part(&from_flags)), Some(good), "{}", key.name);
+
+            let bad = rejects(key, home);
+            assert!(!bad.is_empty(), "`{}` rejects nothing", key.name);
+            for text in bad {
+                let (args, toml) = spell(key, *kind, &text);
+                let [from_flags, from_toml] = read_both(&args, &toml);
+                let e = from_toml.expect_err(&toml);
+                assert!(e.0.contains(key.name), "{toml}: {e}");
+                // (A switch's flag takes no value to get wrong.)
+                if key.shape != Shape::Switch {
+                    assert_eq!(from_flags.expect_err(&format!("{args:?}")), e, "{toml}");
+                }
+            }
+
+            for (_, default) in &homes {
+                let mut entry = String::new();
+                key.help_entry(default, &mut entry);
+                assert!(help.contains(&entry), "--help lacks:\n{entry}");
+                let entry = entry.split_whitespace().collect::<Vec<_>>().join(" ");
+                assert!(entry.starts_with(&key.flag()), "{entry}");
+                match (key.get)(default).filter(|d| !d.is_empty()) {
+                    Some(d) if key.shape != Shape::Switch => {
+                        assert!(entry.contains(&format!("default {d})")), "{entry}")
+                    }
+                    _ => assert!(!entry.contains("(default"), "{entry}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_reads_in_both_spellings_checks_its_range_and_is_in_help() {
+        walk(
+            NODE_KEYS,
+            |cfg| cfg,
+            |_| vec![(None, NodeConfig::default())],
+        );
+        walk(PROBLEM_KEYS, |cfg| &cfg.problem, problem_homes);
+        // 21 node keys + 9 problem keys, and no two share a flag.
+        assert_eq!((NODE_KEYS.len(), PROBLEM_KEYS.len()), (21, 9));
+        let mut flags: Vec<String> = NODE_KEYS.iter().map(Key::flag).collect();
+        flags.extend(PROBLEM_KEYS.iter().map(Key::flag));
+        flags.sort();
+        flags.dedup();
+        assert_eq!(flags.len(), 30, "{flags:?}");
+    }
+
+    /// `NodeConfig::default()` as the parent commit printed it (minus the
+    /// four transport keys that became constants; `problem` moved last):
+    /// the table must not move a default.
+    #[test]
+    fn defaults_are_pinned() {
+        let pinned =
+            "NodeConfig { id: 0, listen: 127.0.0.1:0, peers: [], peers_from_stdin: false, \
+                      preconnect_s: 5.0, deadline_s: 30.0, crash_at_s: None, seed: 1, \
+                      gossip_servers: [], join: false, gossip_interval_s: 0.05, \
+                      suspect_after_s: 0.5, forget_after_s: 3.0, workers: 1, bound_flush_s: 0.05, \
+                      service: false, checkpoint_dir: None, checkpoint_every_s: 0.5, \
+                      resume: false, trace_file: None, metrics_every_s: None, \
+                      problem: Knapsack(KnapsackSpec { n: 20, range: 60, correlation: Weak, \
+                      frac: 0.5, seed: 1 }) }";
+        assert_eq!(format!("{:?}", NodeConfig::default()), pinned);
+        assert_eq!(
+            ProblemSpec::of_kind("maxsat"),
+            Some(ProblemSpec::MaxSat(MaxSatSpec {
+                vars: 18,
+                clauses: 50,
+                seed: 1
+            }))
+        );
+        assert!(NodeConfig::default().to_args().is_empty());
+    }
+
+    /// Every ```toml block in the README and in this module's doc is a
+    /// config the parser takes.
+    #[test]
+    fn every_toml_block_in_the_docs_parses() {
+        let module_doc: String = include_str!("config.rs")
+            .lines()
+            .map_while(|line| line.strip_prefix("//!"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        for (name, text) in [
+            ("README.md", include_str!("../../../README.md")),
+            ("config.rs", module_doc.as_str()),
+        ] {
+            let mut blocks = 0;
+            let mut lines = text.lines();
+            while let Some(line) = lines.next() {
+                if line.trim() == "```toml" {
+                    let block: Vec<&str> =
+                        lines.by_ref().take_while(|l| l.trim() != "```").collect();
+                    let block = block.join("\n");
+                    parse_config(&block).unwrap_or_else(|e| panic!("{name}: {e}\n{block}"));
+                    blocks += 1;
+                }
+            }
+            assert!(blocks > 0, "{name} has no toml block");
+        }
+    }
+
+    /// A valid config grown row by row from `draws`: each row's sampled
+    /// value is kept if the config still parses with it — so cross-field
+    /// rules (`join` needs an addressed server, `resume` a directory, …)
+    /// shape the result without being restated here. The problem goes in
+    /// as one group: a kind with every parameter it takes.
+    fn config_from(draws: &[u64]) -> NodeConfig {
+        let mut args: Vec<String> = Vec::new();
+        let mut draws = draws.iter().copied();
+        let mut draw = || draws.next().expect("one draw per row");
+        for key in NODE_KEYS {
+            let draw = draw();
+            let mut grown = args.clone();
+            key.push_args(
+                Some(sample(key, &NodeConfig::default(), draw / 3)),
+                &mut grown,
+            );
+            if draw % 3 != 0 && parse_args(&grown).is_ok() {
+                args = grown;
+            }
+        }
+        let kind = KINDS[(draw() % 4) as usize];
+        let spec = ProblemSpec::of_kind(kind).unwrap();
+        let mut grown = args.clone();
+        for key in PROBLEM_KEYS {
+            let draw = draw();
+            if key.name == KIND {
+                key.push_args(Some(kind.to_string()), &mut grown);
+            } else if (key.get)(&spec).is_some() {
+                key.push_args(Some(sample(key, &spec, draw)), &mut grown);
+            }
+        }
+        if parse_args(&grown).is_ok() {
+            args = grown;
+        }
+        parse_args(&args).expect("grown from accepted steps")
+    }
+
+    /// `cfg` as a config file: one `key = value` per row that holds one.
+    fn to_toml(cfg: &NodeConfig) -> String {
+        let mut out = String::new();
+        for key in NODE_KEYS {
+            if let Some(text) = (key.get)(cfg) {
+                out.push_str(&format!(
+                    "{} = {}\n",
+                    key.name,
+                    toml_value(key.shape, &text)
+                ));
+            }
+        }
+        out.push_str("[problem]\n");
+        for key in PROBLEM_KEYS {
+            if let Some(text) = (key.get)(&cfg.problem) {
+                let name = key.name.rsplit('.').next().unwrap();
+                out.push_str(&format!("{name} = {}\n", toml_value(key.shape, &text)));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn configs_round_trip_through_flags_and_through_toml(
+            draws in proptest::collection::vec(
+                proptest::any::<u64>(),
+                NODE_KEYS.len() + PROBLEM_KEYS.len() + 1,
+            )
+        ) {
+            let cfg = config_from(&draws);
+            let args = cfg.to_args();
+            proptest::prop_assert_eq!(parse_args(&args).as_ref(), Ok(&cfg), "{:?}", args);
+            let toml = to_toml(&cfg);
+            proptest::prop_assert_eq!(parse_config(&toml).as_ref(), Ok(&cfg), "{}", toml);
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! peers' traffic addressed to the previous incarnation lands and is
 //! counted off as stale.
 
-use crate::config::ProblemSpec;
+use crate::config::{NodeConfig, ProblemSpec};
 use crate::noded::{
     parse_job_line, parse_metrics_line, parse_outcome_line, parse_ready_line, parse_service_line,
     ParsedJob, ParsedMetrics, ParsedOutcome, ParsedService,
@@ -112,7 +112,7 @@ impl Default for GossipTiming {
     /// source, so launcher-driven clusters and hand-started nodes cannot
     /// drift apart.
     fn default() -> Self {
-        let d = crate::config::NodeConfig::default();
+        let d = NodeConfig::default();
         GossipTiming {
             interval_s: d.gossip_interval_s,
             suspect_s: d.suspect_after_s,
@@ -496,12 +496,13 @@ struct Spawned {
 /// Spawn one node process and its stdout reader thread. Fresh lives
 /// (`listen: None`) bind `127.0.0.1:0` and get their problem flags;
 /// resumed lives rebind the first life's address (`listen: Some(..)`)
-/// and pass `--resume` instead — their problem binding lives in the
-/// checkpoint — with a shortened readiness budget (live peers accept
-/// within milliseconds; a permanently dead one must not stall the
-/// rejoin for the full fresh-start budget). Joiners
-/// (`join_through: Some(server)`) get no wiring at all: only
-/// `--join --gossip-servers 0=<server>` plus the concrete problem spec.
+/// and resume instead — their problem binding lives in the checkpoint —
+/// with a shortened readiness budget (live peers accept within
+/// milliseconds; a permanently dead one must not stall the rejoin for
+/// the full fresh-start budget). Joiners (`join_through: Some(server)`)
+/// get no wiring at all: only the join switch, the addressed gossip
+/// server and the concrete problem spec. The rules fill a [`NodeConfig`];
+/// its `to_args` is the argv.
 fn spawn_node(
     spec: &ClusterSpec,
     id: u32,
@@ -510,71 +511,58 @@ fn spawn_node(
 ) -> std::io::Result<Spawned> {
     let resume = listen.is_some();
     let joiner = join_through.is_some();
-    let mut cmd = Command::new(&spec.noded);
-    cmd.arg("--id")
-        .arg(id.to_string())
-        .arg("--listen")
-        .arg(listen.map_or("127.0.0.1:0".to_string(), |a| a.to_string()))
-        .arg("--deadline-s")
-        .arg(format!("{}", spec.deadline.as_secs_f64()))
-        .arg("--seed")
-        .arg(spec.seed.to_string());
-    if spec.workers > 1 {
-        cmd.arg("--workers").arg(spec.workers.to_string());
-    }
-    if !joiner {
-        cmd.arg("--peers-from-stdin");
-    }
-    if let Some(gossip) = &spec.gossip {
-        match join_through {
-            Some(server) => cmd
-                .arg("--join")
-                .arg("--gossip-servers")
-                .arg(format!("0={server}")),
-            None => cmd.arg("--gossip-servers").arg("0"),
-        };
-        cmd.arg("--gossip-interval-s")
-            .arg(gossip.interval_s.to_string())
-            .arg("--suspect-after-s")
-            .arg(gossip.suspect_s.to_string())
-            .arg("--forget-after-s")
-            .arg(gossip.forget_s.to_string());
-    }
-    if let Some(dir) = &spec.checkpoint_dir {
-        cmd.arg("--checkpoint-dir")
-            .arg(dir)
-            .arg("--checkpoint-every-s")
-            .arg(spec.checkpoint_every_s.to_string());
-    }
-    if let Some(dir) = &spec.trace_dir {
+    let mut cfg = NodeConfig {
+        id,
+        deadline_s: spec.deadline.as_secs_f64(),
+        seed: spec.seed,
+        workers: spec.workers.max(1),
+        peers_from_stdin: !joiner,
+        checkpoint_dir: spec.checkpoint_dir.clone(),
         // One file per node id, append mode in the daemon: a restarted
         // incarnation continues the same file, and the merged timeline
         // shows both lives under their own incarnation stamps.
-        cmd.arg("--trace-file")
-            .arg(dir.join(format!("node-{id}.jsonl")));
+        trace_file: spec
+            .trace_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("node-{id}.jsonl"))),
+        metrics_every_s: spec.metrics_every_s,
+        service: spec.service,
+        resume,
+        ..NodeConfig::default()
+    };
+    if let Some(addr) = listen {
+        cfg.listen = addr;
+        cfg.preconnect_s = 1.5;
     }
-    if let Some(every) = spec.metrics_every_s {
-        cmd.arg("--metrics-every-s").arg(every.to_string());
+    if let Some(gossip) = &spec.gossip {
+        cfg.gossip_servers = vec![(0, join_through)];
+        cfg.join = joiner;
+        cfg.gossip_interval_s = gossip.interval_s;
+        cfg.suspect_after_s = gossip.suspect_s;
+        cfg.forget_after_s = gossip.forget_s;
     }
-    if spec.service {
-        // Service pools take their problems from the job stream; the
-        // shared `problem` field is irrelevant and never rendered.
-        cmd.arg("--service");
-        if resume {
-            cmd.arg("--resume").arg("--preconnect-s").arg("1.5");
+    if spec.checkpoint_dir.is_some() {
+        cfg.checkpoint_every_s = spec.checkpoint_every_s;
+    }
+    if !resume {
+        // The config-driven crash is a first life's; and a resumed life
+        // takes its problem from the checkpoint, a service pool from the
+        // job stream — neither gets the shared `problem` rendered.
+        cfg.crash_at_s = spec
+            .crash_at
+            .iter()
+            .find(|&&(node, _)| node == id)
+            .map(|&(_, at)| at);
+        if !spec.service {
+            cfg.problem = if spec.wire_peers && id != 0 && !joiner {
+                ProblemSpec::Wire
+            } else {
+                spec.problem.clone()
+            };
         }
-    } else if resume {
-        cmd.arg("--resume").arg("--preconnect-s").arg("1.5");
-    } else if spec.wire_peers && id != 0 && !joiner {
-        cmd.arg("--problem").arg("wire");
-    } else {
-        cmd.args(spec.problem.flag_args());
     }
-    if let Some(&(_, at)) = spec.crash_at.iter().find(|&&(node, _)| node == id) {
-        if !resume {
-            cmd.arg("--crash-at-s").arg(at.to_string());
-        }
-    }
+    let mut cmd = Command::new(&spec.noded);
+    cmd.args(cfg.to_args());
     cmd.stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit());

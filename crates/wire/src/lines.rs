@@ -6,7 +6,7 @@
 //! (service mode). They all share one shape — `TAG key=value key=value …`
 //! with whitespace-free values — so the formatter and the field scanner
 //! live here once instead of being hand-rolled per tag, and
-//! [`line_codec!`] derives a line's parsed struct, renderer and parser
+//! `line_codec!` derives a line's parsed struct, renderer and parser
 //! from one row per field. Parsers are total: any malformed line yields
 //! `None`, never a panic, because launchers scan whole stdout streams that
 //! also carry arbitrary diagnostic output.

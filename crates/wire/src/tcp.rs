@@ -119,9 +119,9 @@ pub const BATCH_MAX_FRAMES: usize = 64;
 pub const BOOK_MAX_ENTRIES: usize = 16;
 
 /// Transport tuning knobs, applied to every peer writer of a mesh.
-/// Defaults reproduce the historical constants exactly; deployments with
-/// slower-starting peers (large clusters, loaded CI machines) can widen
-/// the startup window, and latency-sensitive ones can shrink it.
+/// Defaults reproduce the historical constants exactly, and `ftbb-noded`
+/// always runs on them (they are not configuration keys); the struct
+/// lets a test substitute a short retry window or a batch cap of 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireConfig {
     /// Startup retry window: how long frames to a never-yet-connected

@@ -1036,3 +1036,62 @@ fn single_run_killed_mid_run_resumes_its_job_0_checkpoint() {
     assert!(outcome.terminated);
     assert_eq!(Some(outcome.incumbent), reference);
 }
+
+/// One single-node problem configured twice — from a `node.toml` read
+/// with `--config`, and from the flags `NodeConfig::to_args` renders for
+/// that same file — must give the same incumbent bit for bit (and the
+/// sequential optimum): the TOML reader and the flag reader are two
+/// front-ends over one key table.
+#[test]
+fn config_file_and_rendered_flags_run_the_same_problem() {
+    use ftbb_wire::{parse_config, parse_outcome_line};
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join("ftbb-wire-config-file-run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let toml = format!(
+        "id = 3\n\
+         deadline_s = 60.0\n\
+         seed = 9                          # protocol randomness\n\
+         trace_file = \"{}/run#1.jsonl\"   # a quoted `#` is not a comment\n\
+         \n\
+         [problem]\n\
+         kind = \"maxsat\"\n\
+         vars = 14\n\
+         clauses = 40\n\
+         seed = 13\n",
+        dir.display()
+    );
+    let path = dir.join("node.toml");
+    std::fs::write(&path, &toml).unwrap();
+    let cfg = parse_config(&toml).expect("the file is a valid config");
+    let reference = reference_best(&cfg.problem);
+
+    let from_file = vec!["--config".to_string(), path.display().to_string()];
+    let outcomes: Vec<_> = [from_file, cfg.to_args()]
+        .iter()
+        .map(|args| {
+            let out = Command::new(noded())
+                .args(args)
+                .output()
+                .expect("ftbb-noded runs");
+            assert!(out.status.success(), "{args:?}: {:?}", out.status);
+            String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .find_map(parse_outcome_line)
+                .unwrap_or_else(|| panic!("{args:?} printed no FTBB-OUTCOME"))
+        })
+        .collect();
+    assert!(dir.join("run#1.jsonl").exists(), "the quoted path was cut");
+    std::fs::remove_dir_all(&dir).ok();
+
+    for outcome in &outcomes {
+        assert_eq!(outcome.id, 3);
+        assert!(outcome.terminated);
+        assert_eq!(Some(outcome.incumbent), reference);
+    }
+    assert_eq!(
+        outcomes[0].incumbent.to_bits(),
+        outcomes[1].incumbent.to_bits()
+    );
+}
