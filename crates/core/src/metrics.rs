@@ -217,19 +217,22 @@ transport_counters! {
     dropped_disconnected = "dropped_disconnected",
     /// Sends dropped because no route to the destination id exists.
     dropped_no_route = "dropped_no_route",
-    /// Sends dropped because the startup retry budget was exhausted
-    /// before the peer ever accepted a connection (TCP transports only).
+    /// Always 0 since PR 19 (the TCP startup retry window is gone; a send
+    /// to a never-connected peer is a `dropped_disconnected`). The key
+    /// stays because `benchmark/` parses it; retire with the next
+    /// `[benchmark]` PR.
     dropped_startup = "dropped_startup",
     /// Inbound frames dropped because they belonged to a stale
     /// incarnation — addressed to this node's previous life, or sent by a
     /// peer's previous life. A *receive*-side drop, so it is excluded from
     /// [`TransportStats::dropped`] (which sums send-side drops).
     dropped_stale = "dropped_stale",
-    /// Frames held back for retry instead of being dropped while a peer's
-    /// listener was still coming up (TCP transports only).
+    /// Always 0 since PR 19 (no frame is ever held back for a retry). The
+    /// key stays because `benchmark/` reads `transport.retried` by name;
+    /// retire with the next `[benchmark]` PR.
     retried = "retried",
-    /// Failed dial attempts that were waited out and retried — during the
-    /// pre-establishment barrier or the startup retry window.
+    /// Failed dial attempts that were waited out and retried during the
+    /// pre-establishment barrier.
     connect_waits = "connect_waits",
     /// Connections re-established after a drop (TCP transports only).
     reconnects = "reconnects",
@@ -294,16 +297,6 @@ impl TransportCounters {
     /// Record a send dropped because the destination id is unknown.
     pub fn record_dropped_no_route(&self) {
         self.dropped_no_route.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a send dropped because the startup retry budget ran out.
-    pub fn record_dropped_startup(&self) {
-        self.dropped_startup.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a frame admitted to the startup retry queue.
-    pub fn record_retried(&self) {
-        self.retried.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a failed dial attempt that will be waited out and retried.
@@ -433,9 +426,6 @@ mod tests {
         c.record_dropped_disconnected();
         c.record_dropped_disconnected();
         c.record_dropped_no_route();
-        c.record_dropped_startup();
-        c.record_retried();
-        c.record_retried();
         c.record_connect_wait();
         c.record_reconnect();
         c.record_announce_sent();
@@ -457,11 +447,10 @@ mod tests {
         assert_eq!(s.sent, 2);
         assert_eq!(s.sent_wire_bytes, 20);
         assert_eq!(s.sent_encoded_bytes, 40);
-        assert_eq!(s.dropped(), 5);
-        assert_eq!(s.dropped_startup, 1);
-        assert_eq!(s.retried, 2);
+        assert_eq!(s.dropped(), 4);
+        assert_eq!((s.dropped_startup, s.retried), (0, 0));
         assert_eq!(s.connect_waits, 1);
-        assert_eq!(s.attempts(), 7);
+        assert_eq!(s.attempts(), 6);
         assert_eq!(s.reconnects, 1);
         assert_eq!(s.announces_sent, 2);
         assert_eq!(s.announces_recv, 1);
@@ -471,7 +460,7 @@ mod tests {
         assert_eq!(s.dropped_stale, 3);
         // Stale drops are receive-side: they do not inflate the send-side
         // drop total.
-        assert_eq!(s.dropped(), 5);
+        assert_eq!(s.dropped(), 4);
         assert!((s.encoding_overhead() - 2.0).abs() < 1e-12);
         assert_eq!(s.flushes, 2);
         assert_eq!(s.frames_flushed, 4);

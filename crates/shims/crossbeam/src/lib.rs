@@ -243,6 +243,16 @@ pub mod channel {
             }
         }
 
+        /// Messages queued right now.
+        pub fn len(&self) -> usize {
+            self.chan.queue.lock().unwrap().len()
+        }
+
+        /// True when nothing is queued right now.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
         /// A blocking iterator over received messages; ends when every
         /// sender has dropped and the queue is drained.
         pub fn iter(&self) -> Iter<'_, T> {

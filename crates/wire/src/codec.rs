@@ -66,11 +66,11 @@
 //! [`ftbb_core::TransportCounters`] can expose the framing overhead.
 //!
 //! Delivery is **at most once**: a frame is written to a socket at most
-//! one time. The transport's startup retry window
-//! ([`crate::tcp::RETRY_WINDOW`]) retries frames that never reached a
-//! socket at all (the peer had not yet accepted any connection), so it
-//! cannot duplicate — it only narrows the silent-drop window; frames
-//! lost *after* a `write` started are never replayed.
+//! one time, and one that cannot be written when its turn comes — no
+//! connection, or a `write` that fails — is dropped and counted, never
+//! held back or replayed ([`crate::tcp`]). That holds from the first
+//! frame on; what keeps startup from losing frames is the readiness
+//! barrier that runs before it, not a retry.
 
 use bytes::{Bytes, BytesMut};
 use ftbb_bnb::AnyInstance;

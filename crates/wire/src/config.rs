@@ -1637,17 +1637,12 @@ seed = 11
         assert_eq!(m.t_cleanup, SimTime::from_secs_f64(2.0));
 
         // Defaults: static mode. The transport always runs on the
-        // constants in `tcp.rs`; its four former keys are unknown now.
+        // constants in `tcp.rs`; `WireConfig`'s fields are not keys.
         let plain = NodeConfig::default();
         assert!(!plain.gossip_mode());
         assert_eq!(plain.membership(), None);
         assert_eq!(cfg.wire_config(), WireConfig::default());
-        for gone in [
-            "retry_window_s",
-            "retry_max_frames",
-            "batch_max_frames",
-            "book_max_entries",
-        ] {
+        for gone in ["batch_max_frames", "book_max_entries"] {
             let e = parse_config(&format!("{gone} = 1\n")).unwrap_err();
             assert!(e.0.contains("unknown config key"), "{e}");
             let flag = format!("--{}", gone.replace('_', "-"));

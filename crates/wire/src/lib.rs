@@ -10,7 +10,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`codec`] | framed, version-tagged, checksummed binary encoding of envelopes, incarnation-stamped, with announce + rejoin handshake frames |
-//! | [`tcp`] | [`tcp::TcpMesh`] — the [`ftbb_runtime::Transport`] over sockets, with dynamic peer (re)registration and stale-incarnation filtering |
+//! | [`tcp`] | [`tcp::TcpMesh`] — the [`ftbb_runtime::Transport`] over sockets, with dynamic peer (re)registration, stale-incarnation filtering, and one bounded [`tcp::Control`] stream for everything that is not protocol traffic |
 //! | [`config`] | `ftbb-noded` configuration: one key table (21 node keys + 9 `problem.*` keys, a row each) from which the TOML reader, the flag reader, the range checks, `--help` ([`config::help`]), [`NodeConfig::to_args`] and the launcher's argv are derived |
 //! | [`lines`] | the shared `TAG key=value …` codec behind every `FTBB-*` stdout line, and the `line_codec!` declaration that derives a line's struct, renderer and parser from one row per field |
 //! | [`noded`] | the one node daemon body ([`noded::run`]: a single run is job 0 of the `--service` pool), the four declared `FTBB-*` report lines, and the per-job [`noded::JobDirSink`] checkpoint store |
@@ -28,11 +28,10 @@
 //! their bound address on a `FTBB-READY` line, the launcher wires the
 //! peer map over stdin (no port pre-allocation race), and every node
 //! runs a readiness barrier — pre-establishing its peer connections —
-//! before the protocol's `Start`. Frames sent while a listener is still
-//! coming up are retried inside a bounded startup window
-//! ([`tcp::RETRY_WINDOW`] / [`tcp::RETRY_MAX_FRAMES`]) instead of being
-//! silently dropped; past the budget, the paper's Crash-model semantics
-//! (counted silent drops) resume unchanged.
+//! before the protocol's `Start`. That barrier is the only startup
+//! mechanism: from the first frame on, delivery follows the paper's
+//! Crash model — at most once, and a frame for a peer that is not
+//! connected is a counted drop, never parked for later.
 
 #![warn(missing_docs)]
 

@@ -35,7 +35,8 @@
 //! **Service mode** (`--service`): the same daemon, except that no job is
 //! admitted before the pump starts and the pump outlives its jobs. Jobs
 //! stream in from `ftbb-submit` clients (this node becomes the job's
-//! gateway) and from peer announces; each completes with one `FTBB-JOB`
+//! gateway and announces it to the pool with its first incumbent) and
+//! from peer announces; each completes with one `FTBB-JOB`
 //! line and the daemon closes with `FTBB-SERVICE` at its deadline. A
 //! single run is the special case that admits exactly one job —
 //! [`JobId::DEFAULT`], the configured or announced problem — up front and
@@ -56,7 +57,7 @@
 use crate::codec::{encode_accepted, encode_result, RejoinSummary};
 use crate::config::{NodeConfig, ProblemSpec};
 use crate::lines::{line_codec, render_line, Fields};
-use crate::tcp::TcpMesh;
+use crate::tcp::{Control, TcpMesh};
 use crossbeam::channel::{Receiver, Sender};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
@@ -68,11 +69,10 @@ use ftbb_runtime::{
     ClusterConfig, CrashSwitch, JobEngine, JobOutcome, MetricsSnapshot, ServiceEngine,
     ServiceHooks, ServiceOutcome, Transport,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Extra grace past the readiness budget that a `--problem wire` node
@@ -164,15 +164,27 @@ pub fn scan_job_checkpoints(dir: &Path, id: u32) -> std::io::Result<Vec<Checkpoi
     Ok(found)
 }
 
-/// One `JobResult` frame the pump's hooks queue for the admission thread
-/// to write back to the submitting client (hooks run on the pump thread
-/// and must not block on sockets): an incumbent improvement (`finished:
+/// One `JobResult` frame the pump's hooks queue for the reply thread to
+/// write back to the submitting client (hooks run on the pump thread and
+/// must not block on sockets): an incumbent improvement (`finished:
 /// false`) or the job's final state (`finished: terminated`).
 struct SubmitReply {
     job: JobId,
     finished: bool,
     incumbent: f64,
     expanded: u64,
+    /// The job's final state: nothing follows, so the client's stream is
+    /// released once this is written.
+    last: bool,
+}
+
+/// What the reply thread is handed, in the order it acts on it.
+enum Reply {
+    /// From the control thread, ahead of the job's admission: this node
+    /// is the job's gateway and owes the pool its announce.
+    Gateway { job: JobId, instance: AnyInstance },
+    /// From the pump's hooks.
+    Result(SubmitReply),
 }
 
 /// Run one node: bind, wire, pass the readiness barrier, admit the jobs
@@ -182,8 +194,9 @@ struct SubmitReply {
 /// The modes differ only in which jobs are admitted before the pump
 /// starts — a single run admits the configured (or announced) problem as
 /// [`JobId::DEFAULT`]; `--resume` admits every job checkpoint this node
-/// left behind; `--service` admits none — and in whether the admission
-/// thread runs and the pump outlives its jobs (`--service` only).
+/// left behind; `--service` admits none — and in whether the control
+/// thread admits what arrives mid-flight and the pump outlives its jobs
+/// (`--service` only).
 pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     cfg.validate()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -363,7 +376,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     //   rejoin frame (aggregated across jobs) re-registers this node's
     //   new life — new address and all — with every peer.
     // * Single run: the configured (or announced) problem is job 0.
-    // * Service: nothing yet; jobs arrive through the admission thread.
+    // * Service: nothing yet; jobs arrive through the control thread.
     let mut seen_jobs: HashSet<JobId> = HashSet::new();
     for chk in &restored {
         seen_jobs.insert(chk.job);
@@ -416,38 +429,42 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         ));
     }
 
-    // Mid-flight admission (service mode only): the admission thread
-    // turns submissions and peer announces into job engines, the pump
-    // drains that channel; hooks run on the pump thread and hand results
-    // to the admission thread, which owns the socket writes.
+    // Mid-flight admission (service mode only): the control thread turns
+    // submissions and peer announces into job engines, the pump drains
+    // that channel; hooks run on the pump thread and hand results to the
+    // reply thread, which owns the socket writes and announces a
+    // gateway's job to the pool with its first result.
     let admission = cfg.service.then(|| {
         let (admit_tx, admit_rx) = crossbeam::channel::unbounded();
-        let (reply_tx, reply_rx) = crossbeam::channel::unbounded::<SubmitReply>();
+        let (reply_tx, reply_rx) = crossbeam::channel::unbounded::<Reply>();
         engine.set_admissions(admit_rx);
-        let incumbent_tx = reply_tx.clone();
+        let (incumbent_tx, complete_tx) = (reply_tx.clone(), reply_tx.clone());
         engine.set_hooks(ServiceHooks {
             on_admitted: None,
             on_incumbent: Some(Box::new(move |job, incumbent| {
-                let _ = incumbent_tx.send(SubmitReply {
+                let _ = incumbent_tx.send(Reply::Result(SubmitReply {
                     job,
                     finished: false,
                     incumbent,
                     expanded: 0,
-                });
+                    last: false,
+                }));
             })),
             on_complete: Some(Box::new(move |outcome: &JobOutcome| {
                 println!("{}", job_line(outcome));
                 let _ = std::io::stdout().flush();
-                let _ = reply_tx.send(SubmitReply {
+                let _ = complete_tx.send(Reply::Result(SubmitReply {
                     job: outcome.job,
                     finished: outcome.terminated,
                     incumbent: outcome.incumbent,
                     expanded: outcome.metrics.expanded,
-                });
+                    last: true,
+                }));
             })),
         });
-        (admit_tx, reply_rx)
+        ((admit_tx, reply_tx), reply_rx)
     });
+    let (admit, reply_rx) = admission.unzip();
 
     // Config-driven crash: a genuine process death (abort), not a
     // simulated one — peers see only silence. The clock starts after the
@@ -474,16 +491,17 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
 
     let deadline = Duration::from_secs_f64(cfg.deadline_s);
     let epoch = Instant::now();
-    let stop = AtomicBool::new(false);
     let outcome = std::thread::scope(|scope| {
-        let admitter = admission.map(|(admit_tx, reply_rx)| {
-            scope.spawn(|| {
-                admission_loop(
-                    &mesh, cfg, &protocol, &members, epoch, seen_jobs, admit_tx, reply_rx, &stop,
-                    &telemetry,
-                )
-            })
+        // The control stream is consumed in every mode; only what its
+        // frames lead to differs. Both threads block on their channel.
+        scope.spawn(|| {
+            control_loop(
+                &mesh, cfg, &protocol, &members, epoch, deadline, seen_jobs, admit, &telemetry,
+            )
         });
+        if let Some(reply_rx) = reply_rx {
+            scope.spawn(|| reply_loop(&mesh, reply_rx));
+        }
         let outcome = engine.run_with_sink(
             &mesh,
             inbox,
@@ -492,10 +510,10 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
             sink,
             checkpoint_every,
         );
-        stop.store(true, Ordering::Release);
-        if let Some(admitter) = admitter {
-            admitter.join().expect("admission thread never panics");
-        }
+        // The pump is gone and took its hooks along; closing the control
+        // stream ends the control thread, and with it the reply channel's
+        // last sender. Each thread finishes what is queued, then returns.
+        mesh.close_control();
         outcome
     })
     .expect("crash switch is never tripped in-process");
@@ -543,7 +561,7 @@ fn single_run_instance(
             // with their own clear error.
             telemetry.emit(
                 "announce_too_large",
-                &[("kind", instance.kind().to_string())],
+                &[("problem", instance.kind().to_string())],
             );
             eprintln!(
                 "ftbb-noded: {} instance exceeds the announce frame limit; \
@@ -562,20 +580,27 @@ fn single_run_instance(
         )));
     }
     let patience = Duration::from_secs_f64(cfg.preconnect_s) + ANNOUNCE_GRACE;
-    let Some((from, _job, instance)) = mesh.recv_announce(patience) else {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            format!(
-                "no problem announce arrived within {:.1}s",
-                patience.as_secs_f64()
-            ),
-        ));
+    let asked = Instant::now();
+    let (from, instance) = loop {
+        match mesh.recv_control(patience.saturating_sub(asked.elapsed())) {
+            Some(Control::Announce { from, instance, .. }) => break (from, instance),
+            Some(other) => note_control(mesh, telemetry, other),
+            None => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    format!(
+                        "no problem announce arrived within {:.1}s",
+                        patience.as_secs_f64()
+                    ),
+                ));
+            }
+        }
     };
     telemetry.emit(
         "announce_recv",
         &[
             ("from", from.to_string()),
-            ("kind", instance.kind().to_string()),
+            ("problem", instance.kind().to_string()),
         ],
     );
     eprintln!(
@@ -585,97 +610,152 @@ fn single_run_instance(
     Ok(instance)
 }
 
-/// The admission side of a service node: turn `SubmitJob` frames into
-/// gateway jobs (announce the instance, hold the root, accept the
-/// client), turn peer announces into follower jobs, and relay the pump's
-/// result stream back to submitters.
+/// What every mode does with a control frame it has no further use for.
+/// Rejoin and join frames become trace events (the mesh has already
+/// re-pointed its routes); a job submitted to a node that admits none is
+/// refused by closing the client's stream; an announce nobody is waiting
+/// for — the root's, on a peer with a concrete spec — is dropped.
+fn note_control(mesh: &TcpMesh, telemetry: &Telemetry, control: Control) {
+    match control {
+        Control::Rejoin(frame) => telemetry.emit(
+            "rejoin_recv",
+            &[
+                ("from", frame.from.to_string()),
+                ("incarnation", frame.incarnation.to_string()),
+                ("addr", frame.addr.to_string()),
+                ("table_codes", frame.summary.table_codes.to_string()),
+                ("pooled", frame.summary.pool_len.to_string()),
+            ],
+        ),
+        Control::Join(frame) => telemetry.emit(
+            "join_recv",
+            &[
+                ("from", frame.from.to_string()),
+                ("incarnation", frame.incarnation.to_string()),
+                ("addr", frame.addr.to_string()),
+            ],
+        ),
+        Control::Submit { job, .. } => {
+            mesh.close_submitter(job);
+            telemetry.emit("submit_refused", &[("job", job.raw().to_string())]);
+        }
+        Control::Announce { .. } => {}
+    }
+}
+
+/// The consumer of the mesh's control stream, blocked on it until the
+/// pump is gone ([`TcpMesh::close_control`]) or the node's deadline has
+/// passed. On a service node (`admit` set) a job arrives either from a
+/// client — this node becomes its gateway: accept the client, hold the
+/// root, and leave the announce to [`reply_loop`] — or in a peer's
+/// announce, which IS the admission of a follower. Everything else, in
+/// every mode, goes to [`note_control`].
 #[allow(clippy::too_many_arguments)]
-fn admission_loop(
+fn control_loop(
     mesh: &TcpMesh,
     cfg: &NodeConfig,
     protocol: &ProtocolConfig,
     members: &[u32],
     epoch: Instant,
+    deadline: Duration,
     mut seen: HashSet<JobId>,
-    admit_tx: Sender<JobEngine<AnyExpander>>,
-    reply_rx: Receiver<SubmitReply>,
-    stop: &AtomicBool,
+    admit: Option<(Sender<JobEngine<AnyExpander>>, Sender<Reply>)>,
     telemetry: &Telemetry,
 ) {
-    let now = || SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
-    loop {
-        let stopping = stop.load(Ordering::Acquire);
-
-        // Gateway path: a client submitted a job here. Announce the
-        // instance to the pool, accept the client, admit the root-holding
-        // engine. Duplicate job ids are re-accepted (the client may be
-        // retrying) but never admitted twice.
-        if let Some((job, instance)) = mesh.recv_submit(Duration::from_millis(10)) {
-            if seen.insert(job) {
-                telemetry.emit(
-                    "job_submitted",
-                    &[
-                        ("job", job.raw().to_string()),
-                        ("kind", instance.kind().to_string()),
-                    ],
-                );
-                if !mesh.announce_instance(job, &instance) {
-                    eprintln!(
-                        "ftbb-noded: job {} instance exceeds the announce frame limit; \
-                         solving on this node alone",
-                        job.raw()
-                    );
-                }
-                mesh.send_submit_reply(job, &encode_accepted(job, cfg.id));
-                let _ = admit_tx.send(build_job(
-                    cfg,
-                    protocol,
-                    members,
-                    now(),
+    while let Some(control) = mesh.recv_control(deadline.saturating_sub(epoch.elapsed())) {
+        let (job, instance, announcer, (admit_tx, reply_tx)) = match (control, &admit) {
+            (Control::Submit { job, instance }, Some(txs)) => (job, instance, None, txs),
+            (
+                Control::Announce {
+                    from,
                     job,
                     instance,
-                    true,
-                ));
-            } else {
-                mesh.send_submit_reply(job, &encode_accepted(job, cfg.id));
+                },
+                Some(txs),
+            ) => (job, instance, Some(from), txs),
+            (other, _) => {
+                note_control(mesh, telemetry, other);
+                continue;
             }
+        };
+        let gateway = announcer.is_none();
+        // Duplicate job ids are re-accepted (the client may be retrying)
+        // but never admitted twice.
+        let fresh = seen.insert(job);
+        if fresh {
+            telemetry.emit(
+                if gateway {
+                    "job_submitted"
+                } else {
+                    "job_announced"
+                },
+                &[
+                    ("job", job.raw().to_string()),
+                    (
+                        "from",
+                        announcer.map_or_else(|| "client".to_string(), |n| n.to_string()),
+                    ),
+                    ("problem", instance.kind().to_string()),
+                    ("control_depth", mesh.control_depth().to_string()),
+                ],
+            );
         }
-
-        // Follower path: a peer is some job's gateway; its announce IS
-        // the admission.
-        while let Some((from, job, instance)) = mesh.recv_announce(Duration::ZERO) {
-            if seen.insert(job) {
-                telemetry.emit(
-                    "job_announced",
-                    &[
-                        ("job", job.raw().to_string()),
-                        ("from", from.to_string()),
-                        ("kind", instance.kind().to_string()),
-                    ],
-                );
-                let _ = admit_tx.send(build_job(
-                    cfg,
-                    protocol,
-                    members,
-                    now(),
+        if gateway {
+            mesh.send_submit_reply(job, &encode_accepted(job, cfg.id));
+        }
+        if fresh {
+            if gateway {
+                // Queued ahead of the admission, so the reply thread
+                // holds it before the job's first result can exist.
+                let _ = reply_tx.send(Reply::Gateway {
                     job,
-                    instance,
-                    false,
-                ));
+                    instance: instance.clone(),
+                });
+            }
+            let born = SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
+            let _ = admit_tx.send(build_job(
+                cfg, protocol, members, born, job, instance, gateway,
+            ));
+        }
+    }
+}
+
+/// The result stream of a service node: incumbents and final outcomes,
+/// written back to whoever submitted each job here, until the pump and
+/// the control thread drop their senders. Peers' jobs have no registered
+/// submitter; both calls are no-ops for them. A job's last result
+/// releases its client's stream — a stream held past that is a socket
+/// held for the life of the node.
+///
+/// A gateway's job goes out to the pool with its first result, not at
+/// submission, so a follower's opening work request meets a gateway past
+/// its first dive and the grant carries a real incumbent. Announced at
+/// submission the follower would race that dive, and how much of the
+/// tree it searched blind would hang on which thread woke first. A job
+/// whose first result is its last was solved before the pool could help.
+fn reply_loop(mesh: &TcpMesh, replies: Receiver<Reply>) {
+    let mut unannounced: HashMap<JobId, AnyInstance> = HashMap::new();
+    for reply in replies.iter() {
+        let r = match reply {
+            Reply::Gateway { job, instance } => {
+                unannounced.insert(job, instance);
+                continue;
+            }
+            Reply::Result(r) => r,
+        };
+        if let Some(instance) = unannounced.remove(&r.job) {
+            if !r.last && !mesh.announce_instance(r.job, &instance) {
+                eprintln!(
+                    "ftbb-noded: job {} instance exceeds the announce frame limit; \
+                     solving on this node alone",
+                    r.job.raw()
+                );
             }
         }
-
-        // Result stream: incumbents and final outcomes back to whoever
-        // submitted each job here. Peers' jobs have no registered
-        // submitter; send_submit_reply is a no-op for them.
-        while let Ok(r) = reply_rx.try_recv() {
-            let frame = encode_result(r.job, r.finished, r.incumbent, r.expanded);
-            mesh.send_submit_reply(r.job, &frame);
-        }
-
-        if stopping {
-            // One final drain already ran above; exit.
-            return;
+        let frame = encode_result(r.job, r.finished, r.incumbent, r.expanded);
+        mesh.send_submit_reply(r.job, &frame);
+        if r.last {
+            mesh.close_submitter(r.job);
         }
     }
 }
@@ -1356,6 +1436,120 @@ mod tests {
             assert!(outcome.terminated);
             assert_eq!(Some(outcome.incumbent), reference.best);
         }
+    }
+
+    #[test]
+    fn a_single_run_node_refuses_submitted_jobs() {
+        // Node 1 is a `--problem wire` peer of a root that has not
+        // announced yet, so it sits in the announce wait — alive, not a
+        // service. A job submitted to it must be refused at once (stream
+        // closed), not parked until the client's own timeout.
+        let root_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let root_addr = root_listener.local_addr().unwrap();
+        let addr = crate::tcp::free_addr();
+        let cfg = NodeConfig {
+            id: 1,
+            listen: addr,
+            peers: vec![(0, root_addr)],
+            problem: ProblemSpec::Wire,
+            preconnect_s: 10.0,
+            deadline_s: 0.5,
+            ..Default::default()
+        };
+        let node = std::thread::spawn(move || run(&cfg).expect("single run"));
+        let (root, _root_inbox) = TcpMesh::from_listener_incarnated_with(
+            0,
+            0,
+            root_listener,
+            &[(1, addr)],
+            crate::tcp::WireConfig::default(),
+        )
+        .unwrap();
+        assert!(root.ready(Duration::from_secs(10)), "node 1 comes up");
+
+        let tiny = AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(6, 12, 9));
+        let err = crate::submit::submit_job(addr, JobId::from(5), &tiny, Duration::from_secs(5))
+            .expect_err("a single-run node admits no jobs");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            err.to_string()
+                .contains("gateway closed the stream before job 5 finished"),
+            "{err}"
+        );
+
+        // Release the node: the announce it was waiting for. Its root
+        // never speaks the protocol, so it runs out its short deadline.
+        assert!(root.announce_instance(JobId::DEFAULT, &tiny));
+        let report = node.join().expect("node thread");
+        assert_eq!(report.outcome.jobs.len(), 1);
+        assert_eq!(report.outcome.jobs[0].job, JobId::DEFAULT);
+    }
+
+    #[test]
+    fn a_gateway_announces_a_job_with_its_first_result_not_before() {
+        // Node 0's reply thread over a live mesh; node 1 is a bare mesh
+        // that shows what the pool hears, and when.
+        let mesh = |id: u32, listener: TcpListener, peer: (u32, SocketAddr)| {
+            let cfg = crate::tcp::WireConfig::default();
+            TcpMesh::from_listener_incarnated_with(id, 0, listener, &[peer], cfg).unwrap()
+        };
+        let (listener_0, listener_1) = (
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+        );
+        let addrs = (
+            listener_0.local_addr().unwrap(),
+            listener_1.local_addr().unwrap(),
+        );
+        let (gateway, _inbox_0) = mesh(0, listener_0, (1, addrs.1));
+        let (peer, _inbox_1) = mesh(1, listener_1, (0, addrs.0));
+        assert!(gateway.ready(Duration::from_secs(10)));
+
+        let tiny = AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(6, 12, 9));
+        let result = |job: u64, last: bool| {
+            Reply::Result(SubmitReply {
+                job: JobId::from(job),
+                finished: last,
+                incumbent: 3.0,
+                expanded: 0,
+                last,
+            })
+        };
+        let owed = |job: u64| Reply::Gateway {
+            job: JobId::from(job),
+            instance: tiny.clone(),
+        };
+        let quiet = Duration::from_millis(100);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        std::thread::scope(|scope| {
+            scope.spawn(|| reply_loop(&gateway, rx));
+
+            // Submitted and admitted, no result yet: the pool hears nothing.
+            assert!(tx.send(owed(7)).is_ok());
+            assert!(peer.recv_control(quiet).is_none(), "announced too early");
+
+            // The first incumbent takes the announce along — once.
+            assert!(tx.send(result(7, false)).is_ok());
+            match peer.recv_control(Duration::from_secs(5)) {
+                Some(Control::Announce {
+                    from,
+                    job,
+                    instance,
+                }) => {
+                    assert_eq!((from, job), (0, JobId::from(7)));
+                    assert_eq!(instance, tiny);
+                }
+                other => panic!("expected job 7's announce, got {other:?}"),
+            }
+            assert!(tx.send(result(7, false)).is_ok());
+            assert!(tx.send(result(7, true)).is_ok());
+
+            // Solved before any incumbent streamed out: never announced.
+            assert!(tx.send(owed(8)).is_ok());
+            assert!(tx.send(result(8, true)).is_ok());
+            assert!(peer.recv_control(quiet).is_none(), "nothing left to share");
+            drop(tx);
+        });
     }
 
     fn single_run_cfg() -> NodeConfig {

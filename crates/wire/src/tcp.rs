@@ -21,32 +21,22 @@
 //! correct for first lives.
 //!
 //! Failure semantics are the paper's Crash model on real infrastructure,
-//! with one deliberate refinement at startup:
+//! at startup exactly as in steady state:
 //!
-//! * **Pre-establishment** ([`TcpMesh::connect_all`], surfaced as
-//!   [`Transport::ready`]): writer threads eagerly dial their peers with
-//!   retry until connected or a deadline. Harnesses run this readiness
-//!   barrier *before* injecting `Start`, so the protocol never opens
-//!   fire on a half-formed mesh and the root's first work grants cannot
-//!   vanish into a listener that is still coming up. A rejoining node
-//!   replays exactly this barrier for itself before sending its rejoin
-//!   frames.
-//! * **Startup retry window**: until a peer has accepted its first
-//!   connection, a frame that cannot be delivered is *retried* instead
-//!   of dropped — held in a small bounded queue while the writer keeps
-//!   dialing. Both budgets are configurable per mesh through
-//!   [`WireConfig`] (`retry_window`, default [`RETRY_WINDOW`] = 1 s;
-//!   `retry_max_frames`, default [`RETRY_MAX_FRAMES`] = 64 frames).
-//!   Frames that outlive the budget are dropped and counted as
-//!   `dropped_startup`; an at-most-once window made explicit and
-//!   bounded rather than pretended free.
-//! * **Steady state is unchanged**: once a peer has connected, a send to
-//!   it while it is down is **silently dropped** (counted as
-//!   `dropped_disconnected` in [`TransportCounters`]) — the protocol
-//!   tolerates lost messages. Writers **reconnect on drop**: the next
-//!   send after a failure attempts a fresh connection (with a short
-//!   backoff so dead peers cost microseconds, not round-trips), and
-//!   successful re-establishment is counted.
+//! * **One startup mechanism, the readiness barrier**
+//!   ([`Transport::ready`]): writer threads eagerly dial their peers with
+//!   retry until connected or a deadline. Harnesses run the barrier
+//!   *before* injecting `Start`, so the protocol never opens fire on a
+//!   half-formed mesh and the root's first work grants cannot vanish into
+//!   a listener that is still coming up. A rejoining node replays exactly
+//!   this barrier for itself before sending its rejoin frames.
+//! * **Delivery is at most once, and every loss is counted**: a send to a
+//!   peer that is not connected gets one dial attempt (paced by a short
+//!   backoff so dead peers cost microseconds, not round-trips) and is
+//!   otherwise **dropped** — counted as `dropped_disconnected` in
+//!   [`TransportCounters`], before and after first contact alike. Nothing
+//!   is parked for later; the protocol tolerates lost messages. Writers
+//!   **reconnect on drop**, and successful re-establishment is counted.
 //! * A reader that sees a corrupt frame drops the connection — a corrupt
 //!   peer is indistinguishable from a dead one.
 //!
@@ -63,18 +53,25 @@
 //! by sending a [`JoinFrame`] to its gossip servers
 //! ([`TcpMesh::send_join`]); gossip then spreads its existence — and,
 //! via the books, its address — epidemically.
+//!
+//! **Control plane**: everything a reader decodes that is not protocol
+//! traffic — problem announces, job submissions, rejoin and join
+//! handshakes — surfaces as one [`Control`] value on one bounded channel
+//! ([`TcpMesh::recv_control`]), after the registry has acted on it. The
+//! inbox never sees these frames. A consumer that falls
+//! `CONTROL_QUEUE_CAP` frames behind loses the overflow (a submission is
+//! refused by closing its stream) rather than stalling the readers.
 
 use crate::codec::{
     encode_announce, encode_frame, encode_join, encode_rejoin, EncodedFrame, FrameDecoder,
     JoinFrame, RejoinFrame, RejoinSummary, WireFrame,
 };
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{JobId, Msg, TransportCounters};
 use ftbb_gossip::MembershipMsg;
 use ftbb_runtime::{Envelope, Transport};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -88,20 +85,18 @@ const PEER_QUEUE_CAP: usize = 4096;
 /// How long a writer waits for a connection attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// After a failed connect in steady state, drop sends for this long
-/// before retrying — keeps send() latency flat while a peer is down.
+/// After a failed connect, drop sends for this long before dialing
+/// again — keeps send() latency flat while a peer is down.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Default time budget of the startup retry window: frames sent before
-/// the peer ever connected are retried for this long, then dropped
-/// (counted as `dropped_startup`). Configurable per mesh through
-/// [`WireConfig::retry_window`].
-pub const RETRY_WINDOW: Duration = Duration::from_secs(1);
+/// Pacing of dial attempts while the readiness barrier waits for a
+/// listener.
+const PRECONNECT_POLL: Duration = Duration::from_millis(10);
 
-/// Default frame budget of the startup retry window: at most this many
-/// frames are held for retry per peer; overflow drops immediately.
-/// Configurable per mesh through [`WireConfig::retry_max_frames`].
-pub const RETRY_MAX_FRAMES: usize = 64;
+/// Bound on control frames ([`Control`]) waiting for
+/// [`TcpMesh::recv_control`]. A consumer this far behind loses the
+/// overflow instead of stalling the readers.
+const CONTROL_QUEUE_CAP: usize = 256;
 
 /// Default cap on frames coalesced into one socket write. Batching is
 /// purely opportunistic — a writer only coalesces frames *already queued*
@@ -121,16 +116,9 @@ pub const BOOK_MAX_ENTRIES: usize = 16;
 /// Transport tuning knobs, applied to every peer writer of a mesh.
 /// Defaults reproduce the historical constants exactly, and `ftbb-noded`
 /// always runs on them (they are not configuration keys); the struct
-/// lets a test substitute a short retry window or a batch cap of 1.
+/// lets a test substitute a batch cap of 1 or a small book.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireConfig {
-    /// Startup retry window: how long frames to a never-yet-connected
-    /// peer are retried before reverting to counted silent drops
-    /// (default [`RETRY_WINDOW`], 1 s).
-    pub retry_window: Duration,
-    /// Per-peer frame budget of that window; overflow drops immediately
-    /// (default [`RETRY_MAX_FRAMES`], 64 frames).
-    pub retry_max_frames: usize,
     /// Most frames one socket write may coalesce (default
     /// [`BATCH_MAX_FRAMES`], 64). `1` disables batching entirely — every
     /// frame pays its own syscall, the pre-batching behavior.
@@ -144,30 +132,50 @@ pub struct WireConfig {
 impl Default for WireConfig {
     fn default() -> Self {
         WireConfig {
-            retry_window: RETRY_WINDOW,
-            retry_max_frames: RETRY_MAX_FRAMES,
             batch_max_frames: BATCH_MAX_FRAMES,
             book_max_entries: BOOK_MAX_ENTRIES,
         }
     }
 }
 
-/// Pacing of dial attempts while the retry window or the
-/// pre-establishment barrier is waiting for a listener.
-const RETRY_POLL: Duration = Duration::from_millis(10);
-
-struct QueuedFrame {
-    wire_size: usize,
-    /// Refcounted: broadcast paths queue clones of one encoding.
-    bytes: Bytes,
-}
-
+/// What a peer's writer thread is asked to do. Frames are queued as
+/// encoded ([`EncodedFrame::bytes`] is refcounted: a broadcast queues
+/// clones of one encoding).
 enum WriterCmd {
-    Frame(QueuedFrame),
+    Frame(EncodedFrame),
     /// Pre-establishment: dial eagerly until connected or `deadline`.
     Preconnect {
         deadline: Instant,
     },
+}
+
+/// One non-protocol frame, surfaced by [`TcpMesh::recv_control`] after
+/// the registry has acted on it (sender admitted, routes re-pointed).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Control {
+    /// A peer announced a problem instance: the `--problem wire`
+    /// handshake of a single run, a job admission in service mode.
+    Announce {
+        /// The announcing node.
+        from: u32,
+        /// The job the instance belongs to.
+        job: JobId,
+        /// The decoded, already-validated instance.
+        instance: AnyInstance,
+    },
+    /// An `ftbb-submit` client handed this node a job. Its stream is
+    /// held for [`TcpMesh::send_submit_reply`] until the consumer
+    /// releases it (after the job's last result, or to refuse the job).
+    Submit {
+        /// The job id the client chose.
+        job: JobId,
+        /// The decoded, already-validated instance.
+        instance: AnyInstance,
+    },
+    /// A peer came back under a new incarnation (already re-registered).
+    Rejoin(RejoinFrame),
+    /// A brand-new node introduced itself (already registered).
+    Join(JoinFrame),
 }
 
 struct Peer {
@@ -183,7 +191,7 @@ impl Peer {
     /// Hand a frame to the writer thread. The depth reservation is
     /// released here if the writer is gone (its queue disconnected) —
     /// otherwise the writer settles it once the frame's fate is known.
-    fn enqueue(&self, frame: QueuedFrame, counters: &TransportCounters) {
+    fn enqueue(&self, frame: EncodedFrame, counters: &TransportCounters) {
         self.depth.fetch_add(1, Ordering::AcqRel);
         if self.queue_tx.try_send(WriterCmd::Frame(frame)).is_err() {
             // Undo the reservation: nobody will ever settle this frame,
@@ -207,8 +215,9 @@ struct BookCache {
     cursor: usize,
 }
 
-/// The routing state readers and the mesh share: the dynamic peer map,
-/// the inbound incarnation filter, and the counters.
+/// The state readers and the mesh share: the dynamic peer map, the
+/// inbound incarnation filter, the control plane's sending end with the
+/// submitters' streams, and the counters.
 struct Registry {
     me: u32,
     my_incarnation: u32,
@@ -222,7 +231,16 @@ struct Registry {
     /// (the rebuild reads the peer map); invalidators must not hold
     /// `peers` when they take `book`.
     book: Mutex<BookCache>,
+    /// Where readers surface non-protocol frames; `None` is
+    /// [`TcpMesh::close_control`]'s wake-up.
+    control: Sender<Option<Control>>,
+    /// Per-job back-channel to the submitting client, for
+    /// [`TcpMesh::send_submit_reply`].
+    submitters: Mutex<HashMap<JobId, TcpStream>>,
     counters: Arc<TransportCounters>,
+    /// Set when the owning [`TcpMesh`] drops; the acceptor and the readers
+    /// exit on it.
+    shutdown: AtomicBool,
 }
 
 impl Registry {
@@ -354,6 +372,33 @@ impl Registry {
         }
     }
 
+    /// Surface one control frame to [`TcpMesh::recv_control`]. A full
+    /// queue (or a mesh that is gone — its readers exit on the shutdown
+    /// flag) loses the frame, which, for a submission, refuses the job:
+    /// its stream closes.
+    fn surface(&self, control: Control) {
+        if let Err(TrySendError::Full(lost) | TrySendError::Disconnected(lost)) =
+            self.control.try_send(Some(control))
+        {
+            if let Some(Control::Submit { job, .. }) = lost {
+                self.close_submitter(job);
+            }
+        }
+    }
+
+    /// Drop `job`'s submitter stream, closing the connection both ways
+    /// (the reader that accepted it sees EOF and exits).
+    fn close_submitter(&self, job: JobId) {
+        let stream = self
+            .submitters
+            .lock()
+            .expect("submitter map poisoned")
+            .remove(&job);
+        if let Some(stream) = stream {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
     /// Admit (or reject) an inbound frame from `from` at `incarnation`,
     /// advancing the per-sender high-water mark.
     fn admit_sender(&self, from: u32, incarnation: u32) -> bool {
@@ -379,76 +424,22 @@ impl Registry {
 pub struct TcpMesh {
     registry: Arc<Registry>,
     inbox_tx: Sender<Envelope>,
-    /// Problem-announce frames land here instead of the inbox: they are
-    /// a pre-`Start` handshake (in service mode: a job admission), not
-    /// protocol traffic.
-    announce_rx: Receiver<(u32, JobId, AnyInstance)>,
-    /// Job submissions from `ftbb-submit` clients (service mode); the
-    /// reader has already registered the submitter's stream in
-    /// `submitters` by the time a submission surfaces here.
-    submit_rx: Receiver<(JobId, AnyInstance)>,
-    /// Per-job back-channel to the submitting client, for
-    /// [`TcpMesh::send_submit_reply`].
-    submitters: Arc<Mutex<HashMap<JobId, TcpStream>>>,
-    /// Rejoin frames, after the registry has acted on them — for logging
-    /// and tests; draining is optional.
-    rejoin_rx: Receiver<RejoinFrame>,
-    /// Join frames, after the registry has acted on them — for logging
-    /// and tests; draining is optional.
-    join_rx: Receiver<JoinFrame>,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    /// The control plane's receiving end; readers hold the senders (in
+    /// the registry). `None` is [`TcpMesh::close_control`]'s wake-up.
+    control_rx: Receiver<Option<Control>>,
 }
 
 impl TcpMesh {
-    /// Bind `listen` and start routing as incarnation 0. `peers` lists
-    /// every *other* node's `(id, address)`; the returned receiver is
-    /// this node's inbox (messages from peers and from self-sends).
-    pub fn bind(
-        me: u32,
-        listen: SocketAddr,
-        peers: &[(u32, SocketAddr)],
-    ) -> std::io::Result<(TcpMesh, Receiver<Envelope>)> {
-        let listener = TcpListener::bind(listen)?;
-        TcpMesh::from_listener(me, listener, peers)
-    }
-
-    /// Build the mesh around an already-bound listener, as incarnation 0.
-    /// This is the two-phase entry point `ftbb-noded` uses: bind first
-    /// (resolving `:0` to a real port), announce the address, learn the
-    /// peer map, *then* start routing.
-    pub fn from_listener(
-        me: u32,
-        listener: TcpListener,
-        peers: &[(u32, SocketAddr)],
-    ) -> std::io::Result<(TcpMesh, Receiver<Envelope>)> {
-        TcpMesh::from_listener_incarnated(me, 0, listener, peers)
-    }
-
     /// Build the mesh around an already-bound listener as a specific
-    /// incarnation of its node — the entry point for restarted daemons
-    /// (`--resume` bumps the checkpointed incarnation by one). Uses the
-    /// default [`WireConfig`]; see
-    /// [`TcpMesh::from_listener_incarnated_with`] for tuned transports.
-    pub fn from_listener_incarnated(
-        me: u32,
-        incarnation: u32,
-        listener: TcpListener,
-        peers: &[(u32, SocketAddr)],
-    ) -> std::io::Result<(TcpMesh, Receiver<Envelope>)> {
-        TcpMesh::from_listener_incarnated_with(
-            me,
-            incarnation,
-            listener,
-            peers,
-            WireConfig::default(),
-        )
-    }
-
-    /// [`TcpMesh::from_listener_incarnated`] with explicit transport
-    /// tuning ([`WireConfig`]): the startup retry window and its frame
-    /// budget apply to every writer this mesh ever spawns, including
-    /// peers registered later (rejoin, join, gossip discovery).
+    /// incarnation of its node (`--resume` bumps the checkpointed
+    /// incarnation by one; a first life is 0). This is the two-phase
+    /// entry point `ftbb-noded` uses: bind first (resolving `:0` to a
+    /// real port), announce the address, learn the peer map, *then* start
+    /// routing. `peers` lists every *other* node's `(id, address)`; the
+    /// returned receiver is this node's inbox (messages from peers and
+    /// from self-sends). `cfg` applies to every writer this mesh ever
+    /// spawns, including peers registered later (rejoin, join, gossip
+    /// discovery).
     pub fn from_listener_incarnated_with(
         me: u32,
         incarnation: u32,
@@ -457,14 +448,8 @@ impl TcpMesh {
         cfg: WireConfig,
     ) -> std::io::Result<(TcpMesh, Receiver<Envelope>)> {
         let local_addr = listener.local_addr()?;
-        let counters = Arc::new(TransportCounters::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
         let (inbox_tx, inbox_rx) = unbounded();
-        let (announce_tx, announce_rx) = unbounded();
-        let (rejoin_tx, rejoin_rx) = unbounded();
-        let (join_tx, join_rx) = unbounded();
-        let (submit_tx, submit_rx) = unbounded();
-        let submitters = Arc::new(Mutex::new(HashMap::new()));
+        let (control_tx, control_rx) = bounded(CONTROL_QUEUE_CAP);
 
         let registry = Arc::new(Registry {
             me,
@@ -478,37 +463,22 @@ impl TcpMesh {
                 dirty: true,
                 cursor: 0,
             }),
-            counters,
+            control: control_tx,
+            submitters: Mutex::new(HashMap::new()),
+            counters: Arc::new(TransportCounters::default()),
+            shutdown: AtomicBool::new(false),
         });
         for &(id, addr) in peers {
             registry.register(id, addr, 0);
         }
 
-        spawn_acceptor(
-            listener,
-            Arc::clone(&registry),
-            ReaderSinks {
-                inbox: inbox_tx.clone(),
-                announce: announce_tx,
-                rejoin: rejoin_tx,
-                join: join_tx,
-                submit: submit_tx,
-                submitters: Arc::clone(&submitters),
-            },
-            Arc::clone(&shutdown),
-        );
+        spawn_acceptor(listener, Arc::clone(&registry), inbox_tx.clone());
 
         Ok((
             TcpMesh {
                 registry,
                 inbox_tx,
-                announce_rx,
-                submit_rx,
-                submitters,
-                rejoin_rx,
-                join_rx,
-                local_addr,
-                shutdown,
+                control_rx,
             },
             inbox_rx,
         ))
@@ -522,6 +492,25 @@ impl TcpMesh {
         self.registry.register(id, addr, incarnation);
     }
 
+    /// Queue one pre-encoded handshake frame toward every registered
+    /// peer, under the rules [`Transport::send`] applies to one: a peer
+    /// whose queue is at `PEER_QUEUE_CAP`, or a frame receivers would
+    /// reject as oversize, is a counted `dropped_full`. Returns how many
+    /// peers the frame was queued for.
+    fn broadcast(&self, frame: &EncodedFrame) -> usize {
+        let registry = &self.registry;
+        let mut queued = 0;
+        for peer in registry.peers.read().expect("peer map poisoned").values() {
+            if frame.exceeds_limit() || peer.depth.load(Ordering::Acquire) >= PEER_QUEUE_CAP {
+                registry.counters.record_dropped_full();
+                continue;
+            }
+            peer.enqueue(frame.clone(), &registry.counters);
+            queued += 1;
+        }
+        queued
+    }
+
     /// Ship this node's materialized workload to every peer as a
     /// problem-announce frame (the `--problem wire` handshake). Returns
     /// `false` (sending nothing) when the encoded instance exceeds
@@ -531,48 +520,47 @@ impl TcpMesh {
     pub fn announce_instance(&self, job: JobId, instance: &AnyInstance) -> bool {
         let registry = &self.registry;
         let frame = encode_announce(registry.me, registry.my_incarnation, job, instance);
-        let peers = registry.peers.read().expect("peer map poisoned");
-        if frame.exceeds_limit() {
-            for _ in 0..peers.len() {
-                registry.counters.record_dropped_full();
-            }
-            return false;
-        }
-        for peer in peers.values() {
+        for _ in 0..self.broadcast(&frame) {
             registry.counters.record_announce_sent();
-            peer.enqueue(
-                QueuedFrame {
-                    wire_size: frame.wire_size,
-                    bytes: frame.bytes.clone(),
-                },
-                &registry.counters,
-            );
         }
-        true
+        !frame.exceeds_limit()
     }
 
-    /// Wait (up to `timeout`) for a peer's problem announce. Returns the
-    /// announcing node's id, the job the instance belongs to, and the
-    /// decoded, already-validated instance.
-    pub fn recv_announce(&self, timeout: Duration) -> Option<(u32, JobId, AnyInstance)> {
-        self.announce_rx.recv_timeout(timeout).ok()
+    /// Wait (up to `timeout`) for the next control frame — a peer's
+    /// problem announce, a client's job submission, a rejoin or a join.
+    /// The registry has already acted on it by the time it surfaces here
+    /// (sender admitted, writer re-pointed, submitter's stream held for
+    /// [`TcpMesh::send_submit_reply`]). `None` on timeout.
+    pub fn recv_control(&self, timeout: Duration) -> Option<Control> {
+        self.control_rx.recv_timeout(timeout).ok().flatten()
     }
 
-    /// Wait (up to `timeout`) for a job submission from an `ftbb-submit`
-    /// client. By the time a submission surfaces here, the reader has
-    /// registered the client's stream so [`TcpMesh::send_submit_reply`]
-    /// can stream `JobAccepted` / `JobResult` frames back to it.
-    pub fn recv_submit(&self, timeout: Duration) -> Option<(JobId, AnyInstance)> {
-        self.submit_rx.recv_timeout(timeout).ok()
+    /// Wake the thread blocked in [`TcpMesh::recv_control`]: once it has
+    /// consumed what is queued before this call, it gets `None`. Never
+    /// blocks: the caller is shutting down, so a full queue gives up its
+    /// oldest frames to make room.
+    pub(crate) fn close_control(&self) {
+        while self.registry.control.try_send(None).is_err() {
+            let _ = self.control_rx.try_recv();
+        }
+    }
+
+    /// Control frames waiting for [`TcpMesh::recv_control`].
+    pub(crate) fn control_depth(&self) -> usize {
+        self.control_rx.len()
     }
 
     /// Write an already-encoded frame back to the client that submitted
     /// `job`. Returns `false` when no submitter is registered for the job
-    /// (it never submitted here, or an earlier write failed and evicted
-    /// it); a failed write also evicts the stream so later replies fail
-    /// fast instead of blocking on a dead socket.
+    /// (it never submitted here, or its stream was closed); a failed
+    /// write also closes the stream so later replies fail fast instead
+    /// of blocking on a dead socket.
     pub fn send_submit_reply(&self, job: JobId, frame: &EncodedFrame) -> bool {
-        let mut submitters = self.submitters.lock().expect("submitter map poisoned");
+        let mut submitters = self
+            .registry
+            .submitters
+            .lock()
+            .expect("submitter map poisoned");
         let Some(stream) = submitters.get_mut(&job) else {
             return false;
         };
@@ -583,34 +571,25 @@ impl TcpMesh {
         true
     }
 
+    /// Close the stream to whoever submitted `job` and forget it: after
+    /// the job's last result (a held stream is a held socket), or at once
+    /// to refuse a job this node will not run — the client then reports
+    /// that the gateway closed the stream.
+    pub(crate) fn close_submitter(&self, job: JobId) {
+        self.registry.close_submitter(job);
+    }
+
     /// Announce this node's rejoin to every peer: its id, its new
     /// incarnation, its (possibly new) listen address, and a summary of
     /// the state it resumed from. Receivers re-register the peer and
     /// start tagging traffic for the new life.
     pub fn send_rejoin(&self, summary: RejoinSummary) {
-        let registry = &self.registry;
-        let frame = encode_rejoin(&RejoinFrame {
-            from: registry.me,
-            incarnation: registry.my_incarnation,
-            addr: self.local_addr,
+        self.broadcast(&encode_rejoin(&RejoinFrame {
+            from: self.registry.me,
+            incarnation: self.registry.my_incarnation,
+            addr: self.registry.local_addr,
             summary,
-        });
-        for peer in registry.peers.read().expect("peer map poisoned").values() {
-            peer.enqueue(
-                QueuedFrame {
-                    wire_size: frame.wire_size,
-                    bytes: frame.bytes.clone(),
-                },
-                &registry.counters,
-            );
-        }
-    }
-
-    /// Wait (up to `timeout`) for a peer's rejoin frame. The registry has
-    /// already acted on it (writer re-pointed, incarnations bumped) by
-    /// the time it surfaces here; this is for logging and tests.
-    pub fn recv_rejoin(&self, timeout: Duration) -> Option<RejoinFrame> {
-        self.rejoin_rx.recv_timeout(timeout).ok()
+        }));
     }
 
     /// Introduce this node to every currently-registered peer (for a
@@ -618,98 +597,36 @@ impl TcpMesh {
     /// id, incarnation, and listen address. Receivers register the
     /// sender, opening the reverse route the membership Welcome needs.
     pub fn send_join(&self) {
-        let registry = &self.registry;
-        let frame = encode_join(&JoinFrame {
-            from: registry.me,
-            incarnation: registry.my_incarnation,
-            addr: self.local_addr,
-        });
-        for peer in registry.peers.read().expect("peer map poisoned").values() {
-            peer.enqueue(
-                QueuedFrame {
-                    wire_size: frame.wire_size,
-                    bytes: frame.bytes.clone(),
-                },
-                &registry.counters,
-            );
-        }
-    }
-
-    /// Wait (up to `timeout`) for a newcomer's join frame. The registry
-    /// has already registered the sender by the time it surfaces here;
-    /// this is for logging and tests.
-    pub fn recv_join(&self, timeout: Duration) -> Option<JoinFrame> {
-        self.join_rx.recv_timeout(timeout).ok()
-    }
-
-    /// The actually bound listen address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Pre-establish a connection to every peer, waiting up to `timeout`.
-    /// Writer threads dial with retry (failed attempts are counted as
-    /// `connect_waits`); returns `true` once every peer has accepted a
-    /// connection, `false` if the deadline passed first. Safe to call
-    /// again — already-connected peers are skipped.
-    pub fn connect_all(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        {
-            let peers = self.registry.peers.read().expect("peer map poisoned");
-            for peer in peers.values() {
-                if !peer.connected.load(Ordering::Acquire) {
-                    let _ = peer.queue_tx.try_send(WriterCmd::Preconnect { deadline });
-                }
-            }
-        }
-        loop {
-            {
-                let peers = self.registry.peers.read().expect("peer map poisoned");
-                if peers.values().all(|p| p.connected.load(Ordering::Acquire)) {
-                    return true;
-                }
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.broadcast(&encode_join(&JoinFrame {
+            from: self.registry.me,
+            incarnation: self.registry.my_incarnation,
+            addr: self.registry.local_addr,
+        }));
     }
 
     /// Wait (up to `timeout`) for every peer queue to flush to the
     /// sockets, so [`Transport::stats`] reflects all completed sends.
-    /// Frames parked in a startup retry window count as unflushed until
-    /// they are delivered or their budget expires. Returns `true` if
-    /// fully drained.
+    /// Returns `true` if fully drained.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        self.await_peers(Instant::now() + timeout, |p| {
+            p.depth.load(Ordering::Acquire) == 0
+        })
+    }
+
+    /// Poll until `done` holds for every registered peer (`true`) or
+    /// `deadline` passes (`false`).
+    fn await_peers(&self, deadline: Instant, done: impl Fn(&Peer) -> bool) -> bool {
         loop {
-            let pending: usize = self
-                .registry
-                .peers
-                .read()
-                .expect("peer map poisoned")
-                .values()
-                .map(|p| p.depth.load(Ordering::Acquire))
-                .sum();
-            if pending == 0 {
+            let peers = self.registry.peers.read().expect("peer map poisoned");
+            if peers.values().all(&done) {
                 return true;
             }
+            drop(peers);
             if Instant::now() >= deadline {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-    }
-
-    /// This node's id.
-    pub fn id(&self) -> u32 {
-        self.registry.me
-    }
-
-    /// Which life of the node this mesh belongs to.
-    pub fn incarnation(&self) -> u32 {
-        self.registry.my_incarnation
     }
 }
 
@@ -778,17 +695,29 @@ impl Transport for TcpMesh {
         }
         // Success/drop is recorded by the writer thread once the frame
         // actually reaches (or fails to reach) the socket.
-        peer.enqueue(
-            QueuedFrame {
-                wire_size: frame.wire_size,
-                bytes: frame.bytes,
-            },
-            &registry.counters,
-        );
+        peer.enqueue(frame, &registry.counters);
     }
 
+    /// The readiness barrier: pre-establish a connection to every peer,
+    /// waiting up to `timeout`. Writer threads dial with retry (failed
+    /// attempts are counted as `connect_waits`); returns `true` once
+    /// every peer has accepted a connection, `false` if the deadline
+    /// passed first. Safe to call again — already-connected peers are
+    /// skipped.
     fn ready(&self, timeout: Duration) -> bool {
-        self.connect_all(timeout)
+        let deadline = Instant::now() + timeout;
+        for peer in self
+            .registry
+            .peers
+            .read()
+            .expect("peer map poisoned")
+            .values()
+        {
+            if !peer.connected.load(Ordering::Acquire) {
+                let _ = peer.queue_tx.try_send(WriterCmd::Preconnect { deadline });
+            }
+        }
+        self.await_peers(deadline, |p| p.connected.load(Ordering::Acquire))
     }
 
     fn endpoints(&self) -> usize {
@@ -802,45 +731,23 @@ impl Transport for TcpMesh {
 
 impl Drop for TcpMesh {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.registry.shutdown.store(true, Ordering::Release);
         // Wake the acceptor so it observes the flag and exits.
-        let _ = TcpStream::connect_timeout(&self.local_addr, CONNECT_TIMEOUT);
+        let _ = TcpStream::connect_timeout(&self.registry.local_addr, CONNECT_TIMEOUT);
         // Writer threads exit once their queue senders drop — with the
         // peer map, when the last reader releases the registry.
     }
 }
 
-/// The channels a reader routes decoded frames into, bundled so the
-/// acceptor can clone them per connection.
-#[derive(Clone)]
-struct ReaderSinks {
-    inbox: Sender<Envelope>,
-    announce: Sender<(u32, JobId, AnyInstance)>,
-    rejoin: Sender<RejoinFrame>,
-    join: Sender<JoinFrame>,
-    submit: Sender<(JobId, AnyInstance)>,
-    submitters: Arc<Mutex<HashMap<JobId, TcpStream>>>,
-}
-
-fn spawn_acceptor(
-    listener: TcpListener,
-    registry: Arc<Registry>,
-    sinks: ReaderSinks,
-    shutdown: Arc<AtomicBool>,
-) {
+fn spawn_acceptor(listener: TcpListener, registry: Arc<Registry>, inbox: Sender<Envelope>) {
     std::thread::spawn(move || {
-        while !shutdown.load(Ordering::Acquire) {
+        while !registry.shutdown.load(Ordering::Acquire) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if shutdown.load(Ordering::Acquire) {
+                    if registry.shutdown.load(Ordering::Acquire) {
                         break;
                     }
-                    spawn_reader(
-                        stream,
-                        Arc::clone(&registry),
-                        sinks.clone(),
-                        Arc::clone(&shutdown),
-                    );
+                    spawn_reader(stream, Arc::clone(&registry), inbox.clone());
                 }
                 Err(_) => {
                     // Transient accept failures (e.g. ECONNABORTED when a
@@ -854,12 +761,7 @@ fn spawn_acceptor(
     });
 }
 
-fn spawn_reader(
-    stream: TcpStream,
-    registry: Arc<Registry>,
-    sinks: ReaderSinks,
-    shutdown: Arc<AtomicBool>,
-) {
+fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Envelope>) {
     std::thread::spawn(move || {
         let mut stream = stream;
         // Periodic read timeouts let the reader notice shutdown even on
@@ -868,7 +770,7 @@ fn spawn_reader(
         let mut decoder = FrameDecoder::new();
         let mut buf = [0u8; 16 * 1024];
         loop {
-            if shutdown.load(Ordering::Acquire) {
+            if registry.shutdown.load(Ordering::Acquire) {
                 return;
             }
             match stream.read(&mut buf) {
@@ -917,7 +819,7 @@ fn spawn_reader(
                                     registry.counters.record_dropped_stale();
                                     continue;
                                 }
-                                if sinks.inbox.try_send(env).is_err() {
+                                if inbox.try_send(env).is_err() {
                                     return; // local node gone
                                 }
                             }
@@ -933,9 +835,11 @@ fn spawn_reader(
                                 }
                                 registry.note_sender_life(from, incarnation);
                                 registry.counters.record_announce_recv();
-                                if sinks.announce.try_send((from, job, instance)).is_err() {
-                                    return; // local node gone
-                                }
+                                registry.surface(Control::Announce {
+                                    from,
+                                    job,
+                                    instance,
+                                });
                             }
                             Ok(Some(WireFrame::SubmitJob { job, instance })) => {
                                 // A submit client is not a pool member: no
@@ -943,15 +847,13 @@ fn spawn_reader(
                                 // its stream so accepted/result frames can
                                 // travel back on the same connection.
                                 if let Ok(back) = stream.try_clone() {
-                                    sinks
+                                    registry
                                         .submitters
                                         .lock()
                                         .expect("submitter map poisoned")
                                         .insert(job, back);
                                 }
-                                if sinks.submit.try_send((job, instance)).is_err() {
-                                    return; // local node gone
-                                }
+                                registry.surface(Control::Submit { job, instance });
                             }
                             Ok(Some(WireFrame::JobAccepted { .. }))
                             | Ok(Some(WireFrame::JobResult { .. })) => {
@@ -966,9 +868,7 @@ fn spawn_reader(
                                 }
                                 registry.counters.record_rejoin();
                                 registry.register(frame.from, frame.addr, frame.incarnation);
-                                // Best-effort surface for logging/tests; a
-                                // full channel is not a routing failure.
-                                let _ = sinks.rejoin.try_send(frame);
+                                registry.surface(Control::Rejoin(frame));
                             }
                             Ok(Some(WireFrame::Join(frame))) => {
                                 if !registry.admit_sender(frame.from, frame.incarnation) {
@@ -980,7 +880,7 @@ fn spawn_reader(
                                 // address (it announces itself), unlike a
                                 // relayed book entry.
                                 registry.register(frame.from, frame.addr, frame.incarnation);
-                                let _ = sinks.join.try_send(frame);
+                                registry.surface(Control::Join(frame));
                             }
                             Ok(None) => break,
                             Err(_) => {
@@ -1004,7 +904,9 @@ fn spawn_reader(
 }
 
 /// Build one peer entry: its queue, its shared flags, and its writer
-/// thread.
+/// thread. The thread exits when the owning [`TcpMesh`] drops (queue
+/// disconnects) or the peer is re-registered at a new address (its entry
+/// — and queue sender — is replaced).
 fn spawn_peer(
     addr: SocketAddr,
     incarnation: u32,
@@ -1014,14 +916,18 @@ fn spawn_peer(
     let (queue_tx, queue_rx) = unbounded();
     let depth = Arc::new(AtomicUsize::new(0));
     let connected = Arc::new(AtomicBool::new(false));
-    spawn_writer(
+    let writer = Writer {
         addr,
-        queue_rx,
-        Arc::clone(&depth),
-        Arc::clone(&connected),
-        counters,
         cfg,
-    );
+        depth: Arc::clone(&depth),
+        connected: Arc::clone(&connected),
+        counters,
+        conn: None,
+        had_connection: false,
+        last_attempt: None,
+        batch_buf: Vec::new(),
+    };
+    std::thread::spawn(move || writer.run(queue_rx));
     Peer {
         addr,
         incarnation: Arc::new(AtomicU32::new(incarnation)),
@@ -1031,8 +937,8 @@ fn spawn_peer(
     }
 }
 
-/// One peer's writer: owns the outgoing connection, the startup retry
-/// window, and the settlement of every queued frame's depth reservation.
+/// One peer's writer: owns the outgoing connection and the settlement of
+/// every queued frame's depth reservation.
 struct Writer {
     addr: SocketAddr,
     cfg: WireConfig,
@@ -1042,28 +948,13 @@ struct Writer {
     conn: Option<TcpStream>,
     had_connection: bool,
     last_attempt: Option<Instant>,
-    /// Startup retry window deadline, opened by the first failed send.
-    /// The window is open while this is unset-or-future AND the peer has
-    /// never connected; it closes for good on first connection or expiry.
-    window_until: Option<Instant>,
-    retry: VecDeque<QueuedFrame>,
     /// Reused coalescing buffer: multi-frame batches are gathered here
     /// and flushed with one `write_all`.
     batch_buf: Vec<u8>,
 }
 
 impl Writer {
-    /// Release one frame's depth reservation — its fate is settled.
-    fn settle(&self) {
-        self.depth.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Is the startup retry window still open?
-    fn window_open(&self) -> bool {
-        !self.had_connection && self.window_until.is_none_or(|until| Instant::now() < until)
-    }
-
-    /// One dial attempt. On success the startup window closes forever.
+    /// One dial attempt.
     fn dial(&mut self) -> bool {
         self.last_attempt = Some(Instant::now());
         match TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) {
@@ -1086,7 +977,7 @@ impl Writer {
     /// (the whole batch is lost — caller attributes it). A single-frame
     /// batch writes straight from the frame, skipping the coalescing
     /// copy.
-    fn write_batch(&mut self, frames: &[QueuedFrame]) -> bool {
+    fn write_batch(&mut self, frames: &[EncodedFrame]) -> bool {
         debug_assert!(!frames.is_empty(), "write_batch requires frames");
         let stream = self.conn.as_mut().expect("write_batch requires a conn");
         let result = if frames.len() == 1 {
@@ -1127,181 +1018,38 @@ impl Writer {
                 return;
             }
             self.counters.record_connect_wait();
-            std::thread::sleep(RETRY_POLL.min(remaining));
+            std::thread::sleep(PRECONNECT_POLL.min(remaining));
         }
     }
 
-    /// Service the retry queue: dial if needed (paced), flush what the
-    /// connection will take, and expire the whole queue as
-    /// `dropped_startup` once the window has shut without a connection.
-    fn pump(&mut self) {
-        if self.retry.is_empty() {
-            return;
-        }
-        if self.conn.is_none() && self.window_open() {
-            let may_dial = self.last_attempt.is_none_or(|t| t.elapsed() >= RETRY_POLL);
-            if may_dial && !self.dial() {
-                self.counters.record_connect_wait();
-            }
-        }
-        if self.conn.is_some() {
-            // Drain in coalesced writes instead of one syscall per frame;
-            // the batch cap bounds each flush, not the drain.
-            while !self.retry.is_empty() && self.conn.is_some() {
-                let n = self.retry.len().min(self.cfg.batch_max_frames.max(1));
-                let batch: Vec<QueuedFrame> = self.retry.drain(..n).collect();
-                if self.write_batch(&batch) {
-                    for _ in 0..n {
-                        self.settle();
-                    }
-                } else {
-                    // The connection died mid-flush: the batch is lost
-                    // under steady-state semantics (the window closed the
-                    // moment the dial succeeded).
-                    for _ in 0..n {
-                        self.counters.record_dropped_disconnected();
-                        self.settle();
-                    }
-                }
-            }
-        }
-        if self.conn.is_none() && !self.retry.is_empty() {
-            if self.had_connection {
-                // The connection came up and died with frames still
-                // parked: they are steady-state losses now — frames are
-                // never replayed across connections (at-most-once), and
-                // leaving them parked would leak their depth
-                // reservations and wedge this writer for good.
-                while self.retry.pop_front().is_some() {
-                    self.counters.record_dropped_disconnected();
-                    self.settle();
-                }
-            } else if !self.window_open() {
-                // Budget spent without the peer ever showing up: the
-                // frames revert to the Crash model's silent counted drop.
-                while self.retry.pop_front().is_some() {
-                    self.counters.record_dropped_startup();
-                    self.settle();
-                }
-            }
-        }
-    }
-
-    /// Park a frame in the retry queue if the budget allows, else drop
-    /// it with the attribution the current phase calls for.
-    fn admit_or_drop(&mut self, frame: QueuedFrame) {
-        if self.window_until.is_none() {
-            self.window_until = Some(Instant::now() + self.cfg.retry_window);
-        }
-        if self.window_open() && self.retry.len() < self.cfg.retry_max_frames {
-            self.counters.record_retried();
-            self.retry.push_back(frame); // depth stays reserved
-        } else if !self.had_connection {
-            self.counters.record_dropped_startup();
-            self.settle();
-        } else {
-            self.counters.record_dropped_disconnected();
-            self.settle();
-        }
-    }
-
-    /// Deliver (or dispose of) a freshly dequeued batch of frames — one
-    /// coalesced write when connected, per-frame attribution otherwise.
-    fn on_frames(&mut self, mut frames: Vec<QueuedFrame>) {
+    /// Deliver a freshly dequeued batch of frames in one coalesced write,
+    /// or count every one of them dropped, and release their depth
+    /// reservations either way. A frame is written at most once: without
+    /// a connection the batch gets one backed-off dial, and a batch whose
+    /// write fails is lost (the Crash model's lost datagrams) — the next
+    /// send dials afresh.
+    fn on_frames(&mut self, frames: &[EncodedFrame]) {
         debug_assert!(!frames.is_empty(), "on_frames requires frames");
-        // Older parked frames go first — never reorder past the queue.
-        self.pump();
-        if self.conn.is_none() {
-            if !self.retry.is_empty() {
-                // Still blocked behind the retry queue.
-                for frame in frames.drain(..) {
-                    self.admit_or_drop(frame);
-                }
-                return;
-            }
-            if self.window_open() {
-                // Startup: dial now (paced) and park the batch on failure.
-                let may_dial = self.last_attempt.is_none_or(|t| t.elapsed() >= RETRY_POLL);
-                if !(may_dial && self.dial()) {
-                    if may_dial {
-                        self.counters.record_connect_wait();
-                    }
-                    for frame in frames.drain(..) {
-                        self.admit_or_drop(frame);
-                    }
-                    return;
-                }
-            } else {
-                // Steady state: one backed-off attempt, else counted drops.
-                let backing_off = self
-                    .last_attempt
-                    .is_some_and(|t| t.elapsed() < RECONNECT_BACKOFF);
-                if backing_off || !self.dial() {
-                    for _ in frames.drain(..) {
-                        self.counters.record_dropped_disconnected();
-                        self.settle();
-                    }
-                    return;
-                }
-            }
-        }
-        if !self.write_batch(&frames) {
-            // Connection dropped mid-run: the batch is lost (the Crash
-            // model's lost datagrams); the next send retries a fresh
-            // connection.
-            for _ in 0..frames.len() {
+        let backing_off = self
+            .last_attempt
+            .is_some_and(|t| t.elapsed() < RECONNECT_BACKOFF);
+        let connected = self.conn.is_some() || (!backing_off && self.dial());
+        let delivered = connected && self.write_batch(frames);
+        for _ in frames {
+            if !delivered {
                 self.counters.record_dropped_disconnected();
             }
-        }
-        for _ in 0..frames.len() {
-            self.settle();
+            self.depth.fetch_sub(1, Ordering::AcqRel);
         }
     }
-}
 
-fn spawn_writer(
-    addr: SocketAddr,
-    queue: Receiver<WriterCmd>,
-    depth: Arc<AtomicUsize>,
-    connected: Arc<AtomicBool>,
-    counters: Arc<TransportCounters>,
-    cfg: WireConfig,
-) {
-    std::thread::spawn(move || {
-        let mut w = Writer {
-            addr,
-            cfg,
-            depth,
-            connected,
-            counters,
-            conn: None,
-            had_connection: false,
-            last_attempt: None,
-            window_until: None,
-            retry: VecDeque::new(),
-            batch_buf: Vec::new(),
-        };
-        // Exits when the owning TcpMesh drops (queue disconnects) or the
-        // peer is re-registered at a new address (its entry — and queue
-        // sender — is replaced). The depth counter is decremented only
-        // after a frame's fate is settled (written or dropped), so
-        // `drain` can await the flush.
-        loop {
-            let cmd = if w.retry.is_empty() {
-                match queue.recv() {
-                    Ok(cmd) => Some(cmd),
-                    Err(_) => break,
-                }
-            } else {
-                // Wake regularly to pump the retry queue.
-                match queue.recv_timeout(RETRY_POLL) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            };
+    /// Serve the queue until it disconnects. The depth counter is
+    /// decremented only after a frame's fate is settled (written or
+    /// dropped), so `drain` can await the flush.
+    fn run(mut self, queue: Receiver<WriterCmd>) {
+        while let Ok(cmd) = queue.recv() {
             match cmd {
-                Some(WriterCmd::Frame(first)) => {
+                WriterCmd::Frame(first) => {
                     // Opportunistic coalescing: greedily take whatever is
                     // *already* queued behind the first frame (up to the
                     // batch cap) and flush it all in one write. Never
@@ -1309,7 +1057,7 @@ fn spawn_writer(
                     // immediately — the max-delay bound is zero.
                     let mut batch = vec![first];
                     let mut deferred_preconnect = None;
-                    while batch.len() < w.cfg.batch_max_frames.max(1) {
+                    while batch.len() < self.cfg.batch_max_frames.max(1) {
                         match queue.try_recv() {
                             Ok(WriterCmd::Frame(frame)) => batch.push(frame),
                             Ok(WriterCmd::Preconnect { deadline }) => {
@@ -1321,21 +1069,15 @@ fn spawn_writer(
                             Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
                         }
                     }
-                    w.on_frames(batch);
+                    self.on_frames(&batch);
                     if let Some(deadline) = deferred_preconnect {
-                        w.preconnect(deadline);
+                        self.preconnect(deadline);
                     }
                 }
-                Some(WriterCmd::Preconnect { deadline }) => w.preconnect(deadline),
-                None => w.pump(),
+                WriterCmd::Preconnect { deadline } => self.preconnect(deadline),
             }
         }
-        // Mesh gone: settle whatever the retry window still holds.
-        while w.retry.pop_front().is_some() {
-            w.counters.record_dropped_startup();
-            w.settle();
-        }
-    });
+    }
 }
 
 /// A loopback address that was free a moment ago (bound, read back,
@@ -1358,17 +1100,32 @@ mod tests {
         }
     }
 
-    /// Rebind an address a just-dropped mesh used: its acceptor thread
-    /// may hold the listener for a few more scheduler slices.
-    fn bind_retry(addr: SocketAddr) -> TcpListener {
+    /// A mesh on the default [`WireConfig`], listening on `listen` as
+    /// `incarnation` of node `me`. Binding retries for a while: the
+    /// acceptor thread of a just-dropped mesh on the same address may
+    /// hold the listener for a few more scheduler slices.
+    fn mesh_at(
+        me: u32,
+        incarnation: u32,
+        listen: SocketAddr,
+        peers: &[(u32, SocketAddr)],
+    ) -> (TcpMesh, Receiver<Envelope>) {
         let end = Instant::now() + Duration::from_secs(5);
-        loop {
-            match TcpListener::bind(addr) {
-                Ok(l) => return l,
+        let listener = loop {
+            match TcpListener::bind(listen) {
+                Ok(l) => break l,
                 Err(_) if Instant::now() < end => std::thread::sleep(Duration::from_millis(10)),
-                Err(e) => panic!("cannot rebind {addr}: {e}"),
+                Err(e) => panic!("cannot bind {listen}: {e}"),
             }
-        }
+        };
+        TcpMesh::from_listener_incarnated_with(
+            me,
+            incarnation,
+            listener,
+            peers,
+            WireConfig::default(),
+        )
+        .expect("mesh starts")
     }
 
     #[test]
@@ -1391,18 +1148,16 @@ mod tests {
             conn: None,
             had_connection: false,
             last_attempt: None,
-            window_until: None,
-            retry: VecDeque::new(),
             batch_buf: Vec::new(),
         };
-        let frames: Vec<QueuedFrame> = (0..10u8)
-            .map(|i| QueuedFrame {
+        let frames: Vec<EncodedFrame> = (0..10u8)
+            .map(|i| EncodedFrame {
                 wire_size: 4,
                 bytes: vec![i; 4].into(),
             })
             .collect();
         let expected: Vec<u8> = frames.iter().flat_map(|f| f.bytes.to_vec()).collect();
-        w.on_frames(frames);
+        w.on_frames(&frames);
 
         let (mut conn, _) = listener.accept().unwrap();
         let mut got = vec![0u8; expected.len()];
@@ -1418,7 +1173,7 @@ mod tests {
 
         // A lone frame ships immediately as its own flush — batching
         // never parks a frame to wait for company.
-        w.on_frames(vec![QueuedFrame {
+        w.on_frames(&[EncodedFrame {
             wire_size: 4,
             bytes: vec![99; 4].into(),
         }]);
@@ -1434,34 +1189,33 @@ mod tests {
     #[test]
     fn batching_disabled_writes_one_frame_per_flush() {
         // `batch_max_frames: 1` pins the historical one-write-per-frame
-        // behaviour: the retry drain must flush each parked frame alone.
+        // behaviour: however many frames are queued when the writer
+        // wakes, each is flushed alone.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let counters = Arc::new(TransportCounters::default());
-        let mut w = Writer {
-            addr: listener.local_addr().unwrap(),
-            cfg: WireConfig {
-                batch_max_frames: 1,
-                ..WireConfig::default()
-            },
-            depth: Arc::new(AtomicUsize::new(3)),
-            connected: Arc::new(AtomicBool::new(false)),
-            counters: Arc::clone(&counters),
-            conn: None,
-            had_connection: false,
-            last_attempt: None,
-            window_until: None,
-            retry: VecDeque::new(),
-            batch_buf: Vec::new(),
+        let addr_b = free_addr();
+        let cfg = WireConfig {
+            batch_max_frames: 1,
+            ..WireConfig::default()
         };
-        assert!(w.dial(), "listener accepts");
-        for i in 0..3u8 {
-            w.retry.push_back(QueuedFrame {
-                wire_size: 4,
-                bytes: vec![i; 4].into(),
-            });
+        let (mesh_a, _rx_a) =
+            TcpMesh::from_listener_incarnated_with(0, 0, listener, &[(1, addr_b)], cfg).unwrap();
+        let (_mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[]);
+        assert!(mesh_a.ready(Duration::from_secs(10)));
+        for i in 0..3 {
+            mesh_a.send(
+                JobId::DEFAULT,
+                0,
+                1,
+                Msg::WorkRequest {
+                    incumbent: i as f64,
+                },
+            );
         }
-        w.pump();
-        let stats = counters.snapshot();
+        for _ in 0..3 {
+            assert!(recv_msg(&rx_b, Duration::from_secs(5)).is_some());
+        }
+        assert!(mesh_a.drain(Duration::from_secs(5)));
+        let stats = mesh_a.stats();
         assert_eq!(stats.sent, 3);
         assert_eq!(stats.flushes, 3, "cap 1 means one frame per write");
         assert_eq!(stats.frames_flushed, 3);
@@ -1486,8 +1240,8 @@ mod tests {
     fn two_meshes_exchange_messages() {
         let addr_a = free_addr();
         let addr_b = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b)]).unwrap();
-        let (mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b)]);
+        let (mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a)]);
 
         mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 7.0 });
         let env = recv_msg(&rx_b, Duration::from_secs(5)).expect("message arrives");
@@ -1509,7 +1263,7 @@ mod tests {
     #[test]
     fn self_send_delivers_locally() {
         let addr = free_addr();
-        let (mesh, rx) = TcpMesh::bind(4, addr, &[]).unwrap();
+        let (mesh, rx) = mesh_at(4, 0, addr, &[]);
         mesh.send(JobId::DEFAULT, 4, 4, Msg::WorkDeny { incumbent: 1.0 });
         let env = recv_msg(&rx, Duration::from_secs(1)).expect("self-send arrives");
         assert_eq!(env.from, 4);
@@ -1520,15 +1274,15 @@ mod tests {
     fn connect_all_waits_for_a_late_listener() {
         let addr_a = free_addr();
         let addr_b = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b)]).unwrap();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b)]);
 
         // Nothing listening yet: a short readiness deadline elapses.
-        assert!(!mesh_a.connect_all(Duration::from_millis(80)));
+        assert!(!mesh_a.ready(Duration::from_millis(80)));
 
         // Bring the listener up late, behind the barrier's back.
         let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
-            TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap()
+            mesh_at(1, 0, addr_b, &[(0, addr_a)])
         });
         assert!(
             mesh_a.ready(Duration::from_secs(10)),
@@ -1551,82 +1305,41 @@ mod tests {
     }
 
     #[test]
-    fn frames_sent_before_the_listener_exists_are_retried_and_delivered() {
+    fn sends_to_an_absent_peer_are_counted_drops_not_parked() {
+        // The one delivery rule, at startup as in steady state: a frame
+        // for a peer that is not connected gets one (paced) dial and is
+        // otherwise a counted drop. Nothing is held for a listener that
+        // may come up later, so `drain` has no window to wait out.
         let addr_a = free_addr();
-        let addr_b = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b)]).unwrap();
-
-        // The startup-skew scenario: fire before the peer's listener is
-        // up. Pre-fix this frame was silently dropped.
-        mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 42.0 });
-        std::thread::sleep(Duration::from_millis(150)); // well inside the window
-
-        let (_mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap();
-        let env = recv_msg(&rx_b, Duration::from_secs(5)).expect("retried frame arrives");
-        assert_eq!(env.msg, Msg::WorkRequest { incumbent: 42.0 });
-
+        let addr_b = free_addr(); // nothing listens here yet
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b)]);
+        for _ in 0..5 {
+            mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 0.0 });
+        }
+        let asked = Instant::now();
         assert!(mesh_a.drain(Duration::from_secs(5)));
+        assert!(
+            asked.elapsed() < Duration::from_millis(500),
+            "drops settle at once: {:?}",
+            asked.elapsed()
+        );
         let stats = mesh_a.stats();
-        assert_eq!(stats.sent, 1);
-        assert_eq!(stats.dropped(), 0, "nothing may drop: {stats:?}");
-        assert!(stats.retried >= 1, "the frame was parked for retry");
-        assert!(stats.connect_waits >= 1, "dials were waited out");
-    }
-
-    #[test]
-    fn startup_retry_budget_expires_into_counted_startup_drops() {
-        let dead = free_addr(); // nothing will ever listen here
-        let addr = free_addr();
-        let (mesh, _rx) = TcpMesh::bind(0, addr, &[(1, dead)]).unwrap();
-        for _ in 0..3 {
-            mesh.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 0.0 });
-        }
-        // The frames are parked for retry, not dropped instantly: a
-        // short drain times out with the window still holding them…
-        assert!(
-            !mesh.drain(Duration::from_millis(100)),
-            "frames must still be pending inside the retry window"
-        );
-        // …and a drain past the budget sees them settle as drops.
-        assert!(
-            mesh.drain(RETRY_WINDOW + Duration::from_secs(2)),
-            "expired frames must settle so drain can finish"
-        );
-        let stats = mesh.stats();
         assert_eq!(stats.sent, 0);
-        assert_eq!(stats.dropped_startup, 3, "{stats:?}");
-        assert_eq!(stats.dropped_disconnected, 0, "{stats:?}");
-        assert!(stats.retried >= 3);
+        assert_eq!(stats.dropped_disconnected, 5, "{stats:?}");
+        assert_eq!(stats.dropped(), 5, "one bucket only: {stats:?}");
+        assert_eq!((stats.retried, stats.dropped_startup), (0, 0));
 
-        // Past the budget, semantics revert to the Crash model's instant
-        // counted drop, attributed to the steady-state bucket.
-        mesh.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 1.0 });
-        assert!(mesh.drain(Duration::from_secs(2)));
-        let stats = mesh.stats();
-        assert_eq!(stats.dropped_startup, 3, "{stats:?}");
-        assert_eq!(stats.dropped_disconnected, 1, "{stats:?}");
-    }
-
-    #[test]
-    fn startup_retry_budget_is_frame_bounded() {
-        let dead = free_addr();
-        let addr = free_addr();
-        let (mesh, _rx) = TcpMesh::bind(0, addr, &[(1, dead)]).unwrap();
-        let total = RETRY_MAX_FRAMES + 10;
-        for _ in 0..total {
-            mesh.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 0.0 });
-        }
-        assert!(mesh.drain(RETRY_WINDOW + Duration::from_secs(3)));
-        let stats = mesh.stats();
-        assert_eq!(stats.sent, 0);
-        assert_eq!(
-            stats.dropped_startup as usize, total,
-            "overflow and expiry are both startup drops: {stats:?}"
-        );
-        assert_eq!(
-            stats.retried as usize, RETRY_MAX_FRAMES,
-            "only the frame budget may park: {stats:?}"
-        );
+        // The dropped frames are gone for good: a listener that comes up
+        // afterwards receives only what is sent once it is there.
+        let (_mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a)]);
+        assert!(mesh_a.ready(Duration::from_secs(10)));
+        mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 7.0 });
+        let env = recv_msg(&rx_b, Duration::from_secs(5)).expect("post-barrier frame arrives");
+        assert_eq!(env.msg, Msg::WorkRequest { incumbent: 7.0 });
+        assert!(recv_msg(&rx_b, Duration::from_millis(100)).is_none());
+        assert!(mesh_a.drain(Duration::from_secs(5)));
+        assert_eq!(mesh_a.stats().sent, 1);
+        assert_eq!(mesh_a.stats().dropped(), 5);
     }
 
     #[test]
@@ -1645,7 +1358,7 @@ mod tests {
         };
         let counters = TransportCounters::default();
         peer.enqueue(
-            QueuedFrame {
+            EncodedFrame {
                 wire_size: 3,
                 bytes: vec![1, 2, 3].into(),
             },
@@ -1660,9 +1373,9 @@ mod tests {
         let addr_a = free_addr();
         let addr_b = free_addr();
         let addr_c = free_addr();
-        let (mesh_a, rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b), (2, addr_c)]).unwrap();
-        let (mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a), (2, addr_c)]).unwrap();
-        let (mesh_c, _rx_c) = TcpMesh::bind(2, addr_c, &[(0, addr_a), (1, addr_b)]).unwrap();
+        let (mesh_a, rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b), (2, addr_c)]);
+        let (mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a), (2, addr_c)]);
+        let (mesh_c, _rx_c) = mesh_at(2, 0, addr_c, &[(0, addr_a), (1, addr_b)]);
         assert!(mesh_a.ready(Duration::from_secs(10)));
 
         let instance = ftbb_bnb::AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(6, 12, 9));
@@ -1670,19 +1383,51 @@ mod tests {
         assert_eq!(mesh_a.stats().announces_sent, 2);
 
         for mesh in [&mesh_b, &mesh_c] {
-            let (from, job, got) = mesh
-                .recv_announce(Duration::from_secs(5))
-                .expect("announce arrives");
-            assert_eq!(from, 0);
-            assert_eq!(job, JobId::from(9));
-            assert_eq!(got, instance);
+            assert_eq!(
+                mesh.recv_control(Duration::from_secs(5)),
+                Some(Control::Announce {
+                    from: 0,
+                    job: JobId::from(9),
+                    instance: instance.clone(),
+                })
+            );
             assert_eq!(mesh.stats().announces_recv, 1);
         }
         // The handshake must not leak into the protocol inbox.
         assert!(recv_msg(&rx_b, Duration::from_millis(100)).is_none());
         // Nor does the announcer hear its own announce.
-        assert!(mesh_a.recv_announce(Duration::from_millis(100)).is_none());
+        assert!(mesh_a.recv_control(Duration::from_millis(100)).is_none());
         drop(rx_a);
+    }
+
+    #[test]
+    fn a_full_control_queue_sheds_the_overflow_and_still_closes() {
+        // Nobody consumes: readers must not stall behind the cap, and
+        // closing the stream must not block on it either.
+        let (mesh, _rx) = mesh_at(0, 0, free_addr(), &[]);
+        let cap = CONTROL_QUEUE_CAP as u32;
+        for from in 0..cap + 10 {
+            mesh.registry.surface(Control::Join(JoinFrame {
+                from,
+                incarnation: 0,
+                addr: mesh.registry.local_addr,
+            }));
+        }
+        assert_eq!(mesh.control_depth(), CONTROL_QUEUE_CAP);
+        mesh.close_control();
+
+        // The oldest frame made room for the wake-up; the rest arrive in
+        // order, then the `None` — at once, not after the timeout.
+        let asked = Instant::now();
+        let mut expected = 1..cap;
+        while let Some(control) = mesh.recv_control(Duration::from_secs(30)) {
+            let Control::Join(frame) = control else {
+                panic!("only joins were queued: {control:?}");
+            };
+            assert_eq!(Some(frame.from), expected.next());
+        }
+        assert_eq!(expected.next(), None, "everything queued was delivered");
+        assert!(asked.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
@@ -1698,7 +1443,7 @@ mod tests {
         assert!(crate::codec::encode_announce(0, 0, JobId::DEFAULT, &instance).exceeds_limit());
 
         let addr = free_addr();
-        let (mesh, _rx) = TcpMesh::bind(0, addr, &[(1, free_addr()), (2, free_addr())]).unwrap();
+        let (mesh, _rx) = mesh_at(0, 0, addr, &[(1, free_addr()), (2, free_addr())]);
         assert!(!mesh.announce_instance(JobId::DEFAULT, &instance));
         assert_eq!(mesh.stats().dropped_full, 2);
         assert_eq!(mesh.stats().announces_sent, 0);
@@ -1708,7 +1453,7 @@ mod tests {
     #[test]
     fn unknown_destination_counts_no_route() {
         let addr = free_addr();
-        let (mesh, _rx) = TcpMesh::bind(0, addr, &[]).unwrap();
+        let (mesh, _rx) = mesh_at(0, 0, addr, &[]);
         mesh.send(JobId::DEFAULT, 0, 9, Msg::WorkRequest { incumbent: 0.0 });
         assert_eq!(mesh.stats().dropped_no_route, 1);
     }
@@ -1717,11 +1462,11 @@ mod tests {
     fn reconnects_after_peer_restart() {
         let addr_a = free_addr();
         let addr_b = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b)]).unwrap();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b)]);
 
         // First incarnation of peer 1, reached through the readiness
         // barrier instead of send-and-hope.
-        let (mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap();
+        let (mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a)]);
         assert!(mesh_a.ready(Duration::from_secs(10)));
         mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 1.0 });
         assert!(recv_msg(&rx_b, Duration::from_secs(5)).is_some());
@@ -1745,10 +1490,8 @@ mod tests {
         // frames for incarnation 0, so deliveries reach the new listener
         // but must NOT reach its inbox — they belong to the previous
         // life, and are counted as stale drops instead.
-        let listener = bind_retry(addr_b);
-        let (mesh_b2, rx_b2) =
-            TcpMesh::from_listener_incarnated(1, 1, listener, &[(0, addr_a)]).unwrap();
-        assert_eq!(mesh_b2.incarnation(), 1);
+        let (mesh_b2, rx_b2) = mesh_at(1, 1, addr_b, &[(0, addr_a)]);
+        assert_eq!(mesh_b2.registry.my_incarnation, 1);
         assert!(
             wait_until(Duration::from_secs(10), || {
                 mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkDeny { incumbent: 3.0 });
@@ -1791,8 +1534,8 @@ mod tests {
         // its rejoin frame must re-point B's writer without any help.
         let addr_a1 = free_addr();
         let addr_b = free_addr();
-        let (mesh_a1, _rx_a1) = TcpMesh::bind(7, addr_a1, &[(8, addr_b)]).unwrap();
-        let (mesh_b, rx_b) = TcpMesh::bind(8, addr_b, &[(7, addr_a1)]).unwrap();
+        let (mesh_a1, _rx_a1) = mesh_at(7, 0, addr_a1, &[(8, addr_b)]);
+        let (mesh_b, rx_b) = mesh_at(8, 0, addr_b, &[(7, addr_a1)]);
         assert!(mesh_a1.ready(Duration::from_secs(10)));
         mesh_a1.send(JobId::DEFAULT, 7, 8, Msg::WorkRequest { incumbent: 1.0 });
         assert!(recv_msg(&rx_b, Duration::from_secs(5)).is_some());
@@ -1800,9 +1543,7 @@ mod tests {
         // First life of node 7 dies; its second life binds elsewhere.
         drop(mesh_a1);
         let addr_a2 = free_addr();
-        let listener = TcpListener::bind(addr_a2).unwrap();
-        let (mesh_a2, rx_a2) =
-            TcpMesh::from_listener_incarnated(7, 1, listener, &[(8, addr_b)]).unwrap();
+        let (mesh_a2, rx_a2) = mesh_at(7, 1, addr_a2, &[(8, addr_b)]);
         assert!(mesh_a2.ready(Duration::from_secs(10)));
         mesh_a2.send_rejoin(RejoinSummary {
             incumbent: -3.5,
@@ -1811,9 +1552,9 @@ mod tests {
         });
 
         // B observes the rejoin (counted + surfaced)…
-        let frame = mesh_b
-            .recv_rejoin(Duration::from_secs(5))
-            .expect("rejoin arrives");
+        let Some(Control::Rejoin(frame)) = mesh_b.recv_control(Duration::from_secs(5)) else {
+            panic!("rejoin arrives");
+        };
         assert_eq!(frame.from, 7);
         assert_eq!(frame.incarnation, 1);
         assert_eq!(frame.addr, addr_a2);
@@ -1852,14 +1593,8 @@ mod tests {
         // staying unidirectionally partitioned.
         let addr_a = free_addr();
         let addr_b = free_addr();
-        let (mesh_a, rx_a) = {
-            let l = TcpListener::bind(addr_a).unwrap();
-            TcpMesh::from_listener_incarnated(11, 2, l, &[(12, addr_b)]).unwrap()
-        };
-        let (mesh_b, rx_b) = {
-            let l = TcpListener::bind(addr_b).unwrap();
-            TcpMesh::from_listener_incarnated(12, 3, l, &[(11, addr_a)]).unwrap()
-        };
+        let (mesh_a, rx_a) = mesh_at(11, 2, addr_a, &[(12, addr_b)]);
+        let (mesh_b, rx_b) = mesh_at(12, 3, addr_b, &[(11, addr_a)]);
         assert!(mesh_a.ready(Duration::from_secs(10)));
         assert!(mesh_b.ready(Duration::from_secs(10)));
 
@@ -1895,14 +1630,14 @@ mod tests {
         // the newcomer's route without any wiring.
         let addr_server = free_addr();
         let addr_joiner = free_addr();
-        let (server, _rx_server) = TcpMesh::bind(0, addr_server, &[]).unwrap();
-        let (joiner, rx_joiner) = TcpMesh::bind(7, addr_joiner, &[(0, addr_server)]).unwrap();
+        let (server, _rx_server) = mesh_at(0, 0, addr_server, &[]);
+        let (joiner, rx_joiner) = mesh_at(7, 0, addr_joiner, &[(0, addr_server)]);
         assert!(joiner.ready(Duration::from_secs(10)));
         joiner.send_join();
 
-        let frame = server
-            .recv_join(Duration::from_secs(5))
-            .expect("join arrives");
+        let Some(Control::Join(frame)) = server.recv_control(Duration::from_secs(5)) else {
+            panic!("join arrives");
+        };
         assert_eq!(frame.from, 7);
         assert_eq!(frame.incarnation, 0);
         assert_eq!(frame.addr, addr_joiner);
@@ -1934,9 +1669,9 @@ mod tests {
         let addr_a = free_addr();
         let addr_b = free_addr();
         let addr_c = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b), (2, addr_c)]).unwrap();
-        let (mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap();
-        let (_mesh_c, rx_c) = TcpMesh::bind(2, addr_c, &[(0, addr_a)]).unwrap();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b), (2, addr_c)]);
+        let (mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a)]);
+        let (_mesh_c, rx_c) = mesh_at(2, 0, addr_c, &[(0, addr_a)]);
         assert!(mesh_a.ready(Duration::from_secs(10)));
         assert_eq!(
             mesh_b.endpoints(),
@@ -1983,8 +1718,8 @@ mod tests {
         let addr_a_stale = free_addr(); // nothing ever listens here
         let addr_a_real = free_addr();
         let addr_c = free_addr();
-        let (mesh_a, rx_a) = TcpMesh::bind(0, addr_a_real, &[(2, addr_c)]).unwrap();
-        let (mesh_c, rx_c) = TcpMesh::bind(2, addr_c, &[]).unwrap();
+        let (mesh_a, rx_a) = mesh_at(0, 0, addr_a_real, &[(2, addr_c)]);
+        let (mesh_c, rx_c) = mesh_at(2, 0, addr_c, &[]);
         mesh_c.register_peer(0, addr_a_stale, 0); // the stale route
         assert!(mesh_a.ready(Duration::from_secs(10)));
 
@@ -2023,13 +1758,10 @@ mod tests {
         let addr_a = free_addr();
         let addr_b = free_addr();
         let addr_c = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(2, addr_c)]).unwrap();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(2, addr_c)]);
         mesh_a.register_peer(1, addr_b, 2);
-        let (mesh_b, rx_b) = {
-            let l = TcpListener::bind(addr_b).unwrap();
-            TcpMesh::from_listener_incarnated(1, 2, l, &[]).unwrap()
-        };
-        let (mesh_c, rx_c) = TcpMesh::bind(2, addr_c, &[(0, addr_a)]).unwrap();
+        let (mesh_b, rx_b) = mesh_at(1, 2, addr_b, &[]);
+        let (mesh_c, rx_c) = mesh_at(2, 0, addr_c, &[(0, addr_a)]);
         assert!(mesh_a.ready(Duration::from_secs(10)));
 
         mesh_a.send(
@@ -2068,7 +1800,7 @@ mod tests {
             let me = book.iter().find(|&&(id, _, _)| id == 0);
             assert_eq!(
                 me,
-                Some(&(0, mesh.local_addr(), 7)),
+                Some(&(0, mesh.registry.local_addr, 7)),
                 "own entry always rides, at this life's incarnation"
             );
             assert!(book.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
@@ -2106,43 +1838,12 @@ mod tests {
     }
 
     #[test]
-    fn wire_config_tunes_the_startup_retry_window() {
-        // A mesh configured with a tiny startup budget: 2 frames / 100 ms
-        // instead of the default 64 / 1 s. The third frame overflows the
-        // frame budget instantly, and the parked two expire quickly.
-        let dead = free_addr();
-        let addr = free_addr();
-        let listener = TcpListener::bind(addr).unwrap();
-        let cfg = WireConfig {
-            retry_window: Duration::from_millis(100),
-            retry_max_frames: 2,
-            ..WireConfig::default()
-        };
-        let (mesh, _rx) =
-            TcpMesh::from_listener_incarnated_with(0, 0, listener, &[(1, dead)], cfg).unwrap();
-        for _ in 0..5 {
-            mesh.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 0.0 });
-        }
-        assert!(
-            mesh.drain(Duration::from_secs(3)),
-            "a 100 ms window must settle well before the default 1 s"
-        );
-        let stats = mesh.stats();
-        assert_eq!(stats.sent, 0);
-        assert_eq!(stats.dropped_startup, 5, "{stats:?}");
-        assert_eq!(
-            stats.retried, 2,
-            "only the configured budget parks: {stats:?}"
-        );
-    }
-
-    #[test]
     fn register_peer_adds_unknown_peers_dynamically() {
         // A mesh born with an empty roster learns a peer at runtime.
         let addr_a = free_addr();
         let addr_b = free_addr();
-        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[]).unwrap();
-        let (_mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[]);
+        let (_mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a)]);
 
         mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 0.0 });
         assert_eq!(
@@ -2167,20 +1868,21 @@ mod tests {
         let addr_a_old = free_addr();
         let addr_a_new = free_addr();
         let addr_b = free_addr();
-        let (mesh_a_old, _rx_old) = TcpMesh::bind(3, addr_a_old, &[(4, addr_b)]).unwrap();
-        let (mesh_b, rx_b) = TcpMesh::bind(4, addr_b, &[(3, addr_a_old)]).unwrap();
+        let (mesh_a_old, _rx_old) = mesh_at(3, 0, addr_a_old, &[(4, addr_b)]);
+        let (mesh_b, rx_b) = mesh_at(4, 0, addr_b, &[(3, addr_a_old)]);
         assert!(mesh_a_old.ready(Duration::from_secs(10)));
 
-        let listener = TcpListener::bind(addr_a_new).unwrap();
-        let (mesh_a_new, _rx_new) =
-            TcpMesh::from_listener_incarnated(3, 1, listener, &[(4, addr_b)]).unwrap();
+        let (mesh_a_new, _rx_new) = mesh_at(3, 1, addr_a_new, &[(4, addr_b)]);
         assert!(mesh_a_new.ready(Duration::from_secs(10)));
         mesh_a_new.send_rejoin(RejoinSummary {
             incumbent: 0.0,
             table_codes: 0,
             pool_len: 0,
         });
-        assert!(mesh_b.recv_rejoin(Duration::from_secs(5)).is_some());
+        assert!(matches!(
+            mesh_b.recv_control(Duration::from_secs(5)),
+            Some(Control::Rejoin(_))
+        ));
 
         // The previous life keeps talking into its established socket.
         mesh_a_old.send(JobId::DEFAULT, 3, 4, Msg::WorkRequest { incumbent: 9.0 });

@@ -94,20 +94,18 @@ fn main() {
         match outcome {
             Some(o) => println!(
                 "node {id} (incarnation {}): terminated={} incumbent={} expanded={} \
-                 recoveries={} sent={} retried={} dropped={} (full={}, disconnected={}, \
-                 no_route={}, startup={}) stale={} rejoins={} connect_waits={}",
+                 recoveries={} sent={} dropped={} (full={}, disconnected={}, no_route={}) \
+                 stale={} rejoins={} connect_waits={}",
                 o.incarnation,
                 o.terminated,
                 o.incumbent,
                 o.expanded,
                 o.recoveries,
                 o.transport.sent,
-                o.transport.retried,
                 o.transport.dropped(),
                 o.transport.dropped_full,
                 o.transport.dropped_disconnected,
                 o.transport.dropped_no_route,
-                o.transport.dropped_startup,
                 o.transport.dropped_stale,
                 o.transport.rejoins,
                 o.transport.connect_waits,
