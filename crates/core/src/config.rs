@@ -4,11 +4,10 @@
 //! various execution parameters" (§6.3.1): report batch size, report fan-out
 //! and frequency, table-gossip frequency, load-balancing patience, and how
 //! soon failure is suspected. Every such parameter is explicit here so the
-//! ablation benches can sweep them.
+//! `ftbb-paper` rows can sweep them.
 
 use ftbb_bnb::SelectRule;
 use ftbb_gossip::MembershipConfig;
-use ftbb_tree::RecoveryStrategy;
 use serde::{Deserialize, Serialize};
 
 /// All tunables of one protocol process.
@@ -53,8 +52,6 @@ pub struct ProtocolConfig {
     pub grant_max: usize,
     /// A donor keeps at least this many subproblems for itself.
     pub grant_keep_min: usize,
-    /// How the complement code is chosen during recovery.
-    pub recovery_strategy: RecoveryStrategy,
     /// Local pool selection rule (§2). Depth-first is the distributed
     /// default: it keeps local pools shallow and donates large subtrees.
     pub select_rule: SelectRule,
@@ -97,26 +94,11 @@ impl Default for ProtocolConfig {
             recovery_quiet_s: 2.0,
             grant_max: 16,
             grant_keep_min: 2,
-            recovery_strategy: RecoveryStrategy::Random,
             select_rule: SelectRule::DepthFirst,
             adaptive_reports: false,
             membership: None,
             bound_flush_s: 0.05,
         }
-    }
-}
-
-impl ProtocolConfig {
-    /// Scale the time-based knobs by `factor` (used when the workload
-    /// granularity changes: coarser nodes want proportionally lazier
-    /// reporting, as the paper's adaptive-parameters discussion suggests).
-    pub fn scale_times(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite());
-        self.report_interval_s *= factor;
-        self.table_gossip_interval_s *= factor;
-        self.lb_timeout_s *= factor;
-        self.recovery_delay_s *= factor;
-        self
     }
 }
 
@@ -132,15 +114,5 @@ mod tests {
         assert!(c.lb_attempts >= 1);
         assert!(c.grant_max > c.grant_keep_min);
         assert!(c.membership.is_none());
-    }
-
-    #[test]
-    fn scale_times_scales_only_times() {
-        let c = ProtocolConfig::default().scale_times(10.0);
-        let d = ProtocolConfig::default();
-        assert_eq!(c.report_interval_s, d.report_interval_s * 10.0);
-        assert_eq!(c.lb_timeout_s, d.lb_timeout_s * 10.0);
-        assert_eq!(c.report_batch, d.report_batch);
-        assert_eq!(c.report_fanout, d.report_fanout);
     }
 }

@@ -62,7 +62,6 @@ pub struct BnbProcess {
     ewma_cost: f64,
     terminated: bool,
     root_bound: f64,
-    last_completed: Option<Code>,
     metrics: ProcMetrics,
     rng: SmallRng,
     membership: Option<Membership>,
@@ -127,7 +126,6 @@ impl BnbProcess {
             ewma_cost: 0.0,
             terminated: false,
             root_bound,
-            last_completed: None,
             metrics: ProcMetrics::default(),
             rng: SmallRng::seed_from_u64(rng_seed),
             membership: None,
@@ -665,13 +663,7 @@ impl BnbProcess {
             self.arm_recovery(out);
             return;
         }
-        let hint = self.last_completed.clone();
-        match pick_recovery(
-            &self.table,
-            self.cfg.recovery_strategy,
-            hint.as_ref(),
-            &mut self.rng,
-        ) {
+        match pick_recovery(&self.table, &mut self.rng) {
             Some(code) => {
                 self.metrics.recoveries += 1;
                 self.begin_work(code, out);
@@ -745,8 +737,7 @@ impl BnbProcess {
         let merge = self.table.insert(&code);
         self.metrics.merge_codes_processed += merge.processed() as u64;
         self.metrics.merge_contractions += merge.contractions as u64;
-        self.fresh.push(code.clone());
-        self.last_completed = Some(code);
+        self.fresh.push(code);
         if self.fresh.len() >= self.cfg.report_batch {
             self.flush_reports(now, out);
         }

@@ -338,8 +338,8 @@ mod tests {
         // roster, and a crash must still be suspected everywhere. The cap
         // thins per-round coverage to ~fanout·(cap+1)/n of the table, so
         // `t_fail` is widened to 6 s (12 rounds) to keep the false-
-        // suspicion probability negligible — the trade-off the scale
-        // sweep in `ftbb-bench` quantifies.
+        // suspicion probability negligible — the trade-off the `scale`
+        // row of `ftbb-paper` quantifies.
         let mut net = Net::new(
             24,
             1,

@@ -1,8 +1,8 @@
 //! Named experiment scenarios: one per table/figure of the paper (§6.3).
 //!
 //! Each scenario pins the workload tree, the network, the protocol tuning,
-//! and the overhead model, so the bench binaries in `ftbb-bench` just sweep
-//! the processor counts and print rows.
+//! and the overhead model, so the rows of `ftbb-paper` (`src/paper.rs` at
+//! the workspace root) just sweep the processor counts and check claims.
 
 use crate::driver::SimConfig;
 use crate::shared::OverheadModel;

@@ -6,69 +6,22 @@
 //! and solves it."
 //!
 //! The paper notes the costs of uncoordinated recovery "can be reduced by
-//! employing more sophisticated methods for choosing work, such as using the
-//! location of the last problem completed locally" — so the picker is a
-//! strategy, and one of the strategies is locality-based.
+//! employing more sophisticated methods for choosing work"; the pick here is
+//! the one it evaluates — uniformly random, which decorrelates concurrent
+//! recoverers ("work reports are sent to randomly chosen resources, without
+//! eliminating redundant messages").
 
 use crate::code::Code;
 use crate::codeset::CodeSet;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
-/// Strategy for picking one code out of the complement frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RecoveryStrategy {
-    /// Pick the shallowest uncovered code: recovers the largest missing
-    /// subtree first (fast coverage, more potential redundancy).
-    Shallowest,
-    /// Pick the deepest uncovered code: smallest work unit first.
-    Deepest,
-    /// Pick uniformly at random — decorrelates concurrent recoverers, the
-    /// default behaviour evaluated in the paper ("work reports are sent to
-    /// randomly chosen resources, without eliminating redundant messages").
-    #[default]
-    Random,
-    /// Pick the candidate closest (longest common prefix) to a hint code —
-    /// "using the location of the last problem completed locally".
-    NearHint,
-}
-
-/// Pick an uncompleted problem from `table`'s complement.
+/// Pick an uncompleted problem uniformly at random from `table`'s
+/// complement.
 ///
 /// Returns `None` iff the root is completed (nothing left to recover).
-/// `hint` is used by [`RecoveryStrategy::NearHint`]; other strategies ignore
-/// it.
-pub fn pick_recovery(
-    table: &CodeSet,
-    strategy: RecoveryStrategy,
-    hint: Option<&Code>,
-    rng: &mut SmallRng,
-) -> Option<Code> {
-    let mut candidates = table.complement();
-    if candidates.is_empty() {
-        return None;
-    }
-    match strategy {
-        RecoveryStrategy::Shallowest => candidates.iter().min_by_key(|c| c.depth()).cloned(),
-        RecoveryStrategy::Deepest => candidates.iter().max_by_key(|c| c.depth()).cloned(),
-        RecoveryStrategy::Random => candidates.choose(rng).cloned(),
-        RecoveryStrategy::NearHint => match hint {
-            Some(h) => candidates
-                .iter()
-                .max_by_key(|c| (common_prefix_len(c, h), std::cmp::Reverse(c.depth())))
-                .cloned(),
-            None => {
-                candidates.shuffle(rng);
-                candidates.into_iter().next()
-            }
-        },
-    }
-}
-
-/// Length of the longest common prefix of two codes, in pairs.
-pub fn common_prefix_len(a: &Code, b: &Code) -> usize {
-    a.pairs().zip(b.pairs()).take_while(|(x, y)| x == y).count()
+pub fn pick_recovery(table: &CodeSet, rng: &mut SmallRng) -> Option<Code> {
+    table.complement().choose(rng).cloned()
 }
 
 #[cfg(test)]
@@ -94,37 +47,14 @@ mod tests {
         let mut s = CodeSet::new();
         s.insert(&Code::root());
         let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(
-            pick_recovery(&s, RecoveryStrategy::Random, None, &mut rng),
-            None
-        );
+        assert_eq!(pick_recovery(&s, &mut rng), None);
     }
 
     #[test]
     fn empty_table_recovers_root() {
         let s = CodeSet::new();
         let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(
-            pick_recovery(&s, RecoveryStrategy::Shallowest, None, &mut rng),
-            Some(Code::root())
-        );
-    }
-
-    #[test]
-    fn shallowest_picks_minimum_depth() {
-        let s = table();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let got = pick_recovery(&s, RecoveryStrategy::Shallowest, None, &mut rng).unwrap();
-        // Complement: (x1,0)(x2,0), (x1,0)(x2,1)(x5,1), (x1,1)(x3,1).
-        assert_eq!(got.depth(), 2);
-    }
-
-    #[test]
-    fn deepest_picks_maximum_depth() {
-        let s = table();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let got = pick_recovery(&s, RecoveryStrategy::Deepest, None, &mut rng).unwrap();
-        assert_eq!(got, c(&[(1, false), (2, true), (5, true)]));
+        assert_eq!(pick_recovery(&s, &mut rng), Some(Code::root()));
     }
 
     #[test]
@@ -132,28 +62,9 @@ mod tests {
         let s = table();
         let mut rng = SmallRng::seed_from_u64(7);
         for _ in 0..20 {
-            let got = pick_recovery(&s, RecoveryStrategy::Random, None, &mut rng).unwrap();
+            let got = pick_recovery(&s, &mut rng).unwrap();
             assert!(!s.contains(&got), "picked an already-completed code");
         }
-    }
-
-    #[test]
-    fn near_hint_prefers_local_subtree() {
-        let s = table();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let hint = c(&[(1, false), (2, true), (5, false)]);
-        let got = pick_recovery(&s, RecoveryStrategy::NearHint, Some(&hint), &mut rng).unwrap();
-        // The sibling (x1,0)(x2,1)(x5,1) shares the longest prefix with the hint.
-        assert_eq!(got, c(&[(1, false), (2, true), (5, true)]));
-    }
-
-    #[test]
-    fn common_prefix() {
-        let a = c(&[(1, false), (2, true), (5, false)]);
-        let b = c(&[(1, false), (2, true), (5, true)]);
-        assert_eq!(common_prefix_len(&a, &b), 2);
-        assert_eq!(common_prefix_len(&a, &a), 3);
-        assert_eq!(common_prefix_len(&a, &Code::root()), 0);
     }
 
     #[test]
@@ -162,7 +73,7 @@ mod tests {
         let mut s = table();
         let mut rng = SmallRng::seed_from_u64(3);
         let mut steps = 0;
-        while let Some(code) = pick_recovery(&s, RecoveryStrategy::Random, None, &mut rng) {
+        while let Some(code) = pick_recovery(&s, &mut rng) {
             s.insert(&code);
             steps += 1;
             assert!(steps < 100, "recovery loop did not converge");

@@ -1,9 +1,7 @@
 //! Property-based tests of the code algebra — the invariants the paper's
 //! fault-tolerance argument rests on.
 
-use ftbb_tree::{
-    compress, pick_recovery, random_basic_tree, Code, CodeSet, NodeId, RecoveryStrategy, TreeConfig,
-};
+use ftbb_tree::{compress, pick_recovery, random_basic_tree, Code, CodeSet, NodeId, TreeConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -151,28 +149,19 @@ proptest! {
     }
 
     /// Recovery picks terminate: repeatedly completing a recovery pick
-    /// closes the root in finitely many steps, for every strategy.
+    /// closes the root in finitely many steps, for every rng seed.
     #[test]
-    fn recovery_converges((tree, picks) in tree_and_leaf_subset(), strat in 0u8..4) {
-        let strategy = match strat {
-            0 => RecoveryStrategy::Shallowest,
-            1 => RecoveryStrategy::Deepest,
-            2 => RecoveryStrategy::Random,
-            _ => RecoveryStrategy::NearHint,
-        };
+    fn recovery_converges((tree, picks) in tree_and_leaf_subset(), seed in any::<u64>()) {
         let leaves = leaf_ids(&tree);
         let mut set = CodeSet::new();
-        let mut hint = None;
         for (&id, &p) in leaves.iter().zip(&picks) {
             if p {
-                let code = tree.code_of(id);
-                set.insert(&code);
-                hint = Some(code);
+                set.insert(&tree.code_of(id));
             }
         }
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut steps = 0usize;
-        while let Some(code) = pick_recovery(&set, strategy, hint.as_ref(), &mut rng) {
+        while let Some(code) = pick_recovery(&set, &mut rng) {
             set.insert(&code);
             steps += 1;
             prop_assert!(steps <= tree.len(), "recovery did not converge");

@@ -31,6 +31,7 @@
 //! | [`runtime`] | the same protocol on real threads behind the `Transport` trait |
 //! | [`wire`] | the same protocol on TCP sockets across OS processes (`ftbb-noded`) |
 //! | [`dib`] | the DIB baseline (Finkel & Manber 1987) for §5.5's comparison |
+//! | [`paper`] | the paper's evaluation as one table of experiments and checked claims (`ftbb-paper`) |
 //!
 //! ## Quickstart
 //!
@@ -72,6 +73,8 @@ pub use ftbb_sim as sim;
 pub use ftbb_tree as tree;
 pub use ftbb_wire as wire;
 
+pub mod paper;
+
 /// The most common imports for using the library.
 pub mod prelude {
     pub use ftbb_bnb::{
@@ -82,6 +85,6 @@ pub mod prelude {
     pub use ftbb_net::{LatencyModel, LossModel, NetworkConfig, PartitionSchedule};
     pub use ftbb_runtime::{run_cluster, ClusterConfig, Transport};
     pub use ftbb_sim::{run_sim, RunReport, SimConfig};
-    pub use ftbb_tree::{Code, CodeSet, RecoveryStrategy};
+    pub use ftbb_tree::{Code, CodeSet};
     pub use ftbb_wire::{ClusterSpec, KnapsackSpec, MaxSatSpec, ProblemSpec, TcpMesh};
 }
