@@ -3,20 +3,15 @@
 //! The paper's §1 frames two roads to reliability: general-purpose
 //! middleware mechanisms (checkpoint/restart à la Condor) versus
 //! problem-specific mechanisms (its contribution). This module provides the
-//! former for the same protocol process, and since the node-lifecycle
-//! refactor it is *deployed*, not merely comparative:
-//!
-//! 1. **Operational**: `ftbb-noded --checkpoint-dir` persists snapshots of
-//!    a process's protocol state (table, pool, incumbent, problem binding)
-//!    with atomic write-rename, and `--resume` restarts a killed node from
-//!    its last snapshot. The restarted process re-joins the live cluster
-//!    under a bumped **incarnation number** (see below) instead of
-//!    re-joining as an amnesiac — complementary to the paper's mechanism,
-//!    which guarantees correctness even *without* this.
-//! 2. **Comparative**: the `checkpoint_compare` bench quantifies what the
-//!    paper argues qualitatively — checkpoints cost storage/IO
-//!    proportional to live state and recover only local knowledge, while
-//!    the gossip mechanism recovers *global* knowledge for free.
+//! former for the same protocol process, deployed: `ftbb-noded
+//! --checkpoint-dir` persists snapshots of a process's protocol state
+//! (table, pool, incumbent, problem binding) with atomic write-rename, and
+//! `--resume` restarts a killed node from its last snapshot. The restarted
+//! process re-joins the live cluster under a bumped **incarnation number**
+//! (see below) instead of re-joining as an amnesiac — complementary to the
+//! paper's mechanism, which guarantees correctness even *without* this. A
+//! checkpoint costs storage proportional to live state and recovers only
+//! local knowledge; the gossip mechanism recovers *global* knowledge.
 //!
 //! A checkpoint captures exactly the state needed to resume: the completion
 //! table, the local pool, fresh codes, the incumbent, the process's
@@ -42,11 +37,15 @@ use ftbb_tree::{Code, CodeSet};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// First four bytes of a checkpoint blob: "FTCP".
+const CHECKPOINT_MAGIC: u32 = 0x4654_4350;
+
 /// Version tag of the checkpoint blob format. v2 added the incarnation
 /// number and the optional problem binding; v3 added the membership
 /// (gossip) binding; v4 added the job id (service mode: one snapshot
-/// file per job).
-pub const CHECKPOINT_VERSION: u16 = 4;
+/// file per job); v5 made the body the serde encoding of [`Checkpoint`]
+/// (v4 packed the protocol state by hand).
+pub const CHECKPOINT_VERSION: u16 = 5;
 
 /// The membership half of a checkpoint: how a gossip-managed process was
 /// wired into the group when the snapshot was taken. Restoring it lets
@@ -136,142 +135,33 @@ impl Checkpoint {
         self
     }
 
-    /// Serialized size in bytes (for overhead accounting). Tracks
-    /// [`Checkpoint::encode`] exactly for the protocol state (codes
-    /// account themselves via [`Code::wire_size`], which the tree codec
-    /// matches byte-for-byte); the problem binding, when present, is sized
-    /// by encoding it — bindings are embedded only by deployments that
-    /// persist rarely, so the cost sits off the hot path.
-    pub fn wire_size(&self) -> usize {
-        let codes = |cs: &[Code]| -> usize {
-            // 4-byte blob length prefix + encode_codes: 4-byte count +
-            // per-code wire_size.
-            4 + 4 + cs.iter().map(|c| c.wire_size()).sum::<usize>()
-        };
-        let pool: usize = self
-            .pool
-            .iter()
-            .map(|(c, _)| codes(std::slice::from_ref(c)) + 8)
-            .sum();
-        let problem = 1 + self.problem.as_ref().map_or(0, |p| serde::encode(p).len());
-        let gossip = 1 + self.gossip.as_ref().map_or(0, |g| serde::encode(g).len());
-        // magic + version + me + incarnation + job + incumbent + root_bound
-        (4 + 2 + 4 + 4 + 8 + 8 + 8)
-            + (4 + 4 * self.members.len())
-            + codes(&self.table)
-            + codes(&self.fresh)
-            + 4
-            + pool
-            + problem
-            + gossip
-    }
-
-    /// Encode to a compact binary blob (magic + bincode-free hand codec).
+    /// Encode to a binary blob: magic, [`CHECKPOINT_VERSION`], then the
+    /// serde encoding of `self`.
     pub fn encode(&self) -> Vec<u8> {
-        use bytes::BufMut;
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u32_le(0x4654_4350); // "FTCP"
-        buf.put_u16_le(CHECKPOINT_VERSION);
-        buf.put_u32_le(self.me);
-        buf.put_u32_le(self.incarnation);
-        buf.put_u64_le(self.job.raw());
-        buf.put_f64_le(self.incumbent);
-        buf.put_f64_le(self.root_bound);
-        buf.put_u32_le(self.members.len() as u32);
-        for &m in &self.members {
-            buf.put_u32_le(m);
-        }
-        let put_codes = |buf: &mut bytes::BytesMut, codes: &[Code]| {
-            let blob = ftbb_tree::io::encode_codes(codes);
-            buf.put_u32_le(blob.len() as u32);
-            buf.extend_from_slice(&blob);
-        };
-        put_codes(&mut buf, &self.table);
-        put_codes(&mut buf, &self.fresh);
-        buf.put_u32_le(self.pool.len() as u32);
-        for (code, bound) in &self.pool {
-            put_codes(&mut buf, std::slice::from_ref(code));
-            buf.put_f64_le(*bound);
-        }
-        let mut out = buf.to_vec();
-        self.problem.ser(&mut out);
-        self.gossip.ser(&mut out);
+        let mut out = Vec::new();
+        (CHECKPOINT_MAGIC, CHECKPOINT_VERSION).ser(&mut out);
+        self.ser(&mut out);
         out
     }
 
     /// Decode a blob produced by [`Checkpoint::encode`].
     pub fn decode(mut data: &[u8]) -> Result<Self, String> {
-        use bytes::Buf;
-        let need = |data: &[u8], n: usize| -> Result<(), String> {
-            if data.len() < n {
-                Err("truncated checkpoint".into())
-            } else {
-                Ok(())
-            }
-        };
-        need(data, 4 + 2 + 8 + 8 + 16 + 4)?;
-        if data.get_u32_le() != 0x4654_4350 {
+        let truncated = |_| "truncated checkpoint".to_string();
+        if u32::de(&mut data).map_err(truncated)? != CHECKPOINT_MAGIC {
             return Err("bad checkpoint magic".into());
         }
-        let version = data.get_u16_le();
+        let version = u16::de(&mut data).map_err(truncated)?;
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let me = data.get_u32_le();
-        let incarnation = data.get_u32_le();
-        let job = JobId(data.get_u64_le());
-        let incumbent = data.get_f64_le();
-        let root_bound = data.get_f64_le();
-        let nmembers = data.get_u32_le() as usize;
-        need(data, 4 * nmembers)?;
-        let members = (0..nmembers).map(|_| data.get_u32_le()).collect();
-        let take_codes = |data: &mut &[u8]| -> Result<Vec<Code>, String> {
-            need(data, 4)?;
-            let len = data.get_u32_le() as usize;
-            need(data, len)?;
-            let (blob, rest) = data.split_at(len);
-            *data = rest;
-            ftbb_tree::io::decode_codes(blob).map_err(|e| e.to_string())
-        };
-        let table = take_codes(&mut data)?;
-        let fresh = take_codes(&mut data)?;
-        need(data, 4)?;
-        let npool = data.get_u32_le() as usize;
-        let mut pool = Vec::with_capacity(npool.min(1 << 20));
-        for _ in 0..npool {
-            let codes = take_codes(&mut data)?;
-            let code = codes
-                .into_iter()
-                .next()
-                .ok_or_else(|| "empty pool code".to_string())?;
-            need(data, 8)?;
-            let bound = data.get_f64_le();
-            pool.push((code, bound));
-        }
-        let problem = Option::<Arc<AnyInstance>>::de(&mut data).map_err(|e| e.to_string())?;
-        if let Some(p) = &problem {
+        let chk: Checkpoint = serde::decode(data).map_err(|e| e.to_string())?;
+        if let Some(p) = &chk.problem {
             // Serde decodes structure, not invariants; a binding off disk
             // must also be valid before an expander trusts it.
             p.validate()
                 .map_err(|e| format!("invalid problem binding: {e}"))?;
         }
-        let gossip = Option::<GossipBinding>::de(&mut data).map_err(|e| e.to_string())?;
-        if !data.is_empty() {
-            return Err(format!("{} trailing checkpoint bytes", data.len()));
-        }
-        Ok(Checkpoint {
-            me,
-            incarnation,
-            job,
-            members,
-            table,
-            fresh,
-            pool,
-            incumbent,
-            root_bound,
-            problem,
-            gossip,
-        })
+        Ok(chk)
     }
 }
 
@@ -393,7 +283,6 @@ mod tests {
         assert_eq!(chk.incumbent, 5.0);
         assert!(!chk.table.is_empty());
         assert!(chk.problem.is_none());
-        assert!(chk.wire_size() > 0);
     }
 
     #[test]
@@ -406,7 +295,6 @@ mod tests {
 
         // A job-scoped snapshot keeps its scope through persistence.
         let chk = worked_process().checkpoint().with_job(JobId(0xfeed));
-        assert_eq!(chk.wire_size(), chk.encode().len());
         let back = Checkpoint::decode(&chk.encode()).unwrap();
         assert_eq!(back.job, JobId(0xfeed));
         assert_eq!(chk, back);
@@ -457,7 +345,6 @@ mod tests {
         assert_eq!(g.servers, vec![0, 5]);
         assert!(g.is_server);
         assert_eq!(g.known, vec![0, 1, 2, 3]);
-        assert_eq!(chk.wire_size(), chk.encode().len());
         let back = Checkpoint::decode(&chk.encode()).unwrap();
         assert_eq!(back, chk);
 
@@ -489,10 +376,11 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_version_and_invalid_binding() {
         let mut blob = worked_process().checkpoint().encode();
-        blob[4] = 0xEE; // version bytes follow the magic
-        assert!(Checkpoint::decode(&blob)
-            .unwrap_err()
-            .contains("checkpoint version"));
+        // The version follows the magic. A v4 blob (hand-packed state) is
+        // refused by number, never misread as the v5 layout.
+        blob[4..6].copy_from_slice(&(CHECKPOINT_VERSION - 1).to_le_bytes());
+        let err = Checkpoint::decode(&blob).unwrap_err();
+        assert!(err.contains("unsupported checkpoint version 4"), "{err}");
 
         // A structurally decodable but invalid problem binding is refused.
         let mut m = ftbb_bnb::MaxSatInstance::generate(4, 8, 1);
@@ -545,20 +433,6 @@ mod tests {
         let restored = BnbProcess::restore(&chk, ProtocolConfig::default(), 4);
         assert!(restored.is_terminated());
         assert_eq!(restored.incumbent(), 2.0);
-    }
-
-    #[test]
-    fn wire_size_tracks_the_encoding() {
-        let bare = worked_process().checkpoint();
-        assert_eq!(bare.wire_size(), bare.encode().len());
-
-        let bound = bare.bind(
-            2,
-            Some(Arc::new(ftbb_bnb::AnyInstance::from(
-                ftbb_bnb::MaxSatInstance::generate(8, 20, 5),
-            ))),
-        );
-        assert_eq!(bound.wire_size(), bound.encode().len());
     }
 
     #[test]

@@ -150,6 +150,9 @@ impl PhaseTimes {
     }
 }
 
+/// The keys of an event's own header on its JSON line.
+const RESERVED_KEYS: [&str; 5] = ["t_us", "node", "inc", "job", "kind"];
+
 /// One structured trace record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -520,6 +523,10 @@ impl Telemetry {
 
     /// Emit one event. Non-blocking: if the writer queue is full the
     /// event is counted in [`Telemetry::events_dropped`] and discarded.
+    /// A field named like one of the event's own keys (`t_us`, `node`,
+    /// `inc`, `job`, `kind`) is left off — written, it would be a second
+    /// JSON key of that name and [`TraceEvent::parse_jsonl`] would read
+    /// the wrong one; the event itself still goes out.
     pub fn emit(&self, kind: &str, fields: &[(&str, String)]) {
         let Some(inner) = &self.inner else { return };
         let ev = TraceEvent {
@@ -530,6 +537,7 @@ impl Telemetry {
             kind: kind.to_string(),
             fields: fields
                 .iter()
+                .filter(|(k, _)| !RESERVED_KEYS.contains(k))
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
         };
@@ -685,6 +693,27 @@ mod tests {
         assert_eq!(events[2].kind, "halt");
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
         assert!(events.iter().all(|e| e.node == 4 && e.incarnation == 1));
+    }
+
+    #[test]
+    fn emit_drops_fields_named_like_the_events_own_keys() {
+        let buf = SharedBuf::default();
+        let t = Telemetry::to_writer(4, 1, Box::new(buf.clone())).for_job(7);
+        let before = t.now_us();
+        let mut fields: Vec<(&str, String)> = RESERVED_KEYS
+            .iter()
+            .map(|&k| (k, "99".to_string()))
+            .collect();
+        fields.push(("peer", "2".to_string()));
+        t.emit("probe", &fields);
+        let after = t.now_us();
+        drop(t);
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let ev = TraceEvent::parse_jsonl(text.trim_end()).expect("one parseable line");
+        assert!((before..=after).contains(&ev.t_us), "{text}");
+        assert_eq!((ev.node, ev.incarnation, ev.job), (4, 1, 7));
+        assert_eq!(ev.kind, "probe");
+        assert_eq!(ev.fields, vec![("peer".to_string(), "2".to_string())]);
     }
 
     #[test]

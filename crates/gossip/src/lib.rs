@@ -1,11 +1,8 @@
 //! # ftbb-gossip — epidemic communication and group membership
 //!
-//! Implements §5.1 and §5.2 of Iamnitchi & Foster (ICPP 2000):
+//! Implements §5.2 of Iamnitchi & Foster (ICPP 2000); the epidemic
+//! dissemination of §5.1 (work reports, table gossip) is `ftbb-core`'s:
 //!
-//! * [`rumor`] — rumor-mongering variants (Demers et al. 1988): blind vs.
-//!   feedback, coin vs. counter loss of interest, plus anti-entropy
-//!   push-pull, with synchronous-round simulators used for validation and
-//!   benchmarking of convergence/residual trade-offs.
 //! * [`view`] / [`membership`] — the gossip-style membership protocol with
 //!   heartbeat counters, last-heard bookkeeping, timeout-based failure
 //!   suspicion, cleanup, and gossip servers for joining (van Renesse et al.
@@ -18,11 +15,9 @@
 #![warn(missing_docs)]
 
 pub mod membership;
-pub mod rumor;
 pub mod view;
 
 pub use membership::{Membership, MembershipConfig, MembershipMsg};
-pub use rumor::{anti_entropy_rounds, simulate, Feedback, LossOfInterest, RumorConfig, RumorStats};
 pub use view::{
     MemberId, MemberRecord, MemberStatus, MembershipView, ViewDigest, DELTA_FULL_REFRESH,
 };

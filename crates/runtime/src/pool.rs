@@ -10,9 +10,8 @@
 //! cares about.
 //!
 //! [`WorkerPool`] runs expansions on a fixed set of worker threads fed
-//! through a work-stealing deque structure (a shared
-//! [`Injector`] plus per-worker local queues
-//! with [`Stealer`]s between them). The pump
+//! through one shared MPMC channel: an idle worker is blocked in
+//! `recv`, whichever worker is free takes the next task. The pump
 //! submits `(job, seq, code)` tasks without blocking and harvests
 //! `(job, seq, expansion)` results without blocking; the protocol's own
 //! `work_seq` guard discards results that raced a redundant-work
@@ -29,11 +28,9 @@
 //! only wall time moves.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use ftbb_core::{Expander, Expansion};
 use ftbb_tree::Code;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -74,23 +71,21 @@ struct TaskDone {
     expansion: Expansion,
 }
 
-/// How long an idle worker parks between looks at the queues.
-const WORKER_PARK: Duration = Duration::from_micros(200);
-
 /// A fixed-size pool of expansion worker threads.
 ///
 /// Submission and harvesting are both non-blocking and meant to be
 /// driven from one owner thread (the pump); `in_flight` is the owner's
-/// own submitted-minus-harvested count. Dropping the pool shuts the
-/// workers down and joins them; tasks still queued at shutdown are
-/// discarded.
+/// own submitted-minus-harvested count. Dropping the pool disconnects
+/// the task channel and joins the workers, which first finish the tasks
+/// still queued (never more than the node has live jobs); those results
+/// are dropped with the pool.
 pub struct WorkerPool {
-    injector: Arc<Injector<Task>>,
+    /// `Some` until drop: dropping the only sender is the workers'
+    /// shutdown signal.
+    tasks: Option<Sender<Task>>,
     results: Receiver<TaskDone>,
     registry: Arc<Mutex<HashMap<u64, Box<dyn PoolExpander>>>>,
-    shutdown: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
-    workers: usize,
     in_flight: usize,
 }
 
@@ -98,49 +93,31 @@ impl WorkerPool {
     /// Spawn a pool of `workers` threads (at least 1).
     pub fn new(workers: usize) -> WorkerPool {
         assert!(workers >= 1, "a worker pool needs at least one worker");
-        let injector = Arc::new(Injector::new());
         let registry: Arc<Mutex<HashMap<u64, Box<dyn PoolExpander>>>> =
             Arc::new(Mutex::new(HashMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (task_tx, task_rx) = unbounded::<Task>();
         let (done_tx, done_rx) = unbounded::<TaskDone>();
-
-        let locals: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task>> = locals.iter().map(|w| w.stealer()).collect();
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
-                let injector = Arc::clone(&injector);
+        let handles = (0..workers)
+            .map(|_| {
+                let tasks = task_rx.clone();
                 let registry = Arc::clone(&registry);
-                let shutdown = Arc::clone(&shutdown);
-                let done_tx: Sender<TaskDone> = done_tx.clone();
-                // Every worker steals from every *other* worker.
-                let siblings: Vec<Stealer<Task>> = stealers
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, s)| s.clone())
-                    .collect();
-                std::thread::spawn(move || {
-                    worker_loop(&local, &injector, &siblings, &registry, &shutdown, &done_tx);
-                })
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || worker_loop(&tasks, &registry, &done_tx))
             })
             .collect();
 
         WorkerPool {
-            injector,
+            tasks: Some(task_tx),
             results: done_rx,
             registry,
-            shutdown,
             handles,
-            workers,
             in_flight: 0,
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
     /// Register a job's expander prototype. Idempotent — re-registering
@@ -158,7 +135,11 @@ impl WorkerPool {
     /// [`WorkerPool::try_harvest`].
     pub fn submit(&mut self, job: u64, seq: u64, code: Code) {
         self.in_flight += 1;
-        self.injector.push(Task { job, seq, code });
+        self.tasks
+            .as_ref()
+            .expect("task sender live until drop")
+            .send(Task { job, seq, code })
+            .unwrap_or_else(|_| panic!("every pool worker has exited (a worker panicked)"));
     }
 
     /// Take one completed expansion, if any is ready. Non-blocking.
@@ -187,92 +168,48 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        drop(self.tasks.take());
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// One worker thread: pop local work, refill from the injector, steal
-/// from siblings, park briefly when everything is dry. Expanders are
-/// cached per job (cloned from the registry prototype on first use), so
-/// the registry lock is off the per-task path.
+/// One worker thread: block for the next task until the pool drops its
+/// sender. Expanders are cached per job (cloned from the registry
+/// prototype on first use), so the registry lock is off the per-task
+/// path.
 fn worker_loop(
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    siblings: &[Stealer<Task>],
+    tasks: &Receiver<Task>,
     registry: &Mutex<HashMap<u64, Box<dyn PoolExpander>>>,
-    shutdown: &AtomicBool,
     done_tx: &Sender<TaskDone>,
 ) {
     let mut cache: HashMap<u64, Box<dyn PoolExpander>> = HashMap::new();
-    loop {
-        match find_task(local, injector, siblings) {
-            Some(task) => {
-                let expander = match cache.entry(task.job) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let prototype = registry
-                            .lock()
-                            .expect("pool registry poisoned")
-                            .get(&task.job)
-                            .map(|p| p.clone_box())
-                            .unwrap_or_else(|| {
-                                panic!("job {} was never registered with the pool", task.job)
-                            });
-                        e.insert(prototype)
-                    }
-                };
-                let expansion = expander.expand(&task.code);
-                if done_tx
-                    .send(TaskDone {
-                        job: task.job,
-                        seq: task.seq,
-                        expansion,
-                    })
-                    .is_err()
-                {
-                    return; // pool dropped mid-flight
-                }
+    while let Ok(task) = tasks.recv() {
+        let expander = match cache.entry(task.job) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let prototype = registry
+                    .lock()
+                    .expect("pool registry poisoned")
+                    .get(&task.job)
+                    .map(|p| p.clone_box())
+                    .unwrap_or_else(|| {
+                        panic!("job {} was never registered with the pool", task.job)
+                    });
+                e.insert(prototype)
             }
-            None => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(WORKER_PARK);
-            }
-        }
-    }
-}
-
-/// The standard work-stealing search order: local queue first, then a
-/// batch from the shared injector, then a steal from a sibling. `Retry`
-/// from a contended queue means "look again", not "give up".
-fn find_task(
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    siblings: &[Stealer<Task>],
-) -> Option<Task> {
-    loop {
-        if let Some(task) = local.pop() {
-            return Some(task);
-        }
-        let mut contended = false;
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(task) => return Some(task),
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-        for stealer in siblings {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
+        };
+        let expansion = expander.expand(&task.code);
+        if done_tx
+            .send(TaskDone {
+                job: task.job,
+                seq: task.seq,
+                expansion,
+            })
+            .is_err()
+        {
+            return; // pool dropped mid-flight
         }
     }
 }
@@ -342,5 +279,115 @@ mod tests {
             pool.submit(1, seq, Code::root());
         }
         drop(pool); // must not hang or panic, harvested or not
+    }
+
+    #[test]
+    fn every_task_is_harvested_exactly_once_at_every_pool_width() {
+        const JOBS: u64 = 3;
+        let codes = all_codes();
+        for workers in [1, 2, 4] {
+            let mut pool = WorkerPool::new(workers);
+            assert_eq!(pool.workers(), workers);
+            // Job j replays the tree at granularity j + 1, so a result
+            // expanded against another job's registration is caught.
+            let granularity = |job: u64| (job + 1) as f64;
+            for job in 0..JOBS {
+                let expander = TreeExpander::with_granularity(fig1_example(), granularity(job));
+                pool.register(job, Box::new(expander));
+            }
+            for (seq, code) in codes.iter().enumerate() {
+                for job in 0..JOBS {
+                    pool.submit(job, seq as u64, code.clone());
+                }
+            }
+            let total = JOBS as usize * codes.len();
+            assert_eq!(pool.in_flight(), total);
+
+            let mut got: HashMap<(u64, u64), Expansion> = HashMap::new();
+            while got.len() < total {
+                let (job, seq, expansion) = pool
+                    .harvest_timeout(Duration::from_secs(5))
+                    .expect("pool produces every result");
+                assert!(
+                    got.insert((job, seq), expansion).is_none(),
+                    "({job}, {seq}) harvested twice with {workers} worker(s)"
+                );
+            }
+            assert_eq!(pool.in_flight(), 0);
+            assert!(
+                pool.try_harvest().is_none(),
+                "a result beyond the submitted"
+            );
+            for job in 0..JOBS {
+                let mut inline = TreeExpander::with_granularity(fig1_example(), granularity(job));
+                for (seq, code) in codes.iter().enumerate() {
+                    let want = Expander::expand(&mut inline, code);
+                    assert_eq!(got[&(job, seq as u64)], want, "job {job} code {code}");
+                }
+            }
+        }
+    }
+
+    /// An expander that reports each expansion it starts, then waits at
+    /// a gate the test holds; the gate's refcount is the number of
+    /// clones workers still own.
+    #[derive(Clone)]
+    struct Gated {
+        inner: TreeExpander,
+        started: Sender<()>,
+        gate: Arc<Mutex<()>>,
+    }
+
+    impl Expander for Gated {
+        fn expand(&mut self, code: &Code) -> Expansion {
+            self.started.send(()).expect("the test outlives the pool");
+            drop(self.gate.lock().expect("gate poisoned"));
+            Expander::expand(&mut self.inner, code)
+        }
+
+        fn root_bound(&self) -> f64 {
+            Expander::root_bound(&self.inner)
+        }
+    }
+
+    #[test]
+    fn dropping_a_pool_with_queued_tasks_joins_every_worker() {
+        const WORKERS: usize = 3;
+        const TASKS: usize = 10;
+        let (started_tx, started) = unbounded();
+        let gate = Arc::new(Mutex::new(()));
+        let mut pool = WorkerPool::new(WORKERS);
+        pool.register(
+            1,
+            Box::new(Gated {
+                inner: TreeExpander::new(fig1_example()),
+                started: started_tx,
+                gate: Arc::clone(&gate),
+            }),
+        );
+
+        let held = gate.lock().unwrap();
+        for seq in 0..TASKS {
+            pool.submit(1, seq as u64, Code::root());
+        }
+        // Every worker is inside an expansion, stopped at the gate: the
+        // other TASKS - WORKERS tasks are queued behind them.
+        for _ in 0..WORKERS {
+            started
+                .recv_timeout(Duration::from_secs(5))
+                .expect("each worker takes a task");
+        }
+        assert!(
+            started.try_recv().is_err(),
+            "a fourth task with three workers"
+        );
+        drop(held);
+        drop(pool);
+
+        // `drop` returned, so every worker thread was joined: each let go
+        // of its expander clone (and the registry of the prototype), and
+        // none exited before the queue was empty.
+        assert_eq!(Arc::strong_count(&gate), 1);
+        assert_eq!(started.try_iter().count(), TASKS - WORKERS);
     }
 }

@@ -1,5 +1,4 @@
-//! Minimal, API-compatible stand-in for `crossbeam`'s MPMC channels and
-//! work-stealing deques.
+//! Minimal, API-compatible stand-in for `crossbeam`'s MPMC channels.
 //!
 //! The workspace builds offline, so the channel subset the runtime uses —
 //! `unbounded`, `bounded`, cloneable `Sender`/`Receiver`, `try_send`,
@@ -9,13 +8,6 @@
 //! dropped. Bounded channels report [`channel::TrySendError::Full`] from
 //! `try_send` when at capacity, which is what `ftbb-core`'s telemetry sink
 //! relies on to shed load instead of blocking the event pump.
-//!
-//! The [`deque`] module mirrors `crossbeam-deque`'s `Worker`/`Stealer`/
-//! `Injector` triple for the expansion worker pool: each worker owns a local
-//! queue, siblings steal from the opposite end, and the pump feeds new codes
-//! through the shared injector. Lock contention surfaces as
-//! [`deque::Steal::Retry`], exactly as crossbeam's lock-free races do, so
-//! pool code written against this shim ports to the real crate unchanged.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -394,349 +386,6 @@ pub mod channel {
             });
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(42));
             h.join().unwrap();
-        }
-    }
-}
-
-pub mod deque {
-    //! Work-stealing deques in the shape of `crossbeam-deque`.
-    //!
-    //! A [`Worker`] owns a local queue it alone pushes to and pops from; its
-    //! [`Stealer`] handles let other threads take work from the opposite end.
-    //! An [`Injector`] is the shared FIFO through which new tasks enter the
-    //! pool. Backing storage is a mutex-protected `VecDeque`; where the real
-    //! crate's lock-free CAS loops lose a race and report `Steal::Retry`,
-    //! this shim reports [`Steal::Retry`] on `try_lock` contention — callers
-    //! must treat `Retry` as "look again", never as "empty".
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Outcome of a steal attempt, matching `crossbeam_deque::Steal`.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was observed empty.
-        Empty,
-        /// A task was taken.
-        Success(T),
-        /// The attempt lost a race (here: lock contention); retry.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// True when the queue was observed empty.
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-
-        /// True when a task was taken.
-        pub fn is_success(&self) -> bool {
-            matches!(self, Steal::Success(_))
-        }
-
-        /// True when the attempt should be repeated.
-        pub fn is_retry(&self) -> bool {
-            matches!(self, Steal::Retry)
-        }
-
-        /// The stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    enum Flavor {
-        Fifo,
-        Lifo,
-    }
-
-    /// The owner's handle on a local work queue. Not `Sync`: only the owning
-    /// thread pushes and pops; everyone else goes through a [`Stealer`].
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-        flavor: Flavor,
-        /// !Send + !Sync marker-free shims stay Send for pool setup; the
-        /// owner discipline is by convention, as in real crossbeam it is by
-        /// type. (Worker is Send there too; only Sync is denied.)
-        _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
-    }
-
-    /// A handle for taking work from another thread's [`Worker`]; cloneable.
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// A FIFO worker: `pop` takes the oldest local task.
-        pub fn new_fifo() -> Worker<T> {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-                flavor: Flavor::Fifo,
-                _not_sync: std::marker::PhantomData,
-            }
-        }
-
-        /// A LIFO worker: `pop` takes the most recently pushed task
-        /// (depth-first locality, the usual choice for tree expansion).
-        pub fn new_lifo() -> Worker<T> {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-                flavor: Flavor::Lifo,
-                _not_sync: std::marker::PhantomData,
-            }
-        }
-
-        /// A stealer handle on this worker's queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-
-        /// Push a task onto the local queue.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Pop from the local queue (front for FIFO, back for LIFO).
-        pub fn pop(&self) -> Option<T> {
-            let mut q = self.queue.lock().unwrap();
-            match self.flavor {
-                Flavor::Fifo => q.pop_front(),
-                Flavor::Lifo => q.pop_back(),
-            }
-        }
-
-        /// True when the local queue holds nothing right now.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-
-        /// Number of tasks in the local queue right now.
-        pub fn len(&self) -> usize {
-            self.queue.lock().unwrap().len()
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steal one task from the front of the victim's queue. `Retry`
-        /// means the lock was contended — look again, the queue may hold
-        /// work.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.try_lock() {
-                Ok(mut q) => match q.pop_front() {
-                    Some(v) => Steal::Success(v),
-                    None => Steal::Empty,
-                },
-                Err(std::sync::TryLockError::WouldBlock) => Steal::Retry,
-                Err(std::sync::TryLockError::Poisoned(e)) => {
-                    panic!("stealer found poisoned queue: {e}")
-                }
-            }
-        }
-
-        /// True when the victim's queue is observed empty (best effort:
-        /// contention reads as non-empty so callers keep polling).
-        pub fn is_empty(&self) -> bool {
-            match self.queue.try_lock() {
-                Ok(q) => q.is_empty(),
-                Err(_) => false,
-            }
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    /// The shared entry queue for a pool: any thread pushes, any worker
-    /// steals. FIFO, so injected tasks run roughly in submission order.
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Injector::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// An empty injector.
-        pub fn new() -> Injector<T> {
-            Injector {
-                queue: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Enqueue a task.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Steal one task. `Retry` on lock contention.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.try_lock() {
-                Ok(mut q) => match q.pop_front() {
-                    Some(v) => Steal::Success(v),
-                    None => Steal::Empty,
-                },
-                Err(std::sync::TryLockError::WouldBlock) => Steal::Retry,
-                Err(std::sync::TryLockError::Poisoned(e)) => {
-                    panic!("injector queue poisoned: {e}")
-                }
-            }
-        }
-
-        /// Move up to half the injector's backlog into `dest`'s local queue
-        /// and pop one task for immediate use — crossbeam's amortized entry
-        /// path for busy pools.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut q = match self.queue.try_lock() {
-                Ok(q) => q,
-                Err(std::sync::TryLockError::WouldBlock) => return Steal::Retry,
-                Err(std::sync::TryLockError::Poisoned(e)) => {
-                    panic!("injector queue poisoned: {e}")
-                }
-            };
-            let first = match q.pop_front() {
-                Some(v) => v,
-                None => return Steal::Empty,
-            };
-            let extra = q.len().div_ceil(2);
-            let mut moved = q.drain(..extra).collect::<Vec<_>>();
-            drop(q);
-            for task in moved.drain(..) {
-                dest.push(task);
-            }
-            Steal::Success(first)
-        }
-
-        /// True when the injector holds nothing right now (best effort
-        /// under contention, as for [`Stealer::is_empty`]).
-        pub fn is_empty(&self) -> bool {
-            match self.queue.try_lock() {
-                Ok(q) => q.is_empty(),
-                Err(_) => false,
-            }
-        }
-
-        /// Number of queued tasks right now.
-        pub fn len(&self) -> usize {
-            self.queue.lock().unwrap().len()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn lifo_pops_newest_fifo_pops_oldest() {
-            let lifo = Worker::new_lifo();
-            lifo.push(1);
-            lifo.push(2);
-            assert_eq!(lifo.pop(), Some(2));
-            assert_eq!(lifo.pop(), Some(1));
-            assert_eq!(lifo.pop(), None);
-
-            let fifo = Worker::new_fifo();
-            fifo.push(1);
-            fifo.push(2);
-            assert_eq!(fifo.pop(), Some(1));
-            assert_eq!(fifo.pop(), Some(2));
-        }
-
-        #[test]
-        fn stealer_takes_from_the_front() {
-            let w = Worker::new_lifo();
-            let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            w.push(3);
-            // Owner pops newest, stealer takes oldest: opposite ends.
-            assert_eq!(s.steal(), Steal::Success(1));
-            assert_eq!(w.pop(), Some(3));
-            assert_eq!(s.steal(), Steal::Success(2));
-            assert_eq!(s.steal(), Steal::Empty);
-        }
-
-        #[test]
-        fn injector_is_fifo_and_batch_pop_preserves_tasks() {
-            let inj = Injector::new();
-            for i in 0..10 {
-                inj.push(i);
-            }
-            let w = Worker::new_fifo();
-            let first = inj.steal_batch_and_pop(&w);
-            assert_eq!(first, Steal::Success(0));
-            // Everything still exists exactly once across the two queues.
-            let mut seen = vec![0];
-            while let Some(v) = w.pop() {
-                seen.push(v);
-            }
-            while let Steal::Success(v) = inj.steal() {
-                seen.push(v);
-            }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn concurrent_steals_lose_nothing() {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            use std::sync::Arc;
-
-            const N: u64 = 10_000;
-            let inj = Arc::new(Injector::new());
-            let sum = Arc::new(AtomicU64::new(0));
-            let count = Arc::new(AtomicU64::new(0));
-
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let inj = Arc::clone(&inj);
-                    let sum = Arc::clone(&sum);
-                    let count = Arc::clone(&count);
-                    std::thread::spawn(move || {
-                        let local = Worker::new_lifo();
-                        loop {
-                            let task = local.pop().or_else(|| loop {
-                                match inj.steal_batch_and_pop(&local) {
-                                    Steal::Success(v) => break Some(v),
-                                    Steal::Empty => break None,
-                                    Steal::Retry => std::hint::spin_loop(),
-                                }
-                            });
-                            match task {
-                                Some(v) => {
-                                    sum.fetch_add(v, Ordering::Relaxed);
-                                    count.fetch_add(1, Ordering::Relaxed);
-                                }
-                                None if count.load(Ordering::Relaxed) == N => break,
-                                // Producer may still be pushing; idle-spin.
-                                None => std::thread::yield_now(),
-                            }
-                        }
-                    })
-                })
-                .collect();
-
-            for v in 1..=N {
-                inj.push(v);
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(count.load(Ordering::Relaxed), N);
-            assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
         }
     }
 }

@@ -112,14 +112,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Speedup versus a given uniprocessor reference time.
-    pub fn speedup_vs(&self, uniprocessor: SimTime) -> f64 {
-        if self.exec_time.is_zero() {
-            return 0.0;
-        }
-        uniprocessor.as_secs_f64() / self.exec_time.as_secs_f64()
-    }
-
     /// Fraction of total busy+idle time spent in a category, system-wide.
     pub fn fraction(&self, pick: impl Fn(&ProcReport) -> SimTime) -> f64 {
         let total: f64 = self

@@ -52,23 +52,6 @@ pub fn render(timelines: &[Vec<StateInterval>], end: SimTime, width: usize) -> S
     out
 }
 
-/// Export timelines as CSV (`proc,start_s,end_s,state`).
-pub fn to_csv(timelines: &[Vec<StateInterval>]) -> String {
-    let mut out = String::from("proc,start_s,end_s,state\n");
-    for (pid, intervals) in timelines.iter().enumerate() {
-        for iv in intervals {
-            let _ = writeln!(
-                out,
-                "{pid},{:.6},{:.6},{}",
-                iv.start.as_secs_f64(),
-                iv.end.as_secs_f64(),
-                iv.state
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,13 +86,5 @@ mod tests {
         // After the crash marker the row is blank.
         let after_x: String = row.chars().skip_while(|&c| c != 'X').skip(1).collect();
         assert!(!after_x.contains('█'));
-    }
-
-    #[test]
-    fn csv_has_all_intervals() {
-        let tl = vec![vec![iv(0, 5, "bb")], vec![iv(0, 2, "idle")]];
-        let csv = to_csv(&tl);
-        assert_eq!(csv.lines().count(), 3); // header + 2 rows
-        assert!(csv.contains("0,0.000000,5.000000,bb"));
     }
 }

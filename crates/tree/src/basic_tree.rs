@@ -89,54 +89,69 @@ impl BasicTree {
         Ok(t)
     }
 
-    /// Check structural invariants.
+    /// Check structural invariants. Total on any node arena — the serde
+    /// decoder hands this arenas built from outside bytes — so the walk
+    /// goes *down* from the root: a node is examined only after the chain
+    /// of parents above it, and the root-path walk below therefore cannot
+    /// leave the arena or loop on a cycle of forged parent pointers.
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
-            return Err("empty tree".into());
-        }
-        if self.nodes[0].parent.is_some() {
+        let root = self.nodes.first().ok_or("empty tree")?;
+        if root.parent.is_some() {
             return Err("root must have no parent".into());
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some((l, r)) = n.children {
-                for (kid, bit) in [(l, false), (r, true)] {
-                    let k = self
-                        .nodes
-                        .get(kid as usize)
-                        .ok_or_else(|| format!("node {i}: child {kid} out of range"))?;
-                    if k.parent != Some((i as NodeId, bit)) {
-                        return Err(format!("node {kid}: bad parent back-pointer"));
-                    }
-                    if k.bound + 1e-9 < n.bound {
-                        return Err(format!(
-                            "node {kid}: bound {} below parent bound {}",
-                            k.bound, n.bound
-                        ));
-                    }
-                }
+        let mut stack: Vec<NodeId> = vec![0];
+        let mut reached = 0usize;
+        while let Some(i) = stack.pop() {
+            reached += 1;
+            let n = &self.nodes[i as usize];
+            if n.bound.is_nan() {
+                return Err(format!("node {i}: bound is NaN"));
             }
-            if n.cost < 0.0 {
-                return Err(format!("node {i}: negative cost"));
+            if n.cost < 0.0 || n.cost.is_nan() {
+                return Err(format!("node {i}: negative or NaN cost"));
             }
             if let Some(s) = n.solution {
-                if s + 1e-9 < n.bound {
+                if s + 1e-9 < n.bound || s.is_nan() {
                     return Err(format!("node {i}: solution {s} below bound {}", n.bound));
                 }
             }
-            // Variables must be unique along any root path (codes depend on it).
-            if n.children.is_some() {
-                let mut cur = n.parent;
-                while let Some((p, _)) = cur {
-                    let pn = &self.nodes[p as usize];
-                    if pn.children.is_some() && pn.var == n.var {
-                        return Err(format!(
-                            "node {i}: branching variable x{} repeats on its root path",
-                            n.var
-                        ));
-                    }
-                    cur = pn.parent;
+            let Some((l, r)) = n.children else { continue };
+            for (kid, bit) in [(l, false), (r, true)] {
+                let k = self
+                    .nodes
+                    .get(kid as usize)
+                    .ok_or_else(|| format!("node {i}: child {kid} out of range"))?;
+                // One parent field per node: no node is pushed twice, so
+                // the walk ends after at most `len` nodes.
+                if k.parent != Some((i, bit)) {
+                    return Err(format!("node {kid}: bad parent back-pointer"));
                 }
+                if k.bound + 1e-9 < n.bound {
+                    return Err(format!(
+                        "node {kid}: bound {} below parent bound {}",
+                        k.bound, n.bound
+                    ));
+                }
+                stack.push(kid);
             }
+            // Variables must be unique along any root path (codes depend on it).
+            let mut cur = n.parent;
+            while let Some((p, _)) = cur {
+                let pn = &self.nodes[p as usize];
+                if pn.var == n.var {
+                    return Err(format!(
+                        "node {i}: branching variable x{} repeats on its root path",
+                        n.var
+                    ));
+                }
+                cur = pn.parent;
+            }
+        }
+        if reached != self.nodes.len() {
+            return Err(format!(
+                "{} node(s) unreachable from the root",
+                self.nodes.len() - reached
+            ));
         }
         Ok(())
     }

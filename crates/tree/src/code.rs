@@ -306,10 +306,12 @@ impl Code {
                 .all(|(x, y)| x == y)
     }
 
-    /// Size of this code on the wire, in bytes: each pair packs a 15-bit
-    /// variable id and the branch bit into a `u16`, plus a 2-byte length
-    /// header. This is the quantity the work-report compression of §5.3.2
-    /// reduces.
+    /// The simulator's *modelled* message size of this code, in bytes —
+    /// the paper's packed pair: a 15-bit variable id and the branch bit in
+    /// a `u16`, plus a 2-byte length header. This is the quantity the
+    /// work-report compression of §5.3.2 reduces and every byte column of
+    /// `PAPER_RESULTS.md` counts. It is not what a deployed node ships: the
+    /// one binary encoding (this type's `Serialize`) is 4 + 3·depth bytes.
     pub fn wire_size(&self) -> usize {
         2 + 2 * self.depth()
     }

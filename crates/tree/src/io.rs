@@ -1,22 +1,22 @@
-//! Compact binary serialization of basic trees and codes.
+//! Basic-tree files: a recorded workload cached on disk.
 //!
-//! Basic trees for the large experiments are ~100k nodes; the binary format
-//! keeps them at ~30 bytes/node so generated workloads can be cached on
-//! disk and shared between bench runs. (serde `derive` is also available on
-//! all types for structured formats.)
+//! A tree file is a magic word, a format version and the tree's serde
+//! encoding — the same encoding an announce frame carries it in, ~35
+//! bytes/node — so outside bytes reach a [`BasicTree`] through one
+//! decoder (length-clamped, trailing bytes refused) and then
+//! [`BasicTree::validate`].
 
-use crate::basic_tree::{BasicNode, BasicTree, NodeId};
-use crate::code::{Code, Pair, Var};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::basic_tree::BasicTree;
+use serde::{DecodeError, Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::Path;
 
 const MAGIC: u32 = 0x4654_4242; // "FTBB"
-const VERSION: u16 = 1;
-const NO_CHILD: u32 = u32::MAX;
+/// v2: the body is the serde encoding (v1 was a hand-packed node table).
+const VERSION: u16 = 2;
 
-/// Errors from the binary codec.
+/// Errors from reading or writing a tree file.
 #[derive(Debug)]
 pub enum CodecError {
     /// File/stream I/O failure.
@@ -42,174 +42,71 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// Encode a basic tree to bytes.
-pub fn encode_tree(tree: &BasicTree) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + tree.len() * 32);
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(tree.len() as u32);
-    for n in tree.nodes() {
-        buf.put_u16_le(n.var);
-        buf.put_f64_le(n.bound);
-        buf.put_f64_le(n.cost);
-        match n.solution {
-            Some(s) => {
-                buf.put_u8(1);
-                buf.put_f64_le(s);
-            }
-            None => buf.put_u8(0),
-        }
-        match n.children {
-            Some((l, r)) => {
-                buf.put_u32_le(l);
-                buf.put_u32_le(r);
-            }
-            None => {
-                buf.put_u32_le(NO_CHILD);
-                buf.put_u32_le(NO_CHILD);
-            }
-        }
-    }
-    buf.freeze()
+/// Write a basic tree to a file.
+pub fn write_tree_file(tree: &BasicTree, path: &Path) -> Result<(), CodecError> {
+    let mut out = Vec::new();
+    (MAGIC, VERSION).ser(&mut out);
+    tree.ser(&mut out);
+    fs::write(path, out)?;
+    Ok(())
 }
 
-fn need(data: &[u8], n: usize, what: &str) -> Result<(), CodecError> {
-    if data.len() < n {
-        Err(CodecError::Malformed(format!("truncated at {what}")))
-    } else {
-        Ok(())
-    }
-}
-
-/// Decode a basic tree from bytes. Parent pointers are reconstructed from
-/// the child table and the result is re-validated.
-pub fn decode_tree(mut data: &[u8]) -> Result<BasicTree, CodecError> {
-    need(data, 10, "header")?;
-    if data.get_u32_le() != MAGIC {
+/// Read a basic tree from a file, refusing anything that is not a
+/// current-version file holding exactly one valid tree.
+pub fn read_tree_file(path: &Path) -> Result<BasicTree, CodecError> {
+    let data = fs::read(path)?;
+    let mut r = &data[..];
+    let bad = |e: DecodeError| CodecError::Malformed(e.to_string());
+    if u32::de(&mut r).map_err(bad)? != MAGIC {
         return Err(CodecError::Malformed("bad magic".into()));
     }
-    let version = data.get_u16_le();
+    let version = u16::de(&mut r).map_err(bad)?;
     if version != VERSION {
         return Err(CodecError::Malformed(format!(
             "unsupported version {version}"
         )));
     }
-    let count = data.get_u32_le() as usize;
-    let mut nodes: Vec<BasicNode> = Vec::with_capacity(count);
-    let mut child_table: Vec<Option<(u32, u32)>> = Vec::with_capacity(count);
-    for i in 0..count {
-        need(data, 2 + 8 + 8 + 1, &format!("node {i}"))?;
-        let var = data.get_u16_le();
-        let bound = data.get_f64_le();
-        let cost = data.get_f64_le();
-        let has_sol = data.get_u8();
-        let solution = if has_sol == 1 {
-            need(data, 8, "solution")?;
-            Some(data.get_f64_le())
-        } else if has_sol == 0 {
-            None
-        } else {
-            return Err(CodecError::Malformed("bad solution flag".into()));
-        };
-        need(data, 8, "children")?;
-        let l = data.get_u32_le();
-        let r = data.get_u32_le();
-        let children = if l == NO_CHILD && r == NO_CHILD {
-            None
-        } else {
-            Some((l, r))
-        };
-        child_table.push(children);
-        nodes.push(BasicNode {
-            parent: None,
-            var,
-            bound,
-            cost,
-            solution,
-            children,
-        });
-    }
-    // Rebuild parent back-pointers.
-    for (i, kids) in child_table.iter().enumerate() {
-        if let Some((l, r)) = kids {
-            for (kid, bit) in [(l, false), (r, true)] {
-                let slot = nodes
-                    .get_mut(*kid as usize)
-                    .ok_or_else(|| CodecError::Malformed(format!("child {kid} out of range")))?;
-                slot.parent = Some((i as NodeId, bit));
-            }
-        }
-    }
-    BasicTree::try_new(nodes).map_err(CodecError::Malformed)
-}
-
-/// Write a basic tree to a file.
-pub fn write_tree_file(tree: &BasicTree, path: &Path) -> Result<(), CodecError> {
-    fs::write(path, encode_tree(tree))?;
-    Ok(())
-}
-
-/// Read a basic tree from a file.
-pub fn read_tree_file(path: &Path) -> Result<BasicTree, CodecError> {
-    let data = fs::read(path)?;
-    decode_tree(&data)
-}
-
-/// Encode a code list (e.g. for a work-report payload snapshot).
-pub fn encode_codes(codes: &[Code]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(codes.len() as u32);
-    for c in codes {
-        buf.put_u16_le(c.depth() as u16);
-        for p in c.pairs() {
-            // Pack 15-bit var + branch bit, as counted by `Code::wire_size`.
-            let word = (p.var << 1) | (p.bit as u16);
-            buf.put_u16_le(word);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode a code list.
-pub fn decode_codes(mut data: &[u8]) -> Result<Vec<Code>, CodecError> {
-    if data.remaining() < 4 {
-        return Err(CodecError::Malformed("truncated code list".into()));
-    }
-    let count = data.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        if data.remaining() < 2 {
-            return Err(CodecError::Malformed("truncated code header".into()));
-        }
-        let depth = data.get_u16_le() as usize;
-        if data.remaining() < 2 * depth {
-            return Err(CodecError::Malformed("truncated code body".into()));
-        }
-        let mut pairs = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            let word = data.get_u16_le();
-            pairs.push(Pair {
-                var: (word >> 1) as Var,
-                bit: word & 1 == 1,
-            });
-        }
-        out.push(Code::from_pairs(pairs));
-    }
-    Ok(out)
+    let tree: BasicTree = serde::decode(r).map_err(bad)?;
+    tree.validate().map_err(CodecError::Malformed)?;
+    Ok(tree)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::basic_tree::fig1_example;
+    use crate::code::Code;
     use crate::generator::{random_basic_tree, TreeConfig};
+    use std::path::PathBuf;
+
+    /// A scratch path no other test (they run in parallel) shares.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("ftbb-io-test-{}-{name}", std::process::id()))
+    }
+
+    /// The bytes `write_tree_file` produces for `tree`.
+    fn file_bytes(tree: &BasicTree, name: &str) -> Vec<u8> {
+        let path = scratch(name);
+        write_tree_file(tree, &path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// `read_tree_file` over `bytes`.
+    fn read_bytes(bytes: &[u8], name: &str) -> Result<BasicTree, CodecError> {
+        let path = scratch(name);
+        fs::write(&path, bytes).unwrap();
+        let read = read_tree_file(&path);
+        fs::remove_file(&path).ok();
+        read
+    }
 
     #[test]
     fn tree_round_trip() {
         let t = fig1_example();
-        let bytes = encode_tree(&t);
-        let back = decode_tree(&bytes).unwrap();
-        assert_eq!(t, back);
+        let bytes = file_bytes(&t, "fig1-rt");
+        assert_eq!(read_bytes(&bytes, "fig1-rt").unwrap(), t);
     }
 
     #[test]
@@ -218,50 +115,50 @@ mod tests {
             target_nodes: 501,
             ..Default::default()
         });
-        let back = decode_tree(&encode_tree(&t)).unwrap();
-        assert_eq!(t, back);
+        let bytes = file_bytes(&t, "random-rt");
+        assert_eq!(read_bytes(&bytes, "random-rt").unwrap(), t);
     }
 
     #[test]
     fn file_round_trip() {
         let t = fig1_example();
-        let dir = std::env::temp_dir().join("ftbb-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fig1.ftbb");
+        let path = scratch("fig1.ftbb");
         write_tree_file(&t, &path).unwrap();
         let back = read_tree_file(&path).unwrap();
         assert_eq!(t, back);
-        std::fs::remove_file(&path).ok();
+        fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = encode_tree(&fig1_example()).to_vec();
+        let mut bytes = file_bytes(&fig1_example(), "magic");
         bytes[0] ^= 0xFF;
-        assert!(matches!(decode_tree(&bytes), Err(CodecError::Malformed(_))));
+        assert!(matches!(
+            read_bytes(&bytes, "magic"),
+            Err(CodecError::Malformed(_))
+        ));
     }
 
     #[test]
     fn rejects_truncation() {
-        let bytes = encode_tree(&fig1_example());
+        let bytes = file_bytes(&fig1_example(), "cut");
         for cut in [0, 4, 9, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_tree(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(read_bytes(&bytes[..cut], "cut").is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut bytes = file_bytes(&fig1_example(), "tail");
+        bytes.push(0);
+        assert!(read_bytes(&bytes, "tail").is_err());
     }
 
     #[test]
     fn codes_round_trip() {
         let t = fig1_example();
         let codes: Vec<Code> = (0..t.len() as u32).map(|i| t.code_of(i)).collect();
-        let back = decode_codes(&encode_codes(&codes)).unwrap();
+        let back: Vec<Code> = serde::decode(&serde::encode(&codes)).unwrap();
         assert_eq!(codes, back);
-    }
-
-    #[test]
-    fn encoded_code_size_matches_wire_size() {
-        let t = fig1_example();
-        let codes: Vec<Code> = (0..t.len() as u32).map(|i| t.code_of(i)).collect();
-        let total: usize = codes.iter().map(|c| c.wire_size()).sum();
-        assert_eq!(encode_codes(&codes).len(), 4 + total);
     }
 }

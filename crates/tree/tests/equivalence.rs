@@ -91,20 +91,15 @@ proptest! {
         prop_assert_eq!(back, code);
     }
 
-    /// The io-module codec (the actual gossip payload path) round-trips
-    /// codes of every depth, including exactly at the spill boundary.
-    /// (The codec packs ⟨var,bit⟩ into one u16, so vars are 15-bit there.)
+    /// A code *list* (a checkpoint's table, a report's payload) round-trips
+    /// codes of every depth, including exactly at the spill boundary, with
+    /// the full 16-bit variable range.
     #[test]
     fn code_io_round_trips_across_boundary(model in pairs_strategy()) {
-        let model: Vec<Pair> = model
-            .into_iter()
-            .map(|p| Pair { var: p.var & 0x7FFF, bit: p.bit })
-            .collect();
         let codes: Vec<Code> = (0..=model.len())
             .map(|d| code_of(&model[..d]))
             .collect();
-        let bytes = ftbb_tree::io::encode_codes(&codes);
-        let back = ftbb_tree::io::decode_codes(&bytes).unwrap();
+        let back: Vec<Code> = serde::decode(&serde::encode(&codes)).unwrap();
         prop_assert_eq!(back, codes);
     }
 

@@ -1,7 +1,10 @@
 //! Property-based tests of the code algebra — the invariants the paper's
 //! fault-tolerance argument rests on.
 
-use ftbb_tree::{compress, pick_recovery, random_basic_tree, Code, CodeSet, NodeId, TreeConfig};
+use ftbb_tree::io::{read_tree_file, write_tree_file, CodecError};
+use ftbb_tree::{
+    compress, pick_recovery, random_basic_tree, BasicTree, Code, CodeSet, NodeId, TreeConfig,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -169,16 +172,15 @@ proptest! {
         prop_assert!(set.is_root_done());
     }
 
-    /// Binary code round-trip through the io module.
+    /// A code list round-trips through the one binary format.
     #[test]
     fn codes_roundtrip_binary((tree, _picks) in tree_and_leaf_subset()) {
         let codes: Vec<Code> = (0..tree.len() as NodeId).map(|i| tree.code_of(i)).collect();
-        let bytes = ftbb_tree::io::encode_codes(&codes);
-        let back = ftbb_tree::io::decode_codes(&bytes).unwrap();
+        let back: Vec<Code> = serde::decode(&serde::encode(&codes)).unwrap();
         prop_assert_eq!(codes, back);
     }
 
-    /// Basic trees round-trip through the binary codec.
+    /// Basic trees round-trip through a tree file.
     #[test]
     fn trees_roundtrip_binary(pairs in 2usize..40, seed in any::<u64>()) {
         let tree = random_basic_tree(&TreeConfig {
@@ -186,7 +188,105 @@ proptest! {
             seed,
             ..Default::default()
         });
-        let back = ftbb_tree::io::decode_tree(&ftbb_tree::io::encode_tree(&tree)).unwrap();
-        prop_assert_eq!(tree, back);
+        let file = TreeFile::new("roundtrip");
+        write_tree_file(&tree, &file.0).unwrap();
+        prop_assert_eq!(tree, read_tree_file(&file.0).unwrap());
     }
+}
+
+/// A scratch tree file, unique to one test of this process, removed on drop.
+struct TreeFile(std::path::PathBuf);
+
+impl TreeFile {
+    fn new(test: &str) -> TreeFile {
+        let name = format!("ftbb-tree-props-{}-{test}.ftbb", std::process::id());
+        TreeFile(std::env::temp_dir().join(name))
+    }
+
+    /// `read_tree_file` over `bytes`.
+    fn read(&self, bytes: &[u8]) -> Result<BasicTree, CodecError> {
+        std::fs::write(&self.0, bytes).unwrap();
+        read_tree_file(&self.0)
+    }
+}
+
+impl Drop for TreeFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+proptest! {
+    // Every case reads the file once per byte of it, twice over.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// No tree file can panic its reader: every prefix and every
+    /// single-byte mutation of a good file is refused or reads back as a
+    /// tree that passes `validate`. (An attacker's length field cannot
+    /// size an allocation either — the serde decoder clamps a `Vec`'s
+    /// capacity to the bytes that remain, and each of these files is a
+    /// few hundred bytes.)
+    #[test]
+    fn damaged_tree_files_are_refused_or_valid(
+        pairs in 2usize..12,
+        seed in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let tree = random_basic_tree(&TreeConfig {
+            target_nodes: 2 * pairs + 1,
+            seed,
+            ..Default::default()
+        });
+        let file = TreeFile::new("damaged");
+        write_tree_file(&tree, &file.0).unwrap();
+        let good = std::fs::read(&file.0).unwrap();
+
+        for cut in 0..good.len() {
+            prop_assert!(file.read(&good[..cut]).is_err(), "prefix of {} bytes accepted", cut);
+        }
+        let mut bytes = good.clone();
+        for at in 0..good.len() {
+            bytes[at] ^= flip;
+            if let Ok(read) = file.read(&bytes) {
+                prop_assert!(read.validate().is_ok(), "byte {} ^ {:#x}", at, flip);
+            }
+            bytes[at] = good[at];
+        }
+    }
+}
+
+/// A well-formed file whose tree breaks the bounding invariant — a child
+/// bounded below its parent — is refused, not replayed.
+#[test]
+fn tree_file_with_child_bound_below_parent_is_refused() {
+    let tree = ftbb_tree::basic_tree::fig1_example();
+    let file = TreeFile::new("bound");
+    write_tree_file(&tree, &file.0).unwrap();
+    let good = std::fs::read(&file.0).unwrap();
+
+    // Node 3's bound (3.0, under a parent bounded 1.0) is the only
+    // f64 3.0 in the file; rewrite it to -5.0, the same width.
+    let three = 3.0f64.to_le_bytes();
+    let at = good
+        .windows(8)
+        .position(|w| w == three)
+        .expect("node 3's bound is in the file");
+    let mut bytes = good.clone();
+    bytes[at..at + 8].copy_from_slice(&(-5.0f64).to_le_bytes());
+    let err = file.read(&bytes).unwrap_err().to_string();
+    assert!(err.contains("below parent bound"), "{err}");
+}
+
+/// A file of the previous format version is refused by number, not
+/// misread as the current layout.
+#[test]
+fn previous_version_tree_file_is_refused_by_number() {
+    let file = TreeFile::new("v1");
+    write_tree_file(&ftbb_tree::basic_tree::fig1_example(), &file.0).unwrap();
+    let mut bytes = std::fs::read(&file.0).unwrap();
+    // The header is the magic (4 bytes), then the format version.
+    assert_eq!(bytes[4..6], 2u16.to_le_bytes());
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let err = file.read(&bytes).unwrap_err().to_string();
+    assert!(err.contains("unsupported version 1"), "{err}");
 }

@@ -72,14 +72,13 @@
 //! frame on; what keeps startup from losing frames is the readiness
 //! barrier that runs before it, not a retry.
 
-use bytes::{Bytes, BytesMut};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{JobId, Msg};
 use ftbb_runtime::Envelope;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::fmt;
 use std::net::SocketAddr;
+use std::sync::Arc;
 
 /// Frame magic: `"FTWB"` (ftbb wire, binary).
 pub const MAGIC: u32 = 0x4654_5742;
@@ -311,7 +310,7 @@ impl WireFrame {
 #[derive(Debug, Clone)]
 pub struct EncodedFrame {
     /// The full frame (header + payload), ready for the socket.
-    pub bytes: Bytes,
+    pub bytes: Arc<Vec<u8>>,
     /// The message's own estimate of its protocol size
     /// ([`Msg::wire_size`]), used for paper-faithful accounting.
     pub wire_size: usize,
@@ -441,61 +440,36 @@ pub fn encode_join(join: &JoinFrame) -> EncodedFrame {
     })
 }
 
-/// The reusable scratch buffer every `encode_*` writes into: header and
-/// payload go down in **one** buffer (no separate payload vector, no
-/// header-prepend copy); the length and checksum fields are patched in
-/// place once the payload is down, and the finished frame is split off as
-/// refcounted [`Bytes`].
-struct FrameEncoder {
-    scratch: BytesMut,
-}
-
-impl FrameEncoder {
-    /// Encode one frame. `fill` writes the payload (kind byte first);
-    /// `wire_size` is the protocol-size estimate, defaulting to the
-    /// payload length (the handshake convention).
-    fn encode(
-        &mut self,
-        size_hint: usize,
-        wire_size: Option<usize>,
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) -> EncodedFrame {
-        self.scratch.reserve(HEADER_LEN + size_hint);
-        let buf = self.scratch.as_vec_mut();
-        debug_assert!(buf.is_empty(), "scratch must start each frame empty");
-        MAGIC.ser(buf);
-        VERSION.ser(buf);
-        0u32.ser(buf); // pay_len, patched below
-        0u32.ser(buf); // checksum, patched below
-        fill(buf);
-        let pay_len = buf.len() - HEADER_LEN;
-        let sum = checksum(&buf[HEADER_LEN..]);
-        buf[6..10].copy_from_slice(&(pay_len as u32).to_le_bytes());
-        buf[10..14].copy_from_slice(&sum.to_le_bytes());
-        EncodedFrame {
-            bytes: self.scratch.split().freeze(),
-            wire_size: wire_size.unwrap_or(pay_len),
-        }
-    }
-}
-
-thread_local! {
-    static ENCODER: RefCell<FrameEncoder> = RefCell::new(FrameEncoder {
-        scratch: BytesMut::new(),
-    });
-}
-
-/// Encode through the thread-local scratch encoder.
+/// Encode one frame: header and payload go down in **one** buffer (no
+/// separate payload vector, no header-prepend copy), allocated per frame
+/// at `size_hint`; the length and checksum fields are patched in place
+/// once the payload is down, and the buffer itself becomes the refcounted
+/// frame. `fill` writes the payload (kind byte first); `wire_size` is the
+/// protocol-size estimate, defaulting to the payload length (the
+/// handshake convention).
 fn encode_with(
     size_hint: usize,
     wire_size: Option<usize>,
     fill: impl FnOnce(&mut Vec<u8>),
 ) -> EncodedFrame {
-    ENCODER.with(|e| e.borrow_mut().encode(size_hint, wire_size, fill))
+    let mut buf = Vec::with_capacity(HEADER_LEN + size_hint);
+    MAGIC.ser(&mut buf);
+    VERSION.ser(&mut buf);
+    0u32.ser(&mut buf); // pay_len, patched below
+    0u32.ser(&mut buf); // checksum, patched below
+    fill(&mut buf);
+    let pay_len = buf.len() - HEADER_LEN;
+    let sum = checksum(&buf[HEADER_LEN..]);
+    buf[6..10].copy_from_slice(&(pay_len as u32).to_le_bytes());
+    buf[10..14].copy_from_slice(&sum.to_le_bytes());
+    EncodedFrame {
+        bytes: Arc::new(buf),
+        wire_size: wire_size.unwrap_or(pay_len),
+    }
 }
 
-/// Wrap a finished payload in the frame header (the two-buffer path the
-/// scratch encoder replaced — kept for tests that hand-build payloads).
+/// Wrap a finished payload in the frame header (for tests that
+/// hand-build payloads).
 #[cfg(test)]
 fn frame_bytes(payload: Vec<u8>, wire_size: usize) -> EncodedFrame {
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -525,12 +499,14 @@ pub fn decode_frame(data: &[u8]) -> Result<WireFrame, WireError> {
 /// Incremental frame decoder: feed arbitrary byte chunks (as delivered by
 /// the socket — frames may arrive split or coalesced), pull decoded
 /// frames. Payloads are decoded by **borrowing** the buffered bytes in
-/// place; the cursor advances past each decoded frame with compaction
-/// deferred ([`BytesMut::advance`]), so steady-state decoding does no
-/// per-frame copying beyond the socket read itself.
+/// place; a consumed-prefix cursor steps past each decoded frame and
+/// compaction is deferred, so steady-state decoding does no per-frame
+/// copying beyond the socket read itself.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Consumed prefix of `buf`; the undecoded bytes are `buf[start..]`.
+    start: usize,
     /// Frames decoded so far (for accounting/tests).
     pub frames_decoded: u64,
     /// Payload + header bytes consumed by successful decodes.
@@ -550,7 +526,21 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
+    }
+
+    /// Step past `n` decoded bytes. The dead prefix is reclaimed at once
+    /// when nothing live remains, and otherwise only when it outweighs
+    /// the live remainder, so the memmove is amortized O(1) per byte.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 64 * 1024 && self.start > self.buf.len() - self.start {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
     }
 
     /// Try to decode the next frame. `Ok(None)` means "need more bytes".
@@ -558,7 +548,7 @@ impl FrameDecoder {
     /// drop the connection (this matches the Crash model — a corrupt peer
     /// is indistinguishable from a dead one).
     pub fn try_next(&mut self) -> Result<Option<WireFrame>, WireError> {
-        let avail: &[u8] = &self.buf;
+        let avail = &self.buf[self.start..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -702,7 +692,7 @@ impl FrameDecoder {
                 r.len()
             )));
         }
-        self.buf.advance(HEADER_LEN + pay_len);
+        self.consume(HEADER_LEN + pay_len);
         self.frames_decoded += 1;
         self.bytes_decoded += (HEADER_LEN + pay_len) as u64;
         Ok(Some(frame))
@@ -1005,6 +995,28 @@ mod tests {
         assert_eq!(dec.try_next().unwrap(), None);
         assert_eq!(dec.frames_decoded, 5);
         assert_eq!(dec.bytes_decoded as usize, stream.len());
+    }
+
+    #[test]
+    fn a_long_coalesced_stream_decodes_across_compaction() {
+        // One push far larger than the 64 KiB compaction threshold: the
+        // cursor walks it frame by frame, the dead prefix is reclaimed
+        // once it outweighs what is left, and nothing is lost around it.
+        let frame = encode_frame(&sample(), 0, 0, &[]).bytes;
+        let count = 4 * 64 * 1024 / frame.len();
+        let stream = frame.repeat(count);
+        let mut dec = FrameDecoder::new();
+        dec.push(&stream);
+        let mut compacted = false;
+        for left in (0..count).rev() {
+            let env = dec.try_next().unwrap().unwrap().into_envelope().unwrap();
+            assert_eq!(env.msg, sample().msg);
+            assert_eq!(dec.buffered(), left * frame.len());
+            compacted |= dec.start == 0 && left > 0;
+        }
+        assert!(compacted, "the consumed prefix was never reclaimed");
+        assert_eq!(dec.try_next().unwrap(), None);
+        assert!(dec.buf.is_empty() && dec.start == 0);
     }
 
     #[test]

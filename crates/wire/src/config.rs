@@ -676,8 +676,8 @@ node_keys! {
 
     /// Expansion worker threads per node. `1` keeps expansion inline in
     /// the event pump — the historical behaviour. Higher values run
-    /// subproblem expansion on a work-stealing pool so multiple jobs
-    /// expand in parallel; the protocol state machine stays
+    /// subproblem expansion on a worker pool so multiple jobs expand
+    /// in parallel; the protocol state machine stays
     /// single-threaded either way, so the optimum is identical.
     workers: usize = 1;
     Range::Int(1, u64::MAX), PERFORMANCE, "N";

@@ -233,7 +233,7 @@ pub struct ClusterSpec {
     /// Base seed for per-node protocol randomness.
     pub seed: u64,
     /// Expansion workers per node (`--workers`): 1 expands inline on the
-    /// protocol thread; more offload expansions to a work-stealing pool.
+    /// protocol thread; more offload expansions to a worker pool.
     /// The optimum is identical either way.
     pub workers: usize,
 }

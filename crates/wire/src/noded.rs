@@ -386,10 +386,9 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
             ftbb_runtime::node_seed(cfg.seed ^ chk.job.raw(), cfg.id),
         )
         .map_err(bad_input)?;
-        telemetry.emit(
+        telemetry.for_job(chk.job.raw()).emit(
             "job_restored",
             &[
-                ("job", chk.job.raw().to_string()),
                 ("table_codes", chk.table.len().to_string()),
                 ("pooled", chk.pool.len().to_string()),
                 ("incumbent", chk.incumbent.to_string()),
@@ -637,7 +636,7 @@ fn note_control(mesh: &TcpMesh, telemetry: &Telemetry, control: Control) {
         ),
         Control::Submit { job, .. } => {
             mesh.close_submitter(job);
-            telemetry.emit("submit_refused", &[("job", job.raw().to_string())]);
+            telemetry.for_job(job.raw()).emit("submit_refused", &[]);
         }
         Control::Announce { .. } => {}
     }
@@ -683,14 +682,13 @@ fn control_loop(
         // but never admitted twice.
         let fresh = seen.insert(job);
         if fresh {
-            telemetry.emit(
+            telemetry.for_job(job.raw()).emit(
                 if gateway {
                     "job_submitted"
                 } else {
                     "job_announced"
                 },
                 &[
-                    ("job", job.raw().to_string()),
                     (
                         "from",
                         announcer.map_or_else(|| "client".to_string(), |n| n.to_string()),

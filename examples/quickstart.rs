@@ -17,7 +17,7 @@ fn main() {
     println!("root  = {root}");
     println!("left  = {left}");
     println!(
-        "leaf  = {leaf}   (depth {}, {} wire bytes)",
+        "leaf  = {leaf}   (depth {}, {} bytes as the paper packs it)",
         leaf.depth(),
         leaf.wire_size()
     );

@@ -23,7 +23,7 @@
 //! |---|---|
 //! | [`tree`] | tree codes, contracting code sets, complement recovery, basic trees |
 //! | [`bnb`] | sequential B&B engine, knapsack & MAX-SAT, basic-tree recorder |
-//! | [`gossip`] | rumor mongering, anti-entropy, gossip membership protocol |
+//! | [`gossip`] | gossip membership protocol: heartbeats, suspicion, join |
 //! | [`core`] | the paper's protocol as a pure, transport-agnostic state machine |
 //! | [`des`] | deterministic discrete-event engine (the Parsec substitute) |
 //! | [`net`] | Internet-like network model (`1.5 + 0.005·L` ms, loss, partitions) |
