@@ -47,7 +47,9 @@ pub trait BranchBound {
     /// Rebuild a node from its tree code by replaying the decisions from
     /// the root — this is what makes codes *self-contained* (§5.3.1): "the
     /// code (along with the initial data …) is enough to initiate a problem
-    /// on any processor."
+    /// on any processor." Transfer and recovery need this from-root
+    /// replay; a node's own descent replays only the suffix past its last
+    /// path (`ftbb_core::ProblemExpander`), with the same per-step check.
     ///
     /// Returns `None` if the code does not correspond to a path of this
     /// problem's tree (wrong variable or descent past a leaf).

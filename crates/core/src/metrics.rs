@@ -74,11 +74,14 @@ mergeable_struct! {
         pub reports_sent: u64,
         /// Work reports received.
         pub reports_received: u64,
-        /// Codes shipped in sent reports, after compression.
+        /// Codes shipped in sent reports, after compression, counted once
+        /// per flush that reached at least one recipient (a flush with no
+        /// recipient compresses nothing and counts nothing).
         pub report_codes_sent: u64,
-        /// Codes that compression removed before sending (paper: "the taller
-        /// the subtree completed locally, the larger the number of codes that
-        /// do not need to be sent").
+        /// Codes that compression removed from sent reports (paper: "the
+        /// taller the subtree completed locally, the larger the number of
+        /// codes that do not need to be sent"); like `report_codes_sent`,
+        /// only flushes that reached a recipient count.
         pub report_codes_saved: u64,
         /// Table gossips sent.
         pub table_gossips_sent: u64,

@@ -748,6 +748,15 @@ impl BnbProcess {
         if self.fresh.is_empty() {
             return;
         }
+        let mut members = self.members(now);
+        members.shuffle(&mut self.rng);
+        members.truncate(self.cfg.report_fanout);
+        if members.is_empty() {
+            // Nobody to tell (a solo node, a lone survivor): the codes are
+            // already in the table, so compressing them would be wasted.
+            self.fresh.clear();
+            return;
+        }
         let raw = self.fresh.len();
         // Compress into reusable scratch: the per-flush table and code
         // buffer keep their capacity across flushes.
@@ -760,9 +769,6 @@ impl BnbProcess {
         let sent = self.codes_scratch.len();
         self.metrics.report_codes_sent += sent as u64;
         self.metrics.report_codes_saved += (raw - sent.min(raw)) as u64;
-        let mut members = self.members(now);
-        members.shuffle(&mut self.rng);
-        members.truncate(self.cfg.report_fanout);
         for to in members {
             self.metrics.reports_sent += 1;
             out.push(Action::Send {
@@ -1771,6 +1777,37 @@ mod tests {
         p.handle(PEvent::Timer(PTimer::ReportFlush), t0());
         assert!(p.metrics().report_codes_saved >= 1);
         assert!(p.metrics().compression_ratio() > 0.0);
+    }
+
+    #[test]
+    fn flush_without_recipients_sends_and_counts_nothing() {
+        // A solo root holder: nobody to report to.
+        let mut p = BnbProcess::new(0, vec![0], cfg(), 0.0, true, 1);
+        p.handle(PEvent::Start, t0());
+        p.handle(
+            PEvent::Recv {
+                from: 1,
+                msg: Msg::WorkDeny { incumbent: 0.55 },
+            },
+            t0(),
+        );
+        // Each expansion eliminates its right child: one completion each.
+        let mut sent = 0;
+        for step in 0..cfg().report_batch as u64 {
+            let actions = p.handle(
+                PEvent::WorkDone {
+                    seq: step + 1,
+                    expansion: branch_expansion(step as u16 + 1, 0.1, 0.9),
+                },
+                t0(),
+            );
+            sent += sends(&actions).len();
+        }
+        assert!(p.fresh.is_empty(), "the batch was flushed");
+        assert_eq!(sent, 0);
+        let m = p.metrics();
+        assert_eq!(m.reports_sent, 0);
+        assert_eq!((m.report_codes_sent, m.report_codes_saved), (0, 0));
     }
 
     /// Count the BoundFlush `SetTimer` actions in `actions`.

@@ -4,10 +4,14 @@
 //! Codes are self-contained (§5.3.1), so an [`Expander`] needs nothing but
 //! the code (plus the initial problem data it was constructed with) to
 //! bound and decompose any subproblem — including subproblems recovered by
-//! complementing, which the local process has never seen.
+//! complementing, which the local process has never seen. That property is
+//! what *transfer and recovery* (grants, complements, restores) need; a
+//! node's own depth-first descent does not, so [`ProblemExpander`] keeps
+//! the path it last replayed and replays only the suffix of each code past
+//! the prefix they share.
 
 use ftbb_bnb::BranchBound;
-use ftbb_tree::{BasicTree, Code, Var};
+use ftbb_tree::{BasicTree, Code, Pair, Var};
 use std::sync::Arc;
 
 /// Result of expanding one subproblem.
@@ -39,6 +43,11 @@ pub trait Expander {
     /// Expand the subproblem with this code. Must be deterministic, and must
     /// succeed for any code reachable in the problem's tree (panics on
     /// foreign codes are acceptable — they indicate protocol corruption).
+    ///
+    /// The returned [`Expansion`] is a function of the code alone: an
+    /// expander may keep node state between calls (as [`ProblemExpander`]
+    /// keeps its last path), but the result must not depend on which codes
+    /// it expanded before.
     fn expand(&mut self, code: &Code) -> Expansion;
 
     /// The root problem's lower bound (to seed the initial pool).
@@ -105,18 +114,56 @@ impl Expander for TreeExpander {
     }
 }
 
-/// Expands a live [`BranchBound`] problem by rebuilding node state from the
-/// code — the "real implementation" path used by the threaded runtime,
-/// exercising exactly the self-containedness the paper's encoding promises.
+/// Expands a live [`BranchBound`] problem by replaying the code's decisions
+/// — the "real implementation" path used by the threaded runtime and
+/// `ftbb-noded`. It keeps the node states along the path it last replayed
+/// and replays only the decisions past the prefix a code shares with that
+/// path, with [`BranchBound::rebuild`]'s per-step check: a child of the
+/// last expansion costs one step, and a code that arrived by grant,
+/// recovery or restore replays from wherever it leaves the path (the root
+/// at worst, which is `rebuild`).
 #[derive(Debug, Clone)]
 pub struct ProblemExpander<P: BranchBound> {
     problem: P,
+    /// Node states along the last replayed path: `path[0]` is the root and
+    /// `path[d + 1]` the node `pairs[d]` leads to. Bounded by tree depth.
+    path: Vec<P::Node>,
+    /// The decisions that reached `path[1..]`.
+    pairs: Vec<Pair>,
 }
 
 impl<P: BranchBound> ProblemExpander<P> {
     /// Wrap a problem.
     pub fn new(problem: P) -> Self {
-        ProblemExpander { problem }
+        ProblemExpander {
+            path: vec![problem.root()],
+            pairs: Vec::new(),
+            problem,
+        }
+    }
+
+    /// Move the path to `code`: keep the prefix they share, replay the
+    /// rest. Panics on a code that does not replay, leaving the path on
+    /// its last valid prefix.
+    fn descend(&mut self, code: &Code) {
+        let shared = self
+            .pairs
+            .iter()
+            .zip(code.pairs())
+            .take_while(|(a, b)| **a == *b)
+            .count();
+        self.pairs.truncate(shared);
+        self.path.truncate(shared + 1);
+        for pair in code.pairs().skip(shared) {
+            let node = &self.path[self.pairs.len()];
+            let next = match self.problem.branching_var(node) {
+                Some(var) if var == pair.var => self.problem.decompose(node),
+                _ => None,
+            }
+            .unwrap_or_else(|| panic!("code {code} does not replay in this problem"));
+            self.path.push(if pair.bit { next.1 } else { next.0 });
+            self.pairs.push(pair);
+        }
     }
 
     /// The wrapped problem.
@@ -135,25 +182,20 @@ pub type AnyExpander = ProblemExpander<ftbb_bnb::AnyInstance>;
 
 impl<P: BranchBound> Expander for ProblemExpander<P> {
     fn expand(&mut self, code: &Code) -> Expansion {
-        let node = self
-            .problem
-            .rebuild(code)
-            .unwrap_or_else(|| panic!("code {code} does not replay in this problem"));
-        let children = match (
-            self.problem.branching_var(&node),
-            self.problem.decompose(&node),
-        ) {
+        self.descend(code);
+        let (problem, node) = (&self.problem, &self.path[self.pairs.len()]);
+        let children = match (problem.branching_var(node), problem.decompose(node)) {
             (Some(var), Some((l, r))) => Some(ChildPair {
                 var,
-                left_bound: self.problem.bound(&l),
-                right_bound: self.problem.bound(&r),
+                left_bound: problem.bound(&l),
+                right_bound: problem.bound(&r),
             }),
             _ => None,
         };
         Expansion {
-            cost: self.problem.cost(&node),
-            bound: self.problem.bound(&node),
-            solution: self.problem.solution(&node),
+            cost: problem.cost(node),
+            bound: problem.bound(node),
+            solution: problem.solution(node),
             children,
         }
     }

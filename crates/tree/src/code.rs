@@ -233,10 +233,25 @@ impl Code {
     }
 
     /// The code of the child obtained by branching on `var` with `bit`.
+    /// A spilled child costs one exact-capacity allocation (cloning, then
+    /// pushing, would allocate twice).
     pub fn child(&self, var: Var, bit: bool) -> Code {
-        let mut code = self.clone();
-        code.push(Pair { var, bit });
-        code
+        let p = Pair { var, bit };
+        match &self.repr {
+            Repr::Spill(v) => {
+                let mut words = Vec::with_capacity(v.len() + 1);
+                words.extend_from_slice(v);
+                words.push(p.pack());
+                Code {
+                    repr: Repr::Spill(words),
+                }
+            }
+            Repr::Inline { .. } => {
+                let mut code = self.clone();
+                code.push(p);
+                code
+            }
+        }
     }
 
     /// The parent's code, or `None` for the root.

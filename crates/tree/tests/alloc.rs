@@ -1,32 +1,40 @@
 //! Proof that the hot path is allocation-free: cloning a code at or
-//! below the inline cap and probing the table never touch the heap.
+//! below the inline cap and probing the table never touch the heap, and
+//! a child past the cap costs exactly one allocation.
 //!
 //! This is its own integration-test binary so the counting allocator
-//! observes only this test's allocations (integration tests otherwise
-//! share a process and run concurrently).
+//! observes only this binary's allocations; the counter is per thread
+//! because the harness runs the tests concurrently.
 
 use ftbb_tree::{Code, CodeSet};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// `System`, with a global allocation counter.
+/// `System`, with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -39,7 +47,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// A code of `depth` decisions on vars 1..=depth.
+fn code_of_depth(depth: usize) -> Code {
+    let decisions: Vec<(ftbb_tree::Var, bool)> =
+        (0..depth).map(|i| (i as u16 + 1, i % 2 == 0)).collect();
+    Code::from_decisions(&decisions)
 }
 
 #[test]
@@ -47,15 +62,12 @@ fn clone_and_table_contains_do_not_allocate() {
     // Set up outside the measured window: a code exactly at the inline
     // cap (the worst in-cap case) and a table covering part of its
     // lineage.
-    let decisions: Vec<(ftbb_tree::Var, bool)> = (0..Code::INLINE_CAP)
-        .map(|i| (i as u16 + 1, i % 2 == 0))
-        .collect();
-    let code = Code::from_decisions(&decisions);
-    let shallow = Code::from_decisions(&decisions[..4]);
+    let code = code_of_depth(Code::INLINE_CAP);
+    let shallow = code_of_depth(4);
 
     let mut table = CodeSet::new();
     table.insert(&shallow.sibling().unwrap());
-    table.insert(&Code::from_decisions(&decisions[..7]));
+    table.insert(&code_of_depth(7));
 
     let before = allocations();
     let mut hits = 0u32;
@@ -78,4 +90,19 @@ fn clone_and_table_contains_do_not_allocate() {
         0,
         "clone + contains at depth <= INLINE_CAP must not allocate"
     );
+}
+
+#[test]
+fn child_allocates_once_past_the_cap_and_never_below() {
+    for depth in 0..Code::INLINE_CAP + 6 {
+        let parent = code_of_depth(depth);
+        let before = allocations();
+        let child = std::hint::black_box(parent.child(99, true));
+        let allocated = allocations() - before;
+        let expected = u64::from(child.depth() > Code::INLINE_CAP);
+        assert_eq!(
+            allocated, expected,
+            "child of a depth-{depth} code: {allocated} allocations (realloc counts)"
+        );
+    }
 }
