@@ -37,20 +37,28 @@ pub struct ProtocolConfig {
     /// as failed (covers lost messages and crashed donors).
     pub lb_timeout_s: f64,
     /// Extra patience before recovery actually starts ("how soon failure is
-    /// suspected after a machine unsuccessfully tries to get work").
+    /// suspected after a machine unsuccessfully tries to get work"). Like
+    /// the other patience knobs it gates only the first recovery of an
+    /// outage: later complement codes follow back to back until a peer
+    /// brings news (see `recovery_quiet_s`).
     pub recovery_delay_s: f64,
     /// Full load-balancing rounds (each `lb_attempts` requests plus a
     /// `recovery_delay_s` pause) that must fail consecutively before the
     /// process suspects lost work and recovers by complementing. Higher
     /// values trade recovery latency for less redundant work — the paper's
-    /// §6.3.1 tuning discussion.
+    /// §6.3.1 tuning discussion. Paid once per outage, not per recovered
+    /// subtree.
     pub lb_rounds_before_recovery: u32,
     /// Recovery additionally requires this many seconds without *news*
     /// (new completion codes, or granted work). While reports carrying new
     /// information keep arriving, the computation is alive somewhere and
     /// starvation is mere load imbalance, not lost work. Lost-work
     /// quiescence — everyone idle, gossip carrying nothing new — lets the
-    /// timer expire, so recovery still always happens when it must.
+    /// timer expire, so recovery still always happens when it must. Once a
+    /// recovery starts, the process keeps re-solving the complement without
+    /// re-waiting any of these knobs until news arrives (a report that
+    /// inserts a code, or a non-empty grant); then the next idle spell
+    /// seeks work again and the full patience applies anew.
     pub recovery_quiet_s: f64,
     /// Maximum subproblems donated per work grant.
     pub grant_max: usize,

@@ -18,6 +18,8 @@
 //! * received reports merge into the table with contraction;
 //! * when load balancing fails repeatedly, the process *complements* its
 //!   table and re-solves a missing subproblem (failure recovery, §5.3.2);
+//!   the patience knobs gate only the first recovery of an outage — later
+//!   complement codes follow back to back until a peer brings news;
 //! * when the table contracts to the root code, termination is detected and
 //!   one final report (the root code) goes to every member (§5.4).
 
@@ -69,8 +71,15 @@ pub struct BnbProcess {
     /// Consecutive fully-failed LB rounds since the last successful work.
     lb_cycles: u32,
     recovery_seq: u32,
+    /// Is this process re-solving the complement? Set when a recovery
+    /// starts, cleared by outside news (a merge that inserts a code, a
+    /// non-empty grant). While set, running out of work begins the next
+    /// complement code at once instead of seeking work.
+    recovering: bool,
     /// Last local time at which this process saw evidence the computation
     /// is progressing (new completions merged, work granted, local work).
+    /// Its own completions count too, so the quiet check gates only the
+    /// first recovery of an outage; later ones chain via `recovering`.
     last_news: SimTime,
     /// Exponentially weighted mean of observed expansion costs (seconds),
     /// driving the adaptive report interval.
@@ -137,6 +146,7 @@ impl BnbProcess {
             lb_failures: 0,
             lb_cycles: 0,
             recovery_seq: 0,
+            recovering: false,
             last_news: SimTime::ZERO,
             ewma_cost: 0.0,
             terminated: false,
@@ -595,6 +605,7 @@ impl BnbProcess {
         self.lb_failures = 0;
         if !items.is_empty() {
             self.last_news = now;
+            self.recovering = false;
         }
         for item in items {
             if self.table.contains(&item.code) {
@@ -679,8 +690,16 @@ impl BnbProcess {
             self.arm_recovery(out);
             return;
         }
+        self.solve_complement(out);
+    }
+
+    /// Begin a missing subproblem from the table's complement and keep
+    /// recovering: until a peer brings news, running out of work starts the
+    /// next one at once (see [`Self::start_next`]).
+    fn solve_complement(&mut self, out: &mut Vec<Action>) {
         match pick_recovery(&self.table, &mut self.rng) {
             Some(code) => {
+                self.recovering = true;
                 self.metrics.recoveries += 1;
                 self.begin_work(code, out);
             }
@@ -739,7 +758,15 @@ impl BnbProcess {
             self.begin_work(entry.node, out);
             return;
         }
-        self.seek_work(now, out);
+        if self.recovering {
+            // Work is already judged lost: report, then re-solve the next
+            // complement code without re-waiting the LB rounds and quiet
+            // timer that gated the first recovery.
+            self.flush_reports(now, out);
+            self.solve_complement(out);
+        } else {
+            self.seek_work(now, out);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -826,6 +853,7 @@ impl BnbProcess {
         self.metrics.merge_contractions += merge.contractions as u64;
         if merge.inserted > 0 {
             self.last_news = now;
+            self.recovering = false;
         }
         // Interrupt redundant work: "the lag in updating information can
         // lead to faulty presumptions on failure … fixed easily by
@@ -1284,15 +1312,18 @@ mod tests {
         assert_eq!(attempts, cfg().lb_attempts);
     }
 
-    /// An idle process configured to recover after a single failed round,
-    /// with no quiet threshold.
-    fn mk_impatient(me: u32) -> BnbProcess {
-        let cfg = ProtocolConfig {
+    /// Recover after a single failed round, with no quiet threshold.
+    fn impatient_cfg() -> ProtocolConfig {
+        ProtocolConfig {
             lb_rounds_before_recovery: 1,
             recovery_quiet_s: 0.0,
             ..cfg()
-        };
-        BnbProcess::new(me, vec![0, 1, 2], cfg, 0.0, false, me as u64)
+        }
+    }
+
+    /// An idle, impatient process.
+    fn mk_impatient(me: u32) -> BnbProcess {
+        BnbProcess::new(me, vec![0, 1, 2], impatient_cfg(), 0.0, false, me as u64)
     }
 
     #[test]
@@ -1358,6 +1389,144 @@ mod tests {
         );
         assert!(after.is_empty());
         assert_eq!(p.metrics().expanded, 0);
+    }
+
+    /// `[(1,0) … (k,0)]`: its complement is `chain_code(1..=k)`, k disjoint
+    /// subtrees.
+    fn all_left(k: u16) -> Code {
+        Code::from_decisions(&(1..=k).map(|v| (v, false)).collect::<Vec<_>>())
+    }
+
+    fn report_of(codes: Vec<Code>) -> Msg {
+        Msg::WorkReport {
+            codes,
+            incumbent: f64::INFINITY,
+        }
+    }
+
+    /// Does `actions` arm the load-balancing timeout or the recovery fuse?
+    fn arms_patience(actions: &[Action]) -> bool {
+        actions.iter().any(|a| {
+            matches!(
+                a,
+                Action::SetTimer {
+                    timer: PTimer::RecoveryFuse(_) | PTimer::LbTimeout(_),
+                    ..
+                }
+            )
+        })
+    }
+
+    /// An impatient process whose table lacks the `k` subtrees
+    /// `chain_code(1..=k)`, after its fuse started recovering one of them.
+    /// Returns the process and the recovered work (code, seq).
+    fn mk_recovering(k: u16) -> (BnbProcess, (Code, u64)) {
+        let mut p = mk_impatient(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let target = request_target(&actions).unwrap();
+        let msg = report_of(vec![all_left(k)]);
+        p.handle(PEvent::Recv { from: 0, msg }, t0());
+        deny_until_fuse(&mut p, target);
+        let actions = p.handle(PEvent::Timer(PTimer::RecoveryFuse(1)), t0());
+        let work = started(&actions).expect("recovery starts work");
+        assert!((1..=k).any(|j| work.0 == chain_code(j)), "{:?}", work.0);
+        assert_eq!(p.metrics().recoveries, 1);
+        (p, work)
+    }
+
+    /// Finish `work` as an infeasible leaf.
+    fn finish_leaf(p: &mut BnbProcess, work: &(Code, u64)) -> Vec<Action> {
+        let expansion = leaf_expansion(1.0, None);
+        p.handle(
+            PEvent::WorkDone {
+                seq: work.1,
+                expansion,
+            },
+            t0(),
+        )
+    }
+
+    /// A missing chain code other than `but`.
+    fn other_missing(k: u16, but: &Code) -> Code {
+        (1..=k).map(chain_code).find(|c| c != but).unwrap()
+    }
+
+    #[test]
+    fn recovered_subtree_done_starts_the_next_complement_code() {
+        let (mut p, work) = mk_recovering(3);
+        let actions = finish_leaf(&mut p, &work);
+        let (next, _) = started(&actions).expect("the chain starts the next code");
+        assert_ne!(next, work.0);
+        assert!((1..=3).any(|j| next == chain_code(j)), "{next:?}");
+        assert!(request_target(&actions).is_none());
+        assert!(!arms_patience(&actions));
+        assert_eq!(p.metrics().recoveries, 2);
+    }
+
+    #[test]
+    fn report_with_a_new_code_ends_the_chain() {
+        let (mut p, work) = mk_recovering(3);
+        let msg = report_of(vec![other_missing(3, &work.0)]);
+        p.handle(PEvent::Recv { from: 2, msg }, t0());
+        let actions = finish_leaf(&mut p, &work);
+        assert!(started(&actions).is_none());
+        assert!(request_target(&actions).is_some());
+        assert_eq!(p.metrics().recoveries, 1);
+    }
+
+    #[test]
+    fn non_empty_grant_ends_the_chain() {
+        let (mut p, work) = mk_recovering(3);
+        let msg = grant_of([other_missing(3, &work.0)].into_iter());
+        p.handle(PEvent::Recv { from: 2, msg }, t0());
+        // The granted code runs next, then the process seeks work.
+        let actions = finish_leaf(&mut p, &work);
+        let granted = started(&actions).expect("the grant is taken up");
+        assert!(request_target(&actions).is_none());
+        let actions = finish_leaf(&mut p, &granted);
+        assert!(started(&actions).is_none());
+        assert!(request_target(&actions).is_some());
+        assert_eq!(p.metrics().recoveries, 1);
+    }
+
+    #[test]
+    fn report_of_known_codes_does_not_end_the_chain() {
+        let (mut p, work) = mk_recovering(3);
+        let msg = report_of(vec![all_left(3)]);
+        p.handle(PEvent::Recv { from: 2, msg }, t0());
+        let actions = finish_leaf(&mut p, &work);
+        assert!(started(&actions).is_some());
+        assert!(request_target(&actions).is_none());
+        assert_eq!(p.metrics().recoveries, 2);
+    }
+
+    #[test]
+    fn lone_recoverer_halts_through_the_chain_alone() {
+        const K: u16 = 5;
+        let mut p = BnbProcess::new(0, vec![0], impatient_cfg(), 0.0, false, 7);
+        p.handle(PEvent::Start, t0());
+        p.handle(
+            PEvent::Recv {
+                from: 9,
+                msg: report_of(vec![all_left(K)]),
+            },
+            t0(),
+        );
+        let mut actions = p.handle(PEvent::Timer(PTimer::RecoveryFuse(1)), t0());
+        let mut seen = Vec::new();
+        // Only work completions from here on: no timer fires.
+        while let Some(work) = started(&actions) {
+            seen.push(work.0.clone());
+            actions = finish_leaf(&mut p, &work);
+            assert!(!actions.iter().any(|a| matches!(a, Action::SetTimer { .. })));
+        }
+        assert!(actions.iter().any(|a| matches!(a, Action::Halt)));
+        assert!(p.is_terminated());
+        seen.sort();
+        let mut expected: Vec<Code> = (1..=K).map(chain_code).collect();
+        expected.sort();
+        assert_eq!(seen, expected);
+        assert_eq!(p.metrics().recoveries, u64::from(K));
     }
 
     #[test]

@@ -33,9 +33,9 @@ use crate::transport::{Envelope, Transport};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
-    Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, MembershipEvent,
-    MsgKind, NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, ProtocolConfig, Telemetry,
-    TimeCategory,
+    Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, Expansion, JobId,
+    MembershipEvent, MsgKind, NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, ProtocolConfig,
+    Telemetry, TimeCategory,
 };
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
@@ -486,33 +486,11 @@ impl<E: Expander> ServiceEngine<E> {
                 }
             }
 
-            // Harvest completed pool expansions (non-blocking) and feed
-            // each back to its job as the `WorkDone` the inline path
-            // would have produced on the spot. Results for jobs that
-            // halted while the expansion was in flight (a redundant-work
-            // interrupt followed by termination) are dropped, like any
-            // late event for a halted job.
-            if self.pool.is_some() {
-                let mut done = Vec::new();
-                if let Some(pool) = self.pool.as_mut() {
-                    while let Some(result) = pool.try_harvest() {
-                        done.push(result);
-                    }
-                }
+            // Harvest completed pool expansions (non-blocking).
+            if let Some(pool) = self.pool.as_mut() {
+                let done: Vec<_> = std::iter::from_fn(|| pool.try_harvest()).collect();
                 if !done.is_empty() {
-                    let t = now(epoch);
-                    for (job, seq, expansion) in done {
-                        let engine = self
-                            .jobs
-                            .iter_mut()
-                            .find(|j| j.job.raw() == job)
-                            .expect("pool results only for admitted jobs");
-                        if engine.halted {
-                            continue;
-                        }
-                        let actions = engine.core.handle(PEvent::WorkDone { seq, expansion }, t);
-                        engine.pending.extend(actions);
-                    }
+                    self.deliver_expansions(done, now(epoch));
                     charge(&mut phase, &mut mark, TimeCategory::Expand);
                 }
             }
@@ -579,35 +557,37 @@ impl<E: Expander> ServiceEngine<E> {
                 }
             } else if self.all_jobs_done() && !self.daemon {
                 break;
+            } else if self.pool.as_ref().is_some_and(|p| p.in_flight() > 0) {
+                // Workers are computing: fold in what has arrived, then
+                // block on their results, not on the inbox — a result does
+                // not wake an inbox wait, so each pool expansion would
+                // cost the whole wait. A message waits at most the 1 ms
+                // cap. The wait *is* expansion time, so it is charged to
+                // Expand, keeping the Figure-3 reconciliation honest.
+                while let Ok(env) = inbox.try_recv() {
+                    self.route(env, now(epoch), &mut phase, &mut mark);
+                }
+                let wait = self
+                    .next_timer_wait(now(epoch))
+                    .min(Duration::from_millis(1));
+                let pool = self.pool.as_mut().expect("checked above");
+                let done = pool.harvest_timeout(wait);
+                self.deliver_expansions(done, now(epoch));
+                charge(&mut phase, &mut mark, TimeCategory::Expand);
             } else {
                 // Idle: block on the inbox until the next timer deadline
-                // across all live jobs. With pool expansions in flight
-                // the wait is capped tight so their results are harvested
-                // promptly — and that wait *is* expansion time (the
-                // workers are computing), so it is charged to Expand,
-                // keeping the Figure-3 reconciliation honest.
-                let in_flight = self.pool.as_ref().map_or(0, WorkerPool::in_flight);
-                let cap = if in_flight > 0 {
-                    Duration::from_millis(1)
-                } else {
-                    Duration::from_millis(20)
-                };
-                let wait_category = if in_flight > 0 {
-                    TimeCategory::Expand
-                } else {
-                    TimeCategory::Idle
-                };
+                // across all live jobs.
                 let wait = self.next_timer_wait(now(epoch));
-                match inbox.recv_timeout(wait.min(cap)) {
+                match inbox.recv_timeout(wait.min(Duration::from_millis(20))) {
                     Ok(env) => {
                         // Split the blocking receive: the wait itself was
-                        // idle (or pool-expansion) time; handling the
-                        // message is charged to the message's category.
-                        charge(&mut phase, &mut mark, wait_category);
+                        // idle time; handling the message is charged to
+                        // the message's category.
+                        charge(&mut phase, &mut mark, TimeCategory::Idle);
                         self.route(env, now(epoch), &mut phase, &mut mark);
                     }
                     Err(RecvTimeoutError::Timeout) => {
-                        charge(&mut phase, &mut mark, wait_category);
+                        charge(&mut phase, &mut mark, TimeCategory::Idle);
                     }
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
@@ -763,6 +743,30 @@ impl<E: Expander> ServiceEngine<E> {
             }
         }
         None
+    }
+
+    /// Feed harvested pool expansions back to their jobs as the
+    /// `WorkDone` the inline path would have produced on the spot. Results
+    /// for jobs that halted while the expansion was in flight (a
+    /// redundant-work interrupt followed by termination) are dropped, like
+    /// any late event for a halted job.
+    fn deliver_expansions(
+        &mut self,
+        done: impl IntoIterator<Item = (u64, u64, Expansion)>,
+        t: SimTime,
+    ) {
+        for (job, seq, expansion) in done {
+            let engine = self
+                .jobs
+                .iter_mut()
+                .find(|j| j.job.raw() == job)
+                .expect("pool results only for admitted jobs");
+            if engine.halted {
+                continue;
+            }
+            let actions = engine.core.handle(PEvent::WorkDone { seq, expansion }, t);
+            engine.pending.extend(actions);
+        }
     }
 
     fn all_jobs_done(&self) -> bool {

@@ -903,6 +903,9 @@ fn scale(p: Profile) -> Table {
 
 /// ROADMAP items that own today's gaps.
 const TWO_NODE: &str = "Make two nodes beat one";
+/// Owns no claim since recovery chains (its `recovery` gap turned ✓); the
+/// item is still open, so a claim it comes to own names it here.
+#[allow(dead_code)]
 const CRASH: &str = "Halve the cost of a crash";
 
 fn rising(v: &[f64]) -> bool {
@@ -1122,8 +1125,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
                  as the threshold grows",
                 |t| t.col("exec(s)").windows(2).all(|w| w[0] <= w[1]),
             ),
-            gap(
-                CRASH,
+            holds(
                 "§6.3.1 \"… the overhead introduced is lower\": the most patient setting \
                  does no more redundant work than the least patient",
                 |t| t.at("8", "redundant") <= t.at("0.25", "redundant"),
