@@ -11,6 +11,7 @@
 //! that leaves at least one process alive — must find the same optimum.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod any;
 pub mod engine;

@@ -317,7 +317,6 @@ mod tests {
     fn gossip_checkpoint_round_trips_and_restores_the_view() {
         let mcfg = ftbb_gossip::MembershipConfig {
             gossip_interval: SimTime::from_millis(100),
-            fanout: 2,
             t_fail: SimTime::from_secs(2),
             t_cleanup: SimTime::from_secs(8),
             ..Default::default()

@@ -6,9 +6,15 @@
 //! soon failure is suspected. Every such parameter is explicit here so the
 //! `ftbb-paper` rows can sweep them.
 
-use ftbb_bnb::SelectRule;
 use ftbb_gossip::MembershipConfig;
 use serde::{Deserialize, Serialize};
+
+/// Consecutive failed work requests that make one load-balancing round:
+/// after this many, the process arms the recovery fuse.
+pub(crate) const LB_ATTEMPTS: u32 = 3;
+
+/// A donor keeps at least this many subproblems for itself.
+pub(crate) const GRANT_KEEP_MIN: usize = 2;
 
 /// All tunables of one protocol process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,9 +36,6 @@ pub struct ProtocolConfig {
     /// ("occasionally, … a member sends its table of completed problems to
     /// a randomly chosen member").
     pub table_gossip_interval_s: f64,
-    /// Consecutive failed work requests before suspecting lost work and
-    /// triggering complement recovery.
-    pub lb_attempts: u32,
     /// Seconds to wait for a work-request reply before counting the attempt
     /// as failed (covers lost messages and crashed donors).
     pub lb_timeout_s: f64,
@@ -42,7 +45,7 @@ pub struct ProtocolConfig {
     /// outage: later complement codes follow back to back until a peer
     /// brings news (see `recovery_quiet_s`).
     pub recovery_delay_s: f64,
-    /// Full load-balancing rounds (each `lb_attempts` requests plus a
+    /// Full load-balancing rounds (each three requests plus a
     /// `recovery_delay_s` pause) that must fail consecutively before the
     /// process suspects lost work and recovers by complementing. Higher
     /// values trade recovery latency for less redundant work — the paper's
@@ -62,11 +65,6 @@ pub struct ProtocolConfig {
     pub recovery_quiet_s: f64,
     /// Maximum subproblems donated per work grant.
     pub grant_max: usize,
-    /// A donor keeps at least this many subproblems for itself.
-    pub grant_keep_min: usize,
-    /// Local pool selection rule (§2). Depth-first is the distributed
-    /// default: it keeps local pools shallow and donates large subtrees.
-    pub select_rule: SelectRule,
     /// Adapt the report-flush interval to the observed per-subproblem
     /// execution time (the paper's §7 future-work item: "an adaptive
     /// mechanism for deciding how often work reports should be sent, based
@@ -99,14 +97,11 @@ impl Default for ProtocolConfig {
             report_fanout: 2,
             report_interval_s: 2.0,
             table_gossip_interval_s: 10.0,
-            lb_attempts: 3,
             lb_timeout_s: 0.5,
             recovery_delay_s: 1.0,
             lb_rounds_before_recovery: 3,
             recovery_quiet_s: 2.0,
             grant_max: 16,
-            grant_keep_min: 2,
-            select_rule: SelectRule::DepthFirst,
             adaptive_reports: false,
             membership: None,
             bound_flush_s: 0.05,
@@ -123,8 +118,7 @@ mod tests {
         let c = ProtocolConfig::default();
         assert!(c.report_batch >= 1);
         assert!(c.report_fanout >= 1);
-        assert!(c.lb_attempts >= 1);
-        assert!(c.grant_max > c.grant_keep_min);
+        assert!(c.grant_max > GRANT_KEEP_MIN);
         assert!(c.membership.is_none());
     }
 }

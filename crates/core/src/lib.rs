@@ -16,6 +16,7 @@
 //! events and execute its actions. The same protocol code runs in both.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod config;

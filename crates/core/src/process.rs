@@ -23,12 +23,12 @@
 //! * when the table contracts to the root code, termination is detected and
 //!   one final report (the root code) goes to every member (§5.4).
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, GRANT_KEEP_MIN, LB_ATTEMPTS};
 use crate::events::{Action, MembershipEvent, PEvent, PTimer};
 use crate::message::{GrantItem, Incumbent, Msg};
 use crate::metrics::ProcMetrics;
 use crate::work::Expansion;
-use ftbb_bnb::{Pool, PoolEntry};
+use ftbb_bnb::{Pool, PoolEntry, SelectRule};
 use ftbb_des::SimTime;
 use ftbb_gossip::{Membership, MembershipConfig};
 use ftbb_tree::{pick_recovery, Code, CodeSet};
@@ -121,7 +121,9 @@ impl BnbProcess {
         seed_root: bool,
         rng_seed: u64,
     ) -> Self {
-        let mut pool = Pool::new(cfg.select_rule);
+        // Depth-first (§2) keeps local pools shallow and donates large
+        // subtrees.
+        let mut pool = Pool::new(SelectRule::DepthFirst);
         if seed_root {
             pool.push(PoolEntry {
                 bound: root_bound,
@@ -560,7 +562,7 @@ impl BnbProcess {
     // ------------------------------------------------------------------
 
     fn on_work_request(&mut self, from: u32, out: &mut Vec<Action>) {
-        let spare = self.pool.len().saturating_sub(self.cfg.grant_keep_min);
+        let spare = self.pool.len().saturating_sub(GRANT_KEEP_MIN);
         let k = spare.min(self.cfg.grant_max).min(self.pool.len() / 2 + 1);
         let mut items = Vec::new();
         if spare > 0 && k > 0 {
@@ -662,7 +664,7 @@ impl BnbProcess {
             return;
         }
         self.lb_failures += 1;
-        if self.lb_failures >= self.cfg.lb_attempts {
+        if self.lb_failures >= LB_ATTEMPTS {
             self.lb_failures = 0;
             self.arm_recovery(out);
         } else {
@@ -1309,7 +1311,7 @@ mod tests {
         let actions = p.handle(PEvent::Start, t0());
         let target = request_target(&actions).unwrap();
         let attempts = deny_until_fuse(&mut p, target);
-        assert_eq!(attempts, cfg().lb_attempts);
+        assert_eq!(attempts, LB_ATTEMPTS);
     }
 
     /// Recover after a single failed round, with no quiet threshold.
@@ -1599,7 +1601,7 @@ mod tests {
         match grants[0].1 {
             Msg::WorkGrant { items, .. } => {
                 assert!(!items.is_empty());
-                assert!(p.pool_len() >= cfg().grant_keep_min.min(pool_before));
+                assert!(p.pool_len() >= GRANT_KEEP_MIN.min(pool_before));
             }
             other => panic!("expected grant, got {other:?}"),
         }
@@ -1861,7 +1863,6 @@ mod tests {
         use ftbb_gossip::{MembershipMsg, ViewDigest};
         let mcfg = ftbb_gossip::MembershipConfig {
             gossip_interval: SimTime::from_millis(100),
-            fanout: 2,
             t_fail: SimTime::from_secs(1),
             t_cleanup: SimTime::from_secs(3),
             ..Default::default()

@@ -20,6 +20,7 @@
 //! see `driver::tests::dib_hangs_when_root_machine_dies`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod central;
 pub mod central_driver;

@@ -13,6 +13,7 @@
 //! runtime) delivers them.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod membership;
 pub mod view;

@@ -19,6 +19,9 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
+/// How many members receive each gossip round.
+const GOSSIP_FANOUT: usize = 2;
+
 /// Protocol parameters. The defaults follow the paper's "parameters … are
 /// chosen to keep communication and the probability of false membership
 /// information under some threshold values".
@@ -26,8 +29,6 @@ use serde::{Deserialize, Serialize};
 pub struct MembershipConfig {
     /// Interval between gossip ticks.
     pub gossip_interval: SimTime,
-    /// How many members receive each gossip round.
-    pub fanout: usize,
     /// Silence threshold for suspecting a member.
     pub t_fail: SimTime,
     /// Silence threshold for forgetting a member.
@@ -50,7 +51,6 @@ impl Default for MembershipConfig {
     fn default() -> Self {
         MembershipConfig {
             gossip_interval: SimTime::from_millis(500),
-            fanout: 2,
             t_fail: SimTime::from_secs(5),
             t_cleanup: SimTime::from_secs(20),
             delta: true,
@@ -142,8 +142,8 @@ impl Membership {
     }
 
     /// Gossip tick: bump own heartbeat, sweep expired entries, and pick
-    /// `fanout` random alive members to gossip to. Returns `(target, msg)`
-    /// pairs for the caller to transmit.
+    /// `GOSSIP_FANOUT` (two) random alive members to gossip to. Returns
+    /// `(target, msg)` pairs for the caller to transmit.
     pub fn tick(&mut self, now: SimTime, rng: &mut SmallRng) -> Vec<(MemberId, MembershipMsg)> {
         self.heartbeat += 1;
         self.view.observe(self.me, self.heartbeat, now);
@@ -155,7 +155,7 @@ impl Membership {
             .filter(|&m| m != self.me)
             .collect();
         targets.shuffle(rng);
-        targets.truncate(self.cfg.fanout);
+        targets.truncate(GOSSIP_FANOUT);
         if !self.cfg.delta {
             let digest = self.view.digest();
             return targets
@@ -270,7 +270,6 @@ mod tests {
     fn cfg() -> MembershipConfig {
         MembershipConfig {
             gossip_interval: SimTime::from_millis(500),
-            fanout: 2,
             t_fail: SimTime::from_secs(4),
             t_cleanup: SimTime::from_secs(12),
             delta: true,

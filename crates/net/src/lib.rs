@@ -11,6 +11,7 @@
 //! (default: the paper's `1.5 + 0.005·L` ms).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod latency;
 pub mod loss;

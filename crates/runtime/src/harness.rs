@@ -30,7 +30,6 @@ impl ClusterConfig {
             report_interval_s: 0.01,
             table_gossip_interval_s: 0.05,
             lb_timeout_s: 0.01,
-            lb_attempts: 3,
             recovery_delay_s: 0.02,
             lb_rounds_before_recovery: 2,
             recovery_quiet_s: 0.05,

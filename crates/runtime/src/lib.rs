@@ -28,6 +28,7 @@
 //! crash schedule that leaves one node alive yields the sequential optimum.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod node;

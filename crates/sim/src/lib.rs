@@ -16,6 +16,7 @@
 //! * state timelines reproduce the Jumpshot views (Figures 5/6).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod actor;
 pub mod driver;

@@ -26,7 +26,6 @@ pub fn fig3_config(nprocs: u32) -> SimConfig {
     cfg.protocol.report_interval_s = 0.25;
     cfg.protocol.table_gossip_interval_s = 2.0;
     cfg.protocol.lb_timeout_s = 0.05;
-    cfg.protocol.lb_attempts = 3;
     cfg.protocol.recovery_delay_s = 0.25;
     cfg.protocol.recovery_quiet_s = 1.5;
     cfg.protocol.grant_max = 16;
@@ -57,7 +56,6 @@ pub fn table1_config(nprocs: u32) -> SimConfig {
     cfg.protocol.report_interval_s = 30.0;
     cfg.protocol.table_gossip_interval_s = 300.0;
     cfg.protocol.lb_timeout_s = 4.0;
-    cfg.protocol.lb_attempts = 3;
     cfg.protocol.recovery_delay_s = 8.0;
     cfg.protocol.recovery_quiet_s = 90.0;
     cfg.protocol.grant_max = 24;

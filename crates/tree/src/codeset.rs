@@ -32,11 +32,10 @@
 //! - the hot data is small enough to live in cache while reports and
 //!   gossip stream through it.
 //!
-//! The word width adapts to the table: arenas start with `u16` words
-//! (a 20k-node table is ~40 KiB of hot data — L1-resident) and migrate
-//! once, in place, to `u32` words if the table ever needs more than
-//! 64Ki slots (`Arena` is generic over the width; indices are
-//! preserved by the migration). A pair may have only one real child;
+//! Words are `u32` (a 20k-node table is ~80 KiB of hot data) and every
+//! access is an ordinary checked index, so a corrupt index panics
+//! instead of reading out of bounds; there is one width and no
+//! migration. A pair may have only one real child;
 //! the unused slot stays `EMPTY` and reads as an absent branch
 //! everywhere. The hot operations are pure index walks over contiguous
 //! memory — `contains` on the grant path and `insert`/`merge` on the
@@ -72,40 +71,6 @@ const ROOT: u32 = 0;
 /// and any word `>= FIRST_BASE` is a child-pair base.
 const FIRST_BASE: u32 = 2;
 
-/// A storage width for arena node words. The arena starts narrow
-/// (`u16`) and widens to `u32` when it outgrows [`ArenaWord::LIMIT`].
-trait ArenaWord: Copy {
-    /// Maximum slot count this width can address.
-    const LIMIT: usize;
-    fn of(v: u32) -> Self;
-    fn get(self) -> u32;
-}
-
-impl ArenaWord for u16 {
-    const LIMIT: usize = u16::MAX as usize;
-    #[inline]
-    fn of(v: u32) -> u16 {
-        debug_assert!(v <= u16::MAX as u32);
-        v as u16
-    }
-    #[inline]
-    fn get(self) -> u32 {
-        self as u32
-    }
-}
-
-impl ArenaWord for u32 {
-    const LIMIT: usize = u32::MAX as usize;
-    #[inline]
-    fn of(v: u32) -> u32 {
-        v
-    }
-    #[inline]
-    fn get(self) -> u32 {
-        self
-    }
-}
-
 /// Outcome of merging codes into a [`CodeSet`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeOutcome {
@@ -130,14 +95,12 @@ impl MergeOutcome {
     }
 }
 
-/// The flat trie storage at one word width; all structural operations
-/// live here, generic over the width, so the narrow and wide arenas
-/// share one implementation.
+/// The flat trie storage; all structural operations live here.
 #[derive(Clone)]
-struct Arena<W> {
+struct Arena {
     /// The arena of node words; slot [`ROOT`] is the root, slot 1 a
     /// pad, child pairs follow.
-    nodes: Vec<W>,
+    nodes: Vec<u32>,
     /// Branching variable per slot, parallel to `nodes`; `vars[i]` is
     /// valid iff word `i` holds a pair base. Read only by cold walks.
     vars: Vec<Var>,
@@ -159,10 +122,10 @@ struct Arena<W> {
     free_stack: Vec<u32>,
 }
 
-impl<W: ArenaWord> Arena<W> {
+impl Arena {
     fn new() -> Self {
         Arena {
-            nodes: vec![W::of(EMPTY); FIRST_BASE as usize],
+            nodes: vec![EMPTY; FIRST_BASE as usize],
             vars: vec![0; FIRST_BASE as usize],
             free: Vec::new(),
             node_count: 1,
@@ -174,7 +137,7 @@ impl<W: ArenaWord> Arena<W> {
 
     fn clear(&mut self) {
         self.nodes.clear();
-        self.nodes.resize(FIRST_BASE as usize, W::of(EMPTY));
+        self.nodes.resize(FIRST_BASE as usize, EMPTY);
         self.vars.clear();
         self.vars.resize(FIRST_BASE as usize, 0);
         self.free.clear();
@@ -186,48 +149,28 @@ impl<W: ArenaWord> Arena<W> {
 
     #[inline]
     fn word(&self, idx: u32) -> u32 {
-        debug_assert!((idx as usize) < self.nodes.len());
-        // SAFETY: arena indices are only minted by `alloc_pair` (always
-        // below `nodes.len()`), the arena never shrinks while indices
-        // are live (`clear` drops all of them together), and every
-        // caller tests for the sentinels before descending. Skipping
-        // the bounds check keeps the descent — a chain of dependent
-        // loads — free of per-level check uops; the debug assertion
-        // keeps the invariant enforced under `cargo test`.
-        unsafe { self.nodes.get_unchecked(idx as usize).get() }
+        self.nodes[idx as usize]
     }
 
     #[inline]
     fn set_word(&mut self, idx: u32, w: u32) {
-        debug_assert!((idx as usize) < self.nodes.len());
-        // SAFETY: as in `word` above.
-        unsafe { *self.nodes.get_unchecked_mut(idx as usize) = W::of(w) }
-    }
-
-    #[inline]
-    fn set_var_at(&mut self, idx: u32, var: Var) {
-        debug_assert!((idx as usize) < self.vars.len());
-        // SAFETY: `vars` always has the same length as `nodes`.
-        unsafe { *self.vars.get_unchecked_mut(idx as usize) = var }
+        self.nodes[idx as usize] = w;
     }
 
     /// Take a child pair from the free list or grow the arena by two
-    /// adjacent slots; returns the pair's base index. The caller
-    /// guarantees the arena stays within `W::LIMIT` (the width upgrade
-    /// in [`CodeSet::insert`] runs before any walk starts).
+    /// adjacent slots; returns the pair's base index.
     fn alloc_pair(&mut self) -> u32 {
         self.node_count += 2;
         match self.free.pop() {
             Some(base) => {
-                self.nodes[base as usize] = W::of(EMPTY);
-                self.nodes[base as usize + 1] = W::of(EMPTY);
+                self.nodes[base as usize] = EMPTY;
+                self.nodes[base as usize + 1] = EMPTY;
                 base
             }
             None => {
-                let base = self.nodes.len() as u32;
-                debug_assert!(self.nodes.len() + 2 <= W::LIMIT);
+                let base = u32::try_from(self.nodes.len()).expect("code set outgrew u32 indexing");
                 // One growth check for both slots of the pair.
-                self.nodes.extend_from_slice(&[W::of(EMPTY), W::of(EMPTY)]);
+                self.nodes.extend_from_slice(&[EMPTY, EMPTY]);
                 self.vars.extend_from_slice(&[0, 0]);
                 base
             }
@@ -356,7 +299,7 @@ impl<W: ArenaWord> Arena<W> {
                 self.prev_pairs.push(p);
                 let base = self.alloc_pair();
                 self.set_word(idx, base);
-                self.set_var_at(idx, p.var);
+                self.vars[idx as usize] = p.var;
                 idx = base + p.bit as u32;
                 match pairs.next() {
                     Some(next) => p = next,
@@ -447,38 +390,17 @@ impl<W: ArenaWord> Arena<W> {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<W>()
+        self.nodes.capacity() * std::mem::size_of::<u32>()
             + self.vars.capacity() * std::mem::size_of::<Var>()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
-}
-
-/// The two arena widths a table can be in. Tables start narrow and
-/// widen once, permanently, if they outgrow `u16` indexing.
-#[derive(Clone)]
-enum Storage {
-    Narrow(Arena<u16>),
-    Wide(Arena<u32>),
-}
-
-/// Dispatch a body over whichever width the arena currently has.
-macro_rules! on_arena {
-    ($storage:expr, $a:ident => $body:expr) => {
-        match $storage {
-            Storage::Narrow($a) => $body,
-            Storage::Wide($a) => $body,
-        }
-    };
 }
 
 /// A set of completed codes, kept contracted at all times.
 #[derive(Clone, Serialize, Deserialize)]
 #[serde(into = "Vec<Code>", from = "Vec<Code>")]
 pub struct CodeSet {
-    storage: Storage,
-    /// Lifetime counters.
-    total_inserts: u64,
-    total_contractions: u64,
+    arena: Arena,
 }
 
 impl Default for CodeSet {
@@ -491,83 +413,44 @@ impl CodeSet {
     /// An empty table.
     pub fn new() -> Self {
         CodeSet {
-            storage: Storage::Narrow(Arena::new()),
-            total_inserts: 0,
-            total_contractions: 0,
+            arena: Arena::new(),
         }
     }
 
-    /// Reset to an empty table, retaining the arena's capacity (and
-    /// width) — for sets emptied and refilled on a cadence, like a
-    /// process's unreported completions.
+    /// Reset to an empty table, retaining the arena's capacity — for
+    /// sets emptied and refilled on a cadence, like a process's
+    /// unreported completions.
     pub fn clear(&mut self) {
-        on_arena!(&mut self.storage, a => a.clear());
-        self.total_inserts = 0;
-        self.total_contractions = 0;
+        self.arena.clear();
     }
 
     /// Is the whole tree completed? (The termination condition, §5.4.)
     pub fn is_root_done(&self) -> bool {
-        on_arena!(&self.storage, a => a.word(ROOT) == DONE)
+        self.arena.word(ROOT) == DONE
     }
 
     /// Is `code`'s subtree known completed (directly or via an ancestor)?
     #[inline]
     pub fn contains(&self, code: &Code) -> bool {
-        on_arena!(&self.storage, a => {
-            // A sentinel root answers for every code without a walk:
-            // the common end-game state (root done) makes the grant
-            // path's containment probe a single load.
-            let w = a.word(ROOT);
-            if w < FIRST_BASE {
-                return w == DONE;
-            }
-            match code.pairs_kind() {
-                PairsKind::Inline(it) => a.contains_walk(it),
-                PairsKind::Spill(it) => a.contains_walk(it),
-            }
-        })
+        // A sentinel root answers for every code without a walk: the
+        // common end-game state (root done) makes the grant path's
+        // containment probe a single load.
+        let w = self.arena.word(ROOT);
+        if w < FIRST_BASE {
+            return w == DONE;
+        }
+        match code.pairs_kind() {
+            PairsKind::Inline(it) => self.arena.contains_walk(it),
+            PairsKind::Spill(it) => self.arena.contains_walk(it),
+        }
     }
 
     /// Insert one completed code. Returns the merge outcome for this code.
     #[inline]
     pub fn insert(&mut self, code: &Code) -> MergeOutcome {
-        self.total_inserts += 1;
-
-        // Widen the arena up front if this insert could outgrow `u16`
-        // indexing (worst case: one fresh pair per decision). Indices
-        // are preserved, so the walk below is width-agnostic.
-        if let Storage::Narrow(a) = &self.storage {
-            if a.free.len() < code.depth()
-                && a.nodes.len() + 2 * (code.depth() - a.free.len()) > <u16 as ArenaWord>::LIMIT
-            {
-                self.widen();
-            }
-        }
-
-        let out = on_arena!(&mut self.storage, a => match code.pairs_kind() {
-            PairsKind::Inline(it) => a.insert_walk(it),
-            PairsKind::Spill(it) => a.insert_walk(it),
-        });
-        self.total_contractions += out.contractions as u64;
-        out
-    }
-
-    /// Migrate the narrow arena to `u32` words, preserving indices.
-    /// Runs at most once per table lifetime (`clear` keeps the width).
-    fn widen(&mut self) {
-        if let Storage::Narrow(a) = &mut self.storage {
-            self.storage = Storage::Wide(Arena {
-                nodes: a.nodes.iter().map(|w| w.get()).collect(),
-                vars: std::mem::take(&mut a.vars),
-                free: std::mem::take(&mut a.free),
-                node_count: a.node_count,
-                // Indices survive the migration, so the recorded walk
-                // stays valid too.
-                path: std::mem::take(&mut a.path),
-                prev_pairs: std::mem::take(&mut a.prev_pairs),
-                free_stack: Vec::new(),
-            });
+        match code.pairs_kind() {
+            PairsKind::Inline(it) => self.arena.insert_walk(it),
+            PairsKind::Spill(it) => self.arena.insert_walk(it),
         }
     }
 
@@ -580,12 +463,6 @@ impl CodeSet {
             total.absorb(self.insert(c));
         }
         total
-    }
-
-    /// Merge another set (by its minimal codes).
-    pub fn merge_set(&mut self, other: &CodeSet) -> MergeOutcome {
-        let codes = other.minimal_codes();
-        self.merge(codes.iter())
     }
 
     /// The minimal (contracted) codes covering everything completed: done
@@ -601,7 +478,7 @@ impl CodeSet {
     pub fn minimal_codes_into(&self, out: &mut Vec<Code>) {
         out.clear();
         let mut path: Vec<Pair> = Vec::new();
-        on_arena!(&self.storage, a => a.collect_done(ROOT, &mut path, out));
+        self.arena.collect_done(ROOT, &mut path, out);
     }
 
     /// The minimal codes covering the *uncompleted* space — the complement
@@ -616,74 +493,49 @@ impl CodeSet {
     /// [`Self::complement`] into a caller-owned buffer (cleared first).
     pub fn complement_into(&self, out: &mut Vec<Code>) {
         out.clear();
-        on_arena!(&self.storage, a => match a.word(ROOT) {
+        match self.arena.word(ROOT) {
             DONE => {}
             EMPTY => out.push(Code::root()),
             _ => {
                 let mut path: Vec<Pair> = Vec::new();
-                a.collect_complement(ROOT, &mut path, out);
+                self.arena.collect_complement(ROOT, &mut path, out);
             }
-        });
+        }
     }
 
     /// Number of live arena slots.
     pub fn node_count(&self) -> usize {
-        on_arena!(&self.storage, a => a.node_count)
+        self.arena.node_count
     }
 
     /// Resident memory of the table, in bytes (the paper's storage-space
     /// metric): the arena's real footprint — allocated slots and the free
     /// list — not just the live nodes.
     pub fn memory_bytes(&self) -> usize {
-        on_arena!(&self.storage, a => a.memory_bytes())
-    }
-
-    /// Bytes needed to ship the whole table in a message (table gossip).
-    pub fn wire_size(&self) -> usize {
-        2 + self
-            .minimal_codes()
-            .iter()
-            .map(|c| c.wire_size())
-            .sum::<usize>()
-    }
-
-    /// Lifetime number of insert operations.
-    pub fn total_inserts(&self) -> u64 {
-        self.total_inserts
-    }
-
-    /// Lifetime number of contractions performed.
-    pub fn total_contractions(&self) -> u64 {
-        self.total_contractions
+        self.arena.memory_bytes()
     }
 
     /// True when nothing has been completed yet.
     pub fn is_empty(&self) -> bool {
-        on_arena!(&self.storage, a => a.word(ROOT) == EMPTY)
+        self.arena.word(ROOT) == EMPTY
     }
 
     /// Test-only: total arena slots currently allocated (live + vacated).
     #[cfg(test)]
     fn arena_slots(&self) -> usize {
-        on_arena!(&self.storage, a => a.nodes.len())
+        self.arena.nodes.len()
     }
 
     /// Test-only: arena slot capacity.
     #[cfg(test)]
     fn arena_capacity(&self) -> usize {
-        on_arena!(&self.storage, a => a.nodes.capacity())
+        self.arena.nodes.capacity()
     }
 
     /// Test-only: vacated pair bases awaiting reuse.
     #[cfg(test)]
     fn free_pairs(&self) -> usize {
-        on_arena!(&self.storage, a => a.free.len())
-    }
-
-    /// Test-only: has the arena widened to `u32` words?
-    #[cfg(test)]
-    fn is_wide(&self) -> bool {
-        matches!(self.storage, Storage::Wide(_))
+        self.arena.free.len()
     }
 }
 
@@ -824,7 +676,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.node_count(), 1);
-        assert_eq!(s.total_inserts(), 0);
         assert_eq!(s.arena_capacity(), cap);
         // And it is fully usable again.
         s.insert(&c(&[(3, true)]));
@@ -832,35 +683,34 @@ mod tests {
     }
 
     #[test]
-    fn large_table_widens_and_stays_correct() {
+    fn table_past_64ki_slots_stays_correct() {
         // Depth-17 codes indexed by a counter's bits, with the last
         // decision's bit pinned to `false` so no pair ever has both
         // children done — nothing contracts, the arena just grows
-        // until it outgrows u16 indexing and migrates to u32 words.
+        // until it holds more than 64Ki slots.
         let decisions = |i: u32| -> Vec<(Var, bool)> {
             (0..17u32)
                 .map(|j| (j as Var + 1, (i >> j) & 1 != 0))
                 .collect()
         };
         let mut s = CodeSet::new();
-        assert!(!s.is_wide());
         let mut inserted = Vec::new();
         for i in 0..1u32 << 16 {
             let code = c(&decisions(i));
             assert_eq!(s.insert(&code).inserted, 1);
             inserted.push(code);
-            if s.is_wide() {
+            if s.arena_slots() > 1 << 16 {
                 break;
             }
         }
-        assert!(s.is_wide(), "table growth widens the arena");
-        // Semantics survive the migration: everything inserted before
-        // and across the width boundary is still contained, minimal.
+        assert!(s.arena_slots() > 1 << 16, "the table outgrew 64Ki slots");
+        // Everything inserted below and across the 64Ki boundary is
+        // still contained, minimal.
         for code in &inserted {
             assert!(s.contains(code));
         }
         assert_eq!(s.minimal_codes().len(), inserted.len());
-        // Contraction works across the boundary: completing the last
+        // Contraction works past the boundary: completing the last
         // code's sibling contracts their pair to the parent.
         let last = inserted.last().unwrap();
         let mut sibling: Vec<Pair> = last.pairs().collect();
@@ -869,9 +719,8 @@ mod tests {
         assert!(s.insert(&c(&sib)).contractions >= 1);
         // The two sibling leaves merged into one parent code.
         assert_eq!(s.minimal_codes().len(), inserted.len());
-        // Widened tables keep working after clear (width is retained).
+        // A large table keeps working after clear.
         s.clear();
-        assert!(s.is_wide());
         assert!(s.is_empty());
         s.insert(&c(&[(7, true)]));
         assert!(s.contains(&c(&[(7, true), (8, false)])));
@@ -949,20 +798,6 @@ mod tests {
         let codes: Vec<Code> = s.clone().into();
         let rebuilt = CodeSet::from(codes);
         assert_eq!(s, rebuilt);
-    }
-
-    #[test]
-    fn wire_size_shrinks_with_contraction() {
-        let mut uncompressed = 0usize;
-        let mut s = CodeSet::new();
-        for bits in [(false, false), (false, true), (true, false), (true, true)] {
-            let code = c(&[(1, bits.0), (2, bits.1)]);
-            uncompressed += code.wire_size();
-            s.insert(&code);
-        }
-        // Contracted to root: one empty code.
-        assert!(s.wire_size() < uncompressed);
-        assert_eq!(s.minimal_codes(), vec![Code::root()]);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //!   workloads for every figure/table of the evaluation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod basic_tree;
 pub mod code;

@@ -843,7 +843,6 @@ impl NodeConfig {
         }
         Some(MembershipConfig {
             gossip_interval: SimTime::from_secs_f64(self.gossip_interval_s),
-            fanout: 2,
             t_fail: SimTime::from_secs_f64(self.suspect_after_s),
             t_cleanup: SimTime::from_secs_f64(self.forget_after_s),
             // Delta digests with the default per-frame cap: the scalable

@@ -34,6 +34,7 @@
 //! connected is a counted drop, never parked for later.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod config;

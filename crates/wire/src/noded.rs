@@ -54,7 +54,7 @@
 //! (or sent by) the previous life are counted and dropped as stale by the
 //! transport.
 
-use crate::codec::{encode_accepted, encode_result, RejoinSummary};
+use crate::codec::{encode_accepted, encode_result, EncodedFrame, RejoinSummary};
 use crate::config::{NodeConfig, ProblemSpec};
 use crate::lines::{line_codec, render_line, Fields};
 use crate::tcp::{Control, TcpMesh};
@@ -183,6 +183,9 @@ enum Reply {
     /// From the control thread, ahead of the job's admission: this node
     /// is the job's gateway and owes the pool its announce.
     Gateway { job: JobId, instance: AnyInstance },
+    /// From the control thread: a client submitted a job id this node
+    /// already admitted, and its new stream is the one registered now.
+    Resubmitted(JobId),
     /// From the pump's hooks.
     Result(SubmitReply),
 }
@@ -700,6 +703,9 @@ fn control_loop(
         }
         if gateway {
             mesh.send_submit_reply(job, &encode_accepted(job, cfg.id));
+            if !fresh {
+                let _ = reply_tx.send(Reply::Resubmitted(job));
+            }
         }
         if fresh {
             if gateway {
@@ -723,7 +729,9 @@ fn control_loop(
 /// the control thread drop their senders. Peers' jobs have no registered
 /// submitter; both calls are no-ops for them. A job's last result
 /// releases its client's stream — a stream held past that is a socket
-/// held for the life of the node.
+/// held for the life of the node. The last result is remembered, so a
+/// client resubmitting a finished job gets it back at once; a job still
+/// running answers the new stream when it finishes.
 ///
 /// A gateway's job goes out to the pool with its first result, not at
 /// submission, so a follower's opening work request meets a gateway past
@@ -733,10 +741,18 @@ fn control_loop(
 /// whose first result is its last was solved before the pool could help.
 fn reply_loop(mesh: &TcpMesh, replies: Receiver<Reply>) {
     let mut unannounced: HashMap<JobId, AnyInstance> = HashMap::new();
+    let mut last_results: HashMap<JobId, EncodedFrame> = HashMap::new();
     for reply in replies.iter() {
         let r = match reply {
             Reply::Gateway { job, instance } => {
                 unannounced.insert(job, instance);
+                continue;
+            }
+            Reply::Resubmitted(job) => {
+                if let Some(frame) = last_results.get(&job) {
+                    mesh.send_submit_reply(job, frame);
+                    mesh.close_submitter(job);
+                }
                 continue;
             }
             Reply::Result(r) => r,
@@ -754,6 +770,7 @@ fn reply_loop(mesh: &TcpMesh, replies: Receiver<Reply>) {
         mesh.send_submit_reply(r.job, &frame);
         if r.last {
             mesh.close_submitter(r.job);
+            last_results.insert(r.job, frame);
         }
     }
 }

@@ -101,11 +101,12 @@ fn three_hundred_jobs_leave_no_socket_and_no_queued_frame_behind() {
             reference.best.map(f64::to_bits),
             "job {job} must match the sequential optimum bit for bit"
         );
+        outcome
     };
 
     // One job to bring everything up (listener, trace file, first
     // reader), then the reference readings.
-    submit(1);
+    let first = submit(1);
     let fds_before = settled_fd_count();
     let depth_before = last_control_depth(&trace);
 
@@ -129,6 +130,27 @@ fn three_hundred_jobs_leave_no_socket_and_no_queued_frame_behind() {
     assert_eq!(
         depth_after, depth_before,
         "the control queue must be drained"
+    );
+
+    // A finished job's id submitted again gets that job's final result
+    // back at once, and its stream is released like any other.
+    let again = submit_job(
+        addr,
+        JobId::from(1),
+        &tiny_instance(1),
+        Duration::from_secs(1),
+    )
+    .unwrap_or_else(|e| panic!("resubmitted job 1: {e}"));
+    assert!(again.finished, "the resubmitted job reports finished");
+    assert_eq!(
+        (again.incumbent.to_bits(), again.expanded),
+        (first.incumbent.to_bits(), first.expanded),
+        "the resubmission returns job 1's final result bit for bit"
+    );
+    assert_eq!(
+        settled_fd_count(),
+        fds_before,
+        "the resubmission's stream must be released"
     );
 
     let report = node.join().expect("node thread");

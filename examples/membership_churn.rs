@@ -16,7 +16,6 @@ use rand::SeedableRng;
 fn main() {
     let cfg = MembershipConfig {
         gossip_interval: SimTime::from_millis(500),
-        fanout: 2,
         t_fail: SimTime::from_secs(4),
         t_cleanup: SimTime::from_secs(12),
         ..Default::default()

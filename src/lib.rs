@@ -62,6 +62,8 @@
 //! assert_eq!(report.best, tree.optimal());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ftbb_bnb as bnb;
 pub use ftbb_core as core;
 pub use ftbb_des as des;

@@ -767,7 +767,6 @@ fn simulate_membership(n: u32, delta: bool, cap: usize, seed: u64) -> Vec<Cell> 
         t_cleanup: SimTime::from_secs(1 << 21),
         delta,
         digest_max_entries: cap,
-        ..Default::default()
     };
     let t0 = SimTime::ZERO;
     let mut members: Vec<Membership> = (0..n)

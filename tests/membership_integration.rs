@@ -26,7 +26,6 @@ fn membership_cfg(n: u32, seed: u64) -> SimConfig {
     cfg.protocol.recovery_quiet_s = 0.8;
     cfg.protocol.membership = Some(MembershipConfig {
         gossip_interval: SimTime::from_millis(100),
-        fanout: 2,
         t_fail: SimTime::from_millis(800),
         t_cleanup: SimTime::from_secs(4),
         ..Default::default()
