@@ -11,7 +11,7 @@
 //! `ftbb-wire` problem-announce frame ships an [`AnyInstance`] so peers
 //! can solve a problem they never generated locally.
 
-use crate::knapsack::{KnapNode, KnapsackInstance};
+use crate::knapsack::{Item, KnapNode, KnapsackInstance};
 use crate::maxsat::{MaxSatInstance, SatNode};
 use crate::problem::BranchBound;
 use crate::replay::BasicTreeProblem;
@@ -66,7 +66,10 @@ impl AnyInstance {
 
     /// Structural validation, for instances decoded from untrusted bytes
     /// (the serde derive decodes structure, not invariants). Mirrors the
-    /// panicking checks of the variants' constructors.
+    /// panicking checks of the variants' constructors, and refuses what
+    /// the solver's arithmetic cannot hold: more items than
+    /// `KnapNode::level` indexes, or weights or profits whose sum
+    /// overflows `u64`.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             AnyInstance::Knapsack(k) => {
@@ -75,6 +78,17 @@ impl AnyInstance {
                 }
                 if k.items.iter().any(|i| i.weight == 0) {
                     return Err("knapsack item weights must be at least 1".into());
+                }
+                if k.items.len() > usize::from(u16::MAX) {
+                    return Err("knapsack supports at most 65535 items".into());
+                }
+                let total = |of: fn(&Item) -> u64| {
+                    k.items
+                        .iter()
+                        .try_fold(0u64, |sum, i| sum.checked_add(of(i)))
+                };
+                if total(|i| i.weight).is_none() || total(|i| i.profit).is_none() {
+                    return Err("knapsack total weight or profit overflows u64".into());
                 }
                 Ok(())
             }
@@ -268,6 +282,35 @@ mod tests {
         m.clauses[0].weight = 1.0;
         m.clauses[0].literals[0].var = 99;
         assert!(AnyInstance::MaxSat(m).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_knapsacks_the_solver_cannot_add_up() {
+        // Capacity u64::MAX and two items of weight 2^63: the take-branch
+        // weight sum overflowed inside `solve` (a release build wrapped
+        // and solved a different instance).
+        let half = Item {
+            weight: 1 << 63,
+            profit: 1,
+        };
+        let overflowing = KnapsackInstance::new(u64::MAX, vec![half, half]);
+        assert!(AnyInstance::Knapsack(overflowing).validate().is_err());
+
+        let profit_overflow = Item {
+            weight: 1,
+            profit: u64::MAX,
+        };
+        let rich = KnapsackInstance::new(2, vec![profit_overflow, profit_overflow]);
+        assert!(AnyInstance::Knapsack(rich).validate().is_err());
+
+        let tiny = Item {
+            weight: 1,
+            profit: 1,
+        };
+        let too_many = KnapsackInstance::new(1, vec![tiny; usize::from(u16::MAX) + 1]);
+        assert!(AnyInstance::Knapsack(too_many).validate().is_err());
+        let most = KnapsackInstance::new(1, vec![tiny; usize::from(u16::MAX)]);
+        assert!(AnyInstance::Knapsack(most).validate().is_ok());
     }
 
     #[test]

@@ -154,9 +154,15 @@ impl ProcMetrics {
 /// ([`TransportCounters`], the shared atomics a transport bumps, and
 /// [`TransportStats`], their plain-value snapshot), the snapshot itself,
 /// and the keyed view line codecs render and parse. Declaration order is
-/// the `FTBB-OUTCOME` line's field order.
+/// the `FTBB-OUTCOME` line's field order. The counters after the `;`
+/// have no key: they are in both structs but outside the key group, and
+/// a line that carries one gives it a row of its own, so lines written
+/// before it existed still parse.
 macro_rules! transport_counters {
-    ( $( $(#[$fmeta:meta])* $field:ident = $key:literal, )* ) => {
+    (
+        $( $(#[$fmeta:meta])* $field:ident = $key:literal ),* ;
+        $( $(#[$umeta:meta])* $ufield:ident ),* $(,)?
+    ) => {
         /// Shared counters maintained by a transport implementation
         /// (`ftbb-runtime`'s in-process mesh, `ftbb-wire`'s TCP mesh).
         ///
@@ -168,12 +174,14 @@ macro_rules! transport_counters {
         #[derive(Debug, Default)]
         pub struct TransportCounters {
             $( $(#[$fmeta])* pub $field: AtomicU64, )*
+            $( $(#[$umeta])* pub $ufield: AtomicU64, )*
         }
 
         /// Point-in-time values of [`TransportCounters`].
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
         pub struct TransportStats {
             $( $(#[$fmeta])* pub $field: u64, )*
+            $( $(#[$umeta])* pub $ufield: u64, )*
         }
 
         impl TransportCounters {
@@ -181,6 +189,7 @@ macro_rules! transport_counters {
             pub fn snapshot(&self) -> TransportStats {
                 TransportStats {
                     $( $field: self.$field.load(Ordering::Relaxed), )*
+                    $( $ufield: self.$ufield.load(Ordering::Relaxed), )*
                 }
             }
         }
@@ -195,10 +204,12 @@ macro_rules! transport_counters {
             }
 
             /// Rebuild from a per-key lookup (the parse side of
-            /// [`Self::keyed`]); `None` as soon as one key is missing.
+            /// [`Self::keyed`]); `None` as soon as one key is missing. The
+            /// unkeyed counters are 0.
             pub fn from_keyed(mut get: impl FnMut(&'static str) -> Option<u64>) -> Option<Self> {
                 Some(TransportStats {
                     $( $field: get($key)?, )*
+                    $( $ufield: 0, )*
                 })
             }
         }
@@ -273,7 +284,12 @@ transport_counters! {
     /// delta suppression and the digest cap).
     digest_entries_sent = "digest_entries",
     /// Explicit bound-announce frames handed to the wire.
-    bound_broadcasts = "bound_frames",
+    bound_broadcasts = "bound_frames";
+    /// Control frames (announce, submit, rejoin, join) lost because the
+    /// bounded control queue was full or its consumer gone (TCP
+    /// transports only). A receive-side loss, excluded from
+    /// [`TransportStats::dropped`].
+    control_shed,
 }
 
 impl TransportCounters {
@@ -362,6 +378,11 @@ impl TransportCounters {
     pub fn record_bound_broadcast(&self) {
         self.bound_broadcasts.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Record one control frame lost before its consumer took it.
+    pub fn record_control_shed(&self) {
+        self.control_shed.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl TransportStats {
@@ -446,6 +467,7 @@ mod tests {
         c.record_membership_frame(16, 3);
         c.record_membership_frame(16, 0);
         c.record_bound_broadcast();
+        c.record_control_shed();
         let s = c.snapshot();
         assert_eq!(s.sent, 2);
         assert_eq!(s.sent_wire_bytes, 20);
@@ -473,6 +495,7 @@ mod tests {
         assert_eq!(s.book_entries_sent, 32);
         assert_eq!(s.digest_entries_sent, 3);
         assert_eq!(s.bound_broadcasts, 1);
+        assert_eq!(s.control_shed, 1);
         assert!((s.book_entries_per_frame() - 16.0).abs() < 1e-12);
         assert!((s.digest_entries_per_frame() - 1.5).abs() < 1e-12);
         assert_eq!(TransportStats::default().book_entries_per_frame(), 0.0);

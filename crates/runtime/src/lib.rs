@@ -16,8 +16,9 @@
 //! Differences from the simulator are confined to the harness:
 //!
 //! * time is `Instant`-based instead of virtual;
-//! * expansions run the actual [`ftbb_bnb::BranchBound`] computation by
-//!   rebuilding node state from self-contained codes;
+//! * expansions run the actual [`ftbb_bnb::BranchBound`] computation:
+//!   codes are self-contained, and [`ftbb_core::ProblemExpander`]
+//!   replays only the suffix of a code past the path it last replayed;
 //! * crashes are injected by tripping a [`CrashSwitch`]: the thread stops
 //!   silently, and peers see only silence — the Crash failure model;
 //! * messages travel through the [`Transport`] (sends to dead nodes are

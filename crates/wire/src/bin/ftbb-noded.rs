@@ -4,7 +4,6 @@
 //! ftbb-noded --id 0 --listen 127.0.0.1:4500 \
 //!            --peer 1=127.0.0.1:4501 --peer 2=127.0.0.1:4502 \
 //!            --problem-n 24 --problem-seed 11
-//! ftbb-noded --config node0.toml
 //! ```
 //!
 //! Prints one `FTBB-READY id=… addr=…` line the moment its listener is
@@ -61,7 +60,7 @@ fn main() {
 fn help() -> String {
     format!(
         "ftbb-noded — one fault-tolerant B&B protocol node per OS process\n\n\
-         USAGE:\n    ftbb-noded [--config FILE] [FLAGS]\n{}",
+         USAGE:\n    ftbb-noded [FLAGS]\n{}",
         ftbb_wire::config::help()
     )
 }

@@ -1,36 +1,15 @@
-//! `ftbb-noded` configuration: a TOML-subset file, CLI flags, or both
-//! (flags override file values).
+//! `ftbb-noded` configuration: every setting is a command-line flag.
 //!
-//! Example config:
-//!
-//! ```toml
-//! id = 0
-//! listen = "127.0.0.1:4500"
-//! peers = ["1=127.0.0.1:4501", "2=127.0.0.1:4502"]
-//! deadline_s = 30.0
-//! crash_at_s = 1.5          # optional: abort() mid-run (Crash model)
-//! gossip_servers = ["0"]    # optional: membership mode (id 0 serves joins)
-//! suspect_after_s = 0.5     # heartbeat silence before suspicion
-//!
-//! [problem]
-//! kind = "knapsack"         # knapsack | maxsat | tree-file | wire
-//! n = 24
-//! range = 80
-//! correlation = "weak"
-//! frac = 0.5
-//! seed = 11
-//! ```
-//!
-//! The `[problem]` section is *tagged*: `kind` selects the workload and
-//! the remaining keys are per-kind. `maxsat` takes `vars`, `clauses`,
-//! `seed`; `tree-file` takes `file` (a basic tree written by
-//! `ftbb_tree::io::write_tree_file`); `wire` takes nothing — the node
-//! learns the materialized instance from the root's problem-announce
-//! frame instead of generating it locally.
-//!
-//! The parser covers the subset above — scalar `key = value` pairs
-//! (strings, numbers, booleans), string arrays, comments, and
-//! `[section]` headers — which keeps the daemon dependency-free.
+//! The problem flags are *tagged*: `--problem KIND` selects the workload
+//! and the `--problem-*` parameters are per-kind. `knapsack` (the
+//! default) takes `n`, `range`, `correlation`, `frac` and `seed`;
+//! `maxsat` takes `vars`, `clauses` and `seed`; `tree-file` takes `file`
+//! (a basic tree written by `ftbb_tree::io::write_tree_file`); `wire`
+//! takes nothing — the node learns the materialized instance from the
+//! root's problem-announce frame instead of generating it locally. The
+//! kind is applied before its parameters wherever it stands on the
+//! command line, and a parameter foreign to the kind is rejected, never
+//! ignored.
 //!
 //! # One key table
 //!
@@ -40,13 +19,13 @@
 //! gives the field with its doc comment (which is also its `--help`
 //! text), the default, the allowed range, the help section and the
 //! metavar; the field's type is the value kind (its `Setting` impl holds
-//! the one `parse(&str)` every value goes through, whichever way it
-//! arrived). The TOML spelling is the row's name and the flag is derived
-//! from it (`--` + name with `_`/`.` → `-`; only `--peer` and `--problem`
-//! are spelled by hand). The TOML reader, the flag reader, the per-key
-//! range checks in `validate`, [`help`], [`NodeConfig::to_args`] /
-//! [`ProblemSpec::flag_args`] and the launcher's argv all walk those rows
-//! — **adding a key is adding one row**.
+//! the one `parse(&str)` every value goes through, whether it came from
+//! a flag or from a hand-built [`NodeConfig`] in `validate`). The flag
+//! is derived from the row's name (`--` + name with `_`/`.` → `-`; only
+//! `--peer` and `--problem` are spelled by hand). The flag reader, the
+//! per-key range checks in `validate`, [`help`], [`NodeConfig::to_args`]
+//! / [`ProblemSpec::flag_args`] and the launcher's argv all walk those
+//! rows — **adding a key is adding one row**.
 
 use crate::tcp::WireConfig;
 use ftbb_bnb::{AnyInstance, BasicTreeProblem, Correlation, KnapsackInstance, MaxSatInstance};
@@ -73,7 +52,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ConfigError> {
 }
 
 /// The canonical list of problem kinds `ftbb-noded` understands, in the
-/// spelling configs and `--problem` use; the first is the default.
+/// spelling `--problem` takes; the first is the default.
 /// [`PROBLEM_KINDS`] (help/error text) must stay in sync — a unit test
 /// enforces it.
 const KINDS: [&str; 4] = ["knapsack", "maxsat", "tree-file", "wire"];
@@ -166,7 +145,7 @@ impl ProblemSpec {
         ProblemSpec::TreeFile(TreeFileSpec { file: file.into() })
     }
 
-    /// The spec's kind tag, as written in configs and `--problem`.
+    /// The spec's kind tag, as `--problem` takes it.
     pub fn kind_name(&self) -> &'static str {
         match self {
             ProblemSpec::Knapsack(_) => "knapsack",
@@ -191,30 +170,37 @@ impl ProblemSpec {
     }
 
     /// Materialize the instance. Generators are deterministic per spec;
-    /// `tree-file` reads (and validates) the file; `wire` has no local
-    /// instance — the daemon must wait for the announce frame instead.
+    /// `tree-file` reads the file; `wire` has no local instance — the
+    /// daemon must wait for the announce frame instead. Whatever was
+    /// materialized passes [`AnyInstance::validate`], the check every
+    /// announced or submitted instance passes on decode.
     pub fn instance(&self) -> Result<AnyInstance, ConfigError> {
-        match self {
-            ProblemSpec::Knapsack(k) => Ok(AnyInstance::Knapsack(KnapsackInstance::generate(
+        let instance = match self {
+            ProblemSpec::Knapsack(k) => AnyInstance::Knapsack(KnapsackInstance::generate(
                 k.n,
                 k.range,
                 k.correlation,
                 k.frac,
                 k.seed,
-            ))),
-            ProblemSpec::MaxSat(m) => Ok(AnyInstance::MaxSat(MaxSatInstance::generate(
-                m.vars, m.clauses, m.seed,
-            ))),
+            )),
+            ProblemSpec::MaxSat(m) => {
+                AnyInstance::MaxSat(MaxSatInstance::generate(m.vars, m.clauses, m.seed))
+            }
             ProblemSpec::TreeFile(t) => {
                 let tree = ftbb_tree::io::read_tree_file(&t.file).map_err(|e| {
                     ConfigError(format!("cannot load tree file {}: {e}", t.file.display()))
                 })?;
-                Ok(AnyInstance::RecordedTree(BasicTreeProblem::new(tree)))
+                AnyInstance::RecordedTree(BasicTreeProblem::new(tree))
             }
             ProblemSpec::Wire => {
-                err("problem kind `wire` has no local instance; it arrives in the announce frame")
+                return err("problem kind `wire` has no local instance; \
+                            it arrives in the announce frame");
             }
-        }
+        };
+        instance
+            .validate()
+            .map_err(|e| ConfigError(format!("invalid {} instance: {e}", instance.kind())))?;
+        Ok(instance)
     }
 
     /// Render this spec as `ftbb-noded` CLI flags: `--problem KIND`
@@ -245,7 +231,7 @@ fn correlation_from(name: &str) -> Option<Correlation> {
     }
 }
 
-/// The flag/config spelling of a correlation value.
+/// The flag spelling of a correlation value.
 fn correlation_name(c: Correlation) -> &'static str {
     match c {
         Correlation::Uncorrelated => "uncorrelated",
@@ -256,20 +242,6 @@ fn correlation_name(c: Correlation) -> &'static str {
 }
 
 // ----------------------------------------------------- the key table
-
-/// How a value is written in a TOML file, and whether its flag takes one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// A bare number: `deadline_s = 30.0`, `--deadline-s 30`.
-    Number,
-    /// A bare boolean: `service = true`; the flag takes no value.
-    Switch,
-    /// A quoted string: `listen = "127.0.0.1:4500"`.
-    Text,
-    /// An array of quoted strings; flags take the items comma-separated
-    /// (or, for the repeatable `--peer`, one per occurrence).
-    List,
-}
 
 /// The values a key accepts, beyond what its type can hold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,13 +267,12 @@ const NON_NEGATIVE: Range = Range::Num(0.0, MAX_SECONDS);
 const ANY_SIGN: Range = Range::Num(-MAX_SECONDS, MAX_SECONDS);
 
 /// A value kind: one impl per field type, holding the **one** parser a
-/// value of that kind goes through — from a flag, from a TOML file, or
-/// (rendered and read back) from a hand-built [`NodeConfig`] in
-/// `validate` — so it is range-checked and narrowed by the same code
-/// whichever way it arrived.
+/// value of that kind goes through — from a flag, or (rendered and read
+/// back) from a hand-built [`NodeConfig`] in `validate` — so it is
+/// range-checked and narrowed by the same code whichever way it arrived.
 trait Setting: Sized {
-    /// How the kind is written in TOML.
-    const SHAPE: Shape;
+    /// A switch: its flag stands alone instead of taking a value.
+    const SWITCH: bool = false;
     /// Read a value; the error says what was expected instead.
     fn parse(text: &str, range: Range) -> Result<Self, String>;
     /// The text `parse` reads back to this value; `None` for "unset"
@@ -312,7 +283,6 @@ trait Setting: Sized {
 macro_rules! integer_settings {
     ($($int:ty),*) => {$(
         impl Setting for $int {
-            const SHAPE: Shape = Shape::Number;
             fn parse(text: &str, range: Range) -> Result<Self, String> {
                 let (min, max) = match range {
                     Range::Int(min, max) => (min, max),
@@ -333,7 +303,6 @@ macro_rules! integer_settings {
 integer_settings!(u16, u32, u64, usize);
 
 impl Setting for f64 {
-    const SHAPE: Shape = Shape::Number;
     fn parse(text: &str, range: Range) -> Result<Self, String> {
         let (min, max) = match range {
             Range::Num(min, max) => (min, max),
@@ -361,15 +330,14 @@ impl Setting for f64 {
     }
 }
 
-/// The kinds without a range, one row each: the type, how TOML writes
-/// it, what it expects, how it is read, how it is written.
+/// The kinds without a range, one row each: the type, what it expects,
+/// how it is read, how it is written.
 macro_rules! plain_settings {
     ($(
-        $kind:ty: $shape:ident, $expects:literal,
+        $kind:ty: $expects:literal,
         |$text:ident| $parse:expr, |$value:ident| $render:expr;
     )*) => {$(
         impl Setting for $kind {
-            const SHAPE: Shape = Shape::$shape;
             fn parse($text: &str, _: Range) -> Result<Self, String> {
                 $parse.ok_or_else(|| $expects.to_string())
             }
@@ -382,27 +350,24 @@ macro_rules! plain_settings {
 }
 
 plain_settings! {
-    bool: Switch, "a boolean",
-    |text| text.parse().ok(), |on| on.then(|| "true".to_string());
-
-    PathBuf: Text, "a non-empty path",
+    PathBuf: "a non-empty path",
     |text| (!text.is_empty()).then(|| PathBuf::from(text)),
     |path| Some(path.display().to_string());
 
-    SocketAddr: Text, "a HOST:PORT socket address",
+    SocketAddr: "a HOST:PORT socket address",
     |text| text.parse().ok(), |addr| Some(addr.to_string());
 
-    Correlation: Text, "one of uncorrelated | weak | strong | subsetsum",
+    Correlation: "one of uncorrelated | weak | strong | subsetsum",
     |text| correlation_from(text), |c| Some(correlation_name(*c).to_string());
 
     // The peer map.
-    Vec<(u32, SocketAddr)>: List, "a list of ID=HOST:PORT peers",
+    Vec<(u32, SocketAddr)>: "a list of ID=HOST:PORT peers",
     |text| parse_list(text, parse_peer),
     |peers| render_list(peers.iter().map(|(id, addr)| format!("{id}={addr}")));
 
     // Gossip servers: bare ids are resolved from the peer wiring, addressed
     // ones are self-contained — what `--join` requires.
-    Vec<(u32, Option<SocketAddr>)>: List, "a list of ID or ID=HOST:PORT gossip servers",
+    Vec<(u32, Option<SocketAddr>)>: "a list of ID or ID=HOST:PORT gossip servers",
     |text| parse_list(text, parse_gossip_server),
     |servers| render_list(servers.iter().map(|(id, addr)| match addr {
         Some(addr) => format!("{id}={addr}"),
@@ -421,9 +386,20 @@ fn render_list(items: impl Iterator<Item = String>) -> Option<String> {
     (!text.is_empty()).then_some(text)
 }
 
-/// An optional setting: unset until a file or a flag gives it a value.
+/// A switch: its flag alone sets it.
+impl Setting for bool {
+    const SWITCH: bool = true;
+    fn parse(text: &str, _: Range) -> Result<Self, String> {
+        text.parse().map_err(|_| "a boolean".to_string())
+    }
+    fn render(&self) -> Option<String> {
+        self.then(|| "true".to_string())
+    }
+}
+
+/// An optional setting: unset until a flag gives it a value.
 impl<S: Setting> Setting for Option<S> {
-    const SHAPE: Shape = S::SHAPE;
+    const SWITCH: bool = S::SWITCH;
     fn parse(text: &str, range: Range) -> Result<Self, String> {
         S::parse(text, range).map(Some)
     }
@@ -433,7 +409,7 @@ impl<S: Setting> Setting for Option<S> {
 }
 
 // The `--help` blocks, in the order the rows list them.
-const NODE: &str = "FLAGS (override --config values)";
+const NODE: &str = "FLAGS";
 const MEMBERSHIP: &str = "MEMBERSHIP (gossip protocol instead of a static member list)";
 const PERFORMANCE: &str = "PERFORMANCE";
 const SERVICE: &str = "SERVICE MODE (a long-lived multi-job solve pool)";
@@ -441,17 +417,17 @@ const LIFECYCLE: &str = "LIFECYCLE (checkpoint persistence and restart/rejoin)";
 const TELEMETRY: &str = "TELEMETRY (structured tracing and interval metrics)";
 const PROBLEM: &str = "PROBLEM (tagged; --problem selects the kind, the rest are per-kind)";
 
-/// The TOML spelling of the peer map, whose flag is the repeatable
-/// `--peer` (one entry per occurrence).
+/// The row name of the peer map, whose flag is the repeatable `--peer`
+/// (one entry per occurrence).
 const PEERS: &str = "peers";
-/// The TOML spelling of the problem kind, whose flag is `--problem`.
+/// The row name of the problem kind, whose flag is `--problem`.
 const KIND: &str = "problem.kind";
 
 /// One configuration key of a `T` (a [`NodeConfig`] or a
-/// [`ProblemSpec`]): everything the readers, the checks, the help and
+/// [`ProblemSpec`]): everything the reader, the checks, the help and
 /// the argv renderer know about it.
 struct Key<T: 'static> {
-    /// The TOML spelling (`section.key` inside a section); the flag is
+    /// The row's name (`problem.key` for a problem key); the flag is
     /// derived from it, see [`Key::flag`].
     name: &'static str,
     range: Range,
@@ -460,7 +436,8 @@ struct Key<T: 'static> {
     metavar: &'static str,
     /// The `--help` text: a node key's is its field's doc comment.
     help: &'static str,
-    shape: Shape,
+    /// A switch: the flag takes no value.
+    switch: bool,
     /// Parse `text` into the field.
     set: fn(&mut T, &str, Range) -> Result<(), String>,
     /// The field, rendered; `None` when unset (or, for a problem
@@ -469,7 +446,7 @@ struct Key<T: 'static> {
 }
 
 impl<T> Key<T> {
-    /// The flag spelling: `--` + the TOML spelling with `_`/`.` → `-`,
+    /// The flag spelling: `--` + the name with `_`/`.` → `-`,
     /// except for the two flags that predate the rule.
     fn flag(&self) -> String {
         match self.name {
@@ -482,14 +459,17 @@ impl<T> Key<T> {
     /// Parse `text` into this key's field of `target`.
     fn parse_into(&self, target: &mut T, text: &str) -> Result<(), ConfigError> {
         (self.set)(target, text, self.range).map_err(|expected| {
-            ConfigError(format!("`{}` must be {expected}, got `{text}`", self.name))
+            ConfigError(format!(
+                "`{}` must be {expected}, got `{text}`",
+                self.flag()
+            ))
         })
     }
 
     /// Append the flag(s) that set this key to `value`.
     fn push_args(&self, value: Option<String>, args: &mut Vec<String>) {
         let Some(text) = value else { return };
-        if self.shape == Shape::Switch {
+        if self.switch {
             args.push(self.flag());
         } else if self.name == PEERS {
             for peer in text.split(',') {
@@ -512,7 +492,7 @@ impl<T> Key<T> {
             _ => {}
         }
         if let Some(text) = (self.get)(default).filter(|t| !t.is_empty()) {
-            if self.shape != Shape::Switch {
+            if !self.switch {
                 notes.push(format!("default {text}"));
             }
         }
@@ -556,9 +536,9 @@ fn verify<T: Clone>(table: &[Key<T>], target: &T) -> Result<(), ConfigError> {
 /// [`NodeConfig`], its `Default` and the `NODE_KEYS` table from the rows.
 ///
 /// A row reads `/// doc  field: Type = default;  range, SECTION, "METAVAR";`.
-/// The field's type is its value kind ([`Setting`]), its name is its TOML
-/// spelling (the flag is derived from that), and its doc comment is also
-/// its `--help` text — so it is written to read well in both places.
+/// The field's type is its value kind ([`Setting`]), its name gives its
+/// flag, and its doc comment is also its `--help` text — so it is
+/// written to read well in both places.
 macro_rules! node_keys {
     ($(
         $(#[doc = $doc:literal])+
@@ -569,8 +549,8 @@ macro_rules! node_keys {
         #[derive(Debug, Clone, PartialEq)]
         pub struct NodeConfig {
             $($(#[doc = $doc])+ pub $field: $kind,)*
-            /// The shared problem (the `[problem]` section / `--problem*`
-            /// flags, see `PROBLEM_KEYS`).
+            /// The shared problem (the `--problem*` flags, see
+            /// `PROBLEM_KEYS`).
             pub problem: ProblemSpec,
         }
 
@@ -583,14 +563,14 @@ macro_rules! node_keys {
             }
         }
 
-        /// Every key outside `[problem]`, in `--help` order.
+        /// Every key outside the problem, in `--help` order.
         static NODE_KEYS: &[Key<NodeConfig>] = &[$(Key {
             name: stringify!($field),
             range: $range,
             section: $section,
             metavar: $metavar,
             help: concat!($($doc),+),
-            shape: <$kind as Setting>::SHAPE,
+            switch: <$kind as Setting>::SWITCH,
             set: |cfg, text, range| {
                 cfg.$field = Setting::parse(text, range)?;
                 Ok(())
@@ -615,7 +595,7 @@ node_keys! {
     peers: Vec<(u32, SocketAddr)> = Vec::new();
     Range::Any, NODE, "ID=HOST:PORT";
 
-    /// Learn the peer map from stdin instead of flags/file: after
+    /// Learn the peer map from stdin instead of `--peer` flags: after
     /// printing its `FTBB-READY` line the daemon reads `peer ID=HOST:PORT`
     /// lines terminated by `start`. This is how the launcher wires a
     /// `--listen 127.0.0.1:0` cluster without pre-allocating ports.
@@ -754,7 +734,7 @@ macro_rules! problem_key {
             section: PROBLEM,
             metavar: $metavar,
             help: $help,
-            shape: <$kind as Setting>::SHAPE,
+            switch: <$kind as Setting>::SWITCH,
             set: |spec, text, range| {
                 if let $pattern = spec {
                     $place = Setting::parse(text, range)?;
@@ -769,11 +749,17 @@ macro_rules! problem_key {
     };
 }
 
-/// The `[problem]` section, kind first (setting it resets the spec to
-/// that kind's defaults) and the seed last — the order
+/// The problem keys, kind first (setting it resets the spec to that
+/// kind's defaults) and the seed last — the order
 /// [`ProblemSpec::flag_args`] renders. A parameter belongs to the kinds
 /// whose spec carries its field and is rejected under any other, never
 /// ignored.
+///
+/// The generator caps keep every accepted spec's instance valid
+/// ([`ProblemSpec::instance`]): `n` fits `KnapNode::level` (a `u16`),
+/// and 65 535 items of profit at most 1.2 × 2^32 (the top of `range`
+/// plus its correlation offset) sum far below 2^64; `clauses` stops
+/// where the clause list would outgrow a node's memory.
 static PROBLEM_KEYS: &[Key<ProblemSpec>] = &[
     Key {
         name: KIND,
@@ -782,7 +768,7 @@ static PROBLEM_KEYS: &[Key<ProblemSpec>] = &[
         metavar: "KIND",
         help: "knapsack | maxsat | tree-file | wire; `wire` receives the instance from the \
                root's announce frame instead of generating it locally",
-        shape: Shape::Text,
+        switch: false,
         set: |spec, text, _| {
             *spec = ProblemSpec::of_kind(text).ok_or_else(|| format!("one of {PROBLEM_KINDS}"))?;
             Ok(())
@@ -790,9 +776,9 @@ static PROBLEM_KEYS: &[Key<ProblemSpec>] = &[
         get: |spec| Some(spec.kind_name().to_string()),
     },
     problem_key!("problem.n": usize, ProblemSpec::Knapsack(k) => k.n;
-        Range::Int(1, u64::MAX), "N", "knapsack items"),
+        Range::Int(1, u16::MAX as u64), "N", "knapsack items"),
     problem_key!("problem.range": u64, ProblemSpec::Knapsack(k) => k.range;
-        Range::Int(2, u64::MAX), "N", "value/weight range"),
+        Range::Int(2, 1 << 32), "N", "value/weight range"),
     problem_key!("problem.correlation": Correlation, ProblemSpec::Knapsack(k) => k.correlation;
         Range::Any, "NAME", "uncorrelated | weak | strong | subsetsum"),
     problem_key!("problem.frac": f64, ProblemSpec::Knapsack(k) => k.frac;
@@ -800,7 +786,7 @@ static PROBLEM_KEYS: &[Key<ProblemSpec>] = &[
     problem_key!("problem.vars": u16, ProblemSpec::MaxSat(m) => m.vars;
         Range::Int(2, 64), "N", "boolean variables"),
     problem_key!("problem.clauses": usize, ProblemSpec::MaxSat(m) => m.clauses;
-        Range::Int(1, u64::MAX), "N", "random weighted clauses"),
+        Range::Int(1, 1 << 20), "N", "random weighted clauses"),
     problem_key!("problem.file": PathBuf, ProblemSpec::TreeFile(t) => t.file;
         Range::Any, "PATH", "recorded basic tree (ftbb_tree::io), required"),
     problem_key!("problem.seed": u64,
@@ -811,7 +797,7 @@ static PROBLEM_KEYS: &[Key<ProblemSpec>] = &[
 
 /// Member ids of a cluster (peers + self), sorted and deduplicated —
 /// the canonical membership every node derives from its peer map,
-/// whether that map came from flags, a file, or stdin wiring.
+/// whether that map came from flags or stdin wiring.
 pub fn member_ids(id: u32, peers: &[(u32, SocketAddr)]) -> Vec<u32> {
     let mut m: Vec<u32> = peers.iter().map(|&(peer, _)| peer).collect();
     m.push(id);
@@ -878,7 +864,8 @@ impl NodeConfig {
     }
 
     /// Validate every key against its row's range (a hand-built config
-    /// never went through the readers), then the cross-field invariants.
+    /// never went through the flag reader), then the cross-field
+    /// invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
         verify(NODE_KEYS, self)?;
         self.problem.validate()?;
@@ -889,7 +876,7 @@ impl NodeConfig {
             return err("`--resume` needs --checkpoint-dir to know where the snapshot lives");
         }
         if self.gossip_mode() && self.forget_after_s < self.suspect_after_s {
-            return err("forget_after_s must be at least suspect_after_s");
+            return err("--forget-after-s must be at least --suspect-after-s");
         }
         if self.join {
             if !self.gossip_mode() {
@@ -976,88 +963,6 @@ pub fn problem_help() -> String {
     out
 }
 
-// ------------------------------------------------------- TOML subset
-
-/// The line up to its `#` comment; a `#` inside a quoted string is text.
-fn strip_comment(line: &str) -> &str {
-    let mut quoted = false;
-    for (pos, c) in line.char_indices() {
-        match c {
-            '"' => quoted = !quoted,
-            '#' if !quoted => return &line[..pos],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Split the TOML subset into `(section.key, raw value, line number)`
-/// entries in file order (top-level keys have no dot).
-fn toml_entries(text: &str) -> Result<Vec<(String, &str, usize)>, ConfigError> {
-    let mut out = Vec::new();
-    let mut section = String::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[') {
-            let Some(name) = name.strip_suffix(']') else {
-                return err(format!("line {line_no}: malformed section header"));
-            };
-            section = name.trim().to_string();
-            if section.starts_with('[') {
-                return err(format!("line {line_no}: array-of-tables unsupported"));
-            }
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return err(format!("line {line_no}: expected `key = value`"));
-        };
-        let key = key.trim();
-        let full_key = if section.is_empty() {
-            key.to_string()
-        } else {
-            format!("{section}.{key}")
-        };
-        out.push((full_key, value.trim(), line_no));
-    }
-    Ok(out)
-}
-
-/// The inside of a quoted string (embedded quotes are unsupported).
-fn unquote(raw: &str) -> Option<&str> {
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    (!inner.contains('"')).then_some(inner)
-}
-
-/// Lex a raw TOML value of the shape `key` is written in — a quoted
-/// string, an array of them, or a bare number/boolean — into the text
-/// the key's parser reads.
-fn toml_text<T>(key: &Key<T>, raw: &str, line_no: usize) -> Result<String, ConfigError> {
-    let text = match key.shape {
-        Shape::Text => unquote(raw).map(str::to_string).ok_or("a quoted string"),
-        Shape::List => raw
-            .strip_prefix('[')
-            .and_then(|rest| rest.strip_suffix(']'))
-            .and_then(|items| {
-                let items = items.split(',').map(str::trim).filter(|i| !i.is_empty());
-                items.map(unquote).collect::<Option<Vec<_>>>()
-            })
-            .map(|items| items.join(","))
-            .ok_or("an array of quoted strings"),
-        Shape::Number | Shape::Switch if raw.starts_with(['"', '[']) => Err("a bare value"),
-        Shape::Number | Shape::Switch => Ok(raw.to_string()),
-    };
-    text.map_err(|wanted| {
-        ConfigError(format!(
-            "line {line_no}: `{}` must be {wanted}, got `{raw}`",
-            key.name
-        ))
-    })
-}
-
 /// Parse one gossip-server entry: `ID` (resolved from peer wiring) or
 /// `ID=HOST:PORT` (self-contained — what `--join` requires).
 pub(crate) fn parse_gossip_server(spec: &str) -> Result<(u32, Option<SocketAddr>), ConfigError> {
@@ -1089,100 +994,55 @@ pub(crate) fn parse_peer(spec: &str) -> Result<(u32, SocketAddr), ConfigError> {
     Ok((id, addr))
 }
 
-// ------------------------------------------------- the two front-ends
+// ------------------------------------------------------ the flag reader
 
-/// What one source — the file, or the flags — assigns, key by key and
-/// still as text: values are parsed once, in [`resolve`], by the same
-/// code whichever source they came from.
-#[derive(Default)]
-struct Layer {
-    node: Vec<(&'static Key<NodeConfig>, String)>,
-    problem: Vec<(&'static Key<ProblemSpec>, String)>,
+/// Parse CLI arguments; `ftbb-noded --help` lists them.
+pub fn parse_args(args: &[String]) -> Result<NodeConfig, ConfigError> {
+    let cfg = resolve(args)?;
+    cfg.validate()?;
+    Ok(cfg)
 }
 
-/// The TOML front-end: route every `key = value` of a file to its row.
-fn read_toml(text: &str) -> Result<Layer, ConfigError> {
-    let mut layer = Layer::default();
-    for (name, raw, line_no) in toml_entries(text)? {
-        if let Some(key) = NODE_KEYS.iter().find(|key| key.name == name) {
-            layer.node.push((key, toml_text(key, raw, line_no)?));
-        } else if let Some(key) = PROBLEM_KEYS.iter().find(|key| key.name == name) {
-            layer.problem.push((key, toml_text(key, raw, line_no)?));
-        } else {
-            return err(format!("unknown config key `{name}`"));
-        }
-    }
-    Ok(layer)
-}
-
-/// The flag front-end: route every flag (and its value, unless it is a
-/// switch) to its row, and hand back the `--config` path if one was
-/// given. The first `--peer` starts the list that replaces the file's (a
-/// flag-supplied topology fully wins); later ones append.
-fn read_flags(args: &[String]) -> Result<(Layer, Option<String>), ConfigError> {
-    let mut layer = Layer::default();
-    let mut config = None;
+/// Route every flag (and its value, unless it is a switch) to its row,
+/// without the cross-field checks. Node keys apply in order: a repeated
+/// flag's last value wins, except `--peer`, whose occurrences add up.
+/// The problem kind is applied first, wherever it stands, then its
+/// parameters; a parameter foreign to the kind is rejected instead of
+/// silently ignored.
+fn resolve(args: &[String]) -> Result<NodeConfig, ConfigError> {
+    let mut cfg = NodeConfig::default();
+    let mut problem = Vec::new();
     let mut rest = args.iter();
     while let Some(flag) = rest.next() {
-        let mut value = |shape| match shape {
-            Shape::Switch => Ok("true".to_string()),
-            _ => rest
-                .next()
-                .cloned()
-                .ok_or_else(|| ConfigError(format!("{flag} requires a value"))),
-        };
-        if flag == "--config" {
-            config = Some(value(Shape::Text)?);
-        } else if let Some(key) = NODE_KEYS.iter().find(|key| key.flag() == *flag) {
-            let text = value(key.shape)?;
-            let mut earlier = layer.node.iter_mut();
-            match earlier.find(|(earlier, _)| key.name == PEERS && earlier.name == PEERS) {
-                Some((_, peers)) => *peers = format!("{peers},{text}"),
-                None => layer.node.push((key, text)),
+        let mut value = |switch: bool| {
+            if switch {
+                return Ok("true".to_string());
             }
+            let text = rest.next().cloned();
+            text.ok_or_else(|| ConfigError(format!("{flag} requires a value")))
+        };
+        if let Some(key) = NODE_KEYS.iter().find(|key| key.flag() == *flag) {
+            let mut text = value(key.switch)?;
+            if key.name == PEERS {
+                if let Some(earlier) = (key.get)(&cfg) {
+                    text = format!("{earlier},{text}");
+                }
+            }
+            key.parse_into(&mut cfg, &text)?;
         } else if let Some(key) = PROBLEM_KEYS.iter().find(|key| key.flag() == *flag) {
-            layer.problem.push((key, value(key.shape)?));
+            problem.push((key, value(key.switch)?));
         } else {
             return err(format!("unknown flag `{flag}`"));
         }
     }
-    Ok((layer, config))
-}
-
-/// Merge the flags over the file over the defaults. Problem parameters
-/// are merged per kind: a flag that switches to a different kind
-/// discards the file's parameters entirely (`--problem maxsat` must not
-/// inherit a config file's knapsack parameters), and a parameter foreign
-/// to the resolved kind is rejected instead of silently ignored.
-/// Cross-field validation is the caller's, on the merged result — flags
-/// may legitimately complete a file (`kind = "wire"` in the file with
-/// peers supplied as `--peer` flags).
-fn resolve(file: Layer, flags: Layer) -> Result<NodeConfig, ConfigError> {
-    let mut cfg = NodeConfig::default();
-    for (key, text) in file.node.iter().chain(&flags.node) {
-        key.parse_into(&mut cfg, text)?;
-    }
-    fn kind_of(layer: &Layer) -> Option<&str> {
-        let kind = layer.problem.iter().rfind(|(key, _)| key.name == KIND);
-        kind.map(|(_, text)| text.as_str())
-    }
-    let file_kind = kind_of(&file).unwrap_or(KINDS[0]);
-    let kind = kind_of(&flags).unwrap_or(file_kind);
+    let kind = problem.iter().rfind(|(key, _)| key.name == KIND);
+    let kind = kind.map_or(KINDS[0], |(_, text)| text.as_str());
     PROBLEM_KEYS[0].parse_into(&mut cfg.problem, kind)?;
-    let inherited: &[_] = if kind == file_kind {
-        &file.problem
-    } else {
-        &[]
-    };
-    for (key, text) in inherited.iter().chain(&flags.problem) {
-        if key.name == KIND {
-            continue;
-        }
+    for (key, text) in problem.iter().filter(|(key, _)| key.name != KIND) {
         // A spec carries exactly the fields its kind takes.
         if (key.get)(&cfg.problem).is_none() {
             return err(format!(
-                "`{} / {}` does not apply to problem kind `{kind}`",
-                key.name,
+                "`{}` does not apply to problem kind `{kind}`",
                 key.flag()
             ));
         }
@@ -1191,55 +1051,27 @@ fn resolve(file: Layer, flags: Layer) -> Result<NodeConfig, ConfigError> {
     Ok(cfg)
 }
 
-/// Parse a config file's contents.
-pub fn parse_config(text: &str) -> Result<NodeConfig, ConfigError> {
-    let cfg = resolve(read_toml(text)?, Layer::default())?;
-    cfg.validate()?;
-    Ok(cfg)
-}
-
-/// Parse CLI arguments (optionally seeded from `--config <file>`).
-/// Flags override file values; `ftbb-noded --help` lists them.
-pub fn parse_args(args: &[String]) -> Result<NodeConfig, ConfigError> {
-    let (flags, config) = read_flags(args)?;
-    let file = match config {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| ConfigError(format!("cannot read config {path}: {e}")))?;
-            read_toml(&text)?
-        }
-        None => Layer::default(),
-    };
-    let cfg = resolve(file, flags)?;
-    cfg.validate()?;
-    Ok(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"
-# cluster node zero
-id = 0
-listen = "127.0.0.1:4500"
-peers = ["1=127.0.0.1:4501", "2=127.0.0.1:4502"]
-deadline_s = 12.5
-crash_at_s = 1.5
-seed = 9
+    /// `line`'s whitespace-separated words as an argv.
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
 
-[problem]
-kind = "knapsack"
-n = 24
-range = 80
-correlation = "weak"
-frac = 0.5
-seed = 11
-"#;
+    fn parse(line: &str) -> Result<NodeConfig, ConfigError> {
+        parse_args(&argv(line))
+    }
 
     #[test]
     fn parses_full_config() {
-        let cfg = parse_config(SAMPLE).unwrap();
+        let cfg = parse(
+            "--id 0 --listen 127.0.0.1:4500 --peer 1=127.0.0.1:4501 --peer 2=127.0.0.1:4502 \
+             --deadline-s 12.5 --crash-at-s 1.5 --seed 9 --problem knapsack --problem-n 24 \
+             --problem-range 80 --problem-correlation weak --problem-frac 0.5 --problem-seed 11",
+        )
+        .unwrap();
         assert_eq!(cfg.id, 0);
         assert_eq!(cfg.listen, "127.0.0.1:4500".parse().unwrap());
         assert_eq!(cfg.peers.len(), 2);
@@ -1259,8 +1091,8 @@ seed = 11
 
     #[test]
     fn parses_maxsat_config() {
-        let cfg = parse_config(
-            "id = 0\n[problem]\nkind = \"maxsat\"\nvars = 14\nclauses = 40\nseed = 3\n",
+        let cfg = parse(
+            "--id 0 --problem maxsat --problem-vars 14 --problem-clauses 40 --problem-seed 3",
         )
         .unwrap();
         assert_eq!(
@@ -1280,23 +1112,20 @@ seed = 11
 
     #[test]
     fn parses_tree_file_and_wire_configs() {
-        let cfg =
-            parse_config("[problem]\nkind = \"tree-file\"\nfile = \"/tmp/t.ftbb\"\n").unwrap();
+        let cfg = parse("--problem tree-file --problem-file /tmp/t.ftbb").unwrap();
         assert_eq!(cfg.problem, ProblemSpec::tree_file("/tmp/t.ftbb"));
 
         // `wire` has no params and no local instance; it needs a peer to
         // hear the announce from.
-        let cfg =
-            parse_config("id = 1\npeers = [\"0=127.0.0.1:4500\"]\n[problem]\nkind = \"wire\"\n")
-                .unwrap();
+        let cfg = parse("--id 1 --peer 0=127.0.0.1:4500 --problem wire").unwrap();
         assert_eq!(cfg.problem, ProblemSpec::Wire);
         assert!(cfg.problem.instance().is_err());
-        assert!(parse_config("[problem]\nkind = \"wire\"\n").is_err());
+        assert!(parse("--problem wire").is_err());
     }
 
     #[test]
     fn unknown_kind_error_lists_supported_kinds() {
-        let e = parse_config("[problem]\nkind = \"sudoku\"\n").unwrap_err();
+        let e = parse("--problem sudoku").unwrap_err();
         for kind in KINDS {
             assert!(e.0.contains(kind), "`{kind}` missing from: {e}");
         }
@@ -1328,97 +1157,37 @@ seed = 11
     }
 
     #[test]
-    fn flags_complete_a_partial_config_file() {
-        // The file alone would be invalid; flags legitimately complete
-        // it, and only the merged result is validated.
-        let dir = std::env::temp_dir().join("ftbb-wire-config-partial-test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // wire kind in the file, peers from flags.
-        let wire_path = dir.join("wire.toml");
-        std::fs::write(&wire_path, "id = 1\n[problem]\nkind = \"wire\"\n").unwrap();
-        let args: Vec<String> = [
-            "--config",
-            wire_path.to_str().unwrap(),
-            "--peer",
-            "0=127.0.0.1:4500",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = parse_args(&args).unwrap();
-        assert_eq!(cfg.problem, ProblemSpec::Wire);
-        assert_eq!(cfg.peers.len(), 1);
-
-        // tree-file kind in the file, path from flags.
-        let tree_path = dir.join("tree.toml");
-        std::fs::write(&tree_path, "[problem]\nkind = \"tree-file\"\n").unwrap();
-        let args: Vec<String> = [
-            "--config",
-            tree_path.to_str().unwrap(),
-            "--problem-file",
-            "/tmp/w.ftbb",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = parse_args(&args).unwrap();
-        assert_eq!(cfg.problem, ProblemSpec::tree_file("/tmp/w.ftbb"));
-
-        // Standalone, the same files still fail (nothing completes them).
-        let solo: Vec<String> = ["--config", wire_path.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_args(&solo).is_err());
-        std::fs::remove_file(&wire_path).ok();
-        std::fs::remove_file(&tree_path).ok();
-    }
-
-    #[test]
     fn foreign_params_are_rejected_not_ignored() {
         // Knapsack params under a maxsat kind (and vice versa) are
         // configuration mistakes, loudly reported.
-        assert!(parse_config("[problem]\nkind = \"maxsat\"\nn = 24\n").is_err());
-        assert!(parse_config("[problem]\nkind = \"knapsack\"\nvars = 8\n").is_err());
-        assert!(parse_config("[problem]\nkind = \"wire\"\nseed = 3\n").is_err());
-        assert!(parse_config("[problem]\nkind = \"tree-file\"\n").is_err());
+        for line in [
+            "--problem maxsat --problem-n 24",
+            "--problem knapsack --problem-vars 8",
+            "--problem wire --problem-seed 3 --peer 1=127.0.0.1:4501",
+            "--problem maxsat --problem-frac 0.5",
+        ] {
+            let e = parse(line).expect_err(line);
+            assert!(
+                e.0.contains("does not apply to problem kind"),
+                "{line}: {e}"
+            );
+        }
+        assert!(
+            parse("--problem tree-file").is_err(),
+            "the file is required"
+        );
 
-        let args: Vec<String> = ["--problem", "maxsat", "--problem-frac", "0.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_args(&args).is_err());
-    }
-
-    #[test]
-    fn problem_flag_switches_kind_without_inheriting_params() {
-        let dir = std::env::temp_dir().join("ftbb-wire-config-kind-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("node.toml");
-        std::fs::write(&path, SAMPLE).unwrap();
-        // The file is knapsack (n=24 etc.); switching to maxsat on the
-        // command line must not drag knapsack params along.
-        let args: Vec<String> = [
-            "--config",
-            path.to_str().unwrap(),
-            "--problem",
-            "maxsat",
-            "--problem-vars",
-            "12",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = parse_args(&args).unwrap();
+        // The kind is applied first, wherever it stands.
+        let cfg = parse("--problem-vars 8 --problem maxsat").unwrap();
         assert_eq!(
             cfg.problem,
             ProblemSpec::MaxSat(MaxSatSpec {
-                vars: 12,
+                vars: 8,
                 ..Default::default()
             })
         );
-        std::fs::remove_file(&path).ok();
+        let e = parse("--problem-n 24 --problem maxsat").unwrap_err();
+        assert_eq!(e.0, "`--problem-n` does not apply to problem kind `maxsat`");
     }
 
     #[test]
@@ -1451,177 +1220,88 @@ seed = 11
     }
 
     #[test]
-    fn flags_override_file() {
-        let dir = std::env::temp_dir().join("ftbb-wire-config-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("node.toml");
-        std::fs::write(&path, SAMPLE).unwrap();
-        // Without new peer flags the file's peer list stands, so taking
-        // id 2 (listed as a peer in the file) must be rejected.
-        let args: Vec<String> = [
-            "--config",
-            path.to_str().unwrap(),
-            "--id",
-            "2",
-            "--listen",
-            "127.0.0.1:4502",
-            "--problem-seed",
-            "77",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let err = parse_args(&args).unwrap_err();
-        assert!(err.0.contains("own id"), "{err}");
-
-        // The first --peer flag REPLACES the file's peer list (flags
-        // override file values), so the same identity switch works once
-        // the topology is given on the command line.
-        let args: Vec<String> = [
-            "--config",
-            path.to_str().unwrap(),
-            "--id",
-            "2",
-            "--listen",
-            "127.0.0.1:4502",
-            "--peer",
-            "0=127.0.0.1:4500",
-            "--peer",
-            "1=127.0.0.1:4501",
-            "--problem-seed",
-            "77",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = parse_args(&args).unwrap();
-        assert_eq!(cfg.id, 2);
-        let ProblemSpec::Knapsack(k) = &cfg.problem else {
-            panic!("expected knapsack");
-        };
-        assert_eq!(k.seed, 77);
-        assert_eq!(k.n, 24, "non-overridden file values survive");
-        assert_eq!(cfg.members(), vec![0, 1, 2]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn rejects_malformed_input() {
-        assert!(parse_config("id = ").is_err());
-        assert!(parse_config("peers = [3]").is_err());
-        assert!(parse_config("listen = \"not-an-addr\"").is_err());
-        assert!(parse_config("mystery = 1").is_err());
-        assert!(parse_config("[problem\nn = 3").is_err());
-        assert!(parse_config("id = 0\npeers = [\"0=127.0.0.1:1\"]").is_err());
-        assert!(parse_config("deadline_s = -1").is_err());
-        assert!(parse_config("preconnect_s = -0.5").is_err());
-        assert!(parse_config("peers_from_stdin = 3").is_err());
-        assert!(parse_config("[problem]\ncorrelation = \"psychic\"").is_err());
+        for line in [
+            "--id",
+            "--peer 3",
+            "--listen not-an-addr",
+            "--mystery 1",
+            "--id 0 --peer 0=127.0.0.1:1",
+            "--deadline-s -1",
+            "--preconnect-s -0.5",
+            // A switch takes no value: the `3` is read as a flag.
+            "--peers-from-stdin 3",
+            "--problem-correlation psychic",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
 
-        // One value just past each integer kind's width. Both spellings
-        // go through the kind's one parser, so both give the same error,
-        // naming the key and its range — the TOML reader used to narrow
-        // with `as`, and `id = 4294967296` ran as node 0.
+        // One value just past each integer kind's width or cap: the
+        // kind's one parser names the flag and its range (a reader that
+        // narrowed with `as` once ran `id = 4294967296` as node 0).
         for (name, bad, range) in [
             ("id", "4294967296", "0..=4294967295"),
             ("seed", "18446744073709551616", "0..=18446744073709551615"),
             ("workers", "-1", "1..="),
             ("problem.vars", "70000", "2..=64"),
-            ("problem.clauses", "18446744073709551616", "1..="),
+            ("problem.clauses", "1048577", "1..=1048576"),
         ] {
-            let (args, toml) = match PROBLEM_KEYS.iter().find(|key| key.name == name) {
-                Some(key) => spell(key, problem_homes(key)[0].0, bad),
-                None => spell(
-                    NODE_KEYS.iter().find(|key| key.name == name).unwrap(),
-                    None,
-                    bad,
-                ),
+            let (args, flag) = match PROBLEM_KEYS.iter().find(|key| key.name == name) {
+                Some(key) => (spell(key, problem_homes(key)[0].0, bad), key.flag()),
+                None => {
+                    let key = NODE_KEYS.iter().find(|key| key.name == name).unwrap();
+                    (spell(key, None, bad), key.flag())
+                }
             };
-            let from_flags = parse_args(&args).expect_err(&format!("{args:?}"));
-            let from_toml = parse_config(&toml).expect_err(&toml);
-            assert_eq!(from_flags, from_toml);
-            let text = from_toml.to_string();
+            let text = parse_args(&args)
+                .expect_err(&format!("{args:?}"))
+                .to_string();
             assert!(
-                text.starts_with("config error: ") && text.contains(name) && text.contains(range),
+                text.starts_with("config error: ") && text.contains(&flag) && text.contains(range),
                 "{text}"
             );
         }
     }
 
     #[test]
-    fn hash_inside_a_quoted_string_is_not_a_comment() {
-        let cfg = parse_config(
-            "checkpoint_dir = \"/tmp/run#3\"   # the third run\n\
-             trace_file = \"/data/job#7.jsonl\"\nseed = 4 # not 5\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.checkpoint_dir, Some(PathBuf::from("/tmp/run#3")));
-        assert_eq!(cfg.trace_file, Some(PathBuf::from("/data/job#7.jsonl")));
-        assert_eq!(cfg.seed, 4);
-    }
-
-    #[test]
     fn parses_lifecycle_options() {
-        let cfg = parse_config(
-            "checkpoint_dir = \"/tmp/ckpts\"\ncheckpoint_every_s = 0.25\nresume = true\n",
-        )
-        .unwrap();
+        let cfg = parse("--checkpoint-dir /tmp/ckpts --checkpoint-every-s 0.25 --resume").unwrap();
         assert_eq!(cfg.checkpoint_dir, Some(PathBuf::from("/tmp/ckpts")));
         assert_eq!(cfg.checkpoint_every_s, 0.25);
         assert!(cfg.resume);
 
-        let args: Vec<String> = [
-            "--checkpoint-dir",
-            "/tmp/elsewhere",
-            "--checkpoint-every-s",
-            "1.5",
-            "--resume",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = parse_args(&args).unwrap();
-        assert_eq!(cfg.checkpoint_dir, Some(PathBuf::from("/tmp/elsewhere")));
-        assert_eq!(cfg.checkpoint_every_s, 1.5);
-        assert!(cfg.resume);
-
         // Resume without a checkpoint directory has nothing to resume
         // from; a non-positive cadence would never snapshot.
-        assert!(parse_config("resume = true\n").is_err());
-        assert!(parse_config("checkpoint_every_s = 0\n").is_err());
-        assert!(parse_config("checkpoint_every_s = -2\n").is_err());
-        assert!(parse_config("resume = 3\n").is_err());
+        for line in [
+            "--resume",
+            "--checkpoint-every-s 0",
+            "--checkpoint-every-s -2",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
     }
 
     #[test]
     fn parses_telemetry_options() {
-        let cfg = parse_config("trace_file = \"/tmp/n0.jsonl\"\nmetrics_every_s = 0.5\n").unwrap();
-        assert_eq!(cfg.trace_file, Some(PathBuf::from("/tmp/n0.jsonl")));
-        assert_eq!(cfg.metrics_every_s, Some(0.5));
-
-        let args: Vec<String> = ["--trace-file", "/tmp/n1.jsonl", "--metrics-every-s", "0.25"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cfg = parse_args(&args).unwrap();
+        let cfg = parse("--trace-file /tmp/n1.jsonl --metrics-every-s 0.25").unwrap();
         assert_eq!(cfg.trace_file, Some(PathBuf::from("/tmp/n1.jsonl")));
         assert_eq!(cfg.metrics_every_s, Some(0.25));
 
         // Defaults: telemetry off.
-        let cfg = parse_config("").unwrap();
+        let cfg = parse("").unwrap();
         assert_eq!(cfg.trace_file, None);
         assert_eq!(cfg.metrics_every_s, None);
 
         // A cadence that never fires is a config mistake, not a mode.
-        assert!(parse_config("metrics_every_s = 0\n").is_err());
-        assert!(parse_config("metrics_every_s = -1\n").is_err());
+        assert!(parse("--metrics-every-s 0").is_err());
+        assert!(parse("--metrics-every-s -1").is_err());
     }
 
     #[test]
     fn parses_gossip_and_transport_options() {
-        let cfg = parse_config(
-            "gossip_servers = [\"0\", \"3=127.0.0.1:4503\"]\ngossip_interval_s = 0.1\n\
-             suspect_after_s = 0.4\nforget_after_s = 2.0\n",
+        let cfg = parse(
+            "--gossip-servers 0,3=127.0.0.1:4503 --gossip-interval-s 0.1 \
+             --suspect-after-s 0.4 --forget-after-s 2.0",
         )
         .unwrap();
         assert!(cfg.gossip_mode());
@@ -1641,74 +1321,32 @@ seed = 11
         assert!(!plain.gossip_mode());
         assert_eq!(plain.membership(), None);
         assert_eq!(cfg.wire_config(), WireConfig::default());
-        for gone in ["batch_max_frames", "book_max_entries"] {
-            let e = parse_config(&format!("{gone} = 1\n")).unwrap_err();
-            assert!(e.0.contains("unknown config key"), "{e}");
-            let flag = format!("--{}", gone.replace('_', "-"));
-            let e = parse_args(&[flag, "1".to_string()]).unwrap_err();
+        for gone in ["--batch-max-frames", "--book-max-entries"] {
+            let e = parse(&format!("{gone} 1")).unwrap_err();
             assert!(e.0.contains("unknown flag"), "{e}");
         }
 
         // Inverted membership timeouts are a configuration mistake.
-        assert!(parse_config(
-            "gossip_servers = [\"0\"]\nsuspect_after_s = 2.0\nforget_after_s = 1.0\n"
-        )
-        .is_err());
+        assert!(parse("--gossip-servers 0 --suspect-after-s 2.0 --forget-after-s 1.0").is_err());
     }
 
     #[test]
     fn join_mode_is_validated() {
-        let ok: Vec<String> = [
-            "--id",
-            "5",
-            "--join",
-            "--gossip-servers",
-            "0=127.0.0.1:4500",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = parse_args(&ok).unwrap();
+        let cfg = parse("--id 5 --join --gossip-servers 0=127.0.0.1:4500").unwrap();
         assert!(cfg.join && cfg.gossip_mode() && !cfg.is_gossip_server());
         assert_eq!(cfg.gossip_servers.len(), 1);
 
         // --join without servers, with bare-id servers only, with peer
         // wiring, with --resume, or with --problem wire: all rejected.
-        let cases: Vec<Vec<&str>> = vec![
-            vec!["--id", "5", "--join"],
-            vec!["--id", "5", "--join", "--gossip-servers", "0"],
-            vec![
-                "--id",
-                "5",
-                "--join",
-                "--gossip-servers",
-                "0=127.0.0.1:4500",
-                "--peer",
-                "1=127.0.0.1:4501",
-            ],
-            vec![
-                "--id",
-                "5",
-                "--join",
-                "--gossip-servers",
-                "0=127.0.0.1:4500",
-                "--checkpoint-dir",
-                "/tmp/x",
-                "--resume",
-            ],
-            vec![
-                "--id",
-                "5",
-                "--join",
-                "--gossip-servers",
-                "0=127.0.0.1:4500",
-                "--problem",
-                "wire",
-            ],
-        ];
-        for case in cases {
-            let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
-            assert!(parse_args(&args).is_err(), "{args:?} must be rejected");
+        let joiner = "--id 5 --join --gossip-servers 0=127.0.0.1:4500";
+        for line in [
+            "--id 5 --join".to_string(),
+            "--id 5 --join --gossip-servers 0".to_string(),
+            format!("{joiner} --peer 1=127.0.0.1:4501"),
+            format!("{joiner} --checkpoint-dir /tmp/x --resume"),
+            format!("{joiner} --problem wire"),
+        ] {
+            assert!(parse(&line).is_err(), "{line} must be rejected");
         }
     }
 
@@ -1716,81 +1354,56 @@ seed = 11
     fn seconds_settings_are_finite_and_bounded_in_flags_and_toml() {
         // Every value here passed validation once and then aborted the
         // daemon inside `Duration::from_secs_f64` (or overflowed the pump
-        // clock); each must be a typed config error in both spellings.
-        // Rows: TOML key (the flag is its dashed form) and one more value
-        // outside that key's own range.
+        // clock); each must be a typed config error naming the flag.
+        // Rows: the flag and one more value outside its own range.
         let cases = [
-            ("deadline_s", "0"),
-            ("crash_at_s", "-inf"),
-            ("preconnect_s", "-0.5"),
-            ("checkpoint_every_s", "0"),
-            ("metrics_every_s", "0"),
-            ("bound_flush_s", "-1e300"),
-            ("gossip_interval_s", "0"),
-            ("suspect_after_s", "0"),
-            ("forget_after_s", "0"),
+            ("--deadline-s", "0"),
+            ("--crash-at-s", "-inf"),
+            ("--preconnect-s", "-0.5"),
+            ("--checkpoint-every-s", "0"),
+            ("--metrics-every-s", "0"),
+            ("--bound-flush-s", "-1e300"),
+            ("--gossip-interval-s", "0"),
+            ("--suspect-after-s", "0"),
+            ("--forget-after-s", "0"),
         ];
-        for (key, out_of_range) in cases {
-            let flag = format!("--{}", key.replace('_', "-"));
+        for (flag, out_of_range) in cases {
             for bad in ["inf", "NaN", "1e300", out_of_range] {
-                let args = vec![flag.clone(), bad.to_string()];
-                let toml = format!("{key} = {bad}\n");
-                for (spelling, result) in [
-                    (format!("{args:?}"), parse_args(&args)),
-                    (toml.clone(), parse_config(&toml)),
-                ] {
-                    let e = result.expect_err(&format!("{spelling} must be rejected"));
-                    assert!(e.to_string().contains(key), "{spelling}: {e}");
-                }
+                let line = format!("{flag} {bad}");
+                let e = parse(&line).expect_err(&format!("{line} must be rejected"));
+                assert!(e.to_string().contains(flag), "{line}: {e}");
             }
         }
 
         // The deliberate non-positive settings and ordinary values pass.
         for ok in [
-            vec!["--crash-at-s", "-1"],
-            vec!["--crash-at-s", "0"],
-            vec!["--bound-flush-s", "0"],
-            vec!["--bound-flush-s", "-1"],
-            vec!["--preconnect-s", "0"],
-            vec!["--deadline-s", "86400"],
+            "--crash-at-s -1",
+            "--crash-at-s 0",
+            "--bound-flush-s 0",
+            "--bound-flush-s -1",
+            "--preconnect-s 0",
+            "--deadline-s 86400",
         ] {
-            let args: Vec<String> = ok.iter().map(|s| s.to_string()).collect();
-            assert!(parse_args(&args).is_ok(), "{args:?} must be accepted");
+            assert!(parse(ok).is_ok(), "{ok} must be accepted");
         }
     }
 
     #[test]
     fn parses_service_mode_options() {
-        let cfg = parse_config("service = true\n").unwrap();
-        assert!(cfg.service);
-
-        let args: Vec<String> = ["--service"].iter().map(|s| s.to_string()).collect();
-        let cfg = parse_args(&args).unwrap();
-        assert!(cfg.service);
+        assert!(parse("--service").unwrap().service);
         assert!(!NodeConfig::default().service);
 
         // Service nodes get every instance over the wire; `--problem
         // wire` is the single-run announce handshake, not a job stream.
-        assert!(parse_config(
-            "service = true\npeers = [\"1=127.0.0.1:4501\"]\n[problem]\nkind = \"wire\"\n"
-        )
-        .is_err());
+        assert!(parse("--service --peer 1=127.0.0.1:4501 --problem wire").is_err());
         // Elastic join of a service pool is out of scope.
-        assert!(parse_config("service = true\njoin = true\ngossip_servers = [\"0\"]\n").is_err());
-        assert!(parse_config("service = 3\n").is_err());
+        let e = parse("--id 5 --service --join --gossip-servers 0=127.0.0.1:4500").unwrap_err();
+        assert!(e.0.contains("not supported with --service"), "{e}");
     }
 
     #[test]
     fn parses_startup_wiring_options() {
-        let cfg = parse_config("preconnect_s = 2.5\npeers_from_stdin = true").unwrap();
-        assert_eq!(cfg.preconnect_s, 2.5);
-        assert!(cfg.peers_from_stdin);
-
-        let args: Vec<String> = ["--peers-from-stdin", "--preconnect-s", "0.25"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cfg = parse_args(&args).unwrap();
+        let cfg = parse("--peers-from-stdin --preconnect-s 0.25").unwrap();
         assert!(cfg.peers_from_stdin);
         assert_eq!(cfg.preconnect_s, 0.25);
     }
@@ -1822,34 +1435,15 @@ seed = 11
 
     // ------------------------------------------- properties of the table
 
-    /// `text` the way a TOML file writes a value of `shape`.
-    fn toml_value(shape: Shape, text: &str) -> String {
-        match shape {
-            Shape::Number | Shape::Switch => text.to_string(),
-            Shape::Text => format!("\"{text}\""),
-            Shape::List => {
-                let items: Vec<String> = text.split(',').map(|i| format!("\"{i}\"")).collect();
-                format!("[{}]", items.join(", "))
-            }
-        }
-    }
-
-    /// `key = text` in both spellings — flags and a TOML file — for a
-    /// problem parameter under `kind`.
-    fn spell<T>(key: &Key<T>, kind: Option<&str>, text: &str) -> (Vec<String>, String) {
+    /// The flags that set `key` to `text`, under problem `kind` for a
+    /// problem parameter.
+    fn spell<T>(key: &Key<T>, kind: Option<&str>, text: &str) -> Vec<String> {
         let mut args = Vec::new();
-        let mut toml = String::new();
-        if key.section == PROBLEM {
-            toml.push_str("[problem]\n");
-        }
         if let Some(kind) = kind {
             args.extend([PROBLEM_KEYS[0].flag(), kind.to_string()]);
-            toml.push_str(&format!("kind = \"{kind}\"\n"));
         }
         key.push_args(Some(text.to_string()), &mut args);
-        let name = key.name.rsplit('.').next().unwrap();
-        toml.push_str(&format!("{name} = {}\n", toml_value(key.shape, text)));
-        (args, toml)
+        args
     }
 
     /// Where a key can be tried out: under which problem kind (if it is a
@@ -1875,34 +1469,36 @@ seed = 11
 
     /// A value `key` accepts: the last of the candidates (ordered from
     /// particular to anything-goes) that the row's own parser lets
-    /// through — so the generators know shapes and ranges, never key
-    /// names.
+    /// through — so the generators know ranges, never key names.
     fn sample<T: Clone>(key: &Key<T>, on: &T, draw: u64) -> String {
         let pick = (draw % 4) as usize;
-        let candidates: Vec<String> = match (key.shape, key.range) {
-            (Shape::Switch, _) => vec!["true".to_string()],
-            (_, Range::Int(min, max)) => {
+        let candidates: Vec<String> = match key.range {
+            _ if key.switch => vec!["true".to_string()],
+            Range::Int(min, max) => {
                 vec![(min + draw % ((max - min).min(999) + 1)).to_string()]
             }
-            (_, Range::Num(min, max)) => {
+            Range::Num(min, max) => {
                 let x = (draw % 100_000) as f64 / 1000.0;
                 let x = if min < 0.0 { x - 50.0 } else { x };
                 vec![x.clamp(min, max).to_string()]
             }
-            (Shape::Number, Range::Any) => vec![(draw >> 32).to_string(), draw.to_string()],
-            (Shape::Text, _) => vec![
-                KINDS[pick].to_string(),
-                ["uncorrelated", "weak", "strong", "subsetsum"][pick].to_string(),
-                format!("127.0.0.1:{}", 1024 + draw % 60_000),
-                format!("/tmp/ftbb #{draw}/x y"),
-            ],
-            (Shape::List, _) => {
-                let mut lists = vec![
+            Range::Any => {
+                let mut lists = [
                     "0,3=127.0.0.1:4503".to_string(),
                     format!("1=127.0.0.1:4501,2=127.0.0.1:{}", 1024 + draw % 60_000),
                 ];
                 lists.rotate_left(pick % 2);
-                lists
+                let mut texts = vec![
+                    (draw >> 32).to_string(),
+                    draw.to_string(),
+                    KINDS[pick].to_string(),
+                    ["uncorrelated", "weak", "strong", "subsetsum"][pick].to_string(),
+                    format!("127.0.0.1:{}", 1024 + draw % 60_000),
+                ];
+                texts.extend(lists);
+                // Any path goes, so it comes last.
+                texts.push(format!("/tmp/ftbb #{draw}/x y"));
+                texts
             }
         };
         candidates
@@ -1940,18 +1536,11 @@ seed = 11
         bad
     }
 
-    /// The two front-ends without cross-field validation: what a single
-    /// row does, whatever the rest of the config would need.
-    fn read_both(args: &[String], toml: &str) -> [Result<NodeConfig, ConfigError>; 2] {
-        [
-            read_flags(args).and_then(|(flags, _)| resolve(Layer::default(), flags)),
-            read_toml(toml).and_then(|file| resolve(file, Layer::default())),
-        ]
-    }
-
-    /// Walk one table: every row is accepted in both spellings, rejected
-    /// outside its range in both spellings with the same message, and
-    /// listed in `--help` with the default of each of its homes.
+    /// Walk one table: every row's flag is accepted, rejected outside its
+    /// range with an error naming the flag, and listed in `--help` with
+    /// the default of each of its homes. The flags go through `resolve`
+    /// (no cross-field validation): what a single row does, whatever the
+    /// rest of the config would need.
     fn walk<T: Clone + PartialEq + fmt::Debug>(
         table: &[Key<T>],
         part: fn(&NodeConfig) -> &T,
@@ -1962,22 +1551,19 @@ seed = 11
             let homes = homes(key);
             let (kind, home) = &homes[0];
             let good = sample(key, home, 0x5eed);
-            let (args, toml) = spell(key, *kind, &good);
-            let [from_flags, from_toml] = read_both(&args, &toml);
-            let from_flags = from_flags.unwrap_or_else(|e| panic!("{args:?}: {e}"));
-            assert_eq!(Ok(&from_flags), from_toml.as_ref(), "{toml}");
-            assert_eq!((key.get)(part(&from_flags)), Some(good), "{}", key.name);
+            let args = spell(key, *kind, &good);
+            let cfg = resolve(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!((key.get)(part(&cfg)), Some(good), "{}", key.name);
 
-            let bad = rejects(key, home);
-            assert!(!bad.is_empty(), "`{}` rejects nothing", key.name);
-            for text in bad {
-                let (args, toml) = spell(key, *kind, &text);
-                let [from_flags, from_toml] = read_both(&args, &toml);
-                let e = from_toml.expect_err(&toml);
-                assert!(e.0.contains(key.name), "{toml}: {e}");
-                // (A switch's flag takes no value to get wrong.)
-                if key.shape != Shape::Switch {
-                    assert_eq!(from_flags.expect_err(&format!("{args:?}")), e, "{toml}");
+            // (A switch's flag takes no value to get wrong.)
+            if !key.switch {
+                let bad = rejects(key, home);
+                assert!(!bad.is_empty(), "`{}` rejects nothing", key.name);
+                for text in bad {
+                    let args = spell(key, *kind, &text);
+                    let e = resolve(&args).expect_err(&format!("{args:?}"));
+                    let named = format!("`{}` must be ", key.flag());
+                    assert!(e.0.starts_with(&named), "{args:?}: {e}");
                 }
             }
 
@@ -1988,7 +1574,7 @@ seed = 11
                 let entry = entry.split_whitespace().collect::<Vec<_>>().join(" ");
                 assert!(entry.starts_with(&key.flag()), "{entry}");
                 match (key.get)(default).filter(|d| !d.is_empty()) {
-                    Some(d) if key.shape != Shape::Switch => {
+                    Some(d) if !key.switch => {
                         assert!(entry.contains(&format!("default {d})")), "{entry}")
                     }
                     _ => assert!(!entry.contains("(default"), "{entry}"),
@@ -2040,31 +1626,38 @@ seed = 11
         assert!(NodeConfig::default().to_args().is_empty());
     }
 
-    /// Every ```toml block in the README and in this module's doc is a
-    /// config the parser takes.
+    /// Every `ftbb-noded` command in the README's ```sh blocks and in the
+    /// binary's doc example is one the flag reader takes (backslash
+    /// continuations joined).
     #[test]
-    fn every_toml_block_in_the_docs_parses() {
-        let module_doc: String = include_str!("config.rs")
+    fn every_noded_command_in_the_docs_parses() {
+        let binary_doc: String = include_str!("bin/ftbb-noded.rs")
             .lines()
             .map_while(|line| line.strip_prefix("//!"))
             .map(|line| format!("{line}\n"))
             .collect();
-        for (name, text) in [
-            ("README.md", include_str!("../../../README.md")),
-            ("config.rs", module_doc.as_str()),
+        for (name, text, fence) in [
+            ("README.md", include_str!("../../../README.md"), "```sh"),
+            ("ftbb-noded.rs", binary_doc.as_str(), "```text"),
         ] {
-            let mut blocks = 0;
+            let mut commands = 0;
             let mut lines = text.lines();
             while let Some(line) = lines.next() {
-                if line.trim() == "```toml" {
-                    let block: Vec<&str> =
-                        lines.by_ref().take_while(|l| l.trim() != "```").collect();
-                    let block = block.join("\n");
-                    parse_config(&block).unwrap_or_else(|e| panic!("{name}: {e}\n{block}"));
-                    blocks += 1;
+                if line.trim() != fence {
+                    continue;
+                }
+                let block: Vec<&str> = lines
+                    .by_ref()
+                    .take_while(|l| l.trim() != "```")
+                    .map(str::trim)
+                    .collect();
+                let block = block.join("\n").replace("\\\n", " ");
+                for command in block.lines().filter_map(|l| l.strip_prefix("ftbb-noded ")) {
+                    parse(command).unwrap_or_else(|e| panic!("{name}: ftbb-noded {command}: {e}"));
+                    commands += 1;
                 }
             }
-            assert!(blocks > 0, "{name} has no toml block");
+            assert!(commands > 0, "{name} has no ftbb-noded command");
         }
     }
 
@@ -2105,28 +1698,6 @@ seed = 11
         parse_args(&args).expect("grown from accepted steps")
     }
 
-    /// `cfg` as a config file: one `key = value` per row that holds one.
-    fn to_toml(cfg: &NodeConfig) -> String {
-        let mut out = String::new();
-        for key in NODE_KEYS {
-            if let Some(text) = (key.get)(cfg) {
-                out.push_str(&format!(
-                    "{} = {}\n",
-                    key.name,
-                    toml_value(key.shape, &text)
-                ));
-            }
-        }
-        out.push_str("[problem]\n");
-        for key in PROBLEM_KEYS {
-            if let Some(text) = (key.get)(&cfg.problem) {
-                let name = key.name.rsplit('.').next().unwrap();
-                out.push_str(&format!("{name} = {}\n", toml_value(key.shape, &text)));
-            }
-        }
-        out
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
@@ -2140,8 +1711,6 @@ seed = 11
             let cfg = config_from(&draws);
             let args = cfg.to_args();
             proptest::prop_assert_eq!(parse_args(&args).as_ref(), Ok(&cfg), "{:?}", args);
-            let toml = to_toml(&cfg);
-            proptest::prop_assert_eq!(parse_config(&toml).as_ref(), Ok(&cfg), "{}", toml);
         }
     }
 }

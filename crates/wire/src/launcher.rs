@@ -1064,6 +1064,7 @@ mod tests {
             trace_events_dropped: 0,
             workers: 1,
             transport: TransportStats::default(),
+            control_shed: 0,
         }
     }
 

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`codec`] | framed, version-tagged, checksummed binary encoding of envelopes, incarnation-stamped, with announce + rejoin handshake frames |
 //! | [`tcp`] | [`tcp::TcpMesh`] — the [`ftbb_runtime::Transport`] over sockets, with dynamic peer (re)registration, stale-incarnation filtering, and one bounded [`tcp::Control`] stream for everything that is not protocol traffic |
-//! | [`config`] | `ftbb-noded` configuration: one key table (21 node keys + 9 `problem.*` keys, a row each) from which the TOML reader, the flag reader, the range checks, `--help` ([`config::help`]), [`NodeConfig::to_args`] and the launcher's argv are derived |
+//! | [`config`] | `ftbb-noded` configuration, flags only: one key table (21 node keys + 9 `problem.*` keys, a row each) from which the flag reader ([`parse_args`]), the range checks, `--help` ([`config::help`]), [`NodeConfig::to_args`] and the launcher's argv are derived |
 //! | [`lines`] | the shared `TAG key=value …` codec behind every `FTBB-*` stdout line, and the `line_codec!` declaration that derives a line's struct, renderer and parser from one row per field |
 //! | [`noded`] | the one node daemon body ([`noded::run`]: a single run is job 0 of the `--service` pool), the four declared `FTBB-*` report lines, and the per-job [`noded::JobDirSink`] checkpoint store |
 //! | [`submit`] | the `ftbb-submit` client: send a job to a service pool over one TCP connection and stream its results back |
@@ -50,8 +50,8 @@ pub use codec::{
     RejoinSummary, WireError, WireFrame,
 };
 pub use config::{
-    member_ids, parse_args, parse_config, ConfigError, KnapsackSpec, MaxSatSpec, NodeConfig,
-    ProblemSpec, TreeFileSpec, PROBLEM_KINDS,
+    member_ids, parse_args, ConfigError, KnapsackSpec, MaxSatSpec, NodeConfig, ProblemSpec,
+    TreeFileSpec, PROBLEM_KINDS,
 };
 pub use launcher::{
     launch, ClusterReport, ClusterSpec, GossipTiming, JobReport, JobStep, LaunchError,

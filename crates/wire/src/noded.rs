@@ -916,8 +916,13 @@ line_codec! {
         trace_events_dropped: u64 = num("trace_dropped") <- report.trace_events_dropped,
         /// Expansion worker threads the node ran with (1 = inline).
         workers: u64 = num("workers") <- report.workers,
-        /// Transport counters at exit.
+        /// Transport counters at exit: the key group, so the parsed
+        /// `transport.control_shed` is 0 — the line carries it as the
+        /// next row.
         transport: TransportStats = group() <- report.transport,
+        /// Control frames shed on a full control queue (a line without
+        /// the key parses as 0).
+        control_shed: u64 = added("control_shed") <- report.transport.control_shed,
     }
 }
 
@@ -1106,11 +1111,14 @@ mod tests {
                 phase: PhaseTimes::default(),
                 lifetime: Duration::from_millis(10),
             },
-            transport: TransportStats::from_keyed(|_| {
-                next += 1;
-                Some(next)
-            })
-            .expect("every key answered"),
+            transport: TransportStats {
+                control_shed: 23,
+                ..TransportStats::from_keyed(|_| {
+                    next += 1;
+                    Some(next)
+                })
+                .expect("every key answered")
+            },
             trace_events_dropped: 5,
             workers: 4,
         }
@@ -1183,7 +1191,7 @@ mod tests {
              dropped_startup=7 dropped_stale=8 retried=9 connect_waits=10 reconnects=11 \
              announces_sent=12 announces_recv=13 rejoins=14 joins=15 discovered=16 flushes=17 \
              frames_flushed=18 membership_frames=19 book_entries=20 digest_entries=21 \
-             bound_frames=22"
+             bound_frames=22 control_shed=23"
         );
         assert_eq!(
             metrics_line(&sample_snapshot()),
@@ -1230,9 +1238,17 @@ mod tests {
                 membership_events_dropped: 17,
                 trace_events_dropped: 5,
                 workers: 4,
-                transport: report.transport,
+                transport: TransportStats {
+                    control_shed: 0,
+                    ..report.transport
+                },
+                control_shed: 23,
             }
         );
+        // A line from before the shed counter parses, with a zero.
+        let older = outcome_line(&report, job).replace(" control_shed=23", "");
+        let parsed = parse_outcome_line(&older).expect("parses");
+        assert_eq!(parsed.control_shed, 0);
         assert_eq!(parse_outcome_line("unrelated noise"), None);
     }
 

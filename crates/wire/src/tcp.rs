@@ -59,8 +59,9 @@
 //! handshakes — surfaces as one [`Control`] value on one bounded channel
 //! ([`TcpMesh::recv_control`]), after the registry has acted on it. The
 //! inbox never sees these frames. A consumer that falls
-//! `CONTROL_QUEUE_CAP` frames behind loses the overflow (a submission is
-//! refused by closing its stream) rather than stalling the readers.
+//! `CONTROL_QUEUE_CAP` frames behind loses the overflow, counted as
+//! `control_shed` (a submission is also refused by closing its stream),
+//! rather than stalling the readers.
 
 use crate::codec::{
     encode_announce, encode_frame, encode_join, encode_rejoin, EncodedFrame, FrameDecoder,
@@ -374,12 +375,13 @@ impl Registry {
 
     /// Surface one control frame to [`TcpMesh::recv_control`]. A full
     /// queue (or a mesh that is gone — its readers exit on the shutdown
-    /// flag) loses the frame, which, for a submission, refuses the job:
-    /// its stream closes.
+    /// flag) loses the frame, counted as shed, which, for a submission,
+    /// refuses the job: its stream closes.
     fn surface(&self, control: Control) {
         if let Err(TrySendError::Full(lost) | TrySendError::Disconnected(lost)) =
             self.control.try_send(Some(control))
         {
+            self.counters.record_control_shed();
             if let Some(Control::Submit { job, .. }) = lost {
                 self.close_submitter(job);
             }
@@ -1414,6 +1416,7 @@ mod tests {
             }));
         }
         assert_eq!(mesh.control_depth(), CONTROL_QUEUE_CAP);
+        assert_eq!(mesh.stats().control_shed, 10, "every frame past the cap");
         mesh.close_control();
 
         // The oldest frame made room for the wake-up; the rest arrive in
