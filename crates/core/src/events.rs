@@ -1,12 +1,18 @@
-//! Events into and actions out of the protocol state machine.
+//! The harness contract: events into and actions out of a protocol state
+//! machine, stated once as the [`Protocol`] trait.
 //!
-//! [`crate::BnbProcess`] is a pure deterministic state machine:
-//! `(state, event) → (state', actions)`. The harness (DES simulator or
-//! threaded runtime) supplies events, executes actions, and owns all
-//! notions of real/virtual time and of the network.
+//! A protocol is a pure deterministic state machine: [`Protocol::step`]
+//! maps `(state, event, now)` to `(state', actions)`. The harness (the
+//! `ftbb-sim` discrete-event actor, or the threaded and TCP runtimes)
+//! supplies the events, executes the actions, and owns every notion of
+//! real or virtual time and of the network. [`crate::BnbProcess`] is the
+//! paper's protocol; the DIB and central baselines implement the same
+//! trait, so one simulated actor runs all three.
 
 use crate::message::Msg;
+use crate::metrics::ProcMetrics;
 use crate::work::Expansion;
+use ftbb_des::SimTime;
 use ftbb_tree::Code;
 use serde::{Deserialize, Serialize};
 
@@ -70,9 +76,9 @@ pub enum MembershipEvent {
     Forgotten(u32),
 }
 
-/// Events delivered to the process.
+/// Events delivered to a protocol; the defaults name the paper's protocol.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PEvent {
+pub enum Event<M = Msg, T = PTimer> {
     /// Process activation.
     Start,
     /// The expansion requested by a [`Action::StartWork`] finished.
@@ -88,24 +94,27 @@ pub enum PEvent {
         /// Sending process.
         from: u32,
         /// The message.
-        msg: Msg,
+        msg: M,
     },
     /// A timer fired.
-    Timer(PTimer),
+    Timer(T),
 }
 
-/// Actions requested by the process.
+/// The events of the paper's protocol, [`crate::BnbProcess`].
+pub type PEvent = Event;
+
+/// Actions requested by a protocol; the defaults name the paper's protocol.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Action {
+pub enum Action<M = Msg, T = PTimer> {
     /// Transmit `msg` to member `to`.
     Send {
         /// Destination member.
         to: u32,
         /// The message.
-        msg: Msg,
+        msg: M,
     },
     /// Begin expanding `code`; the harness must run the expander and
-    /// deliver [`PEvent::WorkDone`] with the same `seq` after the
+    /// deliver [`Event::WorkDone`] with the same `seq` after the
     /// expansion's cost has elapsed.
     StartWork {
         /// The subproblem to expand.
@@ -118,10 +127,67 @@ pub enum Action {
         /// Delay in seconds.
         delay_s: f64,
         /// The timer payload.
-        timer: PTimer,
+        timer: T,
     },
     /// The process has detected termination and stops.
     Halt,
+}
+
+/// What a message is for: the Figure 3 bucket a simulator charges its
+/// send and receive to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Category {
+    /// Work requests, grants and denials.
+    LoadBalancing,
+    /// Everything else: reports, gossip, membership, termination.
+    Communication,
+}
+
+/// A protocol state machine, as every harness drives it.
+///
+/// Besides [`step`](Protocol::step), the trait holds the read-only views a
+/// harness needs to charge time and to report a run.
+pub trait Protocol {
+    /// Messages exchanged between processes.
+    type Msg;
+    /// Timer payloads.
+    type Timer;
+
+    /// Handle one event at local time `now`, appending the actions it
+    /// requests to `out`.
+    fn step(
+        &mut self,
+        event: Event<Self::Msg, Self::Timer>,
+        now: SimTime,
+        out: &mut Vec<Action<Self::Msg, Self::Timer>>,
+    );
+
+    /// The Figure 3 bucket of `msg`.
+    fn category(msg: &Self::Msg) -> Category;
+
+    /// Bytes `msg` occupies on the wire.
+    fn wire_size(msg: &Self::Msg) -> usize;
+
+    /// Cumulative counters. A harness reads `expanded` to tell a consumed
+    /// `WorkDone` from a stale one, and `merge_codes_processed` to charge
+    /// list contraction.
+    fn metrics(&self) -> &ProcMetrics;
+
+    /// Has this process learned that the computation is over?
+    fn is_terminated(&self) -> bool;
+
+    /// Is an expansion in flight?
+    fn is_working(&self) -> bool;
+
+    /// Best-known solution value (`INFINITY` if none).
+    fn incumbent(&self) -> f64;
+
+    /// Storage snapshot for the paper's Table 1 columns: the contracted
+    /// table's minimal codes and the wire bytes of everything else held.
+    /// `None` (the default) for a protocol that keeps no such table.
+    fn storage_snapshot(&self) -> Option<(Vec<Code>, usize)> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //! Termination is detected when contraction produces the root code. The
 //! loss of all processes but one cannot lose the computation.
 //!
-//! [`BnbProcess`] is a pure state machine; harnesses (the `ftbb-sim`
-//! discrete-event simulator and the `ftbb-runtime` threaded runtime) feed it
-//! events and execute its actions. The same protocol code runs in both.
+//! [`BnbProcess`] is a pure state machine implementing [`Protocol`];
+//! harnesses (the `ftbb-sim` discrete-event simulator and the
+//! `ftbb-runtime` threaded runtime) feed it events and execute its actions.
+//! The same protocol code runs in both.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,7 +31,7 @@ pub mod work;
 
 pub use checkpoint::{Checkpoint, CheckpointSink, GossipBinding, NullSink};
 pub use config::ProtocolConfig;
-pub use events::{Action, MembershipEvent, PEvent, PTimer};
+pub use events::{Action, Category, Event, MembershipEvent, PEvent, PTimer, Protocol};
 pub use job::JobId;
 pub use message::{GrantItem, Incumbent, Msg, MsgKind};
 pub use metrics::{ProcMetrics, TransportCounters, TransportStats};

@@ -24,7 +24,7 @@
 //!   one final report (the root code) goes to every member (§5.4).
 
 use crate::config::{ProtocolConfig, GRANT_KEEP_MIN, LB_ATTEMPTS};
-use crate::events::{Action, MembershipEvent, PEvent, PTimer};
+use crate::events::{Action, Category, MembershipEvent, PEvent, PTimer, Protocol};
 use crate::message::{GrantItem, Incumbent, Msg};
 use crate::metrics::ProcMetrics;
 use crate::work::Expansion;
@@ -255,36 +255,11 @@ impl BnbProcess {
         self.pool.len()
     }
 
-    /// Is an expansion currently in flight?
-    pub fn is_working(&self) -> bool {
-        self.current.is_some()
-    }
-
     /// Approximate resident bytes of protocol state (the paper's storage
     /// metric): completion table + pool codes + fresh set.
     pub fn storage_bytes(&self) -> usize {
         let pool_bytes = self.pool.len() * 24; // code pointer + bound + depth
         self.table.memory_bytes() + pool_bytes + self.fresh.memory_bytes()
-    }
-
-    /// Information-content storage snapshot: the table's minimal codes plus
-    /// the wire bytes of pool codes and the fresh set's minimal codes. Used
-    /// for the paper's Table 1 storage columns, where "redundant" counts
-    /// information stored at more than one site.
-    pub fn storage_snapshot(&self) -> (Vec<Code>, usize) {
-        let codes = self.table.minimal_codes();
-        let aux: usize = self
-            .pool
-            .iter()
-            .map(|e| e.node.wire_size() + 8)
-            .sum::<usize>()
-            + self
-                .fresh
-                .minimal_codes()
-                .iter()
-                .map(|c| c.wire_size())
-                .sum::<usize>();
-        (codes, aux)
     }
 
     /// The membership view's alive members, or the static list.
@@ -299,18 +274,10 @@ impl BnbProcess {
         }
     }
 
-    /// Drive the state machine with one event at local time `now`.
+    /// [`Protocol::step`] into a fresh action buffer.
     pub fn handle(&mut self, event: PEvent, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
-        if self.terminated {
-            return out;
-        }
-        match event {
-            PEvent::Start => self.on_start(now, &mut out),
-            PEvent::WorkDone { seq, expansion } => self.on_work_done(seq, expansion, now, &mut out),
-            PEvent::Recv { from, msg } => self.on_recv(from, msg, now, &mut out),
-            PEvent::Timer(t) => self.on_timer(t, now, &mut out),
-        }
+        self.step(event, now, &mut out);
         out
     }
 
@@ -1044,6 +1011,63 @@ impl BnbProcess {
             });
         }
         self.terminated = self.table.is_root_done();
+    }
+}
+
+impl Protocol for BnbProcess {
+    type Msg = Msg;
+    type Timer = PTimer;
+
+    fn step(&mut self, event: PEvent, now: SimTime, out: &mut Vec<Action>) {
+        if self.terminated {
+            return;
+        }
+        match event {
+            PEvent::Start => self.on_start(now, out),
+            PEvent::WorkDone { seq, expansion } => self.on_work_done(seq, expansion, now, out),
+            PEvent::Recv { from, msg } => self.on_recv(from, msg, now, out),
+            PEvent::Timer(t) => self.on_timer(t, now, out),
+        }
+    }
+
+    fn category(msg: &Msg) -> Category {
+        if msg.kind().is_load_balancing() {
+            Category::LoadBalancing
+        } else {
+            Category::Communication
+        }
+    }
+
+    fn wire_size(msg: &Msg) -> usize {
+        msg.wire_size()
+    }
+
+    fn metrics(&self) -> &ProcMetrics {
+        &self.metrics
+    }
+
+    fn is_terminated(&self) -> bool {
+        self.terminated
+    }
+
+    fn is_working(&self) -> bool {
+        self.current.is_some()
+    }
+
+    fn incumbent(&self) -> f64 {
+        self.incumbent
+    }
+
+    /// Information-content storage snapshot: the table's minimal codes plus
+    /// the wire bytes of pool codes and the fresh set's minimal codes. Used
+    /// for the paper's Table 1 storage columns, where "redundant" counts
+    /// information stored at more than one site.
+    fn storage_snapshot(&self) -> Option<(Vec<Code>, usize)> {
+        let codes = self.table.minimal_codes();
+        let pool = self.pool.iter().map(|e| e.node.wire_size() + 8);
+        let fresh = self.fresh.minimal_codes();
+        let aux = pool.sum::<usize>() + fresh.iter().map(|c| c.wire_size()).sum::<usize>();
+        Some((codes, aux))
     }
 }
 

@@ -16,18 +16,18 @@
 //! responsibility chain is rooted at one machine, so that machine must be
 //! reliable (or duplicated). This crate reproduces exactly that behaviour:
 //! worker failures are survived via redo, but the failure of machine 0
-//! leaves the system unable to detect termination —
-//! see `driver::tests::dib_hangs_when_root_machine_dies`.
+//! leaves the system unable to detect termination — see `ftbb-sim`'s test
+//! `dib_hangs_when_root_machine_dies`.
+//!
+//! The crate holds only the two state machines. Both implement
+//! [`ftbb_core::Protocol`], so `ftbb-sim`'s one actor runs them exactly as
+//! it runs the paper's protocol.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod central;
-pub mod central_driver;
-pub mod driver;
 pub mod process;
 
-pub use central::{CentralMsg, Manager, WorkerResult};
-pub use central_driver::{run_central, CentralConfig, CentralRunReport};
-pub use driver::{run_dib, DibRunReport, DibSimConfig};
-pub use process::{DibConfig, DibMsg, DibProcess};
+pub use central::{Central, CentralAlarm, CentralMsg, WorkerResult, DISPATCH_S};
+pub use process::{DibMsg, DibProcess, DibTimer};

@@ -1,4 +1,5 @@
-//! The DES actor wrapping one protocol process.
+//! The DES actor wrapping one protocol process — the only one: the
+//! paper's protocol and both baselines run in it.
 //!
 //! Responsibilities: run the expander for `StartWork` actions, transmit
 //! messages through the network model, and charge process time to the
@@ -11,7 +12,7 @@
 //! serializes expansion work and message processing.
 
 use crate::shared::Shared;
-use ftbb_core::{Action, BnbProcess, Expander, Msg, PEvent, PTimer, TreeExpander};
+use ftbb_core::{Action, Category, Event, Expander, Expansion, Protocol, TreeExpander};
 use ftbb_des::{Ctx, ProcId, Process, SimTime};
 use ftbb_tree::Code;
 use std::cell::RefCell;
@@ -43,9 +44,9 @@ impl TimeBreakdown {
 
 /// Timers used by the actor.
 #[derive(Debug, Clone)]
-pub enum SimTimer {
+pub enum SimTimer<T> {
     /// A protocol timer.
-    Core(PTimer),
+    Core(T),
     /// A scheduled expansion completion.
     WorkDone {
         /// Work sequence (stale completions are interrupted work).
@@ -53,7 +54,7 @@ pub enum SimTimer {
         /// The expanded code (for the redundancy oracle).
         code: Code,
         /// The precomputed expansion.
-        expansion: ftbb_core::Expansion,
+        expansion: Expansion,
         /// Its charged virtual cost.
         cost: SimTime,
     },
@@ -61,9 +62,12 @@ pub enum SimTimer {
     Sample,
 }
 
+/// The engine context of a [`SimProcess`] running `P`.
+type SimCtx<'a, P> = Ctx<'a, <P as Protocol>::Msg, SimTimer<<P as Protocol>::Timer>>;
+
 /// One simulated machine.
-pub struct SimProcess {
-    core: BnbProcess,
+pub struct SimProcess<P: Protocol> {
+    core: P,
     expander: TreeExpander,
     shared: Rc<RefCell<Shared>>,
     /// Relative speed (paper §4: heterogeneity); higher = faster.
@@ -72,12 +76,14 @@ pub struct SimProcess {
     sample_interval: SimTime,
     times: TimeBreakdown,
     last_state: &'static str,
+    /// The action buffer every step reuses.
+    out: Vec<Action<P::Msg, P::Timer>>,
 }
 
-impl SimProcess {
+impl<P: Protocol> SimProcess<P> {
     /// Build an actor.
     pub fn new(
-        core: BnbProcess,
+        core: P,
         expander: TreeExpander,
         shared: Rc<RefCell<Shared>>,
         speed: f64,
@@ -93,11 +99,12 @@ impl SimProcess {
             sample_interval,
             times: TimeBreakdown::default(),
             last_state: "",
+            out: Vec::new(),
         }
     }
 
     /// The protocol process (post-run inspection).
-    pub fn core(&self) -> &BnbProcess {
+    pub fn core(&self) -> &P {
         &self.core
     }
 
@@ -115,23 +122,24 @@ impl SimProcess {
         }
     }
 
-    fn trace_if_changed(&mut self, ctx: &mut Ctx<'_, Msg, SimTimer>, state: &'static str) {
+    fn trace_if_changed(&mut self, ctx: &mut SimCtx<'_, P>, state: &'static str) {
         if self.last_state != state {
             self.last_state = state;
             ctx.trace_state(state);
         }
     }
 
-    fn apply_actions(&mut self, ctx: &mut Ctx<'_, Msg, SimTimer>, actions: Vec<Action>) {
+    /// Execute the actions the last step left in the buffer.
+    fn apply_actions(&mut self, ctx: &mut SimCtx<'_, P>) {
         let now = ctx.now();
-        for action in actions {
+        let mut actions = std::mem::take(&mut self.out);
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
-                    let bytes = msg.wire_size();
-                    let bucket = if msg.kind().is_load_balancing() {
-                        Bucket::Lb
-                    } else {
-                        Bucket::Comm
+                    let bytes = P::wire_size(&msg);
+                    let bucket = match P::category(&msg) {
+                        Category::LoadBalancing => Bucket::Lb,
+                        Category::Communication => Bucket::Comm,
                     };
                     let (mean, factor) = {
                         let sh = self.shared.borrow();
@@ -180,6 +188,7 @@ impl SimProcess {
             let state = if self.core.is_working() { "bb" } else { "idle" };
             self.trace_if_changed(ctx, state);
         }
+        self.out = actions;
     }
 }
 
@@ -189,43 +198,45 @@ enum Bucket {
     Contract,
 }
 
-impl Process for SimProcess {
-    type Msg = Msg;
-    type Timer = SimTimer;
+impl<P: Protocol> Process for SimProcess<P> {
+    type Msg = P::Msg;
+    type Timer = SimTimer<P::Timer>;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg, SimTimer>) {
+    fn on_start(&mut self, ctx: &mut SimCtx<'_, P>) {
         self.trace_if_changed(ctx, "idle");
-        ctx.set_timer(self.sample_interval, SimTimer::Sample);
-        let actions = self.core.handle(PEvent::Start, ctx.now());
-        self.apply_actions(ctx, actions);
+        if self.core.storage_snapshot().is_some() {
+            ctx.set_timer(self.sample_interval, SimTimer::Sample);
+        }
+        self.core.step(Event::Start, ctx.now(), &mut self.out);
+        self.apply_actions(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg, SimTimer>, from: ProcId, msg: Msg) {
+    fn on_message(&mut self, ctx: &mut SimCtx<'_, P>, from: ProcId, msg: P::Msg) {
         let now = ctx.now();
-        let kind = msg.kind();
+        let category = P::category(&msg);
         let merged_before = self.core.metrics().merge_codes_processed;
-        let actions = self.core.handle(PEvent::Recv { from: from.0, msg }, now);
+        self.core
+            .step(Event::Recv { from: from.0, msg }, now, &mut self.out);
         let merged = self.core.metrics().merge_codes_processed - merged_before;
         let (recv_fixed, per_code) = {
             let sh = self.shared.borrow();
             (sh.overheads.recv_fixed_s, sh.overheads.contract_per_code_s)
         };
         let cost = SimTime::from_secs_f64(recv_fixed + per_code * merged as f64);
-        let bucket = if kind.is_load_balancing() {
-            Bucket::Lb
-        } else {
-            Bucket::Contract
+        let bucket = match category {
+            Category::LoadBalancing => Bucket::Lb,
+            Category::Communication => Bucket::Contract,
         };
         self.charge(now, cost, bucket);
-        self.apply_actions(ctx, actions);
+        self.apply_actions(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, SimTimer>, timer: SimTimer) {
+    fn on_timer(&mut self, ctx: &mut SimCtx<'_, P>, timer: SimTimer<P::Timer>) {
         let now = ctx.now();
         match timer {
             SimTimer::Core(t) => {
-                let actions = self.core.handle(PEvent::Timer(t), now);
-                self.apply_actions(ctx, actions);
+                self.core.step(Event::Timer(t), now, &mut self.out);
+                self.apply_actions(ctx);
             }
             SimTimer::WorkDone {
                 seq,
@@ -234,7 +245,8 @@ impl Process for SimProcess {
                 cost,
             } => {
                 let expanded_before = self.core.metrics().expanded;
-                let actions = self.core.handle(PEvent::WorkDone { seq, expansion }, now);
+                self.core
+                    .step(Event::WorkDone { seq, expansion }, now, &mut self.out);
                 let consumed = self.core.metrics().expanded > expanded_before;
                 if consumed {
                     let redundant = self.shared.borrow_mut().record_expansion(&code);
@@ -247,19 +259,20 @@ impl Process for SimProcess {
                     // Interrupted (stale) work: the time was spent for nothing.
                     self.times.redundant += cost;
                 }
-                self.apply_actions(ctx, actions);
+                self.apply_actions(ctx);
             }
             SimTimer::Sample => {
-                let (codes, aux) = self.core.storage_snapshot();
-                self.shared
-                    .borrow_mut()
-                    .sample_storage(ctx.pid().index(), codes, aux);
-                ctx.set_timer(self.sample_interval, SimTimer::Sample);
+                if let Some((codes, aux)) = self.core.storage_snapshot() {
+                    self.shared
+                        .borrow_mut()
+                        .sample_storage(ctx.pid().index(), codes, aux);
+                    ctx.set_timer(self.sample_interval, SimTimer::Sample);
+                }
             }
         }
     }
 
-    fn on_kill(&mut self, ctx: &mut Ctx<'_, Msg, SimTimer>) {
+    fn on_kill(&mut self, ctx: &mut SimCtx<'_, P>) {
         self.shared
             .borrow_mut()
             .record_crash(ctx.pid().index(), ctx.now());

@@ -2,7 +2,7 @@
 
 use crate::actor::{SimProcess, TimeBreakdown};
 use crate::shared::{OverheadModel, Shared};
-use ftbb_core::{BnbProcess, Expander, ProcMetrics, ProtocolConfig, TreeExpander};
+use ftbb_core::{BnbProcess, Expander, ProcMetrics, Protocol, ProtocolConfig, TreeExpander};
 use ftbb_des::{Engine, ProcId, RunLimits, RunStats, SimTime, StateInterval};
 use ftbb_net::{NetStats, Network, NetworkConfig};
 use ftbb_tree::BasicTree;
@@ -61,6 +61,17 @@ impl SimConfig {
             trace: false,
             max_events: 500_000_000,
             horizon: None,
+        }
+    }
+
+    /// [`SimConfig::new`] with messages free for their sender and receiver
+    /// ([`OverheadModel::ZERO`]) and every process starting at 0: how the
+    /// DIB and central baselines are run.
+    pub fn baseline(nprocs: u32) -> Self {
+        SimConfig {
+            overheads: OverheadModel::ZERO,
+            start_stagger_s: 0.0,
+            ..SimConfig::new(nprocs)
         }
     }
 }
@@ -133,8 +144,36 @@ impl RunReport {
     }
 }
 
-/// Run one simulation of `tree` under `cfg`.
+/// Run one simulation of the paper's protocol over `tree` under `cfg`.
 pub fn run_sim(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
+    let members: Vec<u32> = (0..cfg.nprocs).collect();
+    run_protocol(tree, cfg, |pid, root_bound| {
+        let seed = cfg.seed.wrapping_mul(0x9e37_79b9).wrapping_add(pid as u64);
+        if cfg.protocol.membership.is_some() {
+            BnbProcess::with_membership(
+                pid,
+                vec![0], // process 0 doubles as the gossip server
+                pid == 0,
+                cfg.protocol.clone(),
+                root_bound,
+                pid == 0,
+                seed,
+                SimTime::ZERO,
+            )
+        } else {
+            let protocol = cfg.protocol.clone();
+            BnbProcess::new(pid, members.clone(), protocol, root_bound, pid == 0, seed)
+        }
+    })
+}
+
+/// Run one simulation over `tree` under `cfg`, with the protocol process
+/// `make(pid, root_bound)` builds on every member.
+pub fn run_protocol<P: Protocol>(
+    tree: &Arc<BasicTree>,
+    cfg: &SimConfig,
+    mut make: impl FnMut(u32, f64) -> P,
+) -> RunReport {
     assert!(cfg.nprocs >= 1);
     let n = cfg.nprocs as usize;
     let shared = Rc::new(RefCell::new(Shared::new(
@@ -143,37 +182,15 @@ pub fn run_sim(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
         cfg.overheads,
     )));
 
-    let mut engine: Engine<SimProcess> = Engine::new(cfg.seed);
+    let mut engine: Engine<SimProcess<P>> = Engine::new(cfg.seed);
     if cfg.trace {
         engine.enable_trace();
     }
 
     let mut seeder = SmallRng::seed_from_u64(cfg.seed ^ 0x5eed_5eed);
-    let members: Vec<u32> = (0..cfg.nprocs).collect();
     for pid in 0..cfg.nprocs {
         let expander = TreeExpander::with_granularity(Arc::clone(tree), cfg.granularity);
-        let root_bound = expander.root_bound();
-        let core = if cfg.protocol.membership.is_some() {
-            BnbProcess::with_membership(
-                pid,
-                vec![0], // process 0 doubles as the gossip server
-                pid == 0,
-                cfg.protocol.clone(),
-                root_bound,
-                pid == 0,
-                cfg.seed.wrapping_mul(0x9e37_79b9).wrapping_add(pid as u64),
-                SimTime::ZERO,
-            )
-        } else {
-            BnbProcess::new(
-                pid,
-                members.clone(),
-                cfg.protocol.clone(),
-                root_bound,
-                pid == 0,
-                cfg.seed.wrapping_mul(0x9e37_79b9).wrapping_add(pid as u64),
-            )
-        };
+        let core = make(pid, expander.root_bound());
         let speed = cfg.speeds.get(pid as usize).copied().unwrap_or(1.0);
         let actor = SimProcess::new(
             core,
@@ -262,15 +279,56 @@ pub fn run_sim(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbb_dib::{Central, DibProcess};
     use ftbb_tree::{random_basic_tree, TreeConfig};
 
-    fn small_tree() -> Arc<BasicTree> {
+    fn tree(target_nodes: usize, seed: u64) -> Arc<BasicTree> {
         Arc::new(random_basic_tree(&TreeConfig {
-            target_nodes: 401,
+            target_nodes,
             mean_cost: 0.01,
-            seed: 7,
+            seed,
             ..Default::default()
         }))
+    }
+
+    fn small_tree() -> Arc<BasicTree> {
+        tree(401, 7)
+    }
+
+    fn dib(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
+        run_protocol(tree, cfg, |pid, root| {
+            DibProcess::new(pid, cfg.nprocs, root, cfg.seed)
+        })
+    }
+
+    fn central(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
+        run_protocol(tree, cfg, |pid, root| Central::new(pid, cfg.nprocs, root))
+    }
+
+    /// `cfg` run by each of the three protocols the one actor runs: the
+    /// paper's, DIB and the central manager–worker system.
+    fn three_protocols(tree: &Arc<BasicTree>, cfg: &SimConfig) -> [(&'static str, RunReport); 3] {
+        let ftbb = ("ftbb", run_sim(tree, cfg));
+        [
+            ftbb,
+            ("dib", dib(tree, cfg)),
+            ("central", central(tree, cfg)),
+        ]
+    }
+
+    /// A crash schedule from `(process, milliseconds)` pairs.
+    fn crashes(at_ms: &[(u32, u64)]) -> Vec<(u32, SimTime)> {
+        let at = |&(pid, ms): &(u32, u64)| (pid, SimTime::from_millis(ms));
+        at_ms.iter().map(at).collect()
+    }
+
+    /// A baseline run's config: `n` processes, `failures`, and a horizon
+    /// for the runs that hang.
+    fn baseline_cfg(n: u32, failures: &[(u32, u64)], horizon_s: u64) -> SimConfig {
+        let mut cfg = SimConfig::baseline(n);
+        cfg.failures = crashes(failures);
+        cfg.horizon = Some(SimTime::from_secs(horizon_s));
+        cfg
     }
 
     fn quick_cfg(n: u32, seed: u64) -> SimConfig {
@@ -311,12 +369,20 @@ mod tests {
 
     #[test]
     fn deterministic_replay() {
-        let tree = small_tree();
-        let a = run_sim(&tree, &quick_cfg(4, 5));
-        let b = run_sim(&tree, &quick_cfg(4, 5));
-        assert_eq!(a.exec_time, b.exec_time);
-        assert_eq!(a.totals.expanded, b.totals.expanded);
-        assert_eq!(a.net.messages_sent, b.net.messages_sent);
+        // Staggered worker crashes make DIB redo expired transfers, in an
+        // order that must not depend on a hasher's random seed.
+        for seed in 0..4 {
+            let tree = tree(2001, 100 + seed);
+            let mut cfg = quick_cfg(6, 5);
+            cfg.failures = crashes(&[(2, 300), (3, 400), (4, 500)]);
+            let again = three_protocols(&tree, &cfg);
+            for ((name, a), (_, b)) in three_protocols(&tree, &cfg).iter().zip(&again) {
+                assert_eq!(a.exec_time, b.exec_time, "{name}, tree {seed}");
+                assert_eq!(a.totals, b.totals, "{name}, tree {seed}");
+                assert_eq!(a.net.messages_sent, b.net.messages_sent, "{name}");
+                assert_eq!(a.redundant_expansions, b.redundant_expansions, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -385,27 +451,29 @@ mod tests {
     #[test]
     fn breakdown_accounts_time() {
         let tree = small_tree();
-        let report = run_sim(&tree, &quick_cfg(3, 31));
-        for (i, p) in report.procs.iter().enumerate() {
-            let lifetime = p.halted_at.unwrap().as_secs_f64();
-            let accounted = (p.times.busy() + p.idle).as_secs_f64();
-            // busy + idle covers the lifetime; a small tail past the halt
-            // instant is possible (the final termination broadcast is
-            // charged at halt time).
-            assert!(
-                accounted >= lifetime - 1e-9,
-                "proc {i}: busy+idle {accounted} < lifetime {lifetime}"
-            );
-            assert!(
-                accounted - lifetime < 0.05 * lifetime + 0.05,
-                "proc {i}: unexplained busy tail: {accounted} vs {lifetime}"
-            );
-            // Expansion time lands in bb or (if every expansion raced with
-            // another process) in the redundant bucket.
-            assert!(p.times.bb + p.times.redundant > SimTime::ZERO || p.metrics.expanded == 0);
+        for (name, report) in three_protocols(&tree, &quick_cfg(3, 31)) {
+            for (i, p) in report.procs.iter().enumerate() {
+                let lifetime = p.halted_at.unwrap().as_secs_f64();
+                let accounted = (p.times.busy() + p.idle).as_secs_f64();
+                // busy + idle covers the lifetime; a small tail past the halt
+                // instant is possible (the final termination broadcast is
+                // charged at halt time).
+                assert!(
+                    accounted >= lifetime - 1e-9,
+                    "{name} proc {i}: busy+idle {accounted} < lifetime {lifetime}"
+                );
+                assert!(
+                    accounted - lifetime < 0.05 * lifetime + 0.05,
+                    "{name} proc {i}: unexplained busy tail: {accounted} vs {lifetime}"
+                );
+                // Expansion time lands in bb or (if every expansion raced
+                // with another process) in the redundant bucket.
+                let expanding = p.times.bb + p.times.redundant;
+                assert!(expanding > SimTime::ZERO || p.metrics.expanded == 0);
+            }
+            // Unique expansions ≤ tree size.
+            assert!(report.expanded_unique <= tree.len() as u64, "{name}");
         }
-        // Unique expansions ≤ tree size.
-        assert!(report.expanded_unique <= tree.len() as u64);
     }
 
     #[test]
@@ -421,6 +489,80 @@ mod tests {
             "fast proc {} vs slow {}",
             report.procs[0].metrics.expanded,
             report.procs[1].metrics.expanded
+        );
+    }
+
+    #[test]
+    fn dib_solves_without_failures() {
+        let t = tree(301, 21);
+        let report = dib(&t, &baseline_cfg(4, &[], 3600));
+        assert!(report.all_live_terminated);
+        assert_eq!(report.best, t.optimal());
+    }
+
+    #[test]
+    fn dib_survives_worker_failure() {
+        let t = tree(301, 21);
+        let report = dib(&t, &baseline_cfg(4, &[(2, 200)], 3600));
+        assert!(report.all_live_terminated, "workers must recover via redo");
+        assert_eq!(report.best, t.optimal());
+    }
+
+    #[test]
+    fn dib_hangs_when_root_machine_dies() {
+        // The comparison of §5.5: DIB's hierarchy needs a reliable root.
+        let report = dib(&tree(301, 21), &baseline_cfg(4, &[(0, 100)], 60));
+        let why = "without machine 0 nobody can detect termination";
+        assert!(!report.all_live_terminated, "{why}");
+    }
+
+    #[test]
+    fn dib_single_machine() {
+        let t = tree(301, 21);
+        let report = dib(&t, &baseline_cfg(1, &[], 3600));
+        assert!(report.all_live_terminated);
+        assert_eq!(report.best, t.optimal());
+    }
+
+    #[test]
+    fn central_solves_failure_free() {
+        let t = tree(301, 77);
+        let report = central(&t, &baseline_cfg(5, &[], 3600));
+        assert!(report.all_live_terminated);
+        assert_eq!(report.best, t.optimal());
+    }
+
+    #[test]
+    fn central_tolerates_worker_crash() {
+        let t = tree(301, 77);
+        let report = central(&t, &baseline_cfg(5, &[(3, 200)], 3600));
+        let why = "lease reissue must recover worker loss";
+        assert!(report.all_live_terminated, "{why}");
+        assert_eq!(report.best, t.optimal());
+    }
+
+    #[test]
+    fn central_dies_with_manager() {
+        let report = central(&tree(301, 77), &baseline_cfg(5, &[(0, 100)], 30));
+        assert!(!report.all_live_terminated, "manager crash must be fatal");
+    }
+
+    #[test]
+    fn manager_is_a_bottleneck() {
+        // With tiny node costs, adding workers stops helping: the manager's
+        // serial dispatch saturates.
+        let t = Arc::new(random_basic_tree(&TreeConfig {
+            target_nodes: 1001,
+            mean_cost: 0.002, // cheap nodes: dispatch-bound
+            seed: 3,
+            ..Default::default()
+        }));
+        let small = central(&t, &baseline_cfg(3, &[], 3600)).exec_time;
+        let large = central(&t, &baseline_cfg(17, &[], 3600)).exec_time;
+        let speedup = small.as_secs_f64() / large.as_secs_f64();
+        assert!(
+            speedup < 4.0,
+            "8× more workers must not yield near-linear speedup (got {speedup:.1}×)"
         );
     }
 }

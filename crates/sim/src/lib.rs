@@ -1,8 +1,10 @@
 //! # ftbb-sim — the simulation framework of the paper's §6
 //!
-//! Wires [`ftbb_core::BnbProcess`] protocol processes into the
-//! [`ftbb_des`] discrete-event engine and the [`ftbb_net`] network model,
-//! reproducing the Parsec-based methodology of the paper:
+//! Wires any [`ftbb_core::Protocol`] — the paper's
+//! [`ftbb_core::BnbProcess`], or the DIB and central baselines — into the
+//! [`ftbb_des`] discrete-event engine and the [`ftbb_net`] network model
+//! through one actor, [`SimProcess`], reproducing the Parsec-based
+//! methodology of the paper:
 //!
 //! * workloads are recorded or random **basic trees**, replayed with
 //!   incumbent-dependent pruning, so the explored B&B tree varies with
@@ -26,6 +28,6 @@ pub mod shared;
 pub mod timeline;
 
 pub use actor::{SimProcess, TimeBreakdown};
-pub use driver::{run_sim, ProcReport, RunReport, SimConfig};
+pub use driver::{run_protocol, run_sim, ProcReport, RunReport, SimConfig};
 pub use failure::{fig6_schedule, kill_all_but_one, kill_random_k};
 pub use shared::{OverheadModel, Shared};

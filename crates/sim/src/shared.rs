@@ -24,6 +24,15 @@ pub struct OverheadModel {
     pub recv_fixed_s: f64,
 }
 
+impl OverheadModel {
+    /// Messages cost neither their sender nor their receiver any time.
+    pub const ZERO: OverheadModel = OverheadModel {
+        contract_per_code_s: 0.0,
+        send_busy_factor: 0.0,
+        recv_fixed_s: 0.0,
+    };
+}
+
 impl Default for OverheadModel {
     fn default() -> Self {
         OverheadModel {

@@ -23,13 +23,15 @@
 
 use ftbb_bnb::{solve, BasicTreeProblem, SelectRule, SolveConfig};
 use ftbb_des::SimTime;
-use ftbb_dib::{run_central, run_dib, CentralConfig, DibSimConfig};
+use ftbb_dib::{Central, DibProcess, DISPATCH_S};
 use ftbb_gossip::{Membership, MembershipConfig, MembershipMsg};
 use ftbb_sim::scenario::{
     fig3_config, fig3_tree, fig56_config, fig56_tree, fig6_config, granularity_config,
     table1_config, table1_tree,
 };
-use ftbb_sim::{kill_random_k, run_sim, timeline, OverheadModel, ProcReport, RunReport, SimConfig};
+use ftbb_sim::{
+    kill_random_k, run_protocol, run_sim, timeline, OverheadModel, ProcReport, RunReport, SimConfig,
+};
 use ftbb_tree::{generator::repair_path_vars, random_basic_tree, BasicTree, TreeConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -199,9 +201,13 @@ fn flag(ok: bool) -> Cell {
     Cell { text, value }
 }
 
-/// A completion time in seconds, or `DNF` for a run its horizon stopped.
-fn finish_s(t: Option<SimTime>) -> Cell {
-    t.map_or_else(|| label("DNF"), |t| num(t.as_secs_f64(), 2))
+/// A run's completion time in seconds, or `DNF` for a run its horizon
+/// stopped.
+fn finish_s(r: &RunReport) -> Cell {
+    match r.all_live_terminated {
+        true => num(r.exec_time.as_secs_f64(), 2),
+        false => label("DNF"),
+    }
 }
 
 struct Section {
@@ -552,23 +558,31 @@ fn with_crashes(n: u32, victims: &[u32], at: SimTime, p: Profile) -> (SimConfig,
     (cfg, victims)
 }
 
+/// A baseline system's config: `n` processes crashing on `failures`,
+/// stopped at `horizon_s` if it never finishes.
+fn baseline_config(n: u32, failures: Vec<(u32, SimTime)>, horizon_s: u64) -> SimConfig {
+    let mut cfg = SimConfig::baseline(n);
+    cfg.failures = failures;
+    cfg.horizon = Some(SimTime::from_secs(horizon_s));
+    cfg
+}
+
 fn dib(p: Profile) -> Table {
     let tree = fine_grained_tree(2001, 55);
     let what = "random tree, 6 machines, victims crash at 50 % of each system's own \
                 failure-free time";
     let mut t = Table::new(what, &tree);
     t.section("scenario dib-exec(s) dib-expanded dib-effort/seq exec(s) expanded effort/seq ok");
-    let dib_config = |failures| {
-        let mut cfg = DibSimConfig::new(6);
-        cfg.protocol.redo_timeout_s = 1.0;
-        cfg.protocol.scan_interval_s = 0.3;
-        cfg.failures = failures;
-        cfg.horizon = SimTime::from_secs(120);
-        cfg
+    let dib_run = |failures| {
+        let cfg = baseline_config(6, failures, 120);
+        run_protocol(&tree, &cfg, |pid, root| {
+            DibProcess::new(pid, 6, root, cfg.seed)
+        })
     };
     let free = sim(&tree, fine_grained_config(6), p);
-    let dib_free = run_dib(&tree, &dib_config(Vec::new()));
-    let dib_half = at_fraction(dib_free.exec_time.expect("failure-free DIB finishes"), 0.5);
+    let dib_free = dib_run(Vec::new());
+    assert!(dib_free.all_live_terminated, "failure-free DIB finishes");
+    let dib_half = at_fraction(dib_free.exec_time, 0.5);
     let scenarios: [(&str, &[u32]); 5] = [
         ("no failures", &[]),
         ("1 worker dies", &[3]),
@@ -578,11 +592,11 @@ fn dib(p: Profile) -> Table {
     ];
     for (name, victims) in scenarios {
         let (cfg, victims) = with_crashes(6, victims, at_fraction(free.exec_time, 0.5), p);
-        let d = run_dib(&tree, &dib_config(crash(&victims, dib_half)));
+        let d = dib_run(crash(&victims, dib_half));
         let dib_cells = vec![
-            finish_s(d.exec_time.filter(|_| d.all_live_terminated)),
-            int(d.total_expanded),
-            t.effort(d.total_expanded, d.messages_sent),
+            finish_s(&d),
+            int(d.totals.expanded),
+            t.effort(d.totals.expanded, d.net.messages_sent),
         ];
         t.run(name, &run_sim(&tree, &cfg), dib_cells);
     }
@@ -596,39 +610,42 @@ fn central(p: Profile) -> Table {
         "procs central-exec(s) manager-busy% central-speedup central-effort/seq exec(s) \
          ftbb-speedup effort/seq ok",
     );
+    let central_run = |n, failures, horizon_s| {
+        let cfg = baseline_config(n, failures, horizon_s);
+        run_protocol(&tree, &cfg, |pid, root| Central::new(pid, n, root))
+    };
     let (mut central_base, mut ftbb_base) = (0.0, 0.0);
     let mut half_at_8 = (SimTime::ZERO, SimTime::ZERO);
     for n in [2u32, 4, 8, 16, 32, 64] {
-        let c = run_central(&tree, &CentralConfig::new(n));
+        let c = central_run(n, Vec::new(), 3600);
         let f = sim(&tree, fine_grained_config(n), p);
-        let c_exec = c.exec_time.expect("failure-free central run finishes");
-        let (c_secs, f_secs) = (c_exec.as_secs_f64(), f.exec_time.as_secs_f64());
+        assert!(c.all_live_terminated, "failure-free central run finishes");
+        let (c_secs, f_secs) = (c.exec_time.as_secs_f64(), f.exec_time.as_secs_f64());
         if n == 2 {
             (central_base, ftbb_base) = (c_secs, f_secs);
         }
         if n == 8 {
-            half_at_8 = (at_fraction(c_exec, 0.5), at_fraction(f.exec_time, 0.5));
+            half_at_8 = (at_fraction(c.exec_time, 0.5), at_fraction(f.exec_time, 0.5));
         }
+        // Every fetch the manager answered took it `DISPATCH_S`.
+        let manager = &c.procs[0].metrics;
+        let busy_s = (manager.grants_sent + manager.denies_sent) as f64 * DISPATCH_S;
         let cells = vec![
             num(c_secs, 2),
-            num(100.0 * c.manager_busy_fraction, 1),
+            num(100.0 * busy_s / c_secs, 1),
             num(central_base / c_secs, 2),
-            t.effort(c.total_expanded, c.messages),
+            t.effort(c.totals.expanded, c.net.messages_sent),
             num(ftbb_base / f_secs, 2),
         ];
         t.run(n.to_string(), &f, cells);
     }
     t.section("scenario central-exec(s) exec(s) ok");
     let (fcfg, victims) = with_crashes(8, &[0], half_at_8.1, p);
-    let mut ccfg = CentralConfig::new(8);
-    ccfg.failures = crash(&victims, half_at_8.0);
-    ccfg.horizon = SimTime::from_secs(60);
-    let c = run_central(&tree, &ccfg);
-    let central_exec = finish_s(c.exec_time.filter(|_| c.finished));
+    let c = central_run(8, crash(&victims, half_at_8.0), 60);
     t.run(
         "process 0 dies, 8 procs",
         &run_sim(&tree, &fcfg),
-        vec![central_exec],
+        vec![finish_s(&c)],
     );
     t
 }
@@ -902,6 +919,9 @@ fn scale(p: Profile) -> Table {
 
 /// ROADMAP items that own today's gaps.
 const TWO_NODE: &str = "Make two nodes beat one";
+const IDLE: &str = "Cut the simulator's idle time and blind search";
+const BOUNDS: &str =
+    "Delete suppressed bound dissemination, then fix delta digests or delete their switch";
 /// Owns no claim since recovery chains (its `recovery` gap turned ✓); the
 /// item is still open, so a claim it comes to own names it here.
 #[allow(dead_code)]
@@ -936,13 +956,13 @@ pub const EXPERIMENTS: &[Experiment] = &[
         claims: &[
             OPTIMUM,
             gap(
-                TWO_NODE,
+                IDLE,
                 "§6.3.1 \"the overhead introduced by the algorithm reaches 36% for 8 \
                  processors\": overhead at 8 processors within [25 %, 45 %]",
                 |t| (25.0..=45.0).contains(&t.at("8", "overhead%")),
             ),
             gap(
-                TWO_NODE,
+                IDLE,
                 "Fig. 3: execution time never grows from 1 to 8 processors",
                 |t| t.col("exec(s)").windows(2).all(|w| w[0] >= w[1]),
             ),
@@ -956,18 +976,18 @@ pub const EXPERIMENTS: &[Experiment] = &[
         claims: &[
             OPTIMUM,
             gap(
-                TWO_NODE,
+                IDLE,
                 "Fig. 4 (7.93 h at 10 → 1.04 h at 100): speedup rises strictly with the \
                  processor count",
                 |t| rising(&t.col("speedup")),
             ),
             gap(
-                TWO_NODE,
+                IDLE,
                 "Table 1: B&B time is ≥ 80 % of the total at the largest count",
                 |t| last(&t.col("BB%")) >= 80.0,
             ),
             gap(
-                TWO_NODE,
+                IDLE,
                 "Table 1 (~79,600 nodes expanded): expansions ≤ 1.05 × sequential at every \
                  count",
                 |t| t.col("expanded/seq").iter().all(|&x| x <= 1.05),
@@ -1083,7 +1103,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
                 },
             ),
             gap(
-                TWO_NODE,
+                IDLE,
                 "§3 the decentralized design scales where the manager saturates: its \
                  speedup rises strictly from 2 to 64 processes",
                 |t| rising(&t.col("ftbb-speedup")),
@@ -1186,12 +1206,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
                 |t| pairwise(&t.col("steady-KiB/round"), |delta, full| delta < full / 2.0),
             ),
             gap(
-                TWO_NODE,
+                BOUNDS,
                 "§5.2: delta digests converge within 2 × the rounds full digests need",
                 |t| pairwise(&t.col("conv-rounds"), |delta, full| delta <= 2.0 * full),
             ),
             gap(
-                TWO_NODE,
+                BOUNDS,
                 "§5.1 best-known-solution dissemination: suppressed piggybacks plus \
                  coalesced announces cost no more messages and no more time than eager \
                  piggybacking",

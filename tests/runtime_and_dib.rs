@@ -2,8 +2,9 @@
 //! and the DIB comparison of §5.5.
 
 use ftbb::bnb::{solve, Correlation, KnapsackInstance, SolveConfig};
-use ftbb::dib::{run_dib, DibSimConfig};
+use ftbb::dib::DibProcess;
 use ftbb::prelude::*;
+use ftbb::sim::run_protocol;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,10 +44,20 @@ fn dib_tree(seed: u64) -> Arc<ftbb::tree::BasicTree> {
     }))
 }
 
+/// DIB on 4 machines, `failures` crashing, stopped at 30 s if it hangs.
+fn dib_run(tree: &Arc<ftbb::tree::BasicTree>, failures: Vec<(u32, SimTime)>) -> RunReport {
+    let mut cfg = SimConfig::baseline(4);
+    cfg.failures = failures;
+    cfg.horizon = Some(SimTime::from_secs(30));
+    run_protocol(tree, &cfg, |pid, root| {
+        DibProcess::new(pid, 4, root, cfg.seed)
+    })
+}
+
 #[test]
 fn dib_and_ftbb_agree_failure_free() {
     let tree = dib_tree(2100);
-    let dib = run_dib(&tree, &DibSimConfig::new(4));
+    let dib = dib_run(&tree, Vec::new());
     assert!(dib.all_live_terminated);
     assert_eq!(dib.best, tree.optimal());
 
@@ -65,10 +76,7 @@ fn dib_root_failure_vs_ftbb_root_failure() {
     // killing machine 0 stalls DIB but not the paper's mechanism.
     let tree = dib_tree(2200);
 
-    let mut dib_cfg = DibSimConfig::new(4);
-    dib_cfg.failures = vec![(0, SimTime::from_millis(100))];
-    dib_cfg.horizon = SimTime::from_secs(30);
-    let dib = run_dib(&tree, &dib_cfg);
+    let dib = dib_run(&tree, vec![(0, SimTime::from_millis(100))]);
     assert!(
         !dib.all_live_terminated,
         "DIB must stall when the root machine dies"
@@ -92,12 +100,11 @@ fn dib_worker_failure_recovers_by_redo() {
     // Seed chosen so the crashed worker holds unreported transfers at the
     // crash instant (whether it does is a race against its own reports).
     let tree = dib_tree(2301);
-    let mut cfg = DibSimConfig::new(4);
-    cfg.failures = vec![(2, SimTime::from_millis(150))];
-    cfg.protocol.redo_timeout_s = 0.5;
-    cfg.protocol.scan_interval_s = 0.2;
-    let report = run_dib(&tree, &cfg);
+    let report = dib_run(&tree, vec![(2, SimTime::from_millis(150))]);
     assert!(report.all_live_terminated);
     assert_eq!(report.best, tree.optimal());
-    assert!(report.total_redos > 0, "redo mechanism must have fired");
+    assert!(
+        report.totals.recoveries > 0,
+        "redo mechanism must have fired"
+    );
 }
