@@ -280,6 +280,7 @@ pub fn run_protocol<P: Protocol>(
 mod tests {
     use super::*;
     use ftbb_dib::{Central, DibProcess};
+    use ftbb_gossip::MembershipConfig;
     use ftbb_tree::{random_basic_tree, TreeConfig};
 
     fn tree(target_nodes: usize, seed: u64) -> Arc<BasicTree> {
@@ -383,6 +384,44 @@ mod tests {
                 assert_eq!(a.redundant_expansions, b.redundant_expansions, "{name}");
             }
         }
+
+        // The paper's protocol's trajectory, pinned: a change to
+        // `ftbb-core` that claims to change no behaviour must leave every
+        // one of these numbers as it is.
+        let pinned = |report: &RunReport| {
+            let totals = &report.totals;
+            (
+                report.exec_time,
+                totals.expanded,
+                report.net.messages_sent,
+                report.redundant_expansions,
+                report.engine.events_dispatched,
+                totals.peers_suspected + totals.peers_forgotten,
+            )
+        };
+        // The staggered-crash scenario above, on a static member list.
+        let mut cfg = quick_cfg(6, 5);
+        cfg.failures = crashes(&[(2, 300), (3, 400), (4, 500)]);
+        let report = run_sim(&tree(2001, 100), &cfg);
+        let expected = (SimTime::from_nanos(4_012_317_504), 605, 331, 0, 1012, 0);
+        assert_eq!(pinned(&report), expected, "static");
+        // Gossip membership with two crashes: the survivors suspect and
+        // then forget the dead, and recover their lost work.
+        let mut cfg = quick_cfg(6, 5);
+        cfg.protocol.membership = Some(MembershipConfig {
+            gossip_interval: SimTime::from_millis(100),
+            t_fail: SimTime::from_millis(400),
+            t_cleanup: SimTime::from_millis(1500),
+            ..Default::default()
+        });
+        cfg.start_stagger_s = 0.05;
+        cfg.failures = crashes(&[(2, 300), (4, 500)]);
+        let report = run_sim(&tree(4001, 101), &cfg);
+        let totals = &report.totals;
+        assert!(totals.peers_suspected > 0 && totals.peers_forgotten > 0);
+        assert!(totals.recoveries > 0 && report.all_live_terminated);
+        let expected = (SimTime::from_nanos(6_963_974_761), 1124, 1263, 8, 3151, 16);
+        assert_eq!(pinned(&report), expected, "gossip");
     }
 
     #[test]
