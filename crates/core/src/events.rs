@@ -3,14 +3,15 @@
 //!
 //! A protocol is a pure deterministic state machine: [`Protocol::step`]
 //! maps `(state, event, now)` to `(state', actions)`. The harness (the
-//! `ftbb-sim` discrete-event actor, or the threaded and TCP runtimes)
-//! supplies the events, executes the actions, and owns every notion of
+//! `ftbb-sim` discrete-event actor, or `ftbb-runtime`'s pump over the
+//! in-process mesh or TCP) supplies the events, executes the actions, and owns every notion of
 //! real or virtual time and of the network. [`crate::BnbProcess`] is the
 //! paper's protocol; the DIB and central baselines implement the same
 //! trait, so one simulated actor runs all three.
 
 use crate::message::Msg;
 use crate::metrics::ProcMetrics;
+use crate::telemetry::TimeCategory;
 use crate::work::Expansion;
 use ftbb_des::SimTime;
 use ftbb_tree::Code;
@@ -39,7 +40,7 @@ pub enum PTimer {
 impl PTimer {
     /// Firing rank for timers that come due at the *same* instant: lower
     /// fires first. This is the single source of the tie-break order every
-    /// harness must use (the threaded runtime keys its timer heap on it;
+    /// harness must use (the runtime's pump keys its timer heap on it;
     /// the DES engine's FIFO tie-break is equivalent because the protocol
     /// arms timers in this same order) — so the deployments cannot drift
     /// apart on simultaneous deadlines.
@@ -56,6 +57,20 @@ impl PTimer {
             PTimer::ReportFlush => 3,
             PTimer::TableGossip => 4,
             PTimer::BoundFlush => 5,
+        }
+    }
+
+    /// The Figure-3 category a firing is charged to. The recovery fuse is
+    /// contraction: its expiry is what triggers complement recovery
+    /// (§5.3.2).
+    pub fn category(self) -> TimeCategory {
+        match self {
+            PTimer::ReportFlush | PTimer::TableGossip | PTimer::BoundFlush => {
+                TimeCategory::Communicate
+            }
+            PTimer::LbTimeout(_) => TimeCategory::LoadBalance,
+            PTimer::RecoveryFuse(_) => TimeCategory::Contract,
+            PTimer::MembershipTick => TimeCategory::Membership,
         }
     }
 }
@@ -133,14 +148,16 @@ pub enum Action<M = Msg, T = PTimer> {
     Halt,
 }
 
-/// What a message is for: the Figure 3 bucket a simulator charges its
-/// send and receive to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Category {
-    /// Work requests, grants and denials.
-    LoadBalancing,
-    /// Everything else: reports, gossip, membership, termination.
-    Communication,
+impl<M, T> Action<M, T> {
+    /// [`Action::Send`] of `msg` to `to`.
+    pub fn send(to: u32, msg: M) -> Self {
+        Action::Send { to, msg }
+    }
+
+    /// [`Action::SetTimer`] of `timer` after `delay_s` seconds.
+    pub fn timer(delay_s: f64, timer: T) -> Self {
+        Action::SetTimer { delay_s, timer }
+    }
 }
 
 /// A protocol state machine, as every harness drives it.
@@ -162,8 +179,8 @@ pub trait Protocol {
         out: &mut Vec<Action<Self::Msg, Self::Timer>>,
     );
 
-    /// The Figure 3 bucket of `msg`.
-    fn category(msg: &Self::Msg) -> Category;
+    /// The Figure-3 category handling `msg` is charged to.
+    fn category(msg: &Self::Msg) -> TimeCategory;
 
     /// Bytes `msg` occupies on the wire.
     fn wire_size(msg: &Self::Msg) -> usize;

@@ -11,10 +11,12 @@
 //! Termination is detected when contraction produces the root code. The
 //! loss of all processes but one cannot lose the computation.
 //!
-//! [`BnbProcess`] is a pure state machine implementing [`Protocol`];
-//! harnesses (the `ftbb-sim` discrete-event simulator and the
-//! `ftbb-runtime` threaded runtime) feed it events and execute its actions.
-//! The same protocol code runs in both.
+//! This crate is solely the state machine: [`BnbProcess`] implements
+//! [`Protocol`], and nothing here reads a clock, spawns a thread or shares
+//! memory. The harnesses own all of that and feed it events: `ftbb-sim`'s
+//! discrete-event actor, and `ftbb-runtime`'s pump, which runs it over an
+//! in-process mesh or, in `ftbb-wire`, between OS processes over TCP. The
+//! same protocol code runs under every one of them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,10 +33,10 @@ pub mod work;
 
 pub use checkpoint::{Checkpoint, CheckpointSink, GossipBinding, NullSink};
 pub use config::ProtocolConfig;
-pub use events::{Action, Category, Event, MembershipEvent, PEvent, PTimer, Protocol};
+pub use events::{Action, Event, MembershipEvent, PEvent, PTimer, Protocol};
 pub use job::JobId;
-pub use message::{GrantItem, Incumbent, Msg, MsgKind};
-pub use metrics::{ProcMetrics, TransportCounters, TransportStats};
+pub use message::{GrantItem, Incumbent, Msg};
+pub use metrics::ProcMetrics;
 pub use process::BnbProcess;
-pub use telemetry::{PhaseTimes, Telemetry, TimeCategory, TraceEvent};
+pub use telemetry::{PhaseTimes, TimeCategory, TraceEvent};
 pub use work::{AnyExpander, ChildPair, Expander, Expansion, ProblemExpander, TreeExpander};

@@ -106,54 +106,12 @@ impl Msg {
             Msg::Membership(m) => 1 + m.wire_size(),
         }
     }
-
-    /// Short label for metric categorization.
-    pub fn kind(&self) -> MsgKind {
-        match self {
-            Msg::WorkRequest { .. } => MsgKind::WorkRequest,
-            Msg::WorkGrant { .. } => MsgKind::WorkGrant,
-            Msg::WorkDeny { .. } => MsgKind::WorkDeny,
-            Msg::WorkReport { .. } => MsgKind::WorkReport,
-            Msg::TableGossip { .. } => MsgKind::TableGossip,
-            Msg::Membership(_) => MsgKind::Membership,
-            Msg::BoundAnnounce { .. } => MsgKind::BoundAnnounce,
-        }
-    }
-}
-
-/// Message classes, for metric accounting (Fig. 3 splits process time into
-/// load-balancing vs. communication vs. contraction categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MsgKind {
-    /// Work request (load balancing).
-    WorkRequest,
-    /// Work grant (load balancing).
-    WorkGrant,
-    /// Work denial (load balancing).
-    WorkDeny,
-    /// Completion report (fault-tolerance communication).
-    WorkReport,
-    /// Table gossip (fault-tolerance communication).
-    TableGossip,
-    /// Membership traffic.
-    Membership,
-    /// Explicit bound broadcast (information sharing).
-    BoundAnnounce,
-}
-
-impl MsgKind {
-    /// Is this message part of the load-balancing mechanism?
-    pub fn is_load_balancing(self) -> bool {
-        matches!(
-            self,
-            MsgKind::WorkRequest | MsgKind::WorkGrant | MsgKind::WorkDeny
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BnbProcess, Protocol, TimeCategory};
     use ftbb_tree::Code;
 
     #[test]
@@ -189,19 +147,34 @@ mod tests {
 
     #[test]
     fn kind_classification() {
-        assert!(Msg::WorkRequest { incumbent: 0.0 }
-            .kind()
-            .is_load_balancing());
-        assert!(!Msg::WorkReport {
-            codes: vec![],
-            incumbent: 0.0
+        let category = |msg: &Msg| BnbProcess::category(msg);
+        let lb = [
+            Msg::WorkRequest { incumbent: 0.0 },
+            Msg::WorkGrant {
+                items: vec![],
+                incumbent: 0.0,
+            },
+            Msg::WorkDeny { incumbent: 0.0 },
+        ];
+        for msg in &lb {
+            assert_eq!(category(msg), TimeCategory::LoadBalance, "{msg:?}");
         }
-        .kind()
-        .is_load_balancing());
+        let codes = Vec::new();
+        let report = Msg::WorkReport {
+            codes: codes.clone(),
+            incumbent: 0.0,
+        };
+        assert_eq!(category(&report), TimeCategory::Contract);
+        let gossip = Msg::TableGossip {
+            codes,
+            incumbent: 0.0,
+        };
+        assert_eq!(category(&gossip), TimeCategory::Contract);
+        let join = Msg::Membership(ftbb_gossip::MembershipMsg::Join { member: 1 });
+        assert_eq!(category(&join), TimeCategory::Membership);
         // Bound announces are information sharing, not load balancing:
         // they must never count against the LB message budget.
-        assert!(!Msg::BoundAnnounce { incumbent: 0.0 }
-            .kind()
-            .is_load_balancing());
+        let announce = Msg::BoundAnnounce { incumbent: 0.0 };
+        assert_eq!(category(&announce), TimeCategory::Communicate);
     }
 }

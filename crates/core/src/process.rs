@@ -4,34 +4,25 @@
 //! subproblems, a contracted table of known completions, a contracted set
 //! of fresh local completions, and the best-known solution. Events arrive
 //! from the harness; actions go back to it. The process never touches clocks,
-//! networks, or the expander directly, so the identical code runs under the
-//! discrete-event simulator (`ftbb-sim`) and the threaded runtime
-//! (`ftbb-runtime`).
+//! networks, or the expander directly, so the identical code runs under
+//! every harness: `ftbb-sim`'s discrete-event actor, and `ftbb-runtime`'s
+//! pump over the in-process mesh or `ftbb-wire`'s TCP daemons.
 //!
-//! Protocol summary (paper §5):
-//! * on-demand load balancing: starving processes ask random members; a
-//!   donor splits its pool;
-//! * completed codes accumulate in a contracting set, flushed as a work
-//!   report to `m` random members after `c` codes — but no sooner than
-//!   `report_interval_s / 8` after the previous report — or on the flush
-//!   timer; the timer, starvation and termination reports are ungated;
-//! * received reports merge into the table with contraction;
-//! * when load balancing fails repeatedly, the process *complements* its
-//!   table and re-solves a missing subproblem (failure recovery, §5.3.2);
-//!   the patience knobs gate only the first recovery of an outage — later
-//!   complement codes follow back to back until a peer brings news;
-//! * when the table contracts to the root code, termination is detected and
-//!   one final report (the root code) goes to every member (§5.4).
+//! [`Protocol::step`] is the paper's §5 written as a transition table: one
+//! arm per event and guard, grouped by section, each calling one effect
+//! method. The effects follow here in the table's order; the helpers they
+//! share come after them.
 
 use crate::config::{ProtocolConfig, GRANT_KEEP_MIN, LB_ATTEMPTS};
-use crate::events::{Action, Category, MembershipEvent, PEvent, PTimer, Protocol};
+use crate::events::{Action, MembershipEvent, PEvent, PTimer, Protocol};
 use crate::message::{GrantItem, Incumbent, Msg};
 use crate::metrics::ProcMetrics;
+use crate::telemetry::TimeCategory;
 use crate::work::Expansion;
 use ftbb_bnb::{Pool, PoolEntry, SelectRule};
 use ftbb_des::SimTime;
-use ftbb_gossip::{Membership, MembershipConfig};
-use ftbb_tree::{pick_recovery, Code, CodeSet};
+use ftbb_gossip::{Membership, MembershipConfig, MembershipMsg};
+use ftbb_tree::{pick_recovery, Code, CodeSet, MergeOutcome};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -123,19 +114,11 @@ impl BnbProcess {
     ) -> Self {
         // Depth-first (§2) keeps local pools shallow and donates large
         // subtrees.
-        let mut pool = Pool::new(SelectRule::DepthFirst);
-        if seed_root {
-            pool.push(PoolEntry {
-                bound: root_bound,
-                depth: 0,
-                node: Code::root(),
-            });
-        }
-        BnbProcess {
+        let mut p = BnbProcess {
             me,
             static_members: members.into_iter().filter(|&m| m != me).collect(),
             cfg,
-            pool,
+            pool: Pool::new(SelectRule::DepthFirst),
             current: None,
             work_seq: 0,
             table: CodeSet::new(),
@@ -163,7 +146,11 @@ impl BnbProcess {
             bound_flush_armed: false,
             pruned_scratch: Vec::new(),
             codes_scratch: Vec::new(),
+        };
+        if seed_root {
+            p.push_pool(Code::root(), root_bound);
         }
+        p
     }
 
     /// Create a process that uses the gossip membership protocol (§5.2).
@@ -274,59 +261,49 @@ impl BnbProcess {
         }
     }
 
-    /// [`Protocol::step`] into a fresh action buffer.
+    /// [`Protocol::step`] into a fresh action buffer. Every harness steps
+    /// into a buffer it keeps; this allocating form stays for the unit
+    /// tests and `benchmark/`'s in-process probe.
     pub fn handle(&mut self, event: PEvent, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
         self.step(event, now, &mut out);
         out
     }
 
-    fn on_start(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    // ------------------------------------------------------------------
+    // The effects of the transition table (`Protocol::step`), in its order
+    // ------------------------------------------------------------------
+
+    /// §5: activation. Arms the periodic timers, joins through the gossip
+    /// servers (§5.2), and starts on whatever the pool holds.
+    fn start(&mut self, now: SimTime, out: &mut Vec<Action>) {
         // The news clock starts at activation: a process that has heard
         // nothing yet is newly started, not evidence of a quiet system.
         self.last_news = now;
-        out.push(Action::SetTimer {
-            delay_s: self.cfg.report_interval_s,
-            timer: PTimer::ReportFlush,
-        });
-        out.push(Action::SetTimer {
-            delay_s: self.cfg.table_gossip_interval_s,
-            timer: PTimer::TableGossip,
-        });
+        out.push(Action::timer(
+            self.cfg.report_interval_s,
+            PTimer::ReportFlush,
+        ));
+        out.push(Action::timer(
+            self.cfg.table_gossip_interval_s,
+            PTimer::TableGossip,
+        ));
         if let Some(m) = &self.membership {
             // Join through the gossip servers, then start ticking.
             let join = m.join_msg();
             for &s in &self.gossip_servers {
-                out.push(Action::Send {
-                    to: s,
-                    msg: Msg::Membership(join.clone()),
-                });
+                out.push(Action::send(s, Msg::Membership(join.clone())));
             }
-            let interval = self
-                .cfg
-                .membership
-                .expect("membership config")
-                .gossip_interval;
-            out.push(Action::SetTimer {
-                delay_s: interval.as_secs_f64(),
-                timer: PTimer::MembershipTick,
-            });
+            self.arm_membership_tick(out);
         }
         self.start_next(now, out);
     }
 
-    fn on_work_done(
-        &mut self,
-        seq: u64,
-        expansion: Expansion,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        if seq != self.work_seq || self.current.is_none() {
-            // Stale completion: this expansion was interrupted as redundant.
-            return;
-        }
-        let code = self.current.take().expect("checked above");
+    /// §5.3.1: the expansion in flight finished. A leaf completes; each
+    /// child either enters the pool or, when its bound cannot beat the
+    /// incumbent, completes at once.
+    fn expanded(&mut self, expansion: Expansion, now: SimTime, out: &mut Vec<Action>) {
+        let code = self.current.take().expect("step guards on work in flight");
         self.metrics.expanded += 1;
         self.last_news = now;
         self.ewma_cost = if self.ewma_cost == 0.0 {
@@ -350,12 +327,7 @@ impl BnbProcess {
                         self.metrics.eliminated_at_insert += 1;
                         self.complete(child, now, out);
                     } else {
-                        let depth = child.depth() as u32;
-                        self.pool.push(PoolEntry {
-                            bound,
-                            depth,
-                            node: child,
-                        });
+                        self.push_pool(child, bound);
                     }
                 }
             }
@@ -363,172 +335,8 @@ impl BnbProcess {
         self.start_next(now, out);
     }
 
-    fn on_recv(&mut self, from: u32, msg: Msg, now: SimTime, out: &mut Vec<Action>) {
-        if let Some(v) = msg.incumbent() {
-            self.update_incumbent(v, out);
-        }
-        match msg {
-            Msg::WorkRequest { .. } => self.on_work_request(from, out),
-            Msg::WorkGrant { items, .. } => self.on_work_grant(from, items, now, out),
-            Msg::WorkDeny { .. } => {
-                if self.lb_awaiting.map(|(t, _)| t) == Some(from) {
-                    self.lb_awaiting = None;
-                    self.lb_attempt_failed(now, out);
-                }
-            }
-            Msg::WorkReport { codes, .. } | Msg::TableGossip { codes, .. } => {
-                self.metrics.reports_received += 1;
-                self.merge_codes(&codes, now, out);
-            }
-            Msg::Membership(m) => {
-                if let Some(mem) = &mut self.membership {
-                    for (to, reply) in mem.on_message(from, &m, now) {
-                        out.push(Action::Send {
-                            to,
-                            msg: Msg::Membership(reply),
-                        });
-                    }
-                }
-            }
-            // The piggybacked incumbent (applied above) is the whole
-            // payload.
-            Msg::BoundAnnounce { .. } => {}
-        }
-    }
-
-    fn on_timer(&mut self, timer: PTimer, now: SimTime, out: &mut Vec<Action>) {
-        match timer {
-            PTimer::ReportFlush => {
-                self.flush_reports(now, out);
-                out.push(Action::SetTimer {
-                    delay_s: self.report_interval(),
-                    timer: PTimer::ReportFlush,
-                });
-            }
-            PTimer::TableGossip => {
-                let members = self.members(now);
-                if let Some(&to) = members.choose(&mut self.rng) {
-                    self.metrics.table_gossips_sent += 1;
-                    self.table.minimal_codes_into(&mut self.codes_scratch);
-                    out.push(Action::Send {
-                        to,
-                        msg: Msg::TableGossip {
-                            codes: self.codes_scratch.clone(),
-                            incumbent: self.incumbent,
-                        },
-                    });
-                }
-                out.push(Action::SetTimer {
-                    delay_s: self.cfg.table_gossip_interval_s,
-                    timer: PTimer::TableGossip,
-                });
-            }
-            PTimer::LbTimeout(seq) => {
-                if let Some((_, awaiting_seq)) = self.lb_awaiting {
-                    if awaiting_seq == seq {
-                        self.metrics.lb_timeouts += 1;
-                        self.lb_awaiting = None;
-                        self.lb_attempt_failed(now, out);
-                    }
-                }
-            }
-            PTimer::RecoveryFuse(seq) => {
-                if seq == self.recovery_seq && self.is_idle() {
-                    // An idle process suspecting termination spreads its
-                    // table — this is what drives end-game convergence and
-                    // prompt termination detection (§5.4, §6.3.1).
-                    let members = self.members(now);
-                    if let Some(&to) = members.choose(&mut self.rng) {
-                        self.metrics.table_gossips_sent += 1;
-                        self.table.minimal_codes_into(&mut self.codes_scratch);
-                        out.push(Action::Send {
-                            to,
-                            msg: Msg::TableGossip {
-                                codes: self.codes_scratch.clone(),
-                                incumbent: self.incumbent,
-                            },
-                        });
-                    }
-                    self.lb_cycles += 1;
-                    if self.lb_cycles >= self.cfg.lb_rounds_before_recovery {
-                        self.lb_cycles = 0;
-                        self.do_recovery(now, out);
-                    } else {
-                        // Another full LB round before suspecting lost work.
-                        self.seek_work(now, out);
-                    }
-                }
-            }
-            PTimer::MembershipTick => {
-                let Some(mem) = &mut self.membership else {
-                    return;
-                };
-                let known_before = mem.view().known();
-                for (to, msg) in mem.tick(now, &mut self.rng) {
-                    out.push(Action::Send {
-                        to,
-                        msg: Msg::Membership(msg),
-                    });
-                }
-                // Transition detection: the tick is the one place the
-                // view's time-driven judgements are (re)evaluated, so
-                // suspicion (silence past `t_fail`) and cleanup (swept
-                // past `t_cleanup`) are observed — and counted — here.
-                let suspected_now = mem.view().suspected(now);
-                let known_after = mem.view().known();
-                let forgotten: Vec<u32> = known_before
-                    .into_iter()
-                    .filter(|m| !known_after.contains(m))
-                    .collect();
-                let newly_suspected: Vec<u32> = suspected_now
-                    .iter()
-                    .copied()
-                    .filter(|m| !self.suspected_seen.contains(m))
-                    .collect();
-                self.suspected_seen = suspected_now;
-                for m in newly_suspected {
-                    self.metrics.peers_suspected += 1;
-                    self.push_membership_event(MembershipEvent::Suspected(m));
-                }
-                for m in forgotten {
-                    self.metrics.peers_forgotten += 1;
-                    self.push_membership_event(MembershipEvent::Forgotten(m));
-                }
-                let interval = self
-                    .cfg
-                    .membership
-                    .expect("membership config")
-                    .gossip_interval;
-                out.push(Action::SetTimer {
-                    delay_s: interval.as_secs_f64(),
-                    timer: PTimer::MembershipTick,
-                });
-            }
-            PTimer::BoundFlush => {
-                self.bound_flush_armed = false;
-                if self.incumbent.to_bits() == self.last_announced.to_bits() {
-                    // Termination already shipped the value to everyone.
-                    return;
-                }
-                self.last_announced = self.incumbent;
-                self.metrics.bound_broadcasts += 1;
-                for to in self.members(now) {
-                    out.push(Action::Send {
-                        to,
-                        msg: Msg::BoundAnnounce {
-                            incumbent: self.incumbent,
-                        },
-                    });
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Load balancing (§5: on-demand dynamic work sharing)
-    // ------------------------------------------------------------------
-
-    fn on_work_request(&mut self, from: u32, out: &mut Vec<Action>) {
+    /// §5: a member asks for work; donate part of the pool or deny.
+    fn share_work(&mut self, from: u32, out: &mut Vec<Action>) {
         let spare = self.pool.len().saturating_sub(GRANT_KEEP_MIN);
         let k = spare.min(self.cfg.grant_max).min(self.pool.len() / 2 + 1);
         let mut items = Vec::new();
@@ -543,32 +351,22 @@ impl BnbProcess {
                 }
             }
         }
-        if items.is_empty() {
+        let incumbent = self.lb_piggyback();
+        let msg = if items.is_empty() {
             self.metrics.denies_sent += 1;
-            let incumbent = self.lb_piggyback();
-            out.push(Action::Send {
-                to: from,
-                msg: Msg::WorkDeny { incumbent },
-            });
+            Msg::WorkDeny { incumbent }
         } else {
             self.metrics.grants_sent += 1;
             self.metrics.items_granted += items.len() as u64;
-            let incumbent = self.lb_piggyback();
-            out.push(Action::Send {
-                to: from,
-                msg: Msg::WorkGrant { items, incumbent },
-            });
-        }
+            Msg::WorkGrant { items, incumbent }
+        };
+        out.push(Action::send(from, msg));
     }
 
-    fn on_work_grant(
-        &mut self,
-        from: u32,
-        items: Vec<GrantItem>,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        if self.lb_awaiting.map(|(t, _)| t) == Some(from) {
+    /// §5: donated work arrived. Codes the table already covers are
+    /// skipped; a non-empty grant is news and ends a recovery chain.
+    fn granted(&mut self, from: u32, items: Vec<GrantItem>, now: SimTime, out: &mut Vec<Action>) {
+        if self.asked(from) {
             self.lb_awaiting = None;
         }
         self.lb_failures = 0;
@@ -581,52 +379,18 @@ impl BnbProcess {
                 self.metrics.skipped_covered += 1;
                 continue;
             }
-            let depth = item.code.depth() as u32;
-            self.pool.push(PoolEntry {
-                bound: item.bound,
-                depth,
-                node: item.code,
-            });
+            self.push_pool(item.code, item.bound);
         }
         if self.current.is_none() {
             self.start_next(now, out);
         }
     }
 
-    fn seek_work(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if self.lb_awaiting.is_some() {
-            return;
-        }
-        // Starving: push out whatever we know. "Since the work load is
-        // lower, and therefore processes are idle longer periods of time,
-        // they suspect termination and send more work reports" (§6.3.1).
-        self.flush_reports(now, out);
-        let mut members = self.members(now);
-        members.retain(|&m| m != self.me);
-        match members.choose(&mut self.rng) {
-            Some(&target) => {
-                self.lb_seq += 1;
-                self.lb_awaiting = Some((target, self.lb_seq));
-                self.metrics.work_requests_sent += 1;
-                let incumbent = self.lb_piggyback();
-                out.push(Action::Send {
-                    to: target,
-                    msg: Msg::WorkRequest { incumbent },
-                });
-                out.push(Action::SetTimer {
-                    delay_s: self.cfg.lb_timeout_s,
-                    timer: PTimer::LbTimeout(self.lb_seq),
-                });
-            }
-            None => {
-                // Nobody to ask (single process or empty view): go straight
-                // to the recovery fuse.
-                self.arm_recovery(out);
-            }
-        }
-    }
-
-    fn lb_attempt_failed(&mut self, now: SimTime, out: &mut Vec<Action>) {
+    /// §5: the awaited work request failed (denied or timed out). An idle
+    /// process asks someone else, or arms the recovery fuse after
+    /// [`LB_ATTEMPTS`] failures.
+    fn no_grant(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.lb_awaiting = None;
         if !self.is_idle() {
             return;
         }
@@ -639,12 +403,168 @@ impl BnbProcess {
         }
     }
 
+    /// §5.3.2: a work report or table gossip. Merge its codes with
+    /// contraction; new codes are news; work the table now covers is
+    /// interrupted as redundant.
+    fn merge_report(&mut self, codes: &[Code], now: SimTime, out: &mut Vec<Action>) {
+        self.metrics.reports_received += 1;
+        let merge = self.table.merge(codes.iter());
+        self.count_merge(merge);
+        if merge.inserted > 0 {
+            self.last_news = now;
+            self.recovering = false;
+        }
+        // Interrupt redundant work: "the lag in updating information can
+        // lead to faulty presumptions on failure … fixed easily by
+        // interrupting the redundant work when information is updated."
+        if let Some(cur) = &self.current {
+            if self.table.contains(cur) {
+                self.metrics.redundant_interrupts += 1;
+                self.current = None;
+                self.work_seq += 1; // invalidates the in-flight WorkDone
+                self.start_next(now, out);
+            }
+        }
+        self.check_termination(out);
+    }
+
+    /// §5.2: a membership message; its replies go straight back out.
+    fn on_membership(&mut self, from: u32, m: &MembershipMsg, now: SimTime, out: &mut Vec<Action>) {
+        let mem = self.membership.as_mut().expect("step guards on membership");
+        for (to, reply) in mem.on_message(from, m, now) {
+            out.push(Action::send(to, Msg::Membership(reply)));
+        }
+    }
+
+    /// §5.3.2: the periodic report flush, re-armed at the (adaptive)
+    /// report interval.
+    fn report_timer(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.flush_reports(now, out);
+        out.push(Action::timer(self.report_interval(), PTimer::ReportFlush));
+    }
+
+    /// §5.3.2: the periodic table gossip, re-armed.
+    fn table_gossip_timer(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.gossip_table(now, out);
+        out.push(Action::timer(
+            self.cfg.table_gossip_interval_s,
+            PTimer::TableGossip,
+        ));
+    }
+
+    /// §5: the awaited work request went unanswered.
+    fn timed_out(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.metrics.lb_timeouts += 1;
+        self.no_grant(now, out);
+    }
+
+    /// §5.3.2: the recovery fuse burned down on an idle process. It
+    /// spreads its table — what drives end-game convergence and prompt
+    /// termination detection (§5.4, §6.3.1) — then either recovers or
+    /// runs another full load-balancing round first.
+    fn recovery_fuse(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.gossip_table(now, out);
+        self.lb_cycles += 1;
+        if self.lb_cycles >= self.cfg.lb_rounds_before_recovery {
+            self.lb_cycles = 0;
+            self.do_recovery(now, out);
+        } else {
+            // Another full LB round before suspecting lost work.
+            self.seek_work(now, out);
+        }
+    }
+
+    /// §5.2: the membership gossip tick, re-armed. The tick is the one
+    /// place the view's time-driven judgements are (re)evaluated, so
+    /// suspicion (silence past `t_fail`) and cleanup (swept past
+    /// `t_cleanup`) are observed — and counted — here.
+    fn membership_tick(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        let mem = self.membership.as_mut().expect("step guards on membership");
+        let (gossip, forgotten) = mem.tick(now, &mut self.rng);
+        for (to, msg) in gossip {
+            out.push(Action::send(to, Msg::Membership(msg)));
+        }
+        let suspected_now = mem.view().suspected(now);
+        let newly_suspected: Vec<u32> = suspected_now
+            .iter()
+            .copied()
+            .filter(|m| !self.suspected_seen.contains(m))
+            .collect();
+        self.suspected_seen = suspected_now;
+        for m in newly_suspected {
+            self.metrics.peers_suspected += 1;
+            self.push_membership_event(MembershipEvent::Suspected(m));
+        }
+        for m in forgotten {
+            self.metrics.peers_forgotten += 1;
+            self.push_membership_event(MembershipEvent::Forgotten(m));
+        }
+        self.arm_membership_tick(out);
+    }
+
+    /// §5.1: the bound flush window closed; broadcast the incumbent once,
+    /// unless it was already announced.
+    fn bound_flush(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        self.bound_flush_armed = false;
+        if self.incumbent.to_bits() == self.last_announced.to_bits() {
+            // Termination already shipped the value to everyone.
+            return;
+        }
+        self.last_announced = self.incumbent;
+        self.metrics.bound_broadcasts += 1;
+        let incumbent = self.incumbent;
+        for to in self.members(now) {
+            out.push(Action::send(to, Msg::BoundAnnounce { incumbent }));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Load balancing (§5: on-demand dynamic work sharing)
+    // ------------------------------------------------------------------
+
+    /// Is `from` the member the pending work request went to?
+    fn asked(&self, from: u32) -> bool {
+        self.lb_awaiting.is_some_and(|(target, _)| target == from)
+    }
+
+    /// Is request `seq` the pending one?
+    fn pending(&self, seq: u32) -> bool {
+        self.lb_awaiting.is_some_and(|(_, pending)| pending == seq)
+    }
+
+    fn seek_work(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        if self.lb_awaiting.is_some() {
+            return;
+        }
+        // Starving: push out whatever we know. "Since the work load is
+        // lower, and therefore processes are idle longer periods of time,
+        // they suspect termination and send more work reports" (§6.3.1).
+        self.flush_reports(now, out);
+        let members = self.members(now);
+        match members.choose(&mut self.rng) {
+            Some(&target) => {
+                self.lb_seq += 1;
+                self.lb_awaiting = Some((target, self.lb_seq));
+                self.metrics.work_requests_sent += 1;
+                let incumbent = self.lb_piggyback();
+                out.push(Action::send(target, Msg::WorkRequest { incumbent }));
+                out.push(Action::timer(
+                    self.cfg.lb_timeout_s,
+                    PTimer::LbTimeout(self.lb_seq),
+                ));
+            }
+            None => {
+                // Nobody to ask (single process or empty view): go straight
+                // to the recovery fuse.
+                self.arm_recovery(out);
+            }
+        }
+    }
+
     fn arm_recovery(&mut self, out: &mut Vec<Action>) {
         self.recovery_seq += 1;
-        out.push(Action::SetTimer {
-            delay_s: self.cfg.recovery_delay_s,
-            timer: PTimer::RecoveryFuse(self.recovery_seq),
-        });
+        let fuse = PTimer::RecoveryFuse(self.recovery_seq);
+        out.push(Action::timer(self.cfg.recovery_delay_s, fuse));
     }
 
     // ------------------------------------------------------------------
@@ -688,15 +608,18 @@ impl BnbProcess {
         self.current.is_none() && self.pool.is_empty()
     }
 
+    fn push_pool(&mut self, node: Code, bound: f64) {
+        let depth = node.depth() as u32;
+        self.pool.push(PoolEntry { bound, depth, node });
+    }
+
     fn begin_work(&mut self, code: Code, out: &mut Vec<Action>) {
         debug_assert!(self.current.is_none());
         self.lb_cycles = 0;
         self.work_seq += 1;
         self.current = Some(code.clone());
-        out.push(Action::StartWork {
-            code,
-            seq: self.work_seq,
-        });
+        let seq = self.work_seq;
+        out.push(Action::StartWork { code, seq });
     }
 
     fn start_next(&mut self, now: SimTime, out: &mut Vec<Action>) {
@@ -747,8 +670,7 @@ impl BnbProcess {
             return; // someone else already reported it
         }
         let merge = self.table.insert(&code);
-        self.metrics.merge_codes_processed += merge.processed() as u64;
-        self.metrics.merge_contractions += merge.contractions as u64;
+        self.count_merge(merge);
         // A solo node keeps no fresh set: nobody could ever receive it.
         if self.can_report() {
             self.fresh.insert(&code);
@@ -758,6 +680,11 @@ impl BnbProcess {
             }
         }
         self.check_termination(out);
+    }
+
+    fn count_merge(&mut self, merge: MergeOutcome) {
+        self.metrics.merge_codes_processed += merge.processed() as u64;
+        self.metrics.merge_contractions += merge.contractions as u64;
     }
 
     /// Does this process have any possible report recipient — static peers
@@ -806,36 +733,20 @@ impl BnbProcess {
         self.metrics.report_codes_saved += (raw - sent.min(raw)) as u64;
         for to in members {
             self.metrics.reports_sent += 1;
-            out.push(Action::Send {
-                to,
-                msg: Msg::WorkReport {
-                    codes: self.codes_scratch.clone(),
-                    incumbent: self.incumbent,
-                },
-            });
+            let (codes, incumbent) = (self.codes_scratch.clone(), self.incumbent);
+            out.push(Action::send(to, Msg::WorkReport { codes, incumbent }));
         }
     }
 
-    fn merge_codes(&mut self, codes: &[Code], now: SimTime, out: &mut Vec<Action>) {
-        let merge = self.table.merge(codes.iter());
-        self.metrics.merge_codes_processed += merge.processed() as u64;
-        self.metrics.merge_contractions += merge.contractions as u64;
-        if merge.inserted > 0 {
-            self.last_news = now;
-            self.recovering = false;
+    /// Send the whole contracted table to one random member.
+    fn gossip_table(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        let members = self.members(now);
+        if let Some(&to) = members.choose(&mut self.rng) {
+            self.metrics.table_gossips_sent += 1;
+            self.table.minimal_codes_into(&mut self.codes_scratch);
+            let (codes, incumbent) = (self.codes_scratch.clone(), self.incumbent);
+            out.push(Action::send(to, Msg::TableGossip { codes, incumbent }));
         }
-        // Interrupt redundant work: "the lag in updating information can
-        // lead to faulty presumptions on failure … fixed easily by
-        // interrupting the redundant work when information is updated."
-        if let Some(cur) = &self.current {
-            if self.table.contains(cur) {
-                self.metrics.redundant_interrupts += 1;
-                self.current = None;
-                self.work_seq += 1; // invalidates the in-flight WorkDone
-                self.start_next(now, out);
-            }
-        }
-        self.check_termination(out);
     }
 
     fn check_termination(&mut self, out: &mut Vec<Action>) {
@@ -843,7 +754,6 @@ impl BnbProcess {
             return;
         }
         self.terminated = true;
-        self.metrics.terminated = true;
         // The final report below carries the literal incumbent to every
         // member, so any pending bound announce is subsumed; record the
         // value as announced so a still-armed flush fires as a no-op.
@@ -860,14 +770,10 @@ impl BnbProcess {
                 .collect::<Vec<_>>(),
             None => self.static_members.clone(),
         };
+        let incumbent = self.incumbent;
         for to in members {
-            out.push(Action::Send {
-                to,
-                msg: Msg::WorkReport {
-                    codes: vec![Code::root()],
-                    incumbent: self.incumbent,
-                },
-            });
+            let codes = vec![Code::root()];
+            out.push(Action::send(to, Msg::WorkReport { codes, incumbent }));
         }
         out.push(Action::Halt);
     }
@@ -881,6 +787,10 @@ impl BnbProcess {
         let target = self.cfg.report_batch as f64 * self.ewma_cost;
         target.clamp(self.report_gap_s(), self.cfg.report_interval_s * 8.0)
     }
+
+    // ------------------------------------------------------------------
+    // Incumbent dissemination (§5.1)
+    // ------------------------------------------------------------------
 
     fn update_incumbent(&mut self, v: Incumbent, out: &mut Vec<Action>) {
         if v < self.incumbent {
@@ -904,10 +814,7 @@ impl BnbProcess {
             return;
         }
         self.bound_flush_armed = true;
-        out.push(Action::SetTimer {
-            delay_s: self.cfg.bound_flush_s,
-            timer: PTimer::BoundFlush,
-        });
+        out.push(Action::timer(self.cfg.bound_flush_s, PTimer::BoundFlush));
     }
 
     /// The incumbent to stamp on load-balancing chatter. While the value
@@ -927,6 +834,13 @@ impl BnbProcess {
             return f64::INFINITY;
         }
         self.incumbent
+    }
+
+    /// Arm the next membership gossip tick (§5.2).
+    fn arm_membership_tick(&self, out: &mut Vec<Action>) {
+        let mcfg = self.cfg.membership.expect("membership config");
+        let delay_s = mcfg.gossip_interval.as_secs_f64();
+        out.push(Action::timer(delay_s, PTimer::MembershipTick));
     }
 
     /// Root bound this process was constructed with.
@@ -970,15 +884,9 @@ impl BnbProcess {
     /// (whose result would be lost by a restart) is re-queued with an
     /// always-selected bound.
     pub(crate) fn pool_snapshot(&self) -> Vec<(Code, f64)> {
-        let mut out: Vec<(Code, f64)> = self
-            .pool
-            .iter()
-            .map(|e| (e.node.clone(), e.bound))
-            .collect();
-        if let Some(cur) = &self.current {
-            out.push((cur.clone(), f64::NEG_INFINITY));
-        }
-        out
+        let pool = self.pool.iter().map(|e| (e.node.clone(), e.bound));
+        let current = self.current.iter().map(|c| (c.clone(), f64::NEG_INFINITY));
+        pool.chain(current).collect()
     }
 
     /// Snapshot the fresh (unreported) completions: the minimal codes the
@@ -1003,38 +911,79 @@ impl BnbProcess {
         }
         self.incumbent = incumbent;
         for (code, bound) in pool {
-            let depth = code.depth() as u32;
-            self.pool.push(PoolEntry {
-                bound: *bound,
-                depth,
-                node: code.clone(),
-            });
+            self.push_pool(code.clone(), *bound);
         }
         self.terminated = self.table.is_root_done();
     }
 }
 
+/// The paper's protocol as a transition table: one arm per event and
+/// guard, each tagged with the section it implements and calling one
+/// effect method. An event a guard rules out is an arm of its own that
+/// does nothing. README.md's "paper → code" table lists the arms.
 impl Protocol for BnbProcess {
     type Msg = Msg;
     type Timer = PTimer;
 
+    // One arm per line, so the table reads as one.
+    #[rustfmt::skip]
     fn step(&mut self, event: PEvent, now: SimTime, out: &mut Vec<Action>) {
+        use crate::events::Event::{Recv, Start, Timer, WorkDone};
+        // §5.4: a process that detected termination has halted.
         if self.terminated {
             return;
         }
+        // §5.1: every message but membership traffic carries its sender's
+        // incumbent, a rumor applied before the message's own rule.
+        if let Recv { msg, .. } = &event {
+            if let Some(v) = msg.incumbent() {
+                self.update_incumbent(v, out);
+            }
+        }
         match event {
-            PEvent::Start => self.on_start(now, out),
-            PEvent::WorkDone { seq, expansion } => self.on_work_done(seq, expansion, now, out),
-            PEvent::Recv { from, msg } => self.on_recv(from, msg, now, out),
-            PEvent::Timer(t) => self.on_timer(t, now, out),
+            // §5: activation.
+            Start => self.start(now, out),
+            // §5.3.1: an expansion finished; one interrupted as redundant is stale.
+            WorkDone { seq, .. } if seq != self.work_seq || self.current.is_none() => {}
+            WorkDone { expansion, .. } => self.expanded(expansion, now, out),
+            // §5: on-demand work sharing; a deny or timeout no request awaits is stale.
+            Recv { from, msg: Msg::WorkRequest { .. } } => self.share_work(from, out),
+            Recv { from, msg: Msg::WorkGrant { items, .. } } => self.granted(from, items, now, out),
+            Recv { from, msg: Msg::WorkDeny { .. } } if self.asked(from) => self.no_grant(now, out),
+            Recv { msg: Msg::WorkDeny { .. }, .. } => {}
+            Timer(PTimer::LbTimeout(seq)) if self.pending(seq) => self.timed_out(now, out),
+            Timer(PTimer::LbTimeout(_)) => {}
+            // §5.3.2: reports and table gossip, contraction, complement
+            // recovery; a superseded fuse, or one on a process that found
+            // work meanwhile, is ignored.
+            Recv { msg: Msg::WorkReport { codes, .. }, .. } => self.merge_report(&codes, now, out),
+            Recv { msg: Msg::TableGossip { codes, .. }, .. } => self.merge_report(&codes, now, out),
+            Timer(PTimer::ReportFlush) => self.report_timer(now, out),
+            Timer(PTimer::TableGossip) => self.table_gossip_timer(now, out),
+            Timer(PTimer::RecoveryFuse(seq)) if seq == self.recovery_seq && self.is_idle() => {
+                self.recovery_fuse(now, out)
+            }
+            Timer(PTimer::RecoveryFuse(_)) => {}
+            // §5.2: membership; a process on a static member list ignores
+            // its traffic and ticks.
+            Recv { msg: Msg::Membership(_), .. } if self.membership.is_none() => {}
+            Recv { from, msg: Msg::Membership(m) } => self.on_membership(from, &m, now, out),
+            Timer(PTimer::MembershipTick) if self.membership.is_none() => {}
+            Timer(PTimer::MembershipTick) => self.membership_tick(now, out),
+            // §5.1: incumbent rumors; an announce carries nothing else.
+            Recv { msg: Msg::BoundAnnounce { .. }, .. } => {}
+            Timer(PTimer::BoundFlush) => self.bound_flush(now, out),
         }
     }
 
-    fn category(msg: &Msg) -> Category {
-        if msg.kind().is_load_balancing() {
-            Category::LoadBalancing
-        } else {
-            Category::Communication
+    fn category(msg: &Msg) -> TimeCategory {
+        match msg {
+            Msg::WorkRequest { .. } | Msg::WorkGrant { .. } | Msg::WorkDeny { .. } => {
+                TimeCategory::LoadBalance
+            }
+            Msg::WorkReport { .. } | Msg::TableGossip { .. } => TimeCategory::Contract,
+            Msg::Membership(_) => TimeCategory::Membership,
+            Msg::BoundAnnounce { .. } => TimeCategory::Communicate,
         }
     }
 

@@ -17,7 +17,7 @@
 //! 2. **Fault tolerance** — worker crashes are tolerated by reissuing
 //!    leases after a timeout, but a manager crash ends the computation.
 
-use ftbb_core::{Category, Event, ProcMetrics, Protocol};
+use ftbb_core::{Event, ProcMetrics, Protocol, TimeCategory};
 use ftbb_des::SimTime;
 use ftbb_tree::Code;
 use serde::{Deserialize, Serialize};
@@ -233,10 +233,7 @@ impl Central {
                     let seq = self.metrics.expanded;
                     out.push(Action::StartWork { code, seq });
                 }
-                CentralMsg::Wait => out.push(Action::SetTimer {
-                    delay_s: RETRY_S,
-                    timer: CentralAlarm::Retry,
-                }),
+                CentralMsg::Wait => out.push(Action::timer(RETRY_S, CentralAlarm::Retry)),
                 CentralMsg::Done { incumbent } => {
                     self.incumbent = incumbent;
                     self.done = true;
@@ -276,10 +273,10 @@ impl Protocol for Central {
         }
     }
 
-    fn category(msg: &CentralMsg) -> Category {
+    fn category(msg: &CentralMsg) -> TimeCategory {
         match msg {
-            CentralMsg::Done { .. } => Category::Communication,
-            _ => Category::LoadBalancing,
+            CentralMsg::Done { .. } => TimeCategory::Communicate,
+            _ => TimeCategory::LoadBalance,
         }
     }
 

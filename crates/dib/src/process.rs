@@ -13,7 +13,7 @@
 //! (the root's owner) must survive for the computation to terminate — the
 //! weakness the paper's decentralized mechanism removes.
 
-use ftbb_core::{Category, ChildPair, Event, ProcMetrics, Protocol};
+use ftbb_core::{ChildPair, Event, ProcMetrics, Protocol, TimeCategory};
 use ftbb_des::SimTime;
 use ftbb_tree::{Code, CodeSet};
 use rand::rngs::SmallRng;
@@ -185,10 +185,7 @@ impl DibProcess {
         // exactly one retry chain runs at a time.
         if !self.retry_armed {
             self.retry_armed = true;
-            out.push(Action::SetTimer {
-                delay_s: RETRY_S,
-                timer: DibTimer::Retry,
-            });
+            out.push(Action::timer(RETRY_S, DibTimer::Retry));
         }
     }
 
@@ -294,10 +291,7 @@ impl Protocol for DibProcess {
         }
         match event {
             Event::Start => {
-                out.push(Action::SetTimer {
-                    delay_s: SCAN_INTERVAL_S,
-                    timer: DibTimer::Scan,
-                });
+                out.push(Action::timer(SCAN_INTERVAL_S, DibTimer::Scan));
                 self.start_next(out);
             }
             Event::WorkDone { seq, expansion } => {
@@ -375,20 +369,17 @@ impl Protocol for DibProcess {
             }
             Event::Timer(DibTimer::Scan) => {
                 self.scan_outstanding(now, out);
-                out.push(Action::SetTimer {
-                    delay_s: SCAN_INTERVAL_S,
-                    timer: DibTimer::Scan,
-                });
+                out.push(Action::timer(SCAN_INTERVAL_S, DibTimer::Scan));
             }
         }
     }
 
-    fn category(msg: &DibMsg) -> Category {
+    fn category(msg: &DibMsg) -> TimeCategory {
         match msg {
             DibMsg::Request { .. } | DibMsg::Grant { .. } | DibMsg::Deny { .. } => {
-                Category::LoadBalancing
+                TimeCategory::LoadBalance
             }
-            DibMsg::Completed { .. } | DibMsg::Done { .. } => Category::Communication,
+            DibMsg::Completed { .. } | DibMsg::Done { .. } => TimeCategory::Communicate,
         }
     }
 

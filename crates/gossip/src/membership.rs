@@ -143,11 +143,16 @@ impl Membership {
 
     /// Gossip tick: bump own heartbeat, sweep expired entries, and pick
     /// `GOSSIP_FANOUT` (two) random alive members to gossip to. Returns
-    /// `(target, msg)` pairs for the caller to transmit.
-    pub fn tick(&mut self, now: SimTime, rng: &mut SmallRng) -> Vec<(MemberId, MembershipMsg)> {
+    /// the `(target, msg)` pairs for the caller to transmit and the
+    /// members the sweep forgot.
+    pub fn tick(
+        &mut self,
+        now: SimTime,
+        rng: &mut SmallRng,
+    ) -> (Vec<(MemberId, MembershipMsg)>, Vec<MemberId>) {
         self.heartbeat += 1;
         self.view.observe(self.me, self.heartbeat, now);
-        self.view.sweep(now);
+        let forgotten = self.view.sweep(now);
         let mut targets: Vec<MemberId> = self
             .view
             .alive(now)
@@ -158,12 +163,13 @@ impl Membership {
         targets.truncate(GOSSIP_FANOUT);
         if !self.cfg.delta {
             let digest = self.view.digest();
-            return targets
+            let gossip = targets
                 .into_iter()
                 .map(|t| (t, MembershipMsg::Gossip(digest.clone())))
                 .collect();
+            return (gossip, forgotten);
         }
-        targets
+        let gossip = targets
             .into_iter()
             .map(|t| {
                 let mut digest = self.view.digest_delta(t, self.cfg.digest_max_entries);
@@ -175,7 +181,8 @@ impl Membership {
                 }
                 (t, MembershipMsg::Gossip(digest))
             })
-            .collect()
+            .collect();
+        (gossip, forgotten)
     }
 
     /// Handle an incoming membership message. Returns replies to transmit.
@@ -238,16 +245,20 @@ mod tests {
         }
 
         /// One synchronous gossip round at time `now`; `down` members do not
-        /// tick (crashed) but are still message sinks (dropped).
-        fn round(&mut self, now: SimTime, down: &[MemberId]) {
+        /// tick (crashed) but are still message sinks (dropped). Returns
+        /// the `(member, forgotten)` pairs the round's sweeps reported.
+        fn round(&mut self, now: SimTime, down: &[MemberId]) -> Vec<(MemberId, MemberId)> {
             let mut outbox = Vec::new();
+            let mut forgotten = Vec::new();
             for m in &mut self.members {
                 if down.contains(&m.id()) {
                     continue;
                 }
-                for (to, msg) in m.tick(now, &mut self.rng) {
+                let (gossip, swept) = m.tick(now, &mut self.rng);
+                for (to, msg) in gossip {
                     outbox.push((m.id(), to, msg));
                 }
+                forgotten.extend(swept.into_iter().map(|f| (m.id(), f)));
             }
             let mut replies = Vec::new();
             for (from, to, msg) in outbox {
@@ -264,6 +275,7 @@ mod tests {
                     self.members[to as usize].on_message(from, &msg, now);
                 }
             }
+            forgotten
         }
     }
 
@@ -410,7 +422,7 @@ mod tests {
         // Steady state: measure one round of outbound digests by hand.
         let mut sizes = Vec::new();
         for m in &mut net.members {
-            for (_, msg) in m.tick(now + SimTime::from_millis(500), &mut net.rng) {
+            for (_, msg) in m.tick(now + SimTime::from_millis(500), &mut net.rng).0 {
                 if let MembershipMsg::Gossip(d) = msg {
                     sizes.push(d.entries.len());
                 }
@@ -459,8 +471,9 @@ mod tests {
             );
         }
         // Keep going past t_cleanup (12s after last heartbeat ~5s → t=17s+).
+        let mut forgotten = Vec::new();
         while now < SimTime::from_secs(20) {
-            net.round(now, &[5]);
+            forgotten.extend(net.round(now, &[5]));
             now += SimTime::from_millis(500);
         }
         for m in &net.members {
@@ -472,7 +485,11 @@ mod tests {
                 "member {} did not forget 5",
                 m.id()
             );
+            // Its tick reported the sweep exactly once.
+            let reports = forgotten.iter().filter(|&&(by, _)| by == m.id()).count();
+            assert_eq!(reports, 1, "member {}: {forgotten:?}", m.id());
         }
+        assert!(forgotten.iter().all(|&(_, f)| f == 5), "{forgotten:?}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! # ftbb-runtime — the protocol on real threads
+//! # ftbb-runtime — the protocol in real time
 //!
 //! The paper evaluates its algorithm in simulation only; this crate runs the
-//! *identical* [`ftbb_core::BnbProcess`] state machine on real threads with
-//! wall-clock timers — the "real implementation" the paper leaves as future
-//! work.
+//! *identical* [`ftbb_core::BnbProcess`] state machine against the wall
+//! clock — the "real implementation" the paper leaves as future work. It
+//! holds everything of a live node that is not the state machine: the
+//! pump, the transports and their counters, the expansion worker pool and
+//! the trace writer ([`Telemetry`]).
 //!
 //! One pump drives every node: [`ServiceEngine`] multiplexes any number of
 //! [`JobEngine`]s (a single run is the one-job case, see [`run_node`]).
@@ -22,8 +24,7 @@
 //! * crashes are injected by tripping a [`CrashSwitch`]: the thread stops
 //!   silently, and peers see only silence — the Crash failure model;
 //! * messages travel through the [`Transport`] (sends to dead nodes are
-//!   dropped, like lost datagrams, and counted in
-//!   [`ftbb_core::TransportCounters`]).
+//!   dropped, like lost datagrams, and counted in [`TransportCounters`]).
 //!
 //! Runs are not deterministic (thread scheduling), but correctness is: any
 //! crash schedule that leaves one node alive yields the sequential optimum.
@@ -35,10 +36,12 @@ pub mod harness;
 pub mod node;
 pub mod pool;
 pub mod service;
+pub mod telemetry;
 pub mod transport;
 
 pub use harness::{holds_root, node_seed, run_cluster, ClusterConfig, ClusterOutcome};
 pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutcome};
 pub use pool::{PoolExpander, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};
-pub use transport::{Envelope, Mesh, Transport};
+pub use telemetry::Telemetry;
+pub use transport::{Envelope, Mesh, Transport, TransportCounters, TransportStats};

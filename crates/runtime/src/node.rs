@@ -10,9 +10,9 @@
 //! completion on its own pump.
 
 use crate::service::{JobEngine, ServiceEngine, ServiceOutcome};
-use crate::transport::{Envelope, Transport};
+use crate::transport::{Envelope, Transport, TransportStats};
 use crossbeam::channel::Receiver;
-use ftbb_core::{BnbProcess, Expander, JobId, PhaseTimes, ProcMetrics, TransportStats};
+use ftbb_core::{BnbProcess, Expander, JobId, PhaseTimes, ProcMetrics};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

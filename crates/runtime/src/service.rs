@@ -29,13 +29,14 @@
 
 use crate::node::{CrashSwitch, MetricsReporter, MetricsSnapshot};
 use crate::pool::{PoolExpander, WorkerPool};
+use crate::telemetry::Telemetry;
 use crate::transport::{Envelope, Transport};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
     Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, Expansion, JobId,
-    MembershipEvent, MsgKind, NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, ProtocolConfig,
-    Telemetry, TimeCategory,
+    MembershipEvent, NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, Protocol, ProtocolConfig,
+    TimeCategory,
 };
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
@@ -48,31 +49,6 @@ use std::time::{Duration, Instant};
 /// everything within the bound is replayed when the job is admitted,
 /// anything beyond is dropped — the protocol's loss tolerance covers it.
 pub const JOB_STASH_CAP: usize = 256;
-
-/// Which Figure-3 category handling a received message belongs to:
-/// reports and table gossips feed contraction; requests, grants, and
-/// denials are the load-balancing protocol; membership traffic is
-/// membership upkeep.
-pub(crate) fn msg_category(kind: MsgKind) -> TimeCategory {
-    match kind {
-        MsgKind::WorkRequest | MsgKind::WorkGrant | MsgKind::WorkDeny => TimeCategory::LoadBalance,
-        MsgKind::WorkReport | MsgKind::TableGossip => TimeCategory::Contract,
-        MsgKind::Membership => TimeCategory::Membership,
-        MsgKind::BoundAnnounce => TimeCategory::Communicate,
-    }
-}
-
-/// Which Figure-3 category a timer firing belongs to. The recovery fuse
-/// is charged to contraction: its expiry is what triggers complement
-/// recovery (§5.3.2).
-pub(crate) fn timer_category(timer: PTimer) -> TimeCategory {
-    match timer {
-        PTimer::ReportFlush | PTimer::TableGossip | PTimer::BoundFlush => TimeCategory::Communicate,
-        PTimer::LbTimeout(_) => TimeCategory::LoadBalance,
-        PTimer::RecoveryFuse(_) => TimeCategory::Contract,
-        PTimer::MembershipTick => TimeCategory::Membership,
-    }
-}
 
 /// Charge the wall time since `*mark` to `cat` and advance the mark.
 pub(crate) fn charge(phase: &mut PhaseTimes, mark: &mut Instant, cat: TimeCategory) {
@@ -189,6 +165,8 @@ pub struct JobEngine<E: Expander> {
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
     pending: VecDeque<Action>,
+    /// The buffer [`Protocol::step`] writes into, drained into `pending`.
+    out: Vec<Action>,
     halted: bool,
     /// Job-stamped telemetry clone, installed at admission.
     telemetry: Telemetry,
@@ -232,6 +210,7 @@ impl<E: Expander> JobEngine<E> {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             pending: VecDeque::new(),
+            out: Vec::new(),
             halted: false,
             telemetry: Telemetry::disabled(),
             reported: false,
@@ -281,15 +260,21 @@ impl<E: Expander> JobEngine<E> {
     /// checkpoint is done already; it emitted its Halt in a previous
     /// life and will not emit another.
     fn start(&mut self, t: SimTime) {
-        self.pending.extend(self.core.handle(PEvent::Start, t));
+        self.step(PEvent::Start, t);
         self.halted |= self.core.is_terminated();
         self.last_incumbent = self.core.incumbent();
         self.last_recoveries = self.core.metrics().recoveries;
     }
 
-    fn deliver(&mut self, from: u32, msg: ftbb_core::Msg, t: SimTime) {
-        self.pending
-            .extend(self.core.handle(PEvent::Recv { from, msg }, t));
+    /// Step the job's process and queue the actions it requests.
+    fn step(&mut self, event: PEvent, t: SimTime) {
+        self.core.step(event, t, &mut self.out);
+        self.pending.extend(self.out.drain(..));
+    }
+
+    fn deliver(&mut self, env: Envelope, t: SimTime) {
+        let (from, msg) = (env.from, env.msg);
+        self.step(PEvent::Recv { from, msg }, t);
     }
 
     fn outcome(&self, id: u32, incarnation: u32) -> JobOutcome {
@@ -519,10 +504,7 @@ impl<E: Expander> ServiceEngine<E> {
                             // interleave with this job's tree walk.
                             let engine = &mut self.jobs[idx];
                             let expansion = engine.expander.expand(&code);
-                            let t = now(epoch);
-                            let actions =
-                                engine.core.handle(PEvent::WorkDone { seq, expansion }, t);
-                            engine.pending.extend(actions);
+                            engine.step(PEvent::WorkDone { seq, expansion }, now(epoch));
                         }
                         charge(&mut phase, &mut mark, TimeCategory::Expand);
                     }
@@ -535,7 +517,7 @@ impl<E: Expander> ServiceEngine<E> {
                             timer,
                         }));
                         engine.timer_seq += 1;
-                        charge(&mut phase, &mut mark, timer_category(timer));
+                        charge(&mut phase, &mut mark, timer.category());
                     }
                     Action::Halt => {
                         let engine = &mut self.jobs[idx];
@@ -610,9 +592,8 @@ impl<E: Expander> ServiceEngine<E> {
                         break;
                     }
                     let Reverse(entry) = self.jobs[idx].timers.pop().expect("peeked");
-                    let actions = self.jobs[idx].core.handle(PEvent::Timer(entry.timer), t);
-                    self.jobs[idx].pending.extend(actions);
-                    charge(&mut phase, &mut mark, timer_category(entry.timer));
+                    self.jobs[idx].step(PEvent::Timer(entry.timer), t);
+                    charge(&mut phase, &mut mark, entry.timer.category());
                 }
             }
 
@@ -764,8 +745,7 @@ impl<E: Expander> ServiceEngine<E> {
             if engine.halted {
                 continue;
             }
-            let actions = engine.core.handle(PEvent::WorkDone { seq, expansion }, t);
-            engine.pending.extend(actions);
+            engine.step(PEvent::WorkDone { seq, expansion }, t);
         }
     }
 
@@ -795,10 +775,10 @@ impl<E: Expander> ServiceEngine<E> {
     /// stash (bounded) for jobs not admitted yet; drop for halted jobs
     /// (late traffic after termination).
     fn route(&mut self, env: Envelope, t: SimTime, phase: &mut PhaseTimes, mark: &mut Instant) {
-        let cat = msg_category(env.msg.kind());
+        let cat = BnbProcess::category(&env.msg);
         match self.jobs.iter_mut().find(|j| j.job == env.job) {
             Some(engine) if !engine.halted => {
-                engine.deliver(env.from, env.msg, t);
+                engine.deliver(env, t);
             }
             Some(_) => {} // halted job: late traffic, dropped
             None => {
@@ -826,7 +806,7 @@ impl<E: Expander> ServiceEngine<E> {
         self.jobs[idx].start(t);
         if let Some(backlog) = self.stash.remove(&job) {
             for env in backlog {
-                self.jobs[idx].deliver(env.from, env.msg, t);
+                self.jobs[idx].deliver(env, t);
             }
         }
         if let Some(f) = self.hooks.on_admitted.as_mut() {

@@ -12,7 +12,7 @@
 //! serializes expansion work and message processing.
 
 use crate::shared::Shared;
-use ftbb_core::{Action, Category, Event, Expander, Expansion, Protocol, TreeExpander};
+use ftbb_core::{Action, Event, Expander, Expansion, Protocol, TimeCategory, TreeExpander};
 use ftbb_des::{Ctx, ProcId, Process, SimTime};
 use ftbb_tree::Code;
 use std::cell::RefCell;
@@ -138,8 +138,8 @@ impl<P: Protocol> SimProcess<P> {
                 Action::Send { to, msg } => {
                     let bytes = P::wire_size(&msg);
                     let bucket = match P::category(&msg) {
-                        Category::LoadBalancing => Bucket::Lb,
-                        Category::Communication => Bucket::Comm,
+                        TimeCategory::LoadBalance => Bucket::Lb,
+                        _ => Bucket::Comm,
                     };
                     let (mean, factor) = {
                         let sh = self.shared.borrow();
@@ -224,8 +224,8 @@ impl<P: Protocol> Process for SimProcess<P> {
         };
         let cost = SimTime::from_secs_f64(recv_fixed + per_code * merged as f64);
         let bucket = match category {
-            Category::LoadBalancing => Bucket::Lb,
-            Category::Communication => Bucket::Contract,
+            TimeCategory::LoadBalance => Bucket::Lb,
+            _ => Bucket::Contract,
         };
         self.charge(now, cost, bucket);
         self.apply_actions(ctx);

@@ -63,7 +63,7 @@
 //! [`encode_frame`] reports both the *estimated* protocol bytes
 //! (`Msg::wire_size`, the quantity the paper's report compression
 //! minimizes) and the *actual* encoded bytes, so
-//! [`ftbb_core::TransportCounters`] can expose the framing overhead.
+//! [`ftbb_runtime::TransportCounters`] can expose the framing overhead.
 //!
 //! Delivery is **at most once**: a frame is written to a socket at most
 //! one time, and one that cannot be written when its turn comes — no

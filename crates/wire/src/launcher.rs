@@ -1044,7 +1044,7 @@ fn restart_node(spec: &ClusterSpec, id: u32, addrs: &[SocketAddr]) -> Result<Spa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbb_core::TransportStats;
+    use ftbb_runtime::TransportStats;
 
     fn outcome(id: u32, incarnation: u32, expanded: u64) -> ParsedOutcome {
         ParsedOutcome {

@@ -11,7 +11,8 @@
 //! `None`, never a panic, because launchers scan whole stdout streams that
 //! also carry arbitrary diagnostic output.
 
-use ftbb_core::{PhaseTimes, TimeCategory, TransportStats};
+use ftbb_core::{PhaseTimes, TimeCategory};
+use ftbb_runtime::TransportStats;
 use std::collections::HashMap;
 use std::fmt::{Display, Write};
 

@@ -62,12 +62,12 @@ use crossbeam::channel::{Receiver, Sender};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
     AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, NullSink, PhaseTimes,
-    ProtocolConfig, Telemetry, TransportStats,
+    ProtocolConfig,
 };
 use ftbb_des::SimTime;
 use ftbb_runtime::{
     ClusterConfig, CrashSwitch, JobEngine, JobOutcome, MetricsSnapshot, ServiceEngine,
-    ServiceHooks, ServiceOutcome, Transport,
+    ServiceHooks, ServiceOutcome, Telemetry, Transport, TransportStats,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};

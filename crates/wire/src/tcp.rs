@@ -69,9 +69,9 @@ use crate::codec::{
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use ftbb_bnb::AnyInstance;
-use ftbb_core::{JobId, Msg, TransportCounters};
+use ftbb_core::{JobId, Msg};
 use ftbb_gossip::MembershipMsg;
-use ftbb_runtime::{Envelope, Transport};
+use ftbb_runtime::{Envelope, Transport, TransportCounters};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

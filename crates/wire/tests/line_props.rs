@@ -5,8 +5,8 @@
 //! trace files) that also carry arbitrary diagnostic output, so the
 //! parsers must shrug at anything.
 
-use ftbb_core::{JobId, PhaseTimes, ProcMetrics, TimeCategory, TraceEvent, TransportStats};
-use ftbb_runtime::{JobOutcome, MetricsSnapshot, ServiceOutcome};
+use ftbb_core::{JobId, PhaseTimes, ProcMetrics, TimeCategory, TraceEvent};
+use ftbb_runtime::{JobOutcome, MetricsSnapshot, ServiceOutcome, TransportStats};
 use ftbb_wire::noded::NodeReport;
 use ftbb_wire::{
     job_line, metrics_line, outcome_line, parse_job_line, parse_metrics_line, parse_outcome_line,

@@ -41,7 +41,7 @@ fn main() {
             if down.contains(&m.id()) {
                 continue;
             }
-            for (to, msg) in m.tick(now, rng) {
+            for (to, msg) in m.tick(now, rng).0 {
                 outbox.push((m.id(), to, msg));
             }
         }

@@ -799,7 +799,7 @@ fn simulate_membership(n: u32, delta: bool, cap: usize, seed: u64) -> Vec<Cell> 
     let mut round = |members: &mut [Membership], now: SimTime| {
         let (mut bytes, mut frames, mut entries) = (0u64, 0u64, 0u64);
         for from in 0..members.len() {
-            for (to, msg) in members[from].tick(now, &mut rng) {
+            for (to, msg) in members[from].tick(now, &mut rng).0 {
                 bytes += msg.wire_size() as u64;
                 if let MembershipMsg::Gossip(d) = &msg {
                     frames += 1;
