@@ -4,8 +4,8 @@
 //! A protocol is a pure deterministic state machine: [`Protocol::step`]
 //! maps `(state, event, now)` to `(state', actions)`. The harness (the
 //! `ftbb-sim` discrete-event actor, or `ftbb-runtime`'s pump over the
-//! in-process mesh or TCP) supplies the events, executes the actions, and owns every notion of
-//! real or virtual time and of the network. [`crate::BnbProcess`] is the
+//! in-process mesh or TCP) supplies the events, executes the actions,
+//! and owns every notion of real or virtual time and of the network. [`crate::BnbProcess`] is the
 //! paper's protocol; the DIB and central baselines implement the same
 //! trait, so one simulated actor runs all three.
 
@@ -150,12 +150,12 @@ pub enum Action<M = Msg, T = PTimer> {
 
 impl<M, T> Action<M, T> {
     /// [`Action::Send`] of `msg` to `to`.
-    pub fn send(to: u32, msg: M) -> Self {
+    pub(crate) fn send(to: u32, msg: M) -> Self {
         Action::Send { to, msg }
     }
 
     /// [`Action::SetTimer`] of `timer` after `delay_s` seconds.
-    pub fn timer(delay_s: f64, timer: T) -> Self {
+    pub(crate) fn timer(delay_s: f64, timer: T) -> Self {
         Action::SetTimer { delay_s, timer }
     }
 }

@@ -233,7 +233,10 @@ impl Central {
                     let seq = self.metrics.expanded;
                     out.push(Action::StartWork { code, seq });
                 }
-                CentralMsg::Wait => out.push(Action::timer(RETRY_S, CentralAlarm::Retry)),
+                CentralMsg::Wait => out.push(Action::SetTimer {
+                    delay_s: RETRY_S,
+                    timer: CentralAlarm::Retry,
+                }),
                 CentralMsg::Done { incumbent } => {
                     self.incumbent = incumbent;
                     self.done = true;

@@ -185,7 +185,10 @@ impl DibProcess {
         // exactly one retry chain runs at a time.
         if !self.retry_armed {
             self.retry_armed = true;
-            out.push(Action::timer(RETRY_S, DibTimer::Retry));
+            out.push(Action::SetTimer {
+                delay_s: RETRY_S,
+                timer: DibTimer::Retry,
+            });
         }
     }
 
@@ -291,7 +294,10 @@ impl Protocol for DibProcess {
         }
         match event {
             Event::Start => {
-                out.push(Action::timer(SCAN_INTERVAL_S, DibTimer::Scan));
+                out.push(Action::SetTimer {
+                    delay_s: SCAN_INTERVAL_S,
+                    timer: DibTimer::Scan,
+                });
                 self.start_next(out);
             }
             Event::WorkDone { seq, expansion } => {
@@ -369,7 +375,10 @@ impl Protocol for DibProcess {
             }
             Event::Timer(DibTimer::Scan) => {
                 self.scan_outstanding(now, out);
-                out.push(Action::timer(SCAN_INTERVAL_S, DibTimer::Scan));
+                out.push(Action::SetTimer {
+                    delay_s: SCAN_INTERVAL_S,
+                    timer: DibTimer::Scan,
+                });
             }
         }
     }

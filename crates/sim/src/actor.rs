@@ -137,6 +137,9 @@ impl<P: Protocol> SimProcess<P> {
             match action {
                 Action::Send { to, msg } => {
                     let bytes = P::wire_size(&msg);
+                    // Load balancing has a bucket of its own; any other
+                    // category is communication for the sender (and
+                    // contraction for the receiver, see `on_message`).
                     let bucket = match P::category(&msg) {
                         TimeCategory::LoadBalance => Bucket::Lb,
                         _ => Bucket::Comm,
