@@ -144,19 +144,19 @@ transport_counters! {
     dropped_disconnected = "dropped_disconnected",
     /// Sends dropped because no route to the destination id exists.
     dropped_no_route = "dropped_no_route",
-    /// Always 0 since PR 19 (the TCP startup retry window is gone; a send
-    /// to a never-connected peer is a `dropped_disconnected`). The key
-    /// stays because `benchmark/` parses it; retire with the next
-    /// `[benchmark]` PR.
+    /// Always 0: the TCP mesh has no startup retry window, so a send to a
+    /// never-connected peer is a `dropped_disconnected`. The key stays
+    /// because `benchmark/` parses it; retire it with the next change to
+    /// the benchmark.
     dropped_startup = "dropped_startup",
     /// Inbound frames dropped because they belonged to a stale
     /// incarnation — addressed to this node's previous life, or sent by a
     /// peer's previous life. A *receive*-side drop, so it is excluded from
     /// [`TransportStats::dropped`] (which sums send-side drops).
     dropped_stale = "dropped_stale",
-    /// Always 0 since PR 19 (no frame is ever held back for a retry). The
-    /// key stays because `benchmark/` reads `transport.retried` by name;
-    /// retire with the next `[benchmark]` PR.
+    /// Always 0: no frame is ever held back for a retry. The key stays
+    /// because `benchmark/` reads `transport.retried` by name; retire it
+    /// with the next change to the benchmark.
     retried = "retried",
     /// Failed dial attempts that were waited out and retried during the
     /// pre-establishment barrier.
