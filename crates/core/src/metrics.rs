@@ -43,6 +43,12 @@ impl Merge for u64 {
     }
 }
 
+impl Merge for f64 {
+    fn merge(&mut self, other: &f64) {
+        *self += other;
+    }
+}
+
 mergeable_struct! {
     /// Counters maintained by one protocol process.
     #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -82,6 +88,13 @@ mergeable_struct! {
         pub work_requests_sent: u64,
         /// Work grants sent.
         pub grants_sent: u64,
+        /// Work grants received in answer to this process's pending
+        /// request.
+        pub grants_received: u64,
+        /// Seconds those grants took, each from its request leaving to
+        /// the grant arriving (`grant_wait_s / grants_received` is the
+        /// mean request → grant latency).
+        pub grant_wait_s: f64,
         /// Subproblems donated.
         pub items_granted: u64,
         /// Work denials sent.

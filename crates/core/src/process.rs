@@ -57,7 +57,9 @@ pub struct BnbProcess {
     last_report: Option<SimTime>,
     incumbent: Incumbent,
     lb_seq: u32,
-    lb_awaiting: Option<(u32, u32)>,
+    /// The pending work request: its target, its sequence number and
+    /// when it left (for [`ProcMetrics::grant_wait_s`]).
+    lb_awaiting: Option<(u32, u32, SimTime)>,
     lb_failures: u32,
     /// Consecutive fully-failed LB rounds since the last successful work.
     lb_cycles: u32,
@@ -366,8 +368,10 @@ impl BnbProcess {
     /// §5: donated work arrived. Codes the table already covers are
     /// skipped; a non-empty grant is news and ends a recovery chain.
     fn granted(&mut self, from: u32, items: Vec<GrantItem>, now: SimTime, out: &mut Vec<Action>) {
-        if self.asked(from) {
+        if let Some((_, _, sent)) = self.lb_awaiting.filter(|_| self.asked(from)) {
             self.lb_awaiting = None;
+            self.metrics.grants_received += 1;
+            self.metrics.grant_wait_s += now.saturating_sub(sent).as_secs_f64();
         }
         self.lb_failures = 0;
         if !items.is_empty() {
@@ -524,12 +528,14 @@ impl BnbProcess {
 
     /// Is `from` the member the pending work request went to?
     fn asked(&self, from: u32) -> bool {
-        self.lb_awaiting.is_some_and(|(target, _)| target == from)
+        self.lb_awaiting
+            .is_some_and(|(target, _, _)| target == from)
     }
 
     /// Is request `seq` the pending one?
     fn pending(&self, seq: u32) -> bool {
-        self.lb_awaiting.is_some_and(|(_, pending)| pending == seq)
+        self.lb_awaiting
+            .is_some_and(|(_, pending, _)| pending == seq)
     }
 
     fn seek_work(&mut self, now: SimTime, out: &mut Vec<Action>) {
@@ -544,7 +550,7 @@ impl BnbProcess {
         match members.choose(&mut self.rng) {
             Some(&target) => {
                 self.lb_seq += 1;
-                self.lb_awaiting = Some((target, self.lb_seq));
+                self.lb_awaiting = Some((target, self.lb_seq, now));
                 self.metrics.work_requests_sent += 1;
                 let incumbent = self.lb_piggyback();
                 out.push(Action::send(target, Msg::WorkRequest { incumbent }));
@@ -1530,6 +1536,40 @@ mod tests {
         );
         assert!(started(&actions).is_some());
         assert_eq!(p.pool_len(), 1);
+    }
+
+    #[test]
+    fn grant_wait_runs_from_request_to_grant() {
+        let mut p = mk_idle(1);
+        let sent_at = SimTime::from_millis(5);
+        let target = request_target(&p.handle(PEvent::Start, sent_at)).expect("asks");
+        let other = if target == 0 { 2 } else { 0 };
+        let grant = || Msg::WorkGrant {
+            items: vec![GrantItem {
+                code: Code::from_decisions(&[(1, true)]),
+                bound: 0.3,
+            }],
+            incumbent: f64::INFINITY,
+        };
+        // A grant from a member nobody asked is not an answer.
+        p.handle(
+            PEvent::Recv {
+                from: other,
+                msg: grant(),
+            },
+            sent_at,
+        );
+        assert_eq!(p.metrics().grants_received, 0);
+        let at = sent_at + SimTime::from_micros(1_250);
+        p.handle(
+            PEvent::Recv {
+                from: target,
+                msg: grant(),
+            },
+            at,
+        );
+        assert_eq!(p.metrics().grants_received, 1);
+        assert!((p.metrics().grant_wait_s - 0.00125).abs() < 1e-12);
     }
 
     #[test]

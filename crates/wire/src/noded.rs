@@ -1023,6 +1023,11 @@ line_codec! {
         reports: u64 = added("reports") <- snap.metrics.reports_sent,
         /// Work requests sent so far.
         requests: u64 = added("requests") <- snap.metrics.work_requests_sent,
+        /// Work grants received for a pending request so far.
+        grants: u64 = added("grants") <- snap.metrics.grants_received,
+        /// Seconds those requests waited for their grants, summed
+        /// (`grant_wait_s / grants` is the mean request → grant latency).
+        grant_wait_s: f64 = added("grant_wait_s") <- snap.metrics.grant_wait_s,
         /// Members suspected so far.
         suspected: u64 = num("suspected") <- snap.metrics.peers_suspected,
         /// Members forgotten so far.
@@ -1145,6 +1150,8 @@ mod tests {
                 recoveries: 1,
                 reports_sent: 13,
                 work_requests_sent: 6,
+                grants_received: 4,
+                grant_wait_s: 0.0125,
                 peers_suspected: 2,
                 peers_forgotten: 1,
                 bound_broadcasts: 5,
@@ -1198,9 +1205,9 @@ mod tests {
             "FTBB-METRICS id=4 job=3 incarnation=1 seq=7 elapsed_s=2.500000 expand_s=1.000000 \
              communicate_s=0.500000 contract_s=0.250000 load_balance_s=0.125000 \
              membership_s=0.062500 idle_s=0.500000 checkpoint_s=0.062500 expanded=99 \
-             pruned_at_pop=0 recoveries=1 reports=13 requests=6 suspected=2 forgotten=1 \
-             bound_bcast=5 bound_coalesced=7 bound_suppressed=9 mev_dropped=3 trace_dropped=4 \
-             workers=2 sent=11 dropped=3 flushes=5 frames_flushed=10 frames_per_flush=2.00 \
+             pruned_at_pop=0 recoveries=1 reports=13 requests=6 grants=4 grant_wait_s=0.0125 \
+             suspected=2 forgotten=1 bound_bcast=5 bound_coalesced=7 bound_suppressed=9 \
+             mev_dropped=3 trace_dropped=4 workers=2 sent=11 dropped=3 flushes=5 frames_flushed=10 frames_per_flush=2.00 \
              membership_frames=4 book_entries=64 digest_entries=12 book_per_frame=16.00 \
              bound_frames=3"
         );
@@ -1270,6 +1277,8 @@ mod tests {
                 recoveries: 1,
                 reports: 13,
                 requests: 6,
+                grants: 4,
+                grant_wait_s: 0.0125,
                 suspected: 2,
                 forgotten: 1,
                 bound_broadcasts: 5,
@@ -1289,10 +1298,13 @@ mod tests {
             }
         );
         assert!((parsed.phase.total() - 2.5).abs() < 1e-9);
-        // A line from before the report counters parses, with zeros.
-        let older = metrics_line(&snap).replace(" reports=13 requests=6", "");
+        // A line from before the report and grant counters parses, with
+        // zeros.
+        let older =
+            metrics_line(&snap).replace(" reports=13 requests=6 grants=4 grant_wait_s=0.0125", "");
         let parsed = parse_metrics_line(&older).expect("parses");
         assert_eq!((parsed.reports, parsed.requests), (0, 0));
+        assert_eq!((parsed.grants, parsed.grant_wait_s), (0, 0.0));
         assert_eq!(parse_metrics_line("FTBB-OUTCOME id=1"), None);
         assert_eq!(parse_metrics_line("noise"), None);
     }

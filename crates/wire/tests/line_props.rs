@@ -81,9 +81,15 @@ fn metrics_strategy() -> impl Strategy<Value = ProcMetrics> {
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u32>()),
     )
         .prop_map(
-            |((expanded, pruned, rec, sus), (forg, bcast, coal, supp), (mev, rep, req))| {
+            |(
+                (expanded, pruned, rec, sus),
+                (forg, bcast, coal, supp),
+                (mev, rep, req),
+                (grants, wait_us),
+            )| {
                 ProcMetrics {
                     expanded,
                     pruned_at_pop: pruned,
@@ -96,6 +102,8 @@ fn metrics_strategy() -> impl Strategy<Value = ProcMetrics> {
                     membership_events_dropped: mev,
                     reports_sent: rep,
                     work_requests_sent: req,
+                    grants_received: grants,
+                    grant_wait_s: f64::from(wait_us) / 1e6,
                     ..Default::default()
                 }
             },
@@ -258,6 +266,8 @@ proptest! {
         prop_assert_eq!(parsed.recoveries, snap.metrics.recoveries);
         prop_assert_eq!(parsed.reports, snap.metrics.reports_sent);
         prop_assert_eq!(parsed.requests, snap.metrics.work_requests_sent);
+        prop_assert_eq!(parsed.grants, snap.metrics.grants_received);
+        prop_assert_eq!(parsed.grant_wait_s.to_bits(), snap.metrics.grant_wait_s.to_bits());
         prop_assert_eq!(parsed.suspected, snap.metrics.peers_suspected);
         prop_assert_eq!(parsed.forgotten, snap.metrics.peers_forgotten);
         prop_assert_eq!(parsed.membership_events_dropped,
