@@ -16,6 +16,10 @@ pub(crate) const LB_ATTEMPTS: u32 = 3;
 /// A donor keeps at least this many subproblems for itself.
 pub(crate) const GRANT_KEEP_MIN: usize = 2;
 
+/// `report_interval_s` divided by this is the report gap (see
+/// [`ProtocolConfig::report_gap_s`]).
+const REPORT_GAP_DIVISOR: f64 = 8.0;
+
 /// All tunables of one protocol process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
@@ -106,6 +110,16 @@ impl Default for ProtocolConfig {
             membership: None,
             bound_flush_s: 0.05,
         }
+    }
+}
+
+impl ProtocolConfig {
+    /// The report gap, in seconds: the shortest spacing of `c`-triggered
+    /// reports and of the adaptive flush timer, and the longest a deployed
+    /// node's work unit runs — so a request or a redundancy interrupt that
+    /// lands mid-unit waits at most one gap.
+    pub fn report_gap_s(&self) -> f64 {
+        self.report_interval_s / REPORT_GAP_DIVISOR
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::message::Msg;
 use crate::metrics::ProcMetrics;
 use crate::telemetry::TimeCategory;
-use crate::work::Expansion;
+use crate::work::{Expansion, WorkUnit};
 use ftbb_des::SimTime;
 use ftbb_tree::Code;
 use serde::{Deserialize, Serialize};
@@ -96,13 +96,24 @@ pub enum MembershipEvent {
 pub enum Event<M = Msg, T = PTimer> {
     /// Process activation.
     Start,
-    /// The expansion requested by a [`Action::StartWork`] finished.
-    /// `seq` matches the `StartWork`; stale completions are discarded.
+    /// The work a [`Action::StartWork`] requested finished as one
+    /// expansion of its code (what the simulator delivers). `seq` matches
+    /// the `StartWork`; stale completions are discarded.
     WorkDone {
         /// Work sequence number.
         seq: u64,
         /// The expansion result.
         expansion: Expansion,
+    },
+    /// The work a [`Action::StartWork`] requested finished as a
+    /// depth-first [`WorkUnit`] below its code (what a deployed node
+    /// delivers). `seq` matches the `StartWork`; stale units are
+    /// discarded.
+    UnitDone {
+        /// Work sequence number.
+        seq: u64,
+        /// The unit's result.
+        unit: WorkUnit,
     },
     /// A protocol message arrived.
     Recv {
@@ -128,9 +139,13 @@ pub enum Action<M = Msg, T = PTimer> {
         /// The message.
         msg: M,
     },
-    /// Begin expanding `code`; the harness must run the expander and
-    /// deliver [`Event::WorkDone`] with the same `seq` after the
-    /// expansion's cost has elapsed.
+    /// Begin work on `code`. The harness runs the expander and answers
+    /// with the same `seq`: either [`Event::WorkDone`] with one expansion
+    /// after its cost has elapsed, or [`Event::UnitDone`] with the
+    /// [`WorkUnit`] that [`crate::Expander::explore`] ran below the code
+    /// from the process's incumbent. A unit holds the process for as long
+    /// as it runs, so a harness bounds it
+    /// ([`crate::ProtocolConfig::report_gap_s`] for a deployed node).
     StartWork {
         /// The subproblem to expand.
         code: Code,

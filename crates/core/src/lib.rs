@@ -39,4 +39,6 @@ pub use message::{GrantItem, Incumbent, Msg};
 pub use metrics::ProcMetrics;
 pub use process::BnbProcess;
 pub use telemetry::{PhaseTimes, TimeCategory, TraceEvent};
-pub use work::{AnyExpander, ChildPair, Expander, Expansion, ProblemExpander, TreeExpander};
+pub use work::{
+    AnyExpander, ChildPair, Expander, Expansion, ProblemExpander, TreeExpander, WorkUnit,
+};

@@ -18,7 +18,7 @@ use crate::events::{Action, MembershipEvent, PEvent, PTimer, Protocol};
 use crate::message::{GrantItem, Incumbent, Msg};
 use crate::metrics::ProcMetrics;
 use crate::telemetry::TimeCategory;
-use crate::work::Expansion;
+use crate::work::{Expansion, WorkUnit};
 use ftbb_bnb::{Pool, PoolEntry, SelectRule};
 use ftbb_des::SimTime;
 use ftbb_gossip::{Membership, MembershipConfig, MembershipMsg};
@@ -31,11 +31,6 @@ use rand::SeedableRng;
 /// never call [`BnbProcess::take_membership_events`] (the DES simulator)
 /// must not accumulate unbounded state over long runs.
 const MEMBERSHIP_EVENT_CAP: usize = 1024;
-
-/// `report_interval_s` divided by this is the shortest report spacing: a
-/// `c`-triggered batch flush waits that long after the previous report,
-/// and the adaptive flush timer is never shorter.
-const REPORT_GAP_DIVISOR: f64 = 8.0;
 
 /// One participant in the distributed B&B computation.
 pub struct BnbProcess {
@@ -74,8 +69,9 @@ pub struct BnbProcess {
     /// Its own completions count too, so the quiet check gates only the
     /// first recovery of an outage; later ones chain via `recovering`.
     last_news: SimTime,
-    /// Exponentially weighted mean of observed expansion costs (seconds),
-    /// driving the adaptive report interval.
+    /// Exponentially weighted mean of observed per-node expansion costs
+    /// (seconds; one sample per unit, its mean), driving the adaptive
+    /// report interval.
     ewma_cost: f64,
     terminated: bool,
     root_bound: f64,
@@ -234,6 +230,11 @@ impl BnbProcess {
         &self.metrics
     }
 
+    /// The tunables this process runs with.
+    pub fn config(&self) -> &ProtocolConfig {
+        &self.cfg
+    }
+
     /// The completion table.
     pub fn table(&self) -> &CodeSet {
         &self.table
@@ -301,38 +302,46 @@ impl BnbProcess {
         self.start_next(now, out);
     }
 
-    /// §5.3.1: the expansion in flight finished. A leaf completes; each
-    /// child either enters the pool or, when its bound cannot beat the
-    /// incumbent, completes at once.
+    /// §5.3.1: the work in flight finished as one expansion: the unit of
+    /// that one node, as the process's incumbent judges its children.
     fn expanded(&mut self, expansion: Expansion, now: SimTime, out: &mut Vec<Action>) {
-        let code = self.current.take().expect("step guards on work in flight");
-        self.metrics.expanded += 1;
+        let code = self
+            .current
+            .as_ref()
+            .expect("step guards on work in flight");
+        let unit = WorkUnit::one_node(code, expansion, self.incumbent);
+        self.absorb(unit, now, out);
+    }
+
+    /// §5.3.1: the work unit in flight finished. Its solution is applied;
+    /// its finished subtrees complete into the table (and the fresh set,
+    /// counting every raw completion toward `c`); its open frontier goes
+    /// back to the pool in the order the unit would have popped it.
+    fn absorb(&mut self, unit: WorkUnit, now: SimTime, out: &mut Vec<Action>) {
+        self.current = None;
+        self.metrics.expanded += unit.expanded;
+        self.metrics.fathomed += unit.fathomed;
+        self.metrics.eliminated_at_insert += unit.eliminated;
+        self.metrics.pruned_at_pop += unit.pruned;
         self.last_news = now;
+        // Per node, not per unit: the adaptive interval targets `c` nodes.
+        let node_cost = unit.cost / unit.expanded as f64;
         self.ewma_cost = if self.ewma_cost == 0.0 {
-            expansion.cost
+            node_cost
         } else {
-            0.9 * self.ewma_cost + 0.1 * expansion.cost
+            0.9 * self.ewma_cost + 0.1 * node_cost
         };
-        if let Some(v) = expansion.solution {
+        if let Some(v) = unit.solution {
             self.update_incumbent(v, out);
         }
-        match expansion.children {
-            None => {
-                self.metrics.fathomed += 1;
-                self.complete(code, now, out);
-            }
-            Some(pair) => {
-                for (bit, bound) in [(false, pair.left_bound), (true, pair.right_bound)] {
-                    let child = code.child(pair.var, bit);
-                    if bound >= self.incumbent {
-                        // Eliminate: the subtree is fathomed, hence completed.
-                        self.metrics.eliminated_at_insert += 1;
-                        self.complete(child, now, out);
-                    } else {
-                        self.push_pool(child, bound);
-                    }
-                }
-            }
+        // Every done code stands for at least one raw completion; the
+        // unit's others ride on the first.
+        let mut extra = unit.completions() - unit.done.len() as u64;
+        for code in unit.done {
+            self.complete(code, 1 + std::mem::take(&mut extra), now, out);
+        }
+        for (code, bound) in unit.frontier {
+            self.push_pool(code, bound);
         }
         self.start_next(now, out);
     }
@@ -642,7 +651,7 @@ impl BnbProcess {
             let next = self.pool.pop_improving(self.incumbent, &mut pruned);
             for entry in pruned.drain(..) {
                 self.metrics.pruned_at_pop += 1;
-                self.complete(entry.node, now, out);
+                self.complete(entry.node, 1, now, out);
             }
             self.pruned_scratch = pruned;
             if self.terminated {
@@ -671,7 +680,9 @@ impl BnbProcess {
     // Completion tracking, reports, termination (§5.3.2, §5.4)
     // ------------------------------------------------------------------
 
-    fn complete(&mut self, code: Code, now: SimTime, out: &mut Vec<Action>) {
+    /// `code` finished locally, contracting `raw` completions (`c` counts
+    /// those, not codes).
+    fn complete(&mut self, code: Code, raw: u64, now: SimTime, out: &mut Vec<Action>) {
         if self.table.contains(&code) {
             return; // someone else already reported it
         }
@@ -680,7 +691,7 @@ impl BnbProcess {
         // A solo node keeps no fresh set: nobody could ever receive it.
         if self.can_report() {
             self.fresh.insert(&code);
-            self.fresh_count += 1;
+            self.fresh_count += raw as usize;
             if self.fresh_count >= self.cfg.report_batch && self.report_gap_passed(now) {
                 self.flush_reports(now, out);
             }
@@ -699,17 +710,12 @@ impl BnbProcess {
         !self.static_members.is_empty() || self.membership.is_some()
     }
 
-    /// The shortest spacing between reports, in seconds (see
-    /// [`REPORT_GAP_DIVISOR`]).
-    fn report_gap_s(&self) -> f64 {
-        self.cfg.report_interval_s / REPORT_GAP_DIVISOR
-    }
-
     /// May a `c`-triggered batch flush now? The first batch always may;
     /// later ones wait out the report gap.
     fn report_gap_passed(&self, now: SimTime) -> bool {
-        self.last_report
-            .is_none_or(|at| now.saturating_sub(at) >= SimTime::from_secs_f64(self.report_gap_s()))
+        self.last_report.is_none_or(|at| {
+            now.saturating_sub(at) >= SimTime::from_secs_f64(self.cfg.report_gap_s())
+        })
     }
 
     fn clear_fresh(&mut self) {
@@ -791,7 +797,7 @@ impl BnbProcess {
             return self.cfg.report_interval_s;
         }
         let target = self.cfg.report_batch as f64 * self.ewma_cost;
-        target.clamp(self.report_gap_s(), self.cfg.report_interval_s * 8.0)
+        target.clamp(self.cfg.report_gap_s(), self.cfg.report_interval_s * 8.0)
     }
 
     // ------------------------------------------------------------------
@@ -934,7 +940,7 @@ impl Protocol for BnbProcess {
     // One arm per line, so the table reads as one.
     #[rustfmt::skip]
     fn step(&mut self, event: PEvent, now: SimTime, out: &mut Vec<Action>) {
-        use crate::events::Event::{Recv, Start, Timer, WorkDone};
+        use crate::events::Event::{Recv, Start, Timer, UnitDone, WorkDone};
         // §5.4: a process that detected termination has halted.
         if self.terminated {
             return;
@@ -949,9 +955,12 @@ impl Protocol for BnbProcess {
         match event {
             // §5: activation.
             Start => self.start(now, out),
-            // §5.3.1: an expansion finished; one interrupted as redundant is stale.
+            // §5.3.1: an expansion or a work unit finished; one interrupted as
+            // redundant is stale.
             WorkDone { seq, .. } if seq != self.work_seq || self.current.is_none() => {}
             WorkDone { expansion, .. } => self.expanded(expansion, now, out),
+            UnitDone { seq, .. } if seq != self.work_seq || self.current.is_none() => {}
+            UnitDone { unit, .. } => self.absorb(unit, now, out),
             // §5: on-demand work sharing; a deny or timeout no request awaits is stale.
             Recv { from, msg: Msg::WorkRequest { .. } } => self.share_work(from, out),
             Recv { from, msg: Msg::WorkGrant { items, .. } } => self.granted(from, items, now, out),
@@ -1869,6 +1878,75 @@ mod tests {
             );
         }
         assert_eq!(p.report_interval(), 8.0);
+
+        // A unit feeds its mean node cost, not its total: 100 nodes of
+        // 50 ms target 10 x 50 ms, where the 5 s total would hit the 8x
+        // clamp.
+        let mut p = BnbProcess::new(0, vec![0, 1], p.cfg.clone(), 0.0, true, 1);
+        let (root, seq) = started(&p.handle(PEvent::Start, t0())).expect("starts");
+        let unit = unit_below(&root, 100, 5.0, 60);
+        p.handle(PEvent::UnitDone { seq, unit }, t0());
+        assert!((p.report_interval() - 0.5).abs() < 1e-12);
+    }
+
+    /// A unit below `code` that finished its right child (contracting
+    /// `completions` raw completions) and left its left child open.
+    fn unit_below(code: &Code, expanded: u64, cost: f64, completions: u64) -> WorkUnit {
+        WorkUnit {
+            done: vec![code.child(1, true)],
+            frontier: vec![(code.child(1, false), 0.1)],
+            expanded,
+            fathomed: completions,
+            cost,
+            ..WorkUnit::default()
+        }
+    }
+
+    #[test]
+    fn unit_completions_count_toward_c_one_by_one() {
+        // c = 8 raw completions behind one done code: the first batch
+        // flushes at once, shipping one code that saved seven.
+        let mut p = mk_root_holder();
+        let (root, seq) = started(&p.handle(PEvent::Start, t0())).expect("starts");
+        let unit = unit_below(&root, 12, 0.012, 8);
+        let actions = p.handle(PEvent::UnitDone { seq, unit }, t0());
+        assert_eq!(reports(&actions), vec![&vec![root.child(1, true)]; 2]);
+        assert_eq!(p.metrics().report_codes_sent, 1);
+        assert_eq!(p.metrics().report_codes_saved, 7);
+        assert_eq!(p.fresh_count, 0);
+        assert_eq!(p.metrics().expanded, 12);
+        // The open child is next; seven raw completions stay below c.
+        let (left, seq) = started(&actions).expect("continues on the frontier");
+        assert_eq!(left, root.child(1, false));
+        let actions = p.handle(
+            PEvent::UnitDone {
+                seq,
+                unit: unit_below(&left, 9, 0.009, 7),
+            },
+            t0(),
+        );
+        assert!(reports(&actions).is_empty());
+        assert_eq!(p.fresh_count, 7);
+        assert_eq!(p.metrics().fathomed, 15);
+    }
+
+    #[test]
+    fn stale_unit_is_ignored() {
+        let mut p = mk_root_holder();
+        let (root, seq) = started(&p.handle(PEvent::Start, t0())).expect("starts");
+        let unit = unit_below(&root, 3, 0.003, 2);
+        let stale = p.handle(
+            PEvent::UnitDone {
+                seq: seq + 1,
+                unit: unit.clone(),
+            },
+            t0(),
+        );
+        assert!(stale.is_empty());
+        assert_eq!(p.metrics().expanded, 0);
+        p.handle(PEvent::UnitDone { seq, unit }, t0());
+        assert_eq!(p.metrics().expanded, 3);
+        assert!(p.table().contains(&root.child(1, true)));
     }
 
     #[test]
@@ -2068,11 +2146,11 @@ mod tests {
 
     /// The default config's report gap, and half of it.
     fn gap() -> SimTime {
-        SimTime::from_secs_f64(cfg().report_interval_s / REPORT_GAP_DIVISOR)
+        SimTime::from_secs_f64(cfg().report_gap_s())
     }
 
     fn half_gap() -> SimTime {
-        SimTime::from_secs_f64(cfg().report_interval_s / REPORT_GAP_DIVISOR / 2.0)
+        SimTime::from_secs_f64(cfg().report_gap_s() / 2.0)
     }
 
     /// Expand the started root as a branch on x1 with both children live;
@@ -2275,7 +2353,7 @@ mod tests {
             report_interval_s: 0.008,
             ..cfg()
         };
-        let gap_s = cfg.report_interval_s / REPORT_GAP_DIVISOR;
+        let gap_s = cfg.report_gap_s();
         let mut p = BnbProcess::new(1, vec![0, 1, 2], cfg, 0.0, false, 1);
         let actions = p.handle(PEvent::Start, t0());
         let donor = request_target(&actions).unwrap();

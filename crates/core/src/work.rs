@@ -6,9 +6,18 @@
 //! bound and decompose any subproblem — including subproblems recovered by
 //! complementing, which the local process has never seen. That property is
 //! what *transfer and recovery* (grants, complements, restores) need; a
-//! node's own depth-first descent does not, so [`ProblemExpander`] keeps
-//! the path it last replayed and replays only the suffix of each code past
-//! the prefix they share.
+//! node's own descent does not, so [`ProblemExpander`] keeps the path it
+//! last replayed and replays only the suffix of each code past the prefix
+//! they share.
+//!
+//! The protocol needs codes only at its boundaries — donation, reports,
+//! recovery, interruption — so the unit of work between two protocol steps
+//! need not be one node. [`Expander::explore`] runs the sequential engine's
+//! depth-first loop below a code until its subtree is done or the caller
+//! stops it, and returns the [`WorkUnit`]: the finished subtrees as a few
+//! contracted codes and the open frontier as pool entries. A harness that
+//! answers `StartWork` with one [`Expander::expand`] instead feeds the
+//! protocol a one-node unit.
 
 use ftbb_bnb::BranchBound;
 use ftbb_tree::{BasicTree, Code, Pair, Var};
@@ -38,6 +47,79 @@ pub struct ChildPair {
     pub right_bound: f64,
 }
 
+/// What a work unit did: the depth-first search below one code, from the
+/// code's own expansion until its subtree finished or the caller stopped
+/// the search. The done and frontier codes tile the code's subtree with
+/// the part the unit expanded: every subtree below the code is finished
+/// (under a done code), open (a frontier entry), or on the path to one.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WorkUnit {
+    /// Finished subtrees, contracted: the unit's code alone when its whole
+    /// subtree finished, otherwise at most one finished child per open
+    /// frame (an expanded node whose subtree is not finished).
+    pub done: Vec<Code>,
+    /// The open frontier as `(code, bound)`, in pool order: pushed in turn
+    /// onto a depth-first pool, they pop in the order the unit would have
+    /// expanded them.
+    pub frontier: Vec<(Code, f64)>,
+    /// The best solution found, when one beat the incumbent the unit
+    /// started from.
+    pub solution: Option<f64>,
+    /// Nodes expanded (bounded + decomposed); at least the unit's code.
+    pub expanded: u64,
+    /// Children popped and discarded because their bound could no longer
+    /// beat the unit's running incumbent.
+    pub pruned: u64,
+    /// Children discarded at creation (`l(v) ≥ U`).
+    pub eliminated: u64,
+    /// Leaves reached.
+    pub fathomed: u64,
+    /// Summed cost of the expanded nodes, in seconds.
+    pub cost: f64,
+}
+
+impl WorkUnit {
+    /// The unit of one expansion of `code`: what the protocol makes of an
+    /// [`Expansion`] when its incumbent is `incumbent`. A leaf finishes
+    /// `code`; a child whose bound cannot beat the incumbent (improved by
+    /// the node's own solution) finishes at once; the others are the
+    /// frontier, left child first.
+    pub fn one_node(code: &Code, expansion: Expansion, incumbent: f64) -> WorkUnit {
+        let mut unit = WorkUnit {
+            solution: expansion.solution,
+            expanded: 1,
+            cost: expansion.cost,
+            ..WorkUnit::default()
+        };
+        let incumbent = expansion.solution.map_or(incumbent, |v| v.min(incumbent));
+        match expansion.children {
+            None => {
+                unit.fathomed = 1;
+                unit.done.push(code.clone());
+            }
+            Some(pair) => {
+                for (bit, bound) in [(false, pair.left_bound), (true, pair.right_bound)] {
+                    let child = code.child(pair.var, bit);
+                    if bound >= incumbent {
+                        unit.eliminated += 1;
+                        unit.done.push(child);
+                    } else {
+                        unit.frontier.push((child, bound));
+                    }
+                }
+            }
+        }
+        unit
+    }
+
+    /// Raw completions — each leaf fathomed, child eliminated and entry
+    /// pruned, the paper's unit of a work report's `c` — which the done
+    /// codes contract.
+    pub fn completions(&self) -> u64 {
+        self.fathomed + self.eliminated + self.pruned
+    }
+}
+
 /// Bound + decompose subproblems identified by tree codes.
 pub trait Expander {
     /// Expand the subproblem with this code. Must be deterministic, and must
@@ -50,8 +132,220 @@ pub trait Expander {
     /// it expanded before.
     fn expand(&mut self, code: &Code) -> Expansion;
 
+    /// Run the sequential engine's depth-first loop below `code` as one
+    /// [`WorkUnit`]: right child first, elimination at insert and pruning
+    /// at pop, both against the unit's own running incumbent, which starts
+    /// at `incumbent`. The code itself is always expanded; before each
+    /// further expansion the unit asks `keep_going(expanded, cost)` with
+    /// its counts so far, and stops with its open frontier when told no.
+    /// Panics on a foreign code, like [`Expander::expand`].
+    ///
+    /// The default explores through [`Expander::expand`], one code at a
+    /// time; [`ProblemExpander`] walks its node states instead.
+    fn explore(
+        &mut self,
+        code: &Code,
+        incumbent: f64,
+        keep_going: &mut dyn FnMut(u64, f64) -> bool,
+    ) -> WorkUnit {
+        let mut walk = ByExpansion {
+            expander: self,
+            pairs: code.pairs().collect(),
+        };
+        explore_with(&mut walk, code, incumbent, keep_going)
+    }
+
     /// The root problem's lower bound (to seed the initial pool).
     fn root_bound(&self) -> f64;
+}
+
+/// One step of a depth-first walk: the node at the walk's position,
+/// bounded and decomposed, with each child carrying what the walk needs to
+/// step into it later.
+struct Step<S> {
+    cost: f64,
+    solution: Option<f64>,
+    /// The branching variable and the (left, right) children with their
+    /// bounds; `None` for a leaf.
+    children: Option<(Var, [(f64, S); 2])>,
+}
+
+/// A cursor on the problem's tree that [`explore_with`] drives: it stands
+/// on one node, expands it, and steps to a child of a node on its path.
+trait Walk {
+    /// What a child needs to be stepped into without replaying its code.
+    type Child;
+
+    /// The decisions from the root to the node the cursor stands on.
+    fn pairs(&self) -> &[Pair];
+
+    /// Bound and decompose the node the cursor stands on.
+    fn expand_here(&mut self) -> Step<Self::Child>;
+
+    /// Step to `child`, reached by `pair` from the path's node at `depth`.
+    fn enter(&mut self, depth: usize, pair: Pair, child: Self::Child);
+}
+
+/// The default walk: a code path, expanded through [`Expander::expand`].
+struct ByExpansion<'a, E: ?Sized> {
+    expander: &'a mut E,
+    pairs: Vec<Pair>,
+}
+
+impl<E: Expander + ?Sized> Walk for ByExpansion<'_, E> {
+    type Child = ();
+
+    fn pairs(&self) -> &[Pair] {
+        &self.pairs
+    }
+
+    fn expand_here(&mut self) -> Step<()> {
+        let code: Code = self.pairs.iter().copied().collect();
+        let e = self.expander.expand(&code);
+        Step {
+            cost: e.cost,
+            solution: e.solution,
+            children: e
+                .children
+                .map(|c| (c.var, [(c.left_bound, ()), (c.right_bound, ())])),
+        }
+    }
+
+    fn enter(&mut self, depth: usize, pair: Pair, (): ()) {
+        self.pairs.truncate(depth);
+        self.pairs.push(pair);
+    }
+}
+
+/// An expanded node on the walk's path whose subtree is not finished.
+struct Frame {
+    var: Var,
+    /// Children not finished yet (1 or 2).
+    open: u8,
+    /// The branch of the child that finished, once one has.
+    done: Option<bool>,
+}
+
+/// A child waiting to be popped: the walk's stack entry.
+struct Pending<S> {
+    /// Depth of the child's parent, which is on the walk's path.
+    depth: usize,
+    pair: Pair,
+    bound: f64,
+    child: S,
+}
+
+/// The node at `depth` (branch `bit`) finished: count it against its
+/// parent's frame, closing every frame it completes. `frames[i]` stands at
+/// `base + i`, the unit's own code at `base`.
+fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, depth: usize, bit: bool) {
+    let (mut depth, mut bit) = (depth, bit);
+    while depth > base {
+        let frame = frames
+            .last_mut()
+            .expect("a node below the unit has an open parent");
+        frame.open -= 1;
+        if frame.open > 0 {
+            frame.done = Some(bit);
+            return;
+        }
+        frames.pop();
+        depth -= 1;
+        bit = depth > base && pairs[depth - 1].bit;
+    }
+}
+
+/// The engine's depth-first loop below `code`, with `walk` standing on it.
+fn explore_with<W: Walk>(
+    walk: &mut W,
+    code: &Code,
+    incumbent: f64,
+    keep_going: &mut dyn FnMut(u64, f64) -> bool,
+) -> WorkUnit {
+    let base = walk.pairs().len();
+    let mut unit = WorkUnit::default();
+    let mut incumbent = incumbent;
+    let mut frames: Vec<Frame> = Vec::new();
+    let mut stack: Vec<Pending<W::Child>> = Vec::new();
+    'units: loop {
+        // Expand the node the walk stands on.
+        let depth = walk.pairs().len();
+        let step = walk.expand_here();
+        unit.expanded += 1;
+        unit.cost += step.cost;
+        if let Some(v) = step.solution.filter(|&v| v < incumbent) {
+            incumbent = v;
+            unit.solution = Some(v);
+        }
+        match step.children {
+            None => {
+                unit.fathomed += 1;
+                let bit = depth > base && walk.pairs()[depth - 1].bit;
+                finish(&mut frames, walk.pairs(), base, depth, bit);
+            }
+            Some((var, children)) => {
+                frames.push(Frame {
+                    var,
+                    open: 2,
+                    done: None,
+                });
+                for ((bound, child), bit) in children.into_iter().zip([false, true]) {
+                    if bound >= incumbent {
+                        unit.eliminated += 1;
+                        finish(&mut frames, walk.pairs(), base, depth + 1, bit);
+                    } else {
+                        let pair = Pair { var, bit };
+                        stack.push(Pending {
+                            depth,
+                            pair,
+                            bound,
+                            child,
+                        });
+                    }
+                }
+            }
+        }
+        // Pop the next child to expand, pruning the ones the incumbent
+        // now rules out.
+        while let Some(top) = stack.last() {
+            if top.bound < incumbent {
+                if !keep_going(unit.expanded, unit.cost) {
+                    break 'units;
+                }
+                let next = stack.pop().expect("peeked");
+                walk.enter(next.depth, next.pair, next.child);
+                continue 'units;
+            }
+            let pruned = stack.pop().expect("peeked");
+            unit.pruned += 1;
+            finish(
+                &mut frames,
+                walk.pairs(),
+                base,
+                pruned.depth + 1,
+                pruned.pair.bit,
+            );
+        }
+        debug_assert!(frames.is_empty(), "the subtree finished with open frames");
+        unit.done.push(code.clone());
+        return unit;
+    }
+    // Stopped: every open frame is on the walk's path.
+    let pairs = walk.pairs();
+    let prefix = |depth: usize, pair: Pair| -> Code {
+        pairs[..depth].iter().copied().chain([pair]).collect()
+    };
+    for (i, frame) in frames.iter().enumerate() {
+        if let Some(bit) = frame.done {
+            let var = frame.var;
+            unit.done.push(prefix(base + i, Pair { var, bit }));
+        }
+    }
+    unit.frontier = stack
+        .into_iter()
+        .map(|p| (prefix(p.depth, p.pair), p.bound))
+        .collect();
+    unit
 }
 
 /// Replays a recorded [`BasicTree`] — the paper's simulation driver (§6.2).
@@ -180,6 +474,36 @@ impl<P: BranchBound> ProblemExpander<P> {
 /// is generic over the problem kind.
 pub type AnyExpander = ProblemExpander<ftbb_bnb::AnyInstance>;
 
+impl<P: BranchBound> Walk for ProblemExpander<P> {
+    type Child = P::Node;
+
+    fn pairs(&self) -> &[Pair] {
+        &self.pairs
+    }
+
+    fn expand_here(&mut self) -> Step<P::Node> {
+        let (problem, node) = (&self.problem, &self.path[self.pairs.len()]);
+        let children = match (problem.branching_var(node), problem.decompose(node)) {
+            (Some(var), Some((l, r))) => {
+                Some((var, [(problem.bound(&l), l), (problem.bound(&r), r)]))
+            }
+            _ => None,
+        };
+        Step {
+            cost: problem.cost(node),
+            solution: problem.solution(node),
+            children,
+        }
+    }
+
+    fn enter(&mut self, depth: usize, pair: Pair, child: P::Node) {
+        self.pairs.truncate(depth);
+        self.path.truncate(depth + 1);
+        self.path.push(child);
+        self.pairs.push(pair);
+    }
+}
+
 impl<P: BranchBound> Expander for ProblemExpander<P> {
     fn expand(&mut self, code: &Code) -> Expansion {
         self.descend(code);
@@ -198,6 +522,20 @@ impl<P: BranchBound> Expander for ProblemExpander<P> {
             solution: problem.solution(node),
             children,
         }
+    }
+
+    /// Walks the node states: a child's state comes from its parent's
+    /// decomposition, so no code is replayed inside the unit, and the unit
+    /// leaves the path on the last node it expanded — the next unit, a
+    /// frontier entry a decision or two off it, replays a step or two.
+    fn explore(
+        &mut self,
+        code: &Code,
+        incumbent: f64,
+        keep_going: &mut dyn FnMut(u64, f64) -> bool,
+    ) -> WorkUnit {
+        self.descend(code);
+        explore_with(self, code, incumbent, keep_going)
     }
 
     fn root_bound(&self) -> f64 {

@@ -6,13 +6,21 @@
 //! restores bring). A foreign code mid-sequence still panics with the
 //! message it always had, and the valid codes after it still expand
 //! correctly.
+//!
+//! Its unit explorer, [`Expander::explore`], is the sequential engine cut
+//! into pieces: driven to completion from the root with random budgets
+//! over a depth-first pool of frontiers and a table of done codes, it
+//! finds the depth-first engine's optimum with the engine's expansions;
+//! each unit equals the trait's default walk over the reference, and its
+//! done and frontier codes tile its code's subtree exactly.
 
-use ftbb_bnb::{AnyInstance, BranchBound};
+use ftbb_bnb::{solve, AnyInstance, BranchBound, Pool, PoolEntry, SelectRule, SolveConfig};
 use ftbb_core::{
     Action, AnyExpander, BnbProcess, ChildPair, Expander, Expansion, PEvent, ProtocolConfig,
+    WorkUnit,
 };
 use ftbb_des::SimTime;
-use ftbb_tree::Code;
+use ftbb_tree::{Code, CodeSet};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -182,6 +190,112 @@ fn assert_matches_reference(
     }
 }
 
+/// The from-root reference as an [`Expander`]: its `explore` is the
+/// trait's default walk, one reference expansion per node.
+struct Rebuilt<'a>(&'a AnyInstance);
+
+impl Expander for Rebuilt<'_> {
+    fn expand(&mut self, code: &Code) -> Expansion {
+        reference(self.0, code).expect("units stay inside the tree")
+    }
+
+    fn root_bound(&self) -> f64 {
+        self.0.bound(&self.0.root())
+    }
+}
+
+/// `unit`'s done and frontier codes tile the subtree of `code`: all replay
+/// below it, none contains another, and together they contract to it. The
+/// done codes sit one per open frame, at distinct depths.
+fn assert_tiles(problem: &AnyInstance, code: &Code, unit: &WorkUnit) {
+    let parts: Vec<&Code> = (unit.done.iter())
+        .chain(unit.frontier.iter().map(|(c, _)| c))
+        .collect();
+    for (i, part) in parts.iter().enumerate() {
+        assert!(code.is_prefix_of(part), "{part} lies outside {code}");
+        assert!(problem.rebuild(part).is_some(), "{part} does not replay");
+        for other in &parts[i + 1..] {
+            assert!(!part.is_prefix_of(other) && !other.is_prefix_of(part));
+        }
+    }
+    let mut tiles = CodeSet::new();
+    tiles.merge(parts.iter().copied());
+    assert_eq!(tiles.minimal_codes(), vec![code.clone()], "lost subtree");
+    let mut depths: Vec<usize> = unit.done.iter().map(Code::depth).collect();
+    depths.sort_unstable();
+    depths.dedup();
+    assert_eq!(depths.len(), unit.done.len(), "two done codes in one frame");
+    assert!(unit.completions() >= unit.done.len() as u64);
+}
+
+/// Drive units from the root to the end of the search, each with a random
+/// budget of expansions, as a process does: frontiers into a depth-first
+/// pool, done and pruned codes into a table. The total is the depth-first
+/// engine's solve. With `foreign_at = Some(k)`, a foreign code is explored
+/// before the `k`-th unit and must panic as it always has.
+fn check_units(problem: &AnyInstance, seed: u64, foreign_at: Option<usize>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut fast = AnyExpander::new(problem.clone());
+    let mut slow = Rebuilt(problem);
+    let mut pool = Pool::new(SelectRule::DepthFirst);
+    let mut table = CodeSet::new();
+    let (mut incumbent, mut expanded, mut units) = (f64::INFINITY, 0, 0);
+    let mut next = Some(Code::root());
+    while let Some(code) = next {
+        if foreign_at == Some(units) {
+            let bad = foreign(problem, &code);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                fast.explore(&bad, incumbent, &mut |_, _| true)
+            }))
+            .expect_err("a foreign code must panic");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("does not replay in this problem"), "{msg}");
+        }
+        let budget = 1u64 << rng.gen_range(0..10);
+        let unit = fast.explore(&code, incumbent, &mut |n, _| n < budget);
+        let want = slow.explore(&code, incumbent, &mut |n, _| n < budget);
+        assert_eq!(unit, want, "{} unit #{units} at {code}", problem.kind());
+        assert!(unit.expanded <= budget);
+        assert_tiles(problem, &code, &unit);
+        units += 1;
+        expanded += unit.expanded;
+        incumbent = unit.solution.map_or(incumbent, |v| v.min(incumbent));
+        for done in &unit.done {
+            assert!(!table.contains(done), "{done} completed twice");
+            table.insert(done);
+        }
+        for (code, bound) in unit.frontier {
+            let depth = code.depth() as u32;
+            pool.push(PoolEntry {
+                bound,
+                depth,
+                node: code,
+            });
+        }
+        let mut pruned = Vec::new();
+        next = pool.pop_improving(incumbent, &mut pruned).map(|e| e.node);
+        for entry in pruned {
+            table.insert(&entry.node);
+        }
+    }
+    assert!(table.is_root_done());
+    let config = SolveConfig {
+        rule: SelectRule::DepthFirst,
+        ..SolveConfig::default()
+    };
+    let engine = solve(problem, &config);
+    assert_eq!(
+        incumbent.to_bits(),
+        engine.best.unwrap_or(f64::INFINITY).to_bits()
+    );
+    assert_eq!(
+        expanded,
+        engine.stats.expanded,
+        "{} expansions",
+        problem.kind()
+    );
+}
+
 /// The whole property for one instance and seed.
 fn check(problem: &AnyInstance, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -198,12 +312,16 @@ fn check(problem: &AnyInstance, seed: u64) {
     let bad = foreign(problem, codes.choose(&mut rng).expect("the root is issued"));
     let at = rng.gen_range(0..jumps.len());
     assert_matches_reference(problem, &jumps, Some((at, bad)));
+
+    check_units(problem, rng.gen(), None);
+    check_units(problem, rng.gen(), Some(rng.gen_range(0..3)));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The path-keeping expander is the reference expander.
+    /// The path-keeping expander is the reference expander, and its unit
+    /// explorer is the depth-first engine.
     #[test]
     fn cached_expander_is_the_reference_expander(
         instance in any_instance_strategy(),

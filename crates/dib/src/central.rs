@@ -256,6 +256,7 @@ impl Central {
                 }
             }
             Event::Timer(CentralAlarm::Reply { .. }) => {}
+            Event::UnitDone { .. } => unreachable!("the baselines expand one node per StartWork"),
         }
     }
 }

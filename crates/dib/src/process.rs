@@ -300,6 +300,7 @@ impl Protocol for DibProcess {
                 });
                 self.start_next(out);
             }
+            Event::UnitDone { .. } => unreachable!("the baselines expand one node per StartWork"),
             Event::WorkDone { seq, expansion } => {
                 if seq != self.work_seq || self.current.is_none() {
                     return;

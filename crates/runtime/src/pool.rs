@@ -1,39 +1,51 @@
-//! The expansion worker pool: subproblem expansion off the pump thread.
+//! The expansion worker pool: subproblem work off the pump thread.
 //!
 //! The event pump ([`crate::ServiceEngine`]) is single-threaded by
 //! design — the protocol state machine, the timer wheels, and the inbox
 //! all live on one thread, which is what makes the runtime's behaviour
-//! reproducible against the simulator. But subproblem expansion (bound +
-//! decompose) is pure computation on a self-contained code: it touches
-//! no protocol state, so it is the one piece of the loop that can leave
-//! the thread without changing any observable ordering the protocol
-//! cares about.
+//! reproducible against the simulator. But the work a `StartWork` asks
+//! for — one expansion, or a depth-first work unit below the code — is
+//! pure computation on a self-contained code: it touches no protocol
+//! state, so it is the one piece of the loop that can leave the thread
+//! without changing any observable ordering the protocol cares about.
 //!
-//! [`WorkerPool`] runs expansions on a fixed set of worker threads fed
+//! [`WorkerPool`] runs that work on a fixed set of worker threads fed
 //! through one shared MPMC channel: an idle worker is blocked in
 //! `recv`, whichever worker is free takes the next task. The pump
-//! submits `(job, seq, code)` tasks without blocking and harvests
-//! `(job, seq, expansion)` results without blocking; the protocol's own
-//! `work_seq` guard discards results that raced a redundant-work
-//! interrupt, exactly as it does for inline expansion. Each job's
-//! expander is registered once as an erased prototype
+//! submits tasks without blocking — a unit ([`WorkerPool::submit_unit`])
+//! with its incumbent and wall-clock budget, or a single expansion
+//! ([`WorkerPool::submit`]) — and harvests `(job, seq, work)` results
+//! without blocking; the protocol's own `work_seq` guard discards results
+//! that raced a redundant-work interrupt, exactly as it does for inline
+//! work. Each job's expander is registered once as an erased prototype
 //! ([`PoolExpander`]); workers lazily clone a private copy per job, so
-//! expansion never contends on shared problem state.
+//! work never contends on shared problem state.
 //!
-//! With one job there is at most one expansion in flight (the protocol
-//! allows a process only one outstanding `StartWork`), so a pool earns
-//! its threads when a service node multiplexes several jobs — each
-//! job's expansion runs in parallel with the others' and with the
-//! pump's protocol work. The solved optimum is identical either way;
-//! only wall time moves.
+//! With one job there is at most one task in flight (the protocol allows
+//! a process only one outstanding `StartWork`), so a pool earns its
+//! threads when a service node multiplexes several jobs — each job's
+//! unit runs in parallel with the others' and with the pump's protocol
+//! work. The solved optimum is identical either way; only wall time
+//! moves.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use ftbb_core::{Expander, Expansion};
+use ftbb_core::{Expander, Expansion, PEvent, WorkUnit};
 use ftbb_tree::Code;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Expansions between two clock reads of a unit's deadline.
+const DEADLINE_POLL: u64 = 64;
+
+/// A work unit's `keep_going` (see [`Expander::explore`]): true until
+/// `budget` of wall time has passed since this call, with the clock read
+/// once every 64 expansions.
+pub fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
+    let deadline = Instant::now() + budget;
+    move |expanded, _| expanded % DEADLINE_POLL != 0 || Instant::now() < deadline
+}
 
 /// Object-safe view of an [`Expander`] the pool can ship across
 /// threads. Blanket-implemented for every cloneable sendable expander,
@@ -42,6 +54,14 @@ use std::time::Duration;
 pub trait PoolExpander: Send {
     /// Expand one subproblem (see [`Expander::expand`]).
     fn expand(&mut self, code: &Code) -> Expansion;
+
+    /// Run one work unit below `code` (see [`Expander::explore`]).
+    fn explore(
+        &mut self,
+        code: &Code,
+        incumbent: f64,
+        keep_going: &mut dyn FnMut(u64, f64) -> bool,
+    ) -> WorkUnit;
 
     /// A private copy for one worker thread.
     fn clone_box(&self) -> Box<dyn PoolExpander>;
@@ -52,23 +72,54 @@ impl<E: Expander + Clone + Send + 'static> PoolExpander for E {
         Expander::expand(self, code)
     }
 
+    fn explore(
+        &mut self,
+        code: &Code,
+        incumbent: f64,
+        keep_going: &mut dyn FnMut(u64, f64) -> bool,
+    ) -> WorkUnit {
+        Expander::explore(self, code, incumbent, keep_going)
+    }
+
     fn clone_box(&self) -> Box<dyn PoolExpander> {
         Box::new(self.clone())
     }
 }
 
-/// One expansion request.
+/// One work request.
 struct Task {
     job: u64,
     seq: u64,
     code: Code,
+    /// A unit's starting incumbent and wall-clock budget; `None` asks for
+    /// one expansion.
+    unit: Option<(f64, Duration)>,
 }
 
-/// One completed expansion.
+/// The result of one task.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Work {
+    /// A single expansion ([`WorkerPool::submit`]).
+    Expansion(Expansion),
+    /// A work unit ([`WorkerPool::submit_unit`]).
+    Unit(WorkUnit),
+}
+
+impl Work {
+    /// The protocol event that delivers this result for work `seq`.
+    pub fn event(self, seq: u64) -> PEvent {
+        match self {
+            Work::Expansion(expansion) => PEvent::WorkDone { seq, expansion },
+            Work::Unit(unit) => PEvent::UnitDone { seq, unit },
+        }
+    }
+}
+
+/// One completed task.
 struct TaskDone {
     job: u64,
     seq: u64,
-    expansion: Expansion,
+    work: Work,
 }
 
 /// A fixed-size pool of expansion worker threads.
@@ -132,35 +183,65 @@ impl WorkerPool {
     }
 
     /// Queue one expansion. Non-blocking; the result comes back through
-    /// [`WorkerPool::try_harvest`].
+    /// [`WorkerPool::try_harvest`] as [`Work::Expansion`].
     pub fn submit(&mut self, job: u64, seq: u64, code: Code) {
+        self.send(Task {
+            job,
+            seq,
+            code,
+            unit: None,
+        });
+    }
+
+    /// Queue one work unit below `code`, starting from `incumbent` and
+    /// stopped once `budget` of wall time has passed since a worker took
+    /// it ([`unit_deadline`]). Non-blocking; the result comes back as
+    /// [`Work::Unit`].
+    pub fn submit_unit(
+        &mut self,
+        job: u64,
+        seq: u64,
+        code: Code,
+        incumbent: f64,
+        budget: Duration,
+    ) {
+        let unit = Some((incumbent, budget));
+        self.send(Task {
+            job,
+            seq,
+            code,
+            unit,
+        });
+    }
+
+    fn send(&mut self, task: Task) {
         self.in_flight += 1;
         self.tasks
             .as_ref()
             .expect("task sender live until drop")
-            .send(Task { job, seq, code })
+            .send(task)
             .unwrap_or_else(|_| panic!("every pool worker has exited (a worker panicked)"));
     }
 
-    /// Take one completed expansion, if any is ready. Non-blocking.
-    pub fn try_harvest(&mut self) -> Option<(u64, u64, Expansion)> {
+    /// Take one completed task, if any is ready. Non-blocking.
+    pub fn try_harvest(&mut self) -> Option<(u64, u64, Work)> {
         let done = self.results.try_recv().ok()?;
         self.in_flight -= 1;
-        Some((done.job, done.seq, done.expansion))
+        Some((done.job, done.seq, done.work))
     }
 
-    /// Take one completed expansion, waiting up to `timeout` for one.
-    pub fn harvest_timeout(&mut self, timeout: Duration) -> Option<(u64, u64, Expansion)> {
+    /// Take one completed task, waiting up to `timeout` for one.
+    pub fn harvest_timeout(&mut self, timeout: Duration) -> Option<(u64, u64, Work)> {
         match self.results.recv_timeout(timeout) {
             Ok(done) => {
                 self.in_flight -= 1;
-                Some((done.job, done.seq, done.expansion))
+                Some((done.job, done.seq, done.work))
             }
             Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => None,
         }
     }
 
-    /// Expansions submitted but not yet harvested.
+    /// Tasks submitted but not yet harvested.
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
@@ -200,12 +281,18 @@ fn worker_loop(
                 e.insert(prototype)
             }
         };
-        let expansion = expander.expand(&task.code);
+        let work = match task.unit {
+            Some((incumbent, budget)) => {
+                let mut keep_going = unit_deadline(budget);
+                Work::Unit(expander.explore(&task.code, incumbent, &mut keep_going))
+            }
+            None => Work::Expansion(expander.expand(&task.code)),
+        };
         if done_tx
             .send(TaskDone {
                 job: task.job,
                 seq: task.seq,
-                expansion,
+                work,
             })
             .is_err()
         {
@@ -236,17 +323,17 @@ mod tests {
         for (seq, code) in codes.iter().enumerate() {
             pool.submit(7, seq as u64, code.clone());
         }
-        let mut got: HashMap<u64, Expansion> = HashMap::new();
+        let mut got: HashMap<u64, Work> = HashMap::new();
         while got.len() < codes.len() {
-            let (job, seq, expansion) = pool
+            let (job, seq, work) = pool
                 .harvest_timeout(Duration::from_secs(5))
                 .expect("pool produces every result");
             assert_eq!(job, 7);
-            assert!(got.insert(seq, expansion).is_none(), "duplicate result");
+            assert!(got.insert(seq, work).is_none(), "duplicate result");
         }
         assert_eq!(pool.in_flight(), 0);
         for (seq, code) in codes.iter().enumerate() {
-            let want = Expander::expand(&mut inline, code);
+            let want = Work::Expansion(Expander::expand(&mut inline, code));
             assert_eq!(got[&(seq as u64)], want, "code {code}");
         }
     }
@@ -263,12 +350,99 @@ mod tests {
         pool.submit(2, 0, Code::root());
         let mut costs: HashMap<u64, f64> = HashMap::new();
         for _ in 0..2 {
-            let (job, _, expansion) = pool
+            let (job, _, work) = pool
                 .harvest_timeout(Duration::from_secs(5))
                 .expect("both jobs report");
+            let Work::Expansion(expansion) = work else {
+                panic!("submit asks for one expansion")
+            };
             costs.insert(job, expansion.cost);
         }
         assert_eq!(costs[&2], costs[&1] * 10.0);
+    }
+
+    /// A random basic tree with its depth-first engine solve.
+    fn dfs_tree(seed: u64) -> (ftbb_tree::BasicTree, ftbb_bnb::SolveResult) {
+        let tree = ftbb_tree::random_basic_tree(&ftbb_tree::TreeConfig {
+            target_nodes: 3001,
+            seed,
+            ..Default::default()
+        });
+        let config = ftbb_bnb::SolveConfig {
+            rule: ftbb_bnb::SelectRule::DepthFirst,
+            ..Default::default()
+        };
+        let solved = ftbb_bnb::solve(&ftbb_bnb::BasicTreeProblem::new(tree.clone()), &config);
+        (tree, solved)
+    }
+
+    #[test]
+    fn an_unbounded_unit_on_a_worker_is_the_engine_solve() {
+        let (tree, solved) = dfs_tree(3);
+        let mut inline = TreeExpander::new(tree.clone());
+        let want = Expander::explore(&mut inline, &Code::root(), f64::INFINITY, &mut |_, _| true);
+        assert_eq!(want.done, vec![Code::root()]);
+        assert!(want.frontier.is_empty());
+        assert_eq!(want.expanded, solved.stats.expanded);
+        assert_eq!(want.solution, solved.best);
+        assert_eq!(want.cost, solved.stats.total_cost);
+
+        let mut pool = WorkerPool::new(2);
+        pool.register(1, Box::new(TreeExpander::new(tree)));
+        let hour = Duration::from_secs(3600);
+        pool.submit_unit(1, 9, Code::root(), f64::INFINITY, hour);
+        let (job, seq, work) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
+        assert_eq!((job, seq), (1, 9));
+        assert_eq!(work, Work::Unit(want));
+    }
+
+    #[test]
+    fn zero_budget_units_on_workers_solve_the_tree_as_the_engine_does() {
+        let (tree, solved) = dfs_tree(8);
+        assert!(
+            solved.stats.expanded > 10 * DEADLINE_POLL,
+            "the tree takes many units"
+        );
+        let mut pool = WorkerPool::new(2);
+        pool.register(1, Box::new(TreeExpander::new(tree)));
+        // The protocol's bookkeeping in miniature: a depth-first pool of
+        // frontier codes and a table of done codes.
+        let mut frontier = ftbb_bnb::Pool::new(ftbb_bnb::SelectRule::DepthFirst);
+        let mut table = ftbb_tree::CodeSet::new();
+        let (mut incumbent, mut expanded) = (f64::INFINITY, 0);
+        let (mut next, mut seq) = (Some(Code::root()), 0);
+        while let Some(code) = next {
+            seq += 1;
+            pool.submit_unit(1, seq, code, incumbent, Duration::ZERO);
+            let (_, got, work) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
+            assert_eq!(got, seq);
+            let Work::Unit(unit) = work else {
+                panic!("submit_unit asks for a unit")
+            };
+            // A zero budget stops at the first clock read.
+            assert!(unit.expanded <= DEADLINE_POLL);
+            expanded += unit.expanded;
+            incumbent = unit.solution.map_or(incumbent, |v| v.min(incumbent));
+            table.merge(&unit.done);
+            for (code, bound) in unit.frontier {
+                let depth = code.depth() as u32;
+                frontier.push(ftbb_bnb::PoolEntry {
+                    bound,
+                    depth,
+                    node: code,
+                });
+            }
+            let mut pruned = Vec::new();
+            next = frontier
+                .pop_improving(incumbent, &mut pruned)
+                .map(|e| e.node);
+            for entry in pruned {
+                table.insert(&entry.node);
+            }
+        }
+        assert!(table.is_root_done());
+        assert_eq!(expanded, solved.stats.expanded);
+        assert_eq!(Some(incumbent), solved.best);
     }
 
     #[test]
@@ -303,13 +477,13 @@ mod tests {
             let total = JOBS as usize * codes.len();
             assert_eq!(pool.in_flight(), total);
 
-            let mut got: HashMap<(u64, u64), Expansion> = HashMap::new();
+            let mut got: HashMap<(u64, u64), Work> = HashMap::new();
             while got.len() < total {
-                let (job, seq, expansion) = pool
+                let (job, seq, work) = pool
                     .harvest_timeout(Duration::from_secs(5))
                     .expect("pool produces every result");
                 assert!(
-                    got.insert((job, seq), expansion).is_none(),
+                    got.insert((job, seq), work).is_none(),
                     "({job}, {seq}) harvested twice with {workers} worker(s)"
                 );
             }
@@ -321,7 +495,7 @@ mod tests {
             for job in 0..JOBS {
                 let mut inline = TreeExpander::with_granularity(fig1_example(), granularity(job));
                 for (seq, code) in codes.iter().enumerate() {
-                    let want = Expander::expand(&mut inline, code);
+                    let want = Work::Expansion(Expander::expand(&mut inline, code));
                     assert_eq!(got[&(job, seq as u64)], want, "job {job} code {code}");
                 }
             }

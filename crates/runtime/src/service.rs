@@ -28,15 +28,14 @@
 //! protocol traffic lose nothing.
 
 use crate::node::{CrashSwitch, MetricsReporter, MetricsSnapshot};
-use crate::pool::{PoolExpander, WorkerPool};
+use crate::pool::{unit_deadline, PoolExpander, Work, WorkerPool};
 use crate::telemetry::Telemetry;
 use crate::transport::{Envelope, Transport};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
-    Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, Expansion, JobId,
-    MembershipEvent, NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, Protocol, ProtocolConfig,
-    TimeCategory,
+    Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, MembershipEvent,
+    NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, Protocol, ProtocolConfig, TimeCategory,
 };
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
@@ -471,11 +470,11 @@ impl<E: Expander> ServiceEngine<E> {
                 }
             }
 
-            // Harvest completed pool expansions (non-blocking).
+            // Harvest completed pool work (non-blocking).
             if let Some(pool) = self.pool.as_mut() {
                 let done: Vec<_> = std::iter::from_fn(|| pool.try_harvest()).collect();
                 if !done.is_empty() {
-                    self.deliver_expansions(done, now(epoch));
+                    self.deliver_work(done, now(epoch));
                     charge(&mut phase, &mut mark, TimeCategory::Expand);
                 }
             }
@@ -489,22 +488,26 @@ impl<E: Expander> ServiceEngine<E> {
                         charge(&mut phase, &mut mark, TimeCategory::Communicate);
                     }
                     Action::StartWork { code, seq } => {
+                        // One work unit: the depth-first search below the
+                        // code from the job's incumbent, for at most the
+                        // report gap of wall time — so the inbox, the timer
+                        // wheels and the *other jobs* wait at most that long
+                        // for this job's tree walk.
+                        let engine = &mut self.jobs[idx];
+                        let incumbent = engine.core.incumbent();
+                        let budget = Duration::from_secs_f64(engine.core.config().report_gap_s());
                         if let Some(pool) = self.pool.as_mut() {
-                            // Pool path: hand the code to a worker thread
+                            // Pool path: hand the unit to a worker thread
                             // and keep pumping — the result comes back
                             // through the harvest at the top of the loop,
-                            // as a `WorkDone` indistinguishable from the
+                            // as a `UnitDone` indistinguishable from the
                             // inline one. The protocol's `work_seq` guard
                             // handles results that raced an interrupt.
-                            pool.submit(job.raw(), seq, code);
+                            pool.submit_unit(job.raw(), seq, code, incumbent, budget);
                         } else {
-                            // Real computation happens here, inline — one
-                            // expansion per pump iteration, so the inbox,
-                            // the timer wheels, and the *other jobs* all
-                            // interleave with this job's tree walk.
-                            let engine = &mut self.jobs[idx];
-                            let expansion = engine.expander.expand(&code);
-                            engine.step(PEvent::WorkDone { seq, expansion }, now(epoch));
+                            let mut keep_going = unit_deadline(budget);
+                            let unit = engine.expander.explore(&code, incumbent, &mut keep_going);
+                            engine.step(PEvent::UnitDone { seq, unit }, now(epoch));
                         }
                         charge(&mut phase, &mut mark, TimeCategory::Expand);
                     }
@@ -542,8 +545,8 @@ impl<E: Expander> ServiceEngine<E> {
             } else if self.pool.as_ref().is_some_and(|p| p.in_flight() > 0) {
                 // Workers are computing: fold in what has arrived, then
                 // block on their results, not on the inbox — a result does
-                // not wake an inbox wait, so each pool expansion would
-                // cost the whole wait. A message waits at most the 1 ms
+                // not wake an inbox wait, so each pool unit would cost the
+                // whole wait. A message waits at most the 1 ms
                 // cap. The wait *is* expansion time, so it is charged to
                 // Expand, keeping the Figure-3 reconciliation honest.
                 while let Ok(env) = inbox.try_recv() {
@@ -554,7 +557,7 @@ impl<E: Expander> ServiceEngine<E> {
                     .min(Duration::from_millis(1));
                 let pool = self.pool.as_mut().expect("checked above");
                 let done = pool.harvest_timeout(wait);
-                self.deliver_expansions(done, now(epoch));
+                self.deliver_work(done, now(epoch));
                 charge(&mut phase, &mut mark, TimeCategory::Expand);
             } else {
                 // Idle: block on the inbox until the next timer deadline
@@ -726,17 +729,12 @@ impl<E: Expander> ServiceEngine<E> {
         None
     }
 
-    /// Feed harvested pool expansions back to their jobs as the
-    /// `WorkDone` the inline path would have produced on the spot. Results
-    /// for jobs that halted while the expansion was in flight (a
-    /// redundant-work interrupt followed by termination) are dropped, like
-    /// any late event for a halted job.
-    fn deliver_expansions(
-        &mut self,
-        done: impl IntoIterator<Item = (u64, u64, Expansion)>,
-        t: SimTime,
-    ) {
-        for (job, seq, expansion) in done {
+    /// Feed harvested pool work back to its jobs as the event the inline
+    /// path would have produced on the spot. Results for jobs that halted
+    /// while the work was in flight (a redundant-work interrupt followed by
+    /// termination) are dropped, like any late event for a halted job.
+    fn deliver_work(&mut self, done: impl IntoIterator<Item = (u64, u64, Work)>, t: SimTime) {
+        for (job, seq, work) in done {
             let engine = self
                 .jobs
                 .iter_mut()
@@ -745,7 +743,7 @@ impl<E: Expander> ServiceEngine<E> {
             if engine.halted {
                 continue;
             }
-            engine.step(PEvent::WorkDone { seq, expansion }, t);
+            engine.step(work.event(seq), t);
         }
     }
 
@@ -872,12 +870,12 @@ impl<E: Expander> ServiceEngine<E> {
 }
 
 impl<E: Expander + Clone + Send + 'static> ServiceEngine<E> {
-    /// Run subproblem expansion on `n` worker threads (a
-    /// [`WorkerPool`]) instead of inline in the event pump. `1` — the
-    /// default — keeps the historical inline path. The protocol state
-    /// machine stays on the pump thread either way, and each job still
-    /// has at most one expansion outstanding, so the solved optimum is
-    /// identical at every worker count; only wall time moves.
+    /// Run work units on `n` worker threads (a [`WorkerPool`]) instead
+    /// of inline in the event pump. `1` — the default — keeps the inline
+    /// path. The protocol state machine stays on the pump thread either
+    /// way, and each job still has at most one unit outstanding, so the
+    /// solved optimum is identical at every worker count; only wall time
+    /// moves.
     pub fn set_workers(&mut self, n: usize) {
         assert!(n >= 1, "a node needs at least one expansion worker");
         self.workers = n;

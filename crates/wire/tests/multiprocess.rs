@@ -12,10 +12,11 @@
 //! expansions again, while traffic addressed to its previous life is
 //! counted off as stale.
 
-use ftbb_bnb::{solve, Correlation, SolveConfig};
+use ftbb_bnb::{solve, Correlation, SelectRule, SolveConfig};
 use ftbb_wire::launcher::{launch, ClusterSpec, GossipTiming, JobStep, LifecycleEvent};
 use ftbb_wire::{KnapsackSpec, MaxSatSpec, ProblemSpec};
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
 
 fn noded() -> PathBuf {
@@ -45,19 +46,29 @@ fn base_spec(problem: ProblemSpec, nodes: u32, seed: u64) -> ClusterSpec {
     }
 }
 
-/// A problem big enough that a cluster runs for a while (~300k
-/// expansions; ~2 s single-node in debug, ~0.3 s for 5 release nodes), so
-/// kills at tens of milliseconds land mid-computation. Scenarios that must
-/// still be running hundreds of milliseconds in use [`lifecycle_problem`].
-/// A cluster is no faster than one node when its processes outnumber the
-/// cores.
+/// A problem big enough that a cluster runs for a while, so kills at tens
+/// of milliseconds land mid-computation: a failure-free solve outlasts the
+/// latest such kill (120 ms) by ≥ 2×, whatever the build profile, and a
+/// debug node expands ~10× slower than a release one. Debug runs the first
+/// 42-item instance from generator seed 0 up whose sequential depth-first
+/// solve takes 3.0–3.6 M expansions — seed 963, 3 181 153 expansions
+/// (single node ~1.8 s, 5 nodes on 2 cores ~2 s); release the first 50-item
+/// one with 9–11 M — seed 1168, 10 408 947 expansions (single node
+/// ~0.7 s, 5 nodes 0.4–0.9 s). Scenarios that must still be running
+/// hundreds of milliseconds in use [`lifecycle_problem`]. A cluster is no
+/// faster than one node when its processes outnumber the cores.
 fn heavy_problem() -> ProblemSpec {
+    let (n, seed) = if cfg!(debug_assertions) {
+        (42, 963)
+    } else {
+        (50, 1168)
+    };
     ProblemSpec::Knapsack(KnapsackSpec {
-        n: 42,
+        n,
         range: 120,
         correlation: Correlation::Strong,
         frac: 0.5,
-        seed: 3,
+        seed,
     })
 }
 
@@ -65,12 +76,12 @@ fn heavy_problem() -> ProblemSpec {
 /// running at a wall-clock deadline — a restart reaching its peers, or a
 /// dead node's suspicion at kill + `suspect_s`. A failure-free solve must
 /// outlast that deadline (0.65 s at most here) by ≥ 2×, whatever the build
-/// profile, and a debug node expands ~17× slower than a release one: debug
-/// runs [`heavy_problem`] (5 nodes, failure-free: ~4 s), release the first
-/// 60-item instance from generator seed 0 up whose sequential depth-first
-/// solve takes 2.0–2.4 M expansions — seed 14, 2 153 843 expansions (5
-/// nodes on 2 cores, failure-free: ~1.7 s; `heavy_problem` there finishes
-/// in ~0.3 s, before the deadlines).
+/// profile: debug runs [`heavy_problem`] (5 nodes, failure-free: ~2 s),
+/// release the first 60-item instance from generator seed 0 up whose
+/// sequential depth-first solve takes 55–65 M expansions — seed 423,
+/// 62 917 315 expansions (5 nodes on 2 cores, failure-free: ~2.2 s;
+/// `heavy_problem` there finishes in under a second, too close to the
+/// deadlines).
 fn lifecycle_problem() -> ProblemSpec {
     if cfg!(debug_assertions) {
         return heavy_problem();
@@ -80,15 +91,30 @@ fn lifecycle_problem() -> ProblemSpec {
         range: 120,
         correlation: Correlation::Strong,
         frac: 0.5,
-        seed: 14,
+        seed: 423,
     })
 }
 
 /// The sequential optimum for a spec — the oracle every surviving node
-/// must agree with.
+/// must agree with. Solved depth-first, as the nodes search (a best-first
+/// pool on the release [`lifecycle_problem`] peaks at ~10 M entries), and
+/// once per spec per test binary: the scenarios share their instances.
 fn reference_best(problem: &ProblemSpec) -> Option<f64> {
+    static SOLVED: Mutex<Vec<(ProblemSpec, Option<f64>)>> = Mutex::new(Vec::new());
+    let mut solved = SOLVED
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    if let Some((_, best)) = solved.iter().find(|(spec, _)| spec == problem) {
+        return *best;
+    }
     let instance = problem.instance().expect("materializable spec");
-    solve(&instance, &SolveConfig::default()).best
+    let config = SolveConfig {
+        rule: SelectRule::DepthFirst,
+        ..SolveConfig::default()
+    };
+    let best = solve(&instance, &config).best;
+    solved.push((problem.clone(), best));
+    best
 }
 
 #[test]
