@@ -85,13 +85,14 @@ impl WorkUnit {
     /// the node's own solution) finishes at once; the others are the
     /// frontier, left child first.
     pub fn one_node(code: &Code, expansion: Expansion, incumbent: f64) -> WorkUnit {
+        let solution = expansion.solution.filter(|&v| v < incumbent);
         let mut unit = WorkUnit {
-            solution: expansion.solution,
+            solution,
             expanded: 1,
             cost: expansion.cost,
             ..WorkUnit::default()
         };
-        let incumbent = expansion.solution.map_or(incumbent, |v| v.min(incumbent));
+        let incumbent = solution.unwrap_or(incumbent);
         match expansion.children {
             None => {
                 unit.fathomed = 1;
@@ -238,8 +239,7 @@ struct Pending<S> {
 /// The node at `depth` (branch `bit`) finished: count it against its
 /// parent's frame, closing every frame it completes. `frames[i]` stands at
 /// `base + i`, the unit's own code at `base`.
-fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, depth: usize, bit: bool) {
-    let (mut depth, mut bit) = (depth, bit);
+fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, mut depth: usize, mut bit: bool) {
     while depth > base {
         let frame = frames
             .last_mut()
@@ -259,15 +259,14 @@ fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, depth: usize, bi
 fn explore_with<W: Walk>(
     walk: &mut W,
     code: &Code,
-    incumbent: f64,
+    mut incumbent: f64,
     keep_going: &mut dyn FnMut(u64, f64) -> bool,
 ) -> WorkUnit {
     let base = walk.pairs().len();
     let mut unit = WorkUnit::default();
-    let mut incumbent = incumbent;
     let mut frames: Vec<Frame> = Vec::new();
     let mut stack: Vec<Pending<W::Child>> = Vec::new();
-    'units: loop {
+    'nodes: loop {
         // Expand the node the walk stands on.
         let depth = walk.pairs().len();
         let step = walk.expand_here();
@@ -310,11 +309,11 @@ fn explore_with<W: Walk>(
         while let Some(top) = stack.last() {
             if top.bound < incumbent {
                 if !keep_going(unit.expanded, unit.cost) {
-                    break 'units;
+                    break 'nodes;
                 }
                 let next = stack.pop().expect("peeked");
                 walk.enter(next.depth, next.pair, next.child);
-                continue 'units;
+                continue 'nodes;
             }
             let pruned = stack.pop().expect("peeked");
             unit.pruned += 1;
