@@ -96,6 +96,8 @@ pub struct BnbProcess {
     pruned_scratch: Vec<PoolEntry<Code>>,
     /// Reusable code buffer for report/gossip payload production.
     codes_scratch: Vec<Code>,
+    /// Reusable unit for [`PEvent::WorkDone`]'s one expansion.
+    one_node: WorkUnit,
 }
 
 impl BnbProcess {
@@ -144,6 +146,7 @@ impl BnbProcess {
             bound_flush_armed: false,
             pruned_scratch: Vec::new(),
             codes_scratch: Vec::new(),
+            one_node: WorkUnit::default(),
         };
         if seed_root {
             p.push_pool(Code::root(), root_bound);
@@ -305,19 +308,18 @@ impl BnbProcess {
     /// §5.3.1: the work in flight finished as one expansion: the unit of
     /// that one node, as the process's incumbent judges its children.
     fn expanded(&mut self, expansion: Expansion, now: SimTime, out: &mut Vec<Action>) {
-        let code = self
-            .current
-            .as_ref()
-            .expect("step guards on work in flight");
-        let unit = WorkUnit::one_node(code, expansion, self.incumbent);
-        self.absorb(unit, now, out);
+        let code = self.current.take().expect("step guards on work in flight");
+        let mut unit = std::mem::take(&mut self.one_node);
+        unit.set_one_node(code, expansion, self.incumbent);
+        self.absorb(&mut unit, now, out);
+        self.one_node = unit;
     }
 
     /// §5.3.1: the work unit in flight finished. Its solution is applied;
     /// its finished subtrees complete into the table (and the fresh set,
     /// counting every raw completion toward `c`); its open frontier goes
     /// back to the pool in the order the unit would have popped it.
-    fn absorb(&mut self, unit: WorkUnit, now: SimTime, out: &mut Vec<Action>) {
+    fn absorb(&mut self, unit: &mut WorkUnit, now: SimTime, out: &mut Vec<Action>) {
         self.current = None;
         self.metrics.expanded += unit.expanded;
         self.metrics.fathomed += unit.fathomed;
@@ -337,10 +339,10 @@ impl BnbProcess {
         // Every done code stands for at least one raw completion; the
         // unit's others ride on the first.
         let mut extra = unit.completions() - unit.done.len() as u64;
-        for code in unit.done {
+        for code in unit.done.drain(..) {
             self.complete(code, 1 + std::mem::take(&mut extra), now, out);
         }
-        for (code, bound) in unit.frontier {
+        for (code, bound) in unit.frontier.drain(..) {
             self.push_pool(code, bound);
         }
         self.start_next(now, out);
@@ -960,7 +962,7 @@ impl Protocol for BnbProcess {
             WorkDone { seq, .. } if seq != self.work_seq || self.current.is_none() => {}
             WorkDone { expansion, .. } => self.expanded(expansion, now, out),
             UnitDone { seq, .. } if seq != self.work_seq || self.current.is_none() => {}
-            UnitDone { unit, .. } => self.absorb(unit, now, out),
+            UnitDone { mut unit, .. } => self.absorb(&mut unit, now, out),
             // §5: on-demand work sharing; a deny or timeout no request awaits is stale.
             Recv { from, msg: Msg::WorkRequest { .. } } => self.share_work(from, out),
             Recv { from, msg: Msg::WorkGrant { items, .. } } => self.granted(from, items, now, out),

@@ -79,38 +79,43 @@ pub struct WorkUnit {
 }
 
 impl WorkUnit {
-    /// The unit of one expansion of `code`: what the protocol makes of an
-    /// [`Expansion`] when its incumbent is `incumbent`. A leaf finishes
-    /// `code`; a child whose bound cannot beat the incumbent (improved by
-    /// the node's own solution) finishes at once; the others are the
-    /// frontier, left child first.
-    pub fn one_node(code: &Code, expansion: Expansion, incumbent: f64) -> WorkUnit {
+    /// Make this the unit of one expansion of `code`: what the protocol
+    /// makes of an [`Expansion`] when its incumbent is `incumbent`. A leaf
+    /// finishes `code`; a child whose bound cannot beat the incumbent
+    /// (improved by the node's own solution) finishes at once; the others
+    /// are the frontier, left child first. Reuses the vectors' capacity:
+    /// the simulator turns every expansion into one.
+    pub fn set_one_node(&mut self, code: Code, expansion: Expansion, incumbent: f64) {
         let solution = expansion.solution.filter(|&v| v < incumbent);
-        let mut unit = WorkUnit {
+        let incumbent = solution.unwrap_or(incumbent);
+        let (mut done, mut frontier) = (
+            std::mem::take(&mut self.done),
+            std::mem::take(&mut self.frontier),
+        );
+        done.clear();
+        frontier.clear();
+        *self = WorkUnit {
+            done,
+            frontier,
             solution,
             expanded: 1,
             cost: expansion.cost,
             ..WorkUnit::default()
         };
-        let incumbent = solution.unwrap_or(incumbent);
-        match expansion.children {
-            None => {
-                unit.fathomed = 1;
-                unit.done.push(code.clone());
-            }
-            Some(pair) => {
-                for (bit, bound) in [(false, pair.left_bound), (true, pair.right_bound)] {
-                    let child = code.child(pair.var, bit);
-                    if bound >= incumbent {
-                        unit.eliminated += 1;
-                        unit.done.push(child);
-                    } else {
-                        unit.frontier.push((child, bound));
-                    }
-                }
+        let Some(pair) = expansion.children else {
+            self.fathomed = 1;
+            self.done.push(code);
+            return;
+        };
+        for (bit, bound) in [(false, pair.left_bound), (true, pair.right_bound)] {
+            let child = code.child(pair.var, bit);
+            if bound >= incumbent {
+                self.eliminated += 1;
+                self.done.push(child);
+            } else {
+                self.frontier.push((child, bound));
             }
         }
-        unit
     }
 
     /// Raw completions — each leaf fathomed, child eliminated and entry

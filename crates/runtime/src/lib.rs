@@ -18,9 +18,12 @@
 //! Differences from the simulator are confined to the harness:
 //!
 //! * time is `Instant`-based instead of virtual;
-//! * expansions run the actual [`ftbb_bnb::BranchBound`] computation:
-//!   codes are self-contained, and [`ftbb_core::ProblemExpander`]
-//!   replays only the suffix of a code past the path it last replayed;
+//! * work runs the actual [`ftbb_bnb::BranchBound`] computation, one
+//!   depth-first unit ([`ftbb_core::Expander::explore`]) per `StartWork`
+//!   for at most the report gap of wall time, where the simulator takes
+//!   one expansion: codes are self-contained, and
+//!   [`ftbb_core::ProblemExpander`] replays only the suffix of a code past
+//!   the path it last replayed;
 //! * crashes are injected by tripping a [`CrashSwitch`]: the thread stops
 //!   silently, and peers see only silence — the Crash failure model;
 //! * messages travel through the [`Transport`] (sends to dead nodes are

@@ -63,8 +63,8 @@ pub struct MetricsSnapshot {
     pub transport: TransportStats,
     /// Trace events shed so far by the telemetry sink's bounded queue.
     pub trace_events_dropped: u64,
-    /// Expansion worker threads driving this engine (1 = inline
-    /// expansion in the event pump, no pool).
+    /// Expansion worker threads driving this engine (1 = work units
+    /// inline in the event pump, no pool).
     pub workers: usize,
 }
 

@@ -546,9 +546,9 @@ impl<E: Expander> ServiceEngine<E> {
                 // Workers are computing: fold in what has arrived, then
                 // block on their results, not on the inbox — a result does
                 // not wake an inbox wait, so each pool unit would cost the
-                // whole wait. A message waits at most the 1 ms
-                // cap. The wait *is* expansion time, so it is charged to
-                // Expand, keeping the Figure-3 reconciliation honest.
+                // whole wait. A message waits at most the 1 ms cap. The
+                // wait *is* expansion time, so it is charged to Expand,
+                // keeping the Figure-3 reconciliation honest.
                 while let Ok(env) = inbox.try_recv() {
                     self.route(env, now(epoch), &mut phase, &mut mark);
                 }

@@ -654,11 +654,10 @@ node_keys! {
     forget_after_s: f64 = 3.0;
     POSITIVE, MEMBERSHIP, "SECS";
 
-    /// Expansion worker threads per node. `1` keeps expansion inline in
-    /// the event pump — the historical behaviour. Higher values run
-    /// subproblem expansion on a worker pool so multiple jobs expand
-    /// in parallel; the protocol state machine stays
-    /// single-threaded either way, so the optimum is identical.
+    /// Expansion worker threads per node. `1` keeps work units inline in
+    /// the event pump. Higher values run them on a worker pool so
+    /// multiple jobs expand in parallel; the protocol state machine
+    /// stays single-threaded either way, so the optimum is identical.
     workers: usize = 1;
     Range::Int(1, u64::MAX), PERFORMANCE, "N";
 

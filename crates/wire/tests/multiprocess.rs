@@ -863,7 +863,7 @@ fn hundred_process_gossip_cluster_caps_books_and_reaches_the_optimum() {
     // that both SIGKILLs land mid-run even with a 100-process startup
     // ramp, small enough that one core pushes 100 debug processes
     // through it well inside the deadline (an instance ~3.4x larger ran
-    // past 240 s at this scale; `heavy_problem` is ~11x larger).
+    // past 240 s at this scale; `heavy_problem` is over 100x larger).
     let problem = ProblemSpec::Knapsack(KnapsackSpec {
         n: 34,
         range: 120,
