@@ -44,7 +44,7 @@ pub mod transport;
 
 pub use harness::{holds_root, node_seed, run_cluster, ClusterConfig, ClusterOutcome};
 pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutcome};
-pub use pool::{unit_deadline, PoolExpander, Work, WorkerPool};
+pub use pool::{PoolExpander, Work, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};
 pub use telemetry::Telemetry;
 pub use transport::{Envelope, Mesh, Transport, TransportCounters, TransportStats};

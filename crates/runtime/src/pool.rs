@@ -42,7 +42,7 @@ const DEADLINE_POLL: u64 = 64;
 /// A work unit's `keep_going` (see [`Expander::explore`]): true until
 /// `budget` of wall time has passed since this call, with the clock read
 /// once every 64 expansions.
-pub fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
+pub(crate) fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
     let deadline = Instant::now() + budget;
     move |expanded, _| expanded % DEADLINE_POLL != 0 || Instant::now() < deadline
 }
@@ -195,8 +195,8 @@ impl WorkerPool {
 
     /// Queue one work unit below `code`, starting from `incumbent` and
     /// stopped once `budget` of wall time has passed since a worker took
-    /// it ([`unit_deadline`]). Non-blocking; the result comes back as
-    /// [`Work::Unit`].
+    /// it (the clock is read every 64 expansions). Non-blocking; the
+    /// result comes back as [`Work::Unit`].
     pub fn submit_unit(
         &mut self,
         job: u64,
