@@ -12,7 +12,7 @@
 //! cargo run --example tcp_cluster
 //! ```
 
-use ftbb::bnb::{solve, SolveConfig};
+use ftbb::bnb::{solve, SelectRule, SolveConfig};
 use ftbb::wire::launcher::{launch, ClusterSpec, LifecycleEvent};
 use ftbb::wire::{KnapsackSpec, ProblemSpec};
 use ftbb_bnb::Correlation;
@@ -44,15 +44,21 @@ fn find_noded() -> PathBuf {
 }
 
 fn main() {
+    // ~3.2 M depth-first expansions: a debug cluster of five runs for
+    // about two seconds, so the restart at 400 ms rejoins a live cluster.
     let problem = ProblemSpec::Knapsack(KnapsackSpec {
-        n: 36,
+        n: 42,
         range: 120,
         correlation: Correlation::Strong,
         frac: 0.5,
-        seed: 3,
+        seed: 963,
     });
     println!("solving the reference sequentially…");
-    let reference = solve(&problem.instance().unwrap(), &SolveConfig::default());
+    let config = SolveConfig {
+        rule: SelectRule::DepthFirst,
+        ..SolveConfig::default()
+    };
+    let reference = solve(&problem.instance().unwrap(), &config);
     println!("sequential optimum: {:?}", reference.best);
 
     // Lifecycle plan: SIGKILL two nodes mid-run, then bring node 1 back
