@@ -29,7 +29,7 @@ use crate::noded::{
     ParsedJob, ParsedMetrics, ParsedOutcome, ParsedService,
 };
 use crate::submit::{submit_job, SubmitOutcome};
-use crossbeam::channel::{unbounded, Receiver};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use ftbb_core::{JobId, TraceEvent};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -816,6 +816,28 @@ pub fn launch(spec: &ClusterSpec) -> Result<ClusterReport, LaunchError> {
     let mut outcomes: Vec<Option<ParsedOutcome>> = (0..total).map(|_| None).collect();
     let mut services: Vec<Option<ParsedService>> = (0..total).map(|_| None).collect();
     for id in 0..total {
+        // A node's exit closes its stdout, so its reader thread sees EOF
+        // and drops the sender: blocking on the line stream notices the
+        // exit the moment it happens, where polling the child would add up
+        // to one poll period to every measured solve. Every line is
+        // scanned: interval FTBB-METRICS snapshots and the final
+        // FTBB-OUTCOME ride the same stream.
+        let mut lines = Vec::new();
+        loop {
+            match nodes[id]
+                .lines
+                .recv_timeout(patience.saturating_sub(start.elapsed()))
+            {
+                Ok(line) => lines.push(line),
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {
+                    reap_all(&mut nodes);
+                    return Err(LaunchError::Timeout { id: id as u32 });
+                }
+            }
+        }
+        // EOF comes with the exit, so the reap is immediate; the loop only
+        // guards a node that closed stdout and kept running.
         loop {
             match nodes[id].child.try_wait() {
                 Ok(Some(_)) => break,
@@ -827,14 +849,10 @@ pub fn launch(spec: &ClusterSpec) -> Result<ClusterReport, LaunchError> {
                     reap_all(&mut nodes);
                     return Err(LaunchError::Timeout { id: id as u32 });
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(20)),
+                Ok(None) => std::thread::sleep(Duration::from_millis(1)),
             }
         }
-        // The node exited, so its reader thread sees EOF and drops the
-        // sender; a blocking drain terminates promptly. Every line is
-        // scanned: interval FTBB-METRICS snapshots and the final
-        // FTBB-OUTCOME ride the same stream.
-        for line in nodes[id].lines.iter() {
+        for line in lines {
             if let Some(m) = parse_metrics_line(&line) {
                 metrics[id].push(m);
             } else if let Some(o) = parse_outcome_line(&line) {
