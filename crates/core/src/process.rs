@@ -337,10 +337,12 @@ impl BnbProcess {
             self.update_incumbent(v, out);
         }
         // Every done code stands for at least one raw completion; the
-        // unit's others ride on the first.
+        // unit's others ride on the first code the table takes in.
         let mut extra = unit.completions() - unit.done.len() as u64;
         for code in unit.done.drain(..) {
-            self.complete(code, 1 + std::mem::take(&mut extra), now, out);
+            if self.complete(code, 1 + extra, now, out) {
+                extra = 0;
+            }
         }
         for (code, bound) in unit.frontier.drain(..) {
             self.push_pool(code, bound);
@@ -683,10 +685,10 @@ impl BnbProcess {
     // ------------------------------------------------------------------
 
     /// `code` finished locally, contracting `raw` completions (`c` counts
-    /// those, not codes).
-    fn complete(&mut self, code: Code, raw: u64, now: SimTime, out: &mut Vec<Action>) {
+    /// those, not codes). False when the table already covered it.
+    fn complete(&mut self, code: Code, raw: u64, now: SimTime, out: &mut Vec<Action>) -> bool {
         if self.table.contains(&code) {
-            return; // someone else already reported it
+            return false; // someone else already reported it
         }
         let merge = self.table.insert(&code);
         self.count_merge(merge);
@@ -699,6 +701,7 @@ impl BnbProcess {
             }
         }
         self.check_termination(out);
+        true
     }
 
     fn count_merge(&mut self, merge: MergeOutcome) {
@@ -1930,6 +1933,34 @@ mod tests {
         assert!(reports(&actions).is_empty());
         assert_eq!(p.fresh_count, 7);
         assert_eq!(p.metrics().fathomed, 15);
+    }
+
+    #[test]
+    fn unit_completions_skip_codes_the_table_already_holds() {
+        // A peer reported the unit's first done code while it ran: the
+        // unit's extra completions ride on the next code the table takes.
+        let mut p = mk_root_holder();
+        let (root, seq) = started(&p.handle(PEvent::Start, t0())).expect("starts");
+        let (covered, left) = (root.child(1, true), root.child(1, false));
+        p.handle(
+            PEvent::Recv {
+                from: 1,
+                msg: report_of(vec![covered.clone()]),
+            },
+            t0(),
+        );
+        let unit = WorkUnit {
+            done: vec![covered, left.child(2, true)],
+            frontier: vec![(left.child(2, false), 0.1)],
+            expanded: 9,
+            fathomed: 7,
+            cost: 0.009,
+            ..WorkUnit::default()
+        };
+        let actions = p.handle(PEvent::UnitDone { seq, unit }, t0());
+        assert!(reports(&actions).is_empty());
+        assert_eq!(p.fresh_count, 6);
+        assert!(p.table().contains(&left.child(2, true)));
     }
 
     #[test]

@@ -397,52 +397,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_units_on_workers_solve_the_tree_as_the_engine_does() {
-        let (tree, solved) = dfs_tree(8);
-        assert!(
-            solved.stats.expanded > 10 * DEADLINE_POLL,
-            "the tree takes many units"
-        );
+    fn a_zero_budget_unit_on_a_worker_stops_at_the_first_clock_read() {
+        let (tree, _) = dfs_tree(8);
+        let mut inline = TreeExpander::new(tree.clone());
+        let mut first_read = |n: u64, _| !n.is_multiple_of(DEADLINE_POLL);
+        let root = Expander::explore(&mut inline, &Code::root(), f64::INFINITY, &mut first_read);
+        assert_eq!(root.expanded, DEADLINE_POLL, "the tree outlasts one poll");
+
         let mut pool = WorkerPool::new(2);
         pool.register(1, Box::new(TreeExpander::new(tree)));
-        // The protocol's bookkeeping in miniature: a depth-first pool of
-        // frontier codes and a table of done codes.
-        let mut frontier = ftbb_bnb::Pool::new(ftbb_bnb::SelectRule::DepthFirst);
-        let mut table = ftbb_tree::CodeSet::new();
-        let (mut incumbent, mut expanded) = (f64::INFINITY, 0);
-        let (mut next, mut seq) = (Some(Code::root()), 0);
-        while let Some(code) = next {
-            seq += 1;
-            pool.submit_unit(1, seq, code, incumbent, Duration::ZERO);
+        let frontier = root.frontier.iter().map(|(code, _)| code.clone());
+        for (seq, code) in std::iter::once(Code::root()).chain(frontier).enumerate() {
+            pool.submit_unit(1, seq as u64, code.clone(), f64::INFINITY, Duration::ZERO);
             let (_, got, work) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
-            assert_eq!(got, seq);
-            let Work::Unit(unit) = work else {
-                panic!("submit_unit asks for a unit")
-            };
-            // A zero budget stops at the first clock read.
-            assert!(unit.expanded <= DEADLINE_POLL);
-            expanded += unit.expanded;
-            incumbent = unit.solution.map_or(incumbent, |v| v.min(incumbent));
-            table.merge(&unit.done);
-            for (code, bound) in unit.frontier {
-                let depth = code.depth() as u32;
-                frontier.push(ftbb_bnb::PoolEntry {
-                    bound,
-                    depth,
-                    node: code,
-                });
-            }
-            let mut pruned = Vec::new();
-            next = frontier
-                .pop_improving(incumbent, &mut pruned)
-                .map(|e| e.node);
-            for entry in pruned {
-                table.insert(&entry.node);
-            }
+            assert_eq!(got, seq as u64);
+            let want = Expander::explore(&mut inline, &code, f64::INFINITY, &mut first_read);
+            assert_eq!(work, Work::Unit(want), "code {code}");
         }
-        assert!(table.is_root_done());
-        assert_eq!(expanded, solved.stats.expanded);
-        assert_eq!(Some(incumbent), solved.best);
     }
 
     #[test]
