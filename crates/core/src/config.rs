@@ -47,14 +47,19 @@ pub struct ProtocolConfig {
     /// suspected after a machine unsuccessfully tries to get work"). Like
     /// the other patience knobs it gates only the first recovery of an
     /// outage: later complement codes follow back to back until a peer
-    /// brings news (see `recovery_quiet_s`).
+    /// brings news (see `recovery_quiet_s`). After a silent round (see
+    /// `lb_rounds_before_recovery`) it is paid once.
     pub recovery_delay_s: f64,
     /// Full load-balancing rounds (each three requests plus a
     /// `recovery_delay_s` pause) that must fail consecutively before the
     /// process suspects lost work and recovers by complementing. Higher
     /// values trade recovery latency for less redundant work — the paper's
     /// §6.3.1 tuning discussion. Paid once per outage, not per recovered
-    /// subtree.
+    /// subtree. A *silent* round — all three requests timed out, none
+    /// denied — stands for all of them: a peer that neither grants nor
+    /// denies is evidence enough, so its one fuse goes straight to the
+    /// `recovery_quiet_s` gate. One deny keeps the full count: the peer is
+    /// alive and starvation is load imbalance.
     pub lb_rounds_before_recovery: u32,
     /// Recovery additionally requires this many seconds without *news*
     /// (new completion codes, or granted work). While reports carrying new
@@ -65,7 +70,10 @@ pub struct ProtocolConfig {
     /// recovery starts, the process keeps re-solving the complement without
     /// re-waiting any of these knobs until news arrives (a report that
     /// inserts a code, or a non-empty grant); then the next idle spell
-    /// seeks work again and the full patience applies anew.
+    /// seeks work again and the full patience applies anew. A silent round
+    /// (see `lb_rounds_before_recovery`) skips the remaining rounds but not
+    /// this gate: its first recovery waits
+    /// `max(3 · lb_timeout_s + recovery_delay_s, recovery_quiet_s)`.
     pub recovery_quiet_s: f64,
     /// Maximum subproblems donated per work grant.
     pub grant_max: usize,

@@ -103,6 +103,11 @@ mergeable_struct! {
         pub lb_timeouts: u64,
         /// Complement recoveries performed (§5.3.2 failure repair).
         pub recoveries: u64,
+        /// Load-balancing rounds whose every request timed out — no
+        /// grant, no deny. Each arms a fuse that stands for all
+        /// `lb_rounds_before_recovery` rounds; non-zero in a failure-free
+        /// run means a spurious early recovery.
+        pub silent_rounds: u64,
         /// Expansions interrupted because gossip revealed them redundant.
         pub redundant_interrupts: u64,
         /// Contraction merge operations (code insertions processed).

@@ -56,6 +56,9 @@ pub struct BnbProcess {
     /// when it left (for [`ProcMetrics::grant_wait_s`]).
     lb_awaiting: Option<(u32, u32, SimTime)>,
     lb_failures: u32,
+    /// How many of this round's `lb_failures` were timeouts: a round
+    /// whose every request timed out is silent (see [`Self::no_grant`]).
+    lb_silent: u32,
     /// Consecutive fully-failed LB rounds since the last successful work.
     lb_cycles: u32,
     recovery_seq: u32,
@@ -129,6 +132,7 @@ impl BnbProcess {
             lb_seq: 0,
             lb_awaiting: None,
             lb_failures: 0,
+            lb_silent: 0,
             lb_cycles: 0,
             recovery_seq: 0,
             recovering: false,
@@ -387,6 +391,7 @@ impl BnbProcess {
             self.metrics.grant_wait_s += now.saturating_sub(sent).as_secs_f64();
         }
         self.lb_failures = 0;
+        self.lb_silent = 0;
         if !items.is_empty() {
             self.last_news = now;
             self.recovering = false;
@@ -405,7 +410,10 @@ impl BnbProcess {
 
     /// §5: the awaited work request failed (denied or timed out). An idle
     /// process asks someone else, or arms the recovery fuse after
-    /// [`LB_ATTEMPTS`] failures.
+    /// [`LB_ATTEMPTS`] failures. A silent round — every request timed out,
+    /// none denied — stands for all `lb_rounds_before_recovery` rounds: a
+    /// peer that neither grants nor denies is evidence enough, so its fuse
+    /// goes straight to the quiet gate.
     fn no_grant(&mut self, now: SimTime, out: &mut Vec<Action>) {
         self.lb_awaiting = None;
         if !self.is_idle() {
@@ -413,7 +421,12 @@ impl BnbProcess {
         }
         self.lb_failures += 1;
         if self.lb_failures >= LB_ATTEMPTS {
+            if self.lb_silent >= LB_ATTEMPTS {
+                self.metrics.silent_rounds += 1;
+                self.lb_cycles = self.cfg.lb_rounds_before_recovery.saturating_sub(1);
+            }
             self.lb_failures = 0;
+            self.lb_silent = 0;
             self.arm_recovery(out);
         } else {
             self.seek_work(now, out);
@@ -469,9 +482,14 @@ impl BnbProcess {
         ));
     }
 
-    /// §5: the awaited work request went unanswered.
+    /// §5: the awaited work request went unanswered. Only an idle
+    /// process's timeout counts toward a silent round: one that lands
+    /// after work arrived fails no round at all.
     fn timed_out(&mut self, now: SimTime, out: &mut Vec<Action>) {
         self.metrics.lb_timeouts += 1;
+        if self.is_idle() {
+            self.lb_silent += 1;
+        }
         self.no_grant(now, out);
     }
 
@@ -1522,6 +1540,184 @@ mod tests {
         expected.sort();
         assert_eq!(seen, expected);
         assert_eq!(p.metrics().recoveries, u64::from(K));
+    }
+
+    fn secs(s: f64) -> SimTime {
+        SimTime::from_secs_f64(s)
+    }
+
+    /// The load-balancing timeout `actions` arm, if any.
+    fn lb_timeout(actions: &[Action]) -> Option<u32> {
+        actions.iter().find_map(|a| match a {
+            Action::SetTimer {
+                timer: PTimer::LbTimeout(seq),
+                ..
+            } => Some(*seq),
+            _ => None,
+        })
+    }
+
+    /// The recovery fuse `actions` arm, if any.
+    fn fuse(actions: &[Action]) -> Option<u32> {
+        actions.iter().find_map(|a| match a {
+            Action::SetTimer {
+                timer: PTimer::RecoveryFuse(seq),
+                ..
+            } => Some(*seq),
+            _ => None,
+        })
+    }
+
+    /// Fire `n` request timeouts, starting with the request `actions`
+    /// sent, each `lb_timeout_s` after the last from `t` on. Returns the
+    /// last step's actions and its time.
+    fn time_out(
+        p: &mut BnbProcess,
+        mut actions: Vec<Action>,
+        mut t: f64,
+        n: u32,
+    ) -> (Vec<Action>, f64) {
+        for _ in 0..n {
+            let seq = lb_timeout(&actions).expect("a request is pending");
+            t += p.config().lb_timeout_s;
+            actions = p.handle(PEvent::Timer(PTimer::LbTimeout(seq)), secs(t));
+        }
+        (actions, t)
+    }
+
+    /// Deny the request `actions` sent.
+    fn deny(p: &mut BnbProcess, actions: &[Action], t: f64) -> Vec<Action> {
+        let from = request_target(actions).expect("a request is pending");
+        let msg = Msg::WorkDeny {
+            incumbent: f64::INFINITY,
+        };
+        p.handle(PEvent::Recv { from, msg }, secs(t))
+    }
+
+    /// Burn the fuse `actions` armed at `t`, `recovery_delay_s` later.
+    fn burn(p: &mut BnbProcess, actions: &[Action], t: f64) -> (Vec<Action>, f64) {
+        let seq = fuse(actions).expect("the fuse is armed");
+        let t = t + p.config().recovery_delay_s;
+        let actions = p.handle(PEvent::Timer(PTimer::RecoveryFuse(seq)), secs(t));
+        (actions, t)
+    }
+
+    #[test]
+    fn three_timeouts_arm_one_fuse_then_recover_after_the_quiet_window() {
+        let mut p = mk_idle(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let (actions, t) = time_out(&mut p, actions, 0.0, LB_ATTEMPTS);
+        assert_eq!(p.metrics().silent_rounds, 1);
+        // Three 0.5 s timeouts and the 1 s fuse clear the 2 s quiet window.
+        let (actions, t) = burn(&mut p, &actions, t);
+        assert!(t >= p.config().recovery_quiet_s);
+        let (code, _) = started(&actions).expect("the one fuse recovers");
+        assert!(code.is_root());
+        assert_eq!(p.metrics().recoveries, 1);
+        assert_eq!(p.metrics().work_requests_sent, u64::from(LB_ATTEMPTS));
+    }
+
+    #[test]
+    fn one_deny_among_the_three_keeps_the_full_cascade() {
+        let mut p = mk_idle(1);
+        let mut actions = p.handle(PEvent::Start, t0());
+        let rounds = p.config().lb_rounds_before_recovery;
+        let mut t = 0.0;
+        for round in 1..=rounds {
+            (actions, t) = time_out(&mut p, actions, t, LB_ATTEMPTS - 1);
+            actions = deny(&mut p, &actions, t);
+            (actions, t) = burn(&mut p, &actions, t);
+            if round < rounds {
+                assert!(started(&actions).is_none(), "round {round}");
+                assert!(request_target(&actions).is_some(), "round {round}");
+            }
+        }
+        assert!(started(&actions).is_some());
+        assert_eq!(p.metrics().recoveries, 1);
+        assert_eq!(p.metrics().silent_rounds, 0);
+    }
+
+    #[test]
+    fn a_report_mid_round_still_defers_recovery_through_the_quiet_gate() {
+        let mut p = mk_idle(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let (actions, t) = time_out(&mut p, actions, 0.0, 1);
+        // A peer's report inserts a code: the computation is alive.
+        let msg = report_of(vec![all_left(2)]);
+        p.handle(PEvent::Recv { from: 0, msg }, secs(0.6));
+        let (actions, t) = time_out(&mut p, actions, t, LB_ATTEMPTS - 1);
+        assert_eq!(p.metrics().silent_rounds, 1);
+        // 2.5 s in, but 1.9 s after the news: the gate defers.
+        let (actions, t) = burn(&mut p, &actions, t);
+        assert!(started(&actions).is_none());
+        assert_eq!(p.metrics().recoveries, 0);
+        // The deferred fuse runs another round; its fuse recovers.
+        let (actions, t) = burn(&mut p, &actions, t);
+        assert!(request_target(&actions).is_some());
+        let (actions, t) = time_out(&mut p, actions, t, LB_ATTEMPTS);
+        let (actions, _) = burn(&mut p, &actions, t);
+        assert!(started(&actions).is_some());
+        assert_eq!(p.metrics().recoveries, 1);
+        assert_eq!(p.metrics().silent_rounds, 2);
+    }
+
+    #[test]
+    fn a_timeout_after_work_arrived_is_not_silent() {
+        let mut p = mk_idle(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let asked = request_target(&actions).unwrap();
+        let seq = lb_timeout(&actions).unwrap();
+        // A member nobody asked grants work; then the request times out.
+        let from = if asked == 0 { 2 } else { 0 };
+        let msg = grant_of([chain_code(1)].into_iter());
+        let work = started(&p.handle(PEvent::Recv { from, msg }, secs(0.1))).unwrap();
+        let actions = p.handle(PEvent::Timer(PTimer::LbTimeout(seq)), secs(0.5));
+        assert!(actions.is_empty());
+        assert_eq!(p.metrics().lb_timeouts, 1);
+        // Two timeouts and a deny after the work: that timeout must not
+        // make up the third.
+        let expansion = leaf_expansion(1.0, None);
+        let done = PEvent::WorkDone {
+            seq: work.1,
+            expansion,
+        };
+        let actions = p.handle(done, secs(0.6));
+        let (actions, t) = time_out(&mut p, actions, 0.6, LB_ATTEMPTS - 1);
+        let actions = deny(&mut p, &actions, t);
+        assert_eq!(p.metrics().silent_rounds, 0);
+        let (actions, _) = burn(&mut p, &actions, t);
+        assert!(started(&actions).is_none());
+        assert!(request_target(&actions).is_some());
+    }
+
+    #[test]
+    fn a_silent_round_recovery_chains_as_before() {
+        const K: u16 = 3;
+        let mut p = mk_idle(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let msg = report_of(vec![all_left(K)]);
+        p.handle(PEvent::Recv { from: 0, msg }, t0());
+        let (actions, t) = time_out(&mut p, actions, 0.0, LB_ATTEMPTS);
+        let (mut actions, t) = burn(&mut p, &actions, t);
+        // Each finished code starts the next at once, with no patience.
+        let mut seen = Vec::new();
+        while let Some(work) = started(&actions) {
+            seen.push(work.0.clone());
+            let expansion = leaf_expansion(1.0, None);
+            let done = PEvent::WorkDone {
+                seq: work.1,
+                expansion,
+            };
+            actions = p.handle(done, secs(t));
+            assert!(!arms_patience(&actions));
+        }
+        assert!(p.is_terminated());
+        seen.sort();
+        let mut expected: Vec<Code> = (1..=K).map(chain_code).collect();
+        expected.sort();
+        assert_eq!(seen, expected);
+        assert_eq!(p.metrics().recoveries, u64::from(K));
+        assert_eq!(p.metrics().silent_rounds, 1);
     }
 
     #[test]

@@ -613,11 +613,14 @@ impl<E: Expander> ServiceEngine<E> {
                             .emit("forget", &[("peer", peer.to_string())]),
                     }
                 }
-                let recoveries = engine.core.metrics().recoveries;
+                let metrics = engine.core.metrics();
+                let recoveries = metrics.recoveries;
                 if recoveries > engine.last_recoveries {
-                    engine
-                        .telemetry
-                        .emit("recovery", &[("total", recoveries.to_string())]);
+                    let silent = metrics.silent_rounds.to_string();
+                    engine.telemetry.emit(
+                        "recovery",
+                        &[("total", recoveries.to_string()), ("silent_rounds", silent)],
+                    );
                     engine.last_recoveries = recoveries;
                 }
             }

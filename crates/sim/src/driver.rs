@@ -279,6 +279,7 @@ pub fn run_protocol<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftbb_core::Msg;
     use ftbb_dib::{Central, DibProcess};
     use ftbb_gossip::MembershipConfig;
     use ftbb_tree::{random_basic_tree, TreeConfig};
@@ -403,7 +404,7 @@ mod tests {
         let mut cfg = quick_cfg(6, 5);
         cfg.failures = crashes(&[(2, 300), (3, 400), (4, 500)]);
         let report = run_sim(&tree(2001, 100), &cfg);
-        let expected = (SimTime::from_nanos(4_012_317_504), 605, 331, 0, 1012, 0);
+        let expected = (SimTime::from_nanos(4_148_030_725), 605, 316, 0, 992, 0);
         assert_eq!(pinned(&report), expected, "static");
         // Gossip membership with two crashes: the survivors suspect and
         // then forget the dead, and recover their lost work.
@@ -435,6 +436,42 @@ mod tests {
         assert_eq!(report.best, tree.optimal());
         assert!(report.procs[1].crashed_at.is_some());
         assert!(report.procs[1].halted_at.is_none());
+    }
+
+    #[test]
+    fn a_silent_round_is_the_survivors_whole_patience() {
+        // Process 1 dies mid-run; the survivor's requests to it go
+        // unanswered, and that one silent round is all it waits before
+        // recovering, once the quiet window has passed.
+        let tree = small_tree();
+        let mut cfg = quick_cfg(2, 41);
+        cfg.protocol.recovery_quiet_s = 0.5;
+        cfg.trace = true;
+        let crash = SimTime::from_millis(400);
+        cfg.failures = vec![(1, crash)];
+        let report = run_sim(&tree, &cfg);
+        assert!(report.all_live_terminated);
+        assert_eq!(report.best, tree.optimal());
+        let survivor = &report.procs[0].metrics;
+        assert!(survivor.recoveries >= 1 && survivor.silent_rounds >= 1);
+        // The survivor's first idle spell after the crash ends in its first
+        // recovery: nobody else is left to grant work.
+        let timeline = &report.timelines.as_ref().expect("tracing on")[0];
+        let idle = timeline
+            .iter()
+            .position(|iv| iv.state == "idle" && iv.start >= crash)
+            .expect("the survivor idles");
+        let (idle, recovery) = (&timeline[idle], &timeline[idle + 1]);
+        assert_eq!(recovery.state, "bb");
+        // One round of three timed-out requests, one fuse, and at most one
+        // message in flight; never before the quiet window.
+        let p = &cfg.protocol;
+        let request = Msg::WorkRequest { incumbent: 0.0 };
+        let bytes = request.wire_size() + cfg.network.header_bytes;
+        let latency = SimTime::from_millis_f64(cfg.network.latency.mean_ms(bytes));
+        let patience = SimTime::from_secs_f64(3.0 * p.lb_timeout_s + p.recovery_delay_s);
+        assert!(recovery.start <= idle.start + patience + latency);
+        assert!(recovery.start >= idle.start + SimTime::from_secs_f64(p.recovery_quiet_s));
     }
 
     #[test]

@@ -152,6 +152,53 @@ fn five_processes_two_sigkills_still_reach_the_optimum() {
     }
 }
 
+/// The silent-round regression: a gossip-mode duo whose node 1 is
+/// SIGKILLed mid-run (the [`heavy_problem`] kill placement). The
+/// survivor's work requests to the dead node neither grant nor deny, so
+/// one unanswered load-balancing round is all the patience it pays before
+/// re-solving the lost work — visible as `silent_rounds` on its last
+/// `FTBB-METRICS` snapshot. Its idle time is printed, not asserted.
+///
+/// Suspicion is set past the run: the survivor's own half of this
+/// instance outlasts the daemon's default 0.5 s, and a suspected peer is
+/// no longer asked for work, so no round would be played against it.
+#[test]
+fn two_node_kill_survivor_recovers_after_one_silent_round() {
+    let problem = heavy_problem();
+    let reference = reference_best(&problem);
+    assert!(reference.is_some(), "instance must be feasible");
+
+    let mut spec = base_spec(problem, 2, 37);
+    spec.gossip = Some(GossipTiming {
+        suspect_s: 30.0,
+        forget_s: 60.0,
+        ..GossipTiming::default()
+    });
+    spec.metrics_every_s = Some(0.25);
+    spec.lifecycle = vec![LifecycleEvent::kill(1, Duration::from_millis(60))];
+    let report = launch(&spec).expect("cluster launches");
+
+    assert_eq!(
+        report.killed,
+        vec![1],
+        "node 1 must die mid-run: {report:?}"
+    );
+    assert!(
+        report.all_survivors_terminated,
+        "the survivor failed to terminate: {:?}",
+        report.outcomes
+    );
+    assert_eq!(report.best, reference);
+    let survivor = report.outcomes[0].as_ref().expect("node 0 reports");
+    let last = report.metrics[0].last().expect("node 0 reports metrics");
+    println!(
+        "survivor: idle_s={:.4} recoveries={} silent_rounds={} suspected={}",
+        last.phase.idle_s, survivor.recoveries, last.silent_rounds, survivor.suspected
+    );
+    assert!(survivor.recoveries >= 1, "{survivor:?}");
+    assert!(last.silent_rounds >= 1, "{last:?}");
+}
+
 /// The startup-skew regression: before connection pre-establishment, the
 /// root's first work grants were silently dropped while its peers'
 /// listeners were still coming up (connect backoff), so the root solved
