@@ -398,13 +398,24 @@ mod tests {
                 report.redundant_expansions,
                 report.engine.events_dispatched,
                 totals.peers_suspected + totals.peers_forgotten,
+                report.storage_peak_bytes,
+                report.storage_redundant_bytes,
             )
         };
         // The staggered-crash scenario above, on a static member list.
         let mut cfg = quick_cfg(6, 5);
         cfg.failures = crashes(&[(2, 300), (3, 400), (4, 500)]);
         let report = run_sim(&tree(2001, 100), &cfg);
-        let expected = (SimTime::from_nanos(4_148_030_725), 605, 316, 0, 992, 0);
+        let expected = (
+            SimTime::from_nanos(4_148_030_725),
+            605,
+            316,
+            0,
+            992,
+            0,
+            1312,
+            206,
+        );
         assert_eq!(pinned(&report), expected, "static");
         // Gossip membership with two crashes: the survivors suspect and
         // then forget the dead, and recover their lost work.
@@ -421,7 +432,16 @@ mod tests {
         let totals = &report.totals;
         assert!(totals.peers_suspected > 0 && totals.peers_forgotten > 0);
         assert!(totals.recoveries > 0 && report.all_live_terminated);
-        let expected = (SimTime::from_nanos(6_963_974_761), 1124, 1263, 8, 3151, 16);
+        let expected = (
+            SimTime::from_nanos(6_963_974_761),
+            1124,
+            1263,
+            8,
+            3151,
+            16,
+            2146,
+            398,
+        );
         assert_eq!(pinned(&report), expected, "gossip");
     }
 

@@ -7,7 +7,7 @@ use ftbb_des::SimTime;
 use ftbb_net::Network;
 use ftbb_tree::Code;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Overhead model: how much process time the protocol machinery costs.
 /// These are the knobs behind the paper's Figure 3 cost breakdown.
@@ -52,9 +52,18 @@ pub struct Shared {
     /// Expansions of a code some process had already expanded.
     pub redundant_expansions: u64,
     /// Latest table snapshot (minimal codes) per process.
-    pub table_codes: Vec<Vec<Code>>,
+    table_codes: Vec<Vec<Code>>,
     /// Latest pool+fresh wire bytes per process.
-    pub aux_bytes: Vec<usize>,
+    aux_bytes: Vec<usize>,
+    /// How many of the latest table snapshots hold each code (a code no
+    /// snapshot holds has no entry). Only looked up, never iterated.
+    holders: HashMap<Code, u32>,
+    /// Σ wire bytes of the latest table snapshots.
+    table_bytes: usize,
+    /// Σ wire bytes of the distinct codes in those snapshots.
+    distinct_bytes: usize,
+    /// Σ `aux_bytes`.
+    aux_total: usize,
     /// Peak of the summed storage (wire bytes of tables + aux).
     pub peak_storage_sum: usize,
     /// Duplicated information at the peak: bytes of table codes stored at
@@ -79,6 +88,10 @@ impl Shared {
             redundant_expansions: 0,
             table_codes: vec![Vec::new(); nprocs],
             aux_bytes: vec![0; nprocs],
+            holders: HashMap::new(),
+            table_bytes: 0,
+            distinct_bytes: 0,
+            aux_total: 0,
             peak_storage_sum: 0,
             peak_storage_redundant: 0,
             halted_at: vec![None; nprocs],
@@ -90,19 +103,49 @@ impl Shared {
 
     /// Record a storage sample for one process and update the peaks.
     /// `table_codes` is the process's contracted table; `aux` the wire
-    /// bytes of its pool and pending-report codes.
+    /// bytes of its pool and pending-report codes. The totals are kept by
+    /// delta: a sample costs a hash-map update per code of this table and
+    /// of the process's previous one, and a new peak costs nothing more.
     pub fn sample_storage(&mut self, pid: usize, table_codes: Vec<Code>, aux: usize) {
-        self.table_codes[pid] = table_codes;
+        // Count the new snapshot in before the old one out, so a code
+        // held in both never drops to zero holders and leaves the map.
+        for code in &table_codes {
+            let size = code.wire_size();
+            self.table_bytes += size;
+            match self.holders.get_mut(code) {
+                Some(n) => *n += 1,
+                None => {
+                    self.holders.insert(code.clone(), 1);
+                    self.distinct_bytes += size;
+                }
+            }
+        }
+        let old = std::mem::replace(&mut self.table_codes[pid], table_codes);
+        self.forget_table(old);
+        self.aux_total = self.aux_total - self.aux_bytes[pid] + aux;
         self.aux_bytes[pid] = aux;
-        let wire = |codes: &[Code]| codes.iter().map(|c| c.wire_size()).sum::<usize>();
-        let tables: usize = self.table_codes.iter().map(|c| wire(c)).sum();
-        let sum = tables + self.aux_bytes.iter().sum::<usize>();
+        let sum = self.table_bytes + self.aux_total;
         if sum > self.peak_storage_sum {
             self.peak_storage_sum = sum;
             // Bytes of codes stored at more than one site.
-            let distinct: BTreeSet<&Code> = self.table_codes.iter().flatten().collect();
-            let distinct_bytes: usize = distinct.iter().map(|c| c.wire_size()).sum();
-            self.peak_storage_redundant = tables.saturating_sub(distinct_bytes);
+            self.peak_storage_redundant = self.table_bytes - self.distinct_bytes;
+        }
+    }
+
+    /// Take one table snapshot's codes out of the storage totals.
+    fn forget_table(&mut self, codes: Vec<Code>) {
+        for code in codes {
+            let size = code.wire_size();
+            self.table_bytes -= size;
+            let n = self
+                .holders
+                .get_mut(&code)
+                .expect("a snapshot's codes are counted");
+            *n -= 1;
+            if *n == 0 {
+                self.holders.remove(&code);
+                self.distinct_bytes -= size;
+            }
         }
     }
 
@@ -127,8 +170,9 @@ impl Shared {
     /// Record a crash.
     pub fn record_crash(&mut self, pid: usize, at: SimTime) {
         self.crashed_at[pid] = Some(at);
-        self.table_codes[pid].clear();
-        self.aux_bytes[pid] = 0;
+        let table = std::mem::take(&mut self.table_codes[pid]);
+        self.forget_table(table);
+        self.aux_total -= std::mem::take(&mut self.aux_bytes[pid]);
     }
 }
 
@@ -136,6 +180,7 @@ impl Shared {
 mod tests {
     use super::*;
     use ftbb_net::NetworkConfig;
+    use std::collections::BTreeSet;
 
     fn shared(n: usize) -> Shared {
         Shared::new(
@@ -156,6 +201,99 @@ mod tests {
         assert_eq!(s.peak_storage_redundant, 4);
         s.sample_storage(0, vec![], 0);
         assert_eq!(s.peak_storage_sum, 158); // peak retained
+    }
+
+    /// The accounting before it kept totals by delta: every sample sums
+    /// every table, and a new peak builds the set of distinct codes.
+    struct Recount {
+        tables: Vec<Vec<Code>>,
+        aux: Vec<usize>,
+        peak_sum: usize,
+        peak_redundant: usize,
+    }
+
+    impl Recount {
+        fn tables_and_distinct(&self) -> (usize, usize) {
+            let wire = |codes: &[Code]| codes.iter().map(|c| c.wire_size()).sum::<usize>();
+            let tables = self.tables.iter().map(|c| wire(c)).sum();
+            let distinct: BTreeSet<&Code> = self.tables.iter().flatten().collect();
+            (tables, distinct.iter().map(|c| c.wire_size()).sum())
+        }
+
+        fn sample(&mut self, pid: usize, codes: Vec<Code>, aux: usize) {
+            self.tables[pid] = codes;
+            self.aux[pid] = aux;
+            let (tables, distinct) = self.tables_and_distinct();
+            let sum = tables + self.aux.iter().sum::<usize>();
+            if sum > self.peak_sum {
+                self.peak_sum = sum;
+                self.peak_redundant = tables.saturating_sub(distinct);
+            }
+        }
+
+        fn crash(&mut self, pid: usize) {
+            self.tables[pid].clear();
+            self.aux[pid] = 0;
+        }
+    }
+
+    #[test]
+    fn delta_accounting_matches_a_full_recount() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // A small pool of codes, some past the inline depth, so the
+            // processes' tables overlap heavily.
+            let pool: Vec<Code> = (0..24)
+                .map(|_| {
+                    let depth = rng.gen_range(0..=Code::INLINE_CAP + 4);
+                    let pairs: Vec<_> = (0..depth)
+                        .map(|_| (rng.gen_range(0..6), rng.gen_bool(0.5)))
+                        .collect();
+                    Code::from_decisions(&pairs)
+                })
+                .collect();
+            let n = 5;
+            let mut s = shared(n);
+            let mut r = Recount {
+                tables: vec![Vec::new(); n],
+                aux: vec![0; n],
+                peak_sum: 0,
+                peak_redundant: 0,
+            };
+            let mut pid = 0;
+            for step in 0..400 {
+                // Often the same process again; sometimes a crash, after
+                // which that process may still be sampled.
+                if rng.gen_bool(0.6) {
+                    pid = rng.gen_range(0..n);
+                }
+                if rng.gen_bool(0.1) {
+                    s.record_crash(pid, SimTime::from_millis(step));
+                    r.crash(pid);
+                } else {
+                    let len = if rng.gen_bool(0.15) {
+                        0
+                    } else {
+                        rng.gen_range(1..=8)
+                    };
+                    let codes: Vec<Code> = (0..len)
+                        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                        .collect();
+                    let aux = rng.gen_range(0..64);
+                    s.sample_storage(pid, codes.clone(), aux);
+                    r.sample(pid, codes, aux);
+                }
+                let at = format!("seed {seed}, step {step}");
+                assert_eq!(s.peak_storage_sum, r.peak_sum, "{at}");
+                assert_eq!(s.peak_storage_redundant, r.peak_redundant, "{at}");
+                let now = r.tables_and_distinct();
+                assert_eq!((s.table_bytes, s.distinct_bytes), now, "{at}");
+                assert_eq!(s.aux_total, r.aux.iter().sum::<usize>(), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -709,7 +709,19 @@ fn telemetry_timeline_orders_kill_suspicion_recovery() {
     let recovery_at = timeline
         .iter()
         .position(|e| e.kind == "recovery")
-        .expect("the dead node's work must be recovered");
+        .unwrap_or_else(|| {
+            // Whether node 2 had done any work before it died tells a lost
+            // recovery from a node that held nothing to recover.
+            let before_kill = match report.metrics[2].last() {
+                Some(m) => format!("{} expanded at {:.3} s", m.expanded, m.elapsed_s),
+                None => "no FTBB-METRICS snapshot".to_string(),
+            };
+            panic!(
+                "the dead node's work must be recovered; node 2's last \
+                 FTBB-METRICS before the kill: {before_kill}\n{}",
+                report.cluster_report()
+            )
+        });
     assert!(
         kill_at < suspect_at,
         "suspicion follows the kill: {}",

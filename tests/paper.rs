@@ -122,8 +122,8 @@ fn every_claim_can_fail() {
     }
 }
 
-/// The two 100-process rows at `--quick`, as CI runs them through
-/// `ftbb-paper --quick` (about a minute in release; run with
+/// The two 100-process rows at `--quick`, as `ftbb-paper --quick` runs
+/// them (about 10 s in release; run with
 /// `cargo test --release --test paper -- --ignored`).
 #[test]
 #[ignore]
