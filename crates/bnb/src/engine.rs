@@ -2,6 +2,10 @@
 //! loop over the pool of active problems. Serves as the correctness
 //! reference for every distributed run — the distributed algorithm must find
 //! exactly the same optimum on the same tree, regardless of failures.
+//!
+//! It selects depth-first, the way the protocol's nodes do, but it is its
+//! own loop on purpose: the nodes' work-unit explorer is tested *against*
+//! this engine, so the engine must not be built from it.
 
 use crate::pool::{Pool, PoolEntry, SelectRule};
 use crate::problem::BranchBound;
@@ -42,7 +46,7 @@ pub struct SolveResult {
 /// Configuration for a sequential solve.
 #[derive(Debug, Clone)]
 pub struct SolveConfig {
-    /// Selection rule.
+    /// Selection rule (depth-first, the only one).
     pub rule: SelectRule,
     /// Optional starting incumbent (e.g. from a heuristic).
     pub initial_incumbent: Option<f64>,
@@ -53,7 +57,7 @@ pub struct SolveConfig {
 impl Default for SolveConfig {
     fn default() -> Self {
         SolveConfig {
-            rule: SelectRule::BestFirst,
+            rule: SelectRule::DepthFirst,
             initial_incumbent: None,
             max_expanded: None,
         }
@@ -165,59 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn all_rules_find_same_optimum() {
+    fn depth_first_finds_tree_optimum() {
         let tree = ftbb_tree::random_basic_tree(&ftbb_tree::TreeConfig {
             target_nodes: 2001,
             seed: 11,
             ..Default::default()
         });
         let problem = BasicTreeProblem::new(tree);
-        let mut values = Vec::new();
-        for rule in [
-            SelectRule::BestFirst,
-            SelectRule::DepthFirst,
-            SelectRule::BreadthFirst,
-        ] {
-            let r = solve(
-                &problem,
-                &SolveConfig {
-                    rule,
-                    ..Default::default()
-                },
-            );
-            values.push(r.best);
-        }
-        assert_eq!(values[0], values[1]);
-        assert_eq!(values[1], values[2]);
-        assert_eq!(values[0], problem.tree().optimal());
-    }
-
-    #[test]
-    fn best_first_expands_no_more_than_depth_first() {
-        // Best-first with exact bounds explores the minimal certified set;
-        // depth-first generally expands at least as many nodes.
-        let tree = ftbb_tree::random_basic_tree(&ftbb_tree::TreeConfig {
-            target_nodes: 4001,
-            seed: 5,
-            bound_growth: 0.1,
-            ..Default::default()
-        });
-        let problem = BasicTreeProblem::new(tree);
-        let best = solve(
-            &problem,
-            &SolveConfig {
-                rule: SelectRule::BestFirst,
-                ..Default::default()
-            },
-        );
-        let dfs = solve(
-            &problem,
-            &SolveConfig {
-                rule: SelectRule::DepthFirst,
-                ..Default::default()
-            },
-        );
-        assert!(best.stats.expanded <= dfs.stats.expanded);
+        let r = solve(&problem, &SolveConfig::default());
+        assert_eq!(r.best, problem.tree().optimal());
     }
 
     #[test]

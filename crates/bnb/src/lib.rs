@@ -1,8 +1,8 @@
 //! # ftbb-bnb — sequential branch-and-bound engine and problems
 //!
 //! Implements §2 of Iamnitchi & Foster (ICPP 2000): the four-operator
-//! (Decompose / Bound / Select / Eliminate) sequential B&B loop, three
-//! selection rules, real problems (0/1 knapsack, weighted MAX-SAT), the
+//! (Decompose / Bound / Select / Eliminate) sequential B&B loop over a
+//! depth-first pool, real problems (0/1 knapsack, weighted MAX-SAT), the
 //! basic-tree recorder of §6.2, and a replay adapter that drives the engine
 //! from recorded trees.
 //!

@@ -4,32 +4,26 @@
 //! selection rule, or not, as in the case of depth-first or breadth-first
 //! rules."
 //!
-//! Best-first pools are backed by a min-max (interval) heap so that both
-//! ends are cheap: `pop` takes the best bound in O(log n), and
-//! [`Pool::split_off`] donates the *worst* k bounds in O(k log n) —
-//! donation used to drain, sort, and rebuild the whole heap on every
-//! work grant.
+//! Every search in this workspace selects depth-first, so the pool is a
+//! deque: `pop` takes the newest entry from the back, and
+//! [`Pool::split_off`] donates the oldest — typically the shallowest,
+//! largest subtrees — from the front.
 
-use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 
-/// Which subproblem the Select operator picks next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Which subproblem the Select operator picks next. Depth-first is the
+/// only rule; the type remains for callers that still name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectRule {
-    /// Smallest bound first (ties: oldest first).
-    #[default]
-    BestFirst,
     /// Most recently inserted first (LIFO) — memory-frugal.
+    #[default]
     DepthFirst,
-    /// Oldest first (FIFO).
-    BreadthFirst,
 }
 
 /// An entry in the pool.
 #[derive(Debug, Clone)]
 pub struct PoolEntry<N> {
-    /// The subproblem's lower bound (Select priority for best-first).
+    /// The subproblem's lower bound (compared with the incumbent).
     pub bound: f64,
     /// Depth in the search tree (informational).
     pub depth: u32,
@@ -37,263 +31,31 @@ pub struct PoolEntry<N> {
     pub node: N,
 }
 
-struct HeapItem<N> {
-    bound: f64,
-    seq: u64,
-    entry: PoolEntry<N>,
-}
-
-/// Total order on heap items: bound ascending, then insertion sequence
-/// ascending (ties pop oldest first). `seq` is unique, so this is a
-/// strict total order — pop sequences are representation-independent.
-fn item_cmp<N>(a: &HeapItem<N>, b: &HeapItem<N>) -> Ordering {
-    a.bound
-        .partial_cmp(&b.bound)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a.seq.cmp(&b.seq))
-}
-
-/// A min-max heap (Atkinson et al., 1986): min levels and max levels
-/// alternate, the global minimum sits at the root and the global maximum
-/// at one of its children. Both `pop_min` and `pop_max` are O(log n).
-struct MinMaxHeap<N> {
-    buf: Vec<HeapItem<N>>,
-}
-
-impl<N> MinMaxHeap<N> {
-    fn new() -> Self {
-        MinMaxHeap { buf: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn iter(&self) -> std::slice::Iter<'_, HeapItem<N>> {
-        self.buf.iter()
-    }
-
-    /// Even tree levels (root = level 0) are min levels.
-    #[inline]
-    fn is_min_level(i: usize) -> bool {
-        (i + 1).ilog2() & 1 == 0
-    }
-
-    #[inline]
-    fn less(&self, a: usize, b: usize) -> bool {
-        item_cmp(&self.buf[a], &self.buf[b]) == Ordering::Less
-    }
-
-    fn push(&mut self, item: HeapItem<N>) {
-        self.buf.push(item);
-        let i = self.buf.len() - 1;
-        if i == 0 {
-            return;
-        }
-        let p = (i - 1) / 2;
-        if Self::is_min_level(i) {
-            if self.less(p, i) {
-                self.buf.swap(i, p);
-                self.bubble_up_max(p);
-            } else {
-                self.bubble_up_min(i);
-            }
-        } else if self.less(i, p) {
-            self.buf.swap(i, p);
-            self.bubble_up_min(p);
-        } else {
-            self.bubble_up_max(i);
-        }
-    }
-
-    fn bubble_up_min(&mut self, mut i: usize) {
-        while i >= 3 {
-            let g = ((i - 1) / 2 - 1) / 2;
-            if self.less(i, g) {
-                self.buf.swap(i, g);
-                i = g;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn bubble_up_max(&mut self, mut i: usize) {
-        while i >= 3 {
-            let g = ((i - 1) / 2 - 1) / 2;
-            if self.less(g, i) {
-                self.buf.swap(i, g);
-                i = g;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// The smallest item, if any.
-    fn peek_min(&self) -> Option<&HeapItem<N>> {
-        self.buf.first()
-    }
-
-    /// Remove and return the smallest item.
-    fn pop_min(&mut self) -> Option<HeapItem<N>> {
-        match self.buf.len() {
-            0 => None,
-            1 => self.buf.pop(),
-            _ => {
-                let last = self.buf.len() - 1;
-                self.buf.swap(0, last);
-                let out = self.buf.pop();
-                self.trickle_down_min(0);
-                out
-            }
-        }
-    }
-
-    /// Remove and return the largest item.
-    fn pop_max(&mut self) -> Option<HeapItem<N>> {
-        match self.buf.len() {
-            0 => None,
-            1 | 2 => self.buf.pop(),
-            _ => {
-                let m = if self.less(1, 2) { 2 } else { 1 };
-                let last = self.buf.len() - 1;
-                self.buf.swap(m, last);
-                let out = self.buf.pop();
-                if m < self.buf.len() {
-                    self.trickle_down_max(m);
-                }
-                out
-            }
-        }
-    }
-
-    /// Index of the extreme element (per `pick`) among children and
-    /// grandchildren of `i`, or `None` if `i` is a leaf.
-    fn extreme_descendant(&self, i: usize, pick_less: bool) -> Option<usize> {
-        let len = self.buf.len();
-        let c0 = 2 * i + 1;
-        if c0 >= len {
-            return None;
-        }
-        let mut m = c0;
-        for j in [2 * i + 2, 4 * i + 3, 4 * i + 4, 4 * i + 5, 4 * i + 6] {
-            if j < len {
-                let better = if pick_less {
-                    self.less(j, m)
-                } else {
-                    self.less(m, j)
-                };
-                if better {
-                    m = j;
-                }
-            }
-        }
-        Some(m)
-    }
-
-    fn trickle_down_min(&mut self, mut i: usize) {
-        while let Some(m) = self.extreme_descendant(i, true) {
-            if m > 2 * i + 2 {
-                // Grandchild.
-                if self.less(m, i) {
-                    self.buf.swap(i, m);
-                    let p = (m - 1) / 2;
-                    if self.less(p, m) {
-                        self.buf.swap(m, p);
-                    }
-                    i = m;
-                } else {
-                    break;
-                }
-            } else {
-                // Direct child.
-                if self.less(m, i) {
-                    self.buf.swap(i, m);
-                }
-                break;
-            }
-        }
-    }
-
-    fn trickle_down_max(&mut self, mut i: usize) {
-        while let Some(m) = self.extreme_descendant(i, false) {
-            if m > 2 * i + 2 {
-                if self.less(i, m) {
-                    self.buf.swap(i, m);
-                    let p = (m - 1) / 2;
-                    if self.less(m, p) {
-                        self.buf.swap(m, p);
-                    }
-                    i = m;
-                } else {
-                    break;
-                }
-            } else {
-                if self.less(i, m) {
-                    self.buf.swap(i, m);
-                }
-                break;
-            }
-        }
-    }
-}
-
-enum Store<N> {
-    Heap(MinMaxHeap<N>),
-    Deque(VecDeque<PoolEntry<N>>),
-}
-
-/// The pool of active problems, with a pluggable Select rule.
+/// The pool of active problems: a depth-first deque.
 pub struct Pool<N> {
-    rule: SelectRule,
-    store: Store<N>,
-    next_seq: u64,
+    entries: VecDeque<PoolEntry<N>>,
     peak_len: usize,
 }
 
 impl<N> Pool<N> {
-    /// An empty pool with the given selection rule.
-    pub fn new(rule: SelectRule) -> Self {
-        let store = match rule {
-            SelectRule::BestFirst => Store::Heap(MinMaxHeap::new()),
-            _ => Store::Deque(VecDeque::new()),
-        };
+    /// An empty pool. The rule argument is ignored: the pool is always
+    /// depth-first.
+    pub fn new(_rule: SelectRule) -> Self {
         Pool {
-            rule,
-            store,
-            next_seq: 0,
+            entries: VecDeque::new(),
             peak_len: 0,
         }
     }
 
-    /// The active selection rule.
-    pub fn rule(&self) -> SelectRule {
-        self.rule
-    }
-
     /// Insert a subproblem.
     pub fn push(&mut self, entry: PoolEntry<N>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &mut self.store {
-            Store::Heap(h) => h.push(HeapItem {
-                bound: entry.bound,
-                seq,
-                entry,
-            }),
-            Store::Deque(d) => d.push_back(entry),
-        }
-        self.peak_len = self.peak_len.max(self.len());
+        self.entries.push_back(entry);
+        self.peak_len = self.peak_len.max(self.entries.len());
     }
 
-    /// Select and remove the next subproblem per the rule.
+    /// Select and remove the newest subproblem.
     pub fn pop(&mut self) -> Option<PoolEntry<N>> {
-        match (&mut self.store, self.rule) {
-            (Store::Heap(h), _) => h.pop_min().map(|i| i.entry),
-            (Store::Deque(d), SelectRule::DepthFirst) => d.pop_back(),
-            (Store::Deque(d), _) => d.pop_front(),
-        }
+        self.entries.pop_back()
     }
 
     /// Select the next subproblem whose bound can still improve
@@ -302,10 +64,6 @@ impl<N> Pool<N> {
     /// decides their fate: the distributed process completes them (their
     /// subtrees count toward termination detection), the sequential
     /// engine just counts them.
-    ///
-    /// For the best-first heap the scan stops at the first improving
-    /// entry — the top is the minimum bound, so a non-improving top
-    /// proves the whole pool is non-improving.
     pub fn pop_improving(
         &mut self,
         incumbent: f64,
@@ -323,15 +81,12 @@ impl<N> Pool<N> {
 
     /// Number of active subproblems.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Heap(h) => h.len(),
-            Store::Deque(d) => d.len(),
-        }
+        self.entries.len()
     }
 
     /// True when no subproblems are active.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Largest size the pool ever reached (storage metric).
@@ -339,87 +94,19 @@ impl<N> Pool<N> {
         self.peak_len
     }
 
-    /// The smallest bound in the pool, if any (best-first pools only;
-    /// `None` for deque rules, whose pop order ignores bounds).
-    pub fn min_bound(&self) -> Option<f64> {
-        match &self.store {
-            Store::Heap(h) => h.peek_min().map(|i| i.bound),
-            Store::Deque(_) => None,
-        }
+    /// Iterate over the pool's entries, oldest first.
+    pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, PoolEntry<N>> {
+        self.entries.iter()
     }
 
-    /// Iterate over the pool's entries (order unspecified).
-    pub fn iter(&self) -> PoolIter<'_, N> {
-        PoolIter {
-            inner: match &self.store {
-                Store::Heap(h) => IterInner::Heap(h.iter()),
-                Store::Deque(d) => IterInner::Deque(d.iter()),
-            },
-        }
-    }
-
-    /// Remove up to `k` entries for donation to another process (work
-    /// sharing). Best-first pools donate their *worst*-bound entries (the
-    /// donor keeps the most promising work), in ascending (bound, seq)
-    /// order; deque pools donate from the front (the oldest, typically
-    /// shallowest/largest subtrees — the classic work-stealing choice).
+    /// Remove the oldest `k` entries (all of them if fewer) for donation
+    /// to another process, oldest first — the classic work-stealing
+    /// choice.
     pub fn split_off(&mut self, k: usize) -> Vec<PoolEntry<N>> {
-        let mut out = Vec::with_capacity(k.min(self.len()));
-        match &mut self.store {
-            Store::Heap(h) => {
-                // k pops from the max end — O(k log n), donor untouched
-                // otherwise. Reversed, the donation is ascending
-                // (bound, seq): the order the old drain-and-sort gave.
-                for _ in 0..k {
-                    match h.pop_max() {
-                        Some(item) => out.push(item.entry),
-                        None => break,
-                    }
-                }
-                out.reverse();
-            }
-            Store::Deque(d) => {
-                for _ in 0..k.min(d.len()) {
-                    if let Some(e) = d.pop_front() {
-                        out.push(e);
-                    }
-                }
-            }
-        }
-        out
+        let k = k.min(self.entries.len());
+        self.entries.drain(..k).collect()
     }
 }
-
-/// Non-allocating iterator over a pool's entries — replaces the former
-/// `Box<dyn Iterator>`.
-pub struct PoolIter<'a, N> {
-    inner: IterInner<'a, N>,
-}
-
-enum IterInner<'a, N> {
-    Heap(std::slice::Iter<'a, HeapItem<N>>),
-    Deque(std::collections::vec_deque::Iter<'a, PoolEntry<N>>),
-}
-
-impl<'a, N> Iterator for PoolIter<'a, N> {
-    type Item = &'a PoolEntry<N>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            IterInner::Heap(it) => it.next().map(|i| &i.entry),
-            IterInner::Deque(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            IterInner::Heap(it) => it.size_hint(),
-            IterInner::Deque(it) => it.size_hint(),
-        }
-    }
-}
-
-impl<N> ExactSizeIterator for PoolIter<'_, N> {}
 
 #[cfg(test)]
 mod tests {
@@ -434,26 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn best_first_pops_min_bound() {
-        let mut p = Pool::new(SelectRule::BestFirst);
-        p.push(entry(3.0, 3));
-        p.push(entry(1.0, 1));
-        p.push(entry(2.0, 2));
-        let order: Vec<u32> = std::iter::from_fn(|| p.pop().map(|e| e.node)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn best_first_ties_pop_oldest() {
-        let mut p = Pool::new(SelectRule::BestFirst);
-        for tag in 0..10 {
-            p.push(entry(5.0, tag));
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| p.pop().map(|e| e.node)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn depth_first_is_lifo() {
         let mut p = Pool::new(SelectRule::DepthFirst);
         p.push(entry(1.0, 1));
@@ -461,49 +128,6 @@ mod tests {
         p.push(entry(3.0, 3));
         let order: Vec<u32> = std::iter::from_fn(|| p.pop().map(|e| e.node)).collect();
         assert_eq!(order, vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn breadth_first_is_fifo() {
-        let mut p = Pool::new(SelectRule::BreadthFirst);
-        p.push(entry(1.0, 1));
-        p.push(entry(2.0, 2));
-        let order: Vec<u32> = std::iter::from_fn(|| p.pop().map(|e| e.node)).collect();
-        assert_eq!(order, vec![1, 2]);
-    }
-
-    #[test]
-    fn split_off_heap_donates_worst() {
-        let mut p = Pool::new(SelectRule::BestFirst);
-        for (b, t) in [(1.0, 1), (5.0, 5), (3.0, 3), (4.0, 4), (2.0, 2)] {
-            p.push(entry(b, t));
-        }
-        let donated = p.split_off(2);
-        let mut tags: Vec<u32> = donated.iter().map(|e| e.node).collect();
-        tags.sort_unstable();
-        assert_eq!(tags, vec![4, 5]);
-        // Donor keeps the best and still pops in order.
-        assert_eq!(p.pop().unwrap().node, 1);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn split_off_donation_order_is_bound_then_seq_ascending() {
-        // The donated vector must be exactly what the old drain-and-sort
-        // produced: the worst k, ascending by (bound, insertion seq) —
-        // including seq tie-breaks among equal bounds.
-        let mut p = Pool::new(SelectRule::BestFirst);
-        // tags record insertion order; bounds include ties.
-        for (i, b) in [3.0, 7.0, 7.0, 1.0, 9.0, 7.0, 2.0].iter().enumerate() {
-            p.push(entry(*b, i as u32));
-        }
-        // Sorted by (bound, seq): (1.0,3) (2.0,6) (3.0,0) (7.0,1) (7.0,2) (7.0,5) (9.0,4)
-        // Worst 4 in ascending order: tags 1, 2, 5, 4.
-        let donated: Vec<u32> = p.split_off(4).iter().map(|e| e.node).collect();
-        assert_eq!(donated, vec![1, 2, 5, 4]);
-        // Donor still pops best-first.
-        let order: Vec<u32> = std::iter::from_fn(|| p.pop().map(|e| e.node)).collect();
-        assert_eq!(order, vec![3, 6, 0]);
     }
 
     #[test]
@@ -520,7 +144,7 @@ mod tests {
 
     #[test]
     fn split_off_more_than_len() {
-        let mut p = Pool::new(SelectRule::BestFirst);
+        let mut p = Pool::new(SelectRule::DepthFirst);
         p.push(entry(1.0, 1));
         let donated = p.split_off(10);
         assert_eq!(donated.len(), 1);
@@ -529,7 +153,7 @@ mod tests {
 
     #[test]
     fn peak_len_tracks_high_water() {
-        let mut p = Pool::new(SelectRule::BreadthFirst);
+        let mut p = Pool::new(SelectRule::DepthFirst);
         for i in 0..5 {
             p.push(entry(i as f64, i));
         }
@@ -542,8 +166,8 @@ mod tests {
 
     #[test]
     fn pop_improving_prunes_and_counts() {
-        let mut p = Pool::new(SelectRule::BestFirst);
-        for (b, t) in [(4.0, 4), (1.0, 1), (6.0, 6), (2.0, 2), (5.0, 5)] {
+        let mut p = Pool::new(SelectRule::DepthFirst);
+        for (b, t) in [(6.0, 6), (5.0, 5), (4.0, 4), (2.0, 2), (1.0, 1)] {
             p.push(entry(b, t));
         }
         let mut pruned = Vec::new();
@@ -574,34 +198,21 @@ mod tests {
     }
 
     #[test]
-    fn min_bound_tracks_heap_top() {
-        let mut p = Pool::new(SelectRule::BestFirst);
-        assert_eq!(p.min_bound(), None);
-        p.push(entry(4.0, 4));
-        p.push(entry(2.0, 2));
-        assert_eq!(p.min_bound(), Some(2.0));
-        p.pop();
-        assert_eq!(p.min_bound(), Some(4.0));
-        assert_eq!(Pool::<u32>::new(SelectRule::DepthFirst).min_bound(), None);
-    }
-
-    #[test]
     fn iter_visits_every_entry_without_boxing() {
-        let mut p = Pool::new(SelectRule::BestFirst);
+        let mut p = Pool::new(SelectRule::DepthFirst);
         for i in 0..7 {
             p.push(entry(i as f64, i));
         }
-        let mut tags: Vec<u32> = p.iter().map(|e| e.node).collect();
-        tags.sort_unstable();
+        let tags: Vec<u32> = p.iter().map(|e| e.node).collect();
         assert_eq!(tags, (0..7).collect::<Vec<_>>());
         assert_eq!(p.iter().len(), 7);
     }
 
-    /// Randomized interleaving of push / pop(min) / split_off against a
-    /// reference sorted-vec model: the min-max heap must agree with the
+    /// Randomized interleaving of push / pop / split_off / pop_improving
+    /// against a reference `Vec` model: the deque must agree with the
     /// model at every step.
     #[test]
-    fn heap_matches_reference_model() {
+    fn deque_matches_reference_model() {
         // Deterministic LCG; no external rand needed here.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut rng = move || {
@@ -610,39 +221,29 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        let mut pool: Pool<u32> = Pool::new(SelectRule::BestFirst);
-        // Model: (bound, seq, tag), kept sorted ascending.
-        let mut model: Vec<(f64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
+        let mut pool: Pool<u32> = Pool::new(SelectRule::DepthFirst);
+        // Model: (bound, tag), oldest first; the newest is last.
+        let mut model: Vec<(f64, u32)> = Vec::new();
+        let mut peak = 0;
         for step in 0..4000u32 {
             match rng() % 10 {
                 0..=5 => {
                     // Push, with deliberately clustered bounds for ties.
                     let bound = (rng() % 50) as f64;
-                    let tag = step;
-                    pool.push(entry(bound, tag));
-                    model.push((bound, seq, tag));
-                    seq += 1;
-                    model.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    pool.push(entry(bound, step));
+                    model.push((bound, step));
+                    peak = peak.max(model.len());
                 }
                 6 | 7 => {
                     let got = pool.pop().map(|e| e.node);
-                    let want = if model.is_empty() {
-                        None
-                    } else {
-                        Some(model.remove(0).2)
-                    };
-                    assert_eq!(got, want, "pop_min diverged at step {step}");
+                    let want = model.pop().map(|m| m.1);
+                    assert_eq!(got, want, "pop diverged at step {step}");
                 }
                 8 => {
                     let k = (rng() % 4) as usize;
                     let got: Vec<u32> = pool.split_off(k).iter().map(|e| e.node).collect();
                     let take = k.min(model.len());
-                    let want: Vec<u32> = model
-                        .split_off(model.len() - take)
-                        .iter()
-                        .map(|m| m.2)
-                        .collect();
+                    let want: Vec<u32> = model.drain(..take).map(|m| m.1).collect();
                     assert_eq!(got, want, "split_off diverged at step {step}");
                 }
                 _ => {
@@ -651,12 +252,11 @@ mod tests {
                     let got = pool.pop_improving(cutoff, &mut pruned).map(|e| e.node);
                     let mut want = None;
                     let mut want_pruned = Vec::new();
-                    while !model.is_empty() {
-                        let m = model.remove(0);
+                    while let Some(m) = model.pop() {
                         if m.0 >= cutoff {
-                            want_pruned.push(m.2);
+                            want_pruned.push(m.1);
                         } else {
-                            want = Some(m.2);
+                            want = Some(m.1);
                             break;
                         }
                     }
@@ -666,7 +266,10 @@ mod tests {
                 }
             }
             assert_eq!(pool.len(), model.len());
-            assert_eq!(pool.min_bound(), model.first().map(|m| m.0));
+            assert_eq!(pool.peak_len(), peak);
+            let contents: Vec<u32> = pool.iter().map(|e| e.node).collect();
+            let want: Vec<u32> = model.iter().map(|m| m.1).collect();
+            assert_eq!(contents, want, "contents diverged at step {step}");
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use ftbb_bnb::{
     record_basic_tree, solve, BasicTreeProblem, Correlation, KnapsackInstance, MaxSatInstance,
-    RecordLimits, SelectRule, SolveConfig,
+    RecordLimits, SolveConfig,
 };
 use proptest::prelude::*;
 
@@ -44,24 +44,6 @@ proptest! {
         let r = solve(&inst, &SolveConfig::default());
         let got = r.best.expect("some assignment always exists");
         prop_assert!((got - expect).abs() < 1e-9, "got {got}, expected {expect}");
-    }
-
-    /// All three selection rules agree, on live problems and on their
-    /// recorded basic trees.
-    #[test]
-    fn selection_rules_agree(n in 4usize..11, seed in any::<u64>()) {
-        let k = KnapsackInstance::generate(n, 40, Correlation::Uncorrelated, 0.5, seed);
-        let tree = record_basic_tree(&k, RecordLimits::default()).unwrap();
-        let replay = BasicTreeProblem::new(tree);
-        let mut answers = Vec::new();
-        for rule in [SelectRule::BestFirst, SelectRule::DepthFirst, SelectRule::BreadthFirst] {
-            let cfg = SolveConfig { rule, ..Default::default() };
-            answers.push(solve(&k, &cfg).best);
-            answers.push(solve(&replay, &cfg).best);
-        }
-        for w in answers.windows(2) {
-            prop_assert_eq!(w[0], w[1]);
-        }
     }
 
     /// A recorded basic tree's optimum equals the live problem's optimum,

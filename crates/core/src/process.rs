@@ -252,13 +252,6 @@ impl BnbProcess {
         self.pool.len()
     }
 
-    /// Approximate resident bytes of protocol state (the paper's storage
-    /// metric): completion table + pool codes + fresh set.
-    pub fn storage_bytes(&self) -> usize {
-        let pool_bytes = self.pool.len() * 24; // code pointer + bound + depth
-        self.table.memory_bytes() + pool_bytes + self.fresh.memory_bytes()
-    }
-
     /// The membership view's alive members, or the static list.
     fn members(&self, now: SimTime) -> Vec<u32> {
         match &self.membership {
@@ -2024,8 +2017,6 @@ mod tests {
             t0(),
         );
         assert!(p.table.memory_bytes() > s0);
-        // And the aggregate metric includes the table.
-        assert!(p.storage_bytes() >= p.table.memory_bytes());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! each unit equals the trait's default walk over the reference, and its
 //! done and frontier codes tile its code's subtree exactly.
 
-use ftbb_bnb::{solve, AnyInstance, BranchBound, Pool, PoolEntry, SelectRule, SolveConfig};
+use ftbb_bnb::{solve, AnyInstance, BranchBound, Pool, PoolEntry, SolveConfig};
 use ftbb_core::{
     Action, AnyExpander, BnbProcess, ChildPair, Expander, Expansion, PEvent, ProtocolConfig,
     WorkUnit,
@@ -237,7 +237,7 @@ fn check_units(problem: &AnyInstance, seed: u64, foreign_at: Option<usize>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut fast = AnyExpander::new(problem.clone());
     let mut slow = Rebuilt(problem);
-    let mut pool = Pool::new(SelectRule::DepthFirst);
+    let mut pool = Pool::new(Default::default());
     let mut table = CodeSet::new();
     let (mut incumbent, mut expanded, mut units) = (f64::INFINITY, 0, 0);
     let mut next = Some(Code::root());
@@ -279,11 +279,7 @@ fn check_units(problem: &AnyInstance, seed: u64, foreign_at: Option<usize>) {
         }
     }
     assert!(table.is_root_done());
-    let config = SolveConfig {
-        rule: SelectRule::DepthFirst,
-        ..SolveConfig::default()
-    };
-    let engine = solve(problem, &config);
+    let engine = solve(problem, &SolveConfig::default());
     assert_eq!(
         incumbent.to_bits(),
         engine.best.unwrap_or(f64::INFINITY).to_bits()

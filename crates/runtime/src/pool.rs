@@ -368,11 +368,10 @@ mod tests {
             seed,
             ..Default::default()
         });
-        let config = ftbb_bnb::SolveConfig {
-            rule: ftbb_bnb::SelectRule::DepthFirst,
-            ..Default::default()
-        };
-        let solved = ftbb_bnb::solve(&ftbb_bnb::BasicTreeProblem::new(tree.clone()), &config);
+        let solved = ftbb_bnb::solve(
+            &ftbb_bnb::BasicTreeProblem::new(tree.clone()),
+            &ftbb_bnb::SolveConfig::default(),
+        );
         (tree, solved)
     }
 

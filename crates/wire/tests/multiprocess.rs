@@ -12,7 +12,7 @@
 //! expansions again, while traffic addressed to its previous life is
 //! counted off as stale.
 
-use ftbb_bnb::{solve, Correlation, SelectRule, SolveConfig};
+use ftbb_bnb::{solve, Correlation, SolveConfig};
 use ftbb_wire::launcher::{launch, ClusterSpec, GossipTiming, JobStep, LifecycleEvent};
 use ftbb_wire::{KnapsackSpec, MaxSatSpec, ProblemSpec};
 use std::path::PathBuf;
@@ -96,9 +96,8 @@ fn lifecycle_problem() -> ProblemSpec {
 }
 
 /// The sequential optimum for a spec — the oracle every surviving node
-/// must agree with. Solved depth-first, as the nodes search (a best-first
-/// pool on the release [`lifecycle_problem`] peaks at ~10 M entries), and
-/// once per spec per test binary: the scenarios share their instances.
+/// must agree with. Solved once per spec per test binary: the scenarios
+/// share their instances.
 fn reference_best(problem: &ProblemSpec) -> Option<f64> {
     static SOLVED: Mutex<Vec<(ProblemSpec, Option<f64>)>> = Mutex::new(Vec::new());
     let mut solved = SOLVED
@@ -108,11 +107,7 @@ fn reference_best(problem: &ProblemSpec) -> Option<f64> {
         return *best;
     }
     let instance = problem.instance().expect("materializable spec");
-    let config = SolveConfig {
-        rule: SelectRule::DepthFirst,
-        ..SolveConfig::default()
-    };
-    let best = solve(&instance, &config).best;
+    let best = solve(&instance, &SolveConfig::default()).best;
     solved.push((problem.clone(), best));
     best
 }

@@ -12,7 +12,7 @@
 //! cargo run --example tcp_cluster
 //! ```
 
-use ftbb::bnb::{solve, SelectRule, SolveConfig};
+use ftbb::bnb::{solve, SolveConfig};
 use ftbb::wire::launcher::{launch, ClusterSpec, LifecycleEvent};
 use ftbb::wire::{KnapsackSpec, ProblemSpec};
 use ftbb_bnb::Correlation;
@@ -54,11 +54,7 @@ fn main() {
         seed: 963,
     });
     println!("solving the reference sequentially…");
-    let config = SolveConfig {
-        rule: SelectRule::DepthFirst,
-        ..SolveConfig::default()
-    };
-    let reference = solve(&problem.instance().unwrap(), &config);
+    let reference = solve(&problem.instance().unwrap(), &SolveConfig::default());
     println!("sequential optimum: {:?}", reference.best);
 
     // Lifecycle plan: SIGKILL two nodes mid-run, then bring node 1 back

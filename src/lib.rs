@@ -80,7 +80,7 @@ pub mod paper;
 /// The most common imports for using the library.
 pub mod prelude {
     pub use ftbb_bnb::{
-        solve, AnyInstance, BranchBound, KnapsackInstance, MaxSatInstance, SelectRule, SolveConfig,
+        solve, AnyInstance, BranchBound, KnapsackInstance, MaxSatInstance, SolveConfig,
     };
     pub use ftbb_core::{AnyExpander, BnbProcess, Expander, ProtocolConfig, TreeExpander};
     pub use ftbb_des::{ProcId, SimTime};

@@ -21,7 +21,7 @@
 //! granularity) live in [`ftbb_sim::scenario`]; every other row's config
 //! sits beside its row here.
 
-use ftbb_bnb::{solve, BasicTreeProblem, SelectRule, SolveConfig};
+use ftbb_bnb::{solve, BasicTreeProblem, SolveConfig};
 use ftbb_des::SimTime;
 use ftbb_dib::{Central, DibProcess, DISPATCH_S};
 use ftbb_gossip::{Membership, MembershipConfig, MembershipMsg};
@@ -231,13 +231,9 @@ impl Table {
     /// Start a table for runs over `tree`: solves it sequentially (the
     /// floor every effort column is divided by) and writes the header.
     fn new(workload: &str, tree: &Arc<BasicTree>) -> Table {
-        let rule = SelectRule::DepthFirst;
         let seq = solve(
             &BasicTreeProblem::new(BasicTree::clone(tree)),
-            &SolveConfig {
-                rule,
-                ..Default::default()
-            },
+            &SolveConfig::default(),
         );
         assert_eq!(seq.best, tree.optimal(), "sequential reference is wrong");
         let stats = tree.stats();
