@@ -92,23 +92,7 @@ impl AnyInstance {
                 }
                 Ok(())
             }
-            AnyInstance::MaxSat(m) => {
-                if m.num_vars > 64 {
-                    return Err("maxsat supports at most 64 variables".into());
-                }
-                for c in &m.clauses {
-                    if c.literals.is_empty() {
-                        return Err("maxsat clause is empty".into());
-                    }
-                    if !(c.weight > 0.0 && c.weight.is_finite()) {
-                        return Err("maxsat clause weight must be positive and finite".into());
-                    }
-                    if c.literals.iter().any(|l| l.var >= m.num_vars) {
-                        return Err("maxsat literal variable out of range".into());
-                    }
-                }
-                Ok(())
-            }
+            AnyInstance::MaxSat(m) => m.validate(),
             AnyInstance::RecordedTree(t) => t.tree().validate(),
         }
     }
@@ -206,6 +190,7 @@ mod tests {
     use super::*;
     use crate::engine::{solve, SolveConfig};
     use crate::knapsack::Correlation;
+    use crate::maxsat::Clause;
     use crate::recorder::{record_basic_tree, RecordLimits};
     use ftbb_tree::basic_tree::fig1_example;
 
@@ -276,12 +261,18 @@ mod tests {
         k.capacity = 0;
         assert!(AnyInstance::Knapsack(k).validate().is_err());
 
-        let mut m = MaxSatInstance::generate(4, 8, 1);
-        m.clauses[0].weight = -1.0;
-        assert!(AnyInstance::MaxSat(m.clone()).validate().is_err());
-        m.clauses[0].weight = 1.0;
-        m.clauses[0].literals[0].var = 99;
-        assert!(AnyInstance::MaxSat(m).validate().is_err());
+        // `new` refuses these clauses; decoding, like untrusted bytes, does not.
+        let decoded = |clauses: &Vec<Clause>| -> AnyInstance {
+            let m: MaxSatInstance =
+                serde::decode(&serde::encode(&(4u16, clauses.clone()))).unwrap();
+            AnyInstance::MaxSat(m)
+        };
+        let mut clauses = MaxSatInstance::generate(4, 8, 1).clauses().to_vec();
+        clauses[0].weight = -1.0;
+        assert!(decoded(&clauses).validate().is_err());
+        clauses[0].weight = 1.0;
+        clauses[0].literals[0].var = 99;
+        assert!(decoded(&clauses).validate().is_err());
     }
 
     #[test]

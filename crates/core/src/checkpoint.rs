@@ -240,6 +240,17 @@ mod tests {
     use crate::work::{ChildPair, Expansion};
     use ftbb_des::SimTime;
 
+    /// A MAX-SAT instance with an empty clause, decoded from the raw
+    /// `(num_vars, clauses)` shape: `MaxSatInstance::new` refuses it, the
+    /// serde derive does not.
+    fn empty_clause_instance() -> ftbb_bnb::MaxSatInstance {
+        let mut clauses = ftbb_bnb::MaxSatInstance::generate(4, 8, 1)
+            .clauses()
+            .to_vec();
+        clauses[0].literals.clear();
+        serde::decode(&serde::encode(&(4u16, clauses))).expect("raw MAX-SAT shape decodes")
+    }
+
     fn worked_process() -> BnbProcess {
         let mut p = BnbProcess::new(0, vec![0, 1, 2], ProtocolConfig::default(), 0.0, true, 1);
         p.handle(PEvent::Start, SimTime::ZERO);
@@ -383,8 +394,7 @@ mod tests {
         assert!(err.contains("unsupported checkpoint version 4"), "{err}");
 
         // A structurally decodable but invalid problem binding is refused.
-        let mut m = ftbb_bnb::MaxSatInstance::generate(4, 8, 1);
-        m.clauses[0].literals.clear();
+        let m = empty_clause_instance();
         let chk = worked_process()
             .checkpoint()
             .bind(1, Some(Arc::new(ftbb_bnb::AnyInstance::MaxSat(m))));

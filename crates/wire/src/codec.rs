@@ -703,6 +703,17 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    /// A MAX-SAT instance with an empty clause, decoded from the raw
+    /// `(num_vars, clauses)` shape: `MaxSatInstance::new` refuses it, the
+    /// serde derive does not.
+    fn empty_clause_instance() -> ftbb_bnb::MaxSatInstance {
+        let mut clauses = ftbb_bnb::MaxSatInstance::generate(4, 8, 1)
+            .clauses()
+            .to_vec();
+        clauses[0].literals.clear();
+        serde::decode(&serde::encode(&(4u16, clauses))).expect("raw MAX-SAT shape decodes")
+    }
+
     fn sample() -> Envelope {
         Envelope {
             job: JobId(77),
@@ -824,8 +835,7 @@ mod tests {
 
     #[test]
     fn submit_of_invalid_instance_is_rejected_on_decode() {
-        let mut m = ftbb_bnb::MaxSatInstance::generate(4, 8, 1);
-        m.clauses[0].literals.clear();
+        let m = empty_clause_instance();
         let frame = encode_submit(JobId(1), &ftbb_bnb::AnyInstance::MaxSat(m));
         match decode_frame(&frame.bytes) {
             Err(WireError::Payload(e)) => assert!(e.contains("invalid submitted instance"), "{e}"),
@@ -936,8 +946,7 @@ mod tests {
     fn announce_of_invalid_instance_is_rejected_on_decode() {
         // Corrupt instance (empty clause) hand-encoded past the
         // constructor's asserts: the decoder must refuse it.
-        let mut m = ftbb_bnb::MaxSatInstance::generate(4, 8, 1);
-        m.clauses[0].literals.clear();
+        let m = empty_clause_instance();
         let frame = encode_announce(0, 0, JobId::DEFAULT, &ftbb_bnb::AnyInstance::MaxSat(m));
         match decode_frame(&frame.bytes) {
             Err(WireError::Payload(e)) => assert!(e.contains("invalid announced instance"), "{e}"),
