@@ -256,6 +256,48 @@ mod tests {
     }
 
     #[test]
+    fn recorded_tree_encodes_as_variant_tag_and_tree_only() {
+        // The problem shares its tree through an `Arc`; on the wire it is
+        // the variant tag and the tree's own bytes, node by node.
+        let tree = fig1_example();
+        let bytes = serde::encode(&AnyInstance::from(tree.clone()));
+        let mut expect = vec![2u8];
+        expect.extend((tree.len() as u32).to_le_bytes());
+        for id in 0..tree.len() as NodeId {
+            let n = tree.node(id);
+            match n.parent {
+                None => expect.push(0),
+                Some((parent, bit)) => {
+                    expect.push(1);
+                    expect.extend(parent.to_le_bytes());
+                    expect.push(u8::from(bit));
+                }
+            }
+            expect.extend(n.var.to_le_bytes());
+            expect.extend(n.bound.to_le_bytes());
+            expect.extend(n.cost.to_le_bytes());
+            match n.solution {
+                None => expect.push(0),
+                Some(v) => {
+                    expect.push(1);
+                    expect.extend(v.to_le_bytes());
+                }
+            }
+            match n.children {
+                None => expect.push(0),
+                Some((l, r)) => {
+                    expect.push(1);
+                    expect.extend(l.to_le_bytes());
+                    expect.extend(r.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(bytes, expect);
+        let back: AnyInstance = serde::decode(&bytes).expect("round trip");
+        assert_eq!(back, AnyInstance::from(tree));
+    }
+
+    #[test]
     fn validate_rejects_corrupt_instances() {
         let mut k = KnapsackInstance::generate(5, 20, Correlation::Weak, 0.5, 1);
         k.capacity = 0;

@@ -9,22 +9,25 @@
 use crate::problem::BranchBound;
 use ftbb_tree::{BasicTree, NodeId, Var};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A [`BranchBound`] problem backed by a recorded [`BasicTree`].
 ///
-/// Serializable so it can ride [`crate::AnyInstance`] over the wire; a
+/// The tree is shared (`Arc`), so every simulated process replays one
+/// copy. Serializable so it can ride [`crate::AnyInstance`] over the
+/// wire, as the tree's own bytes (the codec encodes `Arc<T>` as `T`); a
 /// decoded value must be re-checked with [`BasicTree::validate`] (the
 /// derive decodes structure, not invariants — `AnyInstance::validate`
 /// does this for announce frames).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BasicTreeProblem {
-    tree: BasicTree,
+    tree: Arc<BasicTree>,
 }
 
 impl BasicTreeProblem {
-    /// Wrap a recorded tree.
-    pub fn new(tree: BasicTree) -> Self {
-        BasicTreeProblem { tree }
+    /// Wrap a recorded tree, owned or shared.
+    pub fn new(tree: impl Into<Arc<BasicTree>>) -> Self {
+        BasicTreeProblem { tree: tree.into() }
     }
 
     /// The underlying tree.

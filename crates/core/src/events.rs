@@ -18,7 +18,8 @@ use ftbb_tree::Code;
 use serde::{Deserialize, Serialize};
 
 /// Timers the process can arm. All delays are in (virtual) seconds and are
-/// interpreted by the harness.
+/// interpreted by the harness; timers due at the same instant fire in
+/// arming order, under every harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PTimer {
     /// Periodic completion-list flush check.
@@ -38,28 +39,6 @@ pub enum PTimer {
 }
 
 impl PTimer {
-    /// Firing rank for timers that come due at the *same* instant: lower
-    /// fires first. This is the single source of the tie-break order every
-    /// harness must use (the runtime's pump keys its timer heap on it;
-    /// the DES engine's FIFO tie-break is equivalent because the protocol
-    /// arms timers in this same order) — so the deployments cannot drift
-    /// apart on simultaneous deadlines.
-    ///
-    /// Liveness first: a due membership tick fires before load-balancing
-    /// verdicts (which consult the alive set), which fire before the
-    /// recovery fuse (so a grant that raced the fuse wins), which fires
-    /// before the periodic report/table flushes.
-    pub fn priority(self) -> u8 {
-        match self {
-            PTimer::MembershipTick => 0,
-            PTimer::LbTimeout(_) => 1,
-            PTimer::RecoveryFuse(_) => 2,
-            PTimer::ReportFlush => 3,
-            PTimer::TableGossip => 4,
-            PTimer::BoundFlush => 5,
-        }
-    }
-
     /// The Figure-3 category a firing is charged to. The recovery fuse is
     /// contraction: its expiry is what triggers complement recovery
     /// (§5.3.2).
@@ -231,27 +210,5 @@ mod tests {
         assert_eq!(PTimer::LbTimeout(3), PTimer::LbTimeout(3));
         assert_ne!(PTimer::LbTimeout(3), PTimer::LbTimeout(4));
         assert_ne!(PTimer::ReportFlush, PTimer::TableGossip);
-    }
-
-    #[test]
-    fn timer_priorities_are_total_and_pinned() {
-        // The tie-break table, pinned: membership/liveness first, then
-        // load balancing, recovery, and the periodic flushes. Payloads do
-        // not affect the rank.
-        let ranked = [
-            PTimer::MembershipTick,
-            PTimer::LbTimeout(9),
-            PTimer::RecoveryFuse(2),
-            PTimer::ReportFlush,
-            PTimer::TableGossip,
-            PTimer::BoundFlush,
-        ];
-        for (i, t) in ranked.iter().enumerate() {
-            assert_eq!(t.priority() as usize, i, "{t:?}");
-        }
-        assert_eq!(
-            PTimer::LbTimeout(0).priority(),
-            PTimer::LbTimeout(7).priority()
-        );
     }
 }

@@ -37,8 +37,6 @@ pub use events::{Action, Event, MembershipEvent, PEvent, PTimer, Protocol};
 pub use job::JobId;
 pub use message::{GrantItem, Incumbent, Msg};
 pub use metrics::ProcMetrics;
-pub use process::BnbProcess;
+pub use process::{holds_root, node_seed, BnbProcess};
 pub use telemetry::{PhaseTimes, TimeCategory, TraceEvent};
-pub use work::{
-    AnyExpander, ChildPair, Expander, Expansion, ProblemExpander, TreeExpander, WorkUnit,
-};
+pub use work::{AnyExpander, ChildPair, Expander, Expansion, ProblemExpander, WorkUnit};

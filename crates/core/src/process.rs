@@ -32,6 +32,20 @@ use rand::SeedableRng;
 /// must not accumulate unbounded state over long runs.
 const MEMBERSHIP_EVENT_CAP: usize = 1024;
 
+/// Per-node protocol RNG seed derived from a cluster-wide base seed.
+/// Every harness (the simulator, the threaded cluster, `ftbb-wire`
+/// daemons) uses this same mixing, or "identical state machine" stops
+/// being true.
+pub fn node_seed(base: u64, id: u32) -> u64 {
+    base.wrapping_mul(0x9e37_79b9).wrapping_add(id as u64)
+}
+
+/// Root-holder election: the lowest member id starts with the root
+/// subproblem. `members` must be sorted (as [`BnbProcess`] expects).
+pub fn holds_root(id: u32, members: &[u32]) -> bool {
+    members.first() == Some(&id)
+}
+
 /// One participant in the distributed B&B computation.
 pub struct BnbProcess {
     me: u32,

@@ -10,6 +10,10 @@
 //! last replayed and replays only the suffix of each code past the prefix
 //! they share.
 //!
+//! [`ProblemExpander`] is the one expander every harness runs: the
+//! deployed nodes over a live problem, and the simulator over a recorded
+//! tree (the paper's §6.2 method) as a [`ftbb_bnb::BasicTreeProblem`].
+//!
 //! The protocol needs codes only at its boundaries — donation, reports,
 //! recovery, interruption — so the unit of work between two protocol steps
 //! need not be one node. [`Expander::explore`] runs the sequential engine's
@@ -20,8 +24,7 @@
 //! protocol a one-node unit.
 
 use ftbb_bnb::BranchBound;
-use ftbb_tree::{BasicTree, Code, Pair, Var};
-use std::sync::Arc;
+use ftbb_tree::{Code, Pair, Var};
 
 /// Result of expanding one subproblem.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,7 +150,8 @@ pub trait Expander {
     /// Panics on a foreign code, like [`Expander::expand`].
     ///
     /// The default explores through [`Expander::expand`], one code at a
-    /// time; [`ProblemExpander`] walks its node states instead.
+    /// time; [`ProblemExpander`] walks its node states instead, and the
+    /// expander property tests hold that walk to this one.
     fn explore(
         &mut self,
         code: &Code,
@@ -352,74 +356,15 @@ fn explore_with<W: Walk>(
     unit
 }
 
-/// Replays a recorded [`BasicTree`] — the paper's simulation driver (§6.2).
-/// The tree is shared (`Arc`) so that every simulated process replays the
-/// same workload without copying it.
-#[derive(Debug, Clone)]
-pub struct TreeExpander {
-    tree: Arc<BasicTree>,
-    /// Granularity factor applied to recorded costs (§6.2: "we tuned this
-    /// granularity by multiplying all time values by a constant factor").
-    granularity: f64,
-}
-
-impl TreeExpander {
-    /// Replay `tree` at granularity 1.
-    pub fn new(tree: impl Into<Arc<BasicTree>>) -> Self {
-        TreeExpander {
-            tree: tree.into(),
-            granularity: 1.0,
-        }
-    }
-
-    /// Replay with a cost multiplier.
-    pub fn with_granularity(tree: impl Into<Arc<BasicTree>>, granularity: f64) -> Self {
-        assert!(granularity > 0.0 && granularity.is_finite());
-        TreeExpander {
-            tree: tree.into(),
-            granularity,
-        }
-    }
-
-    /// The replayed tree.
-    pub fn tree(&self) -> &BasicTree {
-        &self.tree
-    }
-}
-
-impl Expander for TreeExpander {
-    fn expand(&mut self, code: &Code) -> Expansion {
-        let id = self
-            .tree
-            .locate(code)
-            .unwrap_or_else(|| panic!("code {code} does not exist in the basic tree"));
-        let node = self.tree.node(id);
-        let children = node.children.map(|(l, r)| ChildPair {
-            var: node.var,
-            left_bound: self.tree.node(l).bound,
-            right_bound: self.tree.node(r).bound,
-        });
-        Expansion {
-            cost: node.cost * self.granularity,
-            bound: node.bound,
-            solution: node.solution,
-            children,
-        }
-    }
-
-    fn root_bound(&self) -> f64 {
-        self.tree.node(self.tree.root()).bound
-    }
-}
-
-/// Expands a live [`BranchBound`] problem by replaying the code's decisions
-/// — the "real implementation" path used by the threaded runtime and
-/// `ftbb-noded`. It keeps the node states along the path it last replayed
-/// and replays only the decisions past the prefix a code shares with that
-/// path, with [`BranchBound::rebuild`]'s per-step check: a child of the
-/// last expansion costs one step, and a code that arrived by grant,
-/// recovery or restore replays from wherever it leaves the path (the root
-/// at worst, which is `rebuild`).
+/// Expands a [`BranchBound`] problem by replaying the code's decisions —
+/// the expander of every harness: the threaded runtime and `ftbb-noded`
+/// over any problem, the simulator over a recorded tree
+/// ([`ftbb_bnb::BasicTreeProblem`]). It keeps the node states along the
+/// path it last replayed and replays only the decisions past the prefix a
+/// code shares with that path, with [`BranchBound::rebuild`]'s per-step
+/// check: a child of the last expansion costs one step, and a code that
+/// arrived by grant, recovery or restore replays from wherever it leaves
+/// the path (the root at worst, which is `rebuild`).
 #[derive(Debug, Clone)]
 pub struct ProblemExpander<P: BranchBound> {
     problem: P,
@@ -550,12 +495,18 @@ impl<P: BranchBound> Expander for ProblemExpander<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbb_bnb::{Correlation, KnapsackInstance};
+    use ftbb_bnb::{BasicTreeProblem, Correlation, KnapsackInstance};
     use ftbb_tree::basic_tree::fig1_example;
+    use ftbb_tree::{random_basic_tree, BasicTree, TreeConfig};
+
+    /// The simulator's expander: a recorded tree, replayed.
+    fn replay(tree: BasicTree) -> ProblemExpander<BasicTreeProblem> {
+        ProblemExpander::new(BasicTreeProblem::new(tree))
+    }
 
     #[test]
     fn tree_expander_replays_fig1() {
-        let mut e = TreeExpander::new(fig1_example());
+        let mut e = replay(fig1_example());
         let root = e.expand(&Code::root());
         assert_eq!(root.bound, 0.0);
         assert_eq!(root.cost, 1.0);
@@ -570,25 +521,36 @@ mod tests {
     }
 
     #[test]
-    fn granularity_scales_cost_only() {
-        let mut a = TreeExpander::new(fig1_example());
-        let mut b = TreeExpander::with_granularity(fig1_example(), 10.0);
-        let (ea, eb) = (a.expand(&Code::root()), b.expand(&Code::root()));
-        assert_eq!(eb.cost, ea.cost * 10.0);
-        assert_eq!(eb.bound, ea.bound);
+    fn a_scaled_tree_costs_each_node_one_multiply() {
+        // The simulator's granularity (§6.2) is one `scale_costs` per run:
+        // every expansion then costs exactly the recorded cost times the
+        // factor.
+        let tree = random_basic_tree(&TreeConfig {
+            target_nodes: 301,
+            seed: 9,
+            ..Default::default()
+        });
+        for g in [0.1, 3.0, 100.0] {
+            let mut scaled = tree.clone();
+            scaled.scale_costs(g);
+            let mut e = replay(scaled);
+            for id in 0..tree.len() as u32 {
+                let (got, want) = (e.expand(&tree.code_of(id)).cost, tree.node(id).cost * g);
+                assert_eq!(got.to_bits(), want.to_bits(), "node {id} at {g}");
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "does not exist")]
+    #[should_panic(expected = "does not replay in this problem")]
     fn foreign_code_panics() {
-        let mut e = TreeExpander::new(fig1_example());
-        e.expand(&Code::from_decisions(&[(99, true)]));
+        replay(fig1_example()).expand(&Code::from_decisions(&[(99, true)]));
     }
 
-    /// Shared body: a live expander over `problem` must agree with a
-    /// [`TreeExpander`] replaying the tree recorded from that same
-    /// problem, on every recorded node (bounds may differ only by the
-    /// recorder's monotonicity clamp).
+    /// Shared body: a live expander over `problem` must agree with the
+    /// replay of the tree recorded from that same problem, on every
+    /// recorded node (bounds may differ only by the recorder's
+    /// monotonicity clamp).
     fn assert_expander_agrees_with_recorder<P>(problem: P)
     where
         P: ftbb_bnb::BranchBound,
@@ -597,16 +559,16 @@ mod tests {
         let tree = ftbb_bnb::record_basic_tree(&problem, ftbb_bnb::RecordLimits::default())
             .expect("recordable instance");
         let mut live = ProblemExpander::new(problem);
-        let mut replay = TreeExpander::new(tree.clone());
+        let mut recorded = replay(tree.clone());
         for id in (0..tree.len() as u32).step_by(7) {
             let code = tree.code_of(id);
             let a = live.expand(&code);
-            let b = replay.expand(&code);
+            let b = recorded.expand(&code);
             assert_eq!(a.children.map(|c| c.var), b.children.map(|c| c.var));
             assert_eq!(a.solution, b.solution);
             assert!(a.bound <= b.bound + 1e-9);
         }
-        assert_eq!(live.root_bound(), replay.root_bound());
+        assert_eq!(live.root_bound(), recorded.root_bound());
     }
 
     #[test]
@@ -635,7 +597,7 @@ mod tests {
         // bound clamp to hide behind).
         let k = KnapsackInstance::generate(9, 25, Correlation::Weak, 0.5, 8);
         let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
-        assert_expander_agrees_with_recorder(ftbb_bnb::BasicTreeProblem::new(tree));
+        assert_expander_agrees_with_recorder(BasicTreeProblem::new(tree));
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl<P: Process> Engine<P> {
         self.now
     }
 
-    /// Number of registered processes.
-    pub fn num_processes(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Is the process still live (not crashed, not halted)?
     pub fn is_live(&self, pid: ProcId) -> bool {
         matches!(self.slots[pid.index()].state, SlotState::Live)

@@ -42,7 +42,6 @@ impl<M, T> Ord for Entry<M, T> {
 pub struct EventQueue<M, T> {
     heap: BinaryHeap<Entry<M, T>>,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<M, T> Default for EventQueue<M, T> {
@@ -57,7 +56,6 @@ impl<M, T> EventQueue<M, T> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -65,7 +63,6 @@ impl<M, T> EventQueue<M, T> {
     pub fn push(&mut self, event: Event<M, T>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry {
             time: event.time,
             seq,
@@ -91,11 +88,6 @@ impl<M, T> EventQueue<M, T> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (for run statistics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 }
 
@@ -162,9 +154,7 @@ mod tests {
         q.push(ev(7, 0));
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 1);
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 1);
     }
 }

@@ -107,19 +107,6 @@ impl Tracer {
     }
 }
 
-/// Sum up the time spent in each state for one timeline.
-pub fn time_by_state(intervals: &[StateInterval]) -> Vec<(&'static str, SimTime)> {
-    let mut acc: Vec<(&'static str, SimTime)> = Vec::new();
-    for iv in intervals {
-        let d = iv.end.saturating_sub(iv.start);
-        match acc.iter_mut().find(|(s, _)| *s == iv.state) {
-            Some((_, t)) => *t = t.saturating_add(d),
-            None => acc.push((iv.state, d)),
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,24 +150,6 @@ mod tests {
         assert_eq!(tl[1].len(), 1);
         assert_eq!(tl[1][0].state, "bb");
         assert_eq!(tl[1][0].end, SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn time_by_state_accumulates() {
-        let mut t = Tracer::enabled();
-        t.record(SimTime::from_secs(0), ProcId(0), "bb");
-        t.record(SimTime::from_secs(1), ProcId(0), "idle");
-        t.record(SimTime::from_secs(3), ProcId(0), "bb");
-        let tl = t.timelines(1, SimTime::from_secs(4));
-        let sums = time_by_state(&tl[0]);
-        let get = |name| {
-            sums.iter()
-                .find(|(s, _)| *s == name)
-                .map(|(_, t)| *t)
-                .unwrap()
-        };
-        assert_eq!(get("bb"), SimTime::from_secs(2));
-        assert_eq!(get("idle"), SimTime::from_secs(2));
     }
 
     #[test]

@@ -60,15 +60,6 @@ impl NetStats {
         }
         self.total_mb() / hours / nprocs as f64
     }
-
-    /// Fraction of sent messages that were delivered.
-    pub fn delivery_rate(&self) -> f64 {
-        if self.messages_sent == 0 {
-            1.0
-        } else {
-            self.messages_delivered as f64 / self.messages_sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,6 +93,5 @@ mod tests {
     fn degenerate_rates() {
         let s = NetStats::new(1);
         assert_eq!(s.mb_per_hour_per_proc(SimTime::ZERO, 1), 0.0);
-        assert_eq!(s.delivery_rate(), 1.0);
     }
 }

@@ -3,7 +3,7 @@
 use crate::node::{run_node, CrashSwitch, NodeOutcome};
 use crate::transport::Mesh;
 use ftbb_bnb::BranchBound;
-use ftbb_core::{BnbProcess, Expander, ProblemExpander, ProtocolConfig};
+use ftbb_core::{holds_root, node_seed, BnbProcess, Expander, ProblemExpander, ProtocolConfig};
 use std::thread;
 use std::time::Duration;
 
@@ -43,19 +43,6 @@ impl ClusterConfig {
             seed: 1,
         }
     }
-}
-
-/// Per-node protocol RNG seed derived from a cluster-wide base seed.
-/// Every deployment (threaded harness, `ftbb-wire` daemons) must use
-/// this same mixing, or "identical state machine" stops being true.
-pub fn node_seed(base: u64, id: u32) -> u64 {
-    base.wrapping_mul(0x9e37_79b9).wrapping_add(id as u64)
-}
-
-/// Root-holder election: the lowest member id starts with the root
-/// subproblem. `members` must be sorted (as `BnbProcess` expects).
-pub fn holds_root(id: u32, members: &[u32]) -> bool {
-    members.first() == Some(&id)
 }
 
 /// Result of a cluster run.

@@ -42,7 +42,7 @@ pub mod service;
 pub mod telemetry;
 pub mod transport;
 
-pub use harness::{holds_root, node_seed, run_cluster, ClusterConfig, ClusterOutcome};
+pub use harness::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutcome};
 pub use pool::{PoolExpander, Work, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};

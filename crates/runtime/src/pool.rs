@@ -304,8 +304,16 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbb_core::TreeExpander;
+    use ftbb_bnb::BasicTreeProblem;
+    use ftbb_core::ProblemExpander;
     use ftbb_tree::basic_tree::fig1_example;
+    use ftbb_tree::BasicTree;
+
+    /// Replays `tree` with every node cost scaled by `granularity`.
+    fn replay(mut tree: BasicTree, granularity: f64) -> ProblemExpander<BasicTreeProblem> {
+        tree.scale_costs(granularity);
+        ProblemExpander::new(BasicTreeProblem::new(tree))
+    }
 
     /// Every code of the Figure-1 example tree, root first.
     fn all_codes() -> Vec<Code> {
@@ -315,9 +323,9 @@ mod tests {
 
     #[test]
     fn pool_results_match_inline_expansion() {
-        let mut inline = TreeExpander::new(fig1_example());
+        let mut inline = replay(fig1_example(), 1.0);
         let mut pool = WorkerPool::new(4);
-        pool.register(7, Box::new(TreeExpander::new(fig1_example())));
+        pool.register(7, Box::new(replay(fig1_example(), 1.0)));
 
         let codes = all_codes();
         for (seq, code) in codes.iter().enumerate() {
@@ -341,11 +349,8 @@ mod tests {
     #[test]
     fn jobs_expand_against_their_own_registration() {
         let mut pool = WorkerPool::new(2);
-        pool.register(1, Box::new(TreeExpander::new(fig1_example())));
-        pool.register(
-            2,
-            Box::new(TreeExpander::with_granularity(fig1_example(), 10.0)),
-        );
+        pool.register(1, Box::new(replay(fig1_example(), 1.0)));
+        pool.register(2, Box::new(replay(fig1_example(), 10.0)));
         pool.submit(1, 0, Code::root());
         pool.submit(2, 0, Code::root());
         let mut costs: HashMap<u64, f64> = HashMap::new();
@@ -369,7 +374,7 @@ mod tests {
             ..Default::default()
         });
         let solved = ftbb_bnb::solve(
-            &ftbb_bnb::BasicTreeProblem::new(tree.clone()),
+            &BasicTreeProblem::new(tree.clone()),
             &ftbb_bnb::SolveConfig::default(),
         );
         (tree, solved)
@@ -378,7 +383,7 @@ mod tests {
     #[test]
     fn an_unbounded_unit_on_a_worker_is_the_engine_solve() {
         let (tree, solved) = dfs_tree(3);
-        let mut inline = TreeExpander::new(tree.clone());
+        let mut inline = replay(tree.clone(), 1.0);
         let want = Expander::explore(&mut inline, &Code::root(), f64::INFINITY, &mut |_, _| true);
         assert_eq!(want.done, vec![Code::root()]);
         assert!(want.frontier.is_empty());
@@ -387,7 +392,7 @@ mod tests {
         assert_eq!(want.cost, solved.stats.total_cost);
 
         let mut pool = WorkerPool::new(2);
-        pool.register(1, Box::new(TreeExpander::new(tree)));
+        pool.register(1, Box::new(replay(tree, 1.0)));
         let hour = Duration::from_secs(3600);
         pool.submit_unit(1, 9, Code::root(), f64::INFINITY, hour);
         let (job, seq, work) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
@@ -398,13 +403,13 @@ mod tests {
     #[test]
     fn a_zero_budget_unit_on_a_worker_stops_at_the_first_clock_read() {
         let (tree, _) = dfs_tree(8);
-        let mut inline = TreeExpander::new(tree.clone());
+        let mut inline = replay(tree.clone(), 1.0);
         let mut first_read = |n: u64, _| !n.is_multiple_of(DEADLINE_POLL);
         let root = Expander::explore(&mut inline, &Code::root(), f64::INFINITY, &mut first_read);
         assert_eq!(root.expanded, DEADLINE_POLL, "the tree outlasts one poll");
 
         let mut pool = WorkerPool::new(2);
-        pool.register(1, Box::new(TreeExpander::new(tree)));
+        pool.register(1, Box::new(replay(tree, 1.0)));
         let frontier = root.frontier.iter().map(|(code, _)| code.clone());
         for (seq, code) in std::iter::once(Code::root()).chain(frontier).enumerate() {
             pool.submit_unit(1, seq as u64, code.clone(), f64::INFINITY, Duration::ZERO);
@@ -418,7 +423,7 @@ mod tests {
     #[test]
     fn dropping_a_busy_pool_joins_cleanly() {
         let mut pool = WorkerPool::new(3);
-        pool.register(1, Box::new(TreeExpander::new(fig1_example())));
+        pool.register(1, Box::new(replay(fig1_example(), 1.0)));
         for seq in 0..64 {
             pool.submit(1, seq, Code::root());
         }
@@ -436,7 +441,7 @@ mod tests {
             // expanded against another job's registration is caught.
             let granularity = |job: u64| (job + 1) as f64;
             for job in 0..JOBS {
-                let expander = TreeExpander::with_granularity(fig1_example(), granularity(job));
+                let expander = replay(fig1_example(), granularity(job));
                 pool.register(job, Box::new(expander));
             }
             for (seq, code) in codes.iter().enumerate() {
@@ -463,7 +468,7 @@ mod tests {
                 "a result beyond the submitted"
             );
             for job in 0..JOBS {
-                let mut inline = TreeExpander::with_granularity(fig1_example(), granularity(job));
+                let mut inline = replay(fig1_example(), granularity(job));
                 for (seq, code) in codes.iter().enumerate() {
                     let want = Work::Expansion(Expander::expand(&mut inline, code));
                     assert_eq!(got[&(job, seq as u64)], want, "job {job} code {code}");
@@ -477,7 +482,7 @@ mod tests {
     /// clones workers still own.
     #[derive(Clone)]
     struct Gated {
-        inner: TreeExpander,
+        inner: ProblemExpander<BasicTreeProblem>,
         started: Sender<()>,
         gate: Arc<Mutex<()>>,
     }
@@ -504,7 +509,7 @@ mod tests {
         pool.register(
             1,
             Box::new(Gated {
-                inner: TreeExpander::new(fig1_example()),
+                inner: replay(fig1_example(), 1.0),
                 started: started_tx,
                 gate: Arc::clone(&gate),
             }),

@@ -56,13 +56,11 @@ pub(crate) fn charge(phase: &mut PhaseTimes, mark: &mut Instant, cat: TimeCatego
     *mark = now;
 }
 
-/// A pending timer in a job's heap: ordered by `(at, priority, seq)` —
-/// and *equal* by that key too, so `Ord`, `PartialOrd`, `PartialEq`, and
-/// `Eq` agree. The deadline comes first; equal deadlines fire in
-/// [`PTimer::priority`] order (the single tie-break table core defines,
-/// so the runtime cannot drift from the simulator's ordering); `seq` is
-/// unique per entry, which keeps the order total — FIFO within one
-/// priority class — without consulting the rest of the payload.
+/// A pending timer in a job's heap: ordered by `(at, seq)` — and *equal*
+/// by that key too, so `Ord`, `PartialOrd`, `PartialEq`, and `Eq` agree.
+/// Equal deadlines fire in arming order (`seq` is unique per entry), the
+/// order the simulator's event queue uses, so the two harnesses cannot
+/// drift apart on simultaneous deadlines.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TimerEntry {
     pub(crate) at: SimTime,
@@ -71,8 +69,8 @@ pub(crate) struct TimerEntry {
 }
 
 impl TimerEntry {
-    fn key(&self) -> (SimTime, u8, u64) {
-        (self.at, self.timer.priority(), self.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -271,6 +269,20 @@ impl<E: Expander> JobEngine<E> {
         self.pending.extend(self.out.drain(..));
     }
 
+    /// Arm `timer` to fire `delay_s` after `t`.
+    fn arm(&mut self, t: SimTime, delay_s: f64, timer: PTimer) {
+        let at = t + SimTime::from_secs_f64(delay_s);
+        let seq = self.timer_seq;
+        self.timers.push(Reverse(TimerEntry { at, seq, timer }));
+        self.timer_seq += 1;
+    }
+
+    /// Take the first timer due by `t`, if any.
+    fn pop_due(&mut self, t: SimTime) -> Option<PTimer> {
+        let due = self.timers.peek()?.0.at <= t;
+        due.then(|| self.timers.pop().expect("peeked").0.timer)
+    }
+
     fn deliver(&mut self, env: Envelope, t: SimTime) {
         let (from, msg) = (env.from, env.msg);
         self.step(PEvent::Recv { from, msg }, t);
@@ -371,11 +383,6 @@ impl<E: Expander> ServiceEngine<E> {
     pub fn admit(&mut self, engine: JobEngine<E>) {
         debug_assert_eq!(engine.core.id(), self.id, "job engine belongs to this node");
         self.jobs.push(engine);
-    }
-
-    /// Number of admitted jobs.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
     }
 
     /// Drive the pump with no persistence.
@@ -512,14 +519,7 @@ impl<E: Expander> ServiceEngine<E> {
                         charge(&mut phase, &mut mark, TimeCategory::Expand);
                     }
                     Action::SetTimer { delay_s, timer } => {
-                        let at = now(epoch) + SimTime::from_secs_f64(delay_s);
-                        let engine = &mut self.jobs[idx];
-                        engine.timers.push(Reverse(TimerEntry {
-                            at,
-                            seq: engine.timer_seq,
-                            timer,
-                        }));
-                        engine.timer_seq += 1;
+                        self.jobs[idx].arm(now(epoch), delay_s, timer);
                         charge(&mut phase, &mut mark, timer.category());
                     }
                     Action::Halt => {
@@ -587,16 +587,11 @@ impl<E: Expander> ServiceEngine<E> {
                 }
                 loop {
                     let t = now(epoch);
-                    let due = matches!(
-                        self.jobs[idx].timers.peek(),
-                        Some(Reverse(entry)) if entry.at <= t
-                    );
-                    if !due {
+                    let Some(timer) = self.jobs[idx].pop_due(t) else {
                         break;
-                    }
-                    let Reverse(entry) = self.jobs[idx].timers.pop().expect("peeked");
-                    self.jobs[idx].step(PEvent::Timer(entry.timer), t);
-                    charge(&mut phase, &mut mark, entry.timer.category());
+                    };
+                    self.jobs[idx].step(PEvent::Timer(timer), t);
+                    charge(&mut phase, &mut mark, timer.category());
                 }
             }
 
@@ -895,9 +890,10 @@ impl<E: Expander + Clone + Send + 'static> ServiceEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{holds_root, node_seed, ClusterConfig};
+    use crate::harness::ClusterConfig;
     use crate::transport::Mesh;
     use ftbb_bnb::{solve, Correlation, KnapsackInstance, MaxSatInstance, SolveConfig};
+    use ftbb_core::{holds_root, node_seed};
     use std::thread;
 
     /// A sink that remembers every snapshot it was handed.
@@ -913,11 +909,8 @@ mod tests {
 
     #[test]
     fn timer_entries_compare_consistently() {
-        // Same key (deadline, priority class, sequence) — payload
-        // differences inside one class don't exist for PTimer, so equal
-        // keys mean genuinely interchangeable entries: equal AND
-        // Ordering::Equal, the consistency the old always-Equal Ord
-        // violated against a payload-derived PartialEq.
+        // Same key (deadline, sequence): equal AND Ordering::Equal, so Ord
+        // and PartialEq agree whatever the payload.
         let a = TimerEntry {
             at: SimTime::from_millis(5),
             seq: 1,
@@ -931,8 +924,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
 
-        // Distinct keys order by deadline, then the core-defined timer
-        // priority, then arming sequence — and are never equal.
+        // Distinct keys order by deadline, then arming sequence — and are
+        // never equal.
         let later = TimerEntry {
             at: SimTime::from_millis(6),
             seq: 0,
@@ -943,57 +936,47 @@ mod tests {
         let same_time_later_seq = TimerEntry { seq: 2, ..a };
         assert!(a < same_time_later_seq);
         assert_ne!(a, same_time_later_seq);
-        // A due membership tick outranks an equal-deadline report flush
-        // regardless of which was armed first (the old magic (at, seq)
-        // key let arming order decide; the rank now comes from
-        // PTimer::priority, core's single tie-break table).
-        let flush_armed_first = TimerEntry {
-            at: SimTime::from_millis(5),
-            seq: 0,
-            timer: PTimer::ReportFlush,
-        };
-        let tick_armed_later = TimerEntry {
-            at: SimTime::from_millis(5),
-            seq: 7,
-            timer: PTimer::MembershipTick,
-        };
-        assert!(tick_armed_later < flush_armed_first);
     }
 
     #[test]
-    fn heap_pops_timers_in_deadline_then_priority_order() {
-        let mut heap: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
-        for (seq, (ms, timer)) in [
-            (9, PTimer::TableGossip),
-            (3, PTimer::ReportFlush),
-            (3, PTimer::MembershipTick),
-            (7, PTimer::LbTimeout(1)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            heap.push(Reverse(TimerEntry {
-                at: SimTime::from_millis(ms),
-                seq: seq as u64,
-                timer,
-            }));
+    fn timers_armed_in_one_step_with_equal_delays_fire_in_arming_order() {
+        // A gossip-mode process arms its table gossip before its
+        // membership tick on Start. With equal intervals the two come due
+        // together, and fire in arming order, as in the simulator; the
+        // later report flush fires last.
+        let mut cfg = ProtocolConfig::default();
+        let membership = cfg.membership.insert(Default::default());
+        cfg.table_gossip_interval_s = membership.gossip_interval.as_secs_f64();
+        cfg.report_interval_s = 2.0 * cfg.table_gossip_interval_s;
+        let instance = tiny_instance();
+        let expander = AnyExpander::new(instance);
+        let root = expander.root_bound();
+        let t0 = SimTime::from_millis(3);
+        let core = BnbProcess::with_membership(0, vec![0], true, cfg.clone(), root, true, 1, t0);
+        let mut job = JobEngine::new(JobId::DEFAULT, core, expander);
+        job.start(t0);
+        let armed: Vec<(f64, PTimer)> = job
+            .pending
+            .drain(..)
+            .filter_map(|action| match action {
+                Action::SetTimer { delay_s, timer } => Some((delay_s, timer)),
+                _ => None,
+            })
+            .collect();
+        let timers: Vec<PTimer> = armed.iter().map(|&(_, timer)| timer).collect();
+        let order = [
+            PTimer::ReportFlush,
+            PTimer::TableGossip,
+            PTimer::MembershipTick,
+        ];
+        assert_eq!(timers, order);
+        for (delay_s, timer) in armed {
+            job.arm(t0, delay_s, timer);
         }
-        let mut fired = Vec::new();
-        while let Some(Reverse(entry)) = heap.pop() {
-            fired.push((entry.at, entry.seq, entry.timer));
-        }
-        // At the 3 ms tie, the membership tick (priority 0) fires before
-        // the report flush (priority 3) even though the flush was armed
-        // first.
-        assert_eq!(
-            fired,
-            vec![
-                (SimTime::from_millis(3), 2, PTimer::MembershipTick),
-                (SimTime::from_millis(3), 1, PTimer::ReportFlush),
-                (SimTime::from_millis(7), 3, PTimer::LbTimeout(1)),
-                (SimTime::from_millis(9), 0, PTimer::TableGossip),
-            ]
-        );
+        let gossip_due = t0 + SimTime::from_secs_f64(cfg.table_gossip_interval_s);
+        let due_together: Vec<PTimer> = std::iter::from_fn(|| job.pop_due(gossip_due)).collect();
+        assert_eq!(due_together, [PTimer::TableGossip, PTimer::MembershipTick]);
+        assert_eq!(job.pop_due(SimTime::MAX), Some(PTimer::ReportFlush));
     }
 
     fn tiny_instance() -> ftbb_bnb::AnyInstance {

@@ -309,16 +309,6 @@ impl TransportStats {
         self.dropped_full + self.dropped_disconnected + self.dropped_no_route + self.dropped_startup
     }
 
-    /// Framing overhead of the encoding, as actual/estimated bytes
-    /// (1.0 when the transport ships no frames; 0 when nothing was sent).
-    pub fn encoding_overhead(&self) -> f64 {
-        if self.sent_wire_bytes == 0 {
-            0.0
-        } else {
-            self.sent_encoded_bytes as f64 / self.sent_wire_bytes as f64
-        }
-    }
-
     /// Average frames per socket flush — the write-batching factor
     /// (0 when nothing was flushed; 1.0 means one syscall per frame).
     pub fn frames_per_flush(&self) -> f64 {
@@ -466,7 +456,6 @@ mod tests {
         // Stale drops are receive-side: they do not inflate the send-side
         // drop total.
         assert_eq!(s.dropped(), 4);
-        assert!((s.encoding_overhead() - 2.0).abs() < 1e-12);
         assert_eq!(s.flushes, 2);
         assert_eq!(s.frames_flushed, 4);
         assert!((s.frames_per_flush() - 2.0).abs() < 1e-12);

@@ -12,7 +12,8 @@
 //! serializes expansion work and message processing.
 
 use crate::shared::Shared;
-use ftbb_core::{Action, Event, Expander, Expansion, Protocol, TimeCategory, TreeExpander};
+use ftbb_bnb::BasicTreeProblem;
+use ftbb_core::{Action, Event, Expander, Expansion, ProblemExpander, Protocol, TimeCategory};
 use ftbb_des::{Ctx, ProcId, Process, SimTime};
 use ftbb_tree::Code;
 use std::cell::RefCell;
@@ -68,7 +69,8 @@ type SimCtx<'a, P> = Ctx<'a, <P as Protocol>::Msg, SimTimer<<P as Protocol>::Tim
 /// One simulated machine.
 pub struct SimProcess<P: Protocol> {
     core: P,
-    expander: TreeExpander,
+    /// The deployed expander, replaying the run's recorded tree.
+    expander: ProblemExpander<BasicTreeProblem>,
     shared: Rc<RefCell<Shared>>,
     /// Relative speed (paper §4: heterogeneity); higher = faster.
     speed: f64,
@@ -84,7 +86,7 @@ impl<P: Protocol> SimProcess<P> {
     /// Build an actor.
     pub fn new(
         core: P,
-        expander: TreeExpander,
+        expander: ProblemExpander<BasicTreeProblem>,
         shared: Rc<RefCell<Shared>>,
         speed: f64,
         sample_interval: SimTime,

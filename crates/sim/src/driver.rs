@@ -2,7 +2,11 @@
 
 use crate::actor::{SimProcess, TimeBreakdown};
 use crate::shared::{OverheadModel, Shared};
-use ftbb_core::{BnbProcess, Expander, ProcMetrics, Protocol, ProtocolConfig, TreeExpander};
+use ftbb_bnb::BasicTreeProblem;
+use ftbb_core::{
+    holds_root, node_seed, BnbProcess, Expander, ProblemExpander, ProcMetrics, Protocol,
+    ProtocolConfig,
+};
 use ftbb_des::{Engine, ProcId, RunLimits, RunStats, SimTime, StateInterval};
 use ftbb_net::{NetStats, Network, NetworkConfig};
 use ftbb_tree::BasicTree;
@@ -23,7 +27,8 @@ pub struct SimConfig {
     pub network: NetworkConfig,
     /// Overhead model (contraction, send/receive costs).
     pub overheads: OverheadModel,
-    /// Granularity multiplier on recorded node costs (§6.2).
+    /// Granularity multiplier on recorded node costs (§6.2), applied once
+    /// per run to one shared copy of the tree.
     pub granularity: f64,
     /// Per-process relative speeds; empty = all 1.0 (homogeneous).
     pub speeds: Vec<f64>,
@@ -148,7 +153,8 @@ impl RunReport {
 pub fn run_sim(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
     let members: Vec<u32> = (0..cfg.nprocs).collect();
     run_protocol(tree, cfg, |pid, root_bound| {
-        let seed = cfg.seed.wrapping_mul(0x9e37_79b9).wrapping_add(pid as u64);
+        let seed = node_seed(cfg.seed, pid);
+        let root = holds_root(pid, &members);
         if cfg.protocol.membership.is_some() {
             BnbProcess::with_membership(
                 pid,
@@ -156,13 +162,13 @@ pub fn run_sim(tree: &Arc<BasicTree>, cfg: &SimConfig) -> RunReport {
                 pid == 0,
                 cfg.protocol.clone(),
                 root_bound,
-                pid == 0,
+                root,
                 seed,
                 SimTime::ZERO,
             )
         } else {
             let protocol = cfg.protocol.clone();
-            BnbProcess::new(pid, members.clone(), protocol, root_bound, pid == 0, seed)
+            BnbProcess::new(pid, members.clone(), protocol, root_bound, root, seed)
         }
     })
 }
@@ -187,9 +193,18 @@ pub fn run_protocol<P: Protocol>(
         engine.enable_trace();
     }
 
+    // Granularity scales one shared copy of the tree, once per run.
+    assert!(cfg.granularity > 0.0 && cfg.granularity.is_finite());
+    let tree = if cfg.granularity == 1.0 {
+        Arc::clone(tree)
+    } else {
+        let mut scaled = BasicTree::clone(tree);
+        scaled.scale_costs(cfg.granularity);
+        Arc::new(scaled)
+    };
     let mut seeder = SmallRng::seed_from_u64(cfg.seed ^ 0x5eed_5eed);
     for pid in 0..cfg.nprocs {
-        let expander = TreeExpander::with_granularity(Arc::clone(tree), cfg.granularity);
+        let expander = ProblemExpander::new(BasicTreeProblem::new(Arc::clone(&tree)));
         let core = make(pid, expander.root_bound());
         let speed = cfg.speeds.get(pid as usize).copied().unwrap_or(1.0);
         let actor = SimProcess::new(

@@ -8,7 +8,9 @@
 //!
 //! * workloads are recorded or random **basic trees**, replayed with
 //!   incumbent-dependent pruning, so the explored B&B tree varies with
-//!   communication timing and processor count;
+//!   communication timing and processor count. Every process replays one
+//!   shared tree through the deployed nodes' expander,
+//!   [`ftbb_core::ProblemExpander`] over an [`ftbb_bnb::BasicTreeProblem`];
 //! * communication costs follow `1.5 + 0.005·L` ms;
 //! * process time is charged to the Figure 3 categories (B&B,
 //!   communication, list contraction, load balancing, redundant; idle is

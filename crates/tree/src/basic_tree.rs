@@ -81,14 +81,6 @@ impl BasicTree {
         t
     }
 
-    /// Fallible constructor: validates and returns the error instead of
-    /// panicking (used by the binary decoder on untrusted input).
-    pub fn try_new(nodes: Vec<BasicNode>) -> Result<Self, String> {
-        let t = BasicTree { nodes };
-        t.validate()?;
-        Ok(t)
-    }
-
     /// Check structural invariants. Total on any node arena — the serde
     /// decoder hands this arenas built from outside bytes — so the walk
     /// goes *down* from the root: a node is examined only after the chain

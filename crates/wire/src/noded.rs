@@ -386,7 +386,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         let job_engine = JobEngine::restore(
             chk,
             protocol.clone(),
-            ftbb_runtime::node_seed(cfg.seed ^ chk.job.raw(), cfg.id),
+            ftbb_core::node_seed(cfg.seed ^ chk.job.raw(), cfg.id),
         )
         .map_err(bad_input)?;
         telemetry.for_job(chk.job.raw()).emit(
@@ -418,7 +418,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         // behave identically in every deployment. A joiner never holds
         // the root: it enters a computation that is already running
         // somewhere else.
-        let holds_root = !cfg.join && ftbb_runtime::holds_root(cfg.id, &members);
+        let holds_root = !cfg.join && ftbb_core::holds_root(cfg.id, &members);
         let instance = single_run_instance(cfg, &mesh, holds_root, &peers, &telemetry)?;
         engine.admit(build_job(
             cfg,
@@ -789,7 +789,7 @@ fn build_job(
     holds_root: bool,
 ) -> JobEngine<AnyExpander> {
     let expander = AnyExpander::new(instance.clone());
-    let seed = ftbb_runtime::node_seed(cfg.seed ^ job.raw(), cfg.id);
+    let seed = ftbb_core::node_seed(cfg.seed ^ job.raw(), cfg.id);
     let core = if cfg.gossip_mode() {
         // Membership mode: the member list is the gossip view's alive
         // set. Wired nodes seed the view with their peer map (immediate

@@ -80,9 +80,10 @@ pub mod paper;
 /// The most common imports for using the library.
 pub mod prelude {
     pub use ftbb_bnb::{
-        solve, AnyInstance, BranchBound, KnapsackInstance, MaxSatInstance, SolveConfig,
+        solve, AnyInstance, BasicTreeProblem, BranchBound, KnapsackInstance, MaxSatInstance,
+        SolveConfig,
     };
-    pub use ftbb_core::{AnyExpander, BnbProcess, Expander, ProtocolConfig, TreeExpander};
+    pub use ftbb_core::{AnyExpander, BnbProcess, Expander, ProblemExpander, ProtocolConfig};
     pub use ftbb_des::{ProcId, SimTime};
     pub use ftbb_net::{LatencyModel, LossModel, NetworkConfig, PartitionSchedule};
     pub use ftbb_runtime::{run_cluster, ClusterConfig, Transport};

@@ -232,7 +232,7 @@ impl Table {
     /// floor every effort column is divided by) and writes the header.
     fn new(workload: &str, tree: &Arc<BasicTree>) -> Table {
         let seq = solve(
-            &BasicTreeProblem::new(BasicTree::clone(tree)),
+            &BasicTreeProblem::new(Arc::clone(tree)),
             &SolveConfig::default(),
         );
         assert_eq!(seq.best, tree.optimal(), "sequential reference is wrong");

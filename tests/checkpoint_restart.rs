@@ -3,13 +3,25 @@
 //! mid-computation, serialized, killed, restored elsewhere, and finish with
 //! the correct optimum.
 
-use ftbb::core::{Action, BnbProcess, Checkpoint, Expander, PEvent, ProtocolConfig, TreeExpander};
+use ftbb::bnb::BasicTreeProblem;
+use ftbb::core::{
+    Action, BnbProcess, Checkpoint, Expander, PEvent, ProblemExpander, ProtocolConfig,
+};
 use ftbb::des::SimTime;
-use ftbb::tree::{random_basic_tree, TreeConfig};
+use ftbb::tree::{random_basic_tree, BasicTree, TreeConfig};
+
+/// Replays `tree`, as the simulator does.
+fn replay(tree: &BasicTree) -> ProblemExpander<BasicTreeProblem> {
+    ProblemExpander::new(BasicTreeProblem::new(tree.clone()))
+}
 
 /// Drive a solo process until termination or until `stop_after` expansions,
 /// returning the number of expansions performed.
-fn drive(p: &mut BnbProcess, expander: &mut TreeExpander, stop_after: Option<u64>) -> u64 {
+fn drive(
+    p: &mut BnbProcess,
+    expander: &mut ProblemExpander<BasicTreeProblem>,
+    stop_after: Option<u64>,
+) -> u64 {
     let mut expansions = 0u64;
     let mut pending: Vec<Action> = p.handle(PEvent::Start, SimTime::ZERO);
     while !p.is_terminated() {
@@ -49,7 +61,7 @@ fn checkpoint_mid_run_restore_and_finish() {
 
     // Phase 1: work for 100 expansions, then checkpoint and "crash".
     let mut p = BnbProcess::new(0, vec![0], ProtocolConfig::default(), 0.0, true, 1);
-    let mut expander = TreeExpander::new(tree.clone());
+    let mut expander = replay(&tree);
     let done_before = drive(&mut p, &mut expander, Some(100));
     assert_eq!(done_before, 100);
     assert!(!p.is_terminated());
@@ -59,7 +71,7 @@ fn checkpoint_mid_run_restore_and_finish() {
     // Phase 2: restore on a "new machine" and finish.
     let chk = Checkpoint::decode(&blob).expect("valid checkpoint");
     let mut restored = BnbProcess::restore(&chk, ProtocolConfig::default(), 2);
-    let mut expander2 = TreeExpander::new(tree.clone());
+    let mut expander2 = replay(&tree);
     let done_after = drive(&mut restored, &mut expander2, None);
 
     assert!(restored.is_terminated(), "restored process must finish");
@@ -91,7 +103,7 @@ fn checkpoint_size_tracks_contraction() {
     let mut sizes = Vec::new();
     for stop in [50u64, 250, 450] {
         let mut p = BnbProcess::new(0, vec![0], ProtocolConfig::default(), 0.0, true, 1);
-        let mut expander = TreeExpander::new(tree.clone());
+        let mut expander = replay(&tree);
         drive(&mut p, &mut expander, Some(stop));
         sizes.push(p.checkpoint().encode().len());
     }
@@ -99,7 +111,7 @@ fn checkpoint_size_tracks_contraction() {
     assert!(sizes[0] < sizes[2] * 10, "sanity");
     // …and a finished process's checkpoint is tiny (root code only).
     let mut p = BnbProcess::new(0, vec![0], ProtocolConfig::default(), 0.0, true, 1);
-    let mut expander = TreeExpander::new(tree.clone());
+    let mut expander = replay(&tree);
     drive(&mut p, &mut expander, None);
     assert!(p.is_terminated());
     let final_size = p.checkpoint().encode().len();
@@ -125,7 +137,7 @@ fn restored_process_interoperates_with_peers() {
 
     // Solo run to produce a half-done checkpoint.
     let mut solo = BnbProcess::new(0, vec![0, 1], ProtocolConfig::default(), 0.0, true, 1);
-    let mut expander = TreeExpander::new(tree.clone());
+    let mut expander = replay(&tree);
     drive(&mut solo, &mut expander, Some(40));
     let chk = solo.checkpoint();
     drop(solo);
@@ -135,10 +147,7 @@ fn restored_process_interoperates_with_peers() {
         BnbProcess::restore(&chk, ProtocolConfig::default(), 5),
         BnbProcess::new(1, vec![0, 1], ProtocolConfig::default(), 0.0, false, 6),
     ];
-    let mut expanders = [
-        TreeExpander::new(tree.clone()),
-        TreeExpander::new(tree.clone()),
-    ];
+    let mut expanders = [replay(&tree), replay(&tree)];
 
     // Synchronous rounds: deliver all actions instantly, expand inline.
     let mut inboxes: Vec<Vec<(u32, ftbb::core::Msg)>> = vec![Vec::new(), Vec::new()];

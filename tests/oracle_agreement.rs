@@ -31,7 +31,7 @@ fn random_trees_many_seeds() {
             ..Default::default()
         }));
         let sequential = solve(
-            &BasicTreeProblem::new((*tree).clone()),
+            &BasicTreeProblem::new(Arc::clone(&tree)),
             &SolveConfig::default(),
         );
         let report = run_sim(&tree, &cfg(3 + (seed % 4) as u32, seed));

@@ -32,7 +32,7 @@ proptest! {
             ..Default::default()
         }));
         let reference = solve(
-            &BasicTreeProblem::new((*tree).clone()),
+            &BasicTreeProblem::new(Arc::clone(&tree)),
             &SolveConfig::default(),
         );
 
