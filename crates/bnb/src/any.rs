@@ -13,9 +13,9 @@
 
 use crate::knapsack::{Item, KnapNode, KnapsackInstance};
 use crate::maxsat::{MaxSatInstance, SatNode};
-use crate::problem::BranchBound;
+use crate::problem::{Branch, BranchBound};
 use crate::replay::BasicTreeProblem;
-use ftbb_tree::{NodeId, Var};
+use ftbb_tree::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Any workload the cluster can solve, in one serializable value.
@@ -66,10 +66,12 @@ impl AnyInstance {
 
     /// Structural validation, for instances decoded from untrusted bytes
     /// (the serde derive decodes structure, not invariants). Mirrors the
-    /// panicking checks of the variants' constructors, and refuses what
-    /// the solver's arithmetic cannot hold: more items than
-    /// `KnapNode::level` indexes, or weights or profits whose sum
-    /// overflows `u64`.
+    /// panicking checks of the variants' constructors and the item order
+    /// `KnapsackInstance::new` sorts into (out of profit-density order,
+    /// the fractional tail bounds nothing and a solve proves a wrong
+    /// optimum), and refuses what the solver's arithmetic cannot hold:
+    /// more items than `KnapNode::level` indexes, or weights or profits
+    /// whose sum overflows `u64`.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             AnyInstance::Knapsack(k) => {
@@ -78,6 +80,9 @@ impl AnyInstance {
                 }
                 if k.items.iter().any(|i| i.weight == 0) {
                     return Err("knapsack item weights must be at least 1".into());
+                }
+                if k.items.windows(2).any(|w| w[0].density() < w[1].density()) {
+                    return Err("knapsack items must be in non-increasing profit density".into());
                 }
                 if k.items.len() > usize::from(u16::MAX) {
                     return Err("knapsack supports at most 65535 items".into());
@@ -142,35 +147,11 @@ impl BranchBound for AnyInstance {
         }
     }
 
-    fn solution(&self, node: &AnyNode) -> Option<f64> {
+    fn branch(&self, node: &AnyNode) -> Branch<AnyNode> {
         match (self, node) {
-            (AnyInstance::Knapsack(p), AnyNode::Knapsack(n)) => p.solution(n),
-            (AnyInstance::MaxSat(p), AnyNode::MaxSat(n)) => p.solution(n),
-            (AnyInstance::RecordedTree(p), AnyNode::Tree(n)) => p.solution(n),
-            _ => mismatch(self, node),
-        }
-    }
-
-    fn branching_var(&self, node: &AnyNode) -> Option<Var> {
-        match (self, node) {
-            (AnyInstance::Knapsack(p), AnyNode::Knapsack(n)) => p.branching_var(n),
-            (AnyInstance::MaxSat(p), AnyNode::MaxSat(n)) => p.branching_var(n),
-            (AnyInstance::RecordedTree(p), AnyNode::Tree(n)) => p.branching_var(n),
-            _ => mismatch(self, node),
-        }
-    }
-
-    fn decompose(&self, node: &AnyNode) -> Option<(AnyNode, AnyNode)> {
-        match (self, node) {
-            (AnyInstance::Knapsack(p), AnyNode::Knapsack(n)) => p
-                .decompose(n)
-                .map(|(l, r)| (AnyNode::Knapsack(l), AnyNode::Knapsack(r))),
-            (AnyInstance::MaxSat(p), AnyNode::MaxSat(n)) => p
-                .decompose(n)
-                .map(|(l, r)| (AnyNode::MaxSat(l), AnyNode::MaxSat(r))),
-            (AnyInstance::RecordedTree(p), AnyNode::Tree(n)) => p
-                .decompose(n)
-                .map(|(l, r)| (AnyNode::Tree(l), AnyNode::Tree(r))),
+            (AnyInstance::Knapsack(p), AnyNode::Knapsack(n)) => p.branch(n).map(AnyNode::Knapsack),
+            (AnyInstance::MaxSat(p), AnyNode::MaxSat(n)) => p.branch(n).map(AnyNode::MaxSat),
+            (AnyInstance::RecordedTree(p), AnyNode::Tree(n)) => p.branch(n).map(AnyNode::Tree),
             _ => mismatch(self, node),
         }
     }
@@ -234,7 +215,7 @@ mod tests {
             let r = solve(&any, &SolveConfig::default());
             let code = r.best_code.expect("feasible instance");
             let node = any.rebuild(&code).expect("own best code replays");
-            assert_eq!(any.solution(&node), r.best, "{}", any.kind());
+            assert_eq!(any.branch(&node).solution, r.best, "{}", any.kind());
         }
     }
 
@@ -344,6 +325,25 @@ mod tests {
         assert!(AnyInstance::Knapsack(too_many).validate().is_err());
         let most = KnapsackInstance::new(1, vec![tiny; usize::from(u16::MAX)]);
         assert!(AnyInstance::Knapsack(most).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_knapsack_items_out_of_density_order() {
+        let item = |weight, profit| Item { weight, profit };
+        let unsorted = |items| KnapsackInstance {
+            capacity: 5,
+            items,
+            cost_per_item: 1e-5,
+        };
+        // The denser item second: the fractional tail is no bound.
+        let bad = AnyInstance::Knapsack(unsorted(vec![item(1, 1), item(4, 40)]));
+        let err = bad.validate().expect_err("unsorted items");
+        assert!(err.contains("profit density"), "{err}");
+        // Equal densities may come in any order.
+        let tied = AnyInstance::Knapsack(unsorted(vec![item(1, 3), item(2, 6), item(3, 9)]));
+        assert!(tied.validate().is_ok());
+        let sorted = KnapsackInstance::new(5, vec![item(1, 1), item(4, 40)]);
+        assert!(AnyInstance::Knapsack(sorted).validate().is_ok());
     }
 
     #[test]

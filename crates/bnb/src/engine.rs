@@ -109,8 +109,9 @@ where
         stats.total_cost += problem.cost(&node);
         observe(&code, entry.bound);
 
-        // Bound may certify a feasible solution at this node.
-        if let Some(value) = problem.solution(&node) {
+        // Bound may certify a feasible solution at this node; Decompose.
+        let branch = problem.branch(&node);
+        if let Some(value) = branch.solution {
             if value < incumbent {
                 incumbent = value;
                 best = Some(value);
@@ -118,27 +119,20 @@ where
                 stats.incumbent_updates += 1;
             }
         }
-
-        // Decompose.
-        match (problem.branching_var(&node), problem.decompose(&node)) {
-            (Some(var), Some((left, right))) => {
-                for (child, bit) in [(left, false), (right, true)] {
-                    let b = problem.bound(&child);
-                    if b >= incumbent {
-                        stats.eliminated_at_insert += 1;
-                    } else {
-                        pool.push(PoolEntry {
-                            bound: b,
-                            depth: entry.depth + 1,
-                            node: (child, code.child(var, bit)),
-                        });
-                    }
-                }
+        let Some((var, children)) = branch.children else {
+            stats.fathomed_leaves += 1;
+            continue;
+        };
+        for ((b, child), bit) in children.into_iter().zip([false, true]) {
+            if b >= incumbent {
+                stats.eliminated_at_insert += 1;
+            } else {
+                pool.push(PoolEntry {
+                    bound: b,
+                    depth: entry.depth + 1,
+                    node: (child, code.child(var, bit)),
+                });
             }
-            (None, None) => {
-                stats.fathomed_leaves += 1;
-            }
-            _ => panic!("branching_var and decompose must agree on leaf-ness"),
         }
     }
 

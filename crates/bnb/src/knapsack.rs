@@ -8,7 +8,7 @@
 //! This is one of the "real problems" whose instrumented runs produce basic
 //! trees (§6.2) — see [`crate::recorder`].
 
-use crate::problem::BranchBound;
+use crate::problem::{Branch, BranchBound};
 use ftbb_tree::Var;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,6 +21,14 @@ pub struct Item {
     pub weight: u64,
     /// Item profit.
     pub profit: u64,
+}
+
+impl Item {
+    /// Profit per unit of weight: the order items are sorted into, and
+    /// the order Dantzig's bound needs.
+    pub(crate) fn density(&self) -> f64 {
+        self.profit as f64 / self.weight.max(1) as f64
+    }
 }
 
 /// A 0/1 knapsack instance. Items are stored in profit-density order
@@ -53,9 +61,9 @@ impl KnapsackInstance {
     /// Build from raw items (any order); sorts by density.
     pub fn new(capacity: u64, mut items: Vec<Item>) -> Self {
         items.sort_by(|a, b| {
-            let da = a.profit as f64 / a.weight.max(1) as f64;
-            let db = b.profit as f64 / b.weight.max(1) as f64;
-            db.partial_cmp(&da).expect("finite densities")
+            b.density()
+                .partial_cmp(&a.density())
+                .expect("finite densities")
         });
         KnapsackInstance {
             capacity,
@@ -180,38 +188,21 @@ impl BranchBound for KnapsackInstance {
         -(node.profit as f64 + tail)
     }
 
-    fn solution(&self, node: &KnapNode) -> Option<f64> {
+    fn branch(&self, node: &KnapNode) -> Branch<KnapNode> {
+        let leaf = |solution| Branch {
+            solution,
+            children: None,
+        };
         if node.infeasible {
-            return None;
+            return leaf(None);
         }
         let slack = self.capacity - node.weight;
         let (tail, complete) = self.fractional_tail(node.level as usize, slack);
-        if node.level as usize >= self.items.len() {
-            Some(-(node.profit as f64))
-        } else if complete {
-            // Greedy packed every remaining item: bound is feasible.
-            Some(-(node.profit as f64 + tail))
-        } else {
-            None
-        }
-    }
-
-    fn branching_var(&self, node: &KnapNode) -> Option<Var> {
-        if node.infeasible || node.level as usize >= self.items.len() {
-            return None;
-        }
-        // Fathomed-by-completeness nodes are leaves too.
-        let slack = self.capacity - node.weight;
-        let (_, complete) = self.fractional_tail(node.level as usize, slack);
         if complete {
-            None
-        } else {
-            Some(node.level as Var)
+            // Greedy packed every remaining item (none, past the last
+            // level): the bound is feasible, and the node a leaf.
+            return leaf(Some(-(node.profit as f64 + tail)));
         }
-    }
-
-    fn decompose(&self, node: &KnapNode) -> Option<(KnapNode, KnapNode)> {
-        self.branching_var(node)?;
         let item = self.items[node.level as usize];
         // Left (bit 0): skip the item.
         let skip = KnapNode {
@@ -219,21 +210,25 @@ impl BranchBound for KnapsackInstance {
             ..*node
         };
         // Right (bit 1): take the item (infeasible if it overflows).
-        let take = if node.weight + item.weight <= self.capacity {
+        let take = if item.weight <= slack {
             KnapNode {
-                level: node.level + 1,
                 weight: node.weight + item.weight,
                 profit: node.profit + item.profit,
-                infeasible: false,
+                ..skip
             }
         } else {
             KnapNode {
-                level: node.level + 1,
                 infeasible: true,
-                ..*node
+                ..skip
             }
         };
-        Some((skip, take))
+        Branch {
+            solution: None,
+            children: Some((
+                node.level as Var,
+                [(self.bound(&skip), skip), (self.bound(&take), take)],
+            )),
+        }
     }
 
     fn cost(&self, node: &KnapNode) -> f64 {
@@ -246,6 +241,129 @@ impl BranchBound for KnapsackInstance {
 mod tests {
     use super::*;
     use crate::engine::{solve, SolveConfig};
+
+    /// The operators as separate calls, each scanning its own fractional
+    /// tail: the implementation [`BranchBound::branch`] replaced, kept as
+    /// the reference it must match bit for bit.
+    mod reference {
+        use super::*;
+
+        pub fn solution(inst: &KnapsackInstance, node: &KnapNode) -> Option<f64> {
+            if node.infeasible {
+                return None;
+            }
+            let slack = inst.capacity - node.weight;
+            let (tail, complete) = inst.fractional_tail(node.level as usize, slack);
+            if node.level as usize >= inst.items.len() {
+                Some(-(node.profit as f64))
+            } else if complete {
+                Some(-(node.profit as f64 + tail))
+            } else {
+                None
+            }
+        }
+
+        pub fn branching_var(inst: &KnapsackInstance, node: &KnapNode) -> Option<Var> {
+            if node.infeasible || node.level as usize >= inst.items.len() {
+                return None;
+            }
+            let slack = inst.capacity - node.weight;
+            let (_, complete) = inst.fractional_tail(node.level as usize, slack);
+            (!complete).then_some(node.level as Var)
+        }
+
+        pub fn bound(inst: &KnapsackInstance, node: &KnapNode) -> f64 {
+            if node.infeasible {
+                return f64::INFINITY;
+            }
+            let slack = inst.capacity - node.weight;
+            let (tail, _) = inst.fractional_tail(node.level as usize, slack);
+            -(node.profit as f64 + tail)
+        }
+
+        pub fn decompose(inst: &KnapsackInstance, node: &KnapNode) -> Option<(KnapNode, KnapNode)> {
+            branching_var(inst, node)?;
+            let item = inst.items[node.level as usize];
+            let skip = KnapNode {
+                level: node.level + 1,
+                ..*node
+            };
+            let take = if node.weight + item.weight <= inst.capacity {
+                KnapNode {
+                    level: node.level + 1,
+                    weight: node.weight + item.weight,
+                    profit: node.profit + item.profit,
+                    infeasible: false,
+                }
+            } else {
+                KnapNode {
+                    level: node.level + 1,
+                    infeasible: true,
+                    ..*node
+                }
+            };
+            Some((skip, take))
+        }
+    }
+
+    /// Check `branch` and `bound` against the separate operators at every
+    /// node of `walks` random root-to-leaf paths: solution, variable, and
+    /// both children's states and bounds, bit for bit.
+    fn assert_matches_reference(inst: &KnapsackInstance, walks: usize, seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..walks {
+            let mut node = inst.root();
+            loop {
+                assert_eq!(
+                    inst.bound(&node).to_bits(),
+                    reference::bound(inst, &node).to_bits(),
+                    "bound at {node:?}"
+                );
+                let branch = inst.branch(&node);
+                assert_eq!(
+                    branch.solution.map(f64::to_bits),
+                    reference::solution(inst, &node).map(f64::to_bits),
+                    "solution at {node:?}"
+                );
+                let expect =
+                    reference::branching_var(inst, &node).zip(reference::decompose(inst, &node));
+                let Some((var, [(lb, l), (rb, r)])) = branch.children else {
+                    assert_eq!(expect, None, "leaf at {node:?}");
+                    break;
+                };
+                assert_eq!(expect, Some((var, (l, r))), "children at {node:?}");
+                assert_eq!(
+                    lb.to_bits(),
+                    reference::bound(inst, &l).to_bits(),
+                    "left bound at {node:?}"
+                );
+                assert_eq!(
+                    rb.to_bits(),
+                    reference::bound(inst, &r).to_bits(),
+                    "right bound at {node:?}"
+                );
+                node = if rng.gen_bool(0.5) { r } else { l };
+            }
+        }
+    }
+
+    #[test]
+    fn branch_matches_the_separate_operators() {
+        for seed in 0..24 {
+            for corr in [
+                Correlation::Uncorrelated,
+                Correlation::Weak,
+                Correlation::Strong,
+                Correlation::SubsetSum,
+            ] {
+                for (n, fraction) in [(1, 0.5), (6, 0.3), (20, 0.5), (60, 0.7), (200, 0.5)] {
+                    let k = KnapsackInstance::generate(n, 120, corr, fraction, seed);
+                    assert_matches_reference(&k, 12, seed);
+                }
+            }
+        }
+        assert_matches_reference(&tiny(), 32, 0);
+    }
 
     fn tiny() -> KnapsackInstance {
         KnapsackInstance::new(
@@ -274,11 +392,7 @@ mod tests {
     #[test]
     fn sorted_by_density() {
         let k = tiny();
-        let densities: Vec<f64> = k
-            .items
-            .iter()
-            .map(|i| i.profit as f64 / i.weight as f64)
-            .collect();
+        let densities: Vec<f64> = k.items.iter().map(Item::density).collect();
         assert!(densities.windows(2).all(|w| w[0] >= w[1]));
     }
 
@@ -318,7 +432,7 @@ mod tests {
         let r = solve(&k, &SolveConfig::default());
         let code = r.best_code.unwrap();
         let node = k.rebuild(&code).unwrap();
-        assert_eq!(k.solution(&node), r.best);
+        assert_eq!(k.branch(&node).solution, r.best);
     }
 
     #[test]
@@ -353,18 +467,21 @@ mod tests {
             ],
         );
         let root = k.root();
-        let (_skip, take) = k.decompose(&root).unwrap();
+        let (_, [_, (bound, take)]) = k.branch(&root).children.unwrap();
         assert!(take.infeasible);
-        assert_eq!(k.bound(&take), f64::INFINITY);
-        assert_eq!(k.branching_var(&take), None);
-        assert_eq!(k.solution(&take), None);
+        assert_eq!(bound, f64::INFINITY);
+        let leaf = Branch {
+            solution: None,
+            children: None,
+        };
+        assert_eq!(k.branch(&take), leaf);
     }
 
     #[test]
     fn cost_decreases_with_depth() {
         let k = tiny();
         let root = k.root();
-        let (skip, _) = k.decompose(&root).unwrap();
+        let (_, [(_, skip), _]) = k.branch(&root).children.unwrap();
         assert!(k.cost(&skip) < k.cost(&root));
     }
 

@@ -27,6 +27,6 @@ pub use engine::{solve, solve_observed, SolveConfig, SolveResult, SolveStats};
 pub use knapsack::{Correlation, Item, KnapNode, KnapsackInstance};
 pub use maxsat::{Clause, Literal, MaxSatInstance, SatNode};
 pub use pool::{Pool, PoolEntry, SelectRule};
-pub use problem::BranchBound;
+pub use problem::{Branch, BranchBound};
 pub use recorder::{record_basic_tree, RecordError, RecordLimits};
 pub use replay::BasicTreeProblem;

@@ -19,14 +19,23 @@
 //! the satisfied ones, plus one per further occurrence of the variable in
 //! a clause (a repeated or complementary literal, kept in a short list),
 //! so every literal occurrence counts once, as in a literal walk. Bound
-//! sums the falsified clauses' weights in ascending clause order. The
-//! results are bit-for-bit those of the literal walk, which the tests
-//! keep as a reference; the operators iterate word by word and allocate
-//! nothing. The index never goes on the wire: an instance encodes as its
-//! variable count and clauses only, and decoding rebuilds the index.
+//! sums the falsified clauses' weights in ascending clause order.
+//!
+//! [`branch`](BranchBound::branch) makes one pass over the words. Per
+//! word it takes the satisfied set `sat`, the clauses touched by at least
+//! one and by at least two unassigned variables (`once`, `twice`), the
+//! branching counts (consuming the repeat list in clause order) and
+//! whether a clause is open. A child's bound needs no second pass: setting
+//! `x` to `b` satisfies `sat | sets[x][b]` and leaves touched `(once &
+//! !holds_x) | (twice & holds_x)`, so the child falsifies the node's
+//! falsified clauses and those outside `sat | twice` that hold `x` only
+//! with `!b`. That state is two words per index word, kept on the stack
+//! up to 1 024 clauses (past that, one buffer per call). The results are
+//! bit-for-bit those of the literal walk, which the tests keep as a
+//! reference. The index never goes on the wire: an instance encodes as
+//! its variable count and clauses only, and decoding rebuilds the index.
 
-use crate::problem::BranchBound;
-use ftbb_tree::Var;
+use crate::problem::{Branch, BranchBound};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -267,13 +276,14 @@ impl ClauseIndex {
         })
     }
 
-    /// The clauses of word `w` satisfied under `node`, and those holding a
-    /// literal of a variable `node` leaves unassigned.
-    fn satisfied_and_touched(&self, node: &SatNode, w: usize) -> (u64, u64) {
-        let sets = self.word(w);
-        let touched =
-            Bits(!node.assigned & self.var_mask).fold(0, |t, v| t | sets[v][0] | sets[v][1]);
-        (self.satisfied(node, w), touched)
+    /// The summed weights of the clauses `falsified(w)` holds in each word
+    /// `w`, in ascending clause order, as a walk over the clauses sums
+    /// them.
+    fn weight(&self, falsified: impl Fn(usize) -> u64) -> f64 {
+        (0..self.words())
+            .flat_map(|w| Bits(falsified(w)).map(move |bit| w * 64 + bit))
+            .map(|c| self.weights[c])
+            .sum()
     }
 }
 
@@ -293,6 +303,10 @@ impl Iterator for Bits {
     }
 }
 
+/// Words of per-word state a [`BranchBound::branch`] call keeps on the
+/// stack: up to 1 024 clauses, it allocates nothing.
+const INLINE_WORDS: usize = 16;
+
 /// A partial assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SatNode {
@@ -311,69 +325,77 @@ impl BranchBound for MaxSatInstance {
 
     fn bound(&self, node: &SatNode) -> f64 {
         // Weight of clauses already falsified — every extension pays it.
-        let index = &self.index;
-        (0..index.words())
-            .flat_map(|w| {
-                let (sat, touched) = index.satisfied_and_touched(node, w);
-                let falsified = index.live(w) & !(sat | touched);
-                Bits(falsified).map(move |bit| w * 64 + bit)
-            })
-            .map(|c| index.weights[c])
-            .sum()
+        let (index, unassigned) = (&self.index, !node.assigned & self.index.var_mask);
+        index.weight(|w| {
+            let sets = index.word(w);
+            let touched = Bits(unassigned).fold(0, |t, v| t | sets[v][0] | sets[v][1]);
+            index.live(w) & !(index.satisfied(node, w) | touched)
+        })
     }
 
-    fn solution(&self, node: &SatNode) -> Option<f64> {
-        // A solution exists once no clause is open (even if variables remain
-        // unassigned — they can't change anything).
-        let index = &self.index;
-        let any_open = (0..index.words()).any(|w| {
-            let (sat, touched) = index.satisfied_and_touched(node, w);
-            touched & !sat != 0
-        });
-        if any_open {
-            None
-        } else {
-            Some(self.bound(node))
-        }
-    }
-
-    fn branching_var(&self, node: &SatNode) -> Option<Var> {
-        // Most-occurring unassigned variable among open clauses, one count
-        // per literal occurrence.
+    fn branch(&self, node: &SatNode) -> Branch<SatNode> {
         let index = &self.index;
         let unassigned = !node.assigned & index.var_mask;
         let mut counts = [0u32; 64];
-        for w in 0..index.words() {
-            let (sets, unsatisfied) = (index.word(w), !index.satisfied(node, w));
-            for v in Bits(unassigned) {
-                counts[v] += ((sets[v][0] | sets[v][1]) & unsatisfied).count_ones();
-            }
-        }
-        for &(c, var) in &index.repeats {
-            if unassigned >> var & 1 == 1 && index.satisfied(node, c / 64) >> (c % 64) & 1 == 0 {
-                counts[usize::from(var)] += 1;
-            }
-        }
-        if counts.iter().all(|&n| n == 0) {
-            return None;
-        }
-        let var = (0..self.num_vars)
-            .max_by_key(|&v| counts[v as usize])
-            .expect("num_vars > 0");
-        Some(var)
-    }
-
-    fn decompose(&self, node: &SatNode) -> Option<(SatNode, SatNode)> {
-        let var = self.branching_var(node)?;
-        let mk = |value: bool| SatNode {
-            assigned: node.assigned | (1 << var),
-            values: if value {
-                node.values | (1 << var)
-            } else {
-                node.values & !(1 << var)
-            },
+        let mut repeats = index.repeats.iter().peekable();
+        let mut open = false;
+        // Per word: the clauses falsified here, and those satisfied or
+        // touched by two unassigned variables, which no child falsifies.
+        let (mut inline, mut spilled) = ([[0u64; 2]; INLINE_WORDS], Vec::new());
+        let words: &mut [[u64; 2]] = if index.words() <= INLINE_WORDS {
+            &mut inline[..index.words()]
+        } else {
+            spilled.resize(index.words(), [0; 2]);
+            &mut spilled
         };
-        Some((mk(false), mk(true)))
+        for (w, word) in words.iter_mut().enumerate() {
+            let (sets, sat) = (index.word(w), index.satisfied(node, w));
+            let (mut once, mut twice) = (0, 0);
+            for v in Bits(unassigned) {
+                let holds = sets[v][0] | sets[v][1];
+                twice |= once & holds;
+                once |= holds;
+                counts[v] += (holds & !sat).count_ones();
+            }
+            while let Some(&(c, var)) = repeats.next_if(|&&(c, _)| c / 64 == w) {
+                if unassigned >> var & 1 == 1 && sat >> (c % 64) & 1 == 0 {
+                    counts[usize::from(var)] += 1;
+                }
+            }
+            open |= once & !sat != 0;
+            *word = [index.live(w) & !(sat | once), sat | twice];
+        }
+        if !open {
+            // A solution exists once no clause is open (even if variables
+            // remain unassigned — they can't change anything).
+            return Branch {
+                solution: Some(index.weight(|w| words[w][0])),
+                children: None,
+            };
+        }
+        // Most-occurring unassigned variable among open clauses, one count
+        // per literal occurrence.
+        let var = (0..self.num_vars)
+            .max_by_key(|&v| counts[usize::from(v)])
+            .expect("an open clause holds a variable");
+        let child = |value: bool| {
+            let child = SatNode {
+                assigned: node.assigned | 1 << var,
+                values: node.values & !(1 << var) | u64::from(value) << var,
+            };
+            // Setting `var` falsifies the unsatisfied clauses it alone
+            // touches and holds only with the other value.
+            let bound = index.weight(|w| {
+                let sets = index.word(w)[usize::from(var)];
+                let [falsified, kept] = words[w];
+                falsified | (sets[usize::from(!value)] & !(sets[usize::from(value)] | kept))
+            });
+            (bound, child)
+        };
+        Branch {
+            solution: None,
+            children: Some((var, [child(false), child(true)])),
+        }
     }
 
     fn cost(&self, _node: &SatNode) -> f64 {
@@ -386,6 +408,7 @@ mod tests {
     use super::*;
     use crate::engine::{solve, SolveConfig};
     use crate::AnyInstance;
+    use ftbb_tree::Var;
 
     fn lit(var: u16, positive: bool) -> Literal {
         Literal { var, positive }
@@ -474,8 +497,10 @@ mod tests {
         }
     }
 
-    /// Check all four operators against the literal walk at every node
-    /// of `walks` random root-to-leaf paths.
+    /// Check `bound` and `branch` against the literal walk at every node
+    /// of `walks` random root-to-leaf paths: the node's bound and
+    /// solution, its branching variable, and both children's states and
+    /// bounds, bit for bit.
     fn assert_matches_reference(inst: &MaxSatInstance, walks: usize, seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..walks {
@@ -486,26 +511,27 @@ mod tests {
                     reference::bound(inst, &node).to_bits(),
                     "bound at {node:?}"
                 );
+                let branch = inst.branch(&node);
                 assert_eq!(
-                    inst.solution(&node).map(f64::to_bits),
+                    branch.solution.map(f64::to_bits),
                     reference::solution(inst, &node).map(f64::to_bits),
                     "solution at {node:?}"
                 );
-                assert_eq!(
-                    inst.branching_var(&node),
-                    reference::branching_var(inst, &node),
-                    "branching_var at {node:?}"
-                );
-                let children = inst.decompose(&node);
-                assert_eq!(
-                    children,
-                    reference::decompose(inst, &node),
-                    "decompose at {node:?}"
-                );
-                match children {
-                    Some((l, r)) => node = if rng.gen_bool(0.5) { r } else { l },
-                    None => break,
+                let expect =
+                    reference::branching_var(inst, &node).zip(reference::decompose(inst, &node));
+                let Some((var, [(lb, l), (rb, r)])) = branch.children else {
+                    assert_eq!(expect, None, "leaf at {node:?}");
+                    break;
+                };
+                assert_eq!(expect, Some((var, (l, r))), "children at {node:?}");
+                for (bound, child) in [(lb, l), (rb, r)] {
+                    assert_eq!(
+                        bound.to_bits(),
+                        reference::bound(inst, &child).to_bits(),
+                        "bound of {child:?}, child of {node:?}"
+                    );
                 }
+                node = if rng.gen_bool(0.5) { r } else { l };
             }
         }
     }
@@ -527,8 +553,9 @@ mod tests {
     }
 
     /// Variable and clause counts: a clause count on each side of the
-    /// 64-clause word boundary, several words, and all 64 variables.
-    const SHAPES: [(u16, usize); 8] = [
+    /// 64-clause word boundary, several words, more words than `branch`
+    /// keeps on the stack, and all 64 variables.
+    const SHAPES: [(u16, usize); 9] = [
         (8, 1),
         (12, 63),
         (12, 64),
@@ -537,6 +564,7 @@ mod tests {
         (20, 300),
         (64, 130),
         (64, 320),
+        (30, 64 * INLINE_WORDS + 1),
     ];
 
     #[test]
@@ -575,12 +603,15 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(inst.branching_var(&inst.root()), Some(0));
+        assert_eq!(
+            inst.branch(&inst.root()).children.map(|(var, _)| var),
+            Some(0)
+        );
         assert_matches_reference(&inst, 16, 0);
     }
 
     /// The same differential check over many more instances and paths.
-    /// Outside tier-1 (~8 s in release on a 2-core x86 host):
+    /// Outside tier-1 (~30 s in release on a 2-core x86 host):
     /// `cargo test --release -p ftbb-bnb --lib maxsat -- --ignored`.
     #[test]
     #[ignore]
@@ -710,11 +741,11 @@ mod tests {
         let mut found = false;
         for seed in 0..50 {
             let inst = MaxSatInstance::generate(8, 16, seed);
-            let root = inst.root();
-            let Some((l, r)) = inst.decompose(&root) else {
+            let var = |node: &SatNode| inst.branch(node).children.map(|(var, _)| var);
+            let Some((_, [(_, l), (_, r)])) = inst.branch(&inst.root()).children else {
                 continue;
             };
-            let (lv, rv) = (inst.branching_var(&l), inst.branching_var(&r));
+            let (lv, rv) = (var(&l), var(&r));
             if lv.is_some() && rv.is_some() && lv != rv {
                 found = true;
                 break;
@@ -732,16 +763,16 @@ mod tests {
         let r = solve(&inst, &SolveConfig::default());
         let code = r.best_code.unwrap();
         let node = inst.rebuild(&code).unwrap();
-        assert_eq!(inst.solution(&node), r.best);
+        assert_eq!(inst.branch(&node).solution, r.best);
     }
 
     #[test]
     fn bound_monotone_in_assignments() {
         let inst = MaxSatInstance::generate(8, 20, 4);
         let root = inst.root();
-        let (l, r) = inst.decompose(&root).unwrap();
-        assert!(inst.bound(&l) >= inst.bound(&root));
-        assert!(inst.bound(&r) >= inst.bound(&root));
+        let (_, [(lb, _), (rb, _)]) = inst.branch(&root).children.unwrap();
+        assert!(lb >= inst.bound(&root));
+        assert!(rb >= inst.bound(&root));
     }
 
     #[test]

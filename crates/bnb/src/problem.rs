@@ -8,15 +8,48 @@
 //! Everything minimizes. Maximization problems (like knapsack) negate their
 //! objective.
 
-use ftbb_tree::{Code, Var};
+use ftbb_tree::{Code, Pair, Var};
+
+/// What one [`BranchBound::branch`] call finds at a node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Branch<N> {
+    /// If bounding the node produced a feasible solution, its value.
+    pub solution: Option<f64>,
+    /// The branching variable and the children (left = var:=0, right =
+    /// var:=1), each with its bound; `None` for a leaf.
+    pub children: Option<(Var, [(f64, N); 2])>,
+}
+
+impl<N> Branch<N> {
+    /// The child `pair` leads to: `None` at a leaf or when the node
+    /// branches on another variable.
+    pub fn child(self, pair: Pair) -> Option<N> {
+        match self.children {
+            Some((var, [(_, left), (_, right)])) if var == pair.var => {
+                Some(if pair.bit { right } else { left })
+            }
+            _ => None,
+        }
+    }
+
+    /// The same branch over another node type.
+    pub fn map<M>(self, f: impl Fn(N) -> M) -> Branch<M> {
+        Branch {
+            solution: self.solution,
+            children: self
+                .children
+                .map(|(var, [(lb, l), (rb, r)])| (var, [(lb, f(l)), (rb, f(r))])),
+        }
+    }
+}
 
 /// A problem solvable by branch and bound.
 ///
-/// Subproblems (`Node`s) form a binary tree: [`decompose`](BranchBound::decompose)
-/// splits a node into a left (branch bit 0) and right (branch bit 1) child by
-/// deciding the node's [`branching_var`](BranchBound::branching_var). This
-/// matches the paper's encoding assumption: "the branching factor for the
-/// search tree is 2 and each branch is a decision on a condition variable."
+/// Subproblems (`Node`s) form a binary tree: [`branch`](BranchBound::branch)
+/// splits a node into a left (branch bit 0) and right (branch bit 1) child
+/// by deciding one condition variable. This matches the paper's encoding
+/// assumption: "the branching factor for the search tree is 2 and each
+/// branch is a decision on a condition variable."
 pub trait BranchBound {
     /// A subproblem: the state accumulated along the path from the root.
     type Node: Clone;
@@ -27,15 +60,11 @@ pub trait BranchBound {
     /// Lower bound `l(v)` on the best objective in this subtree.
     fn bound(&self, node: &Self::Node) -> f64;
 
-    /// If bounding this node produced a feasible solution, its value.
-    fn solution(&self, node: &Self::Node) -> Option<f64>;
-
-    /// The condition variable this node branches on, or `None` for a leaf.
-    fn branching_var(&self, node: &Self::Node) -> Option<Var>;
-
-    /// Split into (left = var:=0, right = var:=1), or `None` for a leaf.
-    /// Must be `Some` exactly when `branching_var` is `Some`.
-    fn decompose(&self, node: &Self::Node) -> Option<(Self::Node, Self::Node)>;
+    /// §2's Bound and Decompose, once per node: the node's solution and,
+    /// unless it is a leaf, its branching variable and both children, each
+    /// with the bound [`bound`](BranchBound::bound) gives it, bit for bit.
+    /// An expansion is one call, so what these share is computed once.
+    fn branch(&self, node: &Self::Node) -> Branch<Self::Node>;
 
     /// Synthetic compute cost of bounding + decomposing this node, in
     /// seconds. Drives the recorded per-node times in basic trees (the
@@ -56,11 +85,7 @@ pub trait BranchBound {
     fn rebuild(&self, code: &Code) -> Option<Self::Node> {
         let mut node = self.root();
         for pair in code.pairs() {
-            if self.branching_var(&node)? != pair.var {
-                return None;
-            }
-            let (l, r) = self.decompose(&node)?;
-            node = if pair.bit { r } else { l };
+            node = self.branch(&node).child(pair)?;
         }
         Some(node)
     }

@@ -60,18 +60,18 @@ pub fn record_basic_tree<P: BranchBound>(
         var: 0,
         bound: problem.bound(&root),
         cost: problem.cost(&root),
-        solution: problem.solution(&root),
+        solution: None,
         children: None,
     }];
-    // Depth-first traversal; stack holds (node state, arena index).
+    // Depth-first traversal; stack holds (node state, arena index). A node
+    // learns its solution when it is branched, its children then.
     let mut stack: Vec<(P::Node, NodeId)> = vec![(root, 0)];
     while let Some((state, idx)) = stack.pop() {
-        let Some(var) = problem.branching_var(&state) else {
+        let branch = problem.branch(&state);
+        nodes[idx as usize].solution = branch.solution;
+        let Some((var, [left, right])) = branch.children else {
             continue;
         };
-        let (left, right) = problem
-            .decompose(&state)
-            .expect("branching_var implies decompose");
         if nodes.len() + 2 > limits.max_nodes {
             return Err(RecordError::TooLarge {
                 limit: limits.max_nodes,
@@ -79,14 +79,14 @@ pub fn record_basic_tree<P: BranchBound>(
         }
         let parent_bound = nodes[idx as usize].bound;
         nodes[idx as usize].var = var;
-        let push = |state: P::Node, bit: bool, nodes: &mut Vec<BasicNode>| {
+        let push = |(bound, state): (f64, P::Node), bit: bool, nodes: &mut Vec<BasicNode>| {
             let id = nodes.len() as NodeId;
             nodes.push(BasicNode {
                 parent: Some((idx, bit)),
                 var: 0,
-                bound: problem.bound(&state).max(parent_bound),
+                bound: bound.max(parent_bound),
                 cost: problem.cost(&state),
-                solution: problem.solution(&state),
+                solution: None,
                 children: None,
             });
             (state, id)

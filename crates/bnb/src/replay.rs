@@ -6,8 +6,8 @@
 //! for pruning the test tree and obtaining the B&B tree, and for computing
 //! the optimal solution."
 
-use crate::problem::BranchBound;
-use ftbb_tree::{BasicTree, NodeId, Var};
+use crate::problem::{Branch, BranchBound};
+use ftbb_tree::{BasicTree, NodeId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -47,19 +47,14 @@ impl BranchBound for BasicTreeProblem {
         self.tree.node(*node).bound
     }
 
-    fn solution(&self, node: &NodeId) -> Option<f64> {
-        self.tree.node(*node).solution
-    }
-
-    fn branching_var(&self, node: &NodeId) -> Option<Var> {
-        self.tree
-            .node(*node)
-            .children
-            .map(|_| self.tree.node(*node).var)
-    }
-
-    fn decompose(&self, node: &NodeId) -> Option<(NodeId, NodeId)> {
-        self.tree.node(*node).children
+    fn branch(&self, node: &NodeId) -> Branch<NodeId> {
+        let n = self.tree.node(*node);
+        Branch {
+            solution: n.solution,
+            children: n
+                .children
+                .map(|(l, r)| (n.var, [(self.bound(&l), l), (self.bound(&r), r)])),
+        }
     }
 
     fn cost(&self, node: &NodeId) -> f64 {
@@ -78,11 +73,12 @@ mod tests {
         let p = BasicTreeProblem::new(fig1_example());
         let root = p.root();
         assert_eq!(p.bound(&root), 0.0);
-        assert_eq!(p.branching_var(&root), Some(1));
-        let (l, r) = p.decompose(&root).unwrap();
+        let (var, [(lb, l), (rb, r)]) = p.branch(&root).children.unwrap();
+        assert_eq!(var, 1);
+        assert_eq!((lb, rb), (p.bound(&l), p.bound(&r)));
         assert_eq!(p.bound(&l), 1.0);
         assert_eq!(p.bound(&r), 2.0);
-        assert_eq!(p.solution(&l), None);
+        assert_eq!(p.branch(&l).solution, None);
         assert_eq!(p.cost(&root), 1.0);
     }
 
@@ -92,7 +88,7 @@ mod tests {
         // Code (x1,0)(x2,1) identifies node 4 (the optimum).
         let code = Code::from_decisions(&[(1, false), (2, true)]);
         let node = p.rebuild(&code).unwrap();
-        assert_eq!(p.solution(&node), Some(7.0));
+        assert_eq!(p.branch(&node).solution, Some(7.0));
         // Wrong variable: rejected.
         let bad = Code::from_decisions(&[(9, false)]);
         assert!(p.rebuild(&bad).is_none());

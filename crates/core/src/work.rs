@@ -23,7 +23,7 @@
 //! answers `StartWork` with one [`Expander::expand`] instead feeds the
 //! protocol a one-node unit.
 
-use ftbb_bnb::BranchBound;
+use ftbb_bnb::{Branch, BranchBound};
 use ftbb_tree::{Code, Pair, Var};
 
 /// Result of expanding one subproblem.
@@ -37,6 +37,26 @@ pub struct Expansion {
     pub solution: Option<f64>,
     /// Children produced by decomposition; `None` for a leaf.
     pub children: Option<ChildPair>,
+}
+
+impl Expansion {
+    /// Expand `node` of `problem`: one [`BranchBound::branch`] call, and
+    /// the node's own bound.
+    pub fn of<P: BranchBound>(problem: &P, node: &P::Node) -> Expansion {
+        let branch = problem.branch(node);
+        Expansion {
+            cost: problem.cost(node),
+            bound: problem.bound(node),
+            solution: branch.solution,
+            children: branch
+                .children
+                .map(|(var, [(left_bound, _), (right_bound, _)])| ChildPair {
+                    var,
+                    left_bound,
+                    right_bound,
+                }),
+        }
+    }
 }
 
 /// The two children created by a Decompose.
@@ -169,17 +189,6 @@ pub trait Expander {
     fn root_bound(&self) -> f64;
 }
 
-/// One step of a depth-first walk: the node at the walk's position,
-/// bounded and decomposed, with each child carrying what the walk needs to
-/// step into it later.
-struct Step<S> {
-    cost: f64,
-    solution: Option<f64>,
-    /// The branching variable and the (left, right) children with their
-    /// bounds; `None` for a leaf.
-    children: Option<(Var, [(f64, S); 2])>,
-}
-
 /// A cursor on the problem's tree that [`explore_with`] drives: it stands
 /// on one node, expands it, and steps to a child of a node on its path.
 trait Walk {
@@ -189,8 +198,10 @@ trait Walk {
     /// The decisions from the root to the node the cursor stands on.
     fn pairs(&self) -> &[Pair];
 
-    /// Bound and decompose the node the cursor stands on.
-    fn expand_here(&mut self) -> Step<Self::Child>;
+    /// Bound and decompose the node the cursor stands on: its cost and
+    /// branch, each child carrying what the walk needs to step into it
+    /// later.
+    fn expand_here(&mut self) -> (f64, Branch<Self::Child>);
 
     /// Step to `child`, reached by `pair` from the path's node at `depth`.
     fn enter(&mut self, depth: usize, pair: Pair, child: Self::Child);
@@ -209,16 +220,16 @@ impl<E: Expander + ?Sized> Walk for ByExpansion<'_, E> {
         &self.pairs
     }
 
-    fn expand_here(&mut self) -> Step<()> {
+    fn expand_here(&mut self) -> (f64, Branch<()>) {
         let code: Code = self.pairs.iter().copied().collect();
         let e = self.expander.expand(&code);
-        Step {
-            cost: e.cost,
+        let branch = Branch {
             solution: e.solution,
             children: e
                 .children
                 .map(|c| (c.var, [(c.left_bound, ()), (c.right_bound, ())])),
-        }
+        };
+        (e.cost, branch)
     }
 
     fn enter(&mut self, depth: usize, pair: Pair, (): ()) {
@@ -278,14 +289,14 @@ fn explore_with<W: Walk>(
     'nodes: loop {
         // Expand the node the walk stands on.
         let depth = walk.pairs().len();
-        let step = walk.expand_here();
+        let (cost, branch) = walk.expand_here();
         unit.expanded += 1;
-        unit.cost += step.cost;
-        if let Some(v) = step.solution.filter(|&v| v < incumbent) {
+        unit.cost += cost;
+        if let Some(v) = branch.solution.filter(|&v| v < incumbent) {
             incumbent = v;
             unit.solution = Some(v);
         }
-        match step.children {
+        match branch.children {
             None => {
                 unit.fathomed += 1;
                 let bit = depth > base && walk.pairs()[depth - 1].bit;
@@ -399,12 +410,10 @@ impl<P: BranchBound> ProblemExpander<P> {
         self.path.truncate(shared + 1);
         for pair in code.pairs().skip(shared) {
             let node = &self.path[self.pairs.len()];
-            let next = match self.problem.branching_var(node) {
-                Some(var) if var == pair.var => self.problem.decompose(node),
-                _ => None,
-            }
-            .unwrap_or_else(|| panic!("code {code} does not replay in this problem"));
-            self.path.push(if pair.bit { next.1 } else { next.0 });
+            let next = self.problem.branch(node).child(pair);
+            self.path.push(
+                next.unwrap_or_else(|| panic!("code {code} does not replay in this problem")),
+            );
             self.pairs.push(pair);
         }
     }
@@ -430,19 +439,9 @@ impl<P: BranchBound> Walk for ProblemExpander<P> {
         &self.pairs
     }
 
-    fn expand_here(&mut self) -> Step<P::Node> {
+    fn expand_here(&mut self) -> (f64, Branch<P::Node>) {
         let (problem, node) = (&self.problem, &self.path[self.pairs.len()]);
-        let children = match (problem.branching_var(node), problem.decompose(node)) {
-            (Some(var), Some((l, r))) => {
-                Some((var, [(problem.bound(&l), l), (problem.bound(&r), r)]))
-            }
-            _ => None,
-        };
-        Step {
-            cost: problem.cost(node),
-            solution: problem.solution(node),
-            children,
-        }
+        (problem.cost(node), problem.branch(node))
     }
 
     fn enter(&mut self, depth: usize, pair: Pair, child: P::Node) {
@@ -457,20 +456,7 @@ impl<P: BranchBound> Expander for ProblemExpander<P> {
     fn expand(&mut self, code: &Code) -> Expansion {
         self.descend(code);
         let (problem, node) = (&self.problem, &self.path[self.pairs.len()]);
-        let children = match (problem.branching_var(node), problem.decompose(node)) {
-            (Some(var), Some((l, r))) => Some(ChildPair {
-                var,
-                left_bound: problem.bound(&l),
-                right_bound: problem.bound(&r),
-            }),
-            _ => None,
-        };
-        Expansion {
-            cost: problem.cost(node),
-            bound: problem.bound(node),
-            solution: problem.solution(node),
-            children,
-        }
+        Expansion::of(problem, node)
     }
 
     /// Walks the node states: a child's state comes from its parent's

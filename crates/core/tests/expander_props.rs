@@ -16,8 +16,7 @@
 
 use ftbb_bnb::{solve, AnyInstance, BranchBound, Pool, PoolEntry, SolveConfig};
 use ftbb_core::{
-    Action, AnyExpander, BnbProcess, ChildPair, Expander, Expansion, PEvent, ProtocolConfig,
-    WorkUnit,
+    Action, AnyExpander, BnbProcess, Expander, Expansion, PEvent, ProtocolConfig, WorkUnit,
 };
 use ftbb_des::SimTime;
 use ftbb_tree::{Code, CodeSet};
@@ -74,20 +73,7 @@ fn any_instance_strategy() -> impl Strategy<Value = AnyInstance> {
 /// replay.
 fn reference(problem: &AnyInstance, code: &Code) -> Option<Expansion> {
     let node = problem.rebuild(code)?;
-    let children = match (problem.branching_var(&node), problem.decompose(&node)) {
-        (Some(var), Some((l, r))) => Some(ChildPair {
-            var,
-            left_bound: problem.bound(&l),
-            right_bound: problem.bound(&r),
-        }),
-        _ => None,
-    };
-    Some(Expansion {
-        cost: problem.cost(&node),
-        bound: problem.bound(&node),
-        solution: problem.solution(&node),
-        children,
-    })
+    Some(Expansion::of(problem, &node))
 }
 
 /// An expansion with every float as its bits, so equality is bit for bit.

@@ -844,6 +844,26 @@ mod tests {
     }
 
     #[test]
+    fn submit_of_knapsack_out_of_density_order_is_rejected_on_decode() {
+        // The fields are public, so a client can skip `new`'s sort; on
+        // unsorted items the fractional tail is no bound.
+        let item = |weight, profit| ftbb_bnb::Item { weight, profit };
+        let k = ftbb_bnb::KnapsackInstance {
+            capacity: 6,
+            items: vec![item(4, 4), item(3, 9), item(2, 8)],
+            cost_per_item: 1e-5,
+        };
+        let frame = encode_submit(JobId(1), &ftbb_bnb::AnyInstance::Knapsack(k));
+        match decode_frame(&frame.bytes) {
+            Err(WireError::Payload(e)) => {
+                assert!(e.contains("invalid submitted instance"), "{e}");
+                assert!(e.contains("profit density"), "{e}");
+            }
+            other => panic!("expected payload error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn accepted_frame_round_trip() {
         let frame = encode_accepted(JobId(42), 0);
         match decode_frame(&frame.bytes).unwrap() {

@@ -99,14 +99,21 @@ fn lifecycle_problem() -> ProblemSpec {
 /// must outlast its latest kill (120 ms) by ≥ 2×, whatever the build
 /// profile. Debug runs the first 34-variable, 150-clause instance from
 /// generator seed 0 up whose sequential depth-first solve takes 60–100 k
-/// expansions — seed 4, 89 869 expansions (single node ~0.9 s); release
-/// the first one with 0.5–0.7 M — seed 168, 509 576 expansions (single
-/// node ~0.4 s; the debug instance takes ~0.1 s there).
+/// expansions — seed 4, 89 869 expansions (single node ~0.65 s on a
+/// 2-core x86 host). Release runs the first 40-variable, 180-clause one
+/// with 0.9–1.3 M — seed 14, 1 169 222 expansions (single node ~0.85 s;
+/// no 34-variable, 150-clause instance from seeds 0–1 599 reaches 0.7 M,
+/// and the largest, seed 168's 509 576, takes ~0.33 s, under 2× the kill
+/// on a faster host).
 fn maxsat_kill_problem() -> ProblemSpec {
-    let seed = if cfg!(debug_assertions) { 4 } else { 168 };
+    let (vars, clauses, seed) = if cfg!(debug_assertions) {
+        (34, 150, 4)
+    } else {
+        (40, 180, 14)
+    };
     ProblemSpec::MaxSat(MaxSatSpec {
-        vars: 34,
-        clauses: 150,
+        vars,
+        clauses,
         seed,
     })
 }
@@ -772,7 +779,7 @@ fn service_pool_finishes_three_staggered_jobs_through_a_kill_and_restart() {
     let tree_path = tmp.join("workload.ftbb");
     ftbb_tree::io::write_tree_file(&tree, &tree_path).unwrap();
 
-    // Jobs 1 and 2 take ~0.2 s and ~0.1 s single-node in a debug build
+    // Jobs 1 and 2 take ~0.12 s and ~0.09 s single-node in a debug build
     // (process start included), so the kill at 400 ms may land after
     // they finish; no assertion below needs a job in flight at the kill.
     let problems = [
