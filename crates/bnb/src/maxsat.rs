@@ -29,10 +29,10 @@
 //! `x` to `b` satisfies `sat | sets[x][b]` and leaves touched `(once &
 //! !holds_x) | (twice & holds_x)`, so the child falsifies the node's
 //! falsified clauses and those outside `sat | twice` that hold `x` only
-//! with `!b`. That state is two words per index word, kept on the stack
-//! up to 1 024 clauses (past that, one buffer per call). The results are
-//! bit-for-bit those of the literal walk, which the tests keep as a
-//! reference. The index never goes on the wire: an instance encodes as
+//! with `!b`. That state is two words per index word, in one buffer
+//! allocated per call (16 bytes per 64 clauses; the prototype of this
+//! pass used the same buffer). The results are bit-for-bit those of the
+//! literal walk, which the tests keep as a reference. The index never goes on the wire: an instance encodes as
 //! its variable count and clauses only, and decoding rebuilds the index.
 
 use crate::problem::{Branch, BranchBound};
@@ -220,7 +220,8 @@ struct ClauseIndex {
     /// Clause weights, in clause order.
     weights: Vec<f64>,
     /// One `(clause, variable)` entry per occurrence of a variable past
-    /// its first in that clause, of either polarity.
+    /// its first in that clause, of either polarity, in ascending clause
+    /// order (`branch` reads it word by word).
     repeats: Vec<(usize, u16)>,
 }
 
@@ -241,6 +242,7 @@ impl ClauseIndex {
                 sets[usize::from(l.positive)] |= bit;
             }
         }
+        debug_assert!(repeats.is_sorted_by_key(|r| r.0));
         ClauseIndex {
             vars,
             var_mask: if vars == 64 {
@@ -303,10 +305,6 @@ impl Iterator for Bits {
     }
 }
 
-/// Words of per-word state a [`BranchBound::branch`] call keeps on the
-/// stack: up to 1 024 clauses, it allocates nothing.
-const INLINE_WORDS: usize = 16;
-
 /// A partial assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SatNode {
@@ -341,13 +339,7 @@ impl BranchBound for MaxSatInstance {
         let mut open = false;
         // Per word: the clauses falsified here, and those satisfied or
         // touched by two unassigned variables, which no child falsifies.
-        let (mut inline, mut spilled) = ([[0u64; 2]; INLINE_WORDS], Vec::new());
-        let words: &mut [[u64; 2]] = if index.words() <= INLINE_WORDS {
-            &mut inline[..index.words()]
-        } else {
-            spilled.resize(index.words(), [0; 2]);
-            &mut spilled
-        };
+        let mut words = vec![[0u64; 2]; index.words()];
         for (w, word) in words.iter_mut().enumerate() {
             let (sets, sat) = (index.word(w), index.satisfied(node, w));
             let (mut once, mut twice) = (0, 0);
@@ -553,9 +545,8 @@ mod tests {
     }
 
     /// Variable and clause counts: a clause count on each side of the
-    /// 64-clause word boundary, several words, more words than `branch`
-    /// keeps on the stack, and all 64 variables.
-    const SHAPES: [(u16, usize); 9] = [
+    /// 64-clause word boundary, several words, and all 64 variables.
+    const SHAPES: [(u16, usize); 8] = [
         (8, 1),
         (12, 63),
         (12, 64),
@@ -564,7 +555,6 @@ mod tests {
         (20, 300),
         (64, 130),
         (64, 320),
-        (30, 64 * INLINE_WORDS + 1),
     ];
 
     #[test]
@@ -611,7 +601,7 @@ mod tests {
     }
 
     /// The same differential check over many more instances and paths.
-    /// Outside tier-1 (~30 s in release on a 2-core x86 host):
+    /// Outside tier-1 (~14 s in release on a 2-core x86 host):
     /// `cargo test --release -p ftbb-bnb --lib maxsat -- --ignored`.
     #[test]
     #[ignore]

@@ -16,7 +16,8 @@
 
 use ftbb_bnb::{solve, AnyInstance, BranchBound, Pool, PoolEntry, SolveConfig};
 use ftbb_core::{
-    Action, AnyExpander, BnbProcess, Expander, Expansion, PEvent, ProtocolConfig, WorkUnit,
+    Action, AnyExpander, BnbProcess, ChildPair, Expander, Expansion, PEvent, ProtocolConfig,
+    WorkUnit,
 };
 use ftbb_des::SimTime;
 use ftbb_tree::{Code, CodeSet};
@@ -69,11 +70,22 @@ fn any_instance_strategy() -> impl Strategy<Value = AnyInstance> {
 }
 
 /// The from-root reference: `rebuild` on every call, as `ProblemExpander`
-/// expanded before it kept its path. `None` for a code that does not
-/// replay.
+/// expanded before it kept its path, and each child's bound from `bound`
+/// on the child rather than the one `branch` derives with it. `None` for
+/// a code that does not replay.
 fn reference(problem: &AnyInstance, code: &Code) -> Option<Expansion> {
     let node = problem.rebuild(code)?;
-    Some(Expansion::of(problem, &node))
+    let branch = problem.branch(&node);
+    Some(Expansion {
+        cost: problem.cost(&node),
+        bound: problem.bound(&node),
+        solution: branch.solution,
+        children: branch.children.map(|(var, [(_, l), (_, r)])| ChildPair {
+            var,
+            left_bound: problem.bound(&l),
+            right_bound: problem.bound(&r),
+        }),
+    })
 }
 
 /// An expansion with every float as its bits, so equality is bit for bit.
