@@ -10,9 +10,12 @@
 //! last replayed and replays only the suffix of each code past the prefix
 //! they share.
 //!
-//! [`ProblemExpander`] is the one expander every harness runs: the
-//! deployed nodes over a live problem, and the simulator over a recorded
-//! tree (the paper's §6.2 method) as a [`ftbb_bnb::BasicTreeProblem`].
+//! [`ProblemExpander`] is the one expander every harness runs, and the
+//! one impl of [`Expander`]: the deployed nodes over a live problem as an
+//! [`AnyExpander`] (any [`ftbb_bnb::AnyInstance`] kind), and the simulator
+//! over a recorded tree (the paper's §6.2 method) as a
+//! [`ftbb_bnb::BasicTreeProblem`]. Only Bound and Decompose depend on the
+//! problem (§2), and they are the problem's [`BranchBound::branch`].
 //!
 //! The protocol needs codes only at its boundaries — donation, reports,
 //! recovery, interruption — so the unit of work between two protocol steps
@@ -23,7 +26,7 @@
 //! answers `StartWork` with one [`Expander::expand`] instead feeds the
 //! protocol a one-node unit.
 
-use ftbb_bnb::{Branch, BranchBound};
+use ftbb_bnb::BranchBound;
 use ftbb_tree::{Code, Pair, Var};
 
 /// Result of expanding one subproblem.
@@ -150,6 +153,11 @@ impl WorkUnit {
 }
 
 /// Bound + decompose subproblems identified by tree codes.
+///
+/// [`ProblemExpander`] is the one impl: every harness expands through it,
+/// and the runtime runs [`AnyExpander`]. It stays a trait only because
+/// code outside the workspace (the benchmark's probes) names it to call
+/// these methods.
 pub trait Expander {
     /// Expand the subproblem with this code. Must be deterministic, and must
     /// succeed for any code reachable in the problem's tree (panics on
@@ -168,77 +176,18 @@ pub trait Expander {
     /// further expansion the unit asks `keep_going(expanded, cost)` with
     /// its counts so far, and stops with its open frontier when told no.
     /// Panics on a foreign code, like [`Expander::expand`].
-    ///
-    /// The default explores through [`Expander::expand`], one code at a
-    /// time; [`ProblemExpander`] walks its node states instead, and the
-    /// expander property tests hold that walk to this one.
     fn explore(
         &mut self,
         code: &Code,
         incumbent: f64,
         keep_going: &mut dyn FnMut(u64, f64) -> bool,
-    ) -> WorkUnit {
-        let mut walk = ByExpansion {
-            expander: self,
-            pairs: code.pairs().collect(),
-        };
-        explore_with(&mut walk, code, incumbent, keep_going)
-    }
+    ) -> WorkUnit;
 
     /// The root problem's lower bound (to seed the initial pool).
     fn root_bound(&self) -> f64;
 }
 
-/// A cursor on the problem's tree that [`explore_with`] drives: it stands
-/// on one node, expands it, and steps to a child of a node on its path.
-trait Walk {
-    /// What a child needs to be stepped into without replaying its code.
-    type Child;
-
-    /// The decisions from the root to the node the cursor stands on.
-    fn pairs(&self) -> &[Pair];
-
-    /// Bound and decompose the node the cursor stands on: its cost and
-    /// branch, each child carrying what the walk needs to step into it
-    /// later.
-    fn expand_here(&mut self) -> (f64, Branch<Self::Child>);
-
-    /// Step to `child`, reached by `pair` from the path's node at `depth`.
-    fn enter(&mut self, depth: usize, pair: Pair, child: Self::Child);
-}
-
-/// The default walk: a code path, expanded through [`Expander::expand`].
-struct ByExpansion<'a, E: ?Sized> {
-    expander: &'a mut E,
-    pairs: Vec<Pair>,
-}
-
-impl<E: Expander + ?Sized> Walk for ByExpansion<'_, E> {
-    type Child = ();
-
-    fn pairs(&self) -> &[Pair] {
-        &self.pairs
-    }
-
-    fn expand_here(&mut self) -> (f64, Branch<()>) {
-        let code: Code = self.pairs.iter().copied().collect();
-        let e = self.expander.expand(&code);
-        let branch = Branch {
-            solution: e.solution,
-            children: e
-                .children
-                .map(|c| (c.var, [(c.left_bound, ()), (c.right_bound, ())])),
-        };
-        (e.cost, branch)
-    }
-
-    fn enter(&mut self, depth: usize, pair: Pair, (): ()) {
-        self.pairs.truncate(depth);
-        self.pairs.push(pair);
-    }
-}
-
-/// An expanded node on the walk's path whose subtree is not finished.
+/// An expanded node on the unit's path whose subtree is not finished.
 struct Frame {
     var: Var,
     /// Children not finished yet (1 or 2).
@@ -247,13 +196,13 @@ struct Frame {
     done: Option<bool>,
 }
 
-/// A child waiting to be popped: the walk's stack entry.
-struct Pending<S> {
-    /// Depth of the child's parent, which is on the walk's path.
+/// A child waiting to be popped: the unit's stack entry.
+struct Pending<N> {
+    /// Depth of the child's parent, which is on the expander's path.
     depth: usize,
     pair: Pair,
     bound: f64,
-    child: S,
+    node: N,
 }
 
 /// The node at `depth` (branch `bit`) finished: count it against its
@@ -273,98 +222,6 @@ fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, mut depth: usize
         depth -= 1;
         bit = depth > base && pairs[depth - 1].bit;
     }
-}
-
-/// The engine's depth-first loop below `code`, with `walk` standing on it.
-fn explore_with<W: Walk>(
-    walk: &mut W,
-    code: &Code,
-    mut incumbent: f64,
-    keep_going: &mut dyn FnMut(u64, f64) -> bool,
-) -> WorkUnit {
-    let base = walk.pairs().len();
-    let mut unit = WorkUnit::default();
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut stack: Vec<Pending<W::Child>> = Vec::new();
-    'nodes: loop {
-        // Expand the node the walk stands on.
-        let depth = walk.pairs().len();
-        let (cost, branch) = walk.expand_here();
-        unit.expanded += 1;
-        unit.cost += cost;
-        if let Some(v) = branch.solution.filter(|&v| v < incumbent) {
-            incumbent = v;
-            unit.solution = Some(v);
-        }
-        match branch.children {
-            None => {
-                unit.fathomed += 1;
-                let bit = depth > base && walk.pairs()[depth - 1].bit;
-                finish(&mut frames, walk.pairs(), base, depth, bit);
-            }
-            Some((var, children)) => {
-                frames.push(Frame {
-                    var,
-                    open: 2,
-                    done: None,
-                });
-                for ((bound, child), bit) in children.into_iter().zip([false, true]) {
-                    if bound >= incumbent {
-                        unit.eliminated += 1;
-                        finish(&mut frames, walk.pairs(), base, depth + 1, bit);
-                    } else {
-                        let pair = Pair { var, bit };
-                        stack.push(Pending {
-                            depth,
-                            pair,
-                            bound,
-                            child,
-                        });
-                    }
-                }
-            }
-        }
-        // Pop the next child to expand, pruning the ones the incumbent
-        // now rules out.
-        while let Some(top) = stack.last() {
-            if top.bound < incumbent {
-                if !keep_going(unit.expanded, unit.cost) {
-                    break 'nodes;
-                }
-                let next = stack.pop().expect("peeked");
-                walk.enter(next.depth, next.pair, next.child);
-                continue 'nodes;
-            }
-            let pruned = stack.pop().expect("peeked");
-            unit.pruned += 1;
-            finish(
-                &mut frames,
-                walk.pairs(),
-                base,
-                pruned.depth + 1,
-                pruned.pair.bit,
-            );
-        }
-        debug_assert!(frames.is_empty(), "the subtree finished with open frames");
-        unit.done.push(code.clone());
-        return unit;
-    }
-    // Stopped: every open frame is on the walk's path.
-    let pairs = walk.pairs();
-    let prefix = |depth: usize, pair: Pair| -> Code {
-        pairs[..depth].iter().copied().chain([pair]).collect()
-    };
-    for (i, frame) in frames.iter().enumerate() {
-        if let Some(bit) = frame.done {
-            let var = frame.var;
-            unit.done.push(prefix(base + i, Pair { var, bit }));
-        }
-    }
-    unit.frontier = stack
-        .into_iter()
-        .map(|p| (prefix(p.depth, p.pair), p.bound))
-        .collect();
-    unit
 }
 
 /// Expands a [`BranchBound`] problem by replaying the code's decisions —
@@ -418,39 +275,22 @@ impl<P: BranchBound> ProblemExpander<P> {
         }
     }
 
-    /// The wrapped problem.
-    pub fn problem(&self) -> &P {
-        &self.problem
+    /// Step the path to `node`, reached by `pair` from the path's node at
+    /// `depth`: no replay, the state came from the parent's branch.
+    fn enter(&mut self, depth: usize, pair: Pair, node: P::Node) {
+        self.pairs.truncate(depth);
+        self.path.truncate(depth + 1);
+        self.path.push(node);
+        self.pairs.push(pair);
     }
 }
 
 /// The problem-agnostic expander: a [`ProblemExpander`] over
-/// [`ftbb_bnb::AnyInstance`]. This is what deployment harnesses
-/// (`ftbb-wire`'s `ftbb-noded`, the threaded runtime) use once the
-/// workload has been materialized — whether locally from a spec or from
-/// a peer's problem-announce frame — so the whole stack above this line
-/// is generic over the problem kind.
+/// [`ftbb_bnb::AnyInstance`], the one instance type of every deployment.
+/// Jobs, pool workers and the threaded and TCP harnesses all run it,
+/// whether the workload was materialized locally from a spec, from a
+/// peer's problem-announce frame or from a checkpoint.
 pub type AnyExpander = ProblemExpander<ftbb_bnb::AnyInstance>;
-
-impl<P: BranchBound> Walk for ProblemExpander<P> {
-    type Child = P::Node;
-
-    fn pairs(&self) -> &[Pair] {
-        &self.pairs
-    }
-
-    fn expand_here(&mut self) -> (f64, Branch<P::Node>) {
-        let (problem, node) = (&self.problem, &self.path[self.pairs.len()]);
-        (problem.cost(node), problem.branch(node))
-    }
-
-    fn enter(&mut self, depth: usize, pair: Pair, child: P::Node) {
-        self.pairs.truncate(depth);
-        self.path.truncate(depth + 1);
-        self.path.push(child);
-        self.pairs.push(pair);
-    }
-}
 
 impl<P: BranchBound> Expander for ProblemExpander<P> {
     fn expand(&mut self, code: &Code) -> Expansion {
@@ -460,17 +300,99 @@ impl<P: BranchBound> Expander for ProblemExpander<P> {
     }
 
     /// Walks the node states: a child's state comes from its parent's
-    /// decomposition, so no code is replayed inside the unit, and the unit
-    /// leaves the path on the last node it expanded — the next unit, a
-    /// frontier entry a decision or two off it, replays a step or two.
+    /// branch, so no code is replayed inside the unit, and the unit leaves
+    /// the path on the last node it expanded — the next unit, a frontier
+    /// entry a decision or two off it, replays a step or two.
     fn explore(
         &mut self,
         code: &Code,
-        incumbent: f64,
+        mut incumbent: f64,
         keep_going: &mut dyn FnMut(u64, f64) -> bool,
     ) -> WorkUnit {
         self.descend(code);
-        explore_with(self, code, incumbent, keep_going)
+        let base = self.pairs.len();
+        let mut unit = WorkUnit::default();
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut stack: Vec<Pending<P::Node>> = Vec::new();
+        'nodes: loop {
+            // Expand the node the path ends on.
+            let depth = self.pairs.len();
+            let node = &self.path[depth];
+            let (cost, branch) = (self.problem.cost(node), self.problem.branch(node));
+            unit.expanded += 1;
+            unit.cost += cost;
+            if let Some(v) = branch.solution.filter(|&v| v < incumbent) {
+                incumbent = v;
+                unit.solution = Some(v);
+            }
+            match branch.children {
+                None => {
+                    unit.fathomed += 1;
+                    let bit = depth > base && self.pairs[depth - 1].bit;
+                    finish(&mut frames, &self.pairs, base, depth, bit);
+                }
+                Some((var, children)) => {
+                    frames.push(Frame {
+                        var,
+                        open: 2,
+                        done: None,
+                    });
+                    for ((bound, node), bit) in children.into_iter().zip([false, true]) {
+                        if bound >= incumbent {
+                            unit.eliminated += 1;
+                            finish(&mut frames, &self.pairs, base, depth + 1, bit);
+                        } else {
+                            let pair = Pair { var, bit };
+                            stack.push(Pending {
+                                depth,
+                                pair,
+                                bound,
+                                node,
+                            });
+                        }
+                    }
+                }
+            }
+            // Pop the next child to expand, pruning the ones the incumbent
+            // now rules out.
+            while let Some(top) = stack.last() {
+                if top.bound < incumbent {
+                    if !keep_going(unit.expanded, unit.cost) {
+                        break 'nodes;
+                    }
+                    let next = stack.pop().expect("peeked");
+                    self.enter(next.depth, next.pair, next.node);
+                    continue 'nodes;
+                }
+                let pruned = stack.pop().expect("peeked");
+                unit.pruned += 1;
+                finish(
+                    &mut frames,
+                    &self.pairs,
+                    base,
+                    pruned.depth + 1,
+                    pruned.pair.bit,
+                );
+            }
+            debug_assert!(frames.is_empty(), "the subtree finished with open frames");
+            unit.done.push(code.clone());
+            return unit;
+        }
+        // Stopped: every open frame is on the path.
+        let prefix = |depth: usize, pair: Pair| -> Code {
+            self.pairs[..depth].iter().copied().chain([pair]).collect()
+        };
+        for (i, frame) in frames.iter().enumerate() {
+            if let Some(bit) = frame.done {
+                let var = frame.var;
+                unit.done.push(prefix(base + i, Pair { var, bit }));
+            }
+        }
+        unit.frontier = stack
+            .into_iter()
+            .map(|p| (prefix(p.depth, p.pair), p.bound))
+            .collect();
+        unit
     }
 
     fn root_bound(&self) -> f64 {

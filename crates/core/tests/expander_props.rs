@@ -11,8 +11,9 @@
 //! into pieces: driven to completion from the root with random budgets
 //! over a depth-first pool of frontiers and a table of done codes, it
 //! finds the depth-first engine's optimum with the engine's expansions;
-//! each unit equals the trait's default walk over the reference, and its
-//! done and frontier codes tile its code's subtree exactly.
+//! each unit equals a plain stack walk over the reference expansions
+//! ([`reference_unit`]), and its done and frontier codes tile its code's
+//! subtree exactly.
 
 use ftbb_bnb::{solve, AnyInstance, BranchBound, Pool, PoolEntry, SolveConfig};
 use ftbb_core::{
@@ -188,18 +189,60 @@ fn assert_matches_reference(
     }
 }
 
-/// The from-root reference as an [`Expander`]: its `explore` is the
-/// trait's default walk, one reference expansion per node.
-struct Rebuilt<'a>(&'a AnyInstance);
-
-impl Expander for Rebuilt<'_> {
-    fn expand(&mut self, code: &Code) -> Expansion {
-        reference(self.0, code).expect("units stay inside the tree")
+/// The from-root reference of a work unit: the depth-first engine's loop
+/// below `code` over a stack of codes, one [`reference`] expansion per
+/// node, stopping before the first expansion past `budget`. The finished
+/// subtrees (leaves, eliminated children, pruned entries) are collected in
+/// a [`CodeSet`], whose contraction gives the unit's done codes; the stack
+/// left over is its frontier. It shares no walk code with
+/// [`ProblemExpander`]'s frame-keeping walk.
+fn reference_unit(problem: &AnyInstance, code: &Code, mut incumbent: f64, budget: u64) -> WorkUnit {
+    let mut unit = WorkUnit::default();
+    let mut finished = CodeSet::new();
+    let mut stack: Vec<(Code, f64)> = Vec::new();
+    let mut next = Some(code.clone());
+    while let Some(at) = next.take() {
+        let e = reference(problem, &at).expect("units stay inside the tree");
+        unit.expanded += 1;
+        unit.cost += e.cost;
+        if let Some(v) = e.solution.filter(|&v| v < incumbent) {
+            incumbent = v;
+            unit.solution = Some(v);
+        }
+        match e.children {
+            None => {
+                unit.fathomed += 1;
+                finished.insert(&at);
+            }
+            Some(kids) => {
+                for (bit, bound) in [(false, kids.left_bound), (true, kids.right_bound)] {
+                    let child = at.child(kids.var, bit);
+                    if bound >= incumbent {
+                        unit.eliminated += 1;
+                        finished.insert(&child);
+                    } else {
+                        stack.push((child, bound));
+                    }
+                }
+            }
+        }
+        while let Some((top, bound)) = stack.pop() {
+            if bound >= incumbent {
+                unit.pruned += 1;
+                finished.insert(&top);
+            } else if unit.expanded < budget {
+                next = Some(top);
+                break;
+            } else {
+                stack.push((top, bound));
+                break;
+            }
+        }
     }
-
-    fn root_bound(&self) -> f64 {
-        self.0.bound(&self.0.root())
-    }
+    unit.done = finished.minimal_codes();
+    unit.done.sort_by_key(Code::depth);
+    unit.frontier = stack;
+    unit
 }
 
 /// `unit`'s done and frontier codes tile the subtree of `code`: all replay
@@ -234,7 +277,6 @@ fn assert_tiles(problem: &AnyInstance, code: &Code, unit: &WorkUnit) {
 fn check_units(problem: &AnyInstance, seed: u64, foreign_at: Option<usize>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut fast = AnyExpander::new(problem.clone());
-    let mut slow = Rebuilt(problem);
     let mut pool = Pool::new(Default::default());
     let mut table = CodeSet::new();
     let (mut incumbent, mut expanded, mut units) = (f64::INFINITY, 0, 0);
@@ -251,7 +293,7 @@ fn check_units(problem: &AnyInstance, seed: u64, foreign_at: Option<usize>) {
         }
         let budget = 1u64 << rng.gen_range(0..10);
         let unit = fast.explore(&code, incumbent, &mut |n, _| n < budget);
-        let want = slow.explore(&code, incumbent, &mut |n, _| n < budget);
+        let want = reference_unit(problem, &code, incumbent, budget);
         assert_eq!(unit, want, "{} unit #{units} at {code}", problem.kind());
         assert!(unit.expanded <= budget);
         assert_tiles(problem, &code, &unit);

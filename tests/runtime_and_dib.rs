@@ -1,21 +1,31 @@
 //! Cross-harness agreement (threaded runtime vs. simulator vs. sequential)
 //! and the DIB comparison of §5.5.
 
-use ftbb::bnb::{solve, Correlation, KnapsackInstance, SolveConfig};
+use ftbb::bnb::{
+    record_basic_tree, solve, AnyInstance, Correlation, KnapsackInstance, MaxSatInstance,
+    RecordLimits, SolveConfig,
+};
 use ftbb::dib::DibProcess;
 use ftbb::prelude::*;
 use ftbb::sim::run_protocol;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every instance kind on the threaded runtime: knapsacks, a MAX-SAT
+/// instance and a recorded tree, each against its sequential optimum.
 #[test]
 fn threaded_runtime_agrees_with_sequential() {
-    for seed in [3u64, 5, 8] {
-        let k = KnapsackInstance::generate(18, 70, Correlation::Uncorrelated, 0.5, seed);
-        let reference = solve(&k, &SolveConfig::default());
-        let outcome = run_cluster(&k, &ClusterConfig::new(4));
-        assert!(outcome.all_terminated, "seed {seed}");
-        assert_eq!(outcome.best, reference.best, "seed {seed}");
+    let knapsack = |seed| KnapsackInstance::generate(18, 70, Correlation::Uncorrelated, 0.5, seed);
+    let tree = record_basic_tree(&knapsack(13), RecordLimits::default()).expect("recordable");
+    let mut instances: Vec<AnyInstance> = [3u64, 5, 8].map(|s| knapsack(s).into()).into();
+    instances.push(MaxSatInstance::generate(16, 60, 4).into());
+    instances.push(tree.into());
+    for (i, instance) in instances.into_iter().enumerate() {
+        let kind = instance.kind();
+        let reference = solve(&instance, &SolveConfig::default());
+        let outcome = run_cluster(instance, &ClusterConfig::new(4));
+        assert!(outcome.all_terminated, "instance {i} ({kind})");
+        assert_eq!(outcome.best, reference.best, "instance {i} ({kind})");
     }
 }
 
@@ -30,7 +40,7 @@ fn threaded_runtime_survives_majority_crash() {
         (3, Duration::from_millis(9)),
         (4, Duration::from_millis(12)),
     ];
-    let outcome = run_cluster(&k, &cfg);
+    let outcome = run_cluster(k, &cfg);
     assert!(outcome.all_terminated);
     assert_eq!(outcome.best, reference.best);
 }
