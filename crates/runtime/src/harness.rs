@@ -171,6 +171,28 @@ mod tests {
     }
 
     #[test]
+    fn threaded_cluster_is_problem_agnostic() {
+        // The same harness runs every AnyInstance variant — knapsack,
+        // MAX-SAT (dynamic branching order), and a recorded tree — and
+        // each matches its own sequential optimum.
+        use ftbb_bnb::AnyInstance;
+        let k = knapsack(3);
+        let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
+        let variants: Vec<AnyInstance> = vec![
+            k.into(),
+            ftbb_bnb::MaxSatInstance::generate(12, 40, 2).into(),
+            tree.into(),
+        ];
+        for any in variants {
+            let kind = any.kind();
+            let reference = solve(&any, &SolveConfig::default());
+            let outcome = run_cluster(any, &ClusterConfig::new(3));
+            assert!(outcome.all_terminated, "{kind} did not terminate");
+            assert_eq!(outcome.best, reference.best, "{kind}");
+        }
+    }
+
+    #[test]
     fn crash_one_of_three_still_solves_maxsat() {
         // The fault-tolerance machinery never sees the problem kind:
         // crashing a node mid-run on a MAX-SAT workload recovers exactly
