@@ -96,23 +96,9 @@ impl<P: Process> Engine<P> {
         });
     }
 
-    /// Inject a message from outside the process set (e.g. a test driver).
-    pub fn inject_message(&mut self, from: ProcId, to: ProcId, at: SimTime, msg: P::Msg) {
-        self.queue.push(Event {
-            time: at,
-            target: to,
-            kind: EventKind::Message { from, msg },
-        });
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Is the process still live (not crashed, not halted)?
-    pub fn is_live(&self, pid: ProcId) -> bool {
-        matches!(self.slots[pid.index()].state, SlotState::Live)
     }
 
     /// Immutable access to a process's state (post-run inspection).
@@ -274,6 +260,11 @@ impl RunLimits {
 mod tests {
     use super::*;
 
+    /// Is the process still live (not crashed, not halted)?
+    fn is_live<P: Process>(eng: &Engine<P>, pid: ProcId) -> bool {
+        matches!(eng.slots[pid.index()].state, SlotState::Live)
+    }
+
     /// Ping-pong process: replies to every message until `limit` exchanges.
     struct PingPong {
         peer: Option<ProcId>,
@@ -353,8 +344,8 @@ mod tests {
         let (mut eng, a, b) = pingpong_pair(1000);
         eng.schedule_crash(b, SimTime::from_millis(5));
         let stats = eng.run(RunLimits::none());
-        assert!(!eng.is_live(b));
-        assert!(eng.is_live(a));
+        assert!(!is_live(&eng, b));
+        assert!(is_live(&eng, a));
         assert!(stats.events_dropped > 0);
         // B received messages only up to t=5ms.
         assert!(eng.process(b).count <= 5);
@@ -401,9 +392,14 @@ mod tests {
     fn halted_process_receives_nothing() {
         // With limit=2, process `a` halts after receiving msg 1.
         let (mut eng, a, b) = pingpong_pair(2);
-        eng.inject_message(b, a, SimTime::from_secs(1), 99);
+        // A message from outside the process set, due after the halt.
+        eng.queue.push(Event {
+            time: SimTime::from_secs(1),
+            target: a,
+            kind: EventKind::Message { from: b, msg: 99 },
+        });
         let stats = eng.run(RunLimits::none());
-        assert!(!eng.is_live(a));
+        assert!(!is_live(&eng, a));
         assert_eq!(stats.events_dropped, 1);
         assert!(eng.process(a).log.iter().all(|&(_, m)| m != 99));
     }

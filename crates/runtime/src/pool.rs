@@ -32,7 +32,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ftbb_core::{AnyExpander, Expander, Expansion, PEvent, WorkUnit};
 use ftbb_tree::Code;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,6 +51,14 @@ pub(crate) fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
 /// [`WorkerPool::register`] takes a box, as callers outside the workspace
 /// pass one.
 type Registry = Mutex<HashMap<u64, Box<AnyExpander>>>;
+
+/// The registry's map, whether or not a thread panicked while holding
+/// its lock: the map changes only by single `or_insert` calls, so a panic
+/// cannot leave it half-written, and one panicking worker must not take
+/// every other worker and the pump down with it.
+fn prototypes(registry: &Registry) -> MutexGuard<'_, HashMap<u64, Box<AnyExpander>>> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One work request.
 struct Task {
@@ -140,11 +148,7 @@ impl WorkerPool {
     /// an already-known job keeps the original prototype. Must happen
     /// before the job's first [`WorkerPool::submit`].
     pub fn register(&self, job: u64, prototype: Box<AnyExpander>) {
-        self.registry
-            .lock()
-            .expect("pool registry poisoned")
-            .entry(job)
-            .or_insert(prototype);
+        prototypes(&self.registry).entry(job).or_insert(prototype);
     }
 
     /// Queue one expansion. Non-blocking; the result comes back through
@@ -231,9 +235,7 @@ fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<Tas
         let expander = match cache.entry(task.job) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
-                let prototype = registry
-                    .lock()
-                    .expect("pool registry poisoned")
+                let prototype = prototypes(registry)
                     .get(&task.job)
                     .map(|p| AnyExpander::clone(p))
                     .unwrap_or_else(|| {

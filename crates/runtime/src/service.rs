@@ -145,8 +145,6 @@ pub type CompleteHook = Box<dyn FnMut(&JobOutcome) + Send>;
 /// channel or a socket writer, don't compute).
 #[derive(Default)]
 pub struct ServiceHooks {
-    /// A job was admitted and started.
-    pub on_admitted: Option<Box<dyn FnMut(JobId) + Send>>,
     /// A job's incumbent improved (streamed to submitters).
     pub on_incumbent: Option<Box<dyn FnMut(JobId, f64) + Send>>,
     /// A job completed (termination detected), or the service exited
@@ -802,7 +800,7 @@ impl ServiceEngine {
     }
 
     /// Start an admitted job: stamp its telemetry, fire the protocol
-    /// `Start`, replay any stashed traffic, and announce the admission.
+    /// `Start`, and replay any stashed traffic.
     fn start_job(&mut self, idx: usize, t: SimTime) {
         let job = self.jobs[idx].job;
         if let Some(pool) = self.pool.as_ref() {
@@ -818,9 +816,6 @@ impl ServiceEngine {
             for env in backlog {
                 self.jobs[idx].deliver(env, t);
             }
-        }
-        if let Some(f) = self.hooks.on_admitted.as_mut() {
-            f(job);
         }
     }
 

@@ -34,6 +34,14 @@ struct TelemetryInner {
     dropped: AtomicU64,
 }
 
+impl TelemetryInner {
+    /// Current trace timestamp: microseconds since the Unix epoch,
+    /// advanced monotonically.
+    fn now_us(&self) -> u64 {
+        self.epoch_unix_us + self.epoch_instant.elapsed().as_micros() as u64
+    }
+}
+
 impl Drop for TelemetryInner {
     fn drop(&mut self) {
         // Make any shed load visible in the trace itself before closing.
@@ -41,7 +49,7 @@ impl Drop for TelemetryInner {
         if dropped > 0 {
             if let Some(tx) = &self.tx {
                 let _ = tx.try_send(TraceEvent {
-                    t_us: self.epoch_unix_us + self.epoch_instant.elapsed().as_micros() as u64,
+                    t_us: self.now_us(),
                     node: self.node,
                     incarnation: self.incarnation,
                     job: 0,
@@ -154,15 +162,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Current trace timestamp: microseconds since the Unix epoch,
-    /// advanced monotonically. Returns 0 when disabled.
-    pub fn now_us(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.epoch_unix_us + inner.epoch_instant.elapsed().as_micros() as u64,
-            None => 0,
-        }
-    }
-
     /// Emit one event. Non-blocking: if the writer queue is full the
     /// event is counted in [`Telemetry::events_dropped`] and discarded.
     /// A field named like one of the event's own keys (`t_us`, `node`,
@@ -172,7 +171,7 @@ impl Telemetry {
     pub fn emit(&self, kind: &str, fields: &[(&str, String)]) {
         let Some(inner) = &self.inner else { return };
         let ev = TraceEvent {
-            t_us: inner.epoch_unix_us + inner.epoch_instant.elapsed().as_micros() as u64,
+            t_us: inner.now_us(),
             node: inner.node,
             incarnation: inner.incarnation,
             job: self.job,
@@ -261,14 +260,15 @@ mod tests {
     fn emit_drops_fields_named_like_the_events_own_keys() {
         let buf = SharedBuf::default();
         let t = Telemetry::to_writer(4, 1, Box::new(buf.clone())).for_job(7);
-        let before = t.now_us();
+        let now_us = || t.inner.as_ref().expect("recording").now_us();
+        let before = now_us();
         let mut fields: Vec<(&str, String)> = TraceEvent::RESERVED_KEYS
             .iter()
             .map(|&k| (k, "99".to_string()))
             .collect();
         fields.push(("peer", "2".to_string()));
         t.emit("probe", &fields);
-        let after = t.now_us();
+        let after = now_us();
         drop(t);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let ev = TraceEvent::parse_jsonl(text.trim_end()).expect("one parseable line");
@@ -305,7 +305,6 @@ mod tests {
         assert!(!t.is_enabled());
         t.emit("anything", &[("k", "v".to_string())]);
         assert_eq!(t.events_dropped(), 0);
-        assert_eq!(t.now_us(), 0);
     }
 
     #[test]

@@ -169,12 +169,12 @@ transport_counters! {
     /// Problem-announce frames received and routed to the announce
     /// channel.
     announces_recv = "announces_recv",
-    /// Rejoin frames received: a peer came back under a new incarnation
-    /// and was (re)registered.
+    /// Join frames received from a peer's later life: it came back under
+    /// a new incarnation and was (re)registered.
     rejoins = "rejoins",
-    /// Join frames received: a brand-new node introduced itself through
-    /// this node (gossip-server side of the elastic-join handshake) and
-    /// was registered.
+    /// Join frames received at incarnation 0: a brand-new node introduced
+    /// itself through this node (gossip-server side of the elastic-join
+    /// handshake) and was registered.
     joins = "joins",
     /// Previously-unknown peers learned from the id→addr book piggybacked
     /// on membership frames (codec v4) and registered dynamically.
@@ -191,14 +191,15 @@ transport_counters! {
     /// per-frame book/digest entry ratios the scale regression asserts.
     membership_frames_sent = "membership_frames",
     /// Address-book entries piggybacked on those membership frames
-    /// (codec v4 id→addr book, after the `book_max_entries` cap).
+    /// (codec v4 id→addr book, after the per-frame cap,
+    /// `ftbb_wire::tcp::BOOK_MAX_ENTRIES`).
     book_entries_sent = "book_entries",
     /// View-digest entries carried inside those membership frames (after
     /// delta suppression and the digest cap).
     digest_entries_sent = "digest_entries",
     /// Explicit bound-announce frames handed to the wire.
     bound_broadcasts = "bound_frames";
-    /// Control frames (announce, submit, rejoin, join) lost because the
+    /// Control frames (announce, submit, join) lost because the
     /// bounded control queue was full or its consumer gone (TCP
     /// transports only). A receive-side loss, excluded from
     /// [`TransportStats::dropped`].
@@ -251,12 +252,12 @@ impl TransportCounters {
         self.announces_recv.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one rejoin frame received.
+    /// Record one join frame received from a peer's later life.
     pub fn record_rejoin(&self) {
         self.rejoins.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one join frame received.
+    /// Record one join frame received at incarnation 0.
     pub fn record_join(&self) {
         self.joins.fetch_add(1, Ordering::Relaxed);
     }

@@ -119,10 +119,9 @@ fn variant_tags_are_stable_and_invalid_tags_rejected() {
     assert!(decode::<Tagged>(&bytes).is_err());
 }
 
-/// The `RejoinSummary` shape (ftbb-wire's rejoin frame payload): a flat
-/// struct of floats and counters, encoded next to a `String` address —
-/// the exact field mix the rejoin handshake writes. No shim growth was
-/// needed for it; this pins the encoding it relies on.
+/// A flat struct of floats and counters encoded next to a `String`
+/// address — the field mix of a handshake payload that carries a listen
+/// address beside a summary of state. This pins that encoding.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct RejoinShaped {
     incumbent: f64,

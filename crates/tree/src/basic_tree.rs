@@ -211,20 +211,6 @@ impl BasicTree {
         d
     }
 
-    /// Number of nodes in the subtree rooted at `id` (including `id`).
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        let mut stack = vec![id];
-        let mut n = 0;
-        while let Some(x) = stack.pop() {
-            n += 1;
-            if let Some((l, r)) = self.nodes[x as usize].children {
-                stack.push(l);
-                stack.push(r);
-            }
-        }
-        n
-    }
-
     /// The optimal (minimum) feasible solution value in the tree.
     pub fn optimal(&self) -> Option<f64> {
         self.nodes
@@ -380,10 +366,25 @@ mod tests {
 
     #[test]
     fn subtree_sizes() {
+        // Nodes in the subtree rooted at `id`, `id` included.
+        let subtree_size = |t: &BasicTree, id: NodeId| {
+            let mut stack = vec![id];
+            let mut n = 0;
+            while let Some(x) = stack.pop() {
+                n += 1;
+                stack.extend(
+                    t.nodes[x as usize]
+                        .children
+                        .iter()
+                        .flat_map(|&(l, r)| [l, r]),
+                );
+            }
+            n
+        };
         let t = fig1_example();
-        assert_eq!(t.subtree_size(0), 7);
-        assert_eq!(t.subtree_size(1), 3);
-        assert_eq!(t.subtree_size(3), 1);
+        assert_eq!(subtree_size(&t, 0), 7);
+        assert_eq!(subtree_size(&t, 1), 3);
+        assert_eq!(subtree_size(&t, 3), 1);
     }
 
     #[test]

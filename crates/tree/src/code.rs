@@ -288,11 +288,6 @@ impl Code {
         }
     }
 
-    /// Is `self` an ancestor of (a strict prefix of) `other`?
-    pub fn is_ancestor_of(&self, other: &Code) -> bool {
-        self.depth() < other.depth() && self.matches_prefix(other)
-    }
-
     /// Is `self` an ancestor of or equal to `other`?
     pub fn is_prefix_of(&self, other: &Code) -> bool {
         self.depth() <= other.depth() && self.matches_prefix(other)
@@ -574,15 +569,13 @@ mod tests {
     fn ancestry() {
         let c = fig1_code();
         let anc = Code::from_decisions(&[(1, false)]);
-        assert!(anc.is_ancestor_of(&c));
-        assert!(Code::root().is_ancestor_of(&c));
-        assert!(!c.is_ancestor_of(&anc));
-        assert!(!c.is_ancestor_of(&c));
+        assert!(anc.is_prefix_of(&c) && anc != c);
+        assert!(Code::root().is_prefix_of(&c));
+        assert!(!c.is_prefix_of(&anc));
         assert!(c.is_prefix_of(&c));
-        assert!(anc.is_prefix_of(&c));
         // Divergent path is not an ancestor.
         let other = Code::from_decisions(&[(1, true)]);
-        assert!(!other.is_ancestor_of(&c));
+        assert!(!other.is_prefix_of(&c));
     }
 
     #[test]
@@ -615,7 +608,7 @@ mod tests {
         let mut depth = c.depth();
         while let Some(p) = c.parent() {
             assert_eq!(p.depth(), depth - 1);
-            assert!(p.is_ancestor_of(&deep) || p == deep);
+            assert!(p.is_prefix_of(&deep) && p != deep);
             assert_eq!(p.child(c.last().unwrap().var, c.last().unwrap().bit), c);
             let sib = c.sibling().unwrap();
             assert!(c.is_sibling_of(&sib));

@@ -25,17 +25,16 @@
 //! * [`PAYLOAD_ANNOUNCE`] frames carry `(from, incarnation, AnyInstance)`,
 //!   the problem announce a root sends so peers started with
 //!   `--problem wire` can solve an instance they never had locally.
-//! * [`PAYLOAD_REJOIN`] frames carry a [`RejoinFrame`]: a restarted node's
-//!   (id, new incarnation, new listen address, resume summary). Receivers
-//!   re-register the peer — new writer if the address moved, bumped
-//!   incarnation either way — which is how a node killed and restored
-//!   from a checkpoint re-enters a live mesh.
-//! * [`PAYLOAD_JOIN`] frames carry a [`JoinFrame`]: a brand-new node's
-//!   (id, incarnation, listen address), sent to its gossip servers before
-//!   `Start`. The receiver registers the newcomer — the wire-level half
-//!   of the §5.2 join handshake; the protocol-level
-//!   `MembershipMsg::Join`/`Welcome` exchange then rides ordinary
-//!   protocol frames over the routes this one opened.
+//! * [`PAYLOAD_JOIN`] frames carry a [`JoinFrame`]: the (id, incarnation,
+//!   listen address) of a node entering a live mesh — a brand-new node
+//!   introducing itself to its gossip servers before `Start`
+//!   (incarnation 0), or a node restored from a checkpoint announcing its
+//!   new life to every peer (incarnation > 0). The receiver registers the
+//!   sender — new writer if the address moved, raised incarnation tag
+//!   either way. For a joiner this is the wire-level half of the §5.2
+//!   join handshake; the protocol-level `MembershipMsg::Join`/`Welcome`
+//!   exchange then rides ordinary protocol frames over the route this
+//!   one opened.
 //! * [`PAYLOAD_SUBMIT`] frames carry a [`WireFrame::SubmitJob`]: a client
 //!   (`ftbb-submit`) handing a job — a [`JobId`] plus a materialized
 //!   [`AnyInstance`] — to a service-mode pool's gateway node over the
@@ -90,17 +89,16 @@ pub const MAGIC: u32 = 0x4654_5742;
 /// id→addr book on protocol frames and the join frame; v5 added the
 /// job-id stamp on protocol and announce frames plus the job-submission
 /// frames — service mode; v6 added the explicit bound-announce message
-/// tag — suppressed bound dissemination.)
-pub const VERSION: u16 = 6;
+/// tag — suppressed bound dissemination; v7 retired the rejoin frame,
+/// kind byte 2: a restarted node introduces itself with the join frame,
+/// at its new incarnation.)
+pub const VERSION: u16 = 7;
 
 /// Payload kind byte of a protocol envelope frame.
 pub const PAYLOAD_PROTOCOL: u8 = 0;
 
 /// Payload kind byte of a problem-announce frame.
 pub const PAYLOAD_ANNOUNCE: u8 = 1;
-
-/// Payload kind byte of a rejoin frame.
-pub const PAYLOAD_REJOIN: u8 = 2;
 
 /// Payload kind byte of a join frame.
 pub const PAYLOAD_JOIN: u8 = 3;
@@ -178,51 +176,27 @@ pub fn checksum(data: &[u8]) -> u32 {
     h
 }
 
-/// What a rejoining node tells the mesh about the state it resumed from —
-/// operator-facing context for the rejoin log line, not protocol input
-/// (the protocol recovers knowledge through reports and gossip as usual).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RejoinSummary {
-    /// Best-known solution at the restored checkpoint.
-    pub incumbent: f64,
-    /// Contracted codes in the restored completion table.
-    pub table_codes: u32,
-    /// Subproblems in the restored pool.
-    pub pool_len: u32,
-}
-
-/// The rejoin handshake: a node restored from a checkpoint announcing its
-/// new life to a live mesh.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RejoinFrame {
-    /// The rejoining node's id.
-    pub from: u32,
-    /// Its new incarnation (`checkpoint.incarnation + 1`).
-    pub incarnation: u32,
-    /// Where its new listener lives (a restarted daemon may come back on
-    /// a different port).
-    pub addr: SocketAddr,
-    /// What it resumed from.
-    pub summary: RejoinSummary,
-}
-
-/// The elastic-join handshake: a brand-new node introducing itself to a
-/// gossip server it was pointed at (`ftbb-noded --join
-/// --gossip-servers`). The receiver registers the sender so the
-/// protocol-level membership join can flow; gossip then spreads the
-/// newcomer (and its address, via the piggybacked book) epidemically.
+/// The one introduction handshake: a node entering a live mesh. A
+/// brand-new node (`ftbb-noded --join --gossip-servers`) sends it to the
+/// gossip servers it was pointed at, so the protocol-level membership
+/// join can flow; gossip then spreads the newcomer (and its address, via
+/// the piggybacked book) epidemically. A node restored from a checkpoint
+/// (`--resume`) sends it to every peer under its new incarnation, so they
+/// re-point their writers at its (possibly new) address.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinFrame {
-    /// The joining node's id.
+    /// The entering node's id.
     pub from: u32,
-    /// Its incarnation (0 for a first life).
+    /// Its incarnation: 0 for a first life, `checkpoint.incarnation + 1`
+    /// for a resumed one.
     pub incarnation: u32,
-    /// Where its listener lives.
+    /// Where its listener lives (a restarted daemon may come back on a
+    /// different port).
     pub addr: SocketAddr,
 }
 
 /// Everything a frame can carry: a routed protocol message, or one of the
-/// lifecycle handshakes (problem announce, rejoin, join).
+/// lifecycle handshakes (problem announce, join).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
     /// A routed protocol message (the steady-state traffic).
@@ -256,9 +230,8 @@ pub enum WireFrame {
         /// The materialized (validated) workload.
         instance: AnyInstance,
     },
-    /// A restarted node re-entering the mesh under a new incarnation.
-    Rejoin(RejoinFrame),
-    /// A brand-new node introducing itself to a gossip server.
+    /// A node entering a live mesh: a brand-new one, or a restarted one
+    /// under its new incarnation.
     Join(JoinFrame),
     /// A client submitting a job to a service-mode gateway.
     SubmitJob {
@@ -296,7 +269,6 @@ impl WireFrame {
         match self {
             WireFrame::Protocol { env, .. } => Some(env),
             WireFrame::Announce { .. }
-            | WireFrame::Rejoin(_)
             | WireFrame::Join(_)
             | WireFrame::SubmitJob { .. }
             | WireFrame::JobAccepted { .. }
@@ -415,18 +387,6 @@ pub fn encode_result(job: JobId, finished: bool, incumbent: f64, expanded: u64) 
         (finished as u8).ser(payload);
         incumbent.ser(payload);
         expanded.ser(payload);
-    })
-}
-
-/// Encode a rejoin frame. Like the announce, it is a handshake: its
-/// `wire_size` accounting is the payload length.
-pub fn encode_rejoin(rejoin: &RejoinFrame) -> EncodedFrame {
-    encode_with(64, None, |payload| {
-        payload.push(PAYLOAD_REJOIN);
-        rejoin.from.ser(payload);
-        rejoin.incarnation.ser(payload);
-        rejoin.addr.to_string().ser(payload);
-        rejoin.summary.ser(payload);
     })
 }
 
@@ -619,21 +579,6 @@ impl FrameDecoder {
                     instance,
                 }
             }
-            PAYLOAD_REJOIN => {
-                let from = u32::de(&mut r).map_err(bad)?;
-                let incarnation = u32::de(&mut r).map_err(bad)?;
-                let addr = String::de(&mut r).map_err(bad)?;
-                let addr: SocketAddr = addr
-                    .parse()
-                    .map_err(|_| WireError::Payload(format!("bad rejoin address `{addr}`")))?;
-                let summary = RejoinSummary::de(&mut r).map_err(bad)?;
-                WireFrame::Rejoin(RejoinFrame {
-                    from,
-                    incarnation,
-                    addr,
-                    summary,
-                })
-            }
             PAYLOAD_JOIN => {
                 let from = u32::de(&mut r).map_err(bad)?;
                 let incarnation = u32::de(&mut r).map_err(bad)?;
@@ -799,6 +744,21 @@ mod tests {
     }
 
     #[test]
+    fn rejoin_frame_round_trip() {
+        // A node resumed from a checkpoint introduces itself with the
+        // join frame, at its new incarnation.
+        let rejoin = JoinFrame {
+            from: 2,
+            incarnation: 3,
+            addr: "127.0.0.1:45107".parse().unwrap(),
+        };
+        match decode_frame(&encode_join(&rejoin).bytes).unwrap() {
+            WireFrame::Join(got) => assert_eq!(got, rejoin),
+            other => panic!("expected join, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn announce_frame_round_trip() {
         let instance = ftbb_bnb::AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(6, 12, 3));
         let frame = encode_announce(7, 4, JobId(13), &instance);
@@ -916,48 +876,17 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_frame_round_trip() {
-        let rejoin = RejoinFrame {
-            from: 2,
-            incarnation: 3,
-            addr: "127.0.0.1:45107".parse().unwrap(),
-            summary: RejoinSummary {
-                incumbent: -12.5,
-                table_codes: 7,
-                pool_len: 4,
-            },
-        };
-        let frame = encode_rejoin(&rejoin);
-        match decode_frame(&frame.bytes).unwrap() {
-            WireFrame::Rejoin(got) => assert_eq!(got, rejoin),
-            other => panic!("expected rejoin, got {other:?}"),
-        }
-        // A rejoin is a handshake, not protocol traffic.
-        assert_eq!(decode_frame(&frame.bytes).unwrap().into_envelope(), None);
-    }
-
-    #[test]
     fn rejoin_with_bad_address_is_rejected() {
-        let rejoin = RejoinFrame {
-            from: 2,
-            incarnation: 1,
-            addr: "127.0.0.1:45107".parse().unwrap(),
-            summary: RejoinSummary {
-                incumbent: 0.0,
-                table_codes: 0,
-                pool_len: 0,
-            },
-        };
-        // Re-encode by hand with a garbage address string.
-        let mut payload = vec![PAYLOAD_REJOIN];
-        rejoin.from.ser(&mut payload);
-        rejoin.incarnation.ser(&mut payload);
+        // A resumed node's join frame, re-encoded by hand with a garbage
+        // address string.
+        let mut payload = vec![PAYLOAD_JOIN];
+        2u32.ser(&mut payload);
+        1u32.ser(&mut payload);
         "not-an-addr".to_string().ser(&mut payload);
-        rejoin.summary.ser(&mut payload);
         let wire = payload.len();
         let frame = frame_bytes(payload, wire);
         match decode_frame(&frame.bytes) {
-            Err(WireError::Payload(e)) => assert!(e.contains("rejoin address"), "{e}"),
+            Err(WireError::Payload(e)) => assert!(e.contains("join address"), "{e}"),
             other => panic!("expected payload error, got {other:?}"),
         }
     }
@@ -976,10 +905,13 @@ mod tests {
 
     #[test]
     fn unknown_payload_kind_is_rejected() {
-        let frame = frame_bytes(vec![0x7F, 0, 0, 0, 0], 5);
-        match decode_frame(&frame.bytes) {
-            Err(WireError::Payload(e)) => assert!(e.contains("payload kind"), "{e}"),
-            other => panic!("expected payload error, got {other:?}"),
+        // 2 is the retired rejoin frame's kind byte.
+        for kind in [2, 0x7F] {
+            let frame = frame_bytes(vec![kind, 0, 0, 0, 0], 5);
+            match decode_frame(&frame.bytes) {
+                Err(WireError::Payload(e)) => assert!(e.contains("payload kind"), "{e}"),
+                other => panic!("expected payload error, got {other:?}"),
+            }
         }
     }
 

@@ -27,7 +27,6 @@
 //! / [`ProblemSpec::flag_args`] and the launcher's argv all walk those
 //! rows — **adding a key is adding one row**.
 
-use crate::tcp::WireConfig;
 use ftbb_bnb::{AnyInstance, BasicTreeProblem, Correlation, KnapsackInstance, MaxSatInstance};
 use ftbb_des::SimTime;
 use ftbb_gossip::MembershipConfig;
@@ -836,13 +835,6 @@ impl NodeConfig {
         })
     }
 
-    /// The transport tuning this daemon applies to its mesh: the
-    /// constants in [`crate::tcp`] (a test substitutes its own
-    /// [`WireConfig`]; a deployment has no reason to).
-    pub fn wire_config(&self) -> WireConfig {
-        WireConfig::default()
-    }
-
     /// Render this configuration as `ftbb-noded` CLI flags: every key
     /// that differs from [`NodeConfig::default`], in table order, then
     /// [`ProblemSpec::flag_args`] unless the problem is the default one.
@@ -1314,12 +1306,11 @@ mod tests {
         assert_eq!(m.t_fail, SimTime::from_secs_f64(0.4));
         assert_eq!(m.t_cleanup, SimTime::from_secs_f64(2.0));
 
-        // Defaults: static mode. The transport always runs on the
-        // constants in `tcp.rs`; `WireConfig`'s fields are not keys.
+        // Defaults: static mode. The transport runs on the constants in
+        // `tcp.rs`; they are not keys.
         let plain = NodeConfig::default();
         assert!(!plain.gossip_mode());
         assert_eq!(plain.membership(), None);
-        assert_eq!(cfg.wire_config(), WireConfig::default());
         for gone in ["--batch-max-frames", "--book-max-entries"] {
             let e = parse(&format!("{gone} 1")).unwrap_err();
             assert!(e.0.contains("unknown flag"), "{e}");

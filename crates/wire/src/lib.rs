@@ -9,7 +9,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`codec`] | framed, version-tagged, checksummed binary encoding of envelopes, incarnation-stamped, with announce + rejoin handshake frames |
+//! | [`codec`] | framed, version-tagged, checksummed binary encoding of envelopes, incarnation-stamped, with announce + join handshake frames |
 //! | [`tcp`] | [`tcp::TcpMesh`] — the [`ftbb_runtime::Transport`] over sockets, with dynamic peer (re)registration, stale-incarnation filtering, and one bounded [`tcp::Control`] stream for everything that is not protocol traffic |
 //! | [`config`] | `ftbb-noded` configuration, flags only: one key table (21 node keys + 9 `problem.*` keys, a row each) from which the flag reader ([`parse_args`]), the range checks, `--help` ([`config::help`]), [`NodeConfig::to_args`] and the launcher's argv are derived |
 //! | [`lines`] | the shared `TAG key=value …` codec behind every `FTBB-*` stdout line, and the `line_codec!` declaration that derives a line's struct, renderer and parser from one row per field |
@@ -45,9 +45,8 @@ pub mod submit;
 pub mod tcp;
 
 pub use codec::{
-    decode_frame, encode_accepted, encode_announce, encode_frame, encode_join, encode_rejoin,
-    encode_result, encode_submit, EncodedFrame, FrameDecoder, JoinFrame, RejoinFrame,
-    RejoinSummary, WireError, WireFrame,
+    decode_frame, encode_accepted, encode_announce, encode_frame, encode_join, encode_result,
+    encode_submit, EncodedFrame, FrameDecoder, JoinFrame, WireError, WireFrame,
 };
 pub use config::{
     member_ids, parse_args, ConfigError, KnapsackSpec, MaxSatSpec, NodeConfig, ProblemSpec,

@@ -49,15 +49,15 @@
 //! of starting fresh: it comes back as the next **incarnation** of its
 //! node, takes each problem binding from its checkpoint (no `--problem*`
 //! flags, no announce wait), replays the readiness barrier for itself, and
-//! sends a rejoin frame so every peer re-registers it — new address and
-//! all — and starts tagging traffic for its new life. Frames addressed to
-//! (or sent by) the previous life are counted and dropped as stale by the
-//! transport.
+//! sends the join frame a brand-new node sends, at its new incarnation,
+//! so every peer re-registers it — new address and all — and starts
+//! tagging traffic for its new life. Frames addressed to (or sent by) the
+//! previous life are counted and dropped as stale by the transport.
 
-use crate::codec::{encode_accepted, encode_result, EncodedFrame, RejoinSummary};
+use crate::codec::{encode_accepted, encode_result, EncodedFrame};
 use crate::config::{NodeConfig, ProblemSpec};
 use crate::lines::{line_codec, render_line, Fields};
-use crate::tcp::{Control, TcpMesh};
+use crate::tcp::{Control, TcpMesh, WireConfig};
 use crossbeam::channel::{Receiver, Sender};
 use ftbb_bnb::{AnyInstance, BranchBound};
 use ftbb_core::{
@@ -308,7 +308,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         incarnation,
         listener,
         &mesh_peers,
-        cfg.wire_config(),
+        WireConfig,
     )?;
 
     // Phase 3: readiness barrier — pre-establish every peer connection
@@ -328,10 +328,12 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         );
     }
 
-    // Elastic join: introduce this node to its gossip servers at the
-    // wire level (id, incarnation, listen address) so the reverse route
-    // exists before the protocol-level membership Join asks for a
-    // Welcome over it.
+    // A node entering a live mesh introduces itself at the wire level
+    // (id, incarnation, listen address) with one join frame. An elastic
+    // joiner tells its gossip servers, so the reverse route exists before
+    // the protocol-level membership Join asks for a Welcome over it; a
+    // resumed node tells every peer, which re-points its routes at the
+    // new life.
     if cfg.join {
         telemetry.emit("join", &[("servers", mesh_peers.len().to_string())]);
         eprintln!(
@@ -339,6 +341,8 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
             cfg.id,
             mesh_peers.len()
         );
+    }
+    if cfg.join || !restored.is_empty() {
         mesh.send_join();
     }
 
@@ -374,9 +378,9 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     // after the readiness barrier, so handshake frames ride connections
     // that already exist.
     //
-    // * Resume: state and problem bindings come from the checkpoints; one
-    //   rejoin frame (aggregated across jobs) re-registers this node's
-    //   new life — new address and all — with every peer.
+    // * Resume: state and problem bindings come from the checkpoints (the
+    //   join frame above re-registered this node's new life with every
+    //   peer).
     // * Single run: the configured (or announced) problem is job 0.
     // * Service: nothing yet; jobs arrive through the control thread.
     let mut seen_jobs: HashSet<JobId> = HashSet::new();
@@ -404,14 +408,6 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
             cfg.id,
             restored.len()
         );
-        mesh.send_rejoin(RejoinSummary {
-            incumbent: restored
-                .iter()
-                .map(|chk| chk.incumbent)
-                .fold(f64::INFINITY, f64::min),
-            table_codes: restored.iter().map(|chk| chk.table.len() as u32).sum(),
-            pool_len: restored.iter().map(|chk| chk.pool.len() as u32).sum(),
-        });
     } else if !cfg.service {
         // Same election as the threaded harness — the state machine must
         // behave identically in every deployment. A joiner never holds
@@ -441,7 +437,6 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         engine.set_admissions(admit_rx);
         let (incumbent_tx, complete_tx) = (reply_tx.clone(), reply_tx.clone());
         engine.set_hooks(ServiceHooks {
-            on_admitted: None,
             on_incumbent: Some(Box::new(move |job, incumbent| {
                 let _ = incumbent_tx.send(Reply::Result(SubmitReply {
                     job,
@@ -612,24 +607,20 @@ fn single_run_instance(
 }
 
 /// What every mode does with a control frame it has no further use for.
-/// Rejoin and join frames become trace events (the mesh has already
-/// re-pointed its routes); a job submitted to a node that admits none is
-/// refused by closing the client's stream; an announce nobody is waiting
-/// for — the root's, on a peer with a concrete spec — is dropped.
+/// A join frame becomes a trace event, `rejoin_recv` for a restarted
+/// node's later life and `join_recv` for a brand-new node (the mesh has
+/// already re-pointed its routes); a job submitted to a node that admits
+/// none is refused by closing the client's stream; an announce nobody is
+/// waiting for — the root's, on a peer with a concrete spec — is
+/// dropped.
 fn note_control(mesh: &TcpMesh, telemetry: &Telemetry, control: Control) {
     match control {
-        Control::Rejoin(frame) => telemetry.emit(
-            "rejoin_recv",
-            &[
-                ("from", frame.from.to_string()),
-                ("incarnation", frame.incarnation.to_string()),
-                ("addr", frame.addr.to_string()),
-                ("table_codes", frame.summary.table_codes.to_string()),
-                ("pooled", frame.summary.pool_len.to_string()),
-            ],
-        ),
         Control::Join(frame) => telemetry.emit(
-            "join_recv",
+            if frame.incarnation > 0 {
+                "rejoin_recv"
+            } else {
+                "join_recv"
+            },
             &[
                 ("from", frame.from.to_string()),
                 ("incarnation", frame.incarnation.to_string()),
@@ -1517,14 +1508,9 @@ mod tests {
             ..Default::default()
         };
         let node = std::thread::spawn(move || run(&cfg).expect("single run"));
-        let (root, _root_inbox) = TcpMesh::from_listener_incarnated_with(
-            0,
-            0,
-            root_listener,
-            &[(1, addr)],
-            crate::tcp::WireConfig::default(),
-        )
-        .unwrap();
+        let (root, _root_inbox) =
+            TcpMesh::from_listener_incarnated_with(0, 0, root_listener, &[(1, addr)], WireConfig)
+                .unwrap();
         assert!(root.ready(Duration::from_secs(10)), "node 1 comes up");
 
         let tiny = AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(6, 12, 9));
@@ -1550,8 +1536,7 @@ mod tests {
         // Node 0's reply thread over a live mesh; node 1 is a bare mesh
         // that shows what the pool hears, and when.
         let mesh = |id: u32, listener: TcpListener, peer: (u32, SocketAddr)| {
-            let cfg = crate::tcp::WireConfig::default();
-            TcpMesh::from_listener_incarnated_with(id, 0, listener, &[peer], cfg).unwrap()
+            TcpMesh::from_listener_incarnated_with(id, 0, listener, &[peer], WireConfig).unwrap()
         };
         let (listener_0, listener_1) = (
             TcpListener::bind("127.0.0.1:0").unwrap(),

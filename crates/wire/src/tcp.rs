@@ -5,10 +5,11 @@
 //! simplex connections, one per direction). Incoming connections only
 //! feed the inbox; the envelope's `from` field identifies the sender.
 //! The peer roster is **dynamic**: it is seeded at construction, but a
-//! peer can be (re)registered at any time — which is how a node killed
-//! and restarted from a checkpoint re-enters a live mesh (its
-//! [`RejoinFrame`] carries its new address and incarnation, and every
-//! receiver re-points its writer).
+//! peer can be (re)registered at any time — which is how a node enters a
+//! live mesh: a brand-new node, or one killed and restarted from a
+//! checkpoint, sends one [`JoinFrame`] carrying its address and
+//! incarnation ([`TcpMesh::send_join`]), and every receiver registers it
+//! or re-points its writer.
 //!
 //! **Incarnations**: the mesh belongs to one life of its node. Outgoing
 //! protocol frames are stamped with the sender's incarnation and the
@@ -16,7 +17,7 @@
 //! frames whose tags disagree with reality — addressed to this node's
 //! previous life, or sent by a peer's previous life — are dropped and
 //! counted as `dropped_stale` instead of being delivered to the wrong
-//! incarnation. Incarnation knowledge flows through rejoin (and announce)
+//! incarnation. Incarnation knowledge flows through join (and announce)
 //! frames; a fresh mesh assumes incarnation 0 for everyone, which is
 //! correct for first lives.
 //!
@@ -28,8 +29,8 @@
 //!   retry until connected or a deadline. Harnesses run the barrier
 //!   *before* injecting `Start`, so the protocol never opens fire on a
 //!   half-formed mesh and the root's first work grants cannot vanish into
-//!   a listener that is still coming up. A rejoining node replays exactly
-//!   this barrier for itself before sending its rejoin frames.
+//!   a listener that is still coming up. A restarted node replays exactly
+//!   this barrier for itself before sending its join frame.
 //! * **Delivery is at most once, and every loss is counted**: a send to a
 //!   peer that is not connected gets one dial attempt (paced by a short
 //!   backoff so dead peers cost microseconds, not round-trips) and is
@@ -47,25 +48,35 @@
 //! life (counted as `peers_discovered`). A *relayed* entry never
 //! re-points a known peer's route; the sender's *own* entry is
 //! authoritative (the admitted frame proves its current address and
-//! incarnation), like a join/rejoin frame — which is how a route
-//! learned from a book that later went stale heals itself on the next
-//! membership frame from that peer. A brand-new node enters a live mesh
-//! by sending a [`JoinFrame`] to its gossip servers
-//! ([`TcpMesh::send_join`]); gossip then spreads its existence — and,
-//! via the books, its address — epidemically.
+//! incarnation), like a join frame — which is how a route learned from
+//! a book that later went stale heals itself on the next membership
+//! frame from that peer. A brand-new node sends its [`JoinFrame`] to its
+//! gossip servers only; gossip then spreads its existence — and, via the
+//! books, its address — epidemically.
 //!
 //! **Control plane**: everything a reader decodes that is not protocol
-//! traffic — problem announces, job submissions, rejoin and join
-//! handshakes — surfaces as one [`Control`] value on one bounded channel
+//! traffic — problem announces, job submissions, join handshakes —
+//! surfaces as one [`Control`] value on one bounded channel
 //! ([`TcpMesh::recv_control`]), after the registry has acted on it. The
 //! inbox never sees these frames. A consumer that falls
 //! `CONTROL_QUEUE_CAP` frames behind loses the overflow, counted as
 //! `control_shed` (a submission is also refused by closing its stream),
 //! rather than stalling the readers.
+//!
+//! **Transport constants**: one socket write coalesces at most
+//! [`BATCH_MAX_FRAMES`] queued frames, and one membership frame carries at
+//! most [`BOOK_MAX_ENTRIES`] address-book entries. Neither is a setting.
+//!
+//! **Locks**: every update under a lock here leaves its data valid at
+//! every step — the maps change by single `insert`/`remove` calls, and a
+//! book rebuild stays marked dirty until it completes — so a thread that
+//! panics while holding one leaves nothing half-written. The mesh takes
+//! its guards through one poison-tolerant accessor, and a panic in one
+//! thread never turns into a panic in every other thread that touches
+//! the mesh.
 
 use crate::codec::{
-    encode_announce, encode_frame, encode_join, encode_rejoin, EncodedFrame, FrameDecoder,
-    JoinFrame, RejoinFrame, RejoinSummary, WireFrame,
+    encode_announce, encode_frame, encode_join, EncodedFrame, FrameDecoder, JoinFrame, WireFrame,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use ftbb_bnb::AnyInstance;
@@ -76,7 +87,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Soft bound on frames queued toward one peer; beyond it sends are
@@ -99,44 +110,31 @@ const PRECONNECT_POLL: Duration = Duration::from_millis(10);
 /// overflow instead of stalling the readers.
 const CONTROL_QUEUE_CAP: usize = 256;
 
-/// Default cap on frames coalesced into one socket write. Batching is
-/// purely opportunistic — a writer only coalesces frames *already queued*
-/// when it wakes, so a lone latency-sensitive frame (bound announcement,
+/// Cap on frames coalesced into one socket write. Batching is purely
+/// opportunistic — a writer only coalesces frames *already queued* when
+/// it wakes, so a lone latency-sensitive frame (bound announcement,
 /// membership beat) is never parked waiting for company; the cap merely
-/// bounds the coalescing buffer. Configurable per mesh through
-/// [`WireConfig::batch_max_frames`].
+/// bounds the coalescing buffer.
 pub const BATCH_MAX_FRAMES: usize = 64;
 
-/// Default cap on piggybacked address-book entries per membership frame
-/// (`0` = uncapped full roster, the pre-scale behavior). The sender's own
+/// Cap on piggybacked address-book entries per membership frame, which
+/// keeps per-frame book bytes O(1) instead of O(roster). The sender's own
 /// entry always rides; the rest rotate through a round-robin cursor so
-/// every entry still circulates epidemically. Configurable per mesh
-/// through [`WireConfig::book_max_entries`].
+/// every entry still circulates epidemically.
 pub const BOOK_MAX_ENTRIES: usize = 16;
 
-/// Transport tuning knobs, applied to every peer writer of a mesh.
-/// Defaults reproduce the historical constants exactly, and `ftbb-noded`
-/// always runs on them (they are not configuration keys); the struct
-/// lets a test substitute a batch cap of 1 or a small book.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireConfig {
-    /// Most frames one socket write may coalesce (default
-    /// [`BATCH_MAX_FRAMES`], 64). `1` disables batching entirely — every
-    /// frame pays its own syscall, the pre-batching behavior.
-    pub batch_max_frames: usize,
-    /// Most address-book entries piggybacked on one membership frame
-    /// (default [`BOOK_MAX_ENTRIES`], 16; `0` = the full roster). Keeps
-    /// per-frame book bytes O(1) instead of O(roster).
-    pub book_max_entries: usize,
-}
+/// The argument of [`TcpMesh::from_listener_incarnated_with`], which
+/// ignores it. The struct has no fields: the transport runs on
+/// [`BATCH_MAX_FRAMES`] and [`BOOK_MAX_ENTRIES`]. It remains only because
+/// the benchmark harness passes `WireConfig::default()` to that
+/// constructor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WireConfig;
 
-impl Default for WireConfig {
-    fn default() -> Self {
-        WireConfig {
-            batch_max_frames: BATCH_MAX_FRAMES,
-            book_max_entries: BOOK_MAX_ENTRIES,
-        }
-    }
+/// A lock's guard, whether or not a thread panicked while holding it
+/// (see the module doc's **Locks**).
+fn unpoisoned<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What a peer's writer thread is asked to do. Frames are queued as
@@ -173,9 +171,8 @@ pub enum Control {
         /// The decoded, already-validated instance.
         instance: AnyInstance,
     },
-    /// A peer came back under a new incarnation (already re-registered).
-    Rejoin(RejoinFrame),
-    /// A brand-new node introduced itself (already registered).
+    /// A node entered the mesh (already registered): a brand-new one at
+    /// incarnation 0, or a restarted one under its new incarnation.
     Join(JoinFrame),
 }
 
@@ -223,7 +220,6 @@ struct Registry {
     me: u32,
     my_incarnation: u32,
     local_addr: SocketAddr,
-    cfg: WireConfig,
     peers: RwLock<HashMap<u32, Peer>>,
     /// Highest incarnation seen per sender; frames from lower ones are a
     /// previous life's stragglers and are dropped as stale.
@@ -254,7 +250,7 @@ impl Registry {
             return;
         }
         {
-            let peers = self.peers.read().expect("peer map poisoned");
+            let peers = unpoisoned(self.peers.read());
             if let Some(peer) = peers.get(&id) {
                 if peer.addr == addr {
                     peer.incarnation.fetch_max(incarnation, Ordering::AcqRel);
@@ -262,11 +258,8 @@ impl Registry {
                 }
             }
         }
-        let peer = spawn_peer(addr, incarnation, Arc::clone(&self.counters), self.cfg);
-        self.peers
-            .write()
-            .expect("peer map poisoned")
-            .insert(id, peer);
+        let peer = spawn_peer(addr, incarnation, Arc::clone(&self.counters));
+        unpoisoned(self.peers.write()).insert(id, peer);
         self.mark_book_dirty();
     }
 
@@ -274,7 +267,7 @@ impl Registry {
     /// unknown ids are registered at the book's incarnation; for known
     /// ids only the outbound incarnation tag is raised (monotone). A
     /// relayed entry never re-points an existing writer — address
-    /// changes are authoritative only through join/rejoin frames or the
+    /// changes are authoritative only through join frames or the
     /// sender's *own* book entry (see the reader), so a stale relayed
     /// book cannot hijack a live route.
     fn learn_peer(&self, id: u32, addr: SocketAddr, incarnation: u32) {
@@ -282,20 +275,20 @@ impl Registry {
             return;
         }
         {
-            let peers = self.peers.read().expect("peer map poisoned");
+            let peers = unpoisoned(self.peers.read());
             if let Some(peer) = peers.get(&id) {
                 peer.incarnation.fetch_max(incarnation, Ordering::AcqRel);
                 return;
             }
         }
         {
-            let mut peers = self.peers.write().expect("peer map poisoned");
+            let mut peers = unpoisoned(self.peers.write());
             if peers.contains_key(&id) {
                 return; // raced another reader; first learner wins
             }
             peers.insert(
                 id,
-                spawn_peer(addr, incarnation, Arc::clone(&self.counters), self.cfg),
+                spawn_peer(addr, incarnation, Arc::clone(&self.counters)),
             );
         }
         self.mark_book_dirty();
@@ -306,20 +299,20 @@ impl Registry {
     /// must have released the `peers` lock (see the lock-order note on
     /// [`Registry::book`]).
     fn mark_book_dirty(&self) {
-        self.book.lock().expect("book cache poisoned").dirty = true;
+        unpoisoned(self.book.lock()).dirty = true;
     }
 
     /// The address book to piggyback on one membership frame: the full
-    /// sorted roster when it fits `book_max_entries` (or the cap is 0),
-    /// otherwise this node's own entry (always — it is the authoritative
-    /// route back to the sender) plus a rotating window of the rest, so
-    /// every entry still circulates within `⌈roster/cap⌉` frames. The
+    /// sorted roster when it fits [`BOOK_MAX_ENTRIES`], otherwise this
+    /// node's own entry (always — it is the authoritative route back to
+    /// the sender) plus a rotating window of the rest, so every entry
+    /// still circulates within `⌈roster/cap⌉` frames. The
     /// roster is cached and rebuilt only when the peer map changes;
     /// incarnations are loaded from the shared atomics at selection time.
     fn membership_book(&self) -> Vec<(u32, SocketAddr, u32)> {
-        let mut cache = self.book.lock().expect("book cache poisoned");
+        let mut cache = unpoisoned(self.book.lock());
         if cache.dirty {
-            let peers = self.peers.read().expect("peer map poisoned");
+            let peers = unpoisoned(self.peers.read());
             cache.entries = peers
                 .iter()
                 .map(|(&id, p)| (id, p.addr, Arc::clone(&p.incarnation)))
@@ -336,19 +329,18 @@ impl Registry {
         let load = |&(id, addr, ref inc): &(u32, SocketAddr, Arc<AtomicU32>)| {
             (id, addr, inc.load(Ordering::Acquire))
         };
-        let cap = self.cfg.book_max_entries;
         let n = cache.entries.len();
-        if cap == 0 || n <= cap {
+        if n <= BOOK_MAX_ENTRIES {
             return cache.entries.iter().map(load).collect();
         }
         let self_idx = cache
             .entries
             .binary_search_by_key(&self.me, |&(id, _, _)| id)
             .expect("own entry is always in the book");
-        let mut out = Vec::with_capacity(cap);
+        let mut out = Vec::with_capacity(BOOK_MAX_ENTRIES);
         out.push(load(&cache.entries[self_idx]));
         let mut idx = cache.cursor % n;
-        while out.len() < cap {
+        while out.len() < BOOK_MAX_ENTRIES {
             if idx != self_idx {
                 out.push(load(&cache.entries[idx]));
             }
@@ -365,10 +357,10 @@ impl Registry {
     /// we send it stop being addressed to an older life. This is how a
     /// restarted node — born assuming incarnation 0 for everyone —
     /// relearns the current incarnation of peers that restarted before
-    /// it did: rejoin frames teach the roster once, and every ordinary
+    /// it did: join frames teach the roster once, and every ordinary
     /// frame after that self-heals stragglers.
     fn note_sender_life(&self, from: u32, incarnation: u32) {
-        if let Some(peer) = self.peers.read().expect("peer map poisoned").get(&from) {
+        if let Some(peer) = unpoisoned(self.peers.read()).get(&from) {
             peer.incarnation.fetch_max(incarnation, Ordering::AcqRel);
         }
     }
@@ -391,11 +383,7 @@ impl Registry {
     /// Drop `job`'s submitter stream, closing the connection both ways
     /// (the reader that accepted it sees EOF and exits).
     fn close_submitter(&self, job: JobId) {
-        let stream = self
-            .submitters
-            .lock()
-            .expect("submitter map poisoned")
-            .remove(&job);
+        let stream = unpoisoned(self.submitters.lock()).remove(&job);
         if let Some(stream) = stream {
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -405,14 +393,14 @@ impl Registry {
     /// advancing the per-sender high-water mark.
     fn admit_sender(&self, from: u32, incarnation: u32) -> bool {
         {
-            let seen = self.seen.read().expect("seen map poisoned");
+            let seen = unpoisoned(self.seen.read());
             match seen.get(&from) {
                 Some(&cur) if incarnation < cur => return false,
                 Some(&cur) if incarnation == cur => return true,
                 _ => {}
             }
         }
-        let mut seen = self.seen.write().expect("seen map poisoned");
+        let mut seen = unpoisoned(self.seen.write());
         let cur = seen.entry(from).or_insert(incarnation);
         if incarnation < *cur {
             return false;
@@ -439,15 +427,13 @@ impl TcpMesh {
     /// real port), announce the address, learn the peer map, *then* start
     /// routing. `peers` lists every *other* node's `(id, address)`; the
     /// returned receiver is this node's inbox (messages from peers and
-    /// from self-sends). `cfg` applies to every writer this mesh ever
-    /// spawns, including peers registered later (rejoin, join, gossip
-    /// discovery).
+    /// from self-sends). The [`WireConfig`] argument is ignored.
     pub fn from_listener_incarnated_with(
         me: u32,
         incarnation: u32,
         listener: TcpListener,
         peers: &[(u32, SocketAddr)],
-        cfg: WireConfig,
+        _: WireConfig,
     ) -> std::io::Result<(TcpMesh, Receiver<Envelope>)> {
         let local_addr = listener.local_addr()?;
         let (inbox_tx, inbox_rx) = unbounded();
@@ -457,7 +443,6 @@ impl TcpMesh {
             me,
             my_incarnation: incarnation,
             local_addr,
-            cfg,
             peers: RwLock::new(HashMap::new()),
             seen: RwLock::new(HashMap::new()),
             book: Mutex::new(BookCache {
@@ -486,14 +471,6 @@ impl TcpMesh {
         ))
     }
 
-    /// (Re)register a peer: new peers join the roster, a known peer at a
-    /// new address gets a fresh writer, and the outbound incarnation tag
-    /// is raised to `incarnation`. Rejoin frames do this automatically;
-    /// the method is public for harnesses that wire rejoins themselves.
-    pub fn register_peer(&self, id: u32, addr: SocketAddr, incarnation: u32) {
-        self.registry.register(id, addr, incarnation);
-    }
-
     /// Queue one pre-encoded handshake frame toward every registered
     /// peer, under the rules [`Transport::send`] applies to one: a peer
     /// whose queue is at `PEER_QUEUE_CAP`, or a frame receivers would
@@ -502,7 +479,7 @@ impl TcpMesh {
     fn broadcast(&self, frame: &EncodedFrame) -> usize {
         let registry = &self.registry;
         let mut queued = 0;
-        for peer in registry.peers.read().expect("peer map poisoned").values() {
+        for peer in unpoisoned(registry.peers.read()).values() {
             if frame.exceeds_limit() || peer.depth.load(Ordering::Acquire) >= PEER_QUEUE_CAP {
                 registry.counters.record_dropped_full();
                 continue;
@@ -529,7 +506,7 @@ impl TcpMesh {
     }
 
     /// Wait (up to `timeout`) for the next control frame — a peer's
-    /// problem announce, a client's job submission, a rejoin or a join.
+    /// problem announce, a client's job submission or a join.
     /// The registry has already acted on it by the time it surfaces here
     /// (sender admitted, writer re-pointed, submitter's stream held for
     /// [`TcpMesh::send_submit_reply`]). `None` on timeout.
@@ -558,11 +535,7 @@ impl TcpMesh {
     /// write also closes the stream so later replies fail fast instead
     /// of blocking on a dead socket.
     pub fn send_submit_reply(&self, job: JobId, frame: &EncodedFrame) -> bool {
-        let mut submitters = self
-            .registry
-            .submitters
-            .lock()
-            .expect("submitter map poisoned");
+        let mut submitters = unpoisoned(self.registry.submitters.lock());
         let Some(stream) = submitters.get_mut(&job) else {
             return false;
         };
@@ -581,23 +554,13 @@ impl TcpMesh {
         self.registry.close_submitter(job);
     }
 
-    /// Announce this node's rejoin to every peer: its id, its new
-    /// incarnation, its (possibly new) listen address, and a summary of
-    /// the state it resumed from. Receivers re-register the peer and
-    /// start tagging traffic for the new life.
-    pub fn send_rejoin(&self, summary: RejoinSummary) {
-        self.broadcast(&encode_rejoin(&RejoinFrame {
-            from: self.registry.me,
-            incarnation: self.registry.my_incarnation,
-            addr: self.registry.local_addr,
-            summary,
-        }));
-    }
-
-    /// Introduce this node to every currently-registered peer (for a
-    /// joining node: its gossip servers) with a join frame carrying its
-    /// id, incarnation, and listen address. Receivers register the
-    /// sender, opening the reverse route the membership Welcome needs.
+    /// Introduce this node to every currently-registered peer with a join
+    /// frame carrying its id, incarnation, and listen address. Receivers
+    /// register the sender: for a joining node (whose peers are its
+    /// gossip servers) that opens the reverse route the membership
+    /// Welcome needs; for a node resumed under a new incarnation it
+    /// re-points their writers and starts tagging traffic for the new
+    /// life.
     pub fn send_join(&self) {
         self.broadcast(&encode_join(&JoinFrame {
             from: self.registry.me,
@@ -619,7 +582,7 @@ impl TcpMesh {
     /// `deadline` passes (`false`).
     fn await_peers(&self, deadline: Instant, done: impl Fn(&Peer) -> bool) -> bool {
         loop {
-            let peers = self.registry.peers.read().expect("peer map poisoned");
+            let peers = unpoisoned(self.registry.peers.read());
             if peers.values().all(&done) {
                 return true;
             }
@@ -650,7 +613,7 @@ impl Transport for TcpMesh {
         // v4) — `(id, addr, incarnation)` entries — so the receiver opens
         // routes to members it only knows from gossip, tagged for the
         // right life. The book comes from the roster cache, capped to
-        // `book_max_entries` with a rotating window (built before taking
+        // `BOOK_MAX_ENTRIES` with a rotating window (built before taking
         // the peer read lock: `book` orders before `peers`). Work/report
         // traffic ships an empty book: discovery belongs to the
         // membership plane.
@@ -665,7 +628,7 @@ impl Transport for TcpMesh {
             }
             _ => (Vec::new(), None),
         };
-        let peers = registry.peers.read().expect("peer map poisoned");
+        let peers = unpoisoned(registry.peers.read());
         let Some(peer) = peers.get(&to) else {
             registry.counters.record_dropped_no_route();
             return;
@@ -708,13 +671,7 @@ impl Transport for TcpMesh {
     /// skipped.
     fn ready(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        for peer in self
-            .registry
-            .peers
-            .read()
-            .expect("peer map poisoned")
-            .values()
-        {
+        for peer in unpoisoned(self.registry.peers.read()).values() {
             if !peer.connected.load(Ordering::Acquire) {
                 let _ = peer.queue_tx.try_send(WriterCmd::Preconnect { deadline });
             }
@@ -723,7 +680,7 @@ impl Transport for TcpMesh {
     }
 
     fn endpoints(&self) -> usize {
-        self.registry.peers.read().expect("peer map poisoned").len() + 1
+        unpoisoned(self.registry.peers.read()).len() + 1
     }
 
     fn counters(&self) -> &TransportCounters {
@@ -849,11 +806,7 @@ fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Envelo
                                 // its stream so accepted/result frames can
                                 // travel back on the same connection.
                                 if let Ok(back) = stream.try_clone() {
-                                    registry
-                                        .submitters
-                                        .lock()
-                                        .expect("submitter map poisoned")
-                                        .insert(job, back);
+                                    unpoisoned(registry.submitters.lock()).insert(job, back);
                                 }
                                 registry.surface(Control::Submit { job, instance });
                             }
@@ -863,21 +816,19 @@ fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Envelo
                                 // gateway -> submit client); tolerate and
                                 // drop rather than severing the stream.
                             }
-                            Ok(Some(WireFrame::Rejoin(frame))) => {
-                                if !registry.admit_sender(frame.from, frame.incarnation) {
-                                    registry.counters.record_dropped_stale();
-                                    continue;
-                                }
-                                registry.counters.record_rejoin();
-                                registry.register(frame.from, frame.addr, frame.incarnation);
-                                registry.surface(Control::Rejoin(frame));
-                            }
                             Ok(Some(WireFrame::Join(frame))) => {
                                 if !registry.admit_sender(frame.from, frame.incarnation) {
                                     registry.counters.record_dropped_stale();
                                     continue;
                                 }
-                                registry.counters.record_join();
+                                // A later life is a restart: `--join` is
+                                // refused with `--resume`, so a brand-new
+                                // node is always incarnation 0.
+                                if frame.incarnation > 0 {
+                                    registry.counters.record_rejoin();
+                                } else {
+                                    registry.counters.record_join();
+                                }
                                 // A join IS authoritative for the sender's
                                 // address (it announces itself), unlike a
                                 // relayed book entry.
@@ -909,18 +860,12 @@ fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Envelo
 /// thread. The thread exits when the owning [`TcpMesh`] drops (queue
 /// disconnects) or the peer is re-registered at a new address (its entry
 /// — and queue sender — is replaced).
-fn spawn_peer(
-    addr: SocketAddr,
-    incarnation: u32,
-    counters: Arc<TransportCounters>,
-    cfg: WireConfig,
-) -> Peer {
+fn spawn_peer(addr: SocketAddr, incarnation: u32, counters: Arc<TransportCounters>) -> Peer {
     let (queue_tx, queue_rx) = unbounded();
     let depth = Arc::new(AtomicUsize::new(0));
     let connected = Arc::new(AtomicBool::new(false));
     let writer = Writer {
         addr,
-        cfg,
         depth: Arc::clone(&depth),
         connected: Arc::clone(&connected),
         counters,
@@ -943,7 +888,6 @@ fn spawn_peer(
 /// every queued frame's depth reservation.
 struct Writer {
     addr: SocketAddr,
-    cfg: WireConfig,
     depth: Arc<AtomicUsize>,
     connected: Arc<AtomicBool>,
     counters: Arc<TransportCounters>,
@@ -1059,7 +1003,7 @@ impl Writer {
                     // immediately — the max-delay bound is zero.
                     let mut batch = vec![first];
                     let mut deferred_preconnect = None;
-                    while batch.len() < self.cfg.batch_max_frames.max(1) {
+                    while batch.len() < BATCH_MAX_FRAMES {
                         match queue.try_recv() {
                             Ok(WriterCmd::Frame(frame)) => batch.push(frame),
                             Ok(WriterCmd::Preconnect { deadline }) => {
@@ -1102,10 +1046,10 @@ mod tests {
         }
     }
 
-    /// A mesh on the default [`WireConfig`], listening on `listen` as
-    /// `incarnation` of node `me`. Binding retries for a while: the
-    /// acceptor thread of a just-dropped mesh on the same address may
-    /// hold the listener for a few more scheduler slices.
+    /// A mesh listening on `listen` as `incarnation` of node `me`.
+    /// Binding retries for a while: the acceptor thread of a just-dropped
+    /// mesh on the same address may hold the listener for a few more
+    /// scheduler slices.
     fn mesh_at(
         me: u32,
         incarnation: u32,
@@ -1120,14 +1064,8 @@ mod tests {
                 Err(e) => panic!("cannot bind {listen}: {e}"),
             }
         };
-        TcpMesh::from_listener_incarnated_with(
-            me,
-            incarnation,
-            listener,
-            peers,
-            WireConfig::default(),
-        )
-        .expect("mesh starts")
+        TcpMesh::from_listener_incarnated_with(me, incarnation, listener, peers, WireConfig)
+            .expect("mesh starts")
     }
 
     #[test]
@@ -1143,7 +1081,6 @@ mod tests {
         let counters = Arc::new(TransportCounters::default());
         let mut w = Writer {
             addr: listener.local_addr().unwrap(),
-            cfg: WireConfig::default(),
             depth: Arc::clone(&depth),
             connected: Arc::new(AtomicBool::new(false)),
             counters: Arc::clone(&counters),
@@ -1186,42 +1123,6 @@ mod tests {
         assert_eq!(stats.flushes, 2);
         assert_eq!(stats.frames_flushed, 11);
         assert_eq!(depth.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn batching_disabled_writes_one_frame_per_flush() {
-        // `batch_max_frames: 1` pins the historical one-write-per-frame
-        // behaviour: however many frames are queued when the writer
-        // wakes, each is flushed alone.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr_b = free_addr();
-        let cfg = WireConfig {
-            batch_max_frames: 1,
-            ..WireConfig::default()
-        };
-        let (mesh_a, _rx_a) =
-            TcpMesh::from_listener_incarnated_with(0, 0, listener, &[(1, addr_b)], cfg).unwrap();
-        let (_mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[]);
-        assert!(mesh_a.ready(Duration::from_secs(10)));
-        for i in 0..3 {
-            mesh_a.send(
-                JobId::DEFAULT,
-                0,
-                1,
-                Msg::WorkRequest {
-                    incumbent: i as f64,
-                },
-            );
-        }
-        for _ in 0..3 {
-            assert!(recv_msg(&rx_b, Duration::from_secs(5)).is_some());
-        }
-        assert!(mesh_a.drain(Duration::from_secs(5)));
-        let stats = mesh_a.stats();
-        assert_eq!(stats.sent, 3);
-        assert_eq!(stats.flushes, 3, "cap 1 means one frame per write");
-        assert_eq!(stats.frames_flushed, 3);
-        assert!((stats.frames_per_flush() - 1.0).abs() < 1e-9);
     }
 
     /// Deadline-bounded wait for a counter condition — no fixed sleeps.
@@ -1514,10 +1415,10 @@ mod tests {
             mesh_a.stats()
         );
 
-        // Once the rejoin teaches mesh_a the new incarnation (the test
-        // wires it directly; daemons learn it from the rejoin frame),
-        // deliveries resume.
-        mesh_a.register_peer(1, addr_b, 1);
+        // Once mesh_a learns the new incarnation (the test wires it
+        // directly; daemons learn it from the join frame), deliveries
+        // resume.
+        mesh_a.registry.register(1, addr_b, 1);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut delivered = false;
         while Instant::now() < deadline {
@@ -1532,64 +1433,10 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_frame_reregisters_the_peer_and_resumes_delivery() {
-        // A rejoins the mesh on a NEW address under a new incarnation:
-        // its rejoin frame must re-point B's writer without any help.
-        let addr_a1 = free_addr();
-        let addr_b = free_addr();
-        let (mesh_a1, _rx_a1) = mesh_at(7, 0, addr_a1, &[(8, addr_b)]);
-        let (mesh_b, rx_b) = mesh_at(8, 0, addr_b, &[(7, addr_a1)]);
-        assert!(mesh_a1.ready(Duration::from_secs(10)));
-        mesh_a1.send(JobId::DEFAULT, 7, 8, Msg::WorkRequest { incumbent: 1.0 });
-        assert!(recv_msg(&rx_b, Duration::from_secs(5)).is_some());
-
-        // First life of node 7 dies; its second life binds elsewhere.
-        drop(mesh_a1);
-        let addr_a2 = free_addr();
-        let (mesh_a2, rx_a2) = mesh_at(7, 1, addr_a2, &[(8, addr_b)]);
-        assert!(mesh_a2.ready(Duration::from_secs(10)));
-        mesh_a2.send_rejoin(RejoinSummary {
-            incumbent: -3.5,
-            table_codes: 11,
-            pool_len: 2,
-        });
-
-        // B observes the rejoin (counted + surfaced)…
-        let Some(Control::Rejoin(frame)) = mesh_b.recv_control(Duration::from_secs(5)) else {
-            panic!("rejoin arrives");
-        };
-        assert_eq!(frame.from, 7);
-        assert_eq!(frame.incarnation, 1);
-        assert_eq!(frame.addr, addr_a2);
-        assert_eq!(frame.summary.table_codes, 11);
-        assert_eq!(mesh_b.stats().rejoins, 1);
-
-        // …and delivery to the NEW address (old one is gone) works,
-        // tagged for the new life.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut delivered = false;
-        while Instant::now() < deadline {
-            mesh_b.send(JobId::DEFAULT, 8, 7, Msg::WorkDeny { incumbent: 2.0 });
-            if recv_msg(&rx_a2, Duration::from_millis(100)).is_some() {
-                delivered = true;
-                break;
-            }
-        }
-        assert!(delivered, "rejoin must re-point the writer: {:?}", {
-            mesh_b.stats()
-        });
-        assert_eq!(
-            mesh_a2.stats().dropped_stale,
-            0,
-            "new-life frames are not stale"
-        );
-    }
-
-    #[test]
     fn two_restarted_peers_relearn_each_other_from_ordinary_traffic() {
         // Both nodes are later lives (A is incarnation 2, B incarnation
         // 3) but each was just (re)born assuming incarnation 0 for the
-        // other — the double-restart scenario, where no rejoin exchange
+        // other — the double-restart scenario, where no join exchange
         // happened between the two new lives. The first frames cross
         // stale, but every admitted frame proves the sender's current
         // life, so the pair must converge to mutual delivery instead of
@@ -1628,39 +1475,65 @@ mod tests {
 
     #[test]
     fn join_frame_registers_the_newcomer_and_opens_the_reverse_route() {
-        // A gossip server born with an EMPTY roster; a joiner that knows
-        // only the server's address. The join frame must teach the server
-        // the newcomer's route without any wiring.
-        let addr_server = free_addr();
-        let addr_joiner = free_addr();
-        let (server, _rx_server) = mesh_at(0, 0, addr_server, &[]);
-        let (joiner, rx_joiner) = mesh_at(7, 0, addr_joiner, &[(0, addr_server)]);
-        assert!(joiner.ready(Duration::from_secs(10)));
-        joiner.send_join();
-
-        let Some(Control::Join(frame)) = server.recv_control(Duration::from_secs(5)) else {
-            panic!("join arrives");
-        };
-        assert_eq!(frame.from, 7);
-        assert_eq!(frame.incarnation, 0);
-        assert_eq!(frame.addr, addr_joiner);
-        assert_eq!(server.stats().joins, 1);
-        assert_eq!(server.endpoints(), 2, "the newcomer is registered");
-
-        // The reverse route works: the server can now answer (the
-        // membership Welcome travels exactly this way).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut delivered = false;
-        while Instant::now() < deadline {
-            server.send(JobId::DEFAULT, 0, 7, Msg::WorkDeny { incumbent: 1.0 });
-            if recv_msg(&rx_joiner, Duration::from_millis(100)).is_some() {
-                delivered = true;
-                break;
+        // One frame introduces every node that enters a live mesh. Rows:
+        // (server already routes to node 7's first life, incarnation of
+        // the entering life, it binds a new address, joins, rejoins).
+        // * A brand-new node at the address it always had, unknown to a
+        //   server born with an empty roster: a join.
+        // * Node 7 restarted as incarnation 1 on a NEW address, its first
+        //   life dead: a rejoin, and the server's writer must follow it.
+        for (known, incarnation, moved, joins, rejoins) in
+            [(false, 0, false, 1, 0), (true, 1, true, 0, 1)]
+        {
+            let addr_server = free_addr();
+            let first_addr = free_addr();
+            let roster = if known { vec![(7, first_addr)] } else { vec![] };
+            let (server, _rx_server) = mesh_at(0, 0, addr_server, &roster);
+            if known {
+                let (first_life, rx_first) = mesh_at(7, 0, first_addr, &[(0, addr_server)]);
+                assert!(server.ready(Duration::from_secs(10)));
+                server.send(JobId::DEFAULT, 0, 7, Msg::WorkRequest { incumbent: 1.0 });
+                assert!(recv_msg(&rx_first, Duration::from_secs(5)).is_some());
+                drop(first_life);
             }
+            let addr = if moved { free_addr() } else { first_addr };
+            let (node, rx_node) = mesh_at(7, incarnation, addr, &[(0, addr_server)]);
+            assert!(node.ready(Duration::from_secs(10)));
+            node.send_join();
+
+            let Some(Control::Join(frame)) = server.recv_control(Duration::from_secs(5)) else {
+                panic!("join arrives");
+            };
+            let expected = JoinFrame {
+                from: 7,
+                incarnation,
+                addr,
+            };
+            assert_eq!(frame, expected);
+            let stats = server.stats();
+            assert_eq!(
+                (stats.joins, stats.rejoins),
+                (joins, rejoins),
+                "{expected:?}"
+            );
+            assert_eq!(server.endpoints(), 2, "the entering node is registered");
+
+            // The reverse route reaches the entering life (the membership
+            // Welcome travels exactly this way), tagged for it.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut delivered = false;
+            while Instant::now() < deadline {
+                server.send(JobId::DEFAULT, 0, 7, Msg::WorkDeny { incumbent: 2.0 });
+                if recv_msg(&rx_node, Duration::from_millis(100)).is_some() {
+                    delivered = true;
+                    break;
+                }
+            }
+            assert!(delivered, "{expected:?} must open the route: {:?}", {
+                server.stats()
+            });
+            assert_eq!(node.stats().dropped_stale, 0, "its frames are not stale");
         }
-        assert!(delivered, "join must open the reverse route: {:?}", {
-            server.stats()
-        });
     }
 
     #[test]
@@ -1723,7 +1596,7 @@ mod tests {
         let addr_c = free_addr();
         let (mesh_a, rx_a) = mesh_at(0, 0, addr_a_real, &[(2, addr_c)]);
         let (mesh_c, rx_c) = mesh_at(2, 0, addr_c, &[]);
-        mesh_c.register_peer(0, addr_a_stale, 0); // the stale route
+        mesh_c.registry.register(0, addr_a_stale, 0); // the stale route
         assert!(mesh_a.ready(Duration::from_secs(10)));
 
         mesh_a.send(
@@ -1762,7 +1635,7 @@ mod tests {
         let addr_b = free_addr();
         let addr_c = free_addr();
         let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(2, addr_c)]);
-        mesh_a.register_peer(1, addr_b, 2);
+        mesh_a.registry.register(1, addr_b, 2);
         let (mesh_b, rx_b) = mesh_at(1, 2, addr_b, &[]);
         let (mesh_c, rx_c) = mesh_at(2, 0, addr_c, &[(0, addr_a)]);
         assert!(mesh_a.ready(Duration::from_secs(10)));
@@ -1788,18 +1661,20 @@ mod tests {
 
     #[test]
     fn membership_book_is_capped_cached_and_rotates() {
+        // A 41-member roster is larger than the cap: each frame carries
+        // this node's own entry plus a rotating window of 15 others.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers: Vec<(u32, SocketAddr)> = (1..=9).map(|id| (id, free_addr())).collect();
-        let cfg = WireConfig {
-            book_max_entries: 4,
-            ..WireConfig::default()
-        };
+        let peers: Vec<(u32, SocketAddr)> = (1..=40).map(|id| (id, free_addr())).collect();
         let (mesh, _rx) =
-            TcpMesh::from_listener_incarnated_with(0, 7, listener, &peers, cfg).unwrap();
+            TcpMesh::from_listener_incarnated_with(0, 7, listener, &peers, WireConfig).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..5 {
+        for _ in 0..3 {
             let book = mesh.registry.membership_book();
-            assert_eq!(book.len(), 4, "every frame carries exactly the cap");
+            assert_eq!(
+                book.len(),
+                BOOK_MAX_ENTRIES,
+                "every frame carries exactly the cap"
+            );
             let me = book.iter().find(|&&(id, _, _)| id == 0);
             assert_eq!(
                 me,
@@ -1809,35 +1684,18 @@ mod tests {
             assert!(book.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
             seen.extend(book.iter().map(|&(id, _, _)| id));
         }
-        // Five frames of 1 self + 3 rotated entries cover the whole
-        // ten-member roster.
-        assert_eq!(seen.len(), 10, "rotation covers the roster: {seen:?}");
+        // Three frames of 1 self + 15 rotated entries cover the whole
+        // roster.
+        assert_eq!(seen.len(), 41, "rotation covers the roster: {seen:?}");
 
         // A roster change invalidates the cache: the new peer enters the
         // rotation within one full revolution.
-        mesh.register_peer(10, free_addr(), 0);
+        mesh.registry.register(41, free_addr(), 0);
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..6 {
+        for _ in 0..3 {
             seen.extend(mesh.registry.membership_book().iter().map(|&(id, _, _)| id));
         }
-        assert!(seen.contains(&10), "new peer enters the book: {seen:?}");
-    }
-
-    #[test]
-    fn uncapped_book_ships_the_full_roster() {
-        // `book_max_entries: 0` pins the pre-scale behaviour: every
-        // membership frame carries every known peer plus self.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers: Vec<(u32, SocketAddr)> = (1..=9).map(|id| (id, free_addr())).collect();
-        let cfg = WireConfig {
-            book_max_entries: 0,
-            ..WireConfig::default()
-        };
-        let (mesh, _rx) =
-            TcpMesh::from_listener_incarnated_with(0, 0, listener, &peers, cfg).unwrap();
-        let book = mesh.registry.membership_book();
-        assert_eq!(book.len(), 10);
-        assert!(book.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
+        assert!(seen.contains(&41), "new peer enters the book: {seen:?}");
     }
 
     #[test]
@@ -1856,7 +1714,7 @@ mod tests {
         );
         assert_eq!(mesh_a.endpoints(), 1);
 
-        mesh_a.register_peer(1, addr_b, 0);
+        mesh_a.registry.register(1, addr_b, 0);
         assert_eq!(mesh_a.endpoints(), 2);
         assert!(mesh_a.ready(Duration::from_secs(10)));
         mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 1.0 });
@@ -1877,14 +1735,10 @@ mod tests {
 
         let (mesh_a_new, _rx_new) = mesh_at(3, 1, addr_a_new, &[(4, addr_b)]);
         assert!(mesh_a_new.ready(Duration::from_secs(10)));
-        mesh_a_new.send_rejoin(RejoinSummary {
-            incumbent: 0.0,
-            table_codes: 0,
-            pool_len: 0,
-        });
+        mesh_a_new.send_join();
         assert!(matches!(
             mesh_b.recv_control(Duration::from_secs(5)),
-            Some(Control::Rejoin(_))
+            Some(Control::Join(_))
         ));
 
         // The previous life keeps talking into its established socket.
@@ -1899,5 +1753,30 @@ mod tests {
             recv_msg(&rx_b, Duration::from_millis(100)).is_none(),
             "stragglers from the previous life must not be delivered"
         );
+    }
+
+    #[test]
+    fn a_panic_under_the_peer_map_lock_leaves_the_mesh_working() {
+        let addr_a = free_addr();
+        let addr_b = free_addr();
+        let (mesh_a, _rx_a) = mesh_at(0, 0, addr_a, &[(1, addr_b)]);
+        let (_mesh_b, rx_b) = mesh_at(1, 0, addr_b, &[(0, addr_a)]);
+        assert!(mesh_a.ready(Duration::from_secs(10)));
+
+        let registry = Arc::clone(&mesh_a.registry);
+        let died = std::thread::spawn(move || {
+            let _peers = registry.peers.write().unwrap();
+            panic!("a thread dies holding the peer map");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(mesh_a.registry.peers.is_poisoned());
+
+        mesh_a.send(JobId::DEFAULT, 0, 1, Msg::WorkRequest { incumbent: 5.0 });
+        let env = recv_msg(&rx_b, Duration::from_secs(5)).expect("send still delivers");
+        assert_eq!(env.msg, Msg::WorkRequest { incumbent: 5.0 });
+        assert!(mesh_a.drain(Duration::from_secs(5)), "drain still settles");
+        let stats = mesh_a.stats();
+        assert_eq!((stats.sent, stats.dropped()), (1, 0), "{stats:?}");
     }
 }

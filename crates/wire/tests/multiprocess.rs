@@ -919,7 +919,7 @@ fn service_pool_finishes_three_staggered_jobs_through_a_kill_and_restart() {
 /// SIGKILLed. The survivors must still agree with the sequential
 /// optimum — and the scale machinery must be visibly at work: every
 /// node's piggybacked address books average at most the per-frame cap
-/// (`book_max_entries`, 16), strictly below the uncapped baseline of
+/// (`BOOK_MAX_ENTRIES`, 16), strictly below the uncapped baseline of
 /// roughly one entry per roster member (~100 here), so membership frame
 /// cost stays O(cap) instead of O(n) as the cluster grows.
 ///
@@ -931,7 +931,7 @@ fn service_pool_finishes_three_staggered_jobs_through_a_kill_and_restart() {
 fn hundred_process_gossip_cluster_caps_books_and_reaches_the_optimum() {
     const WIRED: u32 = 97;
     const TOTAL: u32 = 100; // 97 wired + 3 joiners
-    const BOOK_CAP: f64 = 16.0; // WireConfig::default().book_max_entries
+    const BOOK_CAP: f64 = ftbb_wire::tcp::BOOK_MAX_ENTRIES as f64;
 
     // Big enough that both SIGKILLs land mid-run even with a 100-process
     // startup ramp: a failure-free run outlasts the last kill (2 s) by
