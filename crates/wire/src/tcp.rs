@@ -1473,67 +1473,76 @@ mod tests {
         );
     }
 
+    /// One frame introduces every node that enters a live mesh: node 7
+    /// sends it to server 0 and the server must count it by the
+    /// entering life's incarnation, register it and route back to it.
+    /// `known`: the server already routes to node 7's first life, which
+    /// received traffic and died; `moved`: the entering life binds a new
+    /// address.
+    fn introduce(known: bool, incarnation: u32, moved: bool, joins: u64, rejoins: u64) {
+        let addr_server = free_addr();
+        let first_addr = free_addr();
+        let roster = if known { vec![(7, first_addr)] } else { vec![] };
+        let (server, _rx_server) = mesh_at(0, 0, addr_server, &roster);
+        if known {
+            let (first_life, rx_first) = mesh_at(7, 0, first_addr, &[(0, addr_server)]);
+            assert!(server.ready(Duration::from_secs(10)));
+            server.send(JobId::DEFAULT, 0, 7, Msg::WorkRequest { incumbent: 1.0 });
+            assert!(recv_msg(&rx_first, Duration::from_secs(5)).is_some());
+            drop(first_life);
+        }
+        let addr = if moved { free_addr() } else { first_addr };
+        let (node, rx_node) = mesh_at(7, incarnation, addr, &[(0, addr_server)]);
+        assert!(node.ready(Duration::from_secs(10)));
+        node.send_join();
+
+        let Some(Control::Join(frame)) = server.recv_control(Duration::from_secs(5)) else {
+            panic!("join arrives");
+        };
+        let expected = JoinFrame {
+            from: 7,
+            incarnation,
+            addr,
+        };
+        assert_eq!(frame, expected);
+        let stats = server.stats();
+        assert_eq!(
+            (stats.joins, stats.rejoins),
+            (joins, rejoins),
+            "{expected:?}"
+        );
+        assert_eq!(server.endpoints(), 2, "the entering node is registered");
+
+        // The reverse route reaches the entering life (the membership
+        // Welcome travels exactly this way), tagged for it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut delivered = false;
+        while Instant::now() < deadline {
+            server.send(JobId::DEFAULT, 0, 7, Msg::WorkDeny { incumbent: 2.0 });
+            if recv_msg(&rx_node, Duration::from_millis(100)).is_some() {
+                delivered = true;
+                break;
+            }
+        }
+        assert!(delivered, "{expected:?} must open the route: {:?}", {
+            server.stats()
+        });
+        assert_eq!(node.stats().dropped_stale, 0, "its frames are not stale");
+    }
+
     #[test]
     fn join_frame_registers_the_newcomer_and_opens_the_reverse_route() {
-        // One frame introduces every node that enters a live mesh. Rows:
-        // (server already routes to node 7's first life, incarnation of
-        // the entering life, it binds a new address, joins, rejoins).
-        // * A brand-new node at the address it always had, unknown to a
-        //   server born with an empty roster: a join.
-        // * Node 7 restarted as incarnation 1 on a NEW address, its first
-        //   life dead: a rejoin, and the server's writer must follow it.
-        for (known, incarnation, moved, joins, rejoins) in
-            [(false, 0, false, 1, 0), (true, 1, true, 0, 1)]
-        {
-            let addr_server = free_addr();
-            let first_addr = free_addr();
-            let roster = if known { vec![(7, first_addr)] } else { vec![] };
-            let (server, _rx_server) = mesh_at(0, 0, addr_server, &roster);
-            if known {
-                let (first_life, rx_first) = mesh_at(7, 0, first_addr, &[(0, addr_server)]);
-                assert!(server.ready(Duration::from_secs(10)));
-                server.send(JobId::DEFAULT, 0, 7, Msg::WorkRequest { incumbent: 1.0 });
-                assert!(recv_msg(&rx_first, Duration::from_secs(5)).is_some());
-                drop(first_life);
-            }
-            let addr = if moved { free_addr() } else { first_addr };
-            let (node, rx_node) = mesh_at(7, incarnation, addr, &[(0, addr_server)]);
-            assert!(node.ready(Duration::from_secs(10)));
-            node.send_join();
+        // A brand-new node at the address it always had, unknown to a
+        // server born with an empty roster: a join.
+        introduce(false, 0, false, 1, 0);
+    }
 
-            let Some(Control::Join(frame)) = server.recv_control(Duration::from_secs(5)) else {
-                panic!("join arrives");
-            };
-            let expected = JoinFrame {
-                from: 7,
-                incarnation,
-                addr,
-            };
-            assert_eq!(frame, expected);
-            let stats = server.stats();
-            assert_eq!(
-                (stats.joins, stats.rejoins),
-                (joins, rejoins),
-                "{expected:?}"
-            );
-            assert_eq!(server.endpoints(), 2, "the entering node is registered");
-
-            // The reverse route reaches the entering life (the membership
-            // Welcome travels exactly this way), tagged for it.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut delivered = false;
-            while Instant::now() < deadline {
-                server.send(JobId::DEFAULT, 0, 7, Msg::WorkDeny { incumbent: 2.0 });
-                if recv_msg(&rx_node, Duration::from_millis(100)).is_some() {
-                    delivered = true;
-                    break;
-                }
-            }
-            assert!(delivered, "{expected:?} must open the route: {:?}", {
-                server.stats()
-            });
-            assert_eq!(node.stats().dropped_stale, 0, "its frames are not stale");
-        }
+    #[test]
+    fn rejoin_frame_reregisters_the_peer_and_resumes_delivery() {
+        // Node 7 restarted as incarnation 1 on a NEW address, its first
+        // life dead: the same frame is a rejoin, and the server's writer
+        // must follow it to the new address.
+        introduce(true, 1, true, 0, 1);
     }
 
     #[test]

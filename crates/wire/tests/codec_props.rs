@@ -130,6 +130,30 @@ fn book_strategy() -> impl Strategy<Value = Vec<(u32, std::net::SocketAddr, u32)
     })
 }
 
+/// Encodes one join frame, feeds it to a decoder in `chunk`-byte pieces
+/// and checks that exactly that frame comes out.
+fn join_survives_framing(from: u32, incarnation: u32, port: u16, chunk: usize) {
+    let join = ftbb_wire::JoinFrame {
+        from,
+        incarnation,
+        addr: std::net::SocketAddr::from(([127, 0, 0, 1], port)),
+    };
+    let frame = ftbb_wire::encode_join(&join);
+    let mut dec = FrameDecoder::new();
+    let mut decoded = None;
+    for piece in frame.bytes.chunks(chunk) {
+        dec.push(piece);
+        if let Some(got) = dec.try_next().expect("valid frame decodes") {
+            assert!(decoded.is_none(), "only one frame was sent");
+            decoded = Some(got);
+        }
+    }
+    match decoded.expect("frame fully fed") {
+        WireFrame::Join(got) => assert_eq!(got, join),
+        other => panic!("expected join, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -232,25 +256,20 @@ proptest! {
         port in 1u16..65535,
         chunk in 1usize..64,
     ) {
-        let join = ftbb_wire::JoinFrame {
-            from,
-            incarnation,
-            addr: std::net::SocketAddr::from(([127, 0, 0, 1], port)),
-        };
-        let frame = ftbb_wire::encode_join(&join);
-        let mut dec = FrameDecoder::new();
-        let mut decoded = None;
-        for piece in frame.bytes.chunks(chunk) {
-            dec.push(piece);
-            if let Some(got) = dec.try_next().expect("valid frame decodes") {
-                prop_assert!(decoded.is_none(), "only one frame was sent");
-                decoded = Some(got);
-            }
-        }
-        match decoded.expect("frame fully fed") {
-            WireFrame::Join(got) => prop_assert_eq!(got, join),
-            other => prop_assert!(false, "expected join, got {:?}", other),
-        }
+        join_survives_framing(from, incarnation, port, chunk);
+    }
+
+    /// A node resumed from a checkpoint (incarnation > 0) introduces
+    /// itself with the same join frame, which survives framing and split
+    /// reads with its later incarnation intact.
+    #[test]
+    fn every_rejoin_survives_framing(
+        from in any::<u32>(),
+        incarnation in 1u32..=u32::MAX,
+        port in 1u16..65535,
+        chunk in 1usize..64,
+    ) {
+        join_survives_framing(from, incarnation, port, chunk);
     }
 
     /// Every `AnyInstance` variant survives the announce frame: encode →
