@@ -29,11 +29,11 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Codes issued per case: enough to descend past `Code::INLINE_CAP` and
+/// Codes issued per case: enough to descend past depth 12 and
 /// backtrack, few enough that a case stays cheap.
 const MAX_ISSUED: usize = 300;
 
-/// Every [`AnyInstance`] variant, sized so depths cross the inline cap.
+/// Every [`AnyInstance`] variant, sized so depths pass 12.
 fn any_instance_strategy() -> impl Strategy<Value = AnyInstance> {
     (0u8..3).prop_flat_map(|variant| match variant {
         0 => (6u64..24, 10u64..60, any::<u64>())

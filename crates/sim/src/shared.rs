@@ -244,11 +244,11 @@ mod tests {
 
         for seed in 0..16 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            // A small pool of codes, some past the inline depth, so the
+            // A small pool of codes, some 16 decisions deep, so the
             // processes' tables overlap heavily.
             let pool: Vec<Code> = (0..24)
                 .map(|_| {
-                    let depth = rng.gen_range(0..=Code::INLINE_CAP + 4);
+                    let depth = rng.gen_range(0..=16);
                     let pairs: Vec<_> = (0..depth)
                         .map(|_| (rng.gen_range(0..6), rng.gen_bool(0.5)))
                         .collect();

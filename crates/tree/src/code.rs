@@ -10,17 +10,19 @@
 //!
 //! ## Representation
 //!
-//! The paper's efficiency argument leans on codes being *tiny* — most
-//! B&B subproblems live within a few dozen decisions of the root — so
-//! the in-memory layout stores up to [`Code::INLINE_CAP`] decisions
-//! inline in the struct: the variables in a `[Var; INLINE_CAP]` array
-//! and the branch bits in one `u16` mask, 32 bytes total. Cloning a
-//! shallow code is a single memcpy with no heap traffic; only codes
-//! deeper than the cap spill to a heap `Vec<u32>` of packed
-//! `var << 1 | bit` words. Equality, ordering, hashing, and the serde
-//! wire encoding are all defined over the logical pair sequence and are
-//! byte-identical to the previous `Vec<Pair>` representation (pinned by
-//! equivalence proptests).
+//! A code is one `Vec<u32>` of packed `var << 1 | bit` words, root
+//! first. `var` occupies the high bits, so a word's order is the
+//! `(var, bit)` order and the derived equality and ordering on the words
+//! are exactly those of the logical pair sequence; `Hash` and the serde
+//! encoding are written over the pairs and are byte-identical to the
+//! earlier `Vec<Pair>` representation (pinned by equivalence proptests).
+//! Every child code costs one exact-capacity allocation.
+//!
+//! An earlier layout kept up to 12 decisions in a 32-byte inline arm to
+//! make cloning shallow codes free. It doubled every operation and won
+//! only a code-clone microbench: end-to-end solve time did not move, a
+//! deployed node builds codes only at work-unit boundaries, and the
+//! benchmark's instances branch deeper than the cap anyway. It is gone.
 
 use serde::{DecodeError, Deserialize, Serialize};
 use std::fmt;
@@ -62,63 +64,18 @@ impl fmt::Debug for Pair {
     }
 }
 
-/// Decisions stored inline (no heap) up to this depth.
-const INLINE_CAP: usize = 12;
-
-/// Inline decisions: variables in an array, branch bits in one mask
-/// (bit `i` = decision `i`'s branch; bits at or above `len` are zero).
-/// Codes deeper than [`INLINE_CAP`] spill to a heap `Vec` of packed
-/// `var << 1 | bit` words.
-enum Repr {
-    Inline {
-        len: u8,
-        bits: u16,
-        vars: [Var; INLINE_CAP],
-    },
-    Spill(Vec<u32>),
-}
-
 /// A subproblem code: the path of decisions from the root. The root problem
 /// has the empty code `()`.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Code {
-    repr: Repr,
-}
-
-// Manual `Clone` (instead of the derive) so the in-cap arm — a plain
-// 32-byte copy — inlines into downstream crates without LTO. This is
-// the hottest single operation in the solver (every expansion clones
-// the parent code twice).
-impl Clone for Code {
-    #[inline]
-    fn clone(&self) -> Self {
-        match &self.repr {
-            Repr::Inline { len, bits, vars } => Code {
-                repr: Repr::Inline {
-                    len: *len,
-                    bits: *bits,
-                    vars: *vars,
-                },
-            },
-            Repr::Spill(v) => Code {
-                repr: Repr::Spill(v.clone()),
-            },
-        }
-    }
+    /// Packed `var << 1 | bit` words, root-first.
+    words: Vec<u32>,
 }
 
 impl Code {
-    /// Maximum depth stored inline; deeper codes spill to the heap.
-    pub const INLINE_CAP: usize = INLINE_CAP;
-
     /// The root problem's code, `()`.
     pub fn root() -> Self {
-        Code {
-            repr: Repr::Inline {
-                len: 0,
-                bits: 0,
-                vars: [0; INLINE_CAP],
-            },
-        }
+        Code { words: Vec::new() }
     }
 
     /// Build a code from decision pairs.
@@ -134,186 +91,68 @@ impl Code {
             .collect()
     }
 
-    /// Append one decision in place.
-    fn push(&mut self, p: Pair) {
-        match &mut self.repr {
-            Repr::Inline { len, bits, vars } => {
-                let n = *len as usize;
-                if n < INLINE_CAP {
-                    vars[n] = p.var;
-                    *bits |= (p.bit as u16) << n;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(INLINE_CAP + 1);
-                    for (i, var) in vars.iter().enumerate() {
-                        v.push(((*var as u32) << 1) | ((*bits >> i) & 1) as u32);
-                    }
-                    v.push(p.pack());
-                    self.repr = Repr::Spill(v);
-                }
-            }
-            Repr::Spill(v) => v.push(p.pack()),
-        }
-    }
-
-    /// Drop the final decision in place. Panics on the root.
-    fn pop(&mut self) {
-        match &mut self.repr {
-            Repr::Inline { len, bits, vars } => {
-                debug_assert!(*len > 0);
-                *len -= 1;
-                *bits &= (1u16 << *len) - 1;
-                vars[*len as usize] = 0;
-            }
-            Repr::Spill(v) => {
-                v.pop().expect("non-empty");
-                if v.len() <= INLINE_CAP {
-                    let mut vars = [0 as Var; INLINE_CAP];
-                    let mut bits = 0u16;
-                    for (i, &w) in v.iter().enumerate() {
-                        vars[i] = (w >> 1) as Var;
-                        bits |= ((w & 1) as u16) << i;
-                    }
-                    self.repr = Repr::Inline {
-                        len: v.len() as u8,
-                        bits,
-                        vars,
-                    };
-                }
-            }
-        }
-    }
-
     /// The decision pairs, root-first.
-    pub fn pairs(&self) -> Pairs<'_> {
-        Pairs {
-            inner: self.pairs_kind(),
-        }
-    }
-
-    /// The repr-specific pair iterator — lets crate-internal hot loops
-    /// (the table walks) monomorphize per variant instead of branching
-    /// on the representation at every step.
     #[inline]
-    pub(crate) fn pairs_kind(&self) -> PairsKind<'_> {
-        match &self.repr {
-            Repr::Inline { len, bits, vars } => PairsKind::Inline(InlinePairs {
-                vars: vars[..*len as usize].iter(),
-                bits: *bits,
-            }),
-            Repr::Spill(v) => PairsKind::Spill(SpillPairs(v.iter())),
-        }
-    }
-
-    /// The decision at `depth` (0 = the root's first branch), or `None`
-    /// past the end.
-    pub fn pair_at(&self, depth: usize) -> Option<Pair> {
-        match &self.repr {
-            Repr::Inline { len, bits, vars } => (depth < *len as usize).then(|| Pair {
-                var: vars[depth],
-                bit: (bits >> depth) & 1 == 1,
-            }),
-            Repr::Spill(v) => v.get(depth).copied().map(Pair::unpack),
-        }
+    pub fn pairs(&self) -> Pairs<'_> {
+        Pairs(self.words.iter())
     }
 
     /// Is this the root code?
     #[inline]
     pub fn is_root(&self) -> bool {
-        self.depth() == 0
+        self.words.is_empty()
     }
 
     /// Depth in the tree (number of decisions).
     #[inline]
     pub fn depth(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Spill(v) => v.len(),
-        }
+        self.words.len()
     }
 
-    /// The code of the child obtained by branching on `var` with `bit`.
-    /// A spilled child costs one exact-capacity allocation (cloning, then
-    /// pushing, would allocate twice).
+    /// The code of the child obtained by branching on `var` with `bit`:
+    /// one exact-capacity allocation (cloning, then pushing, would
+    /// allocate twice).
     pub fn child(&self, var: Var, bit: bool) -> Code {
-        let p = Pair { var, bit };
-        match &self.repr {
-            Repr::Spill(v) => {
-                let mut words = Vec::with_capacity(v.len() + 1);
-                words.extend_from_slice(v);
-                words.push(p.pack());
-                Code {
-                    repr: Repr::Spill(words),
-                }
-            }
-            Repr::Inline { .. } => {
-                let mut code = self.clone();
-                code.push(p);
-                code
-            }
-        }
+        let mut words = Vec::with_capacity(self.words.len() + 1);
+        words.extend_from_slice(&self.words);
+        words.push(Pair { var, bit }.pack());
+        Code { words }
     }
 
     /// The parent's code, or `None` for the root.
     pub fn parent(&self) -> Option<Code> {
-        if self.is_root() {
-            return None;
-        }
-        let mut code = self.clone();
-        code.pop();
-        Some(code)
+        let (_, prefix) = self.words.split_last()?;
+        Some(Code {
+            words: prefix.to_vec(),
+        })
     }
 
     /// The sibling's code (same parent, opposite final branch), or `None`
     /// for the root.
     pub fn sibling(&self) -> Option<Code> {
-        if self.is_root() {
-            return None;
-        }
         let mut code = self.clone();
-        match &mut code.repr {
-            Repr::Inline { len, bits, .. } => *bits ^= 1 << (*len - 1),
-            Repr::Spill(v) => *v.last_mut().expect("non-empty") ^= 1,
-        }
+        *code.words.last_mut()? ^= 1;
         Some(code)
     }
 
     /// The final decision pair, or `None` for the root.
     pub fn last(&self) -> Option<Pair> {
-        let d = self.depth();
-        if d == 0 {
-            None
-        } else {
-            self.pair_at(d - 1)
-        }
+        self.words.last().copied().map(Pair::unpack)
     }
 
     /// Is `self` an ancestor of or equal to `other`?
     pub fn is_prefix_of(&self, other: &Code) -> bool {
-        self.depth() <= other.depth() && self.matches_prefix(other)
-    }
-
-    /// Do `other`'s first `self.depth()` pairs equal `self`'s? (Caller
-    /// checks the depth relation.)
-    fn matches_prefix(&self, other: &Code) -> bool {
-        self.pairs().zip(other.pairs()).all(|(a, b)| a == b)
+        other.words.starts_with(&self.words)
     }
 
     /// Are `self` and `other` siblings (same parent, opposite branch)?
     pub fn is_sibling_of(&self, other: &Code) -> bool {
-        let n = self.depth();
-        if n != other.depth() || n == 0 {
-            return false;
+        // Same parent path, and final words that differ only in the
+        // branch bit (same variable).
+        match (self.words.split_last(), other.words.split_last()) {
+            (Some((a, pa)), Some((b, pb))) => a ^ b == 1 && pa == pb,
+            _ => false,
         }
-        let (a, b) = (self.last().unwrap(), other.last().unwrap());
-        // Same parent path, same variable, opposite branch bit.
-        a.var == b.var
-            && a.bit != b.bit
-            && self
-                .pairs()
-                .zip(other.pairs())
-                .take(n - 1)
-                .all(|(x, y)| x == y)
     }
 
     /// The simulator's *modelled* message size of this code, in bytes —
@@ -329,47 +168,9 @@ impl Code {
 
 /// Iterator over a code's decision pairs, root-first (see [`Code::pairs`]).
 #[derive(Clone)]
-pub struct Pairs<'a> {
-    inner: PairsKind<'a>,
-}
+pub struct Pairs<'a>(std::slice::Iter<'a, u32>);
 
-/// Repr-specific pair iterators (see [`Code::pairs_kind`]).
-#[derive(Clone)]
-pub(crate) enum PairsKind<'a> {
-    Inline(InlinePairs<'a>),
-    Spill(SpillPairs<'a>),
-}
-
-/// Pairs of an inline code: variable slice plus the shifting bit mask.
-#[derive(Clone)]
-pub(crate) struct InlinePairs<'a> {
-    vars: std::slice::Iter<'a, Var>,
-    bits: u16,
-}
-
-impl Iterator for InlinePairs<'_> {
-    type Item = Pair;
-
-    #[inline]
-    fn next(&mut self) -> Option<Pair> {
-        let var = *self.vars.next()?;
-        let bit = self.bits & 1 == 1;
-        self.bits >>= 1;
-        Some(Pair { var, bit })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.vars.size_hint()
-    }
-}
-
-impl ExactSizeIterator for InlinePairs<'_> {}
-
-/// Pairs of a spilled code: packed `var << 1 | bit` words.
-#[derive(Clone)]
-pub(crate) struct SpillPairs<'a>(std::slice::Iter<'a, u32>);
-
-impl Iterator for SpillPairs<'_> {
+impl Iterator for Pairs<'_> {
     type Item = Pair;
 
     #[inline]
@@ -382,75 +183,13 @@ impl Iterator for SpillPairs<'_> {
     }
 }
 
-impl ExactSizeIterator for SpillPairs<'_> {}
-
-impl Iterator for Pairs<'_> {
-    type Item = Pair;
-
-    #[inline]
-    fn next(&mut self) -> Option<Pair> {
-        match &mut self.inner {
-            PairsKind::Inline(it) => it.next(),
-            PairsKind::Spill(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            PairsKind::Inline(it) => it.size_hint(),
-            PairsKind::Spill(it) => it.size_hint(),
-        }
-    }
-}
-
 impl ExactSizeIterator for Pairs<'_> {}
-
-impl Default for Code {
-    fn default() -> Self {
-        Code::root()
-    }
-}
 
 impl FromIterator<Pair> for Code {
     fn from_iter<I: IntoIterator<Item = Pair>>(iter: I) -> Self {
-        let mut code = Code::root();
-        for p in iter {
-            code.push(p);
+        Code {
+            words: iter.into_iter().map(Pair::pack).collect(),
         }
-        code
-    }
-}
-
-impl PartialEq for Code {
-    fn eq(&self, other: &Self) -> bool {
-        // Representation is canonical (inline iff depth <= cap), so
-        // variants compare directly; inline bits above `len` are zero.
-        match (&self.repr, &other.repr) {
-            (
-                Repr::Inline { len, bits, vars },
-                Repr::Inline {
-                    len: l2,
-                    bits: b2,
-                    vars: v2,
-                },
-            ) => len == l2 && bits == b2 && vars[..*len as usize] == v2[..*l2 as usize],
-            (Repr::Spill(a), Repr::Spill(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-impl Eq for Code {}
-
-impl PartialOrd for Code {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Code {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Lexicographic over the pair sequence — exactly the derived
-        // `Vec<Pair>` ordering.
-        self.pairs().cmp(other.pairs())
     }
 }
 
@@ -479,12 +218,14 @@ impl Serialize for Code {
 
 impl Deserialize for Code {
     fn de(r: &mut &[u8]) -> Result<Self, DecodeError> {
-        let len = u32::de(r)? as usize;
-        let mut code = Code::root();
+        // The length prefix is untrusted: grow with the decoded pairs
+        // rather than reserving it up front.
+        let len = u32::de(r)?;
+        let mut words = Vec::new();
         for _ in 0..len {
-            code.push(Pair::de(r)?);
+            words.push(Pair::de(r)?.pack());
         }
-        Ok(code)
+        Ok(Code { words })
     }
 }
 
@@ -601,9 +342,9 @@ mod tests {
 
     #[test]
     fn spill_boundary_preserves_semantics() {
-        // Walk a lineage across the inline cap: every depth must keep
-        // child/parent/sibling/ancestry coherent, inline or spilled.
-        let deep = deep_code(Code::INLINE_CAP as u16 + 4);
+        // Walk a deep lineage back to the root: every depth must keep
+        // child/parent/sibling/ancestry coherent.
+        let deep = deep_code(16);
         let mut c = deep.clone();
         let mut depth = c.depth();
         while let Some(p) = c.parent() {

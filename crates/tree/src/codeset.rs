@@ -55,7 +55,7 @@
 //! [`CodeSet::complement_into`]) that write into caller-owned buffers
 //! instead of allocating fresh `Vec<Code>`s.
 
-use crate::code::{Code, Pair, PairsKind, Var};
+use crate::code::{Code, Pair, Var};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -439,19 +439,13 @@ impl CodeSet {
         if w < FIRST_BASE {
             return w == DONE;
         }
-        match code.pairs_kind() {
-            PairsKind::Inline(it) => self.arena.contains_walk(it),
-            PairsKind::Spill(it) => self.arena.contains_walk(it),
-        }
+        self.arena.contains_walk(code.pairs())
     }
 
     /// Insert one completed code. Returns the merge outcome for this code.
     #[inline]
     pub fn insert(&mut self, code: &Code) -> MergeOutcome {
-        match code.pairs_kind() {
-            PairsKind::Inline(it) => self.arena.insert_walk(it),
-            PairsKind::Spill(it) => self.arena.insert_walk(it),
-        }
+        self.arena.insert_walk(code.pairs())
     }
 
     /// Merge many codes (e.g. a received work report). Returns the combined

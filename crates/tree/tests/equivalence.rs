@@ -1,6 +1,6 @@
 //! Equivalence tests for the flattened hot-path representations.
 //!
-//! The inline-array `Code` and the arena-backed `CodeSet` are required to
+//! The packed-word `Code` and the arena-backed `CodeSet` are required to
 //! be *observably identical* to the representations they replaced: a
 //! `Vec<Pair>` with derived traits, and a boxed-pointer trie. Both models
 //! are reimplemented here, independently of the library, and driven with
@@ -13,7 +13,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 // ---------------------------------------------------------------------------
-// Part 1: inline `Code` vs the old `Vec<Pair>` representation.
+// Part 1: packed `Code` vs the old `Vec<Pair>` representation.
 //
 // The old `Code` was `struct Code { pairs: Vec<Pair> }` with derived
 // `PartialEq/Eq/Ord/Hash` and the shim-derived serde impl (which encodes a
@@ -21,12 +21,11 @@ use std::hash::{Hash, Hasher};
 // reference for every trait is the bare `Vec<Pair>`.
 // ---------------------------------------------------------------------------
 
-/// Decision sequences crossing the inline/spill boundary in both
-/// directions: lengths 0..=`INLINE_CAP + 8`.
+/// Decision sequences of lengths 0..=20.
 fn pairs_strategy() -> impl Strategy<Value = Vec<Pair>> {
     proptest::collection::vec(
         (any::<Var>(), any::<bool>()).prop_map(|(var, bit)| Pair { var, bit }),
-        0..Code::INLINE_CAP + 9,
+        0..21,
     )
 }
 
@@ -44,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `Code` iterates back exactly the pairs it was built from, and its
-    /// clone is an independent equal copy — across the spill boundary.
+    /// clone is an independent equal copy.
     #[test]
     fn code_round_trips_pairs(model in pairs_strategy()) {
         let code = code_of(&model);
@@ -92,8 +91,7 @@ proptest! {
     }
 
     /// A code *list* (a checkpoint's table, a report's payload) round-trips
-    /// codes of every depth, including exactly at the spill boundary, with
-    /// the full 16-bit variable range.
+    /// codes of every depth, with the full 16-bit variable range.
     #[test]
     fn code_io_round_trips_across_boundary(model in pairs_strategy()) {
         let codes: Vec<Code> = (0..=model.len())

@@ -192,6 +192,15 @@ proptest! {
     }
 }
 
+/// A code's length prefix is untrusted: `u32::MAX` followed by one
+/// 3-byte pair is a decode error, not a panic or a 16 GiB reservation.
+#[test]
+fn code_with_a_huge_length_prefix_is_refused() {
+    let mut bytes = u32::MAX.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[1, 0, 1]);
+    assert!(serde::decode::<Code>(&bytes).is_err());
+}
+
 /// A scratch tree file, unique to one test of this process, removed on drop.
 struct TreeFile(std::path::PathBuf);
 

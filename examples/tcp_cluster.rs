@@ -44,14 +44,21 @@ fn find_noded() -> PathBuf {
 }
 
 fn main() {
-    // ~3.2 M depth-first expansions: a debug cluster of five runs for
-    // about two seconds, so the restart at 400 ms rejoins a live cluster.
+    // Sized per build profile so a cluster of five runs for two to four
+    // seconds and the restart at 400 ms rejoins a live cluster: debug
+    // solves ~3.2 M depth-first expansions, release (~10× faster per
+    // expansion) ~63 M.
+    let (n, seed) = if cfg!(debug_assertions) {
+        (42, 963)
+    } else {
+        (60, 423)
+    };
     let problem = ProblemSpec::Knapsack(KnapsackSpec {
-        n: 42,
+        n,
         range: 120,
         correlation: Correlation::Strong,
         frac: 0.5,
-        seed: 963,
+        seed,
     });
     println!("solving the reference sequentially…");
     let reference = solve(&problem.instance().unwrap(), &SolveConfig::default());
@@ -126,4 +133,13 @@ fn main() {
         "survivors must reach the sequential optimum"
     );
     println!("OK: the kills did not change the answer.");
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .flatten()
+            .any(|o| o.transport.rejoins >= 1),
+        "no survivor saw node 1 rejoin: the restart missed the live cluster"
+    );
+    println!("OK: the restarted node 1 rejoined the live cluster.");
 }
