@@ -52,4 +52,4 @@ pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutc
 pub use pool::{Work, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};
 pub use telemetry::Telemetry;
-pub use transport::{Envelope, Mesh, Transport, TransportCounters, TransportStats};
+pub use transport::{Envelope, Inbound, Mesh, Transport, TransportCounters, TransportStats};

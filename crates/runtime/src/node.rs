@@ -10,7 +10,7 @@
 //! completion on its own pump.
 
 use crate::service::{JobEngine, ServiceEngine, ServiceOutcome};
-use crate::transport::{Envelope, Transport, TransportStats};
+use crate::transport::{Inbound, Transport, TransportStats};
 use crossbeam::channel::Receiver;
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{BnbProcess, JobId, PhaseTimes, ProcMetrics};
@@ -48,8 +48,12 @@ pub struct MetricsSnapshot {
     /// Incarnation of the reporting engine.
     pub incarnation: u32,
     /// Which job this snapshot describes (0 — [`JobId::DEFAULT`] — for
-    /// a single run). The engine emits one snapshot per admitted job
-    /// each cadence tick.
+    /// a single run). The engine emits one snapshot per live job each
+    /// cadence tick, and a job's final one once: when a daemon retires
+    /// it, or at exit. A daemon that holds no job at exit emits one
+    /// snapshot of its own under job 0, which a service node never
+    /// admits: zero protocol counters, the node's phase clock and
+    /// transport totals.
     pub job: u64,
     /// Snapshot sequence number for this job within this life (0, 1, ...).
     pub seq: u64,
@@ -85,8 +89,8 @@ impl CrashSwitch {
 }
 
 /// Consumer installed via [`ServiceEngine::set_metrics_reporter`];
-/// receives a [`MetricsSnapshot`] on every cadence tick and once at clean
-/// exit.
+/// receives [`MetricsSnapshot`]s on every cadence tick, at each
+/// retirement and at clean exit.
 pub type MetricsReporter = Box<dyn FnMut(&MetricsSnapshot) + Send>;
 
 /// Drive `core` on `problem` until termination or crash, with no restore
@@ -97,7 +101,7 @@ pub fn run_node(
     core: BnbProcess,
     problem: impl Into<Arc<AnyInstance>>,
     transport: &dyn Transport,
-    inbox: Receiver<Envelope>,
+    inbox: Receiver<Inbound>,
     crash: CrashSwitch,
     hard_deadline: Duration,
 ) -> Option<NodeOutcome> {
@@ -109,6 +113,7 @@ pub fn run_node(
         jobs,
         phase,
         lifetime,
+        ..
     } = service.run(transport, inbox, crash, hard_deadline)?;
     let job = jobs.into_iter().next().expect("the admitted job reports");
     Some(NodeOutcome {

@@ -19,7 +19,8 @@
 //! that raced a redundant-work interrupt, exactly as it does for inline
 //! work. Each job's [`AnyExpander`] is registered once as a prototype;
 //! workers lazily clone a private copy per job, so work never contends on
-//! shared problem state.
+//! shared problem state. A finished job is unregistered, and the workers
+//! drop their copies of it, so a long-lived pool holds only live jobs.
 //!
 //! With one job there is at most one task in flight (the protocol allows
 //! a process only one outstanding `StartWork`), so a pool earns its
@@ -32,6 +33,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ftbb_core::{AnyExpander, Expander, Expansion, PEvent, WorkUnit};
 use ftbb_tree::Code;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,17 +49,27 @@ pub(crate) fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
     move |expanded, _| expanded % DEADLINE_POLL != 0 || Instant::now() < deadline
 }
 
-/// Each job's expander prototype, by job id. Boxed only because
-/// [`WorkerPool::register`] takes a box, as callers outside the workspace
-/// pass one.
-type Registry = Mutex<HashMap<u64, Box<AnyExpander>>>;
+/// What the pool's threads share about its jobs.
+#[derive(Default)]
+struct Registry {
+    /// Each job's expander prototype, by job id. Boxed only because
+    /// [`WorkerPool::register`] takes a box, as callers outside the
+    /// workspace pass one.
+    prototypes: Mutex<HashMap<u64, Box<AnyExpander>>>,
+    /// How many jobs have been unregistered. A worker that sees it move
+    /// drops its copies of the jobs no longer registered.
+    unregistered: AtomicU64,
+}
 
 /// The registry's map, whether or not a thread panicked while holding
-/// its lock: the map changes only by single `or_insert` calls, so a panic
-/// cannot leave it half-written, and one panicking worker must not take
-/// every other worker and the pump down with it.
+/// its lock: the map changes only by single `or_insert` and `remove`
+/// calls, so a panic cannot leave it half-written, and one panicking
+/// worker must not take every other worker and the pump down with it.
 fn prototypes(registry: &Registry) -> MutexGuard<'_, HashMap<u64, Box<AnyExpander>>> {
-    registry.lock().unwrap_or_else(PoisonError::into_inner)
+    registry
+        .prototypes
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One work request.
@@ -151,6 +163,15 @@ impl WorkerPool {
         prototypes(&self.registry).entry(job).or_insert(prototype);
     }
 
+    /// Forget a finished job: its prototype is dropped now, and each
+    /// worker's copy when that worker takes its next task. Call it once
+    /// none of the job's tasks is queued or running; a job id is
+    /// registered once.
+    pub fn unregister(&self, job: u64) {
+        prototypes(&self.registry).remove(&job);
+        self.registry.unregistered.fetch_add(1, Ordering::Release);
+    }
+
     /// Queue one expansion. Non-blocking; the result comes back through
     /// [`WorkerPool::try_harvest`] as [`Work::Expansion`].
     pub fn submit(&mut self, job: u64, seq: u64, code: Code) {
@@ -228,10 +249,18 @@ impl Drop for WorkerPool {
 /// One worker thread: block for the next task until the pool drops its
 /// sender. Expanders are cached per job (cloned from the registry
 /// prototype on first use), so the registry lock is off the per-task
-/// path.
+/// path; it is taken again only after an unregistration, to drop the
+/// copies of the jobs gone from the registry.
 fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<TaskDone>) {
     let mut cache: HashMap<u64, AnyExpander> = HashMap::new();
+    let mut unregistered = 0;
     while let Ok(task) = tasks.recv() {
+        let now_unregistered = registry.unregistered.load(Ordering::Acquire);
+        if now_unregistered != unregistered {
+            unregistered = now_unregistered;
+            let live = prototypes(registry);
+            cache.retain(|job, _| live.contains_key(job));
+        }
         let expander = match cache.entry(task.job) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -437,6 +466,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_unregistered_job_leaves_the_registry_and_the_workers() {
+        // One worker, so the task after the unregistration is the one
+        // worker's next task.
+        let tree = Arc::new(dfs_tree(3).0);
+        let mut pool = WorkerPool::new(1);
+        let prototype = AnyExpander::new(BasicTreeProblem::new(Arc::clone(&tree)).into());
+        pool.register(1, Box::new(prototype));
+        pool.register(2, Box::new(replay(fig1_example(), 1.0)));
+        pool.submit(1, 0, Code::root());
+        pool.harvest_timeout(Duration::from_secs(5)).expect("done");
+        // The test's handle, the prototype and the worker's copy.
+        assert_eq!(Arc::strong_count(&tree), 3);
+
+        pool.unregister(1);
+        assert_eq!(Arc::strong_count(&tree), 2, "the prototype is gone");
+        pool.submit(2, 0, Code::root());
+        let (job, _, _) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
+        assert_eq!(job, 2, "the other job still expands");
+        assert_eq!(Arc::strong_count(&tree), 1, "the worker's copy is gone");
     }
 
     #[test]

@@ -22,17 +22,21 @@
 //! snapshot cadence) holds for the service by construction.
 //!
 //! In daemon mode ([`ServiceEngine::daemon`]) the pump outlives its
-//! jobs: new [`JobEngine`]s stream in over an admission channel while
-//! the pump runs, completed jobs are reported through [`ServiceHooks`]
-//! (admission, incumbent improvements, completion), and the engine exits
-//! only at its deadline. Envelopes for jobs not yet admitted are stashed
-//! (bounded) and replayed on admission, so job-announce races with
-//! protocol traffic lose nothing.
+//! jobs. New [`JobEngine`]s arrive while the pump runs on the same inbox
+//! as the protocol frames ([`Inbound::Admit`]), so an idle pump wakes for
+//! a new job as soon as for a frame. Completed jobs are reported through
+//! [`ServiceHooks`] (incumbent improvements, completion) and then
+//! retired: the pump drops the job and keeps only its id, so its loops,
+//! its metrics lines and its memory follow the live jobs, not every job
+//! it has served. Frames for a retired job are counted and dropped. The
+//! engine exits only at its deadline. Envelopes for jobs not yet
+//! admitted are stashed (bounded) and replayed on admission, so
+//! job-announce races with protocol traffic lose nothing.
 
 use crate::node::{CrashSwitch, MetricsReporter, MetricsSnapshot};
 use crate::pool::{unit_deadline, Work, WorkerPool};
 use crate::telemetry::Telemetry;
-use crate::transport::{Envelope, Transport};
+use crate::transport::{Envelope, Inbound, Transport};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
@@ -41,7 +45,7 @@ use ftbb_core::{
 };
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -128,8 +132,18 @@ pub struct ServiceOutcome {
     pub id: u32,
     /// Which life of the node produced this outcome.
     pub incarnation: u32,
-    /// Per-job outcomes, in admission order.
+    /// Outcomes of the jobs the pump still held at exit, in admission
+    /// order: every job of a run that is not a daemon (a single run's job
+    /// is `jobs[0]`). A daemon retires each job once its outcome has gone
+    /// out through [`ServiceHooks::on_complete`], so here it lists only
+    /// the jobs its deadline cut short.
     pub jobs: Vec<JobOutcome>,
+    /// Jobs admitted over this life, retired ones included.
+    pub admitted: u64,
+    /// Jobs reported with termination detected, retired ones included.
+    pub finished: u64,
+    /// Frames that arrived for a halted or retired job, dropped.
+    pub late_frames: u64,
     /// Figure-3 wall-time breakdown of this life (service-wide: the pump
     /// is shared, so the phase clock is too).
     pub phase: PhaseTimes,
@@ -173,6 +187,9 @@ pub struct JobEngine {
     telemetry: Telemetry,
     /// Outcome already delivered through the hooks.
     reported: bool,
+    /// Work units handed to the worker pool and not yet harvested: the
+    /// job is retired only once the pool holds nothing of it.
+    in_pool: usize,
     last_recoveries: u64,
     last_incumbent: f64,
     metrics_seq: u64,
@@ -198,6 +215,7 @@ impl JobEngine {
             halted: false,
             telemetry: Telemetry::disabled(),
             reported: false,
+            in_pool: 0,
             last_recoveries: 0,
             last_incumbent: f64::INFINITY,
             metrics_seq: 0,
@@ -308,15 +326,21 @@ impl JobEngine {
 pub struct ServiceEngine {
     id: u32,
     incarnation: u32,
+    /// The jobs the pump holds: every admitted job, less those retired.
     jobs: Vec<JobEngine>,
     cursor: usize,
     telemetry: Telemetry,
     metrics_every: Option<Duration>,
     metrics_out: Option<MetricsReporter>,
     hooks: ServiceHooks,
-    admissions: Option<Receiver<JobEngine>>,
     daemon: bool,
     stash: HashMap<JobId, VecDeque<Envelope>>,
+    /// Ids of the jobs a daemon has retired: their late frames are
+    /// counted and dropped, never stashed.
+    retired: HashSet<JobId>,
+    admitted: u64,
+    finished: u64,
+    late_frames: u64,
     /// Configured expansion parallelism (1 = inline, no pool).
     workers: usize,
     /// The expansion worker pool, present only when `workers > 1`.
@@ -336,9 +360,12 @@ impl ServiceEngine {
             metrics_every: None,
             metrics_out: None,
             hooks: ServiceHooks::default(),
-            admissions: None,
             daemon: false,
             stash: HashMap::new(),
+            retired: HashSet::new(),
+            admitted: 0,
+            finished: 0,
+            late_frames: 0,
             workers: 1,
             pool: None,
         }
@@ -350,9 +377,10 @@ impl ServiceEngine {
         self.telemetry = telemetry;
     }
 
-    /// Install a periodic metrics reporter: every `every` of wall time
-    /// (and once at exit), `out` receives one job-scoped
-    /// [`MetricsSnapshot`] per admitted job.
+    /// Install a periodic metrics reporter: every `every` of wall time,
+    /// `out` receives one job-scoped [`MetricsSnapshot`] per live job,
+    /// and each job's final snapshot once — at its retirement, or at
+    /// exit (see [`MetricsSnapshot::job`]).
     pub fn set_metrics_reporter(&mut self, every: Duration, out: MetricsReporter) {
         self.metrics_every = Some(every);
         self.metrics_out = Some(out);
@@ -363,15 +391,10 @@ impl ServiceEngine {
         self.hooks = hooks;
     }
 
-    /// Install the live admission channel: [`JobEngine`]s received on it
-    /// while the pump runs are admitted and started mid-flight.
-    pub fn set_admissions(&mut self, rx: Receiver<JobEngine>) {
-        self.admissions = Some(rx);
-    }
-
     /// Daemon mode: run to the deadline even when every admitted job has
-    /// completed (the pool is long-lived; jobs stream in). Off by
-    /// default — a single run exits when its job halts.
+    /// completed (the pool is long-lived; jobs stream in on the inbox),
+    /// and retire each job once its outcome is reported. Off by default
+    /// — a single run exits when its job halts.
     pub fn daemon(&mut self, on: bool) {
         self.daemon = on;
     }
@@ -388,18 +411,19 @@ impl ServiceEngine {
         self.pool = (n > 1).then(|| WorkerPool::new(n));
     }
 
-    /// Admit a job before the pump starts. (Mid-flight admission goes
-    /// through [`ServiceEngine::set_admissions`].)
+    /// Admit a job before the pump starts. (A running pump admits the
+    /// jobs that arrive on its inbox as [`Inbound::Admit`].)
     pub fn admit(&mut self, engine: JobEngine) {
         debug_assert_eq!(engine.core.id(), self.id, "job engine belongs to this node");
         self.jobs.push(engine);
+        self.admitted += 1;
     }
 
     /// Drive the pump with no persistence.
     pub fn run(
         self,
         transport: &dyn Transport,
-        inbox: Receiver<Envelope>,
+        inbox: Receiver<Inbound>,
         crash: CrashSwitch,
         hard_deadline: Duration,
     ) -> Option<ServiceOutcome> {
@@ -414,7 +438,7 @@ impl ServiceEngine {
     pub fn run_with_sink(
         mut self,
         transport: &dyn Transport,
-        inbox: Receiver<Envelope>,
+        inbox: Receiver<Inbound>,
         crash: CrashSwitch,
         hard_deadline: Duration,
         sink: &mut dyn CheckpointSink,
@@ -423,6 +447,8 @@ impl ServiceEngine {
         let id = self.id;
         let epoch = Instant::now();
         let now = |epoch: Instant| SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
+        // Snapshots are taken only on a checkpoint cadence.
+        let mut sink = checkpoint_every.map(|_| sink);
 
         // The Figure-3 phase clock: every slice of wall time between two
         // marks is charged to exactly one category, so the per-category
@@ -448,7 +474,7 @@ impl ServiceEngine {
         // An immediate snapshot bounds the restart hole: even a node
         // killed moments after (re)starting leaves restorable files.
         let mut last_checkpoint = Instant::now();
-        if checkpoint_every.is_some() {
+        if let Some(sink) = sink.as_deref_mut() {
             for idx in 0..self.jobs.len() {
                 self.store_snapshot(idx, sink);
             }
@@ -465,26 +491,6 @@ impl ServiceEngine {
                 // the tests' safety valve; unfinished jobs report
                 // `terminated: false`.
                 break;
-            }
-
-            // Mid-flight admissions: jobs streaming in while the pump
-            // runs. Each is started, snapshotted, and handed its stashed
-            // backlog.
-            if let Some(rx) = &self.admissions {
-                let mut newly: Vec<JobEngine> = Vec::new();
-                while let Ok(engine) = rx.try_recv() {
-                    newly.push(engine);
-                }
-                for engine in newly {
-                    self.admit(engine);
-                    let idx = self.jobs.len() - 1;
-                    self.start_job(idx, now(epoch));
-                    charge(&mut phase, &mut mark, TimeCategory::Expand);
-                    if checkpoint_every.is_some() {
-                        self.store_snapshot(idx, sink);
-                        charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
-                    }
-                }
             }
 
             // Harvest completed pool work (non-blocking).
@@ -521,6 +527,7 @@ impl ServiceEngine {
                             // inline one. The protocol's `work_seq` guard
                             // handles results that raced an interrupt.
                             pool.submit_unit(job.raw(), seq, code, incumbent, budget);
+                            engine.in_pool += 1;
                         } else {
                             let mut keep_going = unit_deadline(budget);
                             let unit = engine.expander.explore(&code, incumbent, &mut keep_going);
@@ -546,8 +553,9 @@ impl ServiceEngine {
                     // Between actions, fold in whatever has arrived —
                     // without blocking; local work keeps priority over
                     // idling.
-                    while let Ok(env) = inbox.try_recv() {
-                        self.route(env, now(epoch), &mut phase, &mut mark);
+                    while let Ok(inbound) = inbox.try_recv() {
+                        let t = now(epoch);
+                        self.route(inbound, t, &mut phase, &mut mark, sink.as_deref_mut());
                     }
                 }
             } else if self.all_jobs_done() && !self.daemon {
@@ -559,8 +567,9 @@ impl ServiceEngine {
                 // whole wait. A message waits at most the 1 ms cap. The
                 // wait *is* expansion time, so it is charged to Expand,
                 // keeping the Figure-3 reconciliation honest.
-                while let Ok(env) = inbox.try_recv() {
-                    self.route(env, now(epoch), &mut phase, &mut mark);
+                while let Ok(inbound) = inbox.try_recv() {
+                    let t = now(epoch);
+                    self.route(inbound, t, &mut phase, &mut mark, sink.as_deref_mut());
                 }
                 let wait = self
                     .next_timer_wait(now(epoch))
@@ -571,15 +580,17 @@ impl ServiceEngine {
                 charge(&mut phase, &mut mark, TimeCategory::Expand);
             } else {
                 // Idle: block on the inbox until the next timer deadline
-                // across all live jobs.
+                // across all live jobs. A frame and an admission both
+                // arrive here, so either ends the wait at once.
                 let wait = self.next_timer_wait(now(epoch));
                 match inbox.recv_timeout(wait.min(Duration::from_millis(20))) {
-                    Ok(env) => {
+                    Ok(inbound) => {
                         // Split the blocking receive: the wait itself was
-                        // idle time; handling the message is charged to
-                        // the message's category.
+                        // idle time; handling the item is charged to its
+                        // own category.
                         charge(&mut phase, &mut mark, TimeCategory::Idle);
-                        self.route(env, now(epoch), &mut phase, &mut mark);
+                        let t = now(epoch);
+                        self.route(inbound, t, &mut phase, &mut mark, sink.as_deref_mut());
                     }
                     Err(RecvTimeoutError::Timeout) => {
                         charge(&mut phase, &mut mark, TimeCategory::Idle);
@@ -642,23 +653,33 @@ impl ServiceEngine {
                     }
                 }
             }
-            for idx in 0..self.jobs.len() {
-                let done = self.jobs[idx].halted
-                    && self.jobs[idx].pending.is_empty()
-                    && !self.jobs[idx].reported;
-                if done {
+            let mut idx = 0;
+            while idx < self.jobs.len() {
+                let engine = &self.jobs[idx];
+                if !engine.halted || !engine.pending.is_empty() {
+                    idx += 1;
+                    continue;
+                }
+                if !engine.reported {
                     // The job's *final* snapshot precedes its result: a
                     // submitter that saw the result can rely on every
                     // pool node's disk agreeing the job is finished.
-                    if checkpoint_every.is_some() {
+                    if let Some(sink) = sink.as_deref_mut() {
                         self.store_snapshot(idx, sink);
                         charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
                     }
                     self.report_job_done(idx);
+                    charge(&mut phase, &mut mark, TimeCategory::Communicate);
+                }
+                if self.daemon && self.jobs[idx].in_pool == 0 {
+                    self.retire(idx, transport, epoch, &phase);
+                    charge(&mut phase, &mut mark, TimeCategory::Communicate);
+                } else {
+                    idx += 1;
                 }
             }
 
-            if let Some(every) = checkpoint_every {
+            if let (Some(every), Some(sink)) = (checkpoint_every, sink.as_deref_mut()) {
                 if last_checkpoint.elapsed() >= every {
                     for idx in 0..self.jobs.len() {
                         if !self.jobs[idx].reported {
@@ -672,7 +693,11 @@ impl ServiceEngine {
 
             if let Some(every) = self.metrics_every {
                 if last_metrics.elapsed() >= every {
-                    self.report_metrics(transport, epoch, &phase);
+                    for idx in 0..self.jobs.len() {
+                        if !self.jobs[idx].reported {
+                            self.report_metrics(Some(idx), transport, epoch, &phase);
+                        }
+                    }
                     last_metrics = Instant::now();
                     charge(&mut phase, &mut mark, TimeCategory::Communicate);
                 }
@@ -682,7 +707,7 @@ impl ServiceEngine {
         // Final snapshots for jobs that never completed (deadline exit),
         // so their files record the furthest state; completed jobs wrote
         // their final snapshot at completion.
-        if checkpoint_every.is_some() {
+        if let Some(sink) = sink {
             for idx in 0..self.jobs.len() {
                 if !self.jobs[idx].reported {
                     self.store_snapshot(idx, sink);
@@ -690,10 +715,14 @@ impl ServiceEngine {
             }
             charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
         }
-        // And a final metrics snapshot, so even a short-lived node leaves
-        // at least one interval line per job.
-        if self.metrics_every.is_some() {
-            self.report_metrics(transport, epoch, &phase);
+        // And the final metrics lines: one per job still held, so even a
+        // short-lived node leaves at least one line per job, or the
+        // node's own when it holds none.
+        if self.jobs.is_empty() {
+            self.report_metrics(None, transport, epoch, &phase);
+        }
+        for idx in 0..self.jobs.len() {
+            self.report_metrics(Some(idx), transport, epoch, &phase);
         }
         for idx in 0..self.jobs.len() {
             if !self.jobs[idx].reported {
@@ -707,6 +736,7 @@ impl ServiceEngine {
             &[
                 ("terminated", all_terminated.to_string()),
                 ("expanded", expanded.to_string()),
+                ("late_frames", self.late_frames.to_string()),
             ],
         );
 
@@ -719,6 +749,9 @@ impl ServiceEngine {
                 .iter()
                 .map(|j| j.outcome(id, incarnation))
                 .collect(),
+            admitted: self.admitted,
+            finished: self.finished,
+            late_frames: self.late_frames,
             phase,
             lifetime: epoch.elapsed(),
         })
@@ -740,14 +773,15 @@ impl ServiceEngine {
     /// Feed harvested pool work back to its jobs as the event the inline
     /// path would have produced on the spot. Results for jobs that halted
     /// while the work was in flight (a redundant-work interrupt followed by
-    /// termination) are dropped, like any late event for a halted job.
+    /// termination) are dropped, like any late event for a halted job; so
+    /// is a result for a job no longer held, which a job's retirement
+    /// waits out.
     fn deliver_work(&mut self, done: impl IntoIterator<Item = (u64, u64, Work)>, t: SimTime) {
         for (job, seq, work) in done {
-            let engine = self
-                .jobs
-                .iter_mut()
-                .find(|j| j.job.raw() == job)
-                .expect("pool results only for admitted jobs");
+            let Some(engine) = self.jobs.iter_mut().find(|j| j.job.raw() == job) else {
+                continue;
+            };
+            engine.in_pool -= 1;
             if engine.halted {
                 continue;
             }
@@ -777,16 +811,38 @@ impl ServiceEngine {
         }
     }
 
-    /// Route one inbound envelope to the engine its job stamp names;
-    /// stash (bounded per job and in job ids) for jobs not admitted yet;
-    /// drop for halted jobs (late traffic after termination).
-    fn route(&mut self, env: Envelope, t: SimTime, phase: &mut PhaseTimes, mark: &mut Instant) {
+    /// Take one inbox item. A frame goes to the engine its job stamp
+    /// names; it is stashed (bounded per job and in job ids) for a job not
+    /// admitted yet, and counted and dropped for a halted or retired job
+    /// (late traffic after termination). An admitted job is started at
+    /// once, which replays its stash, and snapshotted into `sink`.
+    fn route(
+        &mut self,
+        inbound: Inbound,
+        t: SimTime,
+        phase: &mut PhaseTimes,
+        mark: &mut Instant,
+        sink: Option<&mut (dyn CheckpointSink + '_)>,
+    ) {
+        let env = match inbound {
+            Inbound::Frame(env) => env,
+            Inbound::Admit(engine) => {
+                self.admit(*engine);
+                let idx = self.jobs.len() - 1;
+                self.start_job(idx, t);
+                charge(phase, mark, TimeCategory::Expand);
+                if let Some(sink) = sink {
+                    self.store_snapshot(idx, sink);
+                    charge(phase, mark, TimeCategory::Checkpoint);
+                }
+                return;
+            }
+        };
         let cat = BnbProcess::category(&env.msg);
         match self.jobs.iter_mut().find(|j| j.job == env.job) {
-            Some(engine) if !engine.halted => {
-                engine.deliver(env, t);
-            }
-            Some(_) => {} // halted job: late traffic, dropped
+            Some(engine) if !engine.halted => engine.deliver(env, t),
+            Some(_) => self.late_frames += 1,
+            None if self.retired.contains(&env.job) => self.late_frames += 1,
             None => {
                 if self.stash.len() < STASHED_JOBS_CAP || self.stash.contains_key(&env.job) {
                     let backlog = self.stash.entry(env.job).or_default();
@@ -823,6 +879,7 @@ impl ServiceEngine {
     fn report_job_done(&mut self, idx: usize) {
         self.jobs[idx].reported = true;
         let outcome = self.jobs[idx].outcome(self.id, self.incarnation);
+        self.finished += u64::from(outcome.terminated);
         self.jobs[idx].telemetry.emit(
             "job_done",
             &[
@@ -836,28 +893,63 @@ impl ServiceEngine {
         }
     }
 
-    /// Build one job-scoped [`MetricsSnapshot`] per job and hand each to
-    /// the installed reporter.
-    fn report_metrics(&mut self, transport: &dyn Transport, epoch: Instant, phase: &PhaseTimes) {
+    /// Drop a reported job that the pool holds nothing of (daemon mode):
+    /// its final metrics line goes out, its pool prototype is released,
+    /// and only its id stays behind.
+    fn retire(
+        &mut self,
+        idx: usize,
+        transport: &dyn Transport,
+        epoch: Instant,
+        phase: &PhaseTimes,
+    ) {
+        self.report_metrics(Some(idx), transport, epoch, phase);
+        let engine = self.jobs.remove(idx);
+        if let Some(pool) = self.pool.as_ref() {
+            pool.unregister(engine.job.raw());
+        }
+        self.retired.insert(engine.job);
+        if self.cursor > idx {
+            self.cursor -= 1;
+        }
+        if self.cursor >= self.jobs.len() {
+            self.cursor = 0;
+        }
+    }
+
+    /// Hand the installed reporter one snapshot: of job `idx`, or for
+    /// `None` of the node alone (job 0, no protocol counters).
+    fn report_metrics(
+        &mut self,
+        idx: Option<usize>,
+        transport: &dyn Transport,
+        epoch: Instant,
+        phase: &PhaseTimes,
+    ) {
         let Some(out) = self.metrics_out.as_mut() else {
             return;
         };
-        for engine in &mut self.jobs {
-            let snap = MetricsSnapshot {
-                id: self.id,
-                incarnation: self.incarnation,
-                job: engine.job.raw(),
-                seq: engine.metrics_seq,
-                elapsed_s: epoch.elapsed().as_secs_f64(),
-                phase: *phase,
-                metrics: engine.core.metrics().clone(),
-                transport: transport.stats(),
-                trace_events_dropped: self.telemetry.events_dropped(),
-                workers: self.workers,
-            };
-            engine.metrics_seq += 1;
-            out(&snap);
-        }
+        let (job, seq, metrics) = match idx {
+            Some(idx) => {
+                let engine = &mut self.jobs[idx];
+                engine.metrics_seq += 1;
+                let metrics = engine.core.metrics().clone();
+                (engine.job, engine.metrics_seq - 1, metrics)
+            }
+            None => (JobId::DEFAULT, 0, ProcMetrics::default()),
+        };
+        out(&MetricsSnapshot {
+            id: self.id,
+            incarnation: self.incarnation,
+            job: job.raw(),
+            seq,
+            elapsed_s: epoch.elapsed().as_secs_f64(),
+            phase: *phase,
+            metrics,
+            transport: transport.stats(),
+            trace_events_dropped: self.telemetry.events_dropped(),
+            workers: self.workers,
+        });
     }
 
     fn store_snapshot(&mut self, idx: usize, sink: &mut dyn CheckpointSink) {
@@ -1326,14 +1418,23 @@ mod tests {
 
     #[test]
     fn killing_a_node_mid_run_loses_neither_job() {
-        // Larger jobs than the no-crash test (7 429 and 1 517 sequential
-        // expansions), so the pool is still solving when the crash lands.
+        // Larger jobs than the no-crash test, sized per build profile so
+        // the pool is still solving both when the 3 ms crash lands. Debug:
+        // 7 429 and 1 517 sequential expansions. Release, ~15x faster:
+        // 593 769 and 31 166 (66 and 22 ms solved alone, ~30 ms for the
+        // failure-free pool of three on a 2-core x86 host); the debug
+        // pair finishes there in ~1.4 ms, before the crash.
+        let (items, vars, clauses) = if cfg!(debug_assertions) {
+            (32, 22, 90)
+        } else {
+            (40, 32, 140)
+        };
         let jobs: Vec<(JobId, ftbb_bnb::AnyInstance)> = vec![
             (
                 JobId(11),
-                KnapsackInstance::generate(32, 80, Correlation::Strong, 0.5, 5).into(),
+                KnapsackInstance::generate(items, 80, Correlation::Strong, 0.5, 5).into(),
             ),
-            (JobId(22), MaxSatInstance::generate(22, 90, 2).into()),
+            (JobId(22), MaxSatInstance::generate(vars, clauses, 2).into()),
         ];
         let outcomes = run_pool(3, &jobs, &[(1, Duration::from_millis(3))]);
         assert!(outcomes[1].is_none(), "crashed nodes report nothing");
@@ -1354,9 +1455,9 @@ mod tests {
 
     #[test]
     fn daemon_pump_admits_jobs_mid_flight() {
-        // One-node daemon: no jobs at start; two jobs stream in over the
-        // admission channel at different times; hooks observe admission
-        // and completion; the daemon exits at its deadline.
+        // One-node daemon: no jobs at start; two jobs stream in on its
+        // inbox at different times; hooks observe completion; each job
+        // is retired once reported; the daemon exits at its deadline.
         let instance_a: ftbb_bnb::AnyInstance =
             KnapsackInstance::generate(12, 40, Correlation::Uncorrelated, 0.5, 9).into();
         let instance_b: ftbb_bnb::AnyInstance = MaxSatInstance::generate(10, 30, 4).into();
@@ -1364,9 +1465,8 @@ mod tests {
         let ref_b = solve(&instance_b, &SolveConfig::default());
 
         let (mesh, mut inboxes) = Mesh::new(1);
-        let (admit_tx, admit_rx) = crossbeam::channel::unbounded();
+        let admit_tx = mesh.inbox_sender(0).expect("node 0");
         let mut svc: ServiceEngine = ServiceEngine::new(0, 0);
-        svc.set_admissions(admit_rx);
         svc.daemon(true);
         let completions: Arc<std::sync::Mutex<Vec<JobOutcome>>> = Arc::default();
         let sink = Arc::clone(&completions);
@@ -1391,7 +1491,7 @@ mod tests {
                 true,
                 node_seed(3 ^ job.raw(), 0),
             );
-            JobEngine::new(job, core, instance.clone())
+            Inbound::Admit(Box::new(JobEngine::new(job, core, instance.clone())))
         };
         assert!(admit_tx.send(admit(JobId(1), &instance_a)).is_ok());
         thread::sleep(Duration::from_millis(50));
@@ -1401,7 +1501,8 @@ mod tests {
             .join()
             .expect("daemon thread")
             .expect("daemon not crashed");
-        assert_eq!(outcome.jobs.len(), 2);
+        assert_eq!((outcome.admitted, outcome.finished), (2, 2));
+        assert!(outcome.jobs.is_empty(), "both finished jobs were retired");
         assert!(
             outcome.lifetime >= Duration::from_secs(3),
             "daemon runs to its deadline even after all jobs complete"
@@ -1415,24 +1516,236 @@ mod tests {
         assert_eq!(Some(by_job(JobId(2)).incumbent), ref_b.best);
     }
 
+    /// A job for node 0 over `members`, solving `instance`, holding its
+    /// root iff `holds_root`, ready to send to a running pump.
+    fn admission(
+        job: u64,
+        members: &[u32],
+        protocol: ProtocolConfig,
+        instance: &ftbb_bnb::AnyInstance,
+        holds_root: bool,
+    ) -> Inbound {
+        let root = instance.bound(&instance.root());
+        let core = BnbProcess::new(0, members.to_vec(), protocol, root, holds_root, job);
+        Inbound::Admit(Box::new(JobEngine::new(JobId(job), core, instance.clone())))
+    }
+
+    /// A daemon for node 0 of a fresh `nodes`-node mesh, run on its own
+    /// thread until `deadline`. Node 0's completions arrive on the
+    /// returned channel; the other nodes never run, but their inboxes
+    /// stay open, so sends to them are delivered and counted.
+    #[allow(clippy::type_complexity)]
+    fn daemon_on_mesh(
+        nodes: usize,
+        deadline: Duration,
+        setup: impl FnOnce(&mut ServiceEngine),
+    ) -> (
+        Arc<Mesh>,
+        thread::JoinHandle<Option<ServiceOutcome>>,
+        Receiver<JobOutcome>,
+        Vec<Receiver<Inbound>>,
+    ) {
+        let (mesh, mut inboxes) = Mesh::new(nodes);
+        let inbox = inboxes.remove(0);
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        let mut svc = ServiceEngine::new(0, 0);
+        svc.daemon(true);
+        svc.set_hooks(ServiceHooks {
+            on_complete: Some(Box::new(move |o: &JobOutcome| {
+                let _ = done_tx.send(o.clone());
+            })),
+            ..Default::default()
+        });
+        setup(&mut svc);
+        let mesh = Arc::new(mesh);
+        let pump_mesh = Arc::clone(&mesh);
+        let handle =
+            thread::spawn(move || svc.run(&*pump_mesh, inbox, CrashSwitch::default(), deadline));
+        (mesh, handle, done_rx, inboxes)
+    }
+
+    #[test]
+    fn late_frames_for_retired_jobs_are_dropped_and_take_no_stash_slot() {
+        // More retired jobs than the stash has job slots, each sent a
+        // late frame: none may take a slot, so a new job's early frames
+        // are still stashed and replayed at its admission. The inbox is
+        // one channel, so every item below is taken in the order sent.
+        const RETIRED: u64 = STASHED_JOBS_CAP as u64 + 6;
+        let (mesh, handle, done, _peer) =
+            daemon_on_mesh(2, Duration::from_secs(2), |_: &mut ServiceEngine| ());
+        let admit = mesh.inbox_sender(0).expect("node 0");
+        let instance = tiny_instance();
+        for job in 1..=RETIRED {
+            let protocol = ClusterConfig::new(1).protocol;
+            assert!(admit
+                .send(admission(job, &[0], protocol, &instance, true))
+                .is_ok());
+        }
+        // A job is retired in the pump pass that reports it, before the
+        // pump reads its inbox again.
+        for _ in 1..=RETIRED {
+            done.recv_timeout(Duration::from_secs(10))
+                .expect("every job finishes");
+        }
+        let report = || Msg::WorkReport {
+            codes: vec![Code::root().child(0, true)],
+            incumbent: f64::INFINITY,
+        };
+        for job in 1..=RETIRED {
+            mesh.send(JobId(job), 1, 0, report());
+        }
+        let fresh = RETIRED + 1;
+        for _ in 0..3 {
+            mesh.send(JobId(fresh), 1, 0, report());
+        }
+        let protocol = ProtocolConfig::default();
+        assert!(admit
+            .send(admission(fresh, &[0, 1], protocol, &instance, true))
+            .is_ok());
+        let last = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the new job finishes");
+        assert_eq!(last.job, JobId(fresh));
+        assert_eq!(
+            last.metrics.reports_received, 3,
+            "the new job's early frames were stashed and replayed"
+        );
+
+        let outcome = handle.join().expect("pump thread").expect("not crashed");
+        assert_eq!(
+            outcome.late_frames, RETIRED,
+            "one late frame per retired job"
+        );
+        assert_eq!((outcome.admitted, outcome.finished), (fresh, fresh));
+        assert!(outcome.jobs.is_empty(), "every finished job was retired");
+    }
+
+    #[test]
+    fn a_pool_result_for_a_retired_job_is_dropped() {
+        let instance = tiny_instance();
+        let mut svc = single_run(&instance);
+        svc.set_workers(2);
+        svc.daemon(true);
+        svc.retired.insert(JobId(9));
+        svc.deliver_work([(9, 4, Work::Unit(Default::default()))], SimTime::ZERO);
+        assert_eq!(svc.jobs.len(), 1, "the held job is untouched");
+        assert!(svc.jobs[0].pending.is_empty());
+    }
+
+    #[test]
+    fn an_admission_to_an_idle_pump_starts_before_the_next_timer_deadline() {
+        // A parked job keeps every timer a minute away, so the idle pump
+        // waits out its whole 20 ms cap between timer checks: it does not
+        // hold the root, and its one peer never answers. A tiny job sent
+        // to the idle pump must still start and finish at once; a pump
+        // that noticed admissions only between waits would take 10 ms in
+        // the median.
+        const TRIALS: usize = 9;
+        let minute = 60.0;
+        let parked = ProtocolConfig {
+            report_interval_s: minute,
+            table_gossip_interval_s: minute,
+            lb_timeout_s: minute,
+            recovery_delay_s: minute,
+            recovery_quiet_s: minute,
+            ..Default::default()
+        };
+        let instance = tiny_instance();
+        let (mesh, handle, done, _peer) = daemon_on_mesh(2, Duration::from_secs(2), |_| ());
+        let admit = mesh.inbox_sender(0).expect("node 0");
+        assert!(admit
+            .send(admission(1, &[0, 1], parked, &instance, false))
+            .is_ok());
+        let mut latencies = Vec::new();
+        for job in 2..2 + TRIALS as u64 {
+            thread::sleep(Duration::from_millis(30));
+            let sent = Instant::now();
+            let protocol = ClusterConfig::new(1).protocol;
+            assert!(admit
+                .send(admission(job, &[0], protocol, &instance, true))
+                .is_ok());
+            let outcome = done
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the job finishes");
+            latencies.push(sent.elapsed());
+            assert_eq!(outcome.job, JobId(job));
+            assert!(outcome.terminated);
+        }
+        latencies.sort();
+        let median = latencies[TRIALS / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "admission to completion took {median:?} in the median: {latencies:?}"
+        );
+        let outcome = handle.join().expect("pump thread").expect("not crashed");
+        assert_eq!(outcome.jobs.len(), 1, "only the parked job is held");
+        assert_eq!(outcome.jobs[0].job, JobId(1));
+    }
+
+    #[test]
+    fn a_retired_job_gets_no_further_metrics_lines() {
+        // One job finishes at once; the daemon runs on for its deadline
+        // with a 1 ms metrics cadence. The job's lines stop at its
+        // retirement, the last carrying its final counters, and the
+        // node, holding no job at exit, closes with its own job-0 line.
+        let deadline = Duration::from_millis(400);
+        let snaps: Arc<std::sync::Mutex<Vec<MetricsSnapshot>>> = Arc::default();
+        let sink = Arc::clone(&snaps);
+        let instance = tiny_instance();
+        let (_mesh, handle, done, _) = daemon_on_mesh(1, deadline, |svc| {
+            svc.set_metrics_reporter(
+                Duration::from_millis(1),
+                Box::new(move |s| sink.lock().unwrap().push(s.clone())),
+            );
+            let root = instance.bound(&instance.root());
+            let core = BnbProcess::new(0, vec![0], ProtocolConfig::default(), root, true, 3);
+            svc.admit(JobEngine::new(JobId(5), core, instance.clone()));
+        });
+        let finished = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job finishes");
+        let outcome = handle.join().expect("pump thread").expect("not crashed");
+        assert!(outcome.jobs.is_empty());
+
+        let snaps = snaps.lock().unwrap();
+        let (node, job): (Vec<_>, Vec<_>) = snaps.iter().partition(|s| s.job == 0);
+        assert!(!job.is_empty(), "the job's final line");
+        for (i, s) in job.iter().enumerate() {
+            assert_eq!((s.job, s.seq), (5, i as u64));
+        }
+        let last = job.last().unwrap();
+        assert_eq!(last.metrics.expanded, finished.metrics.expanded);
+        assert!(
+            last.elapsed_s < deadline.as_secs_f64() / 2.0,
+            "a line at {:.3} s, after the job was retired",
+            last.elapsed_s
+        );
+        assert_eq!(node.len(), 1, "one closing node line");
+        assert!(node[0].elapsed_s >= deadline.as_secs_f64());
+        assert_eq!(node[0].metrics.expanded, 0);
+        assert!(std::ptr::eq(node[0], snaps.last().unwrap()), "it closes");
+    }
+
     #[test]
     fn the_stash_is_bounded_in_job_ids_and_replays_on_admission() {
-        let report = |job: u64| Envelope {
-            job: JobId(job),
-            from: 1,
-            msg: Msg::WorkReport {
-                codes: vec![Code::root().child(0, true)],
-                incumbent: f64::INFINITY,
-            },
+        let report = |job: u64| {
+            Inbound::Frame(Envelope {
+                job: JobId(job),
+                from: 1,
+                msg: Msg::WorkReport {
+                    codes: vec![Code::root().child(0, true)],
+                    incumbent: f64::INFINITY,
+                },
+            })
         };
         let mut svc = ServiceEngine::new(0, 0);
         let (mut phase, mut mark) = (PhaseTimes::default(), Instant::now());
         // A job stashed within the cap, then a flood of ids never admitted.
         for _ in 0..3 {
-            svc.route(report(1), SimTime::ZERO, &mut phase, &mut mark);
+            svc.route(report(1), SimTime::ZERO, &mut phase, &mut mark, None);
         }
         for job in 2..10_002 {
-            svc.route(report(job), SimTime::ZERO, &mut phase, &mut mark);
+            svc.route(report(job), SimTime::ZERO, &mut phase, &mut mark, None);
             assert!(svc.stash.len() <= STASHED_JOBS_CAP);
         }
         assert_eq!(svc.stash.len(), STASHED_JOBS_CAP);

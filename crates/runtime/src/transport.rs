@@ -8,7 +8,12 @@
 //! [`TransportCounters`]. The same pump ([`crate::ServiceEngine`]) drives
 //! the protocol over any transport: the in-process [`Mesh`] here, or
 //! `ftbb-wire`'s TCP mesh across real OS processes.
+//!
+//! A node's inbox carries [`Inbound`] items: the frames its transport
+//! delivers, and the jobs a deployment admits into the running pump. The
+//! pump blocks on that one channel when it is idle, so either wakes it.
 
+use crate::service::JobEngine;
 use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
 use ftbb_core::{JobId, Msg};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +30,15 @@ pub struct Envelope {
     pub from: u32,
     /// The message.
     pub msg: Msg,
+}
+
+/// One item on a node's inbox.
+pub enum Inbound {
+    /// A protocol message from a peer (or from the node itself).
+    Frame(Envelope),
+    /// A job to admit, start and snapshot on the running pump (a service
+    /// node's submissions and peer announces).
+    Admit(Box<JobEngine>),
 }
 
 /// Anything that can carry protocol messages between nodes.
@@ -343,13 +357,13 @@ impl TransportStats {
 
 /// The in-process mesh: one unbounded channel per node.
 pub struct Mesh {
-    senders: Vec<Sender<Envelope>>,
+    senders: Vec<Sender<Inbound>>,
     counters: TransportCounters,
 }
 
 impl Mesh {
     /// Build a mesh for `n` nodes; returns the mesh and each node's inbox.
-    pub fn new(n: usize) -> (Mesh, Vec<Receiver<Envelope>>) {
+    pub fn new(n: usize) -> (Mesh, Vec<Receiver<Inbound>>) {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -376,6 +390,12 @@ impl Mesh {
         self.senders.is_empty()
     }
 
+    /// The sending end of node `id`'s inbox, through which a job is
+    /// admitted into its running pump ([`Inbound::Admit`]).
+    pub fn inbox_sender(&self, id: u32) -> Option<Sender<Inbound>> {
+        self.senders.get(id as usize).cloned()
+    }
+
     /// Send a message; silently drops (but counts) if the destination has
     /// shut down — crashed or terminated nodes close their inbox, exactly
     /// the lost-message behaviour the protocol tolerates.
@@ -385,7 +405,7 @@ impl Mesh {
             return;
         };
         let wire = msg.wire_size();
-        match tx.try_send(Envelope { job, from, msg }) {
+        match tx.try_send(Inbound::Frame(Envelope { job, from, msg })) {
             // No frame encoding in-process: encoded == estimated bytes.
             Ok(()) => self.counters.record_send(wire, wire),
             Err(TrySendError::Full(_)) => self.counters.record_dropped_full(),
@@ -483,7 +503,9 @@ mod tests {
                 incumbent: f64::INFINITY,
             },
         );
-        let env = rxs[1].try_recv().unwrap();
+        let Ok(Inbound::Frame(env)) = rxs[1].try_recv() else {
+            panic!("a frame is queued");
+        };
         assert_eq!(env.from, 0);
         assert_eq!(env.job, JobId(9), "the job stamp rides the envelope");
         assert!(matches!(env.msg, Msg::WorkDeny { .. }));

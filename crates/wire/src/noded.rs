@@ -65,7 +65,7 @@ use ftbb_core::{
 };
 use ftbb_des::SimTime;
 use ftbb_runtime::{
-    ClusterConfig, CrashSwitch, JobEngine, JobOutcome, MetricsSnapshot, ServiceEngine,
+    ClusterConfig, CrashSwitch, Inbound, JobEngine, JobOutcome, MetricsSnapshot, ServiceEngine,
     ServiceHooks, ServiceOutcome, Telemetry, Transport, TransportStats,
 };
 use std::collections::{HashMap, HashSet};
@@ -427,14 +427,13 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     }
 
     // Mid-flight admission (service mode only): the control thread turns
-    // submissions and peer announces into job engines, the pump drains
-    // that channel; hooks run on the pump thread and hand results to the
-    // reply thread, which owns the socket writes and announces a
-    // gateway's job to the pool with its first result.
+    // submissions and peer announces into job engines and puts them on
+    // the pump's inbox, where an idle pump takes them at once; hooks run
+    // on the pump thread and hand results to the reply thread, which owns
+    // the socket writes and announces a gateway's job to the pool with
+    // its first result.
     let admission = cfg.service.then(|| {
-        let (admit_tx, admit_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded::<Reply>();
-        engine.set_admissions(admit_rx);
         let (incumbent_tx, complete_tx) = (reply_tx.clone(), reply_tx.clone());
         engine.set_hooks(ServiceHooks {
             on_incumbent: Some(Box::new(move |job, incumbent| {
@@ -458,7 +457,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
                 }));
             })),
         });
-        ((admit_tx, reply_tx), reply_rx)
+        ((mesh.inbox_sender(), reply_tx), reply_rx)
     });
     let (admit, reply_rx) = admission.unzip();
 
@@ -651,7 +650,7 @@ fn control_loop(
     epoch: Instant,
     deadline: Duration,
     mut seen: HashSet<JobId>,
-    admit: Option<(Sender<JobEngine>, Sender<Reply>)>,
+    admit: Option<(Sender<Inbound>, Sender<Reply>)>,
     telemetry: &Telemetry,
 ) {
     while let Some(control) = mesh.recv_control(deadline.saturating_sub(epoch.elapsed())) {
@@ -707,9 +706,8 @@ fn control_loop(
                 });
             }
             let born = SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
-            let _ = admit_tx.send(build_job(
-                cfg, protocol, members, born, job, instance, gateway,
-            ));
+            let engine = build_job(cfg, protocol, members, born, job, instance, gateway);
+            let _ = admit_tx.send(Inbound::Admit(Box::new(engine)));
         }
     }
 }
@@ -961,10 +959,9 @@ line_codec! {
         /// Incarnation of the reporting service engine.
         incarnation: u32 = num("incarnation") <- report.outcome.incarnation,
         /// Jobs admitted over this life.
-        jobs: u64 = num("jobs") <- report.outcome.jobs.len(),
+        jobs: u64 = num("jobs") <- report.outcome.admitted,
         /// Jobs that detected termination.
-        finished: u64 =
-            num("finished") <- report.outcome.jobs.iter().filter(|j| j.terminated).count(),
+        finished: u64 = num("finished") <- report.outcome.finished,
         /// Trace events shed by the telemetry sink.
         trace_events_dropped: u64 = num("trace_dropped") <- report.trace_events_dropped,
         /// Messages handed to the wire.
@@ -1090,7 +1087,8 @@ mod tests {
     }
 
     /// A report whose transport counters are 1, 2, 3, … in declaration
-    /// order, over two jobs of which one finished.
+    /// order, holding two jobs of which one finished, of seven admitted
+    /// and five finished.
     fn sample_report() -> NodeReport {
         let mut next = 0;
         NodeReport {
@@ -1104,6 +1102,9 @@ mod tests {
                         ..sample_job()
                     },
                 ],
+                admitted: 7,
+                finished: 5,
+                late_frames: 0,
                 phase: PhaseTimes::default(),
                 lifetime: Duration::from_millis(10),
             },
@@ -1210,7 +1211,7 @@ mod tests {
         );
         assert_eq!(
             service_line(&report),
-            "FTBB-SERVICE id=3 incarnation=2 jobs=2 finished=1 trace_dropped=5 sent=1 dropped=22"
+            "FTBB-SERVICE id=3 incarnation=2 jobs=7 finished=5 trace_dropped=5 sent=1 dropped=22"
         );
     }
 
@@ -1354,8 +1355,8 @@ mod tests {
             Some(ParsedService {
                 id: 3,
                 incarnation: 2,
-                jobs: 2,
-                finished: 1,
+                jobs: 7,
+                finished: 5,
                 trace_events_dropped: 5,
                 sent: 1,
                 dropped: 22,
@@ -1471,21 +1472,14 @@ mod tests {
             .expect("job 2 submits");
 
         let report = handle.join().expect("service thread");
-        assert_eq!(report.outcome.jobs.len(), 2);
+        assert_eq!((report.outcome.admitted, report.outcome.finished), (2, 2));
+        assert!(report.outcome.jobs.is_empty(), "finished jobs are retired");
 
         for (job, instance, result) in [(1u64, &knap, &a), (2u64, &sat, &b)] {
             assert_eq!(result.accepted_by, 0);
             assert!(result.finished, "job {job} must finish");
             let reference = ftbb_bnb::solve(instance, &ftbb_bnb::SolveConfig::default());
             assert_eq!(Some(result.incumbent), reference.best, "job {job} parity");
-            let outcome = report
-                .outcome
-                .jobs
-                .iter()
-                .find(|o| o.job.raw() == job)
-                .expect("job outcome reported");
-            assert!(outcome.terminated);
-            assert_eq!(Some(outcome.incumbent), reference.best);
         }
     }
 

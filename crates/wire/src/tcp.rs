@@ -4,6 +4,8 @@
 //! *outgoing* connection per peer (so a pair of nodes shares two
 //! simplex connections, one per direction). Incoming connections only
 //! feed the inbox; the envelope's `from` field identifies the sender.
+//! The inbox is the pump's one channel ([`Inbound`]): a service node's
+//! control thread admits jobs on it too ([`TcpMesh::inbox_sender`]).
 //! The peer roster is **dynamic**: it is seeded at construction, but a
 //! peer can be (re)registered at any time — which is how a node enters a
 //! live mesh: a brand-new node, or one killed and restarted from a
@@ -82,7 +84,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, Try
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{JobId, Msg};
 use ftbb_gossip::MembershipMsg;
-use ftbb_runtime::{Envelope, Transport, TransportCounters};
+use ftbb_runtime::{Envelope, Inbound, Transport, TransportCounters};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -413,7 +415,7 @@ impl Registry {
 /// The TCP transport: one listener, one writer thread per peer.
 pub struct TcpMesh {
     registry: Arc<Registry>,
-    inbox_tx: Sender<Envelope>,
+    inbox_tx: Sender<Inbound>,
     /// The control plane's receiving end; readers hold the senders (in
     /// the registry). `None` is [`TcpMesh::close_control`]'s wake-up.
     control_rx: Receiver<Option<Control>>,
@@ -434,7 +436,7 @@ impl TcpMesh {
         listener: TcpListener,
         peers: &[(u32, SocketAddr)],
         _: WireConfig,
-    ) -> std::io::Result<(TcpMesh, Receiver<Envelope>)> {
+    ) -> std::io::Result<(TcpMesh, Receiver<Inbound>)> {
         let local_addr = listener.local_addr()?;
         let (inbox_tx, inbox_rx) = unbounded();
         let (control_tx, control_rx) = bounded(CONTROL_QUEUE_CAP);
@@ -503,6 +505,12 @@ impl TcpMesh {
             registry.counters.record_announce_sent();
         }
         !frame.exceeds_limit()
+    }
+
+    /// The sending end of this node's inbox, through which the control
+    /// thread admits a job into the running pump ([`Inbound::Admit`]).
+    pub fn inbox_sender(&self) -> Sender<Inbound> {
+        self.inbox_tx.clone()
     }
 
     /// Wait (up to `timeout`) for the next control frame — a peer's
@@ -602,7 +610,8 @@ impl Transport for TcpMesh {
             // Self-sends short-circuit the network, like the in-process
             // mesh delivering to the sender's own inbox.
             let wire = msg.wire_size();
-            if self.inbox_tx.try_send(Envelope { job, from, msg }).is_ok() {
+            let env = Envelope { job, from, msg };
+            if self.inbox_tx.try_send(Inbound::Frame(env)).is_ok() {
                 registry.counters.record_send(wire, wire);
             } else {
                 registry.counters.record_dropped_disconnected();
@@ -698,7 +707,7 @@ impl Drop for TcpMesh {
     }
 }
 
-fn spawn_acceptor(listener: TcpListener, registry: Arc<Registry>, inbox: Sender<Envelope>) {
+fn spawn_acceptor(listener: TcpListener, registry: Arc<Registry>, inbox: Sender<Inbound>) {
     std::thread::spawn(move || {
         while !registry.shutdown.load(Ordering::Acquire) {
             match listener.accept() {
@@ -720,7 +729,7 @@ fn spawn_acceptor(listener: TcpListener, registry: Arc<Registry>, inbox: Sender<
     });
 }
 
-fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Envelope>) {
+fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Inbound>) {
     std::thread::spawn(move || {
         let mut stream = stream;
         // Periodic read timeouts let the reader notice shutdown even on
@@ -778,7 +787,7 @@ fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Envelo
                                     registry.counters.record_dropped_stale();
                                     continue;
                                 }
-                                if inbox.try_send(env).is_err() {
+                                if inbox.try_send(Inbound::Frame(env)).is_err() {
                                     return; // local node gone
                                 }
                             }
@@ -1039,9 +1048,10 @@ mod tests {
     use super::*;
     use crossbeam::channel::RecvTimeoutError;
 
-    fn recv_msg(rx: &Receiver<Envelope>, within: Duration) -> Option<Envelope> {
+    fn recv_msg(rx: &Receiver<Inbound>, within: Duration) -> Option<Envelope> {
         match rx.recv_timeout(within) {
-            Ok(env) => Some(env),
+            Ok(Inbound::Frame(env)) => Some(env),
+            Ok(Inbound::Admit(_)) => panic!("nothing admits jobs here"),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
         }
     }
@@ -1055,7 +1065,7 @@ mod tests {
         incarnation: u32,
         listen: SocketAddr,
         peers: &[(u32, SocketAddr)],
-    ) -> (TcpMesh, Receiver<Envelope>) {
+    ) -> (TcpMesh, Receiver<Inbound>) {
         let end = Instant::now() + Duration::from_secs(5);
         let listener = loop {
             match TcpListener::bind(listen) {

@@ -131,26 +131,34 @@ fn job_strategy() -> impl Strategy<Value = JobOutcome> {
         )
 }
 
-/// A daemon report over 1..4 jobs (a single run has exactly one).
+/// A daemon report holding 1..4 jobs at exit (a single run has exactly
+/// one), beside up to 1 000 retired ones, which had all finished.
 fn report_strategy() -> impl Strategy<Value = NodeReport> {
     (
         collection::vec(job_strategy(), 1..4),
+        0u64..1000,
         phase_strategy(),
         transport_strategy(),
         any::<u64>(),
         1usize..10,
     )
-        .prop_map(|(jobs, phase, transport, tev, workers)| NodeReport {
-            outcome: ServiceOutcome {
-                id: jobs[0].id,
-                incarnation: jobs[0].incarnation,
-                jobs,
-                phase,
-                lifetime: Duration::from_millis(5),
-            },
-            transport,
-            trace_events_dropped: tev,
-            workers,
+        .prop_map(|(jobs, retired, phase, transport, tev, workers)| {
+            let held_finished = jobs.iter().filter(|j| j.terminated).count() as u64;
+            NodeReport {
+                outcome: ServiceOutcome {
+                    id: jobs[0].id,
+                    incarnation: jobs[0].incarnation,
+                    admitted: jobs.len() as u64 + retired,
+                    finished: held_finished + retired,
+                    late_frames: 0,
+                    jobs,
+                    phase,
+                    lifetime: Duration::from_millis(5),
+                },
+                transport,
+                trace_events_dropped: tev,
+                workers,
+            }
         })
 }
 
@@ -242,9 +250,8 @@ proptest! {
         let parsed = parse_service_line(&service_line(&report)).expect("own line parses");
         prop_assert_eq!(parsed.id, report.outcome.id);
         prop_assert_eq!(parsed.incarnation, report.outcome.incarnation);
-        prop_assert_eq!(parsed.jobs, report.outcome.jobs.len() as u64);
-        prop_assert_eq!(parsed.finished,
-            report.outcome.jobs.iter().filter(|j| j.terminated).count() as u64);
+        prop_assert_eq!(parsed.jobs, report.outcome.admitted);
+        prop_assert_eq!(parsed.finished, report.outcome.finished);
         prop_assert_eq!(parsed.trace_events_dropped, report.trace_events_dropped);
         prop_assert_eq!(parsed.sent, report.transport.sent);
         prop_assert_eq!(parsed.dropped, report.transport.dropped());

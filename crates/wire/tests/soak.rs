@@ -35,15 +35,20 @@ fn settled_fd_count() -> usize {
     last
 }
 
-/// `control_depth` as the node traced it when it took up its latest
-/// submission.
-fn last_control_depth(trace: &std::path::Path) -> usize {
+/// Field `field` of the latest `kind` event in the node's trace.
+fn last_traced(trace: &std::path::Path, kind: &str, field: &str) -> usize {
     let text = std::fs::read_to_string(trace).expect("trace file");
     text.lines()
         .filter_map(TraceEvent::parse_jsonl)
-        .rfind(|ev| ev.kind == "job_submitted")
-        .and_then(|ev| ev.field("control_depth")?.parse().ok())
-        .expect("a job_submitted event with control_depth")
+        .rfind(|ev| ev.kind == kind)
+        .and_then(|ev| ev.field(field)?.parse().ok())
+        .unwrap_or_else(|| panic!("a {kind} event with {field}"))
+}
+
+/// `control_depth` as the node traced it when it took up its latest
+/// submission.
+fn last_control_depth(trace: &std::path::Path) -> usize {
+    last_traced(trace, "job_submitted", "control_depth")
 }
 
 fn tiny_instance(job: u64) -> AnyInstance {
@@ -131,6 +136,13 @@ fn three_hundred_jobs_leave_no_socket_and_no_queued_frame_behind() {
         depth_after, depth_before,
         "the control queue must be drained"
     );
+    // Finished jobs leave the pump: the last admission finds the jobs
+    // still running, not every job served.
+    let running = last_traced(&trace, "job_admitted", "jobs_running");
+    assert!(
+        running <= 2,
+        "the last of {JOBS} sequential jobs was admitted beside {running} held jobs"
+    );
 
     // A finished job's id submitted again gets that job's final result
     // back at once, and its stream is released like any other.
@@ -154,8 +166,12 @@ fn three_hundred_jobs_leave_no_socket_and_no_queued_frame_behind() {
     );
 
     let report = node.join().expect("node thread");
-    assert_eq!(report.outcome.jobs.len() as u64, JOBS + 1);
-    assert!(report.outcome.jobs.iter().all(|j| j.terminated));
+    assert_eq!(report.outcome.admitted, JOBS + 1);
+    assert_eq!(report.outcome.finished, JOBS + 1);
+    assert!(
+        report.outcome.jobs.is_empty(),
+        "every finished job was retired"
+    );
     assert_eq!(report.transport.dropped(), 0);
     std::fs::remove_file(&trace).ok();
 }
