@@ -26,6 +26,7 @@ use ftbb_tree::{pick_recovery, Code, CodeSet, MergeOutcome};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Cap on the buffered (undrained) membership transitions: harnesses that
 /// never call [`BnbProcess::take_membership_events`] (the DES simulator)
@@ -111,8 +112,6 @@ pub struct BnbProcess {
     /// Reusable buffer for entries lazily pruned at pop (always drained
     /// back to empty before it is returned here).
     pruned_scratch: Vec<PoolEntry<Code>>,
-    /// Reusable code buffer for report/gossip payload production.
-    codes_scratch: Vec<Code>,
     /// Reusable unit for [`PEvent::WorkDone`]'s one expansion.
     one_node: WorkUnit,
 }
@@ -163,7 +162,6 @@ impl BnbProcess {
             last_announced: f64::INFINITY,
             bound_flush_armed: false,
             pruned_scratch: Vec::new(),
-            codes_scratch: Vec::new(),
             one_node: WorkUnit::default(),
         };
         if seed_root {
@@ -266,16 +264,26 @@ impl BnbProcess {
         self.pool.len()
     }
 
-    /// The membership view's alive members, or the static list.
-    fn members(&self, now: SimTime) -> Vec<u32> {
+    /// The membership view's alive members, or the static list itself.
+    fn members(&self, now: SimTime) -> Cow<'_, [u32]> {
         match &self.membership {
             Some(m) => m
                 .alive_members(now)
                 .into_iter()
                 .filter(|&x| x != self.me)
                 .collect(),
-            None => self.static_members.clone(),
+            None => Cow::Borrowed(&self.static_members),
         }
+    }
+
+    /// One of [`Self::members`], drawn uniformly; `None` if there are none.
+    fn random_member(&mut self, now: SimTime) -> Option<u32> {
+        if self.membership.is_none() {
+            // The same draw from the list, without copying it.
+            return self.static_members.choose(&mut self.rng).copied();
+        }
+        let members = self.members(now).into_owned();
+        members.choose(&mut self.rng).copied()
     }
 
     /// [`Protocol::step`] into a fresh action buffer. Every harness steps
@@ -555,7 +563,7 @@ impl BnbProcess {
         self.last_announced = self.incumbent;
         self.metrics.bound_broadcasts += 1;
         let incumbent = self.incumbent;
-        for to in self.members(now) {
+        for &to in self.members(now).iter() {
             out.push(Action::send(to, Msg::BoundAnnounce { incumbent }));
         }
     }
@@ -584,9 +592,8 @@ impl BnbProcess {
         // lower, and therefore processes are idle longer periods of time,
         // they suspect termination and send more work reports" (§6.3.1).
         self.flush_reports(now, out);
-        let members = self.members(now);
-        match members.choose(&mut self.rng) {
-            Some(&target) => {
+        match self.random_member(now) {
+            Some(target) => {
                 self.lb_seq += 1;
                 self.lb_awaiting = Some((target, self.lb_seq, now));
                 self.metrics.work_requests_sent += 1;
@@ -757,7 +764,7 @@ impl BnbProcess {
         if self.fresh_count == 0 {
             return;
         }
-        let mut members = self.members(now);
+        let mut members = self.members(now).into_owned();
         members.shuffle(&mut self.rng);
         members.truncate(self.cfg.report_fanout);
         if members.is_empty() {
@@ -767,26 +774,28 @@ impl BnbProcess {
             return;
         }
         let raw = self.fresh_count;
-        self.fresh.minimal_codes_into(&mut self.codes_scratch);
+        let codes = self.fresh.minimal_codes();
         self.clear_fresh();
         self.last_report = Some(now);
-        let sent = self.codes_scratch.len();
+        let sent = codes.len();
         self.metrics.report_codes_sent += sent as u64;
         self.metrics.report_codes_saved += (raw - sent.min(raw)) as u64;
-        for to in members {
-            self.metrics.reports_sent += 1;
-            let (codes, incumbent) = (self.codes_scratch.clone(), self.incumbent);
+        self.metrics.reports_sent += members.len() as u64;
+        // The last recipient gets the codes themselves, the others copies.
+        let incumbent = self.incumbent;
+        let (&last, others) = members.split_last().expect("checked non-empty");
+        for &to in others {
+            let codes = codes.clone();
             out.push(Action::send(to, Msg::WorkReport { codes, incumbent }));
         }
+        out.push(Action::send(last, Msg::WorkReport { codes, incumbent }));
     }
 
     /// Send the whole contracted table to one random member.
     fn gossip_table(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        let members = self.members(now);
-        if let Some(&to) = members.choose(&mut self.rng) {
+        if let Some(to) = self.random_member(now) {
             self.metrics.table_gossips_sent += 1;
-            self.table.minimal_codes_into(&mut self.codes_scratch);
-            let (codes, incumbent) = (self.codes_scratch.clone(), self.incumbent);
+            let (codes, incumbent) = (self.table.minimal_codes(), self.incumbent);
             out.push(Action::send(to, Msg::TableGossip { codes, incumbent }));
         }
     }

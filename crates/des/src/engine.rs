@@ -4,6 +4,12 @@
 //! clock, a pending-event set ordered by `(time, schedule order)`, and
 //! processes that exchange timestamped messages. Crashed processes silently
 //! drop all subsequent events (fail-stop Crash model, paper §4).
+//!
+//! Dispatch is in place: a handler runs on the process where it lives in
+//! its slot, with the RNG, the tracer and the effect buffer borrowed
+//! beside it. Taking the process out of its slot and putting it back
+//! would copy the whole actor twice per event, and an actor of the
+//! paper's protocol is well over a kilobyte.
 
 use crate::event::{Event, EventKind, ProcId};
 use crate::process::{Ctx, Effect, Process};
@@ -37,7 +43,7 @@ enum SlotState {
 }
 
 struct Slot<P> {
-    proc: Option<P>,
+    proc: P,
     state: SlotState,
 }
 
@@ -76,7 +82,7 @@ impl<P: Process> Engine<P> {
     pub fn add_process(&mut self, proc: P, start_at: SimTime) -> ProcId {
         let pid = ProcId(self.slots.len() as u32);
         self.slots.push(Slot {
-            proc: Some(proc),
+            proc,
             state: SlotState::Live,
         });
         self.queue.push(Event {
@@ -103,10 +109,7 @@ impl<P: Process> Engine<P> {
 
     /// Immutable access to a process's state (post-run inspection).
     pub fn process(&self, pid: ProcId) -> &P {
-        self.slots[pid.index()]
-            .proc
-            .as_ref()
-            .expect("process is being dispatched")
+        &self.slots[pid.index()].proc
     }
 
     /// The tracer (read after run to build timelines).
@@ -175,51 +178,51 @@ impl<P: Process> Engine<P> {
         }
     }
 
-    /// Temporarily take the process out of its slot, run `f` with a fresh
-    /// effect context, then apply the effects. Returns true if the process
-    /// requested halt.
+    /// Run `f` on the process in its slot with a fresh effect context,
+    /// then apply the effects. Returns true if the process requested halt.
     fn with_proc<F>(&mut self, pid: ProcId, f: F) -> bool
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>),
     {
-        let mut proc = self.slots[pid.index()]
-            .proc
-            .take()
-            .expect("re-entrant dispatch");
-        debug_assert!(self.effects_buf.is_empty());
-        let mut effects = std::mem::take(&mut self.effects_buf);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                pid,
-                effects: &mut effects,
-                rng: &mut self.rng,
-                trace: &mut self.trace,
-            };
-            f(&mut proc, &mut ctx);
-        }
-        self.slots[pid.index()].proc = Some(proc);
+        let Engine {
+            slots,
+            queue,
+            now,
+            rng,
+            trace,
+            stats,
+            effects_buf,
+        } = self;
+        let now = *now;
+        debug_assert!(effects_buf.is_empty());
+        let mut ctx = Ctx {
+            now,
+            pid,
+            effects: effects_buf,
+            rng,
+            trace,
+        };
+        f(&mut slots[pid.index()].proc, &mut ctx);
 
         let mut halted = false;
-        for effect in effects.drain(..) {
+        for effect in effects_buf.drain(..) {
             match effect {
                 Effect::Send { to, delay, msg } => match delay {
-                    Some(d) => self.queue.push(Event {
-                        time: self.now.saturating_add(d),
+                    Some(d) => queue.push(Event {
+                        time: now.saturating_add(d),
                         target: to,
                         kind: EventKind::Message { from: pid, msg },
                     }),
-                    None => self.stats.messages_lost += 1,
+                    None => stats.messages_lost += 1,
                 },
-                Effect::Timer { delay, timer } => self.queue.push(Event {
-                    time: self.now.saturating_add(delay),
+                Effect::Timer { delay, timer } => queue.push(Event {
+                    time: now.saturating_add(delay),
                     target: pid,
                     kind: EventKind::Timer(timer),
                 }),
                 Effect::Halt => halted = true,
             }
         }
-        self.effects_buf = effects;
         halted
     }
 }

@@ -18,6 +18,10 @@
 //! * **Tracing** ([`trace::Tracer`]) records per-process state intervals —
 //!   the substitute for the paper's MPE/clog logs and Jumpshot timelines
 //!   (Figures 5 and 6).
+//! * **Cheap per event**: a process stays in its slot while its handler
+//!   runs, and the event heap ([`EventQueue`]) orders 24-byte keys while
+//!   the events wait in a slab. Both keep a large actor or message from
+//!   being copied over and over: an event costs what its handler does.
 //!
 //! ## Example
 //!

@@ -3,32 +3,43 @@
 //! Events with equal timestamps pop in insertion order (FIFO), which makes
 //! every simulation replayable bit-for-bit from its seed. This mirrors the
 //! deterministic sequential execution mode of Parsec.
+//!
+//! The heap orders keys, not events. A key is `(time, seq, slot)`, 24
+//! bytes; the event itself, which carries a protocol message and is
+//! several times larger, waits in a slab at `slot` and is moved once in
+//! and once out. A heap of whole events would move whole events at every
+//! sift step, and a deep heap (thousands of pending messages in a
+//! hundred-process run) takes a dozen such steps per push and pop. Slots
+//! freed by `pop` are reused through a free list, so the slab stays as
+//! large as the deepest the queue has been. The order is exactly
+//! `(time, seq)`: `seq` is unique, so `slot` never decides a comparison.
 
 use crate::event::Event;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-struct Entry<M, T> {
+/// A pending event's place in the order, and where the event waits.
+struct Key {
     time: SimTime,
     seq: u64,
-    event: Event<M, T>,
+    slot: u32,
 }
 
-impl<M, T> PartialEq for Entry<M, T> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<M, T> Eq for Entry<M, T> {}
+impl Eq for Key {}
 
-impl<M, T> PartialOrd for Entry<M, T> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M, T> Ord for Entry<M, T> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert to pop the earliest (time, seq).
         other
@@ -40,7 +51,11 @@ impl<M, T> Ord for Entry<M, T> {
 
 /// Priority queue of future events ordered by `(time, insertion sequence)`.
 pub struct EventQueue<M, T> {
-    heap: BinaryHeap<Entry<M, T>>,
+    heap: BinaryHeap<Key>,
+    /// The events, at the slots their keys name; `None` is a free slot.
+    slab: Vec<Option<Event<M, T>>>,
+    /// Free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -55,6 +70,8 @@ impl<M, T> EventQueue<M, T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -63,21 +80,31 @@ impl<M, T> EventQueue<M, T> {
     pub fn push(&mut self, event: Event<M, T>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            time: event.time,
-            seq,
-            event,
-        });
+        let time = event.time;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Key { time, seq, slot });
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event<M, T>> {
-        self.heap.pop().map(|e| e.event)
+        let key = self.heap.pop()?;
+        self.free.push(key.slot);
+        let event = self.slab[key.slot as usize].take();
+        Some(event.expect("a queued key's slot holds its event"))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|k| k.time)
     }
 
     /// Number of pending events.

@@ -3,38 +3,53 @@
 
 use ftbb_des::{Ctx, Engine, Event, EventKind, EventQueue, ProcId, Process, RunLimits, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Events pop in nondecreasing time order, and equal-time events pop in
-    /// insertion order.
+    /// Pushes and pops interleaved, each pop checked against a model
+    /// ordered by `(time, push order)`: the earliest event pops, and
+    /// equal-time events pop in insertion order. Pops between pushes
+    /// free slab slots that later pushes reuse, so a slot mix-up shows as
+    /// a wrong event.
     #[test]
-    fn queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..50, 1..200)) {
+    fn queue_is_a_stable_priority_queue(
+        ops in proptest::collection::vec((0u64..50, 0u8..3), 1..300),
+    ) {
         let mut q: EventQueue<usize, ()> = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(Event {
-                time: SimTime::from_nanos(t),
-                target: ProcId(0),
-                kind: EventKind::Message { from: ProcId(0), msg: i },
-            });
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut last_seq_at_time = None::<usize>;
-        while let Some(ev) = q.pop() {
-            prop_assert!(ev.time >= last_time);
-            let seq = match ev.kind {
-                EventKind::Message { msg, .. } => msg,
+        // The pending events' `(time, op index)`: the index grows with
+        // every push, so the set's order is the pop order.
+        let mut model: BTreeSet<(u64, usize)> = BTreeSet::new();
+        let check_pop = |q: &mut EventQueue<usize, ()>, model: &mut BTreeSet<(u64, usize)>| {
+            let expected = model.pop_first();
+            let got = q.pop().map(|ev| match ev.kind {
+                EventKind::Message { msg, .. } => (ev.time.as_nanos(), msg),
                 _ => unreachable!(),
-            };
-            if ev.time == last_time {
-                if let Some(prev) = last_seq_at_time {
-                    prop_assert!(seq > prev, "FIFO violated at equal times");
-                }
+            });
+            assert_eq!(got, expected);
+            assert_eq!(q.len(), model.len());
+        };
+        // One op in three pops; the rest push at a time drawn from a
+        // narrow range, so ties are common.
+        for (i, &(t, op)) in ops.iter().enumerate() {
+            if op == 0 {
+                check_pop(&mut q, &mut model);
+            } else {
+                q.push(Event {
+                    time: SimTime::from_nanos(t),
+                    target: ProcId(0),
+                    kind: EventKind::Message { from: ProcId(0), msg: i },
+                });
+                model.insert((t, i));
             }
-            last_time = ev.time;
-            last_seq_at_time = Some(seq);
+            let earliest = model.first().map(|&(t, _)| SimTime::from_nanos(t));
+            prop_assert_eq!(q.peek_time(), earliest);
         }
+        while !model.is_empty() {
+            check_pop(&mut q, &mut model);
+        }
+        prop_assert!(q.pop().is_none());
     }
 }
 

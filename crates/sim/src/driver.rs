@@ -384,6 +384,21 @@ mod tests {
         assert!(working_procs >= 2, "only {working_procs} procs worked");
     }
 
+    /// The numbers of an ftbb run a behaviour-preserving change keeps.
+    fn pinned(report: &RunReport) -> (SimTime, u64, u64, u64, u64, u64, usize, usize) {
+        let totals = &report.totals;
+        (
+            report.exec_time,
+            totals.expanded,
+            report.net.messages_sent,
+            report.redundant_expansions,
+            report.engine.events_dispatched,
+            totals.peers_suspected + totals.peers_forgotten,
+            report.storage_peak_bytes,
+            report.storage_redundant_bytes,
+        )
+    }
+
     #[test]
     fn deterministic_replay() {
         // Staggered worker crashes make DIB redo expired transfers, in an
@@ -404,19 +419,6 @@ mod tests {
         // The paper's protocol's trajectory, pinned: a change to
         // `ftbb-core` that claims to change no behaviour must leave every
         // one of these numbers as it is.
-        let pinned = |report: &RunReport| {
-            let totals = &report.totals;
-            (
-                report.exec_time,
-                totals.expanded,
-                report.net.messages_sent,
-                report.redundant_expansions,
-                report.engine.events_dispatched,
-                totals.peers_suspected + totals.peers_forgotten,
-                report.storage_peak_bytes,
-                report.storage_redundant_bytes,
-            )
-        };
         // The staggered-crash scenario above, on a static member list.
         let mut cfg = quick_cfg(6, 5);
         cfg.failures = crashes(&[(2, 300), (3, 400), (4, 500)]);
@@ -458,6 +460,60 @@ mod tests {
             398,
         );
         assert_eq!(pinned(&report), expected, "gossip");
+    }
+
+    /// A `des_100p`-shaped system, pinned like `deterministic_replay`:
+    /// a hundred processes with that workload's protocol and overhead
+    /// tuning and ten random crashes, on a smaller tree. At this scale
+    /// the event heap is deep and the redundancy oracle and storage
+    /// accounting see every process, so the pin covers both.
+    #[test]
+    fn deterministic_replay_at_100_processes() {
+        use ftbb_tree::generator::repair_path_vars;
+        let seed = 1;
+        let tree = Arc::new(repair_path_vars(&random_basic_tree(&TreeConfig {
+            target_nodes: 3001,
+            mean_cost: 0.5,
+            cost_cv: 0.6,
+            balance: 0.35,
+            solution_density: 0.25,
+            bound_growth: 0.02,
+            solution_margin: 0.9,
+            seed,
+        })));
+        let mut cfg = SimConfig::new(100);
+        cfg.seed = seed;
+        cfg.protocol.report_batch = 24;
+        cfg.protocol.report_fanout = 2;
+        cfg.protocol.report_interval_s = 6.0;
+        cfg.protocol.table_gossip_interval_s = 45.0;
+        cfg.protocol.lb_timeout_s = 0.6;
+        cfg.protocol.recovery_delay_s = 3.0;
+        cfg.protocol.recovery_quiet_s = 90.0;
+        cfg.protocol.grant_max = 24;
+        cfg.overheads = OverheadModel {
+            contract_per_code_s: 2e-3,
+            send_busy_factor: 1.0,
+            recv_fixed_s: 200e-6,
+        };
+        cfg.sample_interval_s = 20.0;
+        cfg.start_stagger_s = 1.0;
+        let at = [SimTime::from_secs(60), SimTime::from_secs(120)];
+        cfg.failures = crate::kill_random_k(100, 10, &at, seed);
+        let report = run_sim(&tree, &cfg);
+        assert!(report.all_live_terminated);
+        assert_eq!(report.best, tree.optimal());
+        let expected = (
+            SimTime::from_nanos(205_706_157_503),
+            4029,
+            69306,
+            1028,
+            86136,
+            0,
+            177480,
+            165660,
+        );
+        assert_eq!(pinned(&report), expected);
     }
 
     #[test]

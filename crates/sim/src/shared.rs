@@ -2,12 +2,62 @@
 //! oracle, and system-wide storage accounting.
 //!
 //! The DES is single-threaded, so sharing is a plain `Rc<RefCell<…>>`.
+//!
+//! The two maps keyed by [`Code`] hash with `FxHasher`, not the
+//! standard library's SipHash. Every expansion looks its code up in the
+//! redundancy oracle and every storage sample updates one entry per code
+//! of two tables; with SipHash, hashing took a tenth of a hundred-process
+//! run's time. SipHash's resistance to chosen keys buys nothing here: the
+//! keys are the simulation's own codes. Neither map is ever iterated, so
+//! the hasher cannot change any output.
 
 use ftbb_des::SimTime;
 use ftbb_net::Network;
 use ftbb_tree::Code;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The Fx hash (Firefox, rustc): per word, rotate, xor and multiply.
+/// A [`Code`] hashes as a length and then a `u16` and a `u8` per
+/// decision, so a word at a time is all it needs.
+#[derive(Default)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits at the top; the table indexes
+        // by the low ones.
+        self.hash.rotate_left(26)
+    }
+}
+
+pub(crate) type CodeHash = BuildHasherDefault<FxHasher>;
 
 /// Overhead model: how much process time the protocol machinery costs.
 /// These are the knobs behind the paper's Figure 3 cost breakdown.
@@ -48,7 +98,7 @@ pub struct Shared {
     /// The network model (latency, loss, partitions, traffic stats).
     pub net: Network,
     /// Every code ever expanded anywhere — the redundancy oracle.
-    pub expanded_global: HashSet<Code>,
+    pub(crate) expanded_global: HashSet<Code, CodeHash>,
     /// Expansions of a code some process had already expanded.
     pub redundant_expansions: u64,
     /// Latest table snapshot (minimal codes) per process.
@@ -57,7 +107,7 @@ pub struct Shared {
     aux_bytes: Vec<usize>,
     /// How many of the latest table snapshots hold each code (a code no
     /// snapshot holds has no entry). Only looked up, never iterated.
-    holders: HashMap<Code, u32>,
+    holders: HashMap<Code, u32, CodeHash>,
     /// Σ wire bytes of the latest table snapshots.
     table_bytes: usize,
     /// Σ wire bytes of the distinct codes in those snapshots.
@@ -84,11 +134,11 @@ impl Shared {
     pub fn new(net: Network, nprocs: usize, overheads: OverheadModel) -> Self {
         Shared {
             net,
-            expanded_global: HashSet::new(),
+            expanded_global: HashSet::default(),
             redundant_expansions: 0,
             table_codes: vec![Vec::new(); nprocs],
             aux_bytes: vec![0; nprocs],
-            holders: HashMap::new(),
+            holders: HashMap::default(),
             table_bytes: 0,
             distinct_bytes: 0,
             aux_total: 0,
