@@ -3,8 +3,8 @@
 //!
 //! A protocol is a pure deterministic state machine: [`Protocol::step`]
 //! maps `(state, event, now)` to `(state', actions)`. The harness (the
-//! `ftbb-sim` discrete-event actor, or `ftbb-runtime`'s pump over the
-//! in-process mesh or TCP) supplies the events, executes the actions,
+//! `ftbb-sim` discrete-event actor, or `ftbb-runtime`'s pump in-process
+//! or over TCP) supplies the events, executes the actions,
 //! and owns every notion of real or virtual time and of the network. [`crate::BnbProcess`] is the
 //! paper's protocol; the DIB and central baselines implement the same
 //! trait, so one simulated actor runs all three.
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// Timers the process can arm. All delays are in (virtual) seconds and are
 /// interpreted by the harness; timers due at the same instant fire in
 /// arming order, under every harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum PTimer {
     /// Periodic completion-list flush check.
     ReportFlush,

@@ -14,8 +14,9 @@
 //! This crate is solely the state machine: [`BnbProcess`] implements
 //! [`Protocol`], and nothing here reads a clock, spawns a thread or shares
 //! memory. The harnesses own all of that and feed it events: `ftbb-sim`'s
-//! discrete-event actor, and `ftbb-runtime`'s pump, which runs it over an
-//! in-process mesh or, in `ftbb-wire`, between OS processes over TCP. The
+//! discrete-event actor, and `ftbb-runtime`'s pump, which runs it on
+//! virtual clocks in one process or, in `ftbb-wire`, between OS processes
+//! over TCP. The
 //! same protocol code runs under every one of them.
 
 #![warn(missing_docs)]

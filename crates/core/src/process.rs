@@ -6,7 +6,7 @@
 //! from the harness; actions go back to it. The process never touches clocks,
 //! networks, or the expander directly, so the identical code runs under
 //! every harness: `ftbb-sim`'s discrete-event actor, and `ftbb-runtime`'s
-//! pump over the in-process mesh or `ftbb-wire`'s TCP daemons.
+//! pump on virtual clocks in-process or in `ftbb-wire`'s TCP daemons.
 //!
 //! [`Protocol::step`] is the paper's §5 written as a transition table: one
 //! arm per event and guard, grouped by section, each calling one effect
@@ -34,7 +34,7 @@ use std::borrow::Cow;
 const MEMBERSHIP_EVENT_CAP: usize = 1024;
 
 /// Per-node protocol RNG seed derived from a cluster-wide base seed.
-/// Every harness (the simulator, the threaded cluster, `ftbb-wire`
+/// Every harness (the simulator, the in-process cluster, `ftbb-wire`
 /// daemons) uses this same mixing, or "identical state machine" stops
 /// being true.
 pub fn node_seed(base: u64, id: u32) -> u64 {

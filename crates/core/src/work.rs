@@ -225,7 +225,7 @@ fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, mut depth: usize
 }
 
 /// Expands a [`BranchBound`] problem by replaying the code's decisions —
-/// the expander of every harness: the threaded runtime and `ftbb-noded`
+/// the expander of every harness: the in-process cluster and `ftbb-noded`
 /// over any problem, the simulator over a recorded tree
 /// ([`ftbb_bnb::BasicTreeProblem`]). It keeps the node states along the
 /// path it last replayed and replays only the decisions past the prefix a
@@ -287,7 +287,7 @@ impl<P: BranchBound> ProblemExpander<P> {
 
 /// The problem-agnostic expander: a [`ProblemExpander`] over
 /// [`ftbb_bnb::AnyInstance`], the one instance type of every deployment.
-/// Jobs, pool workers and the threaded and TCP harnesses all run it,
+/// Jobs, pool workers and the in-process and TCP harnesses all run it,
 /// whether the workload was materialized locally from a spec, from a
 /// peer's problem-announce frame or from a checkpoint.
 pub type AnyExpander = ProblemExpander<ftbb_bnb::AnyInstance>;

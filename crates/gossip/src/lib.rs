@@ -9,8 +9,8 @@
 //!   1998).
 //!
 //! All protocol state machines are transport-agnostic: they return the
-//! messages to send and the caller (the DES simulator or the threaded
-//! runtime) delivers them.
+//! messages to send and the caller (the DES simulator or the runtime
+//! pump) delivers them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

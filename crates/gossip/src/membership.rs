@@ -10,7 +10,7 @@
 //! newcomer epidemically.
 //!
 //! The state machine is transport-agnostic: `tick`/`on_*` return the
-//! messages to send, and the caller (DES simulator or threaded runtime)
+//! messages to send, and the caller (DES simulator or runtime pump)
 //! delivers them.
 
 use crate::view::{MemberId, MembershipView, ViewDigest};

@@ -1,30 +1,37 @@
-//! Spawning and supervising a whole cluster of threaded nodes.
+//! The in-process cluster: every node's pump on a virtual clock over a
+//! virtual network, stepped by one [`EventQueue`] of deliveries, wake-ups
+//! and planned crashes on the caller's thread. A node never handles an
+//! event before its own clock, so frames wait while it is busy, as in a
+//! real inbox. Nothing reads the wall clock: one seed, one outcome.
 
-use crate::node::{run_node, CrashSwitch, NodeOutcome};
-use crate::transport::Mesh;
+use crate::clock::{sim_time, Clock};
+use crate::service::{JobEngine, ServiceEngine, ServiceOutcome, Step};
+use crate::transport::{Envelope, Inbound, SimNet};
 use ftbb_bnb::{AnyInstance, BranchBound};
-use ftbb_core::{holds_root, node_seed, BnbProcess, ProtocolConfig};
+use ftbb_core::{holds_root, node_seed, BnbProcess, JobId, ProtocolConfig};
+use ftbb_des::{Event, EventKind, EventQueue, ProcId, SimTime};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
-/// Configuration of a threaded cluster run.
+/// Configuration of an in-process cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of nodes.
     pub nodes: u32,
-    /// Protocol parameters (timers in *real* seconds — keep them small).
+    /// Protocol parameters (timers in seconds of the nodes' clocks).
     pub protocol: ProtocolConfig,
-    /// Crash plan: `(node, delay from start)`.
+    /// Crash plan: `(node, virtual time from start)`.
     pub crashes: Vec<(u32, Duration)>,
-    /// Per-node hard deadline (tests' safety valve).
+    /// Per-node deadline in virtual time (tests' safety valve).
     pub deadline: Duration,
     /// Base RNG seed.
     pub seed: u64,
 }
 
 impl ClusterConfig {
-    /// Sensible defaults for in-process runs: millisecond-scale timers.
+    /// The deployed profile: millisecond-scale timers (`ftbb-noded` runs
+    /// the same).
     pub fn new(nodes: u32) -> Self {
         let protocol = ProtocolConfig {
             report_batch: 8,
@@ -46,19 +53,23 @@ impl ClusterConfig {
     }
 }
 
-/// Result of a cluster run.
-#[derive(Debug)]
+/// Result of a cluster run. Every node runs the one job
+/// [`JobId::DEFAULT`], its `jobs[0]`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
-    /// Outcomes of nodes that finished (crashed nodes report nothing).
-    pub nodes: Vec<NodeOutcome>,
+    /// Outcomes of the nodes that ran to the end, in id order.
+    pub nodes: Vec<ServiceOutcome>,
+    /// The nodes a planned crash stopped, in id order, as they stood when
+    /// it landed. A crash planned after its node exited stops nothing.
+    pub crashed: Vec<ServiceOutcome>,
     /// Best solution over terminated nodes (`None` if none/infeasible).
     pub best: Option<f64>,
-    /// Did every surviving node detect termination?
+    /// Did every node that ran to the end detect termination?
     pub all_terminated: bool,
 }
 
-/// Run `problem` on a threaded cluster. Each node rebuilds subproblem state
-/// from codes (self-contained encoding), exactly as a distributed
+/// Run `problem` on an in-process cluster. Each node rebuilds subproblem
+/// state from codes (self-contained encoding), exactly as a distributed
 /// deployment would.
 ///
 /// The harness takes any workload as an [`AnyInstance`] — the same
@@ -68,15 +79,8 @@ pub fn run_cluster(problem: impl Into<AnyInstance>, cfg: &ClusterConfig) -> Clus
     assert!(cfg.nodes >= 1);
     let problem = Arc::new(problem.into());
     let root_bound = problem.bound(&problem.root());
-    let n = cfg.nodes as usize;
-    let (mesh, mut inboxes) = Mesh::new(n);
-    let mesh = Arc::new(mesh);
     let members: Vec<u32> = (0..cfg.nodes).collect();
-    let switches: Vec<CrashSwitch> = (0..n).map(|_| CrashSwitch::default()).collect();
-
-    let mut handles = Vec::with_capacity(n);
-    for id in (0..cfg.nodes).rev() {
-        let inbox = inboxes.pop().expect("one inbox per node");
+    let engines = members.iter().map(|&id| {
         let core = BnbProcess::new(
             id,
             members.clone(),
@@ -85,61 +89,138 @@ pub fn run_cluster(problem: impl Into<AnyInstance>, cfg: &ClusterConfig) -> Clus
             holds_root(id, &members),
             node_seed(cfg.seed, id),
         );
-        let problem = Arc::clone(&problem);
-        let mesh = Arc::clone(&mesh);
-        let switch = switches[id as usize].clone();
-        let deadline = cfg.deadline;
-        handles.push(thread::spawn(move || {
-            run_node(core, problem, &*mesh, inbox, switch, deadline)
-        }));
-    }
-
-    // Failure injector.
-    let crash_plan = cfg.crashes.clone();
-    let injector_switches: Vec<CrashSwitch> = switches.clone();
-    let injector = thread::spawn(move || {
-        let start = std::time::Instant::now();
-        let mut plan = crash_plan;
-        plan.sort_by_key(|&(_, d)| d);
-        for (node, delay) in plan {
-            let elapsed = start.elapsed();
-            if delay > elapsed {
-                thread::sleep(delay - elapsed);
-            }
-            if let Some(s) = injector_switches.get(node as usize) {
-                s.crash();
-            }
-        }
+        let mut engine = ServiceEngine::new(id, 0);
+        engine.admit(JobEngine::new(JobId::DEFAULT, core, Arc::clone(&problem)));
+        engine
     });
-
-    let mut nodes = Vec::new();
-    for handle in handles {
-        if let Some(outcome) = handle.join().expect("node thread panicked") {
-            nodes.push(outcome);
-        }
-    }
-    injector.join().expect("injector panicked");
-
-    let crashed: Vec<u32> = cfg.crashes.iter().map(|&(p, _)| p).collect();
-    let survivors = cfg.nodes as usize - {
-        let mut c = crashed.clone();
-        c.sort_unstable();
-        c.dedup();
-        c.len()
-    };
-    let all_terminated = nodes.iter().filter(|o| o.terminated).count()
-        >= survivors.min(nodes.len())
-        && nodes.iter().all(|o| o.terminated);
-    let best = nodes
-        .iter()
-        .filter(|o| o.terminated)
-        .map(|o| o.incumbent)
+    let (nodes, crashed) = drive(engines.collect(), &cfg.crashes, cfg.deadline);
+    let jobs = || nodes.iter().flat_map(|n| &n.jobs);
+    let best = jobs()
+        .filter(|j| j.terminated)
+        .map(|j| j.incumbent)
         .fold(f64::INFINITY, f64::min);
     ClusterOutcome {
+        all_terminated: jobs().all(|j| j.terminated),
+        best: best.is_finite().then_some(best),
         nodes,
-        best: if best.is_finite() { Some(best) } else { None },
-        all_terminated,
+        crashed,
     }
+}
+
+/// Deliveries carry their envelope; wake-ups carry their generation.
+type Queue = EventQueue<Envelope, u64>;
+
+/// An event for node `id` at `time`.
+fn event(time: SimTime, id: u32, kind: EventKind<Envelope, u64>) -> Event<Envelope, u64> {
+    let target = ProcId(id);
+    Event { time, target, kind }
+}
+
+/// One node under [`drive`].
+struct Node {
+    /// The pump; gone once the node crashed or exited.
+    engine: Option<ServiceEngine>,
+    /// Frames that reached the node and wait for its pump.
+    arrived: VecDeque<Inbound>,
+    /// Generation of the node's one live wake-up; older ones are stale.
+    wake: u64,
+    /// The last pass ended idle: the next wake-up resumes it.
+    idle: bool,
+}
+
+impl Node {
+    /// Wake the node at `at` instead of at its pending wake-up.
+    fn wake_at(&mut self, queue: &mut Queue, id: u32, at: SimTime) {
+        self.wake += 1;
+        queue.push(event(at, id, EventKind::Timer(self.wake)));
+    }
+}
+
+/// Run every engine (`engines[i]` is node `i`) on its own virtual clock
+/// until each has exited or crashed, crashing node `n` at virtual time
+/// `at` for each `(n, at)` of `crashes`; returns the outcomes of the nodes
+/// that exited and of those crashed. A wake-up runs one pass, so the
+/// events inside a node's long work unit are handled before its next.
+pub(crate) fn drive(
+    engines: Vec<ServiceEngine>,
+    crashes: &[(u32, Duration)],
+    deadline: Duration,
+) -> (Vec<ServiceOutcome>, Vec<ServiceOutcome>) {
+    let net = SimNet::new(engines.len());
+    let mut queue = Queue::new();
+    let mut nodes = Vec::with_capacity(engines.len());
+    for (id, mut engine) in (0..).zip(engines) {
+        engine.start(Clock::Virtual(SimTime::ZERO), deadline);
+        let mut node = Node {
+            engine: Some(engine),
+            arrived: VecDeque::new(),
+            wake: 0,
+            idle: false,
+        };
+        node.wake_at(&mut queue, id, SimTime::ZERO);
+        nodes.push(node);
+    }
+    for &(id, at) in crashes {
+        queue.push(event(sim_time(at), id, EventKind::Kill));
+    }
+    let (mut exited, mut crashed) = (Vec::new(), Vec::new());
+    while let Some(Event { time, target, kind }) = queue.pop() {
+        let id = target.0;
+        // A crash planned for an id outside the cluster, and every event
+        // of a node that has crashed or exited, finds nobody.
+        let Some(node) = nodes.get_mut(target.index()) else {
+            continue;
+        };
+        let Some(engine) = node.engine.as_mut() else {
+            continue;
+        };
+        match kind {
+            EventKind::Kill => {
+                net.close(id);
+                crashed.push(engine.outcome());
+                node.engine = None;
+            }
+            EventKind::Message { msg, .. } => {
+                node.arrived.push_back(Inbound::Frame(msg));
+                if node.idle {
+                    node.wake_at(&mut queue, id, time);
+                }
+            }
+            EventKind::Timer(wake) if wake == node.wake => {
+                // A busy node's clock is past the wake-up already.
+                engine.clock = Clock::Virtual(time.max(engine.clock.now()));
+                if std::mem::take(&mut node.idle) {
+                    engine.resume(&net, node.arrived.pop_front());
+                }
+                let step = engine.step(&net, || node.arrived.pop_front());
+                let now = engine.clock.now();
+                match step {
+                    Step::Busy => node.wake_at(&mut queue, id, now),
+                    Step::Idle(wait) => {
+                        node.idle = true;
+                        let waits = node.arrived.is_empty();
+                        let at = if waits { now + sim_time(wait) } else { now };
+                        node.wake_at(&mut queue, id, at);
+                    }
+                    Step::Exit => {
+                        net.close(id);
+                        let engine = node.engine.take().expect("the node was stepped");
+                        exited.push(engine.finish(&net));
+                    }
+                }
+                // A pass sends at most once, after any unit it ran, so
+                // its frames leave at the node's clock after the pass.
+                for (to, transit, msg) in net.take_outbox() {
+                    let from = ProcId(msg.from);
+                    queue.push(event(now + transit, to, EventKind::Message { from, msg }));
+                }
+            }
+            EventKind::Timer(_) | EventKind::Start => {}
+        }
+    }
+    exited.sort_by_key(|o| o.id);
+    crashed.sort_by_key(|o| o.id);
+    (exited, crashed)
 }
 
 #[cfg(test)]
@@ -151,14 +232,43 @@ mod tests {
         KnapsackInstance::generate(16, 60, Correlation::Uncorrelated, 0.5, seed)
     }
 
+    fn ids(nodes: &[ServiceOutcome]) -> Vec<u32> {
+        nodes.iter().map(|n| n.id).collect()
+    }
+
+    /// Every planned crash landed mid-run: its victim had expanded work,
+    /// and some node ran on past it.
+    fn crashes_landed_mid_run(outcome: &ClusterOutcome, cfg: &ClusterConfig) {
+        let mut planned: Vec<u32> = cfg.crashes.iter().map(|&(id, _)| id).collect();
+        planned.sort_unstable();
+        assert_eq!(
+            ids(&outcome.crashed),
+            planned,
+            "every crash stopped its node"
+        );
+        for victim in &outcome.crashed {
+            assert!(
+                victim.jobs[0].metrics.expanded > 0,
+                "node {} expanded nothing",
+                victim.id
+            );
+        }
+        let last_crash = cfg.crashes.iter().map(|&(_, at)| at).max();
+        let end = outcome.nodes.iter().map(|n| n.lifetime).max();
+        assert!(
+            end > last_crash,
+            "the run ended at {end:?}, before {last_crash:?}"
+        );
+    }
+
     #[test]
-    fn threaded_cluster_solves_knapsack() {
+    fn in_process_cluster_solves_knapsack() {
         let k = knapsack(5);
         let reference = solve(&k, &SolveConfig::default());
         let outcome = run_cluster(k, &ClusterConfig::new(4));
         assert!(outcome.all_terminated, "cluster did not terminate");
         assert_eq!(outcome.best, reference.best);
-        assert_eq!(outcome.nodes.len(), 4);
+        assert_eq!(ids(&outcome.nodes), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -171,11 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_cluster_is_problem_agnostic() {
+    fn in_process_cluster_is_problem_agnostic() {
         // The same harness runs every AnyInstance variant — knapsack,
         // MAX-SAT (dynamic branching order), and a recorded tree — and
         // each matches its own sequential optimum.
-        use ftbb_bnb::AnyInstance;
         let k = knapsack(3);
         let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
         let variants: Vec<AnyInstance> = vec![
@@ -204,24 +313,44 @@ mod tests {
         let outcome = run_cluster(m, &cfg);
         assert!(outcome.all_terminated, "survivors did not terminate");
         assert_eq!(outcome.best, reference.best);
+        assert_eq!(ids(&outcome.nodes), [0, 2]);
+        crashes_landed_mid_run(&outcome, &cfg);
     }
 
     #[test]
     fn crash_two_of_four_still_solves() {
-        // Larger instance so the crashes land mid-computation.
         let k = KnapsackInstance::generate(22, 80, Correlation::Weak, 0.5, 11);
         let reference = solve(&k, &SolveConfig::default());
         let mut cfg = ClusterConfig::new(4);
         cfg.crashes = vec![
             (1, Duration::from_millis(5)),
-            (2, Duration::from_millis(10)),
+            (3, Duration::from_millis(10)),
         ];
         let outcome = run_cluster(k, &cfg);
         assert!(outcome.all_terminated, "survivors did not terminate");
         assert_eq!(outcome.best, reference.best);
-        // Crash timing races with completion: between the two survivors and
-        // all four nodes may report, but every reporter saw termination.
-        assert!((2..=4).contains(&outcome.nodes.len()));
-        assert!(outcome.nodes.iter().all(|n| n.terminated));
+        assert_eq!(ids(&outcome.nodes), [0, 2]);
+        crashes_landed_mid_run(&outcome, &cfg);
+    }
+
+    #[test]
+    fn one_seed_one_outcome() {
+        // The driver reads no wall clock and starts no thread: a seed and
+        // a crash plan fix the whole run, every node's counters, phase
+        // clock and lifetime included. Only a unit's cost and an idle
+        // wait move a virtual clock, and each is charged as it passes,
+        // so every node's phase clock adds up to its lifetime to the
+        // nanosecond.
+        let mut cfg = ClusterConfig::new(4);
+        cfg.seed = 17;
+        cfg.crashes = vec![(2, Duration::from_millis(6))];
+        let k = KnapsackInstance::generate(20, 80, Correlation::Weak, 0.5, 4);
+        let first = run_cluster(k.clone(), &cfg);
+        assert_eq!(first, run_cluster(k, &cfg));
+        crashes_landed_mid_run(&first, &cfg);
+        for node in first.nodes.iter().chain(&first.crashed) {
+            let total = SimTime::from_secs_f64(node.phase.total());
+            assert_eq!(total, sim_time(node.lifetime), "node {}", node.id);
+        }
     }
 }

@@ -29,6 +29,7 @@
 //! work. The solved optimum is identical either way; only wall time
 //! moves.
 
+use crate::clock::Clock;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ftbb_core::{AnyExpander, Expander, Expansion, PEvent, WorkUnit};
 use ftbb_tree::Code;
@@ -37,17 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Expansions between two clock reads of a unit's deadline.
-const DEADLINE_POLL: u64 = 64;
-
-/// A work unit's `keep_going` (see [`Expander::explore`]): true until
-/// `budget` of wall time has passed since this call, with the clock read
-/// once every 64 expansions.
-pub(crate) fn unit_deadline(budget: Duration) -> impl FnMut(u64, f64) -> bool {
-    let deadline = Instant::now() + budget;
-    move |expanded, _| expanded % DEADLINE_POLL != 0 || Instant::now() < deadline
-}
 
 /// What the pool's threads share about its jobs.
 #[derive(Default)]
@@ -274,10 +264,9 @@ fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<Tas
             }
         };
         let work = match task.unit {
-            Some((incumbent, budget)) => {
-                let mut keep_going = unit_deadline(budget);
-                Work::Unit(expander.explore(&task.code, incumbent, &mut keep_going))
-            }
+            Some((incumbent, budget)) => Work::Unit(
+                Clock::Wall(Instant::now()).explore(expander, &task.code, incumbent, budget),
+            ),
             None => Work::Expansion(expander.expand(&task.code)),
         };
         if done_tx
@@ -296,6 +285,7 @@ fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<Tas
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::DEADLINE_POLL;
     use ftbb_bnb::{AnyInstance, BasicTreeProblem};
     use ftbb_tree::basic_tree::fig1_example;
     use ftbb_tree::BasicTree;

@@ -10,16 +10,23 @@
 //!   expander with the pool as a plain clone.
 //! * [`ServiceEngine`] — owns the event pump. It multiplexes any number
 //!   of concurrent [`JobEngine`]s over **one** inbox, one phase clock,
-//!   and one transport: each loop iteration executes one pending action
-//!   from the next job in round-robin order, folds inbound envelopes to
-//!   the engine their [`JobId`] stamp names, fires every job's due
-//!   timers, and runs the checkpoint/metrics cadences per job.
+//!   and one transport: each pass executes one pending action from the
+//!   next job in round-robin order, folds inbound envelopes to the engine
+//!   their [`JobId`] stamp names, fires every job's due timers, and runs
+//!   the checkpoint/metrics cadences per job.
 //!
-//! A single run is the one-job case: the daemon (and [`crate::run_node`])
-//! admits exactly one job ([`JobId::DEFAULT`]) before the pump starts, so
-//! the 1-job pump *is* the N-job pump, and everything the single-run
-//! regressions pin (phase reconciliation, restored-terminated fast exit,
-//! snapshot cadence) holds for the service by construction.
+//! A pass never blocks and reads time only through the pump's clock, so
+//! one pump has two drivers: [`ServiceEngine::run`] loops over
+//! the passes on the wall clock and blocks on the inbox when a pass finds
+//! nothing to do (a deployed node), and [`crate::run_cluster`] steps every
+//! node of a cluster on virtual clocks from one event queue.
+//!
+//! A single run is the one-job case: the daemon (and
+//! [`crate::run_cluster`]) admits exactly one job ([`JobId::DEFAULT`])
+//! before the pump starts, so the 1-job pump *is* the N-job pump, and
+//! everything the single-run regressions pin (phase reconciliation,
+//! restored-terminated fast exit, snapshot cadence) holds for the service
+//! by construction.
 //!
 //! In daemon mode ([`ServiceEngine::daemon`]) the pump outlives its
 //! jobs. New [`JobEngine`]s arrive while the pump runs on the same inbox
@@ -33,15 +40,15 @@
 //! admitted are stashed (bounded) and replayed on admission, so
 //! job-announce races with protocol traffic lose nothing.
 
-use crate::node::{CrashSwitch, MetricsReporter, MetricsSnapshot};
-use crate::pool::{unit_deadline, Work, WorkerPool};
+use crate::clock::{sim_time, Clock};
+use crate::pool::{Work, WorkerPool};
 use crate::telemetry::Telemetry;
-use crate::transport::{Envelope, Inbound, Transport};
+use crate::transport::{Envelope, Inbound, Transport, TransportStats};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
-    Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, MembershipEvent,
-    NullSink, PEvent, PTimer, PhaseTimes, ProcMetrics, Protocol, ProtocolConfig, TimeCategory,
+    Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, JobId, MembershipEvent, PEvent,
+    PTimer, PhaseTimes, ProcMetrics, Protocol, ProtocolConfig, TimeCategory,
 };
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
@@ -62,54 +69,9 @@ pub const JOB_STASH_CAP: usize = 256;
 /// bound are dropped like those past [`JOB_STASH_CAP`].
 pub const STASHED_JOBS_CAP: usize = 64;
 
-/// Charge the wall time since `*mark` to `cat` and advance the mark.
-pub(crate) fn charge(phase: &mut PhaseTimes, mark: &mut Instant, cat: TimeCategory) {
-    let now = Instant::now();
-    phase.add(cat, now.duration_since(*mark).as_secs_f64());
-    *mark = now;
-}
-
-/// A pending timer in a job's heap: ordered by `(at, seq)` — and *equal*
-/// by that key too, so `Ord`, `PartialOrd`, `PartialEq`, and `Eq` agree.
-/// Equal deadlines fire in arming order (`seq` is unique per entry), the
-/// order the simulator's event queue uses, so the two harnesses cannot
-/// drift apart on simultaneous deadlines.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TimerEntry {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) timer: PTimer,
-}
-
-impl TimerEntry {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for TimerEntry {}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 /// What one job reports when it completes (or when the service exits
 /// with the job still unfinished — `terminated: false`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// The job.
     pub job: JobId,
@@ -126,7 +88,7 @@ pub struct JobOutcome {
 }
 
 /// What a service engine reports when its pump exits.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceOutcome {
     /// Node id.
     pub id: u32,
@@ -144,11 +106,60 @@ pub struct ServiceOutcome {
     pub finished: u64,
     /// Frames that arrived for a halted or retired job, dropped.
     pub late_frames: u64,
-    /// Figure-3 wall-time breakdown of this life (service-wide: the pump
-    /// is shared, so the phase clock is too).
+    /// Figure-3 time breakdown of this life (service-wide: the pump is
+    /// shared, so the phase clock is too).
     pub phase: PhaseTimes,
-    /// Wall-clock lifetime.
+    /// Lifetime on the pump's clock.
     pub lifetime: Duration,
+}
+
+/// A periodic point-in-time view of a running engine, handed to the
+/// metrics reporter installed via
+/// [`ServiceEngine::set_metrics_reporter`]. `ftbb-wire`'s noded formats
+/// these as `FTBB-METRICS` stdout lines.
+#[derive(Debug, Clone)]
+pub struct MetricsSnapshot {
+    /// Node id.
+    pub id: u32,
+    /// Incarnation of the reporting engine.
+    pub incarnation: u32,
+    /// Which job this snapshot describes (0 — [`JobId::DEFAULT`] — for
+    /// a single run). The engine emits one snapshot per live job each
+    /// cadence tick, and a job's final one once: when a daemon retires
+    /// it, or at exit. A daemon that holds no job at exit emits one
+    /// snapshot of its own under job 0, which a service node never
+    /// admits: zero protocol counters, the node's phase clock and
+    /// transport totals.
+    pub job: u64,
+    /// Snapshot sequence number for this job within this life (0, 1, ...).
+    pub seq: u64,
+    /// Seconds on the pump's clock since this engine started running.
+    pub elapsed_s: f64,
+    /// Figure-3 time breakdown so far; `phase.total()` reconciles with
+    /// `elapsed_s` (everything the engine does is charged somewhere).
+    pub phase: PhaseTimes,
+    /// Protocol counters so far.
+    pub metrics: ProcMetrics,
+    /// Transport counters so far (shared across the process).
+    pub transport: TransportStats,
+    /// Trace events shed so far by the telemetry sink's bounded queue.
+    pub trace_events_dropped: u64,
+    /// Expansion worker threads driving this engine (1 = work units
+    /// inline in the event pump, no pool).
+    pub workers: usize,
+}
+
+/// Consumer installed via [`ServiceEngine::set_metrics_reporter`];
+/// receives [`MetricsSnapshot`]s on every cadence tick, at each
+/// retirement and at clean exit.
+pub type MetricsReporter = Box<dyn FnMut(&MetricsSnapshot) + Send>;
+
+/// What a pump pass leaves its driver to do: step again at once, wait
+/// (see [`ServiceEngine::step`]), or [`ServiceEngine::finish`].
+pub(crate) enum Step {
+    Busy,
+    Idle(Duration),
+    Exit,
 }
 
 /// Hook fired when a job completes (see [`ServiceHooks::on_complete`]).
@@ -177,7 +188,11 @@ pub struct JobEngine {
     /// The materialized workload, embedded in emitted checkpoints so a
     /// restore needs no problem spec and no announce frame.
     problem: Arc<AnyInstance>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
+    /// Armed timers as `(deadline, arming sequence, timer)`, earliest
+    /// first: equal deadlines fire in arming order, the order of the
+    /// simulator's event queue, so the harnesses cannot drift apart on
+    /// simultaneous deadlines.
+    timers: BinaryHeap<Reverse<(SimTime, u64, PTimer)>>,
     timer_seq: u64,
     pending: VecDeque<Action>,
     /// The buffer [`Protocol::step`] writes into, drained into `pending`.
@@ -247,21 +262,6 @@ impl JobEngine {
         self.job
     }
 
-    /// Has the job halted (terminated, with its final actions flushed)?
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Did the protocol detect termination for this job?
-    pub fn terminated(&self) -> bool {
-        self.core.is_terminated()
-    }
-
-    /// The job's current incumbent on this node.
-    pub fn incumbent(&self) -> f64 {
-        self.core.incumbent()
-    }
-
     /// Snapshot the job's durable state, scoped to its job id and tagged
     /// with the service's incarnation and the problem binding.
     pub fn checkpoint(&self, incarnation: u32) -> Checkpoint {
@@ -291,15 +291,17 @@ impl JobEngine {
     /// Arm `timer` to fire `delay_s` after `t`.
     fn arm(&mut self, t: SimTime, delay_s: f64, timer: PTimer) {
         let at = t + SimTime::from_secs_f64(delay_s);
-        let seq = self.timer_seq;
-        self.timers.push(Reverse(TimerEntry { at, seq, timer }));
+        self.timers.push(Reverse((at, self.timer_seq, timer)));
         self.timer_seq += 1;
     }
 
     /// Take the first timer due by `t`, if any.
     fn pop_due(&mut self, t: SimTime) -> Option<PTimer> {
-        let due = self.timers.peek()?.0.at <= t;
-        due.then(|| self.timers.pop().expect("peeked").0.timer)
+        let Reverse((at, _, timer)) = *self.timers.peek()?;
+        (at <= t).then(|| {
+            self.timers.pop();
+            timer
+        })
     }
 
     fn deliver(&mut self, env: Envelope, t: SimTime) {
@@ -319,10 +321,10 @@ impl JobEngine {
     }
 }
 
-/// The multi-job pump: owns the inbox, the phase clock, and a set of
-/// [`JobEngine`]s it schedules round-robin — one pending action per loop
-/// iteration, so jobs interleave with each other exactly as computation
-/// interleaves with communication inside one job.
+/// The multi-job pump: owns the phase clock and a set of [`JobEngine`]s
+/// it schedules round-robin — one pending action per pass, so jobs
+/// interleave with each other exactly as computation interleaves with
+/// communication inside one job.
 pub struct ServiceEngine {
     id: u32,
     incarnation: u32,
@@ -330,8 +332,8 @@ pub struct ServiceEngine {
     jobs: Vec<JobEngine>,
     cursor: usize,
     telemetry: Telemetry,
-    metrics_every: Option<Duration>,
-    metrics_out: Option<MetricsReporter>,
+    /// The metrics cadence and where snapshots go.
+    metrics: Option<(Duration, MetricsReporter)>,
     hooks: ServiceHooks,
     daemon: bool,
     stash: HashMap<JobId, VecDeque<Envelope>>,
@@ -341,10 +343,21 @@ pub struct ServiceEngine {
     admitted: u64,
     finished: u64,
     late_frames: u64,
-    /// Configured expansion parallelism (1 = inline, no pool).
-    workers: usize,
-    /// The expansion worker pool, present only when `workers > 1`.
+    /// The expansion worker pool, present only with more than one worker.
     pool: Option<WorkerPool>,
+    /// Where the pump reads time; set by [`ServiceEngine::start`].
+    pub(crate) clock: Clock,
+    deadline: SimTime,
+    /// The checkpoint cadence and where snapshots go.
+    checkpoints: Option<(Duration, Box<dyn CheckpointSink>)>,
+    /// The Figure-3 phase clock: every slice of time between two marks is
+    /// charged to exactly one category, so the per-category sums
+    /// reconcile with elapsed time. One clock for the whole service — the
+    /// pump is shared, so its time is.
+    phase: PhaseTimes,
+    mark: SimTime,
+    last_checkpoint: SimTime,
+    last_metrics: SimTime,
 }
 
 impl ServiceEngine {
@@ -357,8 +370,7 @@ impl ServiceEngine {
             jobs: Vec::new(),
             cursor: 0,
             telemetry: Telemetry::disabled(),
-            metrics_every: None,
-            metrics_out: None,
+            metrics: None,
             hooks: ServiceHooks::default(),
             daemon: false,
             stash: HashMap::new(),
@@ -366,8 +378,14 @@ impl ServiceEngine {
             admitted: 0,
             finished: 0,
             late_frames: 0,
-            workers: 1,
             pool: None,
+            clock: Clock::Virtual(SimTime::ZERO),
+            deadline: SimTime::MAX,
+            checkpoints: None,
+            phase: PhaseTimes::default(),
+            mark: SimTime::ZERO,
+            last_checkpoint: SimTime::ZERO,
+            last_metrics: SimTime::ZERO,
         }
     }
 
@@ -377,13 +395,19 @@ impl ServiceEngine {
         self.telemetry = telemetry;
     }
 
-    /// Install a periodic metrics reporter: every `every` of wall time,
-    /// `out` receives one job-scoped [`MetricsSnapshot`] per live job,
-    /// and each job's final snapshot once — at its retirement, or at
+    /// Install a periodic metrics reporter: every `every` on the pump's
+    /// clock, `out` receives one job-scoped [`MetricsSnapshot`] per live
+    /// job, and each job's final snapshot once — at its retirement, or at
     /// exit (see [`MetricsSnapshot::job`]).
     pub fn set_metrics_reporter(&mut self, every: Duration, out: MetricsReporter) {
-        self.metrics_every = Some(every);
-        self.metrics_out = Some(out);
+        self.metrics = Some((every, out));
+    }
+
+    /// Install a checkpoint sink: it receives each job's snapshot at the
+    /// job's admission, every `every` on the pump's clock, and at the
+    /// job's completion (or at exit, for a job still unfinished).
+    pub fn set_checkpoint_sink(&mut self, every: Duration, sink: Box<dyn CheckpointSink>) {
+        self.checkpoints = Some((every, sink));
     }
 
     /// Install lifecycle callbacks.
@@ -404,10 +428,9 @@ impl ServiceEngine {
     /// path. The protocol state machine stays on the pump thread either
     /// way, and each job still has at most one unit outstanding, so the
     /// solved optimum is identical at every worker count; only wall time
-    /// moves.
+    /// moves. Only the wall-clock driver runs a pool.
     pub fn set_workers(&mut self, n: usize) {
         assert!(n >= 1, "a node needs at least one expansion worker");
-        self.workers = n;
         self.pool = (n > 1).then(|| WorkerPool::new(n));
     }
 
@@ -419,44 +442,51 @@ impl ServiceEngine {
         self.admitted += 1;
     }
 
-    /// Drive the pump with no persistence.
+    /// Drive the pump on the wall clock until every job halts (or, in
+    /// daemon mode, until the deadline). When a pass finds nothing to do,
+    /// the pump blocks until the next timer deadline: on its worker pool
+    /// while units are out, otherwise on the inbox.
     pub fn run(
-        self,
-        transport: &dyn Transport,
-        inbox: Receiver<Inbound>,
-        crash: CrashSwitch,
-        hard_deadline: Duration,
-    ) -> Option<ServiceOutcome> {
-        self.run_with_sink(transport, inbox, crash, hard_deadline, &mut NullSink, None)
-    }
-
-    /// Drive the pump until every job halts (or, in daemon mode, until
-    /// the deadline), emitting per-job snapshots through `sink` at each
-    /// job's admission, every `checkpoint_every`, and at each job's
-    /// completion. Returns `None` if the node was crashed — crashed
-    /// nodes report nothing.
-    pub fn run_with_sink(
         mut self,
         transport: &dyn Transport,
         inbox: Receiver<Inbound>,
-        crash: CrashSwitch,
         hard_deadline: Duration,
-        sink: &mut dyn CheckpointSink,
-        checkpoint_every: Option<Duration>,
-    ) -> Option<ServiceOutcome> {
-        let id = self.id;
-        let epoch = Instant::now();
-        let now = |epoch: Instant| SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
-        // Snapshots are taken only on a checkpoint cadence.
-        let mut sink = checkpoint_every.map(|_| sink);
+    ) -> ServiceOutcome {
+        self.start(Clock::Wall(Instant::now()), hard_deadline);
+        loop {
+            let wait = match self.step(transport, || inbox.try_recv().ok()) {
+                Step::Busy => continue,
+                Step::Exit => break,
+                Step::Idle(wait) => wait,
+            };
+            if let Some(pool) = self.pool.as_mut().filter(|p| p.in_flight() > 0) {
+                // Block on the workers' results, not on the inbox: a result
+                // does not wake an inbox wait (a message waits at most
+                // 1 ms). The wait *is* expansion time, so it is charged to
+                // Expand, keeping the Figure-3 reconciliation honest.
+                let done = pool.harvest_timeout(wait.min(Duration::from_millis(1)));
+                self.deliver_work(done);
+                self.charge(TimeCategory::Expand);
+                self.settle(transport);
+                continue;
+            }
+            // A frame and an admission both arrive here, so either ends
+            // the wait at once.
+            let waited = match inbox.recv_timeout(wait) {
+                Ok(inbound) => Some(inbound),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            self.resume(transport, waited);
+        }
+        self.finish(transport)
+    }
 
-        // The Figure-3 phase clock: every slice of wall time between two
-        // marks is charged to exactly one category, so the per-category
-        // sums reconcile with elapsed wall time. One clock for the whole
-        // service — the pump is shared, so its time is.
-        let mut phase = PhaseTimes::default();
-        let mut mark = epoch;
-
+    /// Start the pump on `clock`: start every admitted job and take their
+    /// first snapshots. The pump exits once `deadline` has passed.
+    pub(crate) fn start(&mut self, clock: Clock, deadline: Duration) {
+        self.clock = clock;
+        self.deadline = sim_time(deadline);
         let finished_already =
             !self.jobs.is_empty() && self.jobs.iter().all(|j| j.core.is_terminated());
         self.telemetry.emit(
@@ -466,263 +496,241 @@ impl ServiceEngine {
                 ("jobs", self.jobs.len().to_string()),
             ],
         );
-        let t0 = now(epoch);
         for idx in 0..self.jobs.len() {
-            self.start_job(idx, t0);
+            self.start_job(idx);
         }
-        charge(&mut phase, &mut mark, TimeCategory::Expand);
+        self.charge(TimeCategory::Expand);
         // An immediate snapshot bounds the restart hole: even a node
         // killed moments after (re)starting leaves restorable files.
-        let mut last_checkpoint = Instant::now();
-        if let Some(sink) = sink.as_deref_mut() {
-            for idx in 0..self.jobs.len() {
-                self.store_snapshot(idx, sink);
-            }
-            charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
+        self.last_checkpoint = self.clock.now();
+        self.snapshot(None);
+        self.last_metrics = self.clock.now();
+    }
+
+    /// One pass of the pump, without blocking: past the deadline, exit;
+    /// fold in finished pool work; execute one pending action, fold in
+    /// whatever `inbox` holds, and settle. With no action pending the pass
+    /// ends idle: the driver waits until the next timer deadline (20 ms at
+    /// most) or an inbox item, then calls [`ServiceEngine::resume`].
+    pub(crate) fn step(
+        &mut self,
+        transport: &dyn Transport,
+        mut inbox: impl FnMut() -> Option<Inbound>,
+    ) -> Step {
+        if self.clock.now() > self.deadline {
+            // The service's clean shutdown (daemon mode) or the tests'
+            // safety valve; unfinished jobs report `terminated: false`.
+            return Step::Exit;
         }
-        let mut last_metrics = Instant::now();
-
-        loop {
-            if crash.is_crashed() {
-                return None;
+        if let Some(pool) = self.pool.as_mut() {
+            let done: Vec<_> = std::iter::from_fn(|| pool.try_harvest()).collect();
+            if !done.is_empty() {
+                self.deliver_work(done);
+                self.charge(TimeCategory::Expand);
             }
-            if epoch.elapsed() > hard_deadline {
-                // Deadline: the service's clean shutdown (daemon mode) or
-                // the tests' safety valve; unfinished jobs report
-                // `terminated: false`.
-                break;
+        }
+        let Some(idx) = self.next_actionable() else {
+            if self.jobs.iter().all(|j| j.halted && j.pending.is_empty()) && !self.daemon {
+                return Step::Exit;
             }
-
-            // Harvest completed pool work (non-blocking).
-            if let Some(pool) = self.pool.as_mut() {
-                let done: Vec<_> = std::iter::from_fn(|| pool.try_harvest()).collect();
-                if !done.is_empty() {
-                    self.deliver_work(done, now(epoch));
-                    charge(&mut phase, &mut mark, TimeCategory::Expand);
+            if self.pool.as_ref().is_some_and(|p| p.in_flight() > 0) {
+                // The driver blocks on the workers next: fold in what has
+                // arrived first.
+                while let Some(inbound) = inbox() {
+                    self.route(inbound);
                 }
             }
-
-            if let Some(idx) = self.next_actionable() {
-                let action = self.jobs[idx].pending.pop_front().expect("peeked");
-                let job = self.jobs[idx].job;
-                match action {
-                    Action::Send { to, msg } => {
-                        transport.send(job, id, to, msg);
-                        charge(&mut phase, &mut mark, TimeCategory::Communicate);
-                    }
-                    Action::StartWork { code, seq } => {
-                        // One work unit: the depth-first search below the
-                        // code from the job's incumbent, for at most the
-                        // report gap of wall time — so the inbox, the timer
-                        // wheels and the *other jobs* wait at most that long
-                        // for this job's tree walk.
-                        let engine = &mut self.jobs[idx];
-                        let incumbent = engine.core.incumbent();
-                        let budget = Duration::from_secs_f64(engine.core.config().report_gap_s());
-                        if let Some(pool) = self.pool.as_mut() {
-                            // Pool path: hand the unit to a worker thread
-                            // and keep pumping — the result comes back
-                            // through the harvest at the top of the loop,
-                            // as a `UnitDone` indistinguishable from the
-                            // inline one. The protocol's `work_seq` guard
-                            // handles results that raced an interrupt.
-                            pool.submit_unit(job.raw(), seq, code, incumbent, budget);
-                            engine.in_pool += 1;
-                        } else {
-                            let mut keep_going = unit_deadline(budget);
-                            let unit = engine.expander.explore(&code, incumbent, &mut keep_going);
-                            engine.step(PEvent::UnitDone { seq, unit }, now(epoch));
-                        }
-                        charge(&mut phase, &mut mark, TimeCategory::Expand);
-                    }
-                    Action::SetTimer { delay_s, timer } => {
-                        self.jobs[idx].arm(now(epoch), delay_s, timer);
-                        charge(&mut phase, &mut mark, timer.category());
-                    }
-                    Action::Halt => {
-                        let engine = &mut self.jobs[idx];
-                        engine.halted = true;
-                        engine.telemetry.emit(
-                            "halt",
-                            &[("incumbent", format!("{:?}", engine.core.incumbent()))],
-                        );
-                        charge(&mut phase, &mut mark, TimeCategory::Communicate);
-                    }
-                }
-                if self.jobs.iter().any(|j| !j.halted) {
-                    // Between actions, fold in whatever has arrived —
-                    // without blocking; local work keeps priority over
-                    // idling.
-                    while let Ok(inbound) = inbox.try_recv() {
-                        let t = now(epoch);
-                        self.route(inbound, t, &mut phase, &mut mark, sink.as_deref_mut());
-                    }
-                }
-            } else if self.all_jobs_done() && !self.daemon {
-                break;
-            } else if self.pool.as_ref().is_some_and(|p| p.in_flight() > 0) {
-                // Workers are computing: fold in what has arrived, then
-                // block on their results, not on the inbox — a result does
-                // not wake an inbox wait, so each pool unit would cost the
-                // whole wait. A message waits at most the 1 ms cap. The
-                // wait *is* expansion time, so it is charged to Expand,
-                // keeping the Figure-3 reconciliation honest.
-                while let Ok(inbound) = inbox.try_recv() {
-                    let t = now(epoch);
-                    self.route(inbound, t, &mut phase, &mut mark, sink.as_deref_mut());
-                }
-                let wait = self
-                    .next_timer_wait(now(epoch))
-                    .min(Duration::from_millis(1));
-                let pool = self.pool.as_mut().expect("checked above");
-                let done = pool.harvest_timeout(wait);
-                self.deliver_work(done, now(epoch));
-                charge(&mut phase, &mut mark, TimeCategory::Expand);
-            } else {
-                // Idle: block on the inbox until the next timer deadline
-                // across all live jobs. A frame and an admission both
-                // arrive here, so either ends the wait at once.
-                let wait = self.next_timer_wait(now(epoch));
-                match inbox.recv_timeout(wait.min(Duration::from_millis(20))) {
-                    Ok(inbound) => {
-                        // Split the blocking receive: the wait itself was
-                        // idle time; handling the item is charged to its
-                        // own category.
-                        charge(&mut phase, &mut mark, TimeCategory::Idle);
-                        let t = now(epoch);
-                        self.route(inbound, t, &mut phase, &mut mark, sink.as_deref_mut());
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        charge(&mut phase, &mut mark, TimeCategory::Idle);
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+            return Step::Idle(self.next_timer_wait().min(Duration::from_millis(20)));
+        };
+        let action = self.jobs[idx].pending.pop_front().expect("peeked");
+        let job = self.jobs[idx].job;
+        match action {
+            Action::Send { to, msg } => {
+                transport.send(job, self.id, to, msg);
+                self.charge(TimeCategory::Communicate);
             }
-
-            // Fire due timers across every live job. After a job's halt
-            // only its remaining actions are flushed (final sends); no
-            // new events are admitted for it.
-            for idx in 0..self.jobs.len() {
-                if self.jobs[idx].halted {
-                    continue;
-                }
-                loop {
-                    let t = now(epoch);
-                    let Some(timer) = self.jobs[idx].pop_due(t) else {
-                        break;
-                    };
-                    self.jobs[idx].step(PEvent::Timer(timer), t);
-                    charge(&mut phase, &mut mark, timer.category());
-                }
-            }
-
-            // Surface membership transitions and recoveries as typed,
-            // job-stamped trace events.
-            for engine in &mut self.jobs {
-                for event in engine.core.take_membership_events() {
-                    match event {
-                        MembershipEvent::Suspected(peer) => engine
-                            .telemetry
-                            .emit("suspect", &[("peer", peer.to_string())]),
-                        MembershipEvent::Forgotten(peer) => engine
-                            .telemetry
-                            .emit("forget", &[("peer", peer.to_string())]),
-                    }
-                }
-                let metrics = engine.core.metrics();
-                let recoveries = metrics.recoveries;
-                if recoveries > engine.last_recoveries {
-                    let silent = metrics.silent_rounds.to_string();
-                    engine.telemetry.emit(
-                        "recovery",
-                        &[("total", recoveries.to_string()), ("silent_rounds", silent)],
-                    );
-                    engine.last_recoveries = recoveries;
-                }
-            }
-            charge(&mut phase, &mut mark, TimeCategory::Membership);
-
-            // Stream incumbent improvements and report completions.
-            for idx in 0..self.jobs.len() {
-                let incumbent = self.jobs[idx].core.incumbent();
-                if incumbent.is_finite() && incumbent < self.jobs[idx].last_incumbent {
-                    self.jobs[idx].last_incumbent = incumbent;
-                    let job = self.jobs[idx].job;
-                    if let Some(f) = self.hooks.on_incumbent.as_mut() {
-                        f(job, incumbent);
-                    }
-                }
-            }
-            let mut idx = 0;
-            while idx < self.jobs.len() {
-                let engine = &self.jobs[idx];
-                if !engine.halted || !engine.pending.is_empty() {
-                    idx += 1;
-                    continue;
-                }
-                if !engine.reported {
-                    // The job's *final* snapshot precedes its result: a
-                    // submitter that saw the result can rely on every
-                    // pool node's disk agreeing the job is finished.
-                    if let Some(sink) = sink.as_deref_mut() {
-                        self.store_snapshot(idx, sink);
-                        charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
-                    }
-                    self.report_job_done(idx);
-                    charge(&mut phase, &mut mark, TimeCategory::Communicate);
-                }
-                if self.daemon && self.jobs[idx].in_pool == 0 {
-                    self.retire(idx, transport, epoch, &phase);
-                    charge(&mut phase, &mut mark, TimeCategory::Communicate);
+            Action::StartWork { code, seq } => {
+                // One work unit: the depth-first search below the code
+                // from the job's incumbent, for at most the report gap —
+                // so the inbox, the timer wheels and the *other jobs*
+                // wait at most that long for this job's tree walk.
+                let engine = &mut self.jobs[idx];
+                let incumbent = engine.core.incumbent();
+                let budget = Duration::from_secs_f64(engine.core.config().report_gap_s());
+                if let Some(pool) = self.pool.as_mut() {
+                    // Pool path: hand the unit to a worker thread and keep
+                    // pumping — the result comes back through a harvest,
+                    // as a `UnitDone` indistinguishable from the inline
+                    // one. The protocol's `work_seq` guard handles results
+                    // that raced an interrupt.
+                    pool.submit_unit(job.raw(), seq, code, incumbent, budget);
+                    engine.in_pool += 1;
                 } else {
-                    idx += 1;
+                    let expander = &mut engine.expander;
+                    let unit = self.clock.explore(expander, &code, incumbent, budget);
+                    engine.step(PEvent::UnitDone { seq, unit }, self.clock.now());
                 }
+                self.charge(TimeCategory::Expand);
             }
-
-            if let (Some(every), Some(sink)) = (checkpoint_every, sink.as_deref_mut()) {
-                if last_checkpoint.elapsed() >= every {
-                    for idx in 0..self.jobs.len() {
-                        if !self.jobs[idx].reported {
-                            self.store_snapshot(idx, sink);
-                        }
-                    }
-                    last_checkpoint = Instant::now();
-                    charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
-                }
+            Action::SetTimer { delay_s, timer } => {
+                let now = self.clock.now();
+                self.jobs[idx].arm(now, delay_s, timer);
+                self.charge(timer.category());
             }
+            Action::Halt => {
+                let engine = &mut self.jobs[idx];
+                engine.halted = true;
+                engine.telemetry.emit(
+                    "halt",
+                    &[("incumbent", format!("{:?}", engine.core.incumbent()))],
+                );
+                self.charge(TimeCategory::Communicate);
+            }
+        }
+        if self.jobs.iter().any(|j| !j.halted) {
+            // Between actions, fold in whatever has arrived — without
+            // blocking; local work keeps priority over idling.
+            while let Some(inbound) = inbox() {
+                self.route(inbound);
+            }
+        }
+        self.settle(transport);
+        Step::Busy
+    }
 
-            if let Some(every) = self.metrics_every {
-                if last_metrics.elapsed() >= every {
-                    for idx in 0..self.jobs.len() {
-                        if !self.jobs[idx].reported {
-                            self.report_metrics(Some(idx), transport, epoch, &phase);
-                        }
-                    }
-                    last_metrics = Instant::now();
-                    charge(&mut phase, &mut mark, TimeCategory::Communicate);
-                }
+    /// End an idle pass: charge the wait as idle, take what it brought.
+    pub(crate) fn resume(&mut self, transport: &dyn Transport, waited: Option<Inbound>) {
+        self.charge(TimeCategory::Idle);
+        if let Some(inbound) = waited {
+            self.route(inbound);
+        }
+        self.settle(transport);
+    }
+
+    /// Charge the time since the last mark to `cat` and move the mark.
+    fn charge(&mut self, cat: TimeCategory) {
+        let now = self.clock.now();
+        self.phase
+            .add(cat, now.saturating_sub(self.mark).as_secs_f64());
+        self.mark = now;
+    }
+
+    /// The rest of a pass: fire every live job's due timers, surface
+    /// membership transitions and recoveries, stream incumbent
+    /// improvements, report (and in daemon mode retire) completed jobs,
+    /// and run the checkpoint and metrics cadences.
+    fn settle(&mut self, transport: &dyn Transport) {
+        // After a job's halt only its remaining actions are flushed
+        // (final sends); no new events are admitted for it.
+        for idx in 0..self.jobs.len() {
+            if self.jobs[idx].halted {
+                continue;
+            }
+            loop {
+                let t = self.clock.now();
+                let Some(timer) = self.jobs[idx].pop_due(t) else {
+                    break;
+                };
+                self.jobs[idx].step(PEvent::Timer(timer), t);
+                self.charge(timer.category());
             }
         }
 
+        // Surface membership transitions and recoveries as typed,
+        // job-stamped trace events.
+        for engine in &mut self.jobs {
+            for event in engine.core.take_membership_events() {
+                match event {
+                    MembershipEvent::Suspected(peer) => engine
+                        .telemetry
+                        .emit("suspect", &[("peer", peer.to_string())]),
+                    MembershipEvent::Forgotten(peer) => engine
+                        .telemetry
+                        .emit("forget", &[("peer", peer.to_string())]),
+                }
+            }
+            let metrics = engine.core.metrics();
+            let recoveries = metrics.recoveries;
+            if recoveries > engine.last_recoveries {
+                let silent = metrics.silent_rounds.to_string();
+                engine.telemetry.emit(
+                    "recovery",
+                    &[("total", recoveries.to_string()), ("silent_rounds", silent)],
+                );
+                engine.last_recoveries = recoveries;
+            }
+        }
+        self.charge(TimeCategory::Membership);
+
+        // Stream incumbent improvements and report completions.
+        for idx in 0..self.jobs.len() {
+            let incumbent = self.jobs[idx].core.incumbent();
+            if incumbent.is_finite() && incumbent < self.jobs[idx].last_incumbent {
+                self.jobs[idx].last_incumbent = incumbent;
+                let job = self.jobs[idx].job;
+                if let Some(f) = self.hooks.on_incumbent.as_mut() {
+                    f(job, incumbent);
+                }
+            }
+        }
+        let mut idx = 0;
+        while idx < self.jobs.len() {
+            let engine = &self.jobs[idx];
+            if !engine.halted || !engine.pending.is_empty() {
+                idx += 1;
+                continue;
+            }
+            if !engine.reported {
+                // The job's *final* snapshot precedes its result: a
+                // submitter that saw the result can rely on every pool
+                // node's disk agreeing the job is finished.
+                self.snapshot(Some(idx));
+                self.report_job_done(idx);
+                self.charge(TimeCategory::Communicate);
+            }
+            if self.daemon && self.jobs[idx].in_pool == 0 {
+                self.retire(idx, transport);
+                self.charge(TimeCategory::Communicate);
+            } else {
+                idx += 1;
+            }
+        }
+
+        if let Some(&(every, _)) = self.checkpoints.as_ref() {
+            if self.clock.now().saturating_sub(self.last_checkpoint) >= sim_time(every) {
+                self.snapshot(None);
+                self.last_checkpoint = self.clock.now();
+            }
+        }
+
+        if let Some(&(every, _)) = self.metrics.as_ref() {
+            if self.clock.now().saturating_sub(self.last_metrics) >= sim_time(every) {
+                for idx in 0..self.jobs.len() {
+                    if !self.jobs[idx].reported {
+                        self.report_metrics(Some(idx), transport);
+                    }
+                }
+                self.last_metrics = self.clock.now();
+                self.charge(TimeCategory::Communicate);
+            }
+        }
+    }
+
+    /// Shut the pump down: final snapshots, metrics lines and outcomes
+    /// for the jobs it still holds, then its outcome.
+    pub(crate) fn finish(mut self, transport: &dyn Transport) -> ServiceOutcome {
         // Final snapshots for jobs that never completed (deadline exit),
         // so their files record the furthest state; completed jobs wrote
         // their final snapshot at completion.
-        if let Some(sink) = sink {
-            for idx in 0..self.jobs.len() {
-                if !self.jobs[idx].reported {
-                    self.store_snapshot(idx, sink);
-                }
-            }
-            charge(&mut phase, &mut mark, TimeCategory::Checkpoint);
-        }
+        self.snapshot(None);
         // And the final metrics lines: one per job still held, so even a
         // short-lived node leaves at least one line per job, or the
         // node's own when it holds none.
         if self.jobs.is_empty() {
-            self.report_metrics(None, transport, epoch, &phase);
+            self.report_metrics(None, transport);
         }
         for idx in 0..self.jobs.len() {
-            self.report_metrics(Some(idx), transport, epoch, &phase);
+            self.report_metrics(Some(idx), transport);
         }
         for idx in 0..self.jobs.len() {
             if !self.jobs[idx].reported {
@@ -739,22 +747,24 @@ impl ServiceEngine {
                 ("late_frames", self.late_frames.to_string()),
             ],
         );
+        self.outcome()
+    }
 
-        let incarnation = self.incarnation;
-        Some(ServiceOutcome {
+    /// The pump's outcome as it stands, with no side effect: what
+    /// [`ServiceEngine::finish`] returns, and what a crash finds.
+    pub(crate) fn outcome(&self) -> ServiceOutcome {
+        let (id, incarnation) = (self.id, self.incarnation);
+        let jobs = self.jobs.iter().map(|j| j.outcome(id, incarnation));
+        ServiceOutcome {
             id,
             incarnation,
-            jobs: self
-                .jobs
-                .iter()
-                .map(|j| j.outcome(id, incarnation))
-                .collect(),
+            jobs: jobs.collect(),
             admitted: self.admitted,
             finished: self.finished,
             late_frames: self.late_frames,
-            phase,
-            lifetime: epoch.elapsed(),
-        })
+            phase: self.phase,
+            lifetime: Duration::from_nanos(self.clock.now().as_nanos()),
+        }
     }
 
     /// The next job (round-robin from the cursor) with a pending action.
@@ -776,7 +786,8 @@ impl ServiceEngine {
     /// termination) are dropped, like any late event for a halted job; so
     /// is a result for a job no longer held, which a job's retirement
     /// waits out.
-    fn deliver_work(&mut self, done: impl IntoIterator<Item = (u64, u64, Work)>, t: SimTime) {
+    fn deliver_work(&mut self, done: impl IntoIterator<Item = (u64, u64, Work)>) {
+        let t = self.clock.now();
         for (job, seq, work) in done {
             let Some(engine) = self.jobs.iter_mut().find(|j| j.job.raw() == job) else {
                 continue;
@@ -789,24 +800,21 @@ impl ServiceEngine {
         }
     }
 
-    fn all_jobs_done(&self) -> bool {
-        self.jobs.iter().all(|j| j.halted && j.pending.is_empty())
-    }
-
     /// Idle wait until the earliest timer deadline across live jobs.
-    fn next_timer_wait(&self, t: SimTime) -> Duration {
+    fn next_timer_wait(&self) -> Duration {
+        let t = self.clock.now();
         let mut earliest: Option<SimTime> = None;
         for engine in &self.jobs {
             if engine.halted {
                 continue;
             }
-            if let Some(Reverse(entry)) = engine.timers.peek() {
-                earliest = Some(earliest.map_or(entry.at, |e| e.min(entry.at)));
+            if let Some(&Reverse((at, ..))) = engine.timers.peek() {
+                earliest = Some(earliest.map_or(at, |e| e.min(at)));
             }
         }
         match earliest {
             Some(at) if at <= t => Duration::ZERO,
-            Some(at) => Duration::from_secs_f64((at - t).as_secs_f64()),
+            Some(at) => Duration::from_nanos((at - t).as_nanos()),
             None => Duration::from_millis(5),
         }
     }
@@ -815,30 +823,21 @@ impl ServiceEngine {
     /// names; it is stashed (bounded per job and in job ids) for a job not
     /// admitted yet, and counted and dropped for a halted or retired job
     /// (late traffic after termination). An admitted job is started at
-    /// once, which replays its stash, and snapshotted into `sink`.
-    fn route(
-        &mut self,
-        inbound: Inbound,
-        t: SimTime,
-        phase: &mut PhaseTimes,
-        mark: &mut Instant,
-        sink: Option<&mut (dyn CheckpointSink + '_)>,
-    ) {
+    /// once, which replays its stash, and snapshotted.
+    fn route(&mut self, inbound: Inbound) {
         let env = match inbound {
             Inbound::Frame(env) => env,
             Inbound::Admit(engine) => {
                 self.admit(*engine);
                 let idx = self.jobs.len() - 1;
-                self.start_job(idx, t);
-                charge(phase, mark, TimeCategory::Expand);
-                if let Some(sink) = sink {
-                    self.store_snapshot(idx, sink);
-                    charge(phase, mark, TimeCategory::Checkpoint);
-                }
+                self.start_job(idx);
+                self.charge(TimeCategory::Expand);
+                self.snapshot(Some(idx));
                 return;
             }
         };
         let cat = BnbProcess::category(&env.msg);
+        let t = self.clock.now();
         match self.jobs.iter_mut().find(|j| j.job == env.job) {
             Some(engine) if !engine.halted => engine.deliver(env, t),
             Some(_) => self.late_frames += 1,
@@ -852,12 +851,13 @@ impl ServiceEngine {
                 }
             }
         }
-        charge(phase, mark, cat);
+        self.charge(cat);
     }
 
     /// Start an admitted job: stamp its telemetry, fire the protocol
     /// `Start`, and replay any stashed traffic.
-    fn start_job(&mut self, idx: usize, t: SimTime) {
+    fn start_job(&mut self, idx: usize) {
+        let t = self.clock.now();
         let job = self.jobs[idx].job;
         if let Some(pool) = self.pool.as_ref() {
             pool.register(job.raw(), Box::new(self.jobs[idx].expander.clone()));
@@ -896,14 +896,8 @@ impl ServiceEngine {
     /// Drop a reported job that the pool holds nothing of (daemon mode):
     /// its final metrics line goes out, its pool prototype is released,
     /// and only its id stays behind.
-    fn retire(
-        &mut self,
-        idx: usize,
-        transport: &dyn Transport,
-        epoch: Instant,
-        phase: &PhaseTimes,
-    ) {
-        self.report_metrics(Some(idx), transport, epoch, phase);
+    fn retire(&mut self, idx: usize, transport: &dyn Transport) {
+        self.report_metrics(Some(idx), transport);
         let engine = self.jobs.remove(idx);
         if let Some(pool) = self.pool.as_ref() {
             pool.unregister(engine.job.raw());
@@ -919,14 +913,8 @@ impl ServiceEngine {
 
     /// Hand the installed reporter one snapshot: of job `idx`, or for
     /// `None` of the node alone (job 0, no protocol counters).
-    fn report_metrics(
-        &mut self,
-        idx: Option<usize>,
-        transport: &dyn Transport,
-        epoch: Instant,
-        phase: &PhaseTimes,
-    ) {
-        let Some(out) = self.metrics_out.as_mut() else {
+    fn report_metrics(&mut self, idx: Option<usize>, transport: &dyn Transport) {
+        let Some((_, out)) = self.metrics.as_mut() else {
             return;
         };
         let (job, seq, metrics) = match idx {
@@ -943,83 +931,160 @@ impl ServiceEngine {
             incarnation: self.incarnation,
             job: job.raw(),
             seq,
-            elapsed_s: epoch.elapsed().as_secs_f64(),
-            phase: *phase,
+            elapsed_s: self.clock.now().as_secs_f64(),
+            phase: self.phase,
             metrics,
             transport: transport.stats(),
             trace_events_dropped: self.telemetry.events_dropped(),
-            workers: self.workers,
+            workers: self.pool.as_ref().map_or(1, WorkerPool::workers),
         });
     }
 
-    fn store_snapshot(&mut self, idx: usize, sink: &mut dyn CheckpointSink) {
-        let engine = &self.jobs[idx];
-        if let Err(e) = sink.store(&engine.checkpoint(self.incarnation)) {
-            engine
-                .telemetry
-                .emit("checkpoint_error", &[("error", e.clone())]);
-            eprintln!(
-                "node {} (incarnation {}, job {}): checkpoint store failed: {e}",
-                self.id, self.incarnation, engine.job
-            );
-        } else {
-            engine.telemetry.emit("checkpoint", &[]);
+    /// With a checkpoint sink installed, store the snapshot of job `idx`,
+    /// or for `None` of every job not yet reported, and charge the time.
+    fn snapshot(&mut self, idx: Option<usize>) {
+        let Some((_, sink)) = self.checkpoints.as_mut() else {
+            return;
+        };
+        for (i, engine) in self.jobs.iter().enumerate() {
+            if idx.map_or(engine.reported, |idx| idx != i) {
+                continue;
+            }
+            if let Err(e) = sink.store(&engine.checkpoint(self.incarnation)) {
+                engine
+                    .telemetry
+                    .emit("checkpoint_error", &[("error", e.clone())]);
+                eprintln!(
+                    "node {} (incarnation {}, job {}): checkpoint store failed: {e}",
+                    self.id, self.incarnation, engine.job
+                );
+            } else {
+                engine.telemetry.emit("checkpoint", &[]);
+            }
         }
+        self.charge(TimeCategory::Checkpoint);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ClusterConfig;
-    use crate::transport::Mesh;
+    use crate::harness::{drive, ClusterConfig};
+    use crate::transport::TransportCounters;
+    use crossbeam::channel::{unbounded, Sender};
     use ftbb_bnb::{
         solve, BranchBound, Correlation, KnapsackInstance, MaxSatInstance, SolveConfig,
     };
     use ftbb_core::{holds_root, node_seed, Msg};
     use ftbb_tree::Code;
     use std::thread;
+    use std::time::Instant;
 
-    /// A sink that remembers every snapshot it was handed.
-    #[derive(Default)]
-    struct VecSink(Vec<Checkpoint>);
+    /// A sink that remembers every snapshot it was handed; its clones
+    /// share one list.
+    #[derive(Clone, Default)]
+    struct VecSink(Arc<std::sync::Mutex<Vec<Checkpoint>>>);
+
+    impl VecSink {
+        fn stored(&self) -> Vec<Checkpoint> {
+            self.0.lock().unwrap().clone()
+        }
+    }
 
     impl CheckpointSink for VecSink {
         fn store(&mut self, chk: &Checkpoint) -> Result<(), String> {
-            self.0.push(chk.clone());
+            self.0.lock().unwrap().push(chk.clone());
             Ok(())
         }
     }
 
+    /// Node 0's transport in the wall-clock tests: a send to node 0 comes
+    /// back on its own inbox; its peers never run, so a send to one is
+    /// counted and goes nowhere.
+    struct Loopback {
+        inbox: Sender<Inbound>,
+        counters: TransportCounters,
+    }
+
+    impl Transport for Loopback {
+        fn send(&self, job: JobId, from: u32, to: u32, msg: Msg) {
+            let wire = msg.wire_size();
+            self.counters.record_send(wire, wire);
+            if to == 0 {
+                let _ = self.inbox.send(Inbound::Frame(Envelope { job, from, msg }));
+            }
+        }
+
+        fn endpoints(&self) -> usize {
+            1
+        }
+
+        fn counters(&self) -> &TransportCounters {
+            &self.counters
+        }
+    }
+
+    /// Node 0 on the wall clock: its transport, the sending end of its
+    /// inbox (admissions, and frames from peers that never run) and the
+    /// inbox.
+    fn wall_node() -> (Loopback, Sender<Inbound>, Receiver<Inbound>) {
+        let (tx, inbox) = unbounded();
+        let net = Loopback {
+            inbox: tx.clone(),
+            counters: TransportCounters::default(),
+        };
+        (net, tx, inbox)
+    }
+
+    /// Run `svc` as node 0 on the wall clock until `deadline`.
+    fn run_wall(svc: ServiceEngine, deadline: Duration) -> ServiceOutcome {
+        let (net, _tx, inbox) = wall_node();
+        svc.run(&net, inbox, deadline)
+    }
+
+    fn ids(outcomes: &[ServiceOutcome]) -> Vec<u32> {
+        outcomes.iter().map(|o| o.id).collect()
+    }
+
+    /// A work report for `job` from node 1.
+    fn report(job: u64) -> Inbound {
+        Inbound::Frame(Envelope {
+            job: JobId(job),
+            from: 1,
+            msg: Msg::WorkReport {
+                codes: vec![Code::root().child(0, true)],
+                incumbent: f64::INFINITY,
+            },
+        })
+    }
+
     #[test]
     fn timer_entries_compare_consistently() {
-        // Same key (deadline, sequence): equal AND Ordering::Equal, so Ord
-        // and PartialEq agree whatever the payload.
-        let a = TimerEntry {
-            at: SimTime::from_millis(5),
-            seq: 1,
-            timer: PTimer::LbTimeout(3),
-        };
-        let b = TimerEntry {
-            at: SimTime::from_millis(5),
-            seq: 1,
-            timer: PTimer::LbTimeout(9),
-        };
-        assert_eq!(a, b);
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
-
-        // Distinct keys order by deadline, then arming sequence — and are
-        // never equal.
-        let later = TimerEntry {
-            at: SimTime::from_millis(6),
-            seq: 0,
-            timer: PTimer::LbTimeout(3),
-        };
-        assert!(a < later);
-        assert_ne!(a, later);
-        let same_time_later_seq = TimerEntry { seq: 2, ..a };
-        assert!(a < same_time_later_seq);
-        assert_ne!(a, same_time_later_seq);
+        // A job's timers order by deadline, then by arming sequence; the
+        // timer itself never decides, so timers due together fire in
+        // arming order whatever their payloads (`PTimer`'s own order puts
+        // `LbTimeout(3)` before `LbTimeout(9)`, `ReportFlush` first).
+        let core = BnbProcess::new(0, vec![0], ProtocolConfig::default(), 0.0, true, 1);
+        let mut job = JobEngine::new(JobId::DEFAULT, core, tiny_instance());
+        let t0 = SimTime::from_millis(5);
+        let together = [
+            PTimer::LbTimeout(9),
+            PTimer::LbTimeout(3),
+            PTimer::BoundFlush,
+            PTimer::ReportFlush,
+        ];
+        for timer in together {
+            job.arm(t0, 0.002, timer);
+        }
+        job.arm(t0, 0.001, PTimer::TableGossip);
+        assert_eq!(job.pop_due(t0), None, "nothing is due yet");
+        assert_eq!(
+            job.pop_due(SimTime::from_millis(6)),
+            Some(PTimer::TableGossip)
+        );
+        assert_eq!(job.pop_due(SimTime::from_millis(6)), None);
+        let fired: Vec<PTimer> = std::iter::from_fn(|| job.pop_due(SimTime::MAX)).collect();
+        assert_eq!(fired, together);
     }
 
     #[test]
@@ -1080,18 +1145,10 @@ mod tests {
     fn single_run_solves_and_emits_bound_checkpoints() {
         let instance = tiny_instance();
         let reference = solve(&instance, &SolveConfig::default());
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let mut sink = VecSink::default();
-        let outcome = single_run(&instance)
-            .run_with_sink(
-                &mesh,
-                inboxes.pop().unwrap(),
-                CrashSwitch::default(),
-                Duration::from_secs(30),
-                &mut sink,
-                Some(Duration::from_millis(1)),
-            )
-            .expect("not crashed");
+        let sink = VecSink::default();
+        let mut svc = single_run(&instance);
+        svc.set_checkpoint_sink(Duration::from_millis(1), Box::new(sink.clone()));
+        let outcome = run_wall(svc, Duration::from_secs(30));
         assert_eq!(outcome.incarnation, 0);
         assert_eq!(outcome.jobs.len(), 1);
         assert!(outcome.jobs[0].terminated);
@@ -1100,15 +1157,16 @@ mod tests {
         // At least the startup and exit snapshots, all bound, all scoped
         // to the default job, and all restorable (encode/decode round
         // trip).
-        assert!(sink.0.len() >= 2, "{} snapshots", sink.0.len());
-        for chk in &sink.0 {
+        let stored = sink.stored();
+        assert!(stored.len() >= 2, "{} snapshots", stored.len());
+        for chk in &stored {
             assert_eq!(chk.incarnation, 0);
             assert_eq!(chk.job, JobId::DEFAULT);
             assert_eq!(chk.problem.as_deref(), Some(&instance));
             assert_eq!(&Checkpoint::decode(&chk.encode()).unwrap(), chk);
         }
         // The final snapshot records the finished search.
-        let last = sink.0.last().unwrap();
+        let last = stored.last().unwrap();
         assert_eq!(Some(last.incumbent), reference.best);
     }
 
@@ -1117,22 +1175,16 @@ mod tests {
         let instance = tiny_instance();
         let reference = solve(&instance, &SolveConfig::default());
 
-        // First life: crash immediately, keeping only the startup
-        // snapshot (root in pool, nothing solved).
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let mut sink = VecSink::default();
-        let crash = CrashSwitch::default();
-        crash.crash();
-        let outcome = single_run(&instance).run_with_sink(
-            &mesh,
-            inboxes.pop().unwrap(),
-            crash,
-            Duration::from_secs(30),
-            &mut sink,
-            Some(Duration::from_millis(1)),
-        );
-        assert!(outcome.is_none(), "crashed engines report nothing");
-        let chk = sink.0.first().expect("startup snapshot exists").clone();
+        // First life: its deadline has passed by its first pass, so it
+        // leaves only its startup snapshot (root in pool, nothing solved)
+        // and the unfinished final one.
+        let sink = VecSink::default();
+        let mut svc = single_run(&instance);
+        svc.set_checkpoint_sink(Duration::from_millis(1), Box::new(sink.clone()));
+        let outcome = run_wall(svc, Duration::ZERO);
+        assert!(!outcome.jobs[0].terminated, "the deadline cut the search");
+        assert_eq!(outcome.jobs[0].metrics.expanded, 0);
+        let chk = sink.stored()[0].clone();
         assert!(
             Checkpoint::decode(&chk.encode()).is_ok(),
             "snapshot survives persistence"
@@ -1144,15 +1196,7 @@ mod tests {
         assert_eq!(job.job(), JobId::DEFAULT);
         let mut svc: ServiceEngine = ServiceEngine::new(0, chk.incarnation + 1);
         svc.admit(job);
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let outcome = svc
-            .run(
-                &mesh,
-                inboxes.pop().unwrap(),
-                CrashSwitch::default(),
-                Duration::from_secs(30),
-            )
-            .expect("not crashed");
+        let outcome = run_wall(svc, Duration::from_secs(30));
         assert_eq!(outcome.incarnation, 1);
         assert!(outcome.jobs[0].terminated);
         assert_eq!(Some(outcome.jobs[0].incumbent), reference.best);
@@ -1176,71 +1220,78 @@ mod tests {
             }
         }
 
-        let instance = tiny_instance();
-        let mut svc = single_run(&instance);
-        let buf = SharedBuf::default();
-        let telemetry = Telemetry::to_writer(0, 0, Box::new(buf.clone()));
-        svc.set_telemetry(telemetry.clone());
-        let snaps: Arc<Mutex<Vec<MetricsSnapshot>>> = Arc::default();
-        let sink = Arc::clone(&snaps);
-        svc.set_metrics_reporter(
-            Duration::from_millis(1),
-            Box::new(move |s| sink.lock().unwrap().push(s.clone())),
-        );
-
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let outcome = svc
-            .run(
-                &mesh,
-                inboxes.pop().unwrap(),
-                CrashSwitch::default(),
-                Duration::from_secs(30),
-            )
-            .expect("not crashed");
-        assert!(outcome.jobs[0].terminated);
-
-        // Every slice of wall time landed in some category: the breakdown
-        // reconciles with the engine's lifetime (10% is the acceptance
-        // tolerance; in-process it is far tighter).
-        let total = outcome.phase.total();
-        let elapsed = outcome.lifetime.as_secs_f64();
-        assert!(
-            (total - elapsed).abs() <= 0.1 * elapsed.max(1e-3),
-            "phase sum {total} vs elapsed {elapsed}"
-        );
-        // A solving single node does real expansion work.
-        assert!(outcome.phase.expand_s > 0.0);
-
-        // Interval snapshots arrived, ordered, job-scoped to the default
-        // job, and each reconciles too.
-        let snaps = snaps.lock().unwrap();
-        assert!(!snaps.is_empty());
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.seq, i as u64);
-            assert_eq!(s.job, 0, "single-run snapshots carry the default job");
-            assert!(
-                (s.phase.total() - s.elapsed_s).abs() <= 0.1 * s.elapsed_s.max(1e-3),
-                "snapshot {i}: {} vs {}",
-                s.phase.total(),
-                s.elapsed_s
+        // Every slice of time lands in some category, so the breakdown
+        // reconciles with the engine's lifetime. On the wall clock, 10%
+        // is the acceptance tolerance (in-process it is far tighter). On
+        // a virtual clock, time moves only by a unit's cost or an idle
+        // wait, each charged as it passes: the two agree to the
+        // nanosecond.
+        for on_virtual_clock in [false, true] {
+            let reconciles = |total: f64, elapsed: f64| {
+                if on_virtual_clock {
+                    SimTime::from_secs_f64(total) == SimTime::from_secs_f64(elapsed)
+                } else {
+                    (total - elapsed).abs() <= 0.1 * elapsed.max(1e-3)
+                }
+            };
+            let instance = tiny_instance();
+            let mut svc = single_run(&instance);
+            let buf = SharedBuf::default();
+            let telemetry = Telemetry::to_writer(0, 0, Box::new(buf.clone()));
+            svc.set_telemetry(telemetry.clone());
+            let snaps: Arc<Mutex<Vec<MetricsSnapshot>>> = Arc::default();
+            let sink = Arc::clone(&snaps);
+            svc.set_metrics_reporter(
+                Duration::from_millis(1),
+                Box::new(move |s| sink.lock().unwrap().push(s.clone())),
             );
-        }
 
-        // The trace records the engine's lifecycle as typed events.
-        drop(telemetry);
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let kinds: Vec<String> = text
-            .lines()
-            .map(|l| {
-                TraceEvent::parse_jsonl(l)
-                    .expect("parseable trace line")
-                    .kind
-            })
-            .collect();
-        assert_eq!(kinds.first().map(String::as_str), Some("engine_start"));
-        assert!(kinds.iter().any(|k| k == "halt"), "{kinds:?}");
-        assert_eq!(kinds.last().map(String::as_str), Some("engine_exit"));
+            let outcome = if on_virtual_clock {
+                let (mut exited, _) = drive(vec![svc], &[], Duration::from_secs(30));
+                exited.pop().expect("the node ran to the end")
+            } else {
+                run_wall(svc, Duration::from_secs(30))
+            };
+            assert!(outcome.jobs[0].terminated);
+            let (total, elapsed) = (outcome.phase.total(), outcome.lifetime.as_secs_f64());
+            assert!(
+                reconciles(total, elapsed),
+                "phase sum {total} vs elapsed {elapsed}"
+            );
+            // A solving single node does real expansion work.
+            assert!(outcome.phase.expand_s > 0.0);
+
+            // Interval snapshots arrived, ordered, job-scoped to the
+            // default job, and each reconciles too.
+            let snaps = snaps.lock().unwrap();
+            assert!(!snaps.is_empty());
+            for (i, s) in snaps.iter().enumerate() {
+                assert_eq!(s.seq, i as u64);
+                assert_eq!(s.job, 0, "single-run snapshots carry the default job");
+                let total = s.phase.total();
+                assert!(
+                    reconciles(total, s.elapsed_s),
+                    "snapshot {i}: {total} vs {}",
+                    s.elapsed_s
+                );
+            }
+
+            // The trace records the engine's lifecycle as typed events.
+            drop(telemetry);
+            let bytes = buf.0.lock().unwrap().clone();
+            let text = String::from_utf8(bytes).unwrap();
+            let kinds: Vec<String> = text
+                .lines()
+                .map(|l| {
+                    TraceEvent::parse_jsonl(l)
+                        .expect("parseable trace line")
+                        .kind
+                })
+                .collect();
+            assert_eq!(kinds.first().map(String::as_str), Some("engine_start"));
+            assert!(kinds.iter().any(|k| k == "halt"), "{kinds:?}");
+            assert_eq!(kinds.last().map(String::as_str), Some("engine_exit"));
+        }
     }
 
     #[test]
@@ -1279,58 +1330,21 @@ mod tests {
         svc
     }
 
-    /// Run a pool of `n` service nodes over an in-process mesh, every
-    /// node admitted the same job set; returns each surviving node's
-    /// outcome (crashed nodes return `None`).
+    /// Run a pool of `n` service nodes on virtual clocks, every node
+    /// admitted the same job set, crashing node `c` at `at` for each
+    /// `(c, at)` of `crashes`; the outcomes of the nodes that ran to the
+    /// end, and of those crashed.
     fn run_pool(
         n: u32,
         jobs: &[(JobId, ftbb_bnb::AnyInstance)],
         crashes: &[(u32, Duration)],
-    ) -> Vec<Option<ServiceOutcome>> {
-        run_pool_workers(n, jobs, crashes, 1)
-    }
-
-    /// Like [`run_pool`], with `workers` expansion threads per node.
-    fn run_pool_workers(
-        n: u32,
-        jobs: &[(JobId, ftbb_bnb::AnyInstance)],
-        crashes: &[(u32, Duration)],
-        workers: usize,
-    ) -> Vec<Option<ServiceOutcome>> {
+    ) -> (Vec<ServiceOutcome>, Vec<ServiceOutcome>) {
         let members: Vec<u32> = (0..n).collect();
-        let (mesh, mut inboxes) = Mesh::new(n as usize);
-        let mesh = Arc::new(mesh);
-        let switches: Vec<CrashSwitch> = (0..n).map(|_| CrashSwitch::default()).collect();
-        let mut handles = Vec::new();
-        for id in (0..n).rev() {
-            let inbox = inboxes.pop().expect("one inbox per node");
-            let mut svc = service_node(id, &members, jobs, 7);
-            svc.set_workers(workers);
-            let mesh = Arc::clone(&mesh);
-            let switch = switches[id as usize].clone();
-            handles.push(thread::spawn(move || {
-                svc.run(&*mesh, inbox, switch, Duration::from_secs(30))
-            }));
-        }
-        handles.reverse(); // spawned in reverse id order
-        let crash_plan = crashes.to_vec();
-        let injector_switches = switches.clone();
-        let injector = thread::spawn(move || {
-            let start = Instant::now();
-            for (node, delay) in crash_plan {
-                let elapsed = start.elapsed();
-                if delay > elapsed {
-                    thread::sleep(delay - elapsed);
-                }
-                injector_switches[node as usize].crash();
-            }
-        });
-        let outcomes = handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
+        let engines = members
+            .iter()
+            .map(|&id| service_node(id, &members, jobs, 7))
             .collect();
-        injector.join().expect("injector panicked");
-        outcomes
+        drive(engines, crashes, Duration::from_secs(30))
     }
 
     fn two_jobs() -> Vec<(JobId, ftbb_bnb::AnyInstance)> {
@@ -1346,10 +1360,10 @@ mod tests {
     #[test]
     fn two_concurrent_jobs_reach_their_sequential_optima() {
         let jobs = two_jobs();
-        let outcomes = run_pool(3, &jobs, &[]);
+        let (outcomes, crashed) = run_pool(3, &jobs, &[]);
+        assert!(crashed.is_empty());
+        assert_eq!(ids(&outcomes), [0, 1, 2]);
         for (id, outcome) in outcomes.iter().enumerate() {
-            let outcome = outcome.as_ref().expect("no crashes in this run");
-            assert_eq!(outcome.id as usize, id);
             assert_eq!(outcome.jobs.len(), 2, "both jobs report");
             for (job, instance) in &jobs {
                 let reference = solve(instance, &SolveConfig::default());
@@ -1372,7 +1386,6 @@ mod tests {
         for (job, _) in &jobs {
             let expanded: u64 = outcomes
                 .iter()
-                .flatten()
                 .flat_map(|o| &o.jobs)
                 .filter(|j| j.job == *job)
                 .map(|j| j.metrics.expanded)
@@ -1385,7 +1398,8 @@ mod tests {
     fn worker_pool_reaches_the_same_optimum_as_inline() {
         // The determinism contract of `set_workers`: the solved optimum
         // is identical at every worker count, for every workload kind
-        // (knapsack, MAX-SAT, recorded tree) — only wall time moves.
+        // (knapsack, MAX-SAT, recorded tree) — only wall time moves. The
+        // pool runs on the wall clock only.
         let k = KnapsackInstance::generate(14, 50, Correlation::Uncorrelated, 0.5, 8);
         let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default())
             .expect("recordable instance");
@@ -1397,49 +1411,55 @@ mod tests {
             (JobId(2), MaxSatInstance::generate(12, 40, 2).into()),
             (JobId(3), tree.into()),
         ];
-        let inline_run = run_pool(2, &jobs, &[]);
-        let pooled_run = run_pool_workers(2, &jobs, &[], 4);
+        let run = |workers: usize| {
+            let mut svc = service_node(0, &[0], &jobs, 7);
+            svc.set_workers(workers);
+            run_wall(svc, Duration::from_secs(30))
+        };
+        let (inline_run, pooled_run) = (run(1), run(4));
         for (job, instance) in &jobs {
             let reference = solve(instance, &SolveConfig::default()).best;
-            for (label, outcomes) in [("inline", &inline_run), ("pooled", &pooled_run)] {
-                for outcome in outcomes {
-                    let outcome = outcome.as_ref().expect("no crashes in this run");
-                    let jo = outcome
-                        .jobs
-                        .iter()
-                        .find(|j| j.job == *job)
-                        .expect("outcome for every admitted job");
-                    assert!(jo.terminated, "{label} job {job} did not terminate");
-                    assert_eq!(Some(jo.incumbent), reference, "{label} job {job} parity");
-                }
+            for (label, outcome) in [("inline", &inline_run), ("pooled", &pooled_run)] {
+                let jo = outcome
+                    .jobs
+                    .iter()
+                    .find(|j| j.job == *job)
+                    .expect("outcome for every admitted job");
+                assert!(jo.terminated, "{label} job {job} did not terminate");
+                assert_eq!(Some(jo.incumbent), reference, "{label} job {job} parity");
             }
         }
     }
 
     #[test]
     fn killing_a_node_mid_run_loses_neither_job() {
-        // Larger jobs than the no-crash test, sized per build profile so
-        // the pool is still solving both when the 3 ms crash lands. Debug:
-        // 7 429 and 1 517 sequential expansions. Release, ~15x faster:
-        // 593 769 and 31 166 (66 and 22 ms solved alone, ~30 ms for the
-        // failure-free pool of three on a 2-core x86 host); the debug
-        // pair finishes there in ~1.4 ms, before the crash.
-        let (items, vars, clauses) = if cfg!(debug_assertions) {
-            (32, 22, 90)
-        } else {
-            (40, 32, 140)
-        };
+        // Larger jobs than the no-crash test (7 429 and 1 517 sequential
+        // expansions), so the pool is still solving both when node 1's
+        // crash lands.
         let jobs: Vec<(JobId, ftbb_bnb::AnyInstance)> = vec![
             (
                 JobId(11),
-                KnapsackInstance::generate(items, 80, Correlation::Strong, 0.5, 5).into(),
+                KnapsackInstance::generate(32, 80, Correlation::Strong, 0.5, 5).into(),
             ),
-            (JobId(22), MaxSatInstance::generate(vars, clauses, 2).into()),
+            (JobId(22), MaxSatInstance::generate(22, 90, 2).into()),
         ];
-        let outcomes = run_pool(3, &jobs, &[(1, Duration::from_millis(3))]);
-        assert!(outcomes[1].is_none(), "crashed nodes report nothing");
-        for id in [0usize, 2] {
-            let outcome = outcomes[id].as_ref().expect("survivor reports");
+        let crash_at = Duration::from_millis(20);
+        let (survivors, crashed) = run_pool(3, &jobs, &[(1, crash_at)]);
+        assert_eq!(ids(&survivors), [0, 2]);
+        assert_eq!(ids(&crashed), [1], "the crash landed before node 1 exited");
+        for jo in &crashed[0].jobs {
+            assert!(
+                jo.metrics.expanded > 0,
+                "the victim had no work of job {}",
+                jo.job
+            );
+        }
+        for outcome in &survivors {
+            let id = outcome.id;
+            assert!(
+                outcome.lifetime > crash_at,
+                "node {id} ended before the crash"
+            );
             for (job, instance) in &jobs {
                 let reference = solve(instance, &SolveConfig::default());
                 let jo = outcome.jobs.iter().find(|j| j.job == *job).unwrap();
@@ -1453,67 +1473,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn daemon_pump_admits_jobs_mid_flight() {
-        // One-node daemon: no jobs at start; two jobs stream in on its
-        // inbox at different times; hooks observe completion; each job
-        // is retired once reported; the daemon exits at its deadline.
-        let instance_a: ftbb_bnb::AnyInstance =
-            KnapsackInstance::generate(12, 40, Correlation::Uncorrelated, 0.5, 9).into();
-        let instance_b: ftbb_bnb::AnyInstance = MaxSatInstance::generate(10, 30, 4).into();
-        let ref_a = solve(&instance_a, &SolveConfig::default());
-        let ref_b = solve(&instance_b, &SolveConfig::default());
-
-        let (mesh, mut inboxes) = Mesh::new(1);
-        let admit_tx = mesh.inbox_sender(0).expect("node 0");
-        let mut svc: ServiceEngine = ServiceEngine::new(0, 0);
+    /// A daemon for node 0, pumped on its own thread on the wall clock
+    /// until `deadline`. Admissions and peer frames go in through the
+    /// returned sender; node 0's completions come out on the returned
+    /// channel; its peers never run.
+    fn daemon_on_inbox(
+        deadline: Duration,
+        setup: impl FnOnce(&mut ServiceEngine),
+    ) -> (
+        Sender<Inbound>,
+        thread::JoinHandle<ServiceOutcome>,
+        Receiver<JobOutcome>,
+    ) {
+        let (net, tx, inbox) = wall_node();
+        let (done_tx, done_rx) = unbounded();
+        let mut svc = ServiceEngine::new(0, 0);
         svc.daemon(true);
-        let completions: Arc<std::sync::Mutex<Vec<JobOutcome>>> = Arc::default();
-        let sink = Arc::clone(&completions);
         svc.set_hooks(ServiceHooks {
             on_complete: Some(Box::new(move |o: &JobOutcome| {
-                sink.lock().unwrap().push(o.clone());
+                let _ = done_tx.send(o.clone());
             })),
             ..Default::default()
         });
-
-        let inbox = inboxes.pop().unwrap();
-        let handle = thread::spawn(move || {
-            svc.run(&mesh, inbox, CrashSwitch::default(), Duration::from_secs(3))
-        });
-
-        let admit = |job: JobId, instance: &ftbb_bnb::AnyInstance| {
-            let core = BnbProcess::new(
-                0,
-                vec![0],
-                ClusterConfig::new(1).protocol,
-                instance.bound(&instance.root()),
-                true,
-                node_seed(3 ^ job.raw(), 0),
-            );
-            Inbound::Admit(Box::new(JobEngine::new(job, core, instance.clone())))
-        };
-        assert!(admit_tx.send(admit(JobId(1), &instance_a)).is_ok());
-        thread::sleep(Duration::from_millis(50));
-        assert!(admit_tx.send(admit(JobId(2), &instance_b)).is_ok());
-
-        let outcome = handle
-            .join()
-            .expect("daemon thread")
-            .expect("daemon not crashed");
-        assert_eq!((outcome.admitted, outcome.finished), (2, 2));
-        assert!(outcome.jobs.is_empty(), "both finished jobs were retired");
-        assert!(
-            outcome.lifetime >= Duration::from_secs(3),
-            "daemon runs to its deadline even after all jobs complete"
-        );
-        let done = completions.lock().unwrap();
-        assert_eq!(done.len(), 2, "both completions delivered via hooks");
-        let by_job = |job: JobId| done.iter().find(|o| o.job == job).unwrap();
-        assert!(by_job(JobId(1)).terminated);
-        assert_eq!(Some(by_job(JobId(1)).incumbent), ref_a.best);
-        assert!(by_job(JobId(2)).terminated);
-        assert_eq!(Some(by_job(JobId(2)).incumbent), ref_b.best);
+        setup(&mut svc);
+        let handle = thread::spawn(move || svc.run(&net, inbox, deadline));
+        (tx, handle, done_rx)
     }
 
     /// A job for node 0 over `members`, solving `instance`, holding its
@@ -1530,38 +1514,41 @@ mod tests {
         Inbound::Admit(Box::new(JobEngine::new(JobId(job), core, instance.clone())))
     }
 
-    /// A daemon for node 0 of a fresh `nodes`-node mesh, run on its own
-    /// thread until `deadline`. Node 0's completions arrive on the
-    /// returned channel; the other nodes never run, but their inboxes
-    /// stay open, so sends to them are delivered and counted.
-    #[allow(clippy::type_complexity)]
-    fn daemon_on_mesh(
-        nodes: usize,
-        deadline: Duration,
-        setup: impl FnOnce(&mut ServiceEngine),
-    ) -> (
-        Arc<Mesh>,
-        thread::JoinHandle<Option<ServiceOutcome>>,
-        Receiver<JobOutcome>,
-        Vec<Receiver<Inbound>>,
-    ) {
-        let (mesh, mut inboxes) = Mesh::new(nodes);
-        let inbox = inboxes.remove(0);
-        let (done_tx, done_rx) = crossbeam::channel::unbounded();
-        let mut svc = ServiceEngine::new(0, 0);
-        svc.daemon(true);
-        svc.set_hooks(ServiceHooks {
-            on_complete: Some(Box::new(move |o: &JobOutcome| {
-                let _ = done_tx.send(o.clone());
-            })),
-            ..Default::default()
-        });
-        setup(&mut svc);
-        let mesh = Arc::new(mesh);
-        let pump_mesh = Arc::clone(&mesh);
-        let handle =
-            thread::spawn(move || svc.run(&*pump_mesh, inbox, CrashSwitch::default(), deadline));
-        (mesh, handle, done_rx, inboxes)
+    #[test]
+    fn daemon_pump_admits_jobs_mid_flight() {
+        // One-node daemon: no jobs at start; two jobs stream in on its
+        // inbox at different times; hooks observe completion; each job
+        // is retired once reported; the daemon exits at its deadline.
+        let instance_a: ftbb_bnb::AnyInstance =
+            KnapsackInstance::generate(12, 40, Correlation::Uncorrelated, 0.5, 9).into();
+        let instance_b: ftbb_bnb::AnyInstance = MaxSatInstance::generate(10, 30, 4).into();
+        let ref_a = solve(&instance_a, &SolveConfig::default());
+        let ref_b = solve(&instance_b, &SolveConfig::default());
+
+        let (admit, handle, done) = daemon_on_inbox(Duration::from_secs(3), |_| ());
+        let protocol = ClusterConfig::new(1).protocol;
+        assert!(admit
+            .send(admission(1, &[0], protocol.clone(), &instance_a, true))
+            .is_ok());
+        thread::sleep(Duration::from_millis(50));
+        assert!(admit
+            .send(admission(2, &[0], protocol, &instance_b, true))
+            .is_ok());
+
+        let outcome = handle.join().expect("daemon thread");
+        assert_eq!((outcome.admitted, outcome.finished), (2, 2));
+        assert!(outcome.jobs.is_empty(), "both finished jobs were retired");
+        assert!(
+            outcome.lifetime >= Duration::from_secs(3),
+            "daemon runs to its deadline even after all jobs complete"
+        );
+        let done: Vec<JobOutcome> = done.try_iter().collect();
+        assert_eq!(done.len(), 2, "both completions delivered via hooks");
+        let by_job = |job: JobId| done.iter().find(|o| o.job == job).unwrap();
+        assert!(by_job(JobId(1)).terminated);
+        assert_eq!(Some(by_job(JobId(1)).incumbent), ref_a.best);
+        assert!(by_job(JobId(2)).terminated);
+        assert_eq!(Some(by_job(JobId(2)).incumbent), ref_b.best);
     }
 
     #[test]
@@ -1571,9 +1558,7 @@ mod tests {
         // are still stashed and replayed at its admission. The inbox is
         // one channel, so every item below is taken in the order sent.
         const RETIRED: u64 = STASHED_JOBS_CAP as u64 + 6;
-        let (mesh, handle, done, _peer) =
-            daemon_on_mesh(2, Duration::from_secs(2), |_: &mut ServiceEngine| ());
-        let admit = mesh.inbox_sender(0).expect("node 0");
+        let (admit, handle, done) = daemon_on_inbox(Duration::from_secs(2), |_| ());
         let instance = tiny_instance();
         for job in 1..=RETIRED {
             let protocol = ClusterConfig::new(1).protocol;
@@ -1587,16 +1572,12 @@ mod tests {
             done.recv_timeout(Duration::from_secs(10))
                 .expect("every job finishes");
         }
-        let report = || Msg::WorkReport {
-            codes: vec![Code::root().child(0, true)],
-            incumbent: f64::INFINITY,
-        };
         for job in 1..=RETIRED {
-            mesh.send(JobId(job), 1, 0, report());
+            assert!(admit.send(report(job)).is_ok());
         }
         let fresh = RETIRED + 1;
         for _ in 0..3 {
-            mesh.send(JobId(fresh), 1, 0, report());
+            assert!(admit.send(report(fresh)).is_ok());
         }
         let protocol = ProtocolConfig::default();
         assert!(admit
@@ -1611,7 +1592,7 @@ mod tests {
             "the new job's early frames were stashed and replayed"
         );
 
-        let outcome = handle.join().expect("pump thread").expect("not crashed");
+        let outcome = handle.join().expect("pump thread");
         assert_eq!(
             outcome.late_frames, RETIRED,
             "one late frame per retired job"
@@ -1627,7 +1608,7 @@ mod tests {
         svc.set_workers(2);
         svc.daemon(true);
         svc.retired.insert(JobId(9));
-        svc.deliver_work([(9, 4, Work::Unit(Default::default()))], SimTime::ZERO);
+        svc.deliver_work([(9, 4, Work::Unit(Default::default()))]);
         assert_eq!(svc.jobs.len(), 1, "the held job is untouched");
         assert!(svc.jobs[0].pending.is_empty());
     }
@@ -1651,8 +1632,7 @@ mod tests {
             ..Default::default()
         };
         let instance = tiny_instance();
-        let (mesh, handle, done, _peer) = daemon_on_mesh(2, Duration::from_secs(2), |_| ());
-        let admit = mesh.inbox_sender(0).expect("node 0");
+        let (admit, handle, done) = daemon_on_inbox(Duration::from_secs(2), |_| ());
         assert!(admit
             .send(admission(1, &[0, 1], parked, &instance, false))
             .is_ok());
@@ -1677,7 +1657,7 @@ mod tests {
             median < Duration::from_millis(5),
             "admission to completion took {median:?} in the median: {latencies:?}"
         );
-        let outcome = handle.join().expect("pump thread").expect("not crashed");
+        let outcome = handle.join().expect("pump thread");
         assert_eq!(outcome.jobs.len(), 1, "only the parked job is held");
         assert_eq!(outcome.jobs[0].job, JobId(1));
     }
@@ -1692,7 +1672,7 @@ mod tests {
         let snaps: Arc<std::sync::Mutex<Vec<MetricsSnapshot>>> = Arc::default();
         let sink = Arc::clone(&snaps);
         let instance = tiny_instance();
-        let (_mesh, handle, done, _) = daemon_on_mesh(1, deadline, |svc| {
+        let (_admit, handle, done) = daemon_on_inbox(deadline, |svc| {
             svc.set_metrics_reporter(
                 Duration::from_millis(1),
                 Box::new(move |s| sink.lock().unwrap().push(s.clone())),
@@ -1704,7 +1684,7 @@ mod tests {
         let finished = done
             .recv_timeout(Duration::from_secs(10))
             .expect("the job finishes");
-        let outcome = handle.join().expect("pump thread").expect("not crashed");
+        let outcome = handle.join().expect("pump thread");
         assert!(outcome.jobs.is_empty());
 
         let snaps = snaps.lock().unwrap();
@@ -1728,24 +1708,13 @@ mod tests {
 
     #[test]
     fn the_stash_is_bounded_in_job_ids_and_replays_on_admission() {
-        let report = |job: u64| {
-            Inbound::Frame(Envelope {
-                job: JobId(job),
-                from: 1,
-                msg: Msg::WorkReport {
-                    codes: vec![Code::root().child(0, true)],
-                    incumbent: f64::INFINITY,
-                },
-            })
-        };
         let mut svc = ServiceEngine::new(0, 0);
-        let (mut phase, mut mark) = (PhaseTimes::default(), Instant::now());
         // A job stashed within the cap, then a flood of ids never admitted.
         for _ in 0..3 {
-            svc.route(report(1), SimTime::ZERO, &mut phase, &mut mark, None);
+            svc.route(report(1));
         }
         for job in 2..10_002 {
-            svc.route(report(job), SimTime::ZERO, &mut phase, &mut mark, None);
+            svc.route(report(job));
             assert!(svc.stash.len() <= STASHED_JOBS_CAP);
         }
         assert_eq!(svc.stash.len(), STASHED_JOBS_CAP);
@@ -1756,37 +1725,27 @@ mod tests {
         let root = instance.bound(&instance.root());
         let core = BnbProcess::new(0, vec![0, 1], ProtocolConfig::default(), root, true, 1);
         svc.admit(JobEngine::new(JobId(1), core, instance));
-        svc.start_job(0, SimTime::ZERO);
+        svc.start_job(0);
         assert!(!svc.stash.contains_key(&JobId(1)));
         assert_eq!(svc.jobs[0].core.metrics().reports_received, 3);
     }
 
     #[test]
     fn job_scoped_snapshots_restore_per_job() {
-        // A service with two jobs crashes; both per-job snapshots
-        // restore into job engines that finish their searches.
+        // A service with two jobs is cut short by its deadline; both
+        // per-job startup snapshots restore into job engines that finish
+        // their searches.
         let jobs = two_jobs();
         let mut svc = service_node(0, &[0], &jobs, 5);
-        svc.set_telemetry(Telemetry::disabled());
-        let (mesh, mut inboxes) = Mesh::new(1);
-
-        let mut sink = VecSink::default();
-        let crash = CrashSwitch::default();
-        crash.crash();
-        let outcome = svc.run_with_sink(
-            &mesh,
-            inboxes.pop().unwrap(),
-            crash,
-            Duration::from_secs(30),
-            &mut sink,
-            Some(Duration::from_millis(1)),
-        );
-        assert!(outcome.is_none(), "crashed engines report nothing");
+        let sink = VecSink::default();
+        svc.set_checkpoint_sink(Duration::from_millis(1), Box::new(sink.clone()));
+        let outcome = run_wall(svc, Duration::ZERO);
+        assert!(outcome.jobs.iter().all(|j| !j.terminated));
+        let stored = sink.stored();
 
         // Startup snapshots exist for both jobs, each scoped to its id.
         for (job, instance) in &jobs {
-            let chk = sink
-                .0
+            let chk = stored
                 .iter()
                 .find(|c| c.job == *job)
                 .expect("startup snapshot per job")
@@ -1797,15 +1756,7 @@ mod tests {
 
             let mut svc: ServiceEngine = ServiceEngine::new(0, chk.incarnation + 1);
             svc.admit(restored);
-            let (mesh, mut inboxes) = Mesh::new(1);
-            let outcome = svc
-                .run(
-                    &mesh,
-                    inboxes.pop().unwrap(),
-                    CrashSwitch::default(),
-                    Duration::from_secs(30),
-                )
-                .expect("not crashed");
+            let outcome = run_wall(svc, Duration::from_secs(30));
             let reference = solve(instance, &SolveConfig::default());
             assert_eq!(outcome.jobs.len(), 1);
             assert!(outcome.jobs[0].terminated);

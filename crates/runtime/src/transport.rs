@@ -1,22 +1,25 @@
-//! Message transports: the [`Transport`] abstraction and the in-process
-//! crossbeam-channel mesh.
+//! Message transports: the [`Transport`] abstraction and the virtual
+//! network of the in-process cluster driver.
 //!
 //! A transport delivers [`Envelope`]s between numbered endpoints under the
 //! paper's Crash failure model: sends to dead or unknown destinations are
 //! *silently dropped* (the protocol tolerates lost messages by design),
 //! but never silently *un*counted — every attempt lands in the transport's
 //! [`TransportCounters`]. The same pump ([`crate::ServiceEngine`]) drives
-//! the protocol over any transport: the in-process [`Mesh`] here, or
-//! `ftbb-wire`'s TCP mesh across real OS processes.
+//! the protocol over any transport: the virtual network here, under
+//! [`crate::run_cluster`], or `ftbb-wire`'s TCP mesh across real OS
+//! processes.
 //!
 //! A node's inbox carries [`Inbound`] items: the frames its transport
 //! delivers, and the jobs a deployment admits into the running pump. The
 //! pump blocks on that one channel when it is idle, so either wakes it.
 
 use crate::service::JobEngine;
-use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
 use ftbb_core::{JobId, Msg};
-use std::sync::atomic::{AtomicU64, Ordering};
+use ftbb_des::SimTime;
+use ftbb_net::LatencyModel;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A routed protocol message.
@@ -91,7 +94,7 @@ macro_rules! transport_counters {
         $( $(#[$umeta:meta])* $ufield:ident ),* $(,)?
     ) => {
         /// Shared counters maintained by a transport implementation
-        /// (`ftbb-runtime`'s in-process mesh, `ftbb-wire`'s TCP mesh).
+        /// (`ftbb-runtime`'s virtual network, `ftbb-wire`'s TCP mesh).
         ///
         /// The paper's Crash failure model makes "the send was silently
         /// dropped" a *correct* behaviour, which historically meant
@@ -144,12 +147,12 @@ macro_rules! transport_counters {
 }
 
 transport_counters! {
-    /// Messages handed to the wire (or in-process queue) successfully.
+    /// Messages handed to the wire (or the virtual network) successfully.
     sent = "sent",
     /// Estimated protocol bytes of successful sends (`Msg::wire_size`).
     sent_wire_bytes = "wire_bytes",
     /// Actual encoded bytes of successful sends, frame headers included
-    /// (equals `sent_wire_bytes` for in-process transports, which ship no
+    /// (equals `sent_wire_bytes` for the virtual network, which ships no
     /// frames).
     sent_encoded_bytes = "encoded_bytes",
     /// Sends dropped because the destination queue was full.
@@ -355,72 +358,71 @@ impl TransportStats {
     }
 }
 
-/// The in-process mesh: one unbounded channel per node.
-pub struct Mesh {
-    senders: Vec<Sender<Inbound>>,
+/// Transit time on the virtual network: a LAN's, against the protocol's
+/// millisecond timers.
+const LATENCY: LatencyModel = LatencyModel::lan();
+
+/// The in-process cluster's network: a send waits in an outbox, with the
+/// transit time for its size, until the driver schedules its delivery. A
+/// send to a node that crashed or exited counts as `dropped_disconnected`,
+/// one to an id outside the cluster as `dropped_no_route`.
+pub(crate) struct SimNet {
     counters: TransportCounters,
+    /// Per node: does it still receive?
+    open: Vec<AtomicBool>,
+    /// Sends not yet scheduled: `(to, transit, envelope)`.
+    outbox: Mutex<Vec<(u32, SimTime, Envelope)>>,
 }
 
-impl Mesh {
-    /// Build a mesh for `n` nodes; returns the mesh and each node's inbox.
-    pub fn new(n: usize) -> (Mesh, Vec<Receiver<Inbound>>) {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
+impl SimNet {
+    pub(crate) fn new(n: usize) -> SimNet {
+        let open = (0..n).map(|_| AtomicBool::new(true)).collect();
+        let (counters, outbox) = Default::default();
+        SimNet {
+            counters,
+            open,
+            outbox,
         }
-        (
-            Mesh {
-                senders,
-                counters: TransportCounters::default(),
-            },
-            receivers,
-        )
     }
 
-    /// Number of endpoints.
-    pub fn len(&self) -> usize {
-        self.senders.len()
+    /// The outbox; each update is one push or take, so a panic cannot
+    /// leave it half-made.
+    fn outbox(&self) -> MutexGuard<'_, Vec<(u32, SimTime, Envelope)>> {
+        self.outbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// True if the mesh has no endpoints.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// The sending end of node `id`'s inbox, through which a job is
-    /// admitted into its running pump ([`Inbound::Admit`]).
-    pub fn inbox_sender(&self, id: u32) -> Option<Sender<Inbound>> {
-        self.senders.get(id as usize).cloned()
-    }
-
-    /// Send a message; silently drops (but counts) if the destination has
-    /// shut down — crashed or terminated nodes close their inbox, exactly
-    /// the lost-message behaviour the protocol tolerates.
-    pub fn send(&self, job: JobId, from: u32, to: u32, msg: Msg) {
-        let Some(tx) = self.senders.get(to as usize) else {
-            self.counters.record_dropped_no_route();
-            return;
-        };
-        let wire = msg.wire_size();
-        match tx.try_send(Inbound::Frame(Envelope { job, from, msg })) {
-            // No frame encoding in-process: encoded == estimated bytes.
-            Ok(()) => self.counters.record_send(wire, wire),
-            Err(TrySendError::Full(_)) => self.counters.record_dropped_full(),
-            Err(TrySendError::Disconnected(_)) => self.counters.record_dropped_disconnected(),
+    /// Node `id` crashed or exited: sends to it are dropped from now on.
+    pub(crate) fn close(&self, id: u32) {
+        if let Some(open) = self.open.get(id as usize) {
+            open.store(false, Ordering::Relaxed);
         }
+    }
+
+    /// Take the sends made since the last call, in the order made.
+    pub(crate) fn take_outbox(&self) -> Vec<(u32, SimTime, Envelope)> {
+        std::mem::take(&mut self.outbox())
     }
 }
 
-impl Transport for Mesh {
+impl Transport for SimNet {
     fn send(&self, job: JobId, from: u32, to: u32, msg: Msg) {
-        Mesh::send(self, job, from, to, msg);
+        match self.open.get(to as usize) {
+            None => self.counters.record_dropped_no_route(),
+            Some(open) if !open.load(Ordering::Relaxed) => {
+                self.counters.record_dropped_disconnected()
+            }
+            Some(_) => {
+                let wire = msg.wire_size();
+                self.counters.record_send(wire, wire); // no frames: encoded == wire
+                let transit = SimTime::from_millis_f64(LATENCY.mean_ms(wire));
+                let env = Envelope { job, from, msg };
+                self.outbox().push((to, transit, env));
+            }
+        }
     }
 
     fn endpoints(&self) -> usize {
-        self.len()
+        self.open.len()
     }
 
     fn counters(&self) -> &TransportCounters {
@@ -494,22 +496,20 @@ mod tests {
 
     #[test]
     fn mesh_routes_messages() {
-        let (mesh, rxs) = Mesh::new(2);
-        mesh.send(
-            JobId(9),
-            0,
-            1,
-            Msg::WorkDeny {
-                incumbent: f64::INFINITY,
-            },
-        );
-        let Ok(Inbound::Frame(env)) = rxs[1].try_recv() else {
-            panic!("a frame is queued");
+        let net = SimNet::new(2);
+        let deny = Msg::WorkDeny {
+            incumbent: f64::INFINITY,
         };
-        assert_eq!(env.from, 0);
+        net.send(JobId(9), 0, 1, deny.clone());
+        let [(to, transit, env)] = &net.take_outbox()[..] else {
+            panic!("one frame is on its way");
+        };
+        assert_eq!((*to, env.from), (1, 0));
         assert_eq!(env.job, JobId(9), "the job stamp rides the envelope");
-        assert!(matches!(env.msg, Msg::WorkDeny { .. }));
-        let stats = mesh.stats();
+        assert_eq!(env.msg, deny);
+        assert_eq!(*transit, SimTime::from_millis_f64(LATENCY.mean_ms(9)));
+        assert!(net.take_outbox().is_empty(), "taken once");
+        let stats = net.stats();
         assert_eq!(stats.sent, 1);
         assert_eq!(stats.sent_wire_bytes, 9);
         assert_eq!(stats.dropped(), 0);
@@ -517,9 +517,9 @@ mod tests {
 
     #[test]
     fn send_to_dead_endpoint_is_silent_but_counted() {
-        let (mesh, rxs) = Mesh::new(2);
-        drop(rxs); // all inboxes closed
-        mesh.send(
+        let net = SimNet::new(2);
+        net.close(1); // crashed
+        net.send(
             JobId::DEFAULT,
             0,
             1,
@@ -528,34 +528,35 @@ mod tests {
             },
         );
         // no panic, and the drop is visible in the counters
-        assert_eq!(mesh.len(), 2);
-        let stats = mesh.stats();
+        assert!(net.take_outbox().is_empty());
+        let stats = net.stats();
         assert_eq!(stats.sent, 0);
         assert_eq!(stats.dropped_disconnected, 1);
     }
 
     #[test]
     fn send_to_unknown_endpoint_counts_no_route() {
-        let (mesh, _rxs) = Mesh::new(1);
-        mesh.send(JobId::DEFAULT, 0, 7, Msg::WorkRequest { incumbent: 1.0 });
-        assert_eq!(mesh.stats().dropped_no_route, 1);
+        let net = SimNet::new(1);
+        net.send(JobId::DEFAULT, 0, 7, Msg::WorkRequest { incumbent: 1.0 });
+        assert!(net.take_outbox().is_empty());
+        assert_eq!(net.stats().dropped_no_route, 1);
     }
 
     #[test]
     fn mesh_is_a_transport_object() {
-        let (mesh, rxs) = Mesh::new(2);
-        let t: &dyn Transport = &mesh;
+        let net = SimNet::new(2);
+        let t: &dyn Transport = &net;
         t.send(JobId::DEFAULT, 1, 0, Msg::WorkRequest { incumbent: 2.0 });
         assert_eq!(t.endpoints(), 2);
-        assert!(rxs[0].try_recv().is_ok());
+        assert_eq!(net.take_outbox().len(), 1);
         assert_eq!(t.stats().sent, 1);
     }
 
     #[test]
     fn in_process_mesh_is_born_ready() {
-        let (mesh, _rxs) = Mesh::new(3);
+        let net = SimNet::new(3);
         let start = std::time::Instant::now();
-        assert!(mesh.ready(Duration::from_secs(60)));
+        assert!(net.ready(Duration::from_secs(60)));
         assert!(
             start.elapsed() < Duration::from_secs(1),
             "default ready() must not block"

@@ -14,7 +14,7 @@
 //! regenerated from generator parameters, loaded from a tree file, or
 //! (with `--problem wire`) received in the root's problem-announce frame
 //! — and drives the *identical* [`BnbProcess`] state machine the
-//! simulator and the threaded runtime use; only the transport and the
+//! simulator and the in-process cluster use; only the transport and the
 //! clock differ. Codes are self-contained given the root instance,
 //! however that instance arrived. On completion it prints a single
 //! machine-parseable `FTBB-OUTCOME` line to stdout for the launcher to
@@ -60,13 +60,11 @@ use crate::lines::{line_codec, render_line, Fields};
 use crate::tcp::{Control, TcpMesh, WireConfig};
 use crossbeam::channel::{Receiver, Sender};
 use ftbb_bnb::{AnyInstance, BranchBound};
-use ftbb_core::{
-    BnbProcess, Checkpoint, CheckpointSink, JobId, NullSink, PhaseTimes, ProtocolConfig,
-};
+use ftbb_core::{BnbProcess, Checkpoint, CheckpointSink, JobId, PhaseTimes, ProtocolConfig};
 use ftbb_des::SimTime;
 use ftbb_runtime::{
-    ClusterConfig, CrashSwitch, Inbound, JobEngine, JobOutcome, MetricsSnapshot, ServiceEngine,
-    ServiceHooks, ServiceOutcome, Telemetry, Transport, TransportStats,
+    ClusterConfig, Inbound, JobEngine, JobOutcome, MetricsSnapshot, ServiceEngine, ServiceHooks,
+    ServiceOutcome, Telemetry, Transport, TransportStats,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
@@ -346,8 +344,8 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         mesh.send_join();
     }
 
-    // Millisecond-scale protocol timers, same profile as the threaded
-    // harness (ClusterConfig::new); node count only sizes defaults. In
+    // Millisecond-scale protocol timers, same profile as the in-process
+    // cluster (ClusterConfig::new); node count only sizes defaults. In
     // membership mode the gossip knobs ride along — including into
     // restore, where the checkpoint's gossip binding expects them.
     let protocol = {
@@ -409,7 +407,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
             restored.len()
         );
     } else if !cfg.service {
-        // Same election as the threaded harness — the state machine must
+        // Same election as the in-process cluster — the state machine must
         // behave identically in every deployment. A joiner never holds
         // the root: it enters a computation that is already running
         // somewhere else.
@@ -474,15 +472,10 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     }
 
     // Build the sink before the scope so io errors surface cleanly.
-    let mut dir_sink = match &cfg.checkpoint_dir {
-        Some(dir) => Some(JobDirSink::new(dir, cfg.id)?),
-        None => None,
-    };
-    let mut no_sink = NullSink;
-    let (sink, checkpoint_every): (&mut dyn CheckpointSink, _) = match dir_sink.as_mut() {
-        Some(sink) => (sink, Some(Duration::from_secs_f64(cfg.checkpoint_every_s))),
-        None => (&mut no_sink, None),
-    };
+    if let Some(dir) = &cfg.checkpoint_dir {
+        let every = Duration::from_secs_f64(cfg.checkpoint_every_s);
+        engine.set_checkpoint_sink(every, Box::new(JobDirSink::new(dir, cfg.id)?));
+    }
 
     let deadline = Duration::from_secs_f64(cfg.deadline_s);
     let epoch = Instant::now();
@@ -497,21 +490,13 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         if let Some(reply_rx) = reply_rx {
             scope.spawn(|| reply_loop(&mesh, reply_rx));
         }
-        let outcome = engine.run_with_sink(
-            &mesh,
-            inbox,
-            CrashSwitch::default(),
-            deadline,
-            sink,
-            checkpoint_every,
-        );
+        let outcome = engine.run(&mesh, inbox, deadline);
         // The pump is gone and took its hooks along; closing the control
         // stream ends the control thread, and with it the reply channel's
         // last sender. Each thread finishes what is queued, then returns.
         mesh.close_control();
         outcome
-    })
-    .expect("crash switch is never tripped in-process");
+    });
 
     // Let writer threads flush queued frames so the counters reflect
     // every settled send before the snapshot.

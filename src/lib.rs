@@ -28,7 +28,7 @@
 //! | [`des`] | deterministic discrete-event engine (the Parsec substitute) |
 //! | [`net`] | Internet-like network model (`1.5 + 0.005·L` ms, loss, partitions) |
 //! | [`sim`] | the paper's simulation framework: metrics, failures, scenarios |
-//! | [`runtime`] | the same protocol on real threads behind the `Transport` trait |
+//! | [`runtime`] | the deployed node's pump behind the `Transport` trait, and an in-process cluster on virtual clocks |
 //! | [`wire`] | the same protocol on TCP sockets across OS processes (`ftbb-noded`) |
 //! | [`dib`] | the DIB baseline (Finkel & Manber 1987) for §5.5's comparison |
 //! | [`paper`] | the paper's evaluation as one table of experiments and checked claims (`ftbb-paper`) |
