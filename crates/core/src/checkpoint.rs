@@ -74,17 +74,6 @@ pub trait CheckpointSink: Send {
     fn store(&mut self, chk: &Checkpoint) -> Result<(), String>;
 }
 
-/// The no-op sink: checkpoints vanish. Used by harnesses that only want
-/// the engine, not persistence.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl CheckpointSink for NullSink {
-    fn store(&mut self, _chk: &Checkpoint) -> Result<(), String> {
-        Ok(())
-    }
-}
-
 /// A serializable snapshot of a protocol process's durable state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
@@ -443,12 +432,6 @@ mod tests {
         let restored = BnbProcess::restore(&chk, ProtocolConfig::default(), 4);
         assert!(restored.is_terminated());
         assert_eq!(restored.incumbent(), 2.0);
-    }
-
-    #[test]
-    fn null_sink_swallows_checkpoints() {
-        let chk = worked_process().checkpoint();
-        assert!(NullSink.store(&chk).is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod process;
 pub mod telemetry;
 pub mod work;
 
-pub use checkpoint::{Checkpoint, CheckpointSink, GossipBinding, NullSink};
+pub use checkpoint::{Checkpoint, CheckpointSink, GossipBinding};
 pub use config::ProtocolConfig;
 pub use events::{Action, Event, MembershipEvent, PEvent, PTimer, Protocol};
 pub use job::JobId;

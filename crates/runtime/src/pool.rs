@@ -9,9 +9,10 @@
 //! state, so it is the one piece of the loop that can leave the thread
 //! without changing any observable ordering the protocol cares about.
 //!
-//! [`WorkerPool`] runs that work on a fixed set of worker threads fed
-//! through one shared MPMC channel: an idle worker is blocked in
-//! `recv`, whichever worker is free takes the next task. The pump
+//! [`WorkerPool`] runs that work on a fixed set of worker threads that
+//! share one task receiver behind a mutex: an idle worker waits for the
+//! lock or blocks in `recv` holding it, whichever worker is free takes
+//! the next task, and it lets go of the lock before running it. The pump
 //! submits tasks without blocking — a unit ([`WorkerPool::submit_unit`])
 //! with its incumbent and wall-clock budget, or a single expansion
 //! ([`WorkerPool::submit`]) — and harvests `(job, seq, work)` results
@@ -30,11 +31,11 @@
 //! moves.
 
 use crate::clock::Clock;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ftbb_core::{AnyExpander, Expander, Expansion, PEvent, WorkUnit};
 use ftbb_tree::Code;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -121,11 +122,12 @@ impl WorkerPool {
     pub fn new(workers: usize) -> WorkerPool {
         assert!(workers >= 1, "a worker pool needs at least one worker");
         let registry: Arc<Registry> = Arc::default();
-        let (task_tx, task_rx) = unbounded::<Task>();
-        let (done_tx, done_rx) = unbounded::<TaskDone>();
+        let (task_tx, task_rx) = channel::<Task>();
+        let task_rx = Arc::new(Mutex::new(task_rx));
+        let (done_tx, done_rx) = channel::<TaskDone>();
         let handles = (0..workers)
             .map(|_| {
-                let tasks = task_rx.clone();
+                let tasks = Arc::clone(&task_rx);
                 let registry = Arc::clone(&registry);
                 let done_tx = done_tx.clone();
                 std::thread::spawn(move || worker_loop(&tasks, &registry, &done_tx))
@@ -241,10 +243,16 @@ impl Drop for WorkerPool {
 /// prototype on first use), so the registry lock is off the per-task
 /// path; it is taken again only after an unregistration, to drop the
 /// copies of the jobs gone from the registry.
-fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<TaskDone>) {
+fn worker_loop(tasks: &Mutex<Receiver<Task>>, registry: &Registry, done_tx: &Sender<TaskDone>) {
     let mut cache: HashMap<u64, AnyExpander> = HashMap::new();
     let mut unregistered = 0;
-    while let Ok(task) = tasks.recv() {
+    loop {
+        // A statement of its own, so the guard drops before the task
+        // runs: in a `while let` scrutinee it would live through the
+        // body and the workers would run one at a time.
+        let Ok(task) = tasks.lock().unwrap_or_else(PoisonError::into_inner).recv() else {
+            return;
+        };
         let now_unregistered = registry.unregistered.load(Ordering::Acquire);
         if now_unregistered != unregistered {
             unregistered = now_unregistered;
@@ -286,7 +294,7 @@ fn worker_loop(tasks: &Receiver<Task>, registry: &Registry, done_tx: &Sender<Tas
 mod tests {
     use super::*;
     use crate::clock::DEADLINE_POLL;
-    use ftbb_bnb::{AnyInstance, BasicTreeProblem};
+    use ftbb_bnb::{AnyInstance, BasicTreeProblem, Correlation, KnapsackInstance};
     use ftbb_tree::basic_tree::fig1_example;
     use ftbb_tree::BasicTree;
 
@@ -399,6 +407,27 @@ mod tests {
             let want = Expander::explore(&mut inline, &code, f64::INFINITY, &mut first_read);
             assert_eq!(work, Work::Unit(want), "code {code}");
         }
+    }
+
+    #[test]
+    fn a_busy_worker_does_not_hold_back_the_next_task() {
+        // Far more search than the unit's budget, in debug or release.
+        let hard = KnapsackInstance::generate(60, 120, Correlation::Strong, 0.5, 423);
+        let mut pool = WorkerPool::new(2);
+        pool.register(1, Box::new(AnyExpander::new(hard.into())));
+        pool.register(2, Box::new(replay(fig1_example(), 1.0)));
+        let budget = Duration::from_millis(300);
+        pool.submit_unit(1, 0, Code::root(), f64::INFINITY, budget);
+        pool.submit(2, 0, Code::root());
+
+        let (job, _, _) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
+        assert_eq!(job, 2, "the expansion waited for the busy worker");
+        let (job, _, work) = pool.harvest_timeout(Duration::from_secs(5)).expect("done");
+        assert_eq!(job, 1);
+        let Work::Unit(unit) = work else {
+            panic!("submit_unit asks for a unit")
+        };
+        assert!(!unit.frontier.is_empty(), "the unit ran out of budget");
     }
 
     #[test]

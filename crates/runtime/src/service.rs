@@ -44,7 +44,6 @@ use crate::clock::{sim_time, Clock};
 use crate::pool::{Work, WorkerPool};
 use crate::telemetry::Telemetry;
 use crate::transport::{Envelope, Inbound, Transport, TransportStats};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{
     Action, AnyExpander, BnbProcess, Checkpoint, CheckpointSink, JobId, MembershipEvent, PEvent,
@@ -53,6 +52,7 @@ use ftbb_core::{
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -971,12 +971,12 @@ mod tests {
     use super::*;
     use crate::harness::{drive, ClusterConfig};
     use crate::transport::TransportCounters;
-    use crossbeam::channel::{unbounded, Sender};
     use ftbb_bnb::{
         solve, BranchBound, Correlation, KnapsackInstance, MaxSatInstance, SolveConfig,
     };
     use ftbb_core::{holds_root, node_seed, Msg};
     use ftbb_tree::Code;
+    use std::sync::mpsc::{channel, Sender};
     use std::thread;
     use std::time::Instant;
 
@@ -1028,7 +1028,7 @@ mod tests {
     /// inbox (admissions, and frames from peers that never run) and the
     /// inbox.
     fn wall_node() -> (Loopback, Sender<Inbound>, Receiver<Inbound>) {
-        let (tx, inbox) = unbounded();
+        let (tx, inbox) = channel();
         let net = Loopback {
             inbox: tx.clone(),
             counters: TransportCounters::default(),
@@ -1486,7 +1486,7 @@ mod tests {
         Receiver<JobOutcome>,
     ) {
         let (net, tx, inbox) = wall_node();
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         let mut svc = ServiceEngine::new(0, 0);
         svc.daemon(true);
         svc.set_hooks(ServiceHooks {

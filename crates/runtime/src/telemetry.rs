@@ -10,10 +10,10 @@
 //! epoch, so traces from different OS processes on one machine merge into
 //! a single ordered cluster timeline.
 
-use crossbeam::channel::{bounded, Sender};
 use ftbb_core::TraceEvent;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -29,7 +29,7 @@ struct TelemetryInner {
     epoch_unix_us: u64,
     /// `Some` until [`TelemetryInner::drop`]; dropping the sender is what
     /// lets the writer thread drain and exit.
-    tx: Option<Sender<TraceEvent>>,
+    tx: Option<SyncSender<TraceEvent>>,
     writer: Option<JoinHandle<()>>,
     dropped: AtomicU64,
 }
@@ -115,15 +115,17 @@ impl Telemetry {
         Telemetry::with_capacity(node, incarnation, out, DEFAULT_TRACE_CAP)
     }
 
-    /// An enabled handle with an explicit queue bound (`cap` events in
-    /// flight between `emit` and the writer thread).
-    pub fn with_capacity(
+    /// An enabled handle with an explicit queue bound: `cap` (at least 1)
+    /// events in flight between `emit` and the writer thread. A `cap` of
+    /// 0 would make the queue a rendezvous, where an event gets through
+    /// only while the writer waits for it.
+    fn with_capacity(
         node: u32,
         incarnation: u32,
         mut out: Box<dyn Write + Send>,
         cap: usize,
     ) -> Telemetry {
-        let (tx, rx) = bounded::<TraceEvent>(cap);
+        let (tx, rx) = sync_channel::<TraceEvent>(cap);
         let writer = std::thread::Builder::new()
             .name("ftbb-trace".to_string())
             .spawn(move || {

@@ -29,12 +29,12 @@ use crate::noded::{
     ParsedJob, ParsedMetrics, ParsedOutcome, ParsedService,
 };
 use crate::submit::{submit_job, SubmitOutcome};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use ftbb_core::{JobId, TraceEvent};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// One step of a cluster's lifecycle plan, timed from wiring completion.
@@ -572,7 +572,7 @@ fn spawn_node(
     // One reader thread per node: its stdout lines flow into a channel
     // the launcher drains (ready line now, outcome line after exit). The
     // thread ends at EOF.
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     std::thread::spawn(move || {
         for line in BufReader::new(stdout).lines() {
             let Ok(line) = line else { break };

@@ -58,7 +58,6 @@ use crate::codec::{encode_accepted, encode_result, EncodedFrame};
 use crate::config::{NodeConfig, ProblemSpec};
 use crate::lines::{line_codec, render_line, Fields};
 use crate::tcp::{Control, TcpMesh, WireConfig};
-use crossbeam::channel::{Receiver, Sender};
 use ftbb_bnb::{AnyInstance, BranchBound};
 use ftbb_core::{BnbProcess, Checkpoint, CheckpointSink, JobId, PhaseTimes, ProtocolConfig};
 use ftbb_des::SimTime;
@@ -70,6 +69,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// Extra grace past the readiness budget that a `--problem wire` node
@@ -431,7 +431,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     // the socket writes and announces a gateway's job to the pool with
     // its first result.
     let admission = cfg.service.then(|| {
-        let (reply_tx, reply_rx) = crossbeam::channel::unbounded::<Reply>();
+        let (reply_tx, reply_rx) = channel::<Reply>();
         let (incumbent_tx, complete_tx) = (reply_tx.clone(), reply_tx.clone());
         engine.set_hooks(ServiceHooks {
             on_incumbent: Some(Box::new(move |job, incumbent| {
@@ -1544,7 +1544,7 @@ mod tests {
             instance: tiny.clone(),
         };
         let quiet = Duration::from_millis(100);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         std::thread::scope(|scope| {
             scope.spawn(|| reply_loop(&gateway, rx));
 

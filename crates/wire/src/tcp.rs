@@ -80,7 +80,6 @@
 use crate::codec::{
     encode_announce, encode_frame, encode_join, EncodedFrame, FrameDecoder, JoinFrame, WireFrame,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{JobId, Msg};
 use ftbb_gossip::MembershipMsg;
@@ -89,6 +88,9 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
@@ -193,7 +195,7 @@ impl Peer {
     /// otherwise the writer settles it once the frame's fate is known.
     fn enqueue(&self, frame: EncodedFrame, counters: &TransportCounters) {
         self.depth.fetch_add(1, Ordering::AcqRel);
-        if self.queue_tx.try_send(WriterCmd::Frame(frame)).is_err() {
+        if self.queue_tx.send(WriterCmd::Frame(frame)).is_err() {
             // Undo the reservation: nobody will ever settle this frame,
             // and a leaked depth would make `drain` spin to timeout.
             self.depth.fetch_sub(1, Ordering::AcqRel);
@@ -232,7 +234,11 @@ struct Registry {
     book: Mutex<BookCache>,
     /// Where readers surface non-protocol frames; `None` is
     /// [`TcpMesh::close_control`]'s wake-up.
-    control: Sender<Option<Control>>,
+    control: SyncSender<Option<Control>>,
+    /// Control frames queued for [`TcpMesh::recv_control`]. A slot is
+    /// reserved before the frame is sent and released when it is taken
+    /// (or fails to send), like [`Peer`]'s `depth`.
+    control_depth: AtomicUsize,
     /// Per-job back-channel to the submitting client, for
     /// [`TcpMesh::send_submit_reply`].
     submitters: Mutex<HashMap<JobId, TcpStream>>,
@@ -372,9 +378,11 @@ impl Registry {
     /// flag) loses the frame, counted as shed, which, for a submission,
     /// refuses the job: its stream closes.
     fn surface(&self, control: Control) {
+        self.control_depth.fetch_add(1, Ordering::AcqRel);
         if let Err(TrySendError::Full(lost) | TrySendError::Disconnected(lost)) =
             self.control.try_send(Some(control))
         {
+            self.control_depth.fetch_sub(1, Ordering::AcqRel);
             self.counters.record_control_shed();
             if let Some(Control::Submit { job, .. }) = lost {
                 self.close_submitter(job);
@@ -418,7 +426,9 @@ pub struct TcpMesh {
     inbox_tx: Sender<Inbound>,
     /// The control plane's receiving end; readers hold the senders (in
     /// the registry). `None` is [`TcpMesh::close_control`]'s wake-up.
-    control_rx: Receiver<Option<Control>>,
+    /// Locked only by its one consumer, and by `close_control` when the
+    /// queue is full; the lock keeps the mesh `Sync`.
+    control_rx: Mutex<Receiver<Option<Control>>>,
 }
 
 impl TcpMesh {
@@ -438,8 +448,8 @@ impl TcpMesh {
         _: WireConfig,
     ) -> std::io::Result<(TcpMesh, Receiver<Inbound>)> {
         let local_addr = listener.local_addr()?;
-        let (inbox_tx, inbox_rx) = unbounded();
-        let (control_tx, control_rx) = bounded(CONTROL_QUEUE_CAP);
+        let (inbox_tx, inbox_rx) = channel();
+        let (control_tx, control_rx) = sync_channel(CONTROL_QUEUE_CAP);
 
         let registry = Arc::new(Registry {
             me,
@@ -453,6 +463,7 @@ impl TcpMesh {
                 cursor: 0,
             }),
             control: control_tx,
+            control_depth: AtomicUsize::new(0),
             submitters: Mutex::new(HashMap::new()),
             counters: Arc::new(TransportCounters::default()),
             shutdown: AtomicBool::new(false),
@@ -467,7 +478,7 @@ impl TcpMesh {
             TcpMesh {
                 registry,
                 inbox_tx,
-                control_rx,
+                control_rx: Mutex::new(control_rx),
             },
             inbox_rx,
         ))
@@ -519,7 +530,12 @@ impl TcpMesh {
     /// (sender admitted, writer re-pointed, submitter's stream held for
     /// [`TcpMesh::send_submit_reply`]). `None` on timeout.
     pub fn recv_control(&self, timeout: Duration) -> Option<Control> {
-        self.control_rx.recv_timeout(timeout).ok().flatten()
+        let rx = unpoisoned(self.control_rx.lock());
+        let control = rx.recv_timeout(timeout).ok().flatten();
+        if control.is_some() {
+            self.registry.control_depth.fetch_sub(1, Ordering::AcqRel);
+        }
+        control
     }
 
     /// Wake the thread blocked in [`TcpMesh::recv_control`]: once it has
@@ -527,14 +543,18 @@ impl TcpMesh {
     /// blocks: the caller is shutting down, so a full queue gives up its
     /// oldest frames to make room.
     pub(crate) fn close_control(&self) {
+        // The consumer may hold the receiver's lock while it waits, but
+        // not while the queue is full: only then is the lock needed.
         while self.registry.control.try_send(None).is_err() {
-            let _ = self.control_rx.try_recv();
+            if let Ok(Some(_)) = unpoisoned(self.control_rx.lock()).try_recv() {
+                self.registry.control_depth.fetch_sub(1, Ordering::AcqRel);
+            }
         }
     }
 
     /// Control frames waiting for [`TcpMesh::recv_control`].
     pub(crate) fn control_depth(&self) -> usize {
-        self.control_rx.len()
+        self.registry.control_depth.load(Ordering::Acquire)
     }
 
     /// Write an already-encoded frame back to the client that submitted
@@ -611,7 +631,7 @@ impl Transport for TcpMesh {
             // mesh delivering to the sender's own inbox.
             let wire = msg.wire_size();
             let env = Envelope { job, from, msg };
-            if self.inbox_tx.try_send(Inbound::Frame(env)).is_ok() {
+            if self.inbox_tx.send(Inbound::Frame(env)).is_ok() {
                 registry.counters.record_send(wire, wire);
             } else {
                 registry.counters.record_dropped_disconnected();
@@ -682,7 +702,7 @@ impl Transport for TcpMesh {
         let deadline = Instant::now() + timeout;
         for peer in unpoisoned(self.registry.peers.read()).values() {
             if !peer.connected.load(Ordering::Acquire) {
-                let _ = peer.queue_tx.try_send(WriterCmd::Preconnect { deadline });
+                let _ = peer.queue_tx.send(WriterCmd::Preconnect { deadline });
             }
         }
         self.await_peers(deadline, |p| p.connected.load(Ordering::Acquire))
@@ -787,7 +807,7 @@ fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Inboun
                                     registry.counters.record_dropped_stale();
                                     continue;
                                 }
-                                if inbox.try_send(Inbound::Frame(env)).is_err() {
+                                if inbox.send(Inbound::Frame(env)).is_err() {
                                     return; // local node gone
                                 }
                             }
@@ -870,7 +890,7 @@ fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Inboun
 /// disconnects) or the peer is re-registered at a new address (its entry
 /// — and queue sender — is replaced).
 fn spawn_peer(addr: SocketAddr, incarnation: u32, counters: Arc<TransportCounters>) -> Peer {
-    let (queue_tx, queue_rx) = unbounded();
+    let (queue_tx, queue_rx) = channel();
     let depth = Arc::new(AtomicUsize::new(0));
     let connected = Arc::new(AtomicBool::new(false));
     let writer = Writer {
@@ -1046,7 +1066,7 @@ pub(crate) fn free_addr() -> SocketAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::RecvTimeoutError;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn recv_msg(rx: &Receiver<Inbound>, within: Duration) -> Option<Envelope> {
         match rx.recv_timeout(within) {
@@ -1260,7 +1280,7 @@ mod tests {
         // Build a peer whose writer is gone (queue receiver dropped) and
         // enqueue into the void: the depth must come back to zero, or
         // `drain` would spin to timeout forever.
-        let (queue_tx, queue_rx) = unbounded();
+        let (queue_tx, queue_rx) = channel();
         drop(queue_rx);
         let peer = Peer {
             addr: free_addr(),
@@ -1341,6 +1361,7 @@ mod tests {
             assert_eq!(Some(frame.from), expected.next());
         }
         assert_eq!(expected.next(), None, "everything queued was delivered");
+        assert_eq!(mesh.control_depth(), 0, "each taken frame freed its slot");
         assert!(asked.elapsed() < Duration::from_secs(5));
     }
 
