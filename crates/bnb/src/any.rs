@@ -6,7 +6,10 @@
 //! `⟨variable, value⟩` pairs rides the same recovery machinery. This
 //! module makes that claim executable: [`AnyInstance`] is an enum over 0/1
 //! knapsack, weighted MAX-SAT, and recorded basic trees, dispatching the
-//! [`BranchBound`] operators per variant. Because it derives the workspace
+//! [`BranchBound`] operators per variant. That per-node dispatch serves the
+//! sequential reference solves; a node's expander (`ftbb_core::AnyExpander`)
+//! picks the variant once per expansion or work unit and walks the concrete
+//! problem's own nodes. Because it derives the workspace
 //! serde codec, a materialized instance travels the wire unchanged — the
 //! `ftbb-wire` problem-announce frame ships an [`AnyInstance`] so peers
 //! can solve a problem they never generated locally.

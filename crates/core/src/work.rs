@@ -10,12 +10,12 @@
 //! last replayed and replays only the suffix of each code past the prefix
 //! they share.
 //!
-//! [`ProblemExpander`] is the one expander every harness runs, and the
-//! one impl of [`Expander`]: the deployed nodes over a live problem as an
-//! [`AnyExpander`] (any [`ftbb_bnb::AnyInstance`] kind), and the simulator
-//! over a recorded tree (the paper's §6.2 method) as a
-//! [`ftbb_bnb::BasicTreeProblem`]. Only Bound and Decompose depend on the
-//! problem (§2), and they are the problem's [`BranchBound::branch`].
+//! [`ProblemExpander`] is the one walk every harness runs: the deployed
+//! nodes over a live problem through an [`AnyExpander`] (one typed
+//! `ProblemExpander` per [`AnyInstance`] kind, picked once per call), and
+//! the simulator over a recorded tree (the paper's §6.2 method) as a
+//! [`BasicTreeProblem`]. Only Bound and Decompose depend on the problem
+//! (§2), and they are the problem's [`BranchBound::branch`].
 //!
 //! The protocol needs codes only at its boundaries — donation, reports,
 //! recovery, interruption — so the unit of work between two protocol steps
@@ -26,7 +26,7 @@
 //! answers `StartWork` with one [`Expander::expand`] instead feeds the
 //! protocol a one-node unit.
 
-use ftbb_bnb::BranchBound;
+use ftbb_bnb::{AnyInstance, BasicTreeProblem, BranchBound, KnapsackInstance, MaxSatInstance};
 use ftbb_tree::{Code, Pair, Var};
 
 /// Result of expanding one subproblem.
@@ -154,10 +154,13 @@ impl WorkUnit {
 
 /// Bound + decompose subproblems identified by tree codes.
 ///
-/// [`ProblemExpander`] is the one impl: every harness expands through it,
-/// and the runtime runs [`AnyExpander`]. It stays a trait only because
-/// code outside the workspace (the benchmark's probes) names it to call
-/// these methods.
+/// Two impls: [`ProblemExpander`], which every harness expands through,
+/// and [`AnyExpander`], which the runtime runs and which forwards each
+/// call to the `ProblemExpander` of its problem kind. It stays a trait
+/// only because code outside the workspace (the benchmark's probes) names
+/// it to call these methods; nothing uses it as `dyn Expander`, so
+/// `explore` takes its budget closure by type and each check of it is a
+/// static call.
 pub trait Expander {
     /// Expand the subproblem with this code. Must be deterministic, and must
     /// succeed for any code reachable in the problem's tree (panics on
@@ -180,7 +183,7 @@ pub trait Expander {
         &mut self,
         code: &Code,
         incumbent: f64,
-        keep_going: &mut dyn FnMut(u64, f64) -> bool,
+        keep_going: &mut impl FnMut(u64, f64) -> bool,
     ) -> WorkUnit;
 
     /// The root problem's lower bound (to seed the initial pool).
@@ -226,8 +229,8 @@ fn finish(frames: &mut Vec<Frame>, pairs: &[Pair], base: usize, mut depth: usize
 
 /// Expands a [`BranchBound`] problem by replaying the code's decisions —
 /// the expander of every harness: the in-process cluster and `ftbb-noded`
-/// over any problem, the simulator over a recorded tree
-/// ([`ftbb_bnb::BasicTreeProblem`]). It keeps the node states along the
+/// over any problem (inside an [`AnyExpander`]), the simulator over a
+/// recorded tree ([`BasicTreeProblem`]). It keeps the node states along the
 /// path it last replayed and replays only the decisions past the prefix a
 /// code shares with that path, with [`BranchBound::rebuild`]'s per-step
 /// check: a child of the last expansion costs one step, and a code that
@@ -285,12 +288,65 @@ impl<P: BranchBound> ProblemExpander<P> {
     }
 }
 
-/// The problem-agnostic expander: a [`ProblemExpander`] over
-/// [`ftbb_bnb::AnyInstance`], the one instance type of every deployment.
-/// Jobs, pool workers and the in-process and TCP harnesses all run it,
-/// whether the workload was materialized locally from a spec, from a
-/// peer's problem-announce frame or from a checkpoint.
-pub type AnyExpander = ProblemExpander<ftbb_bnb::AnyInstance>;
+/// The problem-agnostic expander: one typed [`ProblemExpander`] per
+/// [`AnyInstance`] kind. Jobs, pool workers and the in-process and TCP
+/// harnesses all run it, whether the workload was materialized locally
+/// from a spec, from a peer's problem-announce frame or from a checkpoint.
+/// The problem kind is fixed for a whole job, so it is picked once per
+/// call (an expansion or a whole work unit), and the walk below runs on
+/// the concrete problem and its own node type; [`AnyInstance`]'s per-node
+/// dispatch serves only the sequential reference solves.
+#[derive(Debug, Clone)]
+pub enum AnyExpander {
+    /// Over a 0/1 knapsack instance.
+    Knapsack(ProblemExpander<KnapsackInstance>),
+    /// Over a weighted MAX-SAT instance.
+    MaxSat(ProblemExpander<MaxSatInstance>),
+    /// Over a recorded basic tree.
+    RecordedTree(ProblemExpander<BasicTreeProblem>),
+}
+
+impl AnyExpander {
+    /// The expander of `instance`'s kind. No wildcard arm: a new instance
+    /// kind does not compile until it has an expander here.
+    pub fn new(instance: AnyInstance) -> Self {
+        match instance {
+            AnyInstance::Knapsack(k) => AnyExpander::Knapsack(ProblemExpander::new(k)),
+            AnyInstance::MaxSat(m) => AnyExpander::MaxSat(ProblemExpander::new(m)),
+            AnyInstance::RecordedTree(t) => AnyExpander::RecordedTree(ProblemExpander::new(t)),
+        }
+    }
+}
+
+/// Run `$body` with `$e` bound to the typed expander inside `$any`.
+macro_rules! per_kind {
+    ($any:expr, $e:ident => $body:expr) => {
+        match $any {
+            AnyExpander::Knapsack($e) => $body,
+            AnyExpander::MaxSat($e) => $body,
+            AnyExpander::RecordedTree($e) => $body,
+        }
+    };
+}
+
+impl Expander for AnyExpander {
+    fn expand(&mut self, code: &Code) -> Expansion {
+        per_kind!(self, e => e.expand(code))
+    }
+
+    fn explore(
+        &mut self,
+        code: &Code,
+        incumbent: f64,
+        keep_going: &mut impl FnMut(u64, f64) -> bool,
+    ) -> WorkUnit {
+        per_kind!(self, e => e.explore(code, incumbent, keep_going))
+    }
+
+    fn root_bound(&self) -> f64 {
+        per_kind!(self, e => e.root_bound())
+    }
+}
 
 impl<P: BranchBound> Expander for ProblemExpander<P> {
     fn expand(&mut self, code: &Code) -> Expansion {
@@ -307,7 +363,7 @@ impl<P: BranchBound> Expander for ProblemExpander<P> {
         &mut self,
         code: &Code,
         mut incumbent: f64,
-        keep_going: &mut dyn FnMut(u64, f64) -> bool,
+        keep_going: &mut impl FnMut(u64, f64) -> bool,
     ) -> WorkUnit {
         self.descend(code);
         let base = self.pairs.len();
@@ -403,7 +459,7 @@ impl<P: BranchBound> Expander for ProblemExpander<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftbb_bnb::{BasicTreeProblem, Correlation, KnapsackInstance};
+    use ftbb_bnb::Correlation;
     use ftbb_tree::basic_tree::fig1_example;
     use ftbb_tree::{random_basic_tree, BasicTree, TreeConfig};
 
@@ -455,18 +511,13 @@ mod tests {
         replay(fig1_example()).expand(&Code::from_decisions(&[(99, true)]));
     }
 
-    /// Shared body: a live expander over `problem` must agree with the
-    /// replay of the tree recorded from that same problem, on every
+    /// Shared body: `live`, an expander over `problem`, must agree with
+    /// the replay of the tree recorded from that same problem, on every
     /// recorded node (bounds may differ only by the recorder's
     /// monotonicity clamp).
-    fn assert_expander_agrees_with_recorder<P>(problem: P)
-    where
-        P: ftbb_bnb::BranchBound,
-        P::Node: Clone,
-    {
-        let tree = ftbb_bnb::record_basic_tree(&problem, ftbb_bnb::RecordLimits::default())
+    fn assert_expander_agrees_with_recorder<P: BranchBound>(problem: &P, live: &mut impl Expander) {
+        let tree = ftbb_bnb::record_basic_tree(problem, ftbb_bnb::RecordLimits::default())
             .expect("recordable instance");
-        let mut live = ProblemExpander::new(problem);
         let mut recorded = replay(tree.clone());
         for id in (0..tree.len() as u32).step_by(7) {
             let code = tree.code_of(id);
@@ -481,13 +532,8 @@ mod tests {
 
     #[test]
     fn problem_expander_agrees_with_recorder() {
-        assert_expander_agrees_with_recorder(KnapsackInstance::generate(
-            10,
-            30,
-            Correlation::Uncorrelated,
-            0.5,
-            3,
-        ));
+        let k = KnapsackInstance::generate(10, 30, Correlation::Uncorrelated, 0.5, 3);
+        assert_expander_agrees_with_recorder(&k, &mut ProblemExpander::new(k.clone()));
     }
 
     #[test]
@@ -495,7 +541,8 @@ mod tests {
         // MAX-SAT branches on a *dynamically chosen* variable, so this
         // additionally checks that recorded ⟨var, value⟩ codes replay
         // through rebuild() when branching order differs across subtrees.
-        assert_expander_agrees_with_recorder(ftbb_bnb::MaxSatInstance::generate(8, 22, 6));
+        let m = MaxSatInstance::generate(8, 22, 6);
+        assert_expander_agrees_with_recorder(&m, &mut ProblemExpander::new(m.clone()));
     }
 
     #[test]
@@ -505,12 +552,33 @@ mod tests {
         // bound clamp to hide behind).
         let k = KnapsackInstance::generate(9, 25, Correlation::Weak, 0.5, 8);
         let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
-        assert_expander_agrees_with_recorder(BasicTreeProblem::new(tree));
+        let t = BasicTreeProblem::new(tree);
+        assert_expander_agrees_with_recorder(&t, &mut ProblemExpander::new(t.clone()));
+    }
+
+    /// An expansion with every float as its bits.
+    fn expansion_bits(e: &Expansion) -> impl PartialEq + std::fmt::Debug {
+        let children = e
+            .children
+            .map(|c| (c.var, c.left_bound.to_bits(), c.right_bound.to_bits()));
+        let solution = e.solution.map(f64::to_bits);
+        (e.cost.to_bits(), e.bound.to_bits(), solution, children)
+    }
+
+    /// A work unit with every float as its bits.
+    fn unit_bits(u: &WorkUnit) -> impl PartialEq + std::fmt::Debug {
+        let frontier: Vec<(Code, u64)> = u
+            .frontier
+            .iter()
+            .map(|(c, b)| (c.clone(), b.to_bits()))
+            .collect();
+        let counts = (u.expanded, u.pruned, u.eliminated, u.fathomed);
+        let solution = u.solution.map(f64::to_bits);
+        (u.done.clone(), frontier, solution, counts, u.cost.to_bits())
     }
 
     #[test]
     fn any_expander_dispatches_all_variants() {
-        use ftbb_bnb::AnyInstance;
         let k = KnapsackInstance::generate(10, 30, Correlation::Uncorrelated, 0.5, 3);
         let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
         let variants: Vec<AnyInstance> = vec![
@@ -519,7 +587,36 @@ mod tests {
             tree.into(),
         ];
         for any in variants {
-            assert_expander_agrees_with_recorder(any);
+            let kind = any.kind();
+            assert_expander_agrees_with_recorder(&any, &mut AnyExpander::new(any.clone()));
+            // The typed expander is the per-node dispatch over the same
+            // instance, bit for bit: expansion by expansion, and unit by
+            // unit when units are restarted from their frontier codes.
+            let mut typed = AnyExpander::new(any.clone());
+            let mut per_node = ProblemExpander::new(any.clone());
+            assert_eq!(
+                typed.root_bound().to_bits(),
+                per_node.root_bound().to_bits()
+            );
+            let recorded =
+                ftbb_bnb::record_basic_tree(&any, ftbb_bnb::RecordLimits::default()).unwrap();
+            for id in (0..recorded.len() as u32).step_by(3) {
+                let code = recorded.code_of(id);
+                let (a, b) = (typed.expand(&code), per_node.expand(&code));
+                assert_eq!(expansion_bits(&a), expansion_bits(&b), "{kind} {code}");
+            }
+            for budget in [1, 2, 7, 40, u64::MAX] {
+                let (mut pool, mut incumbent, mut units) = (vec![Code::root()], f64::INFINITY, 0);
+                while let Some(code) = pool.pop() {
+                    let a = typed.explore(&code, incumbent, &mut |n, _| n < budget);
+                    let b = per_node.explore(&code, incumbent, &mut |n, _| n < budget);
+                    assert_eq!(unit_bits(&a), unit_bits(&b), "{kind} {code} at {budget}");
+                    incumbent = a.solution.map_or(incumbent, |v| v.min(incumbent));
+                    pool.extend(a.frontier.into_iter().map(|(c, _)| c));
+                    units += 1;
+                }
+                assert!(budget > 2 || units > 1, "{kind} at {budget} ran one unit");
+            }
         }
     }
 }

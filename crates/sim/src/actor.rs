@@ -254,7 +254,7 @@ impl<P: Protocol> Process for SimProcess<P> {
                     .step(Event::WorkDone { seq, expansion }, now, &mut self.out);
                 let consumed = self.core.metrics().expanded > expanded_before;
                 if consumed {
-                    let redundant = self.shared.borrow_mut().record_expansion(&code);
+                    let redundant = self.shared.borrow_mut().record_expansion(code);
                     if redundant {
                         self.times.redundant += cost;
                     } else {

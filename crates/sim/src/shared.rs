@@ -200,8 +200,8 @@ impl Shared {
     }
 
     /// Record that `pid` expanded `code`; returns true if it was redundant.
-    pub fn record_expansion(&mut self, code: &Code) -> bool {
-        if self.expanded_global.insert(code.clone()) {
+    pub fn record_expansion(&mut self, code: Code) -> bool {
+        if self.expanded_global.insert(code) {
             false
         } else {
             self.redundant_expansions += 1;
@@ -350,8 +350,8 @@ mod tests {
     fn redundancy_oracle() {
         let mut s = shared(1);
         let c = Code::from_decisions(&[(1, true)]);
-        assert!(!s.record_expansion(&c));
-        assert!(s.record_expansion(&c));
+        assert!(!s.record_expansion(c.clone()));
+        assert!(s.record_expansion(c));
         assert_eq!(s.redundant_expansions, 1);
     }
 
