@@ -146,9 +146,11 @@ fn unpoisoned<G>(guard: LockResult<G>) -> G {
 /// clones of one encoding).
 enum WriterCmd {
     Frame(EncodedFrame),
-    /// Pre-establishment: dial eagerly until connected or `deadline`.
+    /// Pre-establishment: dial eagerly until connected or `deadline`,
+    /// then say so on `done`.
     Preconnect {
         deadline: Instant,
+        done: Sender<()>,
     },
 }
 
@@ -697,15 +699,32 @@ impl Transport for TcpMesh {
     /// attempts are counted as `connect_waits`); returns `true` once
     /// every peer has accepted a connection, `false` if the deadline
     /// passed first. Safe to call again — already-connected peers are
-    /// skipped.
+    /// skipped. Each writer reports back when its dialling ends, so the
+    /// barrier lifts as soon as the last connection is up, not on the
+    /// next tick of a poll.
     fn ready(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let (done, dialled) = channel();
+        let mut dialling = 0;
         for peer in unpoisoned(self.registry.peers.read()).values() {
             if !peer.connected.load(Ordering::Acquire) {
-                let _ = peer.queue_tx.send(WriterCmd::Preconnect { deadline });
+                let cmd = WriterCmd::Preconnect {
+                    deadline,
+                    done: done.clone(),
+                };
+                dialling += usize::from(peer.queue_tx.send(cmd).is_ok());
             }
         }
-        self.await_peers(deadline, |p| p.connected.load(Ordering::Acquire))
+        drop(done);
+        for _ in 0..dialling {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if dialled.recv_timeout(left).is_err() {
+                break;
+            }
+        }
+        unpoisoned(self.registry.peers.read())
+            .values()
+            .all(|p| p.connected.load(Ordering::Acquire))
     }
 
     fn endpoints(&self) -> usize {
@@ -1035,21 +1054,25 @@ impl Writer {
                     while batch.len() < BATCH_MAX_FRAMES {
                         match queue.try_recv() {
                             Ok(WriterCmd::Frame(frame)) => batch.push(frame),
-                            Ok(WriterCmd::Preconnect { deadline }) => {
+                            Ok(WriterCmd::Preconnect { deadline, done }) => {
                                 // Keep command order: flush the frames
                                 // queued before it first.
-                                deferred_preconnect = Some(deadline);
+                                deferred_preconnect = Some((deadline, done));
                                 break;
                             }
                             Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
                         }
                     }
                     self.on_frames(&batch);
-                    if let Some(deadline) = deferred_preconnect {
+                    if let Some((deadline, done)) = deferred_preconnect {
                         self.preconnect(deadline);
+                        let _ = done.send(());
                     }
                 }
-                WriterCmd::Preconnect { deadline } => self.preconnect(deadline),
+                WriterCmd::Preconnect { deadline, done } => {
+                    self.preconnect(deadline);
+                    let _ = done.send(());
+                }
             }
         }
     }
