@@ -59,7 +59,9 @@ pub struct ProtocolConfig {
     /// denied — stands for all of them: a peer that neither grants nor
     /// denies is evidence enough, so its one fuse goes straight to the
     /// `recovery_quiet_s` gate. One deny keeps the full count: the peer is
-    /// alive and starvation is load imbalance.
+    /// alive and starvation is load imbalance. A process whose every
+    /// remaining peer's connection closed (`Event::PeerClosed`) pays no
+    /// round at all: nobody is left to ask.
     pub lb_rounds_before_recovery: u32,
     /// Recovery additionally requires this many seconds without *news*
     /// (new completion codes, or granted work). While reports carrying new
@@ -73,7 +75,11 @@ pub struct ProtocolConfig {
     /// seeks work again and the full patience applies anew. A silent round
     /// (see `lb_rounds_before_recovery`) skips the remaining rounds but not
     /// this gate: its first recovery waits
-    /// `max(3 · lb_timeout_s + recovery_delay_s, recovery_quiet_s)`.
+    /// `max(3 · lb_timeout_s + recovery_delay_s, recovery_quiet_s)`. That
+    /// floor has one exception: a process whose every remaining peer's
+    /// connection closed (`Event::PeerClosed`) recovers at once, fuse and
+    /// gate both skipped — nobody else can still hold the missing work,
+    /// and a wrong guess costs only redundant work.
     pub recovery_quiet_s: f64,
     /// Maximum subproblems donated per work grant.
     pub grant_max: usize,

@@ -103,6 +103,15 @@ pub enum Event<M = Msg, T = PTimer> {
     },
     /// A timer fired.
     Timer(T),
+    /// The transport saw the connection from this peer close: a
+    /// SIGKILLed daemon's sockets do that at once, long before its
+    /// heartbeats are missed. A deployed node's transport delivers it
+    /// (and `ftbb-runtime`'s in-process cluster, as loopback would); the
+    /// simulator never does, so the paper's model is untouched. It is
+    /// evidence of a crash, not proof: [`crate::BnbProcess`] stops
+    /// addressing the peer until a frame from it arrives again, and the
+    /// baselines ignore it.
+    PeerClosed(u32),
 }
 
 /// The events of the paper's protocol, [`crate::BnbProcess`].

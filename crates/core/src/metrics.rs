@@ -121,6 +121,10 @@ mergeable_struct! {
         /// Members forgotten (swept after `t_cleanup`) from this process's
         /// membership view.
         pub peers_forgotten: u64,
+        /// Peer connections the transport saw close
+        /// ([`crate::Event::PeerClosed`]) while the peer was open to this
+        /// process; a peer that speaks again and closes again counts again.
+        pub peers_closed: u64,
         /// Membership events silently discarded because the process's bounded
         /// event buffer (driven by a harness that was not draining it) was
         /// full. Non-zero means the harness missed suspicion/forget

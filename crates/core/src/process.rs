@@ -103,6 +103,11 @@ pub struct BnbProcess {
     suspected_seen: Vec<u32>,
     /// Suspicion/cleanup transitions awaiting a harness drain.
     membership_events: Vec<MembershipEvent>,
+    /// Peers whose connection the transport saw close
+    /// ([`PEvent::PeerClosed`]) and that have sent nothing since. Nothing
+    /// is addressed to them; a frame from one reopens it. Transient: a
+    /// checkpoint does not carry it.
+    closed: Vec<u32>,
     /// The incumbent value last broadcast as an explicit
     /// [`Msg::BoundAnnounce`] (bit-compared; `INFINITY` = never).
     last_announced: Incumbent,
@@ -159,6 +164,7 @@ impl BnbProcess {
             gossip_servers: Vec::new(),
             suspected_seen: Vec::new(),
             membership_events: Vec::new(),
+            closed: Vec::new(),
             last_announced: f64::INFINITY,
             bound_flush_armed: false,
             pruned_scratch: Vec::new(),
@@ -264,21 +270,42 @@ impl BnbProcess {
         self.pool.len()
     }
 
-    /// The membership view's alive members, or the static list itself.
+    /// The membership view's alive members, or the static list, less
+    /// the closed peers.
     fn members(&self, now: SimTime) -> Cow<'_, [u32]> {
         match &self.membership {
             Some(m) => m
                 .alive_members(now)
                 .into_iter()
-                .filter(|&x| x != self.me)
+                .filter(|&x| x != self.me && self.is_open(x))
                 .collect(),
-            None => Cow::Borrowed(&self.static_members),
+            None if self.closed.is_empty() => Cow::Borrowed(&self.static_members),
+            None => self
+                .static_members
+                .iter()
+                .copied()
+                .filter(|&x| self.is_open(x))
+                .collect(),
         }
+    }
+
+    /// Is `peer`'s connection open, as far as the transport has told?
+    fn is_open(&self, peer: u32) -> bool {
+        !self.closed.contains(&peer)
+    }
+
+    /// Has every peer left closed its connection? Then nobody can answer
+    /// a work request or still hold the missing work, and the patience
+    /// that guards recovery against redundant work protects nothing. An
+    /// empty view with no closed peer (a joiner before its welcome) is not
+    /// deserted.
+    fn deserted(&self, now: SimTime) -> bool {
+        !self.closed.is_empty() && self.members(now).is_empty()
     }
 
     /// One of [`Self::members`], drawn uniformly; `None` if there are none.
     fn random_member(&mut self, now: SimTime) -> Option<u32> {
-        if self.membership.is_none() {
+        if self.membership.is_none() && self.closed.is_empty() {
             // The same draw from the list, without copying it.
             return self.static_members.choose(&mut self.rng).copied();
         }
@@ -428,14 +455,15 @@ impl BnbProcess {
     /// [`LB_ATTEMPTS`] failures. A silent round — every request timed out,
     /// none denied — stands for all `lb_rounds_before_recovery` rounds: a
     /// peer that neither grants nor denies is evidence enough, so its fuse
-    /// goes straight to the quiet gate.
+    /// goes straight to the quiet gate. A deserted process arms no fuse:
+    /// [`Self::seek_work`] recovers at once.
     fn no_grant(&mut self, now: SimTime, out: &mut Vec<Action>) {
         self.lb_awaiting = None;
         if !self.is_idle() {
             return;
         }
         self.lb_failures += 1;
-        if self.lb_failures >= LB_ATTEMPTS {
+        if self.lb_failures >= LB_ATTEMPTS && !self.deserted(now) {
             if self.lb_silent >= LB_ATTEMPTS {
                 self.metrics.silent_rounds += 1;
                 self.lb_cycles = self.cfg.lb_rounds_before_recovery.saturating_sub(1);
@@ -477,7 +505,9 @@ impl BnbProcess {
     fn on_membership(&mut self, from: u32, m: &MembershipMsg, now: SimTime, out: &mut Vec<Action>) {
         let mem = self.membership.as_mut().expect("step guards on membership");
         for (to, reply) in mem.on_message(from, m, now) {
-            out.push(Action::send(to, Msg::Membership(reply)));
+            if !self.closed.contains(&to) {
+                out.push(Action::send(to, Msg::Membership(reply)));
+            }
         }
     }
 
@@ -532,7 +562,9 @@ impl BnbProcess {
         let mem = self.membership.as_mut().expect("step guards on membership");
         let (gossip, forgotten) = mem.tick(now, &mut self.rng);
         for (to, msg) in gossip {
-            out.push(Action::send(to, Msg::Membership(msg)));
+            if !self.closed.contains(&to) {
+                out.push(Action::send(to, Msg::Membership(msg)));
+            }
         }
         let suspected_now = mem.view().suspected(now);
         let newly_suspected: Vec<u32> = suspected_now
@@ -568,6 +600,32 @@ impl BnbProcess {
         }
     }
 
+    /// The transport saw `peer`'s connection close: leave it out of every
+    /// target and recipient list. A request pending on it can never be
+    /// answered, so it fails at once, as a silent one. An idle process
+    /// that waits on its fuse and now has nobody left to ask stops
+    /// waiting: [`Self::seek_work`] recovers at once.
+    fn peer_closed(&mut self, peer: u32, now: SimTime, out: &mut Vec<Action>) {
+        self.closed.push(peer);
+        self.metrics.peers_closed += 1;
+        if self.asked(peer) {
+            if self.is_idle() {
+                self.lb_silent += 1;
+            }
+            self.no_grant(now, out);
+        } else if self.lb_awaiting.is_none() && self.is_idle() && self.deserted(now) {
+            self.recovery_seq += 1; // the armed fuse is moot
+            self.seek_work(now, out);
+        }
+    }
+
+    /// A frame from a closed peer: its connection is back.
+    fn reopen(&mut self, peer: u32) {
+        if let Some(i) = self.closed.iter().position(|&c| c == peer) {
+            self.closed.swap_remove(i);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Load balancing (§5: on-demand dynamic work sharing)
     // ------------------------------------------------------------------
@@ -584,6 +642,10 @@ impl BnbProcess {
             .is_some_and(|(_, pending, _)| pending == seq)
     }
 
+    /// An idle process asks a random member for work. With nobody to ask
+    /// it arms the recovery fuse, unless it is deserted (see
+    /// [`Self::deserted`]): then it re-solves the complement at once, with
+    /// no fuse and no quiet gate.
     fn seek_work(&mut self, now: SimTime, out: &mut Vec<Action>) {
         if self.lb_awaiting.is_some() {
             return;
@@ -603,6 +665,12 @@ impl BnbProcess {
                     self.cfg.lb_timeout_s,
                     PTimer::LbTimeout(self.lb_seq),
                 ));
+            }
+            None if !self.closed.is_empty() => {
+                // Deserted (see `deserted`): re-solve the lost work now.
+                self.lb_failures = 0;
+                self.lb_silent = 0;
+                self.solve_complement(out);
             }
             None => {
                 // Nobody to ask (single process or empty view): go straight
@@ -822,7 +890,7 @@ impl BnbProcess {
             None => self.static_members.clone(),
         };
         let incumbent = self.incumbent;
-        for to in members {
+        for to in members.into_iter().filter(|&x| self.is_open(x)) {
             let codes = vec![Code::root()];
             out.push(Action::send(to, Msg::WorkReport { codes, incumbent }));
         }
@@ -979,17 +1047,19 @@ impl Protocol for BnbProcess {
     // One arm per line, so the table reads as one.
     #[rustfmt::skip]
     fn step(&mut self, event: PEvent, now: SimTime, out: &mut Vec<Action>) {
-        use crate::events::Event::{Recv, Start, Timer, UnitDone, WorkDone};
+        use crate::events::Event::{PeerClosed, Recv, Start, Timer, UnitDone, WorkDone};
         // §5.4: a process that detected termination has halted.
         if self.terminated {
             return;
         }
         // §5.1: every message but membership traffic carries its sender's
-        // incumbent, a rumor applied before the message's own rule.
-        if let Recv { msg, .. } = &event {
+        // incumbent, a rumor applied before the message's own rule. Any
+        // frame reopens a closed sender.
+        if let Recv { from, msg } = &event {
             if let Some(v) = msg.incumbent() {
                 self.update_incumbent(v, out);
             }
+            self.reopen(*from);
         }
         match event {
             // §5: activation.
@@ -1027,6 +1097,11 @@ impl Protocol for BnbProcess {
             // §5.1: incumbent rumors; an announce carries nothing else.
             Recv { msg: Msg::BoundAnnounce { .. }, .. } => {}
             Timer(PTimer::BoundFlush) => self.bound_flush(now, out),
+            // Crash evidence from the transport (no paper section: the
+            // paper's machines learn of a crash only by silence); a peer
+            // already closed, or this process itself, changes nothing.
+            PeerClosed(peer) if peer == self.me || !self.is_open(peer) => {}
+            PeerClosed(peer) => self.peer_closed(peer, now, out),
         }
     }
 
@@ -1734,6 +1809,186 @@ mod tests {
         assert_eq!(seen, expected);
         assert_eq!(p.metrics().recoveries, u64::from(K));
         assert_eq!(p.metrics().silent_rounds, 1);
+    }
+
+    /// The member of `{0, 2}` that is not `asked` (a [`mk_idle`] process
+    /// 1's other peer).
+    fn other_peer(asked: u32) -> u32 {
+        if asked == 0 {
+            2
+        } else {
+            0
+        }
+    }
+
+    #[test]
+    fn a_request_to_a_peer_that_closes_fails_in_the_same_step() {
+        let mut p = mk_idle(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let asked = request_target(&actions).unwrap();
+        let actions = p.handle(PEvent::PeerClosed(asked), secs(0.001));
+        // The next request goes out at once, to the peer still open.
+        assert_eq!(request_target(&actions), Some(other_peer(asked)));
+        assert_eq!(p.metrics().lb_timeouts, 0, "no timeout was waited");
+        assert_eq!(p.metrics().peers_closed, 1);
+        // The abandoned request's timer is stale when it fires.
+        let seq = lb_timeout(&actions).unwrap();
+        let stale = p.handle(PEvent::Timer(PTimer::LbTimeout(seq - 1)), secs(0.5));
+        assert!(stale.is_empty());
+        // A second close of the same peer is no news.
+        assert!(p.handle(PEvent::PeerClosed(asked), secs(0.6)).is_empty());
+        assert_eq!(p.metrics().peers_closed, 1);
+    }
+
+    #[test]
+    fn an_idle_process_whose_last_peer_closed_recovers_at_once() {
+        const K: u16 = 3;
+        let mut p = BnbProcess::new(1, vec![0, 1], cfg(), 0.0, false, 1);
+        let actions = p.handle(PEvent::Start, t0());
+        assert_eq!(request_target(&actions), Some(0));
+        let msg = report_of(vec![all_left(K)]);
+        p.handle(PEvent::Recv { from: 0, msg }, t0());
+        // The default config would wait max(3 · 0.5 + 1, 2) s; the close
+        // waives all of it.
+        let mut actions = p.handle(PEvent::PeerClosed(0), secs(0.001));
+        assert!(fuse(&actions).is_none());
+        let mut seen = Vec::new();
+        while let Some(work) = started(&actions) {
+            assert!((1..=K).any(|j| work.0 == chain_code(j)), "{:?}", work.0);
+            seen.push(work.0.clone());
+            actions = finish_leaf(&mut p, &work);
+            assert!(!arms_patience(&actions));
+            assert!(sends(&actions).is_empty(), "nobody is left to tell");
+        }
+        assert!(p.is_terminated());
+        assert_eq!(seen.len(), usize::from(K));
+        assert_eq!(p.metrics().recoveries, u64::from(K));
+        assert_eq!(p.metrics().silent_rounds, 0);
+    }
+
+    #[test]
+    fn a_process_on_its_fuse_stops_waiting_when_its_last_peer_closes() {
+        let mut p = BnbProcess::new(1, vec![0, 1], cfg(), 0.0, false, 1);
+        let actions = p.handle(PEvent::Start, t0());
+        let actions = deny(&mut p, &actions, 0.1);
+        let actions = deny(&mut p, &actions, 0.2);
+        let actions = deny(&mut p, &actions, 0.3);
+        let armed = fuse(&actions).expect("three denies arm the fuse");
+        let actions = p.handle(PEvent::PeerClosed(0), secs(0.4));
+        let (code, _) = started(&actions).expect("recovers at once");
+        assert!(code.is_root());
+        // The fuse it was waiting on is moot.
+        let late = p.handle(PEvent::Timer(PTimer::RecoveryFuse(armed)), secs(1.3));
+        assert!(late.is_empty());
+        assert_eq!(p.metrics().recoveries, 1);
+    }
+
+    #[test]
+    fn with_one_of_three_peers_closed_the_full_fuse_path_still_applies() {
+        let mut p = BnbProcess::new(1, vec![0, 1, 2, 3], cfg(), 0.0, false, 1);
+        let mut actions = p.handle(PEvent::Start, t0());
+        let asked = request_target(&actions).unwrap();
+        let closed = [0, 2, 3].into_iter().find(|&x| x != asked).unwrap();
+        assert!(p.handle(PEvent::PeerClosed(closed), t0()).is_empty());
+        let mut t = 0.0;
+        for _ in 0..LB_ATTEMPTS {
+            assert_ne!(request_target(&actions), Some(closed));
+            (actions, t) = time_out(&mut p, actions, t, 1);
+        }
+        assert_eq!(p.metrics().work_requests_sent, u64::from(LB_ATTEMPTS));
+        assert_eq!(p.metrics().silent_rounds, 1);
+        assert!(started(&actions).is_none());
+        // The fuse, then the quiet gate, as with no peer closed.
+        let (actions, t) = burn(&mut p, &actions, t);
+        assert!(t >= p.config().recovery_quiet_s);
+        assert!(started(&actions).expect("recovers").0.is_root());
+    }
+
+    #[test]
+    fn a_frame_from_a_closed_peer_makes_it_a_target_and_recipient_again() {
+        let mut p = mk_idle(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let asked = request_target(&actions).unwrap();
+        let other = other_peer(asked);
+        p.handle(PEvent::PeerClosed(other), t0());
+        let msg = Msg::BoundAnnounce {
+            incumbent: f64::INFINITY,
+        };
+        p.handle(PEvent::Recv { from: other, msg }, t0());
+        // The pending request's peer closes: the reopened peer is asked.
+        let actions = p.handle(PEvent::PeerClosed(asked), t0());
+        assert_eq!(request_target(&actions), Some(other));
+        assert!(started(&actions).is_none(), "not deserted");
+        let msg = grant_of([Code::root()].into_iter());
+        let work = started(&p.handle(PEvent::Recv { from: other, msg }, t0())).unwrap();
+        let actions = finish_leaf(&mut p, &work);
+        assert!(p.is_terminated());
+        let to: Vec<u32> = sends(&actions).into_iter().map(|(&to, _)| to).collect();
+        assert_eq!(to, vec![other], "the final report skips the closed peer");
+        assert_eq!(p.metrics().peers_closed, 2);
+    }
+
+    #[test]
+    fn no_send_is_ever_addressed_to_a_closed_peer() {
+        let mcfg = ftbb_gossip::MembershipConfig {
+            gossip_interval: SimTime::from_millis(100),
+            ..Default::default()
+        };
+        let gossip = ProtocolConfig {
+            membership: Some(mcfg),
+            ..impatient_cfg()
+        };
+        let static_root = BnbProcess::new(0, vec![0, 1, 2, 3], impatient_cfg(), 0.0, true, 5);
+        let mut gossip_root =
+            BnbProcess::with_membership(0, vec![1], true, gossip, 0.0, true, 5, SimTime::ZERO);
+        gossip_root.seed_membership_view(&[1, 2, 3], SimTime::ZERO);
+        for mut p in [static_root, gossip_root] {
+            let mut all = p.handle(PEvent::Start, t0());
+            for peer in [2, 3] {
+                all.extend(p.handle(PEvent::PeerClosed(peer), t0()));
+            }
+            // Expand a depth-5 tree: every level improves the incumbent;
+            // member 1 asks for work and every timer fires between units.
+            let timers = [
+                PTimer::ReportFlush,
+                PTimer::TableGossip,
+                PTimer::BoundFlush,
+                PTimer::MembershipTick,
+            ];
+            let mut t = 0.0;
+            let mut actions = all.clone();
+            while let Some((code, seq)) = started(&actions) {
+                t += 0.01;
+                let depth = code.depth();
+                let expansion = if depth < 5 {
+                    branch_expansion(depth as u16 + 1, 0.0, 0.0)
+                } else {
+                    leaf_expansion(1.0, Some(-(t * 100.0)))
+                };
+                actions = p.handle(PEvent::WorkDone { seq, expansion }, secs(t));
+                let msg = Msg::WorkRequest {
+                    incumbent: f64::INFINITY,
+                };
+                let mut more = p.handle(PEvent::Recv { from: 1, msg }, secs(t));
+                for timer in timers {
+                    more.extend(p.handle(PEvent::Timer(timer), secs(t)));
+                }
+                all.extend(actions.iter().cloned());
+                all.extend(more);
+            }
+            // What member 1 was granted is lost with it: the root holder
+            // recovers it and halts.
+            let mut actions = p.handle(PEvent::PeerClosed(1), secs(t));
+            while let Some(work) = started(&actions) {
+                all.extend(actions.iter().cloned());
+                actions = finish_leaf(&mut p, &work);
+            }
+            all.extend(actions);
+            assert!(p.is_terminated());
+            let to: Vec<u32> = sends(&all).into_iter().map(|(&to, _)| to).collect();
+            assert!(to.contains(&1), "member 1 heard from the root");
+            assert!(!to.iter().any(|&to| to == 2 || to == 3), "{to:?}");
+        }
     }
 
     #[test]

@@ -257,6 +257,8 @@ impl Central {
             }
             Event::Timer(CentralAlarm::Reply { .. }) => {}
             Event::UnitDone { .. } => unreachable!("the baselines expand one node per StartWork"),
+            // The manager's lease timeout is the only failure detector.
+            Event::PeerClosed(_) => {}
         }
     }
 }

@@ -301,6 +301,8 @@ impl Protocol for DibProcess {
                 self.start_next(out);
             }
             Event::UnitDone { .. } => unreachable!("the baselines expand one node per StartWork"),
+            // DIB's redo timeout is its only failure detector.
+            Event::PeerClosed(_) => {}
             Event::WorkDone { seq, expansion } => {
                 if seq != self.work_seq || self.current.is_none() {
                     return;

@@ -2,11 +2,14 @@
 //! virtual network, stepped by one [`EventQueue`] of deliveries, wake-ups
 //! and planned crashes on the caller's thread. A node never handles an
 //! event before its own clock, so frames wait while it is busy, as in a
-//! real inbox. Nothing reads the wall clock: one seed, one outcome.
+//! real inbox. A node that crashes or exits closes its connections, as a
+//! killed daemon's sockets do on loopback: every live node it had sent a
+//! frame gets [`Inbound::PeerClosed`] once that frame and a LAN transit
+//! have passed. Nothing reads the wall clock: one seed, one outcome.
 
 use crate::clock::{sim_time, Clock};
 use crate::service::{JobEngine, ServiceEngine, ServiceOutcome, Step};
-use crate::transport::{Envelope, Inbound, SimNet};
+use crate::transport::{transit, Inbound, SimNet};
 use ftbb_bnb::{AnyInstance, BranchBound};
 use ftbb_core::{holds_root, node_seed, BnbProcess, JobId, ProtocolConfig};
 use ftbb_des::{Event, EventKind, EventQueue, ProcId, SimTime};
@@ -107,11 +110,12 @@ pub fn run_cluster(problem: impl Into<AnyInstance>, cfg: &ClusterConfig) -> Clus
     }
 }
 
-/// Deliveries carry their envelope; wake-ups carry their generation.
-type Queue = EventQueue<Envelope, u64>;
+/// Deliveries carry what reaches the inbox; wake-ups carry their
+/// generation.
+type Queue = EventQueue<Inbound, u64>;
 
 /// An event for node `id` at `time`.
-fn event(time: SimTime, id: u32, kind: EventKind<Envelope, u64>) -> Event<Envelope, u64> {
+fn event(time: SimTime, id: u32, kind: EventKind<Inbound, u64>) -> Event<Inbound, u64> {
     let target = ProcId(id);
     Event { time, target, kind }
 }
@@ -126,6 +130,9 @@ struct Node {
     wake: u64,
     /// The last pass ended idle: the next wake-up resumes it.
     idle: bool,
+    /// Per node: when the last frame this node sent it arrives (`None`
+    /// before the first). Those nodes learn when this one closes.
+    sent_to: Vec<Option<SimTime>>,
 }
 
 impl Node {
@@ -146,9 +153,10 @@ pub(crate) fn drive(
     crashes: &[(u32, Duration)],
     deadline: Duration,
 ) -> (Vec<ServiceOutcome>, Vec<ServiceOutcome>) {
-    let net = SimNet::new(engines.len());
+    let n = engines.len();
+    let net = SimNet::new(n);
     let mut queue = Queue::new();
-    let mut nodes = Vec::with_capacity(engines.len());
+    let mut nodes = Vec::with_capacity(n);
     for (id, mut engine) in (0..).zip(engines) {
         engine.start(Clock::Virtual(SimTime::ZERO), deadline);
         let mut node = Node {
@@ -156,6 +164,7 @@ pub(crate) fn drive(
             arrived: VecDeque::new(),
             wake: 0,
             idle: false,
+            sent_to: vec![None; n],
         };
         node.wake_at(&mut queue, id, SimTime::ZERO);
         nodes.push(node);
@@ -176,12 +185,12 @@ pub(crate) fn drive(
         };
         match kind {
             EventKind::Kill => {
-                net.close(id);
                 crashed.push(engine.outcome());
                 node.engine = None;
+                close(&mut nodes, &net, &mut queue, id, time);
             }
             EventKind::Message { msg, .. } => {
-                node.arrived.push_back(Inbound::Frame(msg));
+                node.arrived.push_back(msg);
                 if node.idle {
                     node.wake_at(&mut queue, id, time);
                 }
@@ -194,6 +203,7 @@ pub(crate) fn drive(
                 }
                 let step = engine.step(&net, || node.arrived.pop_front());
                 let now = engine.clock.now();
+                let exits = matches!(step, Step::Exit);
                 match step {
                     Step::Busy => node.wake_at(&mut queue, id, now),
                     Step::Idle(wait) => {
@@ -203,7 +213,6 @@ pub(crate) fn drive(
                         node.wake_at(&mut queue, id, at);
                     }
                     Step::Exit => {
-                        net.close(id);
                         let engine = node.engine.take().expect("the node was stepped");
                         exited.push(engine.finish(&net));
                     }
@@ -211,8 +220,14 @@ pub(crate) fn drive(
                 // A pass sends at most once, after any unit it ran, so
                 // its frames leave at the node's clock after the pass.
                 for (to, transit, msg) in net.take_outbox() {
-                    let from = ProcId(msg.from);
-                    queue.push(event(now + transit, to, EventKind::Message { from, msg }));
+                    let (from, at) = (ProcId(msg.from), now + transit);
+                    let last = &mut node.sent_to[to as usize];
+                    *last = (*last).max(Some(at));
+                    let msg = Inbound::Frame(msg);
+                    queue.push(event(at, to, EventKind::Message { from, msg }));
+                }
+                if exits {
+                    close(&mut nodes, &net, &mut queue, id, now);
                 }
             }
             EventKind::Timer(_) | EventKind::Start => {}
@@ -221,6 +236,22 @@ pub(crate) fn drive(
     exited.sort_by_key(|o| o.id);
     crashed.sort_by_key(|o| o.id);
     (exited, crashed)
+}
+
+/// Node `id` crashed or exited at `at`: sends to it are dropped from now
+/// on, and each live node it sent a frame learns of the close after that
+/// frame, as a socket's close follows its data.
+fn close(nodes: &mut [Node], net: &SimNet, queue: &mut Queue, id: u32, at: SimTime) {
+    net.close(id);
+    let sent_to = std::mem::take(&mut nodes[id as usize].sent_to);
+    for (to, last) in (0..).zip(sent_to) {
+        let Some(last) = last.filter(|_| nodes[to as usize].engine.is_some()) else {
+            continue;
+        };
+        let (from, msg) = (ProcId(id), Inbound::PeerClosed(id));
+        let arrives = last.max(at + transit(0));
+        queue.push(event(arrives, to, EventKind::Message { from, msg }));
+    }
 }
 
 #[cfg(test)]
@@ -331,6 +362,24 @@ mod tests {
         assert_eq!(outcome.best, reference.best);
         assert_eq!(ids(&outcome.nodes), [0, 2]);
         crashes_landed_mid_run(&outcome, &cfg);
+    }
+
+    #[test]
+    fn a_crash_closes_the_victims_connections() {
+        // The survivor heard from the victim, so its connection's close
+        // reaches it after a LAN transit: with nobody left to ask, it
+        // recovers at once instead of playing a silent round.
+        let k = KnapsackInstance::generate(22, 80, Correlation::Weak, 0.5, 11);
+        let reference = solve(&k, &SolveConfig::default());
+        let mut cfg = ClusterConfig::new(2);
+        cfg.crashes = vec![(1, Duration::from_millis(5))];
+        let outcome = run_cluster(k, &cfg);
+        crashes_landed_mid_run(&outcome, &cfg);
+        assert_eq!(outcome.best, reference.best);
+        let survivor = &outcome.nodes[0].jobs[0].metrics;
+        assert_eq!(survivor.peers_closed, 1, "{survivor:?}");
+        assert_eq!(survivor.silent_rounds, 0, "{survivor:?}");
+        assert!(survivor.recoveries >= 1, "{survivor:?}");
     }
 
     #[test]

@@ -823,7 +823,9 @@ impl ServiceEngine {
     /// names; it is stashed (bounded per job and in job ids) for a job not
     /// admitted yet, and counted and dropped for a halted or retired job
     /// (late traffic after termination). An admitted job is started at
-    /// once, which replays its stash, and snapshotted.
+    /// once, which replays its stash, and snapshotted. A peer's closed
+    /// connection is traced and goes to every live job; a job admitted
+    /// later does not learn of it.
     fn route(&mut self, inbound: Inbound) {
         let env = match inbound {
             Inbound::Frame(env) => env,
@@ -833,6 +835,16 @@ impl ServiceEngine {
                 self.start_job(idx);
                 self.charge(TimeCategory::Expand);
                 self.snapshot(Some(idx));
+                return;
+            }
+            Inbound::PeerClosed(peer) => {
+                self.telemetry
+                    .emit("peer_closed", &[("peer", peer.to_string())]);
+                let t = self.clock.now();
+                for engine in self.jobs.iter_mut().filter(|j| !j.halted) {
+                    engine.step(PEvent::PeerClosed(peer), t);
+                }
+                self.charge(TimeCategory::Membership);
                 return;
             }
         };

@@ -11,8 +11,9 @@
 //! processes.
 //!
 //! A node's inbox carries [`Inbound`] items: the frames its transport
-//! delivers, and the jobs a deployment admits into the running pump. The
-//! pump blocks on that one channel when it is idle, so either wakes it.
+//! delivers, the closes of peer connections it sees, and the jobs a
+//! deployment admits into the running pump. The pump blocks on that one
+//! channel when it is idle, so any of them wakes it.
 
 use crate::service::JobEngine;
 use ftbb_core::{JobId, Msg};
@@ -42,6 +43,11 @@ pub enum Inbound {
     /// A job to admit, start and snapshot on the running pump (a service
     /// node's submissions and peer announces).
     Admit(Box<JobEngine>),
+    /// The connection from this peer closed (`ftbb-wire`'s reader saw EOF
+    /// or a read error after admitting the peer's frames; the in-process
+    /// cluster's driver when the peer crashes or exits). The pump hands
+    /// every live job [`ftbb_core::Event::PeerClosed`].
+    PeerClosed(u32),
 }
 
 /// Anything that can carry protocol messages between nodes.
@@ -362,6 +368,12 @@ impl TransportStats {
 /// millisecond timers.
 const LATENCY: LatencyModel = LatencyModel::lan();
 
+/// How long `bytes` of protocol payload take to cross the virtual network
+/// (0 for a connection's close, which carries none).
+pub(crate) fn transit(bytes: usize) -> SimTime {
+    SimTime::from_millis_f64(LATENCY.mean_ms(bytes))
+}
+
 /// The in-process cluster's network: a send waits in an outbox, with the
 /// transit time for its size, until the driver schedules its delivery. A
 /// send to a node that crashed or exited counts as `dropped_disconnected`,
@@ -414,9 +426,8 @@ impl Transport for SimNet {
             Some(_) => {
                 let wire = msg.wire_size();
                 self.counters.record_send(wire, wire); // no frames: encoded == wire
-                let transit = SimTime::from_millis_f64(LATENCY.mean_ms(wire));
                 let env = Envelope { job, from, msg };
-                self.outbox().push((to, transit, env));
+                self.outbox().push((to, transit(wire), env));
             }
         }
     }

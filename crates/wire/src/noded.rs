@@ -1001,6 +1001,8 @@ line_codec! {
         /// Load-balancing rounds so far whose every request timed out
         /// (each stood for all `lb_rounds_before_recovery` rounds).
         silent_rounds: u64 = added("silent_rounds") <- snap.metrics.silent_rounds,
+        /// Peer connections seen to close so far.
+        peers_closed: u64 = added("peers_closed") <- snap.metrics.peers_closed,
         /// Members suspected so far.
         suspected: u64 = num("suspected") <- snap.metrics.peers_suspected,
         /// Members forgotten so far.
@@ -1130,6 +1132,7 @@ mod tests {
                 grants_received: 4,
                 grant_wait_s: 0.0125,
                 silent_rounds: 2,
+                peers_closed: 1,
                 peers_suspected: 2,
                 peers_forgotten: 1,
                 bound_broadcasts: 5,
@@ -1184,7 +1187,7 @@ mod tests {
              communicate_s=0.500000 contract_s=0.250000 load_balance_s=0.125000 \
              membership_s=0.062500 idle_s=0.500000 checkpoint_s=0.062500 expanded=99 \
              pruned_at_pop=0 recoveries=1 reports=13 requests=6 grants=4 grant_wait_s=0.0125 \
-             silent_rounds=2 suspected=2 forgotten=1 bound_bcast=5 bound_coalesced=7 bound_suppressed=9 \
+             silent_rounds=2 peers_closed=1 suspected=2 forgotten=1 bound_bcast=5 bound_coalesced=7 bound_suppressed=9 \
              mev_dropped=3 trace_dropped=4 workers=2 sent=11 dropped=3 flushes=5 frames_flushed=10 frames_per_flush=2.00 \
              membership_frames=4 book_entries=64 digest_entries=12 book_per_frame=16.00 \
              bound_frames=3"
@@ -1258,6 +1261,7 @@ mod tests {
                 grants: 4,
                 grant_wait_s: 0.0125,
                 silent_rounds: 2,
+                peers_closed: 1,
                 suspected: 2,
                 forgotten: 1,
                 bound_broadcasts: 5,
@@ -1284,9 +1288,12 @@ mod tests {
         let parsed = parse_metrics_line(&older).expect("parses");
         assert_eq!((parsed.reports, parsed.requests), (0, 0));
         assert_eq!((parsed.grants, parsed.grant_wait_s), (0, 0.0));
-        // So does one from before the silent-round counter.
+        // So does one from before the silent-round counter, and one from
+        // before the closed-peer counter.
         let older = metrics_line(&snap).replace(" silent_rounds=2", "");
         assert_eq!(parse_metrics_line(&older).unwrap().silent_rounds, 0);
+        let older = metrics_line(&snap).replace(" peers_closed=1", "");
+        assert_eq!(parse_metrics_line(&older).unwrap().peers_closed, 0);
         assert_eq!(parse_metrics_line("FTBB-OUTCOME id=1"), None);
         assert_eq!(parse_metrics_line("noise"), None);
     }

@@ -42,6 +42,17 @@
 //!   **reconnect on drop**, and successful re-establishment is counted.
 //! * A reader that sees a corrupt frame drops the connection — a corrupt
 //!   peer is indistinguishable from a dead one.
+//! * **A closed connection is crash evidence**: a reader remembers the
+//!   last peer it admitted a protocol frame from, and when its connection
+//!   ends (EOF, a read error, a corrupt frame) it puts
+//!   [`Inbound::PeerClosed`] on the inbox — a SIGKILLed daemon's sockets
+//!   close at once, long before its heartbeats are missed. Not on a read
+//!   timeout, not while this mesh shuts down, not for a submit client or
+//!   a connection that never carried a protocol frame, and not once a
+//!   newer life of that peer, or a newer connection from it, has been
+//!   admitted. The protocol stops addressing the peer until its next
+//!   frame; a host that dies without closing its sockets is still found
+//!   by the protocol's timeouts and suspicion.
 //!
 //! **Live peer discovery** (codec v4): outgoing membership frames
 //! piggyback this node's address book — `(id, addr, incarnation)` per
@@ -87,7 +98,7 @@ use ftbb_runtime::{Envelope, Inbound, Transport, TransportCounters};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
 };
@@ -248,6 +259,11 @@ struct Registry {
     /// Set when the owning [`TcpMesh`] drops; the acceptor and the readers
     /// exit on it.
     shutdown: AtomicBool,
+    /// Numbers the accepted connections, in accept order.
+    next_conn: AtomicU64,
+    /// Per sender: the newest connection that admitted a protocol frame
+    /// from it. Only that connection's close reports the sender closed.
+    latest_conn: Mutex<HashMap<u32, u64>>,
 }
 
 impl Registry {
@@ -420,6 +436,30 @@ impl Registry {
         *cur = incarnation;
         true
     }
+
+    /// Connection `conn` admitted a protocol frame from `from`: it is the
+    /// sender's connection now, unless a newer one already is.
+    fn claim_connection(&self, from: u32, conn: u64) {
+        let mut latest = unpoisoned(self.latest_conn.lock());
+        let newest = latest.entry(from).or_insert(conn);
+        *newest = (*newest).max(conn);
+    }
+
+    /// Connection `conn` ended, its last admitted protocol sender being
+    /// `sender` (`(id, incarnation)`): the peer to report closed, unless
+    /// this mesh is shutting down or a newer life of the peer, or a newer
+    /// connection from it, has been admitted since.
+    fn closed_sender(&self, conn: u64, sender: Option<(u32, u32)>) -> Option<u32> {
+        let (id, incarnation) = sender?;
+        if self.shutdown.load(Ordering::Acquire) {
+            return None;
+        }
+        let newer_life = unpoisoned(self.seen.read())
+            .get(&id)
+            .is_some_and(|&seen| seen > incarnation);
+        let newer_conn = unpoisoned(self.latest_conn.lock()).get(&id) != Some(&conn);
+        (!newer_life && !newer_conn).then_some(id)
+    }
 }
 
 /// The TCP transport: one listener, one writer thread per peer.
@@ -469,6 +509,8 @@ impl TcpMesh {
             submitters: Mutex::new(HashMap::new()),
             counters: Arc::new(TransportCounters::default()),
             shutdown: AtomicBool::new(false),
+            next_conn: AtomicU64::new(0),
+            latest_conn: Mutex::new(HashMap::new()),
         });
         for &(id, addr) in peers {
             registry.register(id, addr, 0);
@@ -768,140 +810,166 @@ fn spawn_acceptor(listener: TcpListener, registry: Arc<Registry>, inbox: Sender<
     });
 }
 
+/// Read one accepted connection until it ends; then, if it carried a
+/// peer's protocol frames, report that peer closed (see the module doc's
+/// failure semantics).
 fn spawn_reader(stream: TcpStream, registry: Arc<Registry>, inbox: Sender<Inbound>) {
     std::thread::spawn(move || {
-        let mut stream = stream;
-        // Periodic read timeouts let the reader notice shutdown even on
-        // an idle connection.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            if registry.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => return, // EOF: peer closed
-                Ok(n) => {
-                    decoder.push(&buf[..n]);
-                    loop {
-                        match decoder.try_next() {
-                            Ok(Some(WireFrame::Protocol {
-                                env,
-                                from_incarnation,
-                                to_incarnation,
-                                book,
-                            })) => {
-                                // Frames from a sender's previous life are
-                                // stale — count and drop, never deliver.
-                                if !registry.admit_sender(env.from, from_incarnation) {
-                                    registry.counters.record_dropped_stale();
-                                    continue;
-                                }
-                                // The sender's current life is now proven;
-                                // tag our own traffic to it accordingly —
-                                // even when the frame below turns out to
-                                // be addressed to OUR previous life (its
-                                // from-tag is truthful regardless).
-                                registry.note_sender_life(env.from, from_incarnation);
-                                // A live sender's address book teaches us
-                                // routes to gossip-discovered members —
-                                // valid whichever of our lives the frame
-                                // below was addressed to. The sender's
-                                // *own* entry is authoritative (the frame
-                                // proves its current address and life, so
-                                // it may re-point a stale route); relayed
-                                // entries only open new routes or raise
-                                // incarnation tags.
-                                for (id, addr, inc) in book {
-                                    if id == env.from {
-                                        registry.register(id, addr, from_incarnation.max(inc));
-                                    } else {
-                                        registry.learn_peer(id, addr, inc);
-                                    }
-                                }
-                                // Frames for another of this node's lives
-                                // are stale too.
-                                if to_incarnation != registry.my_incarnation {
-                                    registry.counters.record_dropped_stale();
-                                    continue;
-                                }
-                                if inbox.send(Inbound::Frame(env)).is_err() {
-                                    return; // local node gone
-                                }
-                            }
-                            Ok(Some(WireFrame::Announce {
-                                from,
-                                incarnation,
-                                job,
-                                instance,
-                            })) => {
-                                if !registry.admit_sender(from, incarnation) {
-                                    registry.counters.record_dropped_stale();
-                                    continue;
-                                }
-                                registry.note_sender_life(from, incarnation);
-                                registry.counters.record_announce_recv();
-                                registry.surface(Control::Announce {
-                                    from,
-                                    job,
-                                    instance,
-                                });
-                            }
-                            Ok(Some(WireFrame::SubmitJob { job, instance })) => {
-                                // A submit client is not a pool member: no
-                                // registry entry, no incarnation gate. Keep
-                                // its stream so accepted/result frames can
-                                // travel back on the same connection.
-                                if let Ok(back) = stream.try_clone() {
-                                    unpoisoned(registry.submitters.lock()).insert(job, back);
-                                }
-                                registry.surface(Control::Submit { job, instance });
-                            }
-                            Ok(Some(WireFrame::JobAccepted { .. }))
-                            | Ok(Some(WireFrame::JobResult { .. })) => {
-                                // Pool nodes never expect these (they flow
-                                // gateway -> submit client); tolerate and
-                                // drop rather than severing the stream.
-                            }
-                            Ok(Some(WireFrame::Join(frame))) => {
-                                if !registry.admit_sender(frame.from, frame.incarnation) {
-                                    registry.counters.record_dropped_stale();
-                                    continue;
-                                }
-                                // A later life is a restart: `--join` is
-                                // refused with `--resume`, so a brand-new
-                                // node is always incarnation 0.
-                                if frame.incarnation > 0 {
-                                    registry.counters.record_rejoin();
-                                } else {
-                                    registry.counters.record_join();
-                                }
-                                // A join IS authoritative for the sender's
-                                // address (it announces itself), unlike a
-                                // relayed book entry.
-                                registry.register(frame.from, frame.addr, frame.incarnation);
-                                registry.surface(Control::Join(frame));
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Corrupt stream: treat the peer as dead.
-                                let _ = stream.shutdown(Shutdown::Both);
-                                return;
-                            }
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => return,
+        let conn = registry.next_conn.fetch_add(1, Ordering::Relaxed);
+        let mut sender = None;
+        if read_frames(stream, &registry, &inbox, conn, &mut sender) {
+            if let Some(peer) = registry.closed_sender(conn, sender) {
+                let _ = inbox.send(Inbound::PeerClosed(peer));
             }
         }
     });
+}
+
+/// Serve connection `conn` until it ends. Returns whether it ended from
+/// the far side (EOF, a read error, a corrupt frame), rather than by this
+/// mesh's shutdown or its node's inbox going away. `sender` tracks the
+/// last `(id, incarnation)` a protocol frame was admitted from.
+fn read_frames(
+    mut stream: TcpStream,
+    registry: &Registry,
+    inbox: &Sender<Inbound>,
+    conn: u64,
+    sender: &mut Option<(u32, u32)>,
+) -> bool {
+    // Periodic read timeouts let the reader notice shutdown even on
+    // an idle connection.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        if registry.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return true, // EOF: peer closed
+            Ok(n) => {
+                decoder.push(&buf[..n]);
+                loop {
+                    match decoder.try_next() {
+                        Ok(Some(WireFrame::Protocol {
+                            env,
+                            from_incarnation,
+                            to_incarnation,
+                            book,
+                        })) => {
+                            // Frames from a sender's previous life are
+                            // stale — count and drop, never deliver.
+                            if !registry.admit_sender(env.from, from_incarnation) {
+                                registry.counters.record_dropped_stale();
+                                continue;
+                            }
+                            if *sender != Some((env.from, from_incarnation)) {
+                                *sender = Some((env.from, from_incarnation));
+                                registry.claim_connection(env.from, conn);
+                            }
+                            // The sender's current life is now proven;
+                            // tag our own traffic to it accordingly —
+                            // even when the frame below turns out to
+                            // be addressed to OUR previous life (its
+                            // from-tag is truthful regardless).
+                            registry.note_sender_life(env.from, from_incarnation);
+                            // A live sender's address book teaches us
+                            // routes to gossip-discovered members —
+                            // valid whichever of our lives the frame
+                            // below was addressed to. The sender's
+                            // *own* entry is authoritative (the frame
+                            // proves its current address and life, so
+                            // it may re-point a stale route); relayed
+                            // entries only open new routes or raise
+                            // incarnation tags.
+                            for (id, addr, inc) in book {
+                                if id == env.from {
+                                    registry.register(id, addr, from_incarnation.max(inc));
+                                } else {
+                                    registry.learn_peer(id, addr, inc);
+                                }
+                            }
+                            // Frames for another of this node's lives
+                            // are stale too.
+                            if to_incarnation != registry.my_incarnation {
+                                registry.counters.record_dropped_stale();
+                                continue;
+                            }
+                            if inbox.send(Inbound::Frame(env)).is_err() {
+                                return false; // local node gone
+                            }
+                        }
+                        Ok(Some(WireFrame::Announce {
+                            from,
+                            incarnation,
+                            job,
+                            instance,
+                        })) => {
+                            if !registry.admit_sender(from, incarnation) {
+                                registry.counters.record_dropped_stale();
+                                continue;
+                            }
+                            registry.note_sender_life(from, incarnation);
+                            registry.counters.record_announce_recv();
+                            registry.surface(Control::Announce {
+                                from,
+                                job,
+                                instance,
+                            });
+                        }
+                        Ok(Some(WireFrame::SubmitJob { job, instance })) => {
+                            // A submit client is not a pool member: no
+                            // registry entry, no incarnation gate. Keep
+                            // its stream so accepted/result frames can
+                            // travel back on the same connection.
+                            if let Ok(back) = stream.try_clone() {
+                                unpoisoned(registry.submitters.lock()).insert(job, back);
+                            }
+                            registry.surface(Control::Submit { job, instance });
+                        }
+                        Ok(Some(WireFrame::JobAccepted { .. }))
+                        | Ok(Some(WireFrame::JobResult { .. })) => {
+                            // Pool nodes never expect these (they flow
+                            // gateway -> submit client); tolerate and
+                            // drop rather than severing the stream.
+                        }
+                        Ok(Some(WireFrame::Join(frame))) => {
+                            if !registry.admit_sender(frame.from, frame.incarnation) {
+                                registry.counters.record_dropped_stale();
+                                continue;
+                            }
+                            // A later life is a restart: `--join` is
+                            // refused with `--resume`, so a brand-new
+                            // node is always incarnation 0.
+                            if frame.incarnation > 0 {
+                                registry.counters.record_rejoin();
+                            } else {
+                                registry.counters.record_join();
+                            }
+                            // A join IS authoritative for the sender's
+                            // address (it announces itself), unlike a
+                            // relayed book entry.
+                            registry.register(frame.from, frame.addr, frame.incarnation);
+                            registry.surface(Control::Join(frame));
+                        }
+                        Ok(None) => break,
+                        Err(_) => {
+                            // Corrupt stream: treat the peer as dead.
+                            let _ = stream.shutdown(Shutdown::Both);
+                            return true;
+                        }
+                    }
+                }
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                continue;
+            }
+            Err(_) => return true,
+        }
+    }
 }
 
 /// Build one peer entry: its queue, its shared flags, and its writer
@@ -1091,12 +1159,143 @@ mod tests {
     use super::*;
     use std::sync::mpsc::RecvTimeoutError;
 
+    /// The next frame `rx` delivers within `within`, passing over closes
+    /// (the close tests below pin those).
     fn recv_msg(rx: &Receiver<Inbound>, within: Duration) -> Option<Envelope> {
-        match rx.recv_timeout(within) {
-            Ok(Inbound::Frame(env)) => Some(env),
-            Ok(Inbound::Admit(_)) => panic!("nothing admits jobs here"),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+        let end = Instant::now() + within;
+        loop {
+            match rx.recv_timeout(end.saturating_duration_since(Instant::now())) {
+                Ok(Inbound::Frame(env)) => return Some(env),
+                Ok(Inbound::PeerClosed(_)) => continue,
+                Ok(Inbound::Admit(_)) => panic!("nothing admits jobs here"),
+                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
+                    return None
+                }
+            }
         }
+    }
+
+    /// The next peer `rx` reports closed within `within`, passing over
+    /// frames.
+    fn recv_close(rx: &Receiver<Inbound>, within: Duration) -> Option<u32> {
+        let end = Instant::now() + within;
+        loop {
+            match rx.recv_timeout(end.saturating_duration_since(Instant::now())) {
+                Ok(Inbound::PeerClosed(peer)) => return Some(peer),
+                Ok(Inbound::Frame(_)) => continue,
+                Ok(Inbound::Admit(_)) => panic!("nothing admits jobs here"),
+                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
+                    return None
+                }
+            }
+        }
+    }
+
+    /// A raw connection to `addr` that has written one protocol frame as
+    /// life `incarnation` of node `from`.
+    fn speak_as(addr: SocketAddr, from: u32, incarnation: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let msg = Msg::WorkDeny { incumbent: 1.0 };
+        let env = Envelope {
+            job: JobId::DEFAULT,
+            from,
+            msg,
+        };
+        let frame = encode_frame(&env, incarnation, 0, &[]);
+        stream.write_all(&frame.bytes).unwrap();
+        stream
+    }
+
+    /// A raw connection to `addr` that has written one join frame for
+    /// life `incarnation` of node `from`, once `mesh` has taken it in.
+    fn join_as(mesh: &TcpMesh, addr: SocketAddr, from: u32, incarnation: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let join = JoinFrame {
+            from,
+            incarnation,
+            addr: free_addr(),
+        };
+        stream.write_all(&encode_join(&join).bytes).unwrap();
+        let control = mesh.recv_control(Duration::from_secs(5));
+        assert_eq!(control, Some(Control::Join(join)));
+        stream
+    }
+
+    /// How long a test waits to see that no close is reported: longer
+    /// than a reader's 200 ms read timeout.
+    const NO_CLOSE: Duration = Duration::from_millis(400);
+
+    #[test]
+    fn a_reader_reports_a_close_only_after_a_protocol_frame() {
+        let addr = free_addr();
+        let (mesh, rx) = mesh_at(0, 0, addr, &[]);
+        // A dial that never speaks, and a join: no protocol frame, no
+        // close.
+        drop(TcpStream::connect(addr).unwrap());
+        drop(join_as(&mesh, addr, 5, 0));
+        assert_eq!(recv_close(&rx, NO_CLOSE), None);
+        // A peer mesh that spoke, then went away.
+        let addr_b = free_addr();
+        let (mesh_b, _rx_b) = mesh_at(1, 0, addr_b, &[(0, addr)]);
+        mesh_b.send(JobId::DEFAULT, 1, 0, Msg::WorkRequest { incumbent: 1.0 });
+        assert!(recv_msg(&rx, Duration::from_secs(5)).is_some());
+        drop(mesh_b);
+        assert_eq!(recv_close(&rx, Duration::from_secs(5)), Some(1));
+        assert_eq!(recv_close(&rx, NO_CLOSE), None, "one close per connection");
+    }
+
+    #[test]
+    fn a_submit_stream_never_reports_a_close() {
+        let addr = free_addr();
+        let (mesh, rx) = mesh_at(0, 0, addr, &[]);
+        let instance = ftbb_bnb::AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(6, 12, 9));
+        let mut client = TcpStream::connect(addr).unwrap();
+        let submit = crate::codec::encode_submit(JobId::from(3), &instance);
+        client.write_all(&submit.bytes).unwrap();
+        let control = mesh.recv_control(Duration::from_secs(5));
+        assert!(
+            matches!(control, Some(Control::Submit { .. })),
+            "{control:?}"
+        );
+        drop(client);
+        assert_eq!(recv_close(&rx, NO_CLOSE), None);
+    }
+
+    #[test]
+    fn a_reader_reports_no_close_while_its_mesh_shuts_down() {
+        let addr = free_addr();
+        let (mesh, rx) = mesh_at(0, 0, addr, &[]);
+        let peer = speak_as(addr, 1, 0);
+        assert!(recv_msg(&rx, Duration::from_secs(5)).is_some());
+        mesh.registry.shutdown.store(true, Ordering::Release);
+        drop(peer);
+        assert_eq!(recv_close(&rx, NO_CLOSE), None);
+    }
+
+    #[test]
+    fn a_superseded_connection_reports_no_close() {
+        let addr = free_addr();
+        let (mesh, rx) = mesh_at(0, 0, addr, &[]);
+        let first = speak_as(addr, 1, 0);
+        assert!(recv_msg(&rx, Duration::from_secs(5)).is_some());
+        let second = speak_as(addr, 1, 0);
+        assert!(recv_msg(&rx, Duration::from_secs(5)).is_some());
+        drop(first);
+        assert_eq!(
+            recv_close(&rx, NO_CLOSE),
+            None,
+            "a newer connection speaks for node 1"
+        );
+        // Node 1's next life joins: its previous life's connection closes
+        // unreported too.
+        let join = join_as(&mesh, addr, 1, 1);
+        drop(second);
+        assert_eq!(recv_close(&rx, NO_CLOSE), None, "a newer life joined");
+        drop(join);
+        let third = speak_as(addr, 1, 1);
+        assert!(recv_msg(&rx, Duration::from_secs(5)).is_some());
+        drop(third);
+        assert_eq!(recv_close(&rx, Duration::from_secs(5)), Some(1));
     }
 
     /// A mesh listening on `listen` as `incarnation` of node `me`.

@@ -81,14 +81,14 @@ fn metrics_strategy() -> impl Strategy<Value = ProcMetrics> {
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u32>(), any::<u64>()),
+        (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(
             |(
                 (expanded, pruned, rec, sus),
                 (forg, bcast, coal, supp),
                 (mev, rep, req),
-                (grants, wait_us, silent),
+                (grants, wait_us, silent, closed),
             )| {
                 ProcMetrics {
                     expanded,
@@ -105,6 +105,7 @@ fn metrics_strategy() -> impl Strategy<Value = ProcMetrics> {
                     grants_received: grants,
                     grant_wait_s: f64::from(wait_us) / 1e6,
                     silent_rounds: silent,
+                    peers_closed: closed,
                     ..Default::default()
                 }
             },
@@ -277,6 +278,7 @@ proptest! {
         prop_assert_eq!(parsed.grants, snap.metrics.grants_received);
         prop_assert_eq!(parsed.grant_wait_s.to_bits(), snap.metrics.grant_wait_s.to_bits());
         prop_assert_eq!(parsed.silent_rounds, snap.metrics.silent_rounds);
+        prop_assert_eq!(parsed.peers_closed, snap.metrics.peers_closed);
         prop_assert_eq!(parsed.suspected, snap.metrics.peers_suspected);
         prop_assert_eq!(parsed.forgotten, snap.metrics.peers_forgotten);
         prop_assert_eq!(parsed.membership_events_dropped,

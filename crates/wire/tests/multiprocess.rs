@@ -170,18 +170,19 @@ fn five_processes_two_sigkills_still_reach_the_optimum() {
     }
 }
 
-/// The silent-round regression: a gossip-mode duo whose node 1 is
-/// SIGKILLed mid-run (the [`heavy_problem`] kill placement). The
-/// survivor's work requests to the dead node neither grant nor deny, so
-/// one unanswered load-balancing round is all the patience it pays before
-/// re-solving the lost work — visible as `silent_rounds` on its last
-/// `FTBB-METRICS` snapshot. Its idle time is printed, not asserted.
+/// The closed-connection regression: a gossip-mode duo whose node 1 is
+/// SIGKILLed mid-run (the [`heavy_problem`] kill placement). The killed
+/// daemon's sockets close at once, so the survivor learns of the crash
+/// from its transport (`peers_closed` on its last `FTBB-METRICS`
+/// snapshot) and, with nobody left to ask, re-solves the lost work
+/// without playing a single load-balancing round (`silent_rounds` 0).
+/// Its idle time is printed, not asserted. The silent round itself is
+/// pinned by `ftbb-core`'s process tests.
 ///
-/// Suspicion is set past the run: the survivor's own half of this
-/// instance outlasts the daemon's default 0.5 s, and a suspected peer is
-/// no longer asked for work, so no round would be played against it.
+/// Suspicion is set past the run, so the close, not a heartbeat timeout,
+/// is what the survivor acts on.
 #[test]
-fn two_node_kill_survivor_recovers_after_one_silent_round() {
+fn two_node_kill_survivor_recovers_once_its_peer_closes() {
     let problem = heavy_problem();
     let reference = reference_best(&problem);
     assert!(reference.is_some(), "instance must be feasible");
@@ -210,11 +211,16 @@ fn two_node_kill_survivor_recovers_after_one_silent_round() {
     let survivor = report.outcomes[0].as_ref().expect("node 0 reports");
     let last = report.metrics[0].last().expect("node 0 reports metrics");
     println!(
-        "survivor: idle_s={:.4} recoveries={} silent_rounds={} suspected={}",
-        last.phase.idle_s, survivor.recoveries, last.silent_rounds, survivor.suspected
+        "survivor: idle_s={:.4} recoveries={} silent_rounds={} peers_closed={} suspected={}",
+        last.phase.idle_s,
+        survivor.recoveries,
+        last.silent_rounds,
+        last.peers_closed,
+        survivor.suspected
     );
     assert!(survivor.recoveries >= 1, "{survivor:?}");
-    assert!(last.silent_rounds >= 1, "{last:?}");
+    assert!(last.peers_closed >= 1, "{last:?}");
+    assert_eq!(last.silent_rounds, 0, "{last:?}");
 }
 
 /// The startup-skew regression: before connection pre-establishment, the
@@ -736,6 +742,15 @@ fn telemetry_timeline_orders_kill_suspicion_recovery() {
                 report.cluster_report()
             )
         });
+    // The killed node's sockets closed at once: a survivor that heard
+    // from it traced the close, long before its heartbeats ran out.
+    assert!(
+        timeline
+            .iter()
+            .any(|e| e.kind == "peer_closed" && e.node != 2 && e.field("peer") == Some("2")),
+        "a survivor must see the dead node's connection close: {}",
+        report.cluster_report()
+    );
     assert!(
         kill_at < suspect_at,
         "suspicion follows the kill: {}",
@@ -1059,9 +1074,11 @@ fn hundred_process_gossip_cluster_caps_books_and_reaches_the_optimum() {
 /// its original address. The restarted process must come back as
 /// incarnation 1, rejoin the live cluster through the rejoin handshake,
 /// contribute expansions under its new incarnation, and the cluster must
-/// still match the sequential optimum. Traffic addressed to node 1's
-/// previous life (peers keep sending while the rebound listener settles)
-/// must be counted and dropped as stale, never delivered.
+/// still match the sequential optimum. The kills close the dead nodes'
+/// connections, so the survivors see them closed and stop writing to
+/// them (`peers_closed`); the stale-incarnation filter that would catch
+/// frames still addressed to node 1's first life is pinned by
+/// `tcp::tests::reconnects_after_peer_restart`.
 #[test]
 fn killed_node_restarts_from_checkpoint_and_rejoins() {
     let problem = lifecycle_problem();
@@ -1074,6 +1091,7 @@ fn killed_node_restarts_from_checkpoint_and_rejoins() {
     let mut spec = base_spec(problem, 5, 17);
     spec.checkpoint_dir = Some(dir.clone());
     spec.checkpoint_every_s = 0.02; // several snapshots before the kill
+    spec.metrics_every_s = Some(0.25);
     spec.lifecycle = vec![
         LifecycleEvent::kill(1, Duration::from_millis(80)),
         LifecycleEvent::kill(3, Duration::from_millis(140)),
@@ -1122,14 +1140,17 @@ fn killed_node_restarts_from_checkpoint_and_rejoins() {
         report.outcomes
     );
 
-    // Stale-incarnation traffic — frames addressed to node 1's first
-    // life that landed on its second — was counted and dropped, not
-    // delivered. (The launcher's settle window makes this reproducible:
-    // peers keep gossiping at the rebound-but-silent listener.)
+    // The kills closed the dead nodes' connections: the survivors saw
+    // it, and stopped addressing them until node 1's new life spoke.
+    let closed: u64 = [0usize, 2, 4]
+        .iter()
+        .filter_map(|&id| report.metrics[id].last())
+        .map(|m| m.peers_closed)
+        .sum();
     assert!(
-        rejoined.transport.dropped_stale >= 1,
-        "frames addressed to the previous life must be counted stale: {:?}",
-        rejoined.transport
+        closed >= 1,
+        "survivors must see the killed nodes' connections close: {:?}",
+        report.metrics
     );
 }
 
