@@ -289,9 +289,9 @@ impl<P: BranchBound> ProblemExpander<P> {
 }
 
 /// The problem-agnostic expander: one typed [`ProblemExpander`] per
-/// [`AnyInstance`] kind. Jobs, pool workers and the in-process and TCP
-/// harnesses all run it, whether the workload was materialized locally
-/// from a spec, from a peer's problem-announce frame or from a checkpoint.
+/// [`AnyInstance`] kind. Jobs and the in-process and TCP harnesses all
+/// run it, whether the workload was materialized locally from a spec,
+/// from a peer's problem-announce frame or from a checkpoint.
 /// The problem kind is fixed for a whole job, so it is picked once per
 /// call (an expansion or a whole work unit), and the walk below runs on
 /// the concrete problem and its own node type; [`AnyInstance`]'s per-node

@@ -60,3 +60,63 @@ impl Clock {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftbb_bnb::{AnyInstance, BasicTreeProblem, SolveConfig, SolveResult};
+    use ftbb_tree::{random_basic_tree, BasicTree, TreeConfig};
+
+    /// A random basic tree with its depth-first engine solve.
+    fn dfs_tree(seed: u64) -> (BasicTree, SolveResult) {
+        let tree = random_basic_tree(&TreeConfig {
+            target_nodes: 3001,
+            seed,
+            ..Default::default()
+        });
+        let solved = ftbb_bnb::solve(
+            &BasicTreeProblem::new(tree.clone()),
+            &SolveConfig::default(),
+        );
+        (tree, solved)
+    }
+
+    fn replay(tree: BasicTree) -> AnyExpander {
+        AnyExpander::new(AnyInstance::from(tree))
+    }
+
+    #[test]
+    fn an_unbounded_wall_clock_unit_is_the_engine_solve() {
+        let (tree, solved) = dfs_tree(3);
+        let mut inline = replay(tree.clone());
+        let want = Expander::explore(&mut inline, &Code::root(), f64::INFINITY, &mut |_, _| true);
+        assert_eq!(want.done, vec![Code::root()]);
+        assert!(want.frontier.is_empty());
+        assert_eq!(want.expanded, solved.stats.expanded);
+        assert_eq!(want.solution, solved.best);
+        assert_eq!(want.cost, solved.stats.total_cost);
+
+        let hour = Duration::from_secs(3600);
+        let mut clock = Clock::Wall(Instant::now());
+        let got = clock.explore(&mut replay(tree), &Code::root(), f64::INFINITY, hour);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_zero_budget_wall_clock_unit_stops_at_the_first_clock_read() {
+        let (tree, _) = dfs_tree(8);
+        let mut inline = replay(tree.clone());
+        let mut first_read = |n: u64, _| !n.is_multiple_of(DEADLINE_POLL);
+        let root = Expander::explore(&mut inline, &Code::root(), f64::INFINITY, &mut first_read);
+        assert_eq!(root.expanded, DEADLINE_POLL, "the tree outlasts one poll");
+
+        let mut walled = replay(tree);
+        let mut clock = Clock::Wall(Instant::now());
+        let frontier = root.frontier.iter().map(|(code, _)| code.clone());
+        for code in std::iter::once(Code::root()).chain(frontier) {
+            let got = clock.explore(&mut walled, &code, f64::INFINITY, Duration::ZERO);
+            let want = Expander::explore(&mut inline, &code, f64::INFINITY, &mut first_read);
+            assert_eq!(got, want, "code {code}");
+        }
+    }
+}

@@ -4,8 +4,7 @@
 //! *identical* [`ftbb_core::BnbProcess`] state machine as a deployed node —
 //! the "real implementation" the paper leaves as future work. It holds
 //! everything of a live node that is not the state machine: the pump, the
-//! transports and their counters, the expansion worker pool and the trace
-//! writer ([`Telemetry`]).
+//! transports and their counters, and the trace writer ([`Telemetry`]).
 //!
 //! One pump drives every node: [`ServiceEngine`] multiplexes any number of
 //! [`JobEngine`]s (a single run is the one-job case). The network is
@@ -40,7 +39,7 @@ pub mod telemetry;
 pub mod transport;
 
 pub use harness::{run_cluster, ClusterConfig, ClusterOutcome};
-pub use pool::{Work, WorkerPool};
+pub use pool::WorkerPool;
 pub use service::{
     JobEngine, JobOutcome, MetricsReporter, MetricsSnapshot, ServiceEngine, ServiceHooks,
     ServiceOutcome,

@@ -6,8 +6,7 @@
 //!   announced → solving → halted): one [`BnbProcess`], the job's
 //!   [`AnyInstance`] and the [`AnyExpander`] made from it, one timer
 //!   wheel, one pending-action queue, restorable from a job-scoped
-//!   [`Checkpoint`]. With a worker pool, the pump registers each job's
-//!   expander with the pool as a plain clone.
+//!   [`Checkpoint`].
 //! * [`ServiceEngine`] — owns the event pump. It multiplexes any number
 //!   of concurrent [`JobEngine`]s over **one** inbox, one phase clock,
 //!   and one transport: each pass executes one pending action from the
@@ -41,7 +40,6 @@
 //! job-announce races with protocol traffic lose nothing.
 
 use crate::clock::{sim_time, Clock};
-use crate::pool::{Work, WorkerPool};
 use crate::telemetry::Telemetry;
 use crate::transport::{Envelope, Inbound, Transport, TransportStats};
 use ftbb_bnb::AnyInstance;
@@ -51,7 +49,7 @@ use ftbb_core::{
 };
 use ftbb_des::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,9 +142,6 @@ pub struct MetricsSnapshot {
     pub transport: TransportStats,
     /// Trace events shed so far by the telemetry sink's bounded queue.
     pub trace_events_dropped: u64,
-    /// Expansion worker threads driving this engine (1 = work units
-    /// inline in the event pump, no pool).
-    pub workers: usize,
 }
 
 /// Consumer installed via [`ServiceEngine::set_metrics_reporter`];
@@ -202,9 +197,6 @@ pub struct JobEngine {
     telemetry: Telemetry,
     /// Outcome already delivered through the hooks.
     reported: bool,
-    /// Work units handed to the worker pool and not yet harvested: the
-    /// job is retired only once the pool holds nothing of it.
-    in_pool: usize,
     last_recoveries: u64,
     last_incumbent: f64,
     metrics_seq: u64,
@@ -230,7 +222,6 @@ impl JobEngine {
             halted: false,
             telemetry: Telemetry::disabled(),
             reported: false,
-            in_pool: 0,
             last_recoveries: 0,
             last_incumbent: f64::INFINITY,
             metrics_seq: 0,
@@ -343,8 +334,10 @@ pub struct ServiceEngine {
     admitted: u64,
     finished: u64,
     late_frames: u64,
-    /// The expansion worker pool, present only with more than one worker.
-    pool: Option<WorkerPool>,
+    /// Peers whose connection closed ([`Inbound::PeerClosed`]) and that
+    /// have sent no frame since: a job admitted later starts with them
+    /// closed too.
+    closed: BTreeSet<u32>,
     /// Where the pump reads time; set by [`ServiceEngine::start`].
     pub(crate) clock: Clock,
     deadline: SimTime,
@@ -378,7 +371,7 @@ impl ServiceEngine {
             admitted: 0,
             finished: 0,
             late_frames: 0,
-            pool: None,
+            closed: BTreeSet::new(),
             clock: Clock::Virtual(SimTime::ZERO),
             deadline: SimTime::MAX,
             checkpoints: None,
@@ -423,17 +416,6 @@ impl ServiceEngine {
         self.daemon = on;
     }
 
-    /// Run work units on `n` worker threads (a [`WorkerPool`]) instead
-    /// of inline in the event pump. `1` — the default — keeps the inline
-    /// path. The protocol state machine stays on the pump thread either
-    /// way, and each job still has at most one unit outstanding, so the
-    /// solved optimum is identical at every worker count; only wall time
-    /// moves. Only the wall-clock driver runs a pool.
-    pub fn set_workers(&mut self, n: usize) {
-        assert!(n >= 1, "a node needs at least one expansion worker");
-        self.pool = (n > 1).then(|| WorkerPool::new(n));
-    }
-
     /// Admit a job before the pump starts. (A running pump admits the
     /// jobs that arrive on its inbox as [`Inbound::Admit`].)
     pub fn admit(&mut self, engine: JobEngine) {
@@ -444,8 +426,7 @@ impl ServiceEngine {
 
     /// Drive the pump on the wall clock until every job halts (or, in
     /// daemon mode, until the deadline). When a pass finds nothing to do,
-    /// the pump blocks until the next timer deadline: on its worker pool
-    /// while units are out, otherwise on the inbox.
+    /// the pump blocks on the inbox until the next timer deadline.
     pub fn run(
         mut self,
         transport: &dyn Transport,
@@ -459,17 +440,6 @@ impl ServiceEngine {
                 Step::Exit => break,
                 Step::Idle(wait) => wait,
             };
-            if let Some(pool) = self.pool.as_mut().filter(|p| p.in_flight() > 0) {
-                // Block on the workers' results, not on the inbox: a result
-                // does not wake an inbox wait (a message waits at most
-                // 1 ms). The wait *is* expansion time, so it is charged to
-                // Expand, keeping the Figure-3 reconciliation honest.
-                let done = pool.harvest_timeout(wait.min(Duration::from_millis(1)));
-                self.deliver_work(done);
-                self.charge(TimeCategory::Expand);
-                self.settle(transport);
-                continue;
-            }
             // A frame and an admission both arrive here, so either ends
             // the wait at once.
             let waited = match inbox.recv_timeout(wait) {
@@ -508,10 +478,10 @@ impl ServiceEngine {
     }
 
     /// One pass of the pump, without blocking: past the deadline, exit;
-    /// fold in finished pool work; execute one pending action, fold in
-    /// whatever `inbox` holds, and settle. With no action pending the pass
-    /// ends idle: the driver waits until the next timer deadline (20 ms at
-    /// most) or an inbox item, then calls [`ServiceEngine::resume`].
+    /// execute one pending action, fold in whatever `inbox` holds, and
+    /// settle. With no action pending the pass ends idle: the driver
+    /// waits until the next timer deadline (20 ms at most) or an inbox
+    /// item, then calls [`ServiceEngine::resume`].
     pub(crate) fn step(
         &mut self,
         transport: &dyn Transport,
@@ -522,23 +492,9 @@ impl ServiceEngine {
             // safety valve; unfinished jobs report `terminated: false`.
             return Step::Exit;
         }
-        if let Some(pool) = self.pool.as_mut() {
-            let done: Vec<_> = std::iter::from_fn(|| pool.try_harvest()).collect();
-            if !done.is_empty() {
-                self.deliver_work(done);
-                self.charge(TimeCategory::Expand);
-            }
-        }
         let Some(idx) = self.next_actionable() else {
             if self.jobs.iter().all(|j| j.halted && j.pending.is_empty()) && !self.daemon {
                 return Step::Exit;
-            }
-            if self.pool.as_ref().is_some_and(|p| p.in_flight() > 0) {
-                // The driver blocks on the workers next: fold in what has
-                // arrived first.
-                while let Some(inbound) = inbox() {
-                    self.route(inbound);
-                }
             }
             return Step::Idle(self.next_timer_wait().min(Duration::from_millis(20)));
         };
@@ -557,19 +513,10 @@ impl ServiceEngine {
                 let engine = &mut self.jobs[idx];
                 let incumbent = engine.core.incumbent();
                 let budget = Duration::from_secs_f64(engine.core.config().report_gap_s());
-                if let Some(pool) = self.pool.as_mut() {
-                    // Pool path: hand the unit to a worker thread and keep
-                    // pumping — the result comes back through a harvest,
-                    // as a `UnitDone` indistinguishable from the inline
-                    // one. The protocol's `work_seq` guard handles results
-                    // that raced an interrupt.
-                    pool.submit_unit(job.raw(), seq, code, incumbent, budget);
-                    engine.in_pool += 1;
-                } else {
-                    let expander = &mut engine.expander;
-                    let unit = self.clock.explore(expander, &code, incumbent, budget);
-                    engine.step(PEvent::UnitDone { seq, unit }, self.clock.now());
-                }
+                let unit = self
+                    .clock
+                    .explore(&mut engine.expander, &code, incumbent, budget);
+                engine.step(PEvent::UnitDone { seq, unit }, self.clock.now());
                 self.charge(TimeCategory::Expand);
             }
             Action::SetTimer { delay_s, timer } => {
@@ -688,7 +635,7 @@ impl ServiceEngine {
                 self.report_job_done(idx);
                 self.charge(TimeCategory::Communicate);
             }
-            if self.daemon && self.jobs[idx].in_pool == 0 {
+            if self.daemon {
                 self.retire(idx, transport);
                 self.charge(TimeCategory::Communicate);
             } else {
@@ -780,26 +727,6 @@ impl ServiceEngine {
         None
     }
 
-    /// Feed harvested pool work back to its jobs as the event the inline
-    /// path would have produced on the spot. Results for jobs that halted
-    /// while the work was in flight (a redundant-work interrupt followed by
-    /// termination) are dropped, like any late event for a halted job; so
-    /// is a result for a job no longer held, which a job's retirement
-    /// waits out.
-    fn deliver_work(&mut self, done: impl IntoIterator<Item = (u64, u64, Work)>) {
-        let t = self.clock.now();
-        for (job, seq, work) in done {
-            let Some(engine) = self.jobs.iter_mut().find(|j| j.job.raw() == job) else {
-                continue;
-            };
-            engine.in_pool -= 1;
-            if engine.halted {
-                continue;
-            }
-            engine.step(work.event(seq), t);
-        }
-    }
-
     /// Idle wait until the earliest timer deadline across live jobs.
     fn next_timer_wait(&self) -> Duration {
         let t = self.clock.now();
@@ -824,8 +751,8 @@ impl ServiceEngine {
     /// admitted yet, and counted and dropped for a halted or retired job
     /// (late traffic after termination). An admitted job is started at
     /// once, which replays its stash, and snapshotted. A peer's closed
-    /// connection is traced and goes to every live job; a job admitted
-    /// later does not learn of it.
+    /// connection is traced, goes to every live job, and is remembered
+    /// for the jobs admitted later until the peer's next frame.
     fn route(&mut self, inbound: Inbound) {
         let env = match inbound {
             Inbound::Frame(env) => env,
@@ -840,6 +767,7 @@ impl ServiceEngine {
             Inbound::PeerClosed(peer) => {
                 self.telemetry
                     .emit("peer_closed", &[("peer", peer.to_string())]);
+                self.closed.insert(peer);
                 let t = self.clock.now();
                 for engine in self.jobs.iter_mut().filter(|j| !j.halted) {
                     engine.step(PEvent::PeerClosed(peer), t);
@@ -848,6 +776,8 @@ impl ServiceEngine {
                 return;
             }
         };
+        // A frame reopens its sender, as in the process itself.
+        self.closed.remove(&env.from);
         let cat = BnbProcess::category(&env.msg);
         let t = self.clock.now();
         match self.jobs.iter_mut().find(|j| j.job == env.job) {
@@ -867,13 +797,11 @@ impl ServiceEngine {
     }
 
     /// Start an admitted job: stamp its telemetry, fire the protocol
-    /// `Start`, and replay any stashed traffic.
+    /// `Start`, replay any stashed traffic, then tell it of the peers
+    /// whose connection is still closed.
     fn start_job(&mut self, idx: usize) {
         let t = self.clock.now();
         let job = self.jobs[idx].job;
-        if let Some(pool) = self.pool.as_ref() {
-            pool.register(job.raw(), Box::new(self.jobs[idx].expander.clone()));
-        }
         self.jobs[idx].telemetry = self.telemetry.for_job(job.raw());
         self.jobs[idx].telemetry.emit(
             "job_admitted",
@@ -883,6 +811,11 @@ impl ServiceEngine {
         if let Some(backlog) = self.stash.remove(&job) {
             for env in backlog {
                 self.jobs[idx].deliver(env, t);
+            }
+        }
+        if !self.jobs[idx].halted {
+            for &peer in &self.closed {
+                self.jobs[idx].step(PEvent::PeerClosed(peer), t);
             }
         }
     }
@@ -905,15 +838,11 @@ impl ServiceEngine {
         }
     }
 
-    /// Drop a reported job that the pool holds nothing of (daemon mode):
-    /// its final metrics line goes out, its pool prototype is released,
-    /// and only its id stays behind.
+    /// Drop a reported job (daemon mode): its final metrics line goes
+    /// out, and only its id stays behind.
     fn retire(&mut self, idx: usize, transport: &dyn Transport) {
         self.report_metrics(Some(idx), transport);
         let engine = self.jobs.remove(idx);
-        if let Some(pool) = self.pool.as_ref() {
-            pool.unregister(engine.job.raw());
-        }
         self.retired.insert(engine.job);
         if self.cursor > idx {
             self.cursor -= 1;
@@ -948,7 +877,6 @@ impl ServiceEngine {
             metrics,
             transport: transport.stats(),
             trace_events_dropped: self.telemetry.events_dropped(),
-            workers: self.pool.as_ref().map_or(1, WorkerPool::workers),
         });
     }
 
@@ -1407,43 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_reaches_the_same_optimum_as_inline() {
-        // The determinism contract of `set_workers`: the solved optimum
-        // is identical at every worker count, for every workload kind
-        // (knapsack, MAX-SAT, recorded tree) — only wall time moves. The
-        // pool runs on the wall clock only.
-        let k = KnapsackInstance::generate(14, 50, Correlation::Uncorrelated, 0.5, 8);
-        let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default())
-            .expect("recordable instance");
-        let jobs: Vec<(JobId, ftbb_bnb::AnyInstance)> = vec![
-            (
-                JobId(1),
-                KnapsackInstance::generate(16, 60, Correlation::Uncorrelated, 0.5, 5).into(),
-            ),
-            (JobId(2), MaxSatInstance::generate(12, 40, 2).into()),
-            (JobId(3), tree.into()),
-        ];
-        let run = |workers: usize| {
-            let mut svc = service_node(0, &[0], &jobs, 7);
-            svc.set_workers(workers);
-            run_wall(svc, Duration::from_secs(30))
-        };
-        let (inline_run, pooled_run) = (run(1), run(4));
-        for (job, instance) in &jobs {
-            let reference = solve(instance, &SolveConfig::default()).best;
-            for (label, outcome) in [("inline", &inline_run), ("pooled", &pooled_run)] {
-                let jo = outcome
-                    .jobs
-                    .iter()
-                    .find(|j| j.job == *job)
-                    .expect("outcome for every admitted job");
-                assert!(jo.terminated, "{label} job {job} did not terminate");
-                assert_eq!(Some(jo.incumbent), reference, "{label} job {job} parity");
-            }
-        }
-    }
-
-    #[test]
     fn killing_a_node_mid_run_loses_neither_job() {
         // Larger jobs than the no-crash test (7 429 and 1 517 sequential
         // expansions), so the pool is still solving both when node 1's
@@ -1614,18 +1505,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pool_result_for_a_retired_job_is_dropped() {
-        let instance = tiny_instance();
-        let mut svc = single_run(&instance);
-        svc.set_workers(2);
-        svc.daemon(true);
-        svc.retired.insert(JobId(9));
-        svc.deliver_work([(9, 4, Work::Unit(Default::default()))]);
-        assert_eq!(svc.jobs.len(), 1, "the held job is untouched");
-        assert!(svc.jobs[0].pending.is_empty());
-    }
-
-    #[test]
     fn an_admission_to_an_idle_pump_starts_before_the_next_timer_deadline() {
         // A parked job keeps every timer a minute away, so the idle pump
         // waits out its whole 20 ms cap between timer checks: it does not
@@ -1740,6 +1619,78 @@ mod tests {
         svc.start_job(0);
         assert!(!svc.stash.contains_key(&JobId(1)));
         assert_eq!(svc.jobs[0].core.metrics().reports_received, 3);
+    }
+
+    /// A transport that records whom each send addresses.
+    #[derive(Default)]
+    struct Recipients {
+        to: std::sync::Mutex<Vec<u32>>,
+        counters: TransportCounters,
+    }
+
+    impl Transport for Recipients {
+        fn send(&self, _: JobId, _: u32, to: u32, msg: Msg) {
+            let wire = msg.wire_size();
+            self.counters.record_send(wire, wire);
+            self.to.lock().unwrap().push(to);
+        }
+
+        fn endpoints(&self) -> usize {
+            2
+        }
+
+        fn counters(&self) -> &TransportCounters {
+            &self.counters
+        }
+    }
+
+    #[test]
+    fn a_job_admitted_after_a_peer_closed_learns_of_it() {
+        // Node 0 of a duo routes `before`, then admits a job that holds
+        // the root and pumps it to its end on a virtual clock: the job's
+        // `peers_closed` right after admission, its outcome, and whom its
+        // sends addressed.
+        let instance = tiny_instance();
+        let run = |before: Vec<Inbound>| {
+            let net = Recipients::default();
+            let mut svc = ServiceEngine::new(0, 0);
+            svc.start(Clock::Virtual(SimTime::ZERO), Duration::from_secs(30));
+            for inbound in before {
+                svc.route(inbound);
+            }
+            let protocol = ClusterConfig::new(2).protocol;
+            svc.route(admission(1, &[0, 1], protocol, &instance, true));
+            let peers_closed = svc.jobs[0].core.metrics().peers_closed;
+            loop {
+                match svc.step(&net, || None) {
+                    Step::Busy => {}
+                    Step::Idle(wait) => {
+                        svc.clock = Clock::Virtual(svc.clock.now() + sim_time(wait));
+                        svc.resume(&net, None);
+                    }
+                    Step::Exit => break,
+                }
+            }
+            let outcome = svc.finish(&net);
+            (
+                peers_closed,
+                outcome.jobs[0].clone(),
+                net.to.into_inner().unwrap(),
+            )
+        };
+        let reference = solve(&instance, &SolveConfig::default()).best;
+
+        let (peers_closed, job, to) = run(vec![Inbound::PeerClosed(1)]);
+        assert_eq!(peers_closed, 1, "the job started with peer 1 closed");
+        assert!(job.terminated);
+        assert_eq!(Some(job.incumbent), reference);
+        assert!(!to.contains(&1), "a send addressed the closed peer: {to:?}");
+
+        // A frame from the peer (here for a job not admitted) reopens it
+        // for the node, before the job is admitted.
+        let (peers_closed, job, _) = run(vec![Inbound::PeerClosed(1), report(9)]);
+        assert_eq!(peers_closed, 0, "the peer spoke after its close");
+        assert!(job.terminated);
     }
 
     #[test]

@@ -261,8 +261,8 @@ enum Range {
 const MAX_SECONDS: f64 = 100.0 * 365.25 * 86_400.0;
 const POSITIVE: Range = Range::Num(f64::MIN_POSITIVE, MAX_SECONDS);
 const NON_NEGATIVE: Range = Range::Num(0.0, MAX_SECONDS);
-/// Non-positive `crash_at_s` (crash at once) and `bound_flush_s`
-/// (suppression off) are deliberate settings.
+/// A non-positive `bound_flush_s` (suppression off) is a deliberate
+/// setting.
 const ANY_SIGN: Range = Range::Num(-MAX_SECONDS, MAX_SECONDS);
 
 /// A value kind: one impl per field type, holding the **one** parser a
@@ -485,10 +485,8 @@ impl<T> Key<T> {
         const COLUMN: usize = 34;
         const WIDTH: usize = 38;
         let mut notes = Vec::new();
-        match self.range {
-            Range::Int(min, u64::MAX) => notes.push(format!("at least {min}")),
-            Range::Int(min, max) => notes.push(format!("{min}..={max}")),
-            _ => {}
+        if let Range::Int(min, max) = self.range {
+            notes.push(format!("{min}..={max}"));
         }
         if let Some(text) = (self.get)(default).filter(|t| !t.is_empty()) {
             if !self.switch {
@@ -612,11 +610,6 @@ node_keys! {
     deadline_s: f64 = 30.0;
     POSITIVE, NODE, "SECS";
 
-    /// If set, the process `abort()`s this many seconds after start —
-    /// a config-driven crash for experiments without an external killer.
-    crash_at_s: Option<f64> = None;
-    ANY_SIGN, NODE, "SECS";
-
     /// RNG seed for protocol randomness (target selection etc.).
     seed: u64 = 1;
     Range::Any, NODE, "N";
@@ -652,13 +645,6 @@ node_keys! {
     /// seconds; must be ≥ `suspect_after_s`.
     forget_after_s: f64 = 3.0;
     POSITIVE, MEMBERSHIP, "SECS";
-
-    /// Expansion worker threads per node. `1` keeps work units inline in
-    /// the event pump. Higher values run them on a worker pool so
-    /// multiple jobs expand in parallel; the protocol state machine
-    /// stays single-threaded either way, so the optimum is identical.
-    workers: usize = 1;
-    Range::Int(1, u64::MAX), PERFORMANCE, "N";
 
     /// Bound-dissemination flush window in seconds
     /// (`ftbb_core::ProtocolConfig::bound_flush_s`): incumbent
@@ -1059,7 +1045,7 @@ mod tests {
     fn parses_full_config() {
         let cfg = parse(
             "--id 0 --listen 127.0.0.1:4500 --peer 1=127.0.0.1:4501 --peer 2=127.0.0.1:4502 \
-             --deadline-s 12.5 --crash-at-s 1.5 --seed 9 --problem knapsack --problem-n 24 \
+             --deadline-s 12.5 --seed 9 --problem knapsack --problem-n 24 \
              --problem-range 80 --problem-correlation weak --problem-frac 0.5 --problem-seed 11",
         )
         .unwrap();
@@ -1068,7 +1054,6 @@ mod tests {
         assert_eq!(cfg.peers.len(), 2);
         assert_eq!(cfg.peers[1], (2, "127.0.0.1:4502".parse().unwrap()));
         assert_eq!(cfg.deadline_s, 12.5);
-        assert_eq!(cfg.crash_at_s, Some(1.5));
         assert_eq!(cfg.seed, 9);
         let ProblemSpec::Knapsack(k) = &cfg.problem else {
             panic!("expected knapsack, got {:?}", cfg.problem);
@@ -1233,7 +1218,6 @@ mod tests {
         for (name, bad, range) in [
             ("id", "4294967296", "0..=4294967295"),
             ("seed", "18446744073709551616", "0..=18446744073709551615"),
-            ("workers", "-1", "1..="),
             ("problem.vars", "70000", "2..=64"),
             ("problem.clauses", "1048577", "1..=1048576"),
         ] {
@@ -1348,7 +1332,6 @@ mod tests {
         // Rows: the flag and one more value outside its own range.
         let cases = [
             ("--deadline-s", "0"),
-            ("--crash-at-s", "-inf"),
             ("--preconnect-s", "-0.5"),
             ("--checkpoint-every-s", "0"),
             ("--metrics-every-s", "0"),
@@ -1367,8 +1350,6 @@ mod tests {
 
         // The deliberate non-positive settings and ordinary values pass.
         for ok in [
-            "--crash-at-s -1",
-            "--crash-at-s 0",
             "--bound-flush-s 0",
             "--bound-flush-s -1",
             "--preconnect-s 0",
@@ -1582,24 +1563,25 @@ mod tests {
         );
         walk(PROBLEM_KEYS, |cfg| &cfg.problem, problem_homes);
         // 21 node keys + 9 problem keys, and no two share a flag.
-        assert_eq!((NODE_KEYS.len(), PROBLEM_KEYS.len()), (21, 9));
+        assert_eq!((NODE_KEYS.len(), PROBLEM_KEYS.len()), (19, 9));
         let mut flags: Vec<String> = NODE_KEYS.iter().map(Key::flag).collect();
         flags.extend(PROBLEM_KEYS.iter().map(Key::flag));
         flags.sort();
         flags.dedup();
-        assert_eq!(flags.len(), 30, "{flags:?}");
+        assert_eq!(flags.len(), 28, "{flags:?}");
     }
 
     /// `NodeConfig::default()` as the parent commit printed it (minus the
-    /// four transport keys that became constants; `problem` moved last):
-    /// the table must not move a default.
+    /// four transport keys that became constants and the deleted crash
+    /// and worker-count keys; `problem` moved last): the table must not
+    /// move a default.
     #[test]
     fn defaults_are_pinned() {
         let pinned =
             "NodeConfig { id: 0, listen: 127.0.0.1:0, peers: [], peers_from_stdin: false, \
-                      preconnect_s: 5.0, deadline_s: 30.0, crash_at_s: None, seed: 1, \
+                      preconnect_s: 5.0, deadline_s: 30.0, seed: 1, \
                       gossip_servers: [], join: false, gossip_interval_s: 0.05, \
-                      suspect_after_s: 0.5, forget_after_s: 3.0, workers: 1, bound_flush_s: 0.05, \
+                      suspect_after_s: 0.5, forget_after_s: 3.0, bound_flush_s: 0.05, \
                       service: false, checkpoint_dir: None, checkpoint_every_s: 0.5, \
                       resume: false, trace_file: None, metrics_every_s: None, \
                       problem: Knapsack(KnapsackSpec { n: 20, range: 60, correlation: Weak, \

@@ -185,9 +185,9 @@ pub struct ClusterSpec {
     /// Lifecycle plan: kills and checkpoint restarts, executed in time
     /// order once every node has its peer map.
     pub lifecycle: Vec<LifecycleEvent>,
-    /// Config-driven crash plan: `(node, seconds after its start)` —
-    /// passed to the node as `--crash-at-s`, so the process `abort()`s
-    /// itself instead of being killed externally.
+    /// Must be empty: a crash is a [`LifecycleEvent::kill`] step, a
+    /// genuine SIGKILL. The field remains only because the benchmark
+    /// builds this struct by literal.
     pub crash_at: Vec<(u32, f64)>,
     /// The shared problem (any kind — the launcher renders it as the
     /// matching `--problem*` flags).
@@ -232,9 +232,9 @@ pub struct ClusterSpec {
     pub deadline: Duration,
     /// Base seed for per-node protocol randomness.
     pub seed: u64,
-    /// Expansion workers per node (`--workers`): 1 expands inline on the
-    /// protocol thread; more offload expansions to a worker pool.
-    /// The optimum is identical either way.
+    /// Must be 1: every node expands inline on its pump thread. The
+    /// field remains only because the benchmark builds this struct by
+    /// literal.
     pub workers: usize,
 }
 
@@ -515,7 +515,6 @@ fn spawn_node(
         id,
         deadline_s: spec.deadline.as_secs_f64(),
         seed: spec.seed,
-        workers: spec.workers.max(1),
         peers_from_stdin: !joiner,
         checkpoint_dir: spec.checkpoint_dir.clone(),
         // One file per node id, append mode in the daemon: a restarted
@@ -544,22 +543,15 @@ fn spawn_node(
     if spec.checkpoint_dir.is_some() {
         cfg.checkpoint_every_s = spec.checkpoint_every_s;
     }
-    if !resume {
-        // The config-driven crash is a first life's; and a resumed life
-        // takes its problem from the checkpoint, a service pool from the
-        // job stream — neither gets the shared `problem` rendered.
-        cfg.crash_at_s = spec
-            .crash_at
-            .iter()
-            .find(|&&(node, _)| node == id)
-            .map(|&(_, at)| at);
-        if !spec.service {
-            cfg.problem = if spec.wire_peers && id != 0 && !joiner {
-                ProblemSpec::Wire
-            } else {
-                spec.problem.clone()
-            };
-        }
+    // A resumed life takes its problem from the checkpoint, a service
+    // pool from the job stream — neither gets the shared `problem`
+    // rendered.
+    if !resume && !spec.service {
+        cfg.problem = if spec.wire_peers && id != 0 && !joiner {
+            ProblemSpec::Wire
+        } else {
+            spec.problem.clone()
+        };
     }
     let mut cmd = Command::new(&spec.noded);
     cmd.args(cfg.to_args());
@@ -879,13 +871,12 @@ pub fn launch(spec: &ClusterSpec) -> Result<ClusterReport, LaunchError> {
     }
     timeline.sort_by_key(|e| e.t_us);
 
-    // A node SIGKILLed (or config-crashed) after finishing still counts
-    // as a survivor if its outcome line made it out — and a killed node
-    // that was restarted and reported is a survivor too.
+    // A node SIGKILLed after finishing still counts as a survivor if its
+    // outcome line made it out — and a killed node that was restarted
+    // and reported is a survivor too.
     let mut effective_killed: Vec<u32> = killed
         .iter()
         .copied()
-        .chain(spec.crash_at.iter().map(|&(id, _)| id))
         .filter(|&id| {
             (id as usize) < total
                 && outcomes[id as usize].is_none()
@@ -939,6 +930,17 @@ pub fn launch(spec: &ClusterSpec) -> Result<ClusterReport, LaunchError> {
 /// Static consistency of the lifecycle plan.
 fn validate_plan(spec: &ClusterSpec) -> Result<(), LaunchError> {
     let bad = |m: String| Err(LaunchError::BadPlan(m));
+    if spec.workers != 1 {
+        return bad(format!(
+            "ClusterSpec::workers is {}; every node expands inline, so it must be 1",
+            spec.workers
+        ));
+    }
+    if !spec.crash_at.is_empty() {
+        return bad(
+            "ClusterSpec::crash_at must be empty; plan a crash as LifecycleEvent::kill".to_string(),
+        );
+    }
     if !spec.jobs.is_empty() && !spec.service {
         return bad("a job stream needs ClusterSpec::service".to_string());
     }
@@ -1080,7 +1082,6 @@ mod tests {
             bound_suppressed: 0,
             membership_events_dropped: 0,
             trace_events_dropped: 0,
-            workers: 1,
             transport: TransportStats::default(),
             control_shed: 0,
         }
@@ -1161,7 +1162,6 @@ mod tests {
             metrics: Default::default(),
             transport: TransportStats::default(),
             trace_events_dropped: 0,
-            workers: 1,
         };
         let line = crate::noded::metrics_line(&snap);
         r.metrics[0] = vec![parse_metrics_line(&line).expect("own line parses")];
@@ -1208,6 +1208,20 @@ mod tests {
             seed: 1,
             workers: 1,
         };
+
+        // Knobs that no longer exist, kept only as struct fields.
+        let mut spec = base.clone();
+        spec.workers = 2;
+        match validate_plan(&spec) {
+            Err(LaunchError::BadPlan(e)) => assert!(e.contains("must be 1"), "{e}"),
+            other => panic!("expected BadPlan, got {other:?}"),
+        }
+        let mut spec = base.clone();
+        spec.crash_at = vec![(1, 0.1)];
+        match validate_plan(&spec) {
+            Err(LaunchError::BadPlan(e)) => assert!(e.contains("LifecycleEvent::kill"), "{e}"),
+            other => panic!("expected BadPlan, got {other:?}"),
+        }
 
         // Join without gossip mode.
         let mut spec = base.clone();

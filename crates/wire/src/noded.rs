@@ -87,8 +87,6 @@ pub struct NodeReport {
     /// Trace events the telemetry sink had to shed (0 when tracing is
     /// off or the writer kept up).
     pub trace_events_dropped: u64,
-    /// Expansion worker threads the node ran with (1 = inline).
-    pub workers: usize,
 }
 
 /// Checkpoint file of job `job` on node `id` under `dir`: one file per
@@ -309,29 +307,13 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         WireConfig,
     )?;
 
-    // Phase 3: readiness barrier — pre-establish every peer connection
-    // before `Start`, so the first work grants cannot vanish into
-    // listeners that are still coming up. A rejoining node replays this
-    // same barrier for itself: its peers are live, so it connects fast.
-    // A peer that never appears is the Crash model's problem; start
-    // anyway once the budget is spent.
-    if !mesh.ready(Duration::from_secs_f64(cfg.preconnect_s)) {
-        telemetry.emit(
-            "barrier_timeout",
-            &[("budget_s", cfg.preconnect_s.to_string())],
-        );
-        eprintln!(
-            "ftbb-noded: readiness barrier timed out after {}s; starting on a partial mesh",
-            cfg.preconnect_s
-        );
-    }
-
     // A node entering a live mesh introduces itself at the wire level
     // (id, incarnation, listen address) with one join frame. An elastic
     // joiner tells its gossip servers, so the reverse route exists before
     // the protocol-level membership Join asks for a Welcome over it; a
     // resumed node tells every peer, which re-points its routes at the
     // new life.
+    let joining = cfg.join || !restored.is_empty();
     if cfg.join {
         telemetry.emit("join", &[("servers", mesh_peers.len().to_string())]);
         eprintln!(
@@ -340,8 +322,29 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
             mesh_peers.len()
         );
     }
-    if cfg.join || !restored.is_empty() {
-        mesh.send_join();
+
+    // Phase 3: readiness barrier — pre-establish every peer connection
+    // before `Start`, so the first work grants cannot vanish into
+    // listeners that are still coming up. A rejoining node replays this
+    // same barrier for itself, its join frame queued behind each peer's
+    // dialling, so a live peer learns of it at once even while a dead
+    // one holds the barrier. A peer that never appears is the Crash
+    // model's problem; start anyway once the budget is spent.
+    let budget = Duration::from_secs_f64(cfg.preconnect_s);
+    let ready = if joining {
+        mesh.ready_and_join(budget)
+    } else {
+        mesh.ready(budget)
+    };
+    if !ready {
+        telemetry.emit(
+            "barrier_timeout",
+            &[("budget_s", cfg.preconnect_s.to_string())],
+        );
+        eprintln!(
+            "ftbb-noded: readiness barrier timed out after {}s; starting on a partial mesh",
+            cfg.preconnect_s
+        );
     }
 
     // Millisecond-scale protocol timers, same profile as the in-process
@@ -361,7 +364,6 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     let mut engine = ServiceEngine::new(cfg.id, incarnation);
     engine.daemon(cfg.service);
     engine.set_telemetry(telemetry.clone());
-    engine.set_workers(cfg.workers);
     if let Some(every_s) = cfg.metrics_every_s {
         engine.set_metrics_reporter(
             Duration::from_secs_f64(every_s),
@@ -459,18 +461,6 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
     });
     let (admit, reply_rx) = admission.unzip();
 
-    // Config-driven crash: a genuine process death (abort), not a
-    // simulated one — peers see only silence. The clock starts after the
-    // readiness barrier, so `crash_at_s` measures computation time, not
-    // wiring or pre-establishment time.
-    if let Some(crash_at) = cfg.crash_at_s {
-        let delay = Duration::from_secs_f64(crash_at.max(0.0));
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            std::process::abort();
-        });
-    }
-
     // Build the sink before the scope so io errors surface cleanly.
     if let Some(dir) = &cfg.checkpoint_dir {
         let every = Duration::from_secs_f64(cfg.checkpoint_every_s);
@@ -512,7 +502,6 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodeReport> {
         transport: mesh.stats(),
         outcome,
         trace_events_dropped,
-        workers: cfg.workers,
     })
 }
 
@@ -885,8 +874,6 @@ line_codec! {
             num("mev_dropped") <- job.metrics.membership_events_dropped,
         /// Trace events the telemetry sink's bounded queue had to discard.
         trace_events_dropped: u64 = num("trace_dropped") <- report.trace_events_dropped,
-        /// Expansion worker threads the node ran with (1 = inline).
-        workers: u64 = num("workers") <- report.workers,
         /// Transport counters at exit: the key group, so the parsed
         /// `transport.control_shed` is 0 — the line carries it as the
         /// next row.
@@ -1019,8 +1006,6 @@ line_codec! {
             num("mev_dropped") <- snap.metrics.membership_events_dropped,
         /// Trace events discarded by the telemetry sink's bounded queue.
         trace_events_dropped: u64 = num("trace_dropped") <- snap.trace_events_dropped,
-        /// Expansion worker threads driving the reporting engine.
-        workers: u64 = num("workers") <- snap.workers,
         /// Messages handed to the wire so far.
         sent: u64 = num("sent") <- snap.transport.sent,
         /// Send-side drops so far (all causes).
@@ -1104,7 +1089,6 @@ mod tests {
                 .expect("every key answered")
             },
             trace_events_dropped: 5,
-            workers: 4,
         }
     }
 
@@ -1154,7 +1138,6 @@ mod tests {
                 ..Default::default()
             },
             trace_events_dropped: 4,
-            workers: 2,
         }
     }
 
@@ -1174,7 +1157,7 @@ mod tests {
             "FTBB-OUTCOME id=3 incarnation=2 terminated=true \
              incumbent_bits=0xc05fe00000000000 incumbent=-127.5 expanded=42 pruned_at_pop=0 \
              recoveries=2 suspected=3 forgotten=1 bound_bcast=4 bound_coalesced=6 \
-             bound_suppressed=8 mev_dropped=17 trace_dropped=5 workers=4 sent=1 wire_bytes=2 \
+             bound_suppressed=8 mev_dropped=17 trace_dropped=5 sent=1 wire_bytes=2 \
              encoded_bytes=3 dropped_full=4 dropped_disconnected=5 dropped_no_route=6 \
              dropped_startup=7 dropped_stale=8 retried=9 connect_waits=10 reconnects=11 \
              announces_sent=12 announces_recv=13 rejoins=14 joins=15 discovered=16 flushes=17 \
@@ -1188,7 +1171,7 @@ mod tests {
              membership_s=0.062500 idle_s=0.500000 checkpoint_s=0.062500 expanded=99 \
              pruned_at_pop=0 recoveries=1 reports=13 requests=6 grants=4 grant_wait_s=0.0125 \
              silent_rounds=2 peers_closed=1 suspected=2 forgotten=1 bound_bcast=5 bound_coalesced=7 bound_suppressed=9 \
-             mev_dropped=3 trace_dropped=4 workers=2 sent=11 dropped=3 flushes=5 frames_flushed=10 frames_per_flush=2.00 \
+             mev_dropped=3 trace_dropped=4 sent=11 dropped=3 flushes=5 frames_flushed=10 frames_per_flush=2.00 \
              membership_frames=4 book_entries=64 digest_entries=12 book_per_frame=16.00 \
              bound_frames=3"
         );
@@ -1225,7 +1208,6 @@ mod tests {
                 bound_suppressed: 8,
                 membership_events_dropped: 17,
                 trace_events_dropped: 5,
-                workers: 4,
                 transport: TransportStats {
                     control_shed: 0,
                     ..report.transport
@@ -1269,7 +1251,6 @@ mod tests {
                 bound_suppressed: 9,
                 membership_events_dropped: 3,
                 trace_events_dropped: 4,
-                workers: 2,
                 sent: 11,
                 dropped: 3,
                 flushes: 5,

@@ -10,8 +10,8 @@
 //! peer can be (re)registered at any time — which is how a node enters a
 //! live mesh: a brand-new node, or one killed and restarted from a
 //! checkpoint, sends one [`JoinFrame`] carrying its address and
-//! incarnation ([`TcpMesh::send_join`]), and every receiver registers it
-//! or re-points its writer.
+//! incarnation ([`TcpMesh::ready_and_join`]), and every receiver registers
+//! it or re-points its writer.
 //!
 //! **Incarnations**: the mesh belongs to one life of its node. Outgoing
 //! protocol frames are stamped with the sender's incarnation and the
@@ -32,7 +32,8 @@
 //!   *before* injecting `Start`, so the protocol never opens fire on a
 //!   half-formed mesh and the root's first work grants cannot vanish into
 //!   a listener that is still coming up. A restarted node replays exactly
-//!   this barrier for itself before sending its join frame.
+//!   this barrier for itself, with its join frame queued behind each
+//!   writer's dialling.
 //! * **Delivery is at most once, and every loss is counted**: a send to a
 //!   peer that is not connected gets one dial attempt (paced by a short
 //!   backoff so dead peers cost microseconds, not round-trips) and is
@@ -626,19 +627,57 @@ impl TcpMesh {
         self.registry.close_submitter(job);
     }
 
-    /// Introduce this node to every currently-registered peer with a join
-    /// frame carrying its id, incarnation, and listen address. Receivers
-    /// register the sender: for a joining node (whose peers are its
-    /// gossip servers) that opens the reverse route the membership
-    /// Welcome needs; for a node resumed under a new incarnation it
-    /// re-points their writers and starts tagging traffic for the new
-    /// life.
-    pub fn send_join(&self) {
-        self.broadcast(&encode_join(&JoinFrame {
-            from: self.registry.me,
-            incarnation: self.registry.my_incarnation,
-            addr: self.registry.local_addr,
-        }));
+    /// The readiness barrier ([`Transport::ready`]) of a node entering a
+    /// live mesh: it introduces itself to every registered peer with a
+    /// join frame carrying its id, incarnation, and listen address, queued
+    /// behind each writer's dialling. So a peer gets the join as soon as
+    /// its own connection is up, not when the barrier lifts, which a dead
+    /// peer holds for the whole budget. Receivers register the sender:
+    /// for a joining node (whose peers are its gossip servers) that opens
+    /// the reverse route the membership Welcome needs; for a node resumed
+    /// under a new incarnation it re-points their writers and starts
+    /// tagging traffic for the new life.
+    pub fn ready_and_join(&self, timeout: Duration) -> bool {
+        self.barrier(timeout, true)
+    }
+
+    /// Pre-establish a connection to every peer, waiting up to `timeout`,
+    /// with this node's join frame queued behind the dialling if `join`.
+    /// Writer threads dial with retry (failed attempts are counted as
+    /// `connect_waits`); returns `true` once every peer has accepted a
+    /// connection, `false` if the deadline passed first. Each writer
+    /// reports back when its dialling ends, so the barrier lifts as soon
+    /// as the last connection is up, not on the next tick of a poll.
+    fn barrier(&self, timeout: Duration, join: bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        let (done, dialled) = channel();
+        let mut dialling = 0;
+        for peer in unpoisoned(self.registry.peers.read()).values() {
+            if !peer.connected.load(Ordering::Acquire) {
+                let cmd = WriterCmd::Preconnect {
+                    deadline,
+                    done: done.clone(),
+                };
+                dialling += usize::from(peer.queue_tx.send(cmd).is_ok());
+            }
+        }
+        drop(done);
+        if join {
+            self.broadcast(&encode_join(&JoinFrame {
+                from: self.registry.me,
+                incarnation: self.registry.my_incarnation,
+                addr: self.registry.local_addr,
+            }));
+        }
+        for _ in 0..dialling {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if dialled.recv_timeout(left).is_err() {
+                break;
+            }
+        }
+        unpoisoned(self.registry.peers.read())
+            .values()
+            .all(|p| p.connected.load(Ordering::Acquire))
     }
 
     /// Wait (up to `timeout`) for every peer queue to flush to the
@@ -737,36 +776,11 @@ impl Transport for TcpMesh {
     }
 
     /// The readiness barrier: pre-establish a connection to every peer,
-    /// waiting up to `timeout`. Writer threads dial with retry (failed
-    /// attempts are counted as `connect_waits`); returns `true` once
-    /// every peer has accepted a connection, `false` if the deadline
-    /// passed first. Safe to call again — already-connected peers are
-    /// skipped. Each writer reports back when its dialling ends, so the
-    /// barrier lifts as soon as the last connection is up, not on the
-    /// next tick of a poll.
+    /// waiting up to `timeout` (see [`TcpMesh::ready_and_join`] for the
+    /// mechanism). Safe to call again — already-connected peers are
+    /// skipped.
     fn ready(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let (done, dialled) = channel();
-        let mut dialling = 0;
-        for peer in unpoisoned(self.registry.peers.read()).values() {
-            if !peer.connected.load(Ordering::Acquire) {
-                let cmd = WriterCmd::Preconnect {
-                    deadline,
-                    done: done.clone(),
-                };
-                dialling += usize::from(peer.queue_tx.send(cmd).is_ok());
-            }
-        }
-        drop(done);
-        for _ in 0..dialling {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if dialled.recv_timeout(left).is_err() {
-                break;
-            }
-        }
-        unpoisoned(self.registry.peers.read())
-            .values()
-            .all(|p| p.connected.load(Ordering::Acquire))
+        self.barrier(timeout, false)
     }
 
     fn endpoints(&self) -> usize {
@@ -1746,8 +1760,7 @@ mod tests {
         }
         let addr = if moved { free_addr() } else { first_addr };
         let (node, rx_node) = mesh_at(7, incarnation, addr, &[(0, addr_server)]);
-        assert!(node.ready(Duration::from_secs(10)));
-        node.send_join();
+        assert!(node.ready_and_join(Duration::from_secs(10)));
 
         let Some(Control::Join(frame)) = server.recv_control(Duration::from_secs(5)) else {
             panic!("join arrives");
@@ -1984,6 +1997,41 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_peer_does_not_hold_back_the_join_to_a_live_one() {
+        // A restarted node 1 is wired to live node 0 and to node 3, which
+        // never comes back. Its barrier waits out the whole budget
+        // dialling node 3, but node 0 must get the join as soon as its
+        // own connection is up.
+        const BUDGET: Duration = Duration::from_secs(3);
+        let addr_live = free_addr();
+        let addr_node = free_addr();
+        let addr_dead = free_addr();
+        let (live, _rx_live) = mesh_at(0, 0, addr_live, &[(1, addr_node)]);
+        let wiring = [(0, addr_live), (3, addr_dead)];
+        let (node, _rx_node) = mesh_at(1, 1, addr_node, &wiring);
+        let started = Instant::now();
+        let barrier = std::thread::spawn(move || (node.ready_and_join(BUDGET), node));
+
+        let join = live.recv_control(BUDGET);
+        let took = started.elapsed();
+        assert!(
+            matches!(
+                join,
+                Some(Control::Join(JoinFrame {
+                    from: 1,
+                    incarnation: 1,
+                    ..
+                }))
+            ),
+            "{join:?}"
+        );
+        assert!(took < BUDGET / 4, "the join took {took:?}");
+        let (ready, _node) = barrier.join().expect("barrier thread");
+        assert!(!ready, "node 3 never answers");
+        assert!(started.elapsed() >= BUDGET, "the barrier waited for node 3");
+    }
+
+    #[test]
     fn stale_senders_are_filtered_once_a_newer_life_is_seen() {
         // B has seen A's incarnation 1; a lingering incarnation-0 mesh of
         // A (its previous life's sockets) keeps sending — those frames
@@ -1996,8 +2044,7 @@ mod tests {
         assert!(mesh_a_old.ready(Duration::from_secs(10)));
 
         let (mesh_a_new, _rx_new) = mesh_at(3, 1, addr_a_new, &[(4, addr_b)]);
-        assert!(mesh_a_new.ready(Duration::from_secs(10)));
-        mesh_a_new.send_join();
+        assert!(mesh_a_new.ready_and_join(Duration::from_secs(10)));
         assert!(matches!(
             mesh_b.recv_control(Duration::from_secs(5)),
             Some(Control::Join(_))

@@ -141,9 +141,8 @@ fn report_strategy() -> impl Strategy<Value = NodeReport> {
         phase_strategy(),
         transport_strategy(),
         any::<u64>(),
-        1usize..10,
     )
-        .prop_map(|(jobs, retired, phase, transport, tev, workers)| {
+        .prop_map(|(jobs, retired, phase, transport, tev)| {
             let held_finished = jobs.iter().filter(|j| j.terminated).count() as u64;
             NodeReport {
                 outcome: ServiceOutcome {
@@ -158,7 +157,6 @@ fn report_strategy() -> impl Strategy<Value = NodeReport> {
                 },
                 transport,
                 trace_events_dropped: tev,
-                workers,
             }
         })
 }
@@ -185,7 +183,6 @@ fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
                 metrics,
                 transport: t,
                 trace_events_dropped: tev,
-                workers: (seq % 9) as usize + 1,
             },
         )
 }
@@ -230,7 +227,6 @@ proptest! {
         prop_assert_eq!(parsed.bound_coalesced, o.metrics.bound_coalesced);
         prop_assert_eq!(parsed.bound_suppressed, o.metrics.bound_piggybacks_suppressed);
         prop_assert_eq!(parsed.trace_events_dropped, report.trace_events_dropped);
-        prop_assert_eq!(parsed.workers, report.workers as u64);
         prop_assert_eq!(parsed.transport, report.transport);
     }
 
@@ -287,7 +283,6 @@ proptest! {
         prop_assert_eq!(parsed.bound_broadcasts, snap.metrics.bound_broadcasts);
         prop_assert_eq!(parsed.bound_coalesced, snap.metrics.bound_coalesced);
         prop_assert_eq!(parsed.bound_suppressed, snap.metrics.bound_piggybacks_suppressed);
-        prop_assert_eq!(parsed.workers, snap.workers as u64);
         prop_assert_eq!(parsed.sent, snap.transport.sent);
         prop_assert_eq!(parsed.dropped, snap.transport.dropped());
         prop_assert_eq!(parsed.flushes, snap.transport.flushes);
@@ -296,6 +291,30 @@ proptest! {
         prop_assert_eq!(parsed.book_entries, snap.transport.book_entries_sent);
         prop_assert_eq!(parsed.digest_entries, snap.transport.digest_entries_sent);
         prop_assert_eq!(parsed.bound_frames, snap.transport.bound_broadcasts);
+    }
+
+    /// A line from a node that still reported its expansion workers
+    /// (`workers=N` before `sent=`, on both tags) parses as the same
+    /// record: the parser ignores the key.
+    #[test]
+    fn legacy_lines_with_a_workers_key_still_parse(
+        report in report_strategy(),
+        snap in snapshot_strategy(),
+    ) {
+        let line = outcome_line(&report, &report.outcome.jobs[0]);
+        let legacy = line.replacen(" sent=", " workers=4 sent=", 1);
+        prop_assert!(legacy.contains(" workers=4 "));
+        let (old, new) = (parse_outcome_line(&legacy), parse_outcome_line(&line));
+        prop_assert!(old.is_some());
+        // Debug, not `==`: a NaN incumbent never equals itself.
+        prop_assert_eq!(format!("{old:?}"), format!("{new:?}"));
+
+        let line = metrics_line(&snap);
+        let legacy = line.replacen(" sent=", " workers=4 sent=", 1);
+        prop_assert!(legacy.contains(" workers=4 "));
+        let (old, new) = (parse_metrics_line(&legacy), parse_metrics_line(&line));
+        prop_assert!(old.is_some());
+        prop_assert_eq!(format!("{old:?}"), format!("{new:?}"));
     }
 
     /// A valid line mangled anywhere — truncated mid-token, spliced with

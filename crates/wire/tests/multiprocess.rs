@@ -363,20 +363,17 @@ fn four_processes_no_failures_reach_the_optimum() {
     );
 }
 
-/// The saturation regression: a five-node cluster running four expansion
-/// workers per node, with a SIGKILL mid-run, still agrees with the
-/// sequential optimum — parallel expansion must not perturb the protocol
-/// state machine — and the batched writers actually coalesce: across the
-/// cluster, more frames are flushed than flushes happen (mean
-/// frames-per-flush above one).
+/// The saturation regression: a five-node cluster with a SIGKILL mid-run
+/// still agrees with the sequential optimum, and the batched writers
+/// actually coalesce: across the cluster, more frames are flushed than
+/// flushes happen (mean frames-per-flush above one).
 #[test]
-fn four_workers_per_node_survive_a_kill_and_batch_their_frames() {
+fn five_nodes_survive_a_kill_and_batch_their_frames() {
     let problem = heavy_problem();
     let reference = reference_best(&problem);
     assert!(reference.is_some(), "instance must be feasible");
 
     let mut spec = base_spec(problem, 5, 11);
-    spec.workers = 4;
     spec.lifecycle = vec![LifecycleEvent::kill(2, Duration::from_millis(80))];
     let report = launch(&spec).expect("cluster launches");
 
@@ -387,17 +384,12 @@ fn four_workers_per_node_survive_a_kill_and_batch_their_frames() {
     );
     assert_eq!(
         report.best, reference,
-        "parallel workers disagree with the sequential optimum"
+        "the cluster disagrees with the sequential optimum"
     );
     for outcome in report.outcomes.iter().flatten() {
         if outcome.terminated {
             assert_eq!(Some(outcome.incumbent), reference, "node {}", outcome.id);
         }
-        assert_eq!(
-            outcome.workers, 4,
-            "node {} did not run the requested pool",
-            outcome.id
-        );
     }
     let (flushes, frames) = report
         .outcomes
@@ -411,29 +403,6 @@ fn four_workers_per_node_survive_a_kill_and_batch_their_frames() {
         frames > flushes,
         "batching never coalesced: {frames} frames over {flushes} flushes"
     );
-}
-
-#[test]
-fn config_driven_crash_is_survivable_too() {
-    // Same shape as the SIGKILL test, but the crash comes from the
-    // node's own --crash-at-s abort() — exercising the config path
-    // instead of an external killer.
-    let problem = heavy_problem();
-    let reference = reference_best(&problem);
-
-    let mut spec = base_spec(problem, 3, 11);
-    spec.crash_at = vec![(2, 0.08)];
-    let report = launch(&spec).expect("cluster launches");
-
-    assert_eq!(report.killed, vec![2], "node 2 must abort before reporting");
-    assert!(
-        report.all_survivors_terminated,
-        "survivors failed to terminate: {:?}",
-        report.outcomes
-    );
-    for o in report.outcomes.iter().flatten() {
-        assert_eq!(Some(o.incumbent), reference, "node {}", o.id);
-    }
 }
 
 /// The MAX-SAT mirror of the SIGKILL acceptance test, with the workload

@@ -88,7 +88,7 @@ fn main() {
         metrics_every_s: Some(0.25),
         deadline: Duration::from_secs(60),
         seed: 42,
-        workers: 2,
+        workers: 1,
     };
     println!(
         "launching {} ftbb-noded processes on loopback ({} workload; only \
